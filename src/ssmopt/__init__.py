@@ -5,8 +5,7 @@ sensitivities of the frequency-amplitude relation."""
 from .mechmodel import (
     MechModel,
     ParamDerivatives,
-    SymTensor2,
-    SymTensor3,
+    SymTensor,
     check_light_damping,
     model_from_json,
     model_to_json,
@@ -17,7 +16,6 @@ from .ssm import (
     adapt_order,
     compute_ssm,
     invariance_residual,
-    leading_order,
 )
 from .backbone import (
     BackboneCurve,
@@ -30,8 +28,7 @@ from .backbone import (
 __all__ = [
     "MechModel",
     "ParamDerivatives",
-    "SymTensor2",
-    "SymTensor3",
+    "SymTensor",
     "check_light_damping",
     "model_from_json",
     "model_to_json",
@@ -43,7 +40,6 @@ __all__ = [
     "adapt_order",
     "compute_ssm",
     "invariance_residual",
-    "leading_order",
     "BackboneCurve",
     "omega_of_rho",
     "rho_of_x",

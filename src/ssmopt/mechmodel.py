@@ -4,9 +4,13 @@ The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 ``C = alpha_r M + beta_r K`` and a polynomial internal force
 ``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``.
 
-Force tensors are stored as coordinate lists with sorted trailing indices and
-pre-symmetrized values, so the contraction order of the trailing arguments is
-irrelevant by construction.
+Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
+T3) is the number of trailing index columns. It stores coordinate lists with
+sorted trailing indices and pre-symmetrized values, so the contraction order
+of the trailing arguments is irrelevant by construction. Its kernels
+(`contract`, `contract_sum`, `vjp`) serve the SSM recursion, the direct chain
+and the adjoint sweep alike. `SymTensor.from_entries` is also where tensor
+entries from a JSON descriptor are validated.
 """
 
 from __future__ import annotations
@@ -29,175 +33,123 @@ def _accum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymTensor2:
-    """Sparse order-3 tensor, symmetric over its two trailing indices.
+class SymTensor:
+    """Sparse tensor symmetric over its trailing indices: quadratic or cubic force.
 
-    Entries are stored once per canonical key (i, j, k) with j <= k; the value
-    carries the permutation multiplicity, so ``force(x) = sum v*x[j]*x[k]``.
+    `idx` has one leading (receiving) index column plus `arity` trailing ones,
+    so arity 2 stores T2[i,j,k] and arity 3 stores T3[i,j,k,l]. Entries are
+    stored once per canonical key with sorted trailing indices; the value
+    carries the permutation multiplicity, so ``force(x) = sum v*x[j]*x[k]``
+    (times ``x[l]`` for arity 3).
     """
 
     n: int
-    idx: np.ndarray = field(repr=False)  # (nnz, 3) int
+    idx: np.ndarray = field(repr=False)  # (nnz, 1 + arity) int
     vals: np.ndarray = field(repr=False)  # (nnz,) float
+    cols: tuple = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_entries(cls, n: int, entries) -> "SymTensor2":
-        entries = list(entries)
-        if not entries:
-            return cls.empty(n)
-        arr = np.asarray([[e[0], e[1], e[2]] for e in entries], dtype=np.intp)
-        vals = np.asarray([e[3] for e in entries], dtype=float)
-        if arr.min() < 0 or arr.max() >= n:
-            raise ModelError("tensor index out of range")
-        idx = np.column_stack([arr[:, 0], np.sort(arr[:, 1:], axis=1)])
-        key_order = np.lexsort(idx.T[::-1])
-        idx = idx[key_order]
-        vals = vals[key_order]
-        newgrp = np.ones(len(idx), dtype=bool)
-        newgrp[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-        starts = np.nonzero(newgrp)[0]
-        summed = np.add.reduceat(vals, starts)
-        keep = summed != 0.0
-        return cls(n, idx[starts][keep], summed[keep])
-
-    @classmethod
-    def empty(cls, n: int) -> "SymTensor2":
-        return cls(n, np.zeros((0, 3), dtype=np.intp), np.zeros(0))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    def to_entries(self) -> list[list[float]]:
-        return [[int(i), int(j), int(k), float(v)] for (i, j, k), v in zip(self.idx, self.vals)]
-
-    def scaled(self, alpha: float) -> "SymTensor2":
-        return SymTensor2(self.n, self.idx, alpha * self.vals)
-
-    # Entrywise pair kernel: exact only when summed over permutation-closed
-    # decomposition sets or with equal arguments. Use `bilinear` otherwise.
-    def contract_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(x, y))
-        i, j, k = self.idx.T
-        return _accum(i, self.vals * x[j] * y[k], self.n)
-
-    def bilinear(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Symmetric bilinear contraction; invariant under swapping x and y."""
-        return 0.5 * (self.contract_pair(x, y) + self.contract_pair(y, x))
-
-    def force(self, x: np.ndarray) -> np.ndarray:
-        return self.contract_pair(x, x)
-
-    def contract_pair_sum(self, pairs) -> np.ndarray:
-        """Sum of contract_pair over (x, y) argument pairs; one accumulation."""
-        if self.nnz == 0 or not pairs:
-            return np.zeros(self.n, dtype=complex)
-        i, j, k = self.idx.T
-        G = np.zeros(self.nnz, dtype=complex)
-        for x, y in pairs:
-            G += x[j] * y[k]
-        return _accum(i, self.vals * G, self.n)
-
-    def vjp_pair(self, v: np.ndarray, slot: int, other: np.ndarray) -> np.ndarray:
-        """Row-vector product r_p = sum_i v_i d(contract_pair)_i / d(arg_slot)_p."""
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(v, other))
-        i, j, k = self.idx.T
-        if slot == 0:
-            return _accum(j, self.vals * v[i] * other[k], self.n)
-        return _accum(k, self.vals * v[i] * other[j], self.n)
-
-
-@dataclass(frozen=True)
-class SymTensor3:
-    """Sparse order-4 tensor, symmetric over its three trailing indices."""
-
-    n: int
-    idx: np.ndarray = field(repr=False)  # (nnz, 4) int
-    vals: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_entries(cls, n: int, entries) -> "SymTensor3":
-        entries = list(entries)
-        if not entries:
-            return cls.empty(n)
-        arr = np.asarray([[e[0], e[1], e[2], e[3]] for e in entries], dtype=np.intp)
-        vals = np.asarray([e[4] for e in entries], dtype=float)
-        if arr.min() < 0 or arr.max() >= n:
-            raise ModelError("tensor index out of range")
-        idx = np.column_stack([arr[:, 0], np.sort(arr[:, 1:], axis=1)])
-        key_order = np.lexsort(idx.T[::-1])
-        idx = idx[key_order]
-        vals = vals[key_order]
-        newgrp = np.ones(len(idx), dtype=bool)
-        newgrp[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-        starts = np.nonzero(newgrp)[0]
-        summed = np.add.reduceat(vals, starts)
-        keep = summed != 0.0
-        return cls(n, idx[starts][keep], summed[keep])
-
-    @classmethod
-    def empty(cls, n: int) -> "SymTensor3":
-        return cls(n, np.zeros((0, 4), dtype=np.intp), np.zeros(0))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    def to_entries(self) -> list[list[float]]:
-        return [
-            [int(i), int(j), int(k), int(l), float(v)]
-            for (i, j, k, l), v in zip(self.idx, self.vals)
-        ]
-
-    def scaled(self, alpha: float) -> "SymTensor3":
-        return SymTensor3(self.n, self.idx, alpha * self.vals)
-
-    def contract_triple(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(x, y, z))
-        i, j, k, l = self.idx.T
-        return _accum(i, self.vals * x[j] * y[k] * z[l], self.n)
-
-    def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Fully symmetric trilinear contraction (argument order irrelevant)."""
-        acc = (
-            self.contract_triple(x, y, z)
-            + self.contract_triple(x, z, y)
-            + self.contract_triple(y, x, z)
-            + self.contract_triple(y, z, x)
-            + self.contract_triple(z, x, y)
-            + self.contract_triple(z, y, x)
+    def __post_init__(self):
+        # index columns as contiguous arrays, gathered once per tensor
+        object.__setattr__(
+            self, "cols", tuple(np.ascontiguousarray(c) for c in self.idx.T)
         )
-        return acc / 6.0
+
+    @classmethod
+    def from_entries(cls, n: int, arity: int, entries) -> "SymTensor":
+        """Tensor from [i, j, k, v] (arity 2) or [i, j, k, l, v] (arity 3) rows.
+
+        Rows are validated as model input: each holds arity + 1 integer
+        indices in [0, n) and a finite value; duplicates are summed.
+        """
+        name = f"T{arity}"
+        entries = list(entries)
+        if not entries:
+            return cls.empty(n, arity)
+        width = arity + 2
+        try:
+            arr = np.array(entries)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != width or arr.dtype.kind not in "iuf":
+            raise ModelError(
+                f"{name} entries must be rows of {width} numbers "
+                f"({arity + 1} indices, then the value)"
+            )
+        arr = arr.astype(float, copy=False)
+        if not np.all(np.isfinite(arr)):
+            raise ModelError(f"{name} holds a non-finite number")
+        ids = arr[:, :-1]
+        if np.any(ids != np.floor(ids)):
+            raise ModelError(f"{name} indices must be integers")
+        if ids.min() < 0 or ids.max() >= n:
+            raise ModelError(f"{name} index out of range for n = {n}")
+        ids = ids.astype(np.intp)
+        vals = arr[:, -1]
+        idx = np.column_stack([ids[:, 0], np.sort(ids[:, 1:], axis=1)])
+        key_order = np.lexsort(idx.T[::-1])
+        idx = idx[key_order]
+        vals = vals[key_order]
+        newgrp = np.ones(len(idx), dtype=bool)
+        newgrp[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+        starts = np.nonzero(newgrp)[0]
+        summed = np.add.reduceat(vals, starts)
+        keep = summed != 0.0
+        return cls(n, idx[starts][keep], summed[keep])
+
+    @classmethod
+    def empty(cls, n: int, arity: int) -> "SymTensor":
+        return cls(n, np.zeros((0, arity + 1), dtype=np.intp), np.zeros(0))
+
+    @property
+    def arity(self) -> int:
+        return self.idx.shape[1] - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def to_entries(self) -> list[list[float]]:
+        return [[*map(int, key), float(v)] for key, v in zip(self.idx, self.vals)]
+
+    # Entrywise kernel: exact only when summed over permutation-closed
+    # decomposition sets or with equal arguments.
+    def contract(self, *args: np.ndarray) -> np.ndarray:
+        """f_i = sum v * args[0][j] * args[1][k] (* args[2][l])."""
+        if self.nnz == 0:
+            return np.zeros(self.n, dtype=np.result_type(*args))
+        prod = self.vals
+        for a, c in zip(args, self.cols[1:]):
+            prod = prod * a[c]
+        return _accum(self.cols[0], prod, self.n)
 
     def force(self, x: np.ndarray) -> np.ndarray:
-        return self.contract_triple(x, x, x)
+        return self.contract(*[x] * self.arity)
 
-    def contract_triple_sum(self, triples) -> np.ndarray:
-        """Sum of contract_triple over (x, y, z) triples; one accumulation."""
-        if self.nnz == 0 or not triples:
+    def contract_sum(self, arg_tuples) -> np.ndarray:
+        """Sum of contract over a list of argument tuples; one accumulation."""
+        if self.nnz == 0 or not arg_tuples:
             return np.zeros(self.n, dtype=complex)
-        i, j, k, l = self.idx.T
+        trailing = self.cols[1:]
         G = np.zeros(self.nnz, dtype=complex)
-        for x, y, z in triples:
-            G += x[j] * y[k] * z[l]
-        return _accum(i, self.vals * G, self.n)
+        for args in arg_tuples:
+            term = args[0][trailing[0]]
+            for a, c in zip(args[1:], trailing[1:]):
+                term = term * a[c]
+            G += term
+        return _accum(self.cols[0], self.vals * G, self.n)
 
-    def vjp_triple(self, v: np.ndarray, slot: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-vector product against the derivative of contract_triple.
+    def vjp(self, v: np.ndarray, slot: int, others) -> np.ndarray:
+        """Row-vector product r_p = sum_i v_i d(contract)_i / d(args[slot])_p.
 
-        `a`, `b` are the two arguments that stay fixed, in positional order.
+        `others` are the arguments that stay fixed, in positional order.
         """
         if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(v, a, b))
-        i, j, k, l = self.idx.T
-        if slot == 0:
-            return _accum(j, self.vals * v[i] * a[k] * b[l], self.n)
-        if slot == 1:
-            return _accum(k, self.vals * v[i] * a[j] * b[l], self.n)
-        return _accum(l, self.vals * v[i] * a[j] * b[k], self.n)
+            return np.zeros(self.n, dtype=np.result_type(v, *others))
+        trailing = self.cols[1:]
+        prod = self.vals * v[self.cols[0]]
+        for a, c in zip(others, trailing[:slot] + trailing[slot + 1 :]):
+            prod = prod * a[c]
+        return _accum(trailing[slot], prod, self.n)
 
 
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
@@ -214,8 +166,8 @@ class MechModel:
     K: np.ndarray
     alpha_r: float
     beta_r: float
-    T2: SymTensor2
-    T3: SymTensor3
+    T2: SymTensor
+    T3: SymTensor
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
@@ -238,6 +190,8 @@ class MechModel:
             raise ModelError("Rayleigh coefficients must be nonnegative")
         if self.T2.n != n or self.T3.n != n:
             raise ModelError("tensor dimension does not match matrix size")
+        if self.T2.arity != 2 or self.T3.arity != 3:
+            raise ModelError("T2 must be a quadratic and T3 a cubic tensor")
 
     @property
     def n(self) -> int:
@@ -264,13 +218,6 @@ class MechModel:
         A[n:, n:] = self.M
         return B, A
 
-    def first_order_nonlinearity(self, z: np.ndarray) -> np.ndarray:
-        """F(z) = [-f(x); 0] for the first-order form, with x = z[:n]."""
-        n = self.n
-        F = np.zeros(2 * n, dtype=z.dtype)
-        F[:n] = -(self.T2.force(z[:n]) + self.T3.force(z[:n]))
-        return F
-
 
 @dataclass(frozen=True)
 class ParamDerivatives:
@@ -282,8 +229,8 @@ class ParamDerivatives:
     names: tuple[str, ...]
     dM: tuple[np.ndarray, ...]
     dK: tuple[np.ndarray, ...]
-    dT2: tuple[SymTensor2, ...]
-    dT3: tuple[SymTensor3, ...]
+    dT2: tuple[SymTensor, ...]
+    dT3: tuple[SymTensor, ...]
 
     def __post_init__(self):
         p = len(self.names)
@@ -349,11 +296,14 @@ def model_from_json(desc: dict) -> MechModel:
     if desc.get("type") != "matrix":
         raise ModelError(f"expected a matrix-form descriptor, got type={desc.get('type')!r}")
     n = int(desc["n"])
+    M = np.asarray(desc["M"], dtype=float)
+    if len(M) != n:
+        raise ModelError(f"n = {n} but M has {len(M)} rows")
     return MechModel(
-        M=np.asarray(desc["M"], dtype=float),
+        M=M,
         K=np.asarray(desc["K"], dtype=float),
         alpha_r=float(desc.get("alpha_r", 0.0)),
         beta_r=float(desc.get("beta_r", 0.0)),
-        T2=SymTensor2.from_entries(n, desc.get("T2", [])),
-        T3=SymTensor3.from_entries(n, desc.get("T3", [])),
+        T2=SymTensor.from_entries(n, 2, desc.get("T2", [])),
+        T3=SymTensor.from_entries(n, 3, desc.get("T3", [])),
     )

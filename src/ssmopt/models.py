@@ -18,11 +18,12 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .mechmodel import MechModel, ParamDerivatives, SymTensor2, SymTensor3
+from .mechmodel import MechModel, ParamDerivatives, SymTensor
 
 FD_ASSEMBLY_RELSTEP = 1e-6
 
@@ -48,32 +49,33 @@ def _chain_springs(n: int) -> list[tuple[int | None, int]]:
     return [(None, 0)] + [(i, i + 1) for i in range(n - 1)]
 
 
+def _spring_ends(left: int | None, right: int):
+    """(mass, other end) for each mass a spring acts on; None is the ground."""
+    return [(i, right if i == left else left) for i in (left, right) if i is not None]
+
+
+def _spring_entries(i: int, o: int | None, power: int, coef: float) -> list:
+    """Tensor entries of coef*(x_i - x_o)**power acting on mass i."""
+    if o is None:
+        return [(i,) * (power + 1) + (coef,)]
+    return [
+        (i,) * (power + 1 - a) + (o,) * a + (coef * comb(power, a) * (-1) ** a,)
+        for a in range(power + 1)
+    ]
+
+
 def _chain_operators(spec: ChainSpec, k: float, k2: float, k3: float):
     n = spec.n_masses
     K = np.zeros((n, n))
-    t2: list = []
-    t3: list = []
+    entries: dict[int, list] = {2: [], 3: []}
     for left, right in _chain_springs(n):
-        ends = [e for e in (left, right) if e is not None]
-        for i in ends:
-            other = right if i == left else left
+        for i, o in _spring_ends(left, right):
             K[i, i] += k
-            if other is not None:
-                K[i, other] -= k
-            o = other if other is not None else None
-            # k2*(x_i - x_o)^2 and k3*(x_i - x_o)^3 acting on mass i
-            if o is None:
-                t2.append((i, i, i, k2))
-                t3.append((i, i, i, i, k3))
-            else:
-                t2 += [(i, i, i, k2), (i, i, o, -2 * k2), (i, o, o, k2)]
-                t3 += [
-                    (i, i, i, i, k3),
-                    (i, i, i, o, -3 * k3),
-                    (i, i, o, o, 3 * k3),
-                    (i, o, o, o, -k3),
-                ]
-    return K, SymTensor2.from_entries(n, t2), SymTensor3.from_entries(n, t3)
+            if o is not None:
+                K[i, o] -= k
+            for power, coef in ((2, k2), (3, k3)):
+                entries[power] += _spring_entries(i, o, power, coef)
+    return K, *(SymTensor.from_entries(n, a, entries[a]) for a in (2, 3))
 
 
 def build_chain(
@@ -94,11 +96,12 @@ def build_chain(
     )
     K1, T2u, T3u = _chain_operators(spec, 1.0, 1.0, 1.0)
     zeros = np.zeros((n, n))
+    E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
     table = {
-        "mass": (np.eye(n), zeros, SymTensor2.empty(n), SymTensor3.empty(n)),
-        "k": (zeros, K1, SymTensor2.empty(n), SymTensor3.empty(n)),
-        "k2": (zeros, zeros, T2u, SymTensor3.empty(n)),
-        "k3": (zeros, zeros, SymTensor2.empty(n), T3u),
+        "mass": (np.eye(n), zeros, E2, E3),
+        "k": (zeros, K1, E2, E3),
+        "k2": (zeros, zeros, T2u, E3),
+        "k3": (zeros, zeros, E2, T3u),
     }
     unknown = [p for p in params if p not in table]
     if unknown:
@@ -121,23 +124,16 @@ def chain_per_spring_k3(spec: ChainSpec, count: int) -> ParamDerivatives:
         raise ConfigError(f"chain has only {len(springs)} springs, requested {count}")
     zeros = np.zeros((n, n))
     dT3 = []
-    for s in range(count):
-        left, right = springs[s]
+    for left, right in springs[:count]:
         t3 = []
-        ends = [e for e in (left, right) if e is not None]
-        for i in ends:
-            other = right if i == left else left
-            if other is None:
-                t3.append((i, i, i, i, 1.0))
-            else:
-                o = other
-                t3 += [(i, i, i, i, 1.0), (i, i, i, o, -3.0), (i, i, o, o, 3.0), (i, o, o, o, -1.0)]
-        dT3.append(SymTensor3.from_entries(n, t3))
+        for i, o in _spring_ends(left, right):
+            t3 += _spring_entries(i, o, 3, 1.0)
+        dT3.append(SymTensor.from_entries(n, 3, t3))
     return ParamDerivatives(
         names=tuple(f"k3_{s}" for s in range(count)),
         dM=tuple(zeros for _ in range(count)),
         dK=tuple(zeros for _ in range(count)),
-        dT2=tuple(SymTensor2.empty(n) for _ in range(count)),
+        dT2=tuple(SymTensor.empty(n, 2) for _ in range(count)),
         dT3=tuple(dT3),
     )
 
@@ -239,7 +235,7 @@ def _beam_nodes(spec: VkBeamSpec) -> np.ndarray:
 
 
 def _assemble_vk(spec: VkBeamSpec):
-    """Free-DOF operators (M, K dense; tensors as entry dicts) after clamping."""
+    """Free-DOF operators after clamping: M, K dense, (T2, T3) as entry dicts."""
     if spec.thickness <= 0 or spec.length <= 0:
         raise ModelError("beam thickness and length must be positive")
     if spec.n_elements < 2:
@@ -254,6 +250,11 @@ def _assemble_vk(spec: VkBeamSpec):
     ndof = 3 * n_nodes
     M = np.zeros((ndof, ndof))
     K = np.zeros((ndof, ndof))
+    # both end nodes are clamped (all three DOFs each); tensor entries on a
+    # clamped DOF are dropped as they are assembled
+    free = np.arange(3, ndof - 3)
+    free_index = np.full(ndof, -1)
+    free_index[free] = np.arange(len(free))
     t2: dict[tuple[int, int, int], float] = {}
     t3: dict[tuple[int, int, int, int], float] = {}
     for e in range(spec.n_elements):
@@ -274,47 +275,32 @@ def _assemble_vk(spec: VkBeamSpec):
         dofs = np.r_[3 * e : 3 * e + 3, 3 * (e + 1) : 3 * (e + 1) + 3]
         K[np.ix_(dofs, dofs)] += Kg
         M[np.ix_(dofs, dofs)] += Mg
-        tol2 = 1e-14 * max(1.0, np.abs(T2g).max())
-        tol3 = 1e-14 * max(1.0, np.abs(T3g).max())
-        nz = np.nonzero(np.abs(T2g) > tol2)
-        for a, bb, cc, v in zip(dofs[nz[0]], dofs[nz[1]], dofs[nz[2]], T2g[nz]):
-            key = (a, bb, cc)
-            t2[key] = t2.get(key, 0.0) + v
-        nz = np.nonzero(np.abs(T3g) > tol3)
-        for a, bb, cc, dd, v in zip(
-            dofs[nz[0]], dofs[nz[1]], dofs[nz[2]], dofs[nz[3]], T3g[nz]
-        ):
-            key3 = (a, bb, cc, dd)
-            t3[key3] = t3.get(key3, 0.0) + v
-    # clamp both end nodes (all three DOFs each)
-    fixed = list(range(3)) + list(range(ndof - 3, ndof))
-    free = np.array([i for i in range(ndof) if i not in fixed])
-    remap = {g: i for i, g in enumerate(free)}
+        for Tg, acc in ((T2g, t2), (T3g, t3)):
+            tol = 1e-14 * max(1.0, np.abs(Tg).max())
+            nz = np.nonzero(np.abs(Tg) > tol)
+            keys = free_index[dofs[np.array(nz)]].T
+            kept = np.all(keys >= 0, axis=1)
+            for key, v in zip(map(tuple, keys[kept].tolist()), Tg[nz][kept]):
+                acc[key] = acc.get(key, 0.0) + v
     Mf = M[np.ix_(free, free)]
     Kf = K[np.ix_(free, free)]
-    t2f = {}
-    for (i, j, k), v in t2.items():
-        if i in remap and j in remap and k in remap:
-            t2f[(remap[i], remap[j], remap[k])] = v
-    t3f = {}
-    for (i, j, k, l), v in t3.items():
-        if i in remap and j in remap and k in remap and l in remap:
-            t3f[(remap[i], remap[j], remap[k], remap[l])] = v
-    return Mf, Kf, t2f, t3f
+    return Mf, Kf, (t2, t3)
+
+
+def _tensor_from_dict(n: int, arity: int, entries: dict) -> SymTensor:
+    return SymTensor.from_entries(n, arity, [(*key, v) for key, v in entries.items()])
 
 
 def _vk_model(spec: VkBeamSpec) -> MechModel:
-    Mf, Kf, t2, t3 = _assemble_vk(spec)
+    Mf, Kf, (t2, t3) = _assemble_vk(spec)
     n = Mf.shape[0]
     return MechModel(
         M=Mf,
         K=Kf,
         alpha_r=spec.alpha_r,
         beta_r=spec.beta_r,
-        T2=SymTensor2.from_entries(n, [(i, j, k, v) for (i, j, k), v in t2.items()]),
-        T3=SymTensor3.from_entries(
-            n, [(i, j, k, l, v) for (i, j, k, l), v in t3.items()]
-        ),
+        T2=_tensor_from_dict(n, 2, t2),
+        T3=_tensor_from_dict(n, 3, t3),
     )
 
 
@@ -326,7 +312,7 @@ def build_vk_beam(
 ) -> tuple[MechModel, ParamDerivatives]:
     """Beam model plus FD-of-assembly derivatives for shape/size parameters."""
     model = _vk_model(spec)
-    dM, dK, dT2, dT3 = [], [], [], []
+    dM, dK, dT = [], [], {2: [], 3: []}
     for p in params:
         if p not in VK_PARAM_FIELDS:
             raise ConfigError(f"unknown beam parameter {p!r}")
@@ -337,28 +323,14 @@ def build_vk_beam(
         minus = _assemble_vk(replace(spec, **{fld: mu - h}))
         dM.append((plus[0] - minus[0]) / (2 * h))
         dK.append((plus[1] - minus[1]) / (2 * h))
-        keys2 = set(plus[2]) | set(minus[2])
-        dT2.append(
-            SymTensor2.from_entries(
-                model.n,
-                [
-                    (*key, (plus[2].get(key, 0.0) - minus[2].get(key, 0.0)) / (2 * h))
-                    for key in keys2
-                ],
-            )
-        )
-        keys3 = set(plus[3]) | set(minus[3])
-        dT3.append(
-            SymTensor3.from_entries(
-                model.n,
-                [
-                    (*key, (plus[3].get(key, 0.0) - minus[3].get(key, 0.0)) / (2 * h))
-                    for key in keys3
-                ],
-            )
-        )
+        for arity, tp, tm in zip((2, 3), plus[2], minus[2]):
+            diff = {
+                key: (tp.get(key, 0.0) - tm.get(key, 0.0)) / (2 * h)
+                for key in set(tp) | set(tm)
+            }
+            dT[arity].append(_tensor_from_dict(model.n, arity, diff))
     derivs = ParamDerivatives(
-        names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT2), dT3=tuple(dT3)
+        names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT[2]), dT3=tuple(dT[3])
     )
     return model, derivs
 
@@ -369,31 +341,3 @@ def vk_center_dof(spec: VkBeamSpec) -> int:
         raise ConfigError("center DOF requires an even element count")
     center_node = spec.n_elements // 2
     return 3 * (center_node - 1) + 1  # node 0 is clamped away
-
-
-def build_vk_beam_at(spec: VkBeamSpec, mu: np.ndarray, params: tuple[str, ...]) -> VkBeamSpec:
-    """Spec with the named parameters replaced by the entries of mu."""
-    updates = {VK_PARAM_FIELDS[p]: float(v) for p, v in zip(params, mu)}
-    return replace(spec, **updates)
-
-
-# -- catalog -----------------------------------------------------------------
-
-
-def model_catalog() -> dict:
-    """Named builder registry used by the CLI config resolution."""
-    return {
-        "chain2": lambda: build_chain(ChainSpec()),
-        "duffing1": lambda: build_chain(
-            ChainSpec(n_masses=1, mass=1.0, k=1.0, k2=0.0, k3=0.1, alpha_r=0.0, beta_r=0.0),
-            params=("k", "k3"),
-        ),
-        "vk_beam10": lambda: build_vk_beam(VkBeamSpec()),
-    }
-
-
-def build_named(name: str):
-    cat = model_catalog()
-    if name not in cat:
-        raise ConfigError(f"unknown model id {name!r}; known: {sorted(cat)}")
-    return cat[name]()

@@ -9,7 +9,6 @@ canonical half needs to be computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 MultiIndex = tuple[int, int]
@@ -30,18 +29,6 @@ def is_canonical(m: MultiIndex) -> bool:
     return m[0] >= m[1]
 
 
-def is_self_symmetric(m: MultiIndex) -> bool:
-    return m[0] == m[1]
-
-
-@dataclass(frozen=True)
-class OrderSet:
-    """Canonical representatives of all multi-indices at one order."""
-
-    order: int
-    indices: tuple[MultiIndex, ...]
-
-
 def all_indices(order_: int) -> list[MultiIndex]:
     """All order_+1 multi-indices at the given order, m1 descending."""
     if order_ < 1:
@@ -52,10 +39,6 @@ def all_indices(order_: int) -> list[MultiIndex]:
 def canonical_indices(order_: int) -> list[MultiIndex]:
     """Canonical (m1 >= m2) multi-indices at the given order, m1 descending."""
     return [m for m in all_indices(order_) if m[0] >= m[1]]
-
-
-def enumerate_order(order_: int) -> OrderSet:
-    return OrderSet(order_, tuple(canonical_indices(order_)))
 
 
 def monomial(p, m: MultiIndex) -> complex:
@@ -88,40 +71,19 @@ def r1_active_index(order_: int) -> MultiIndex:
 
 
 @lru_cache(maxsize=None)
-def pair_decomps(m: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex], ...]:
-    """Ordered decompositions m = u + v with both parts of order >= 1.
+def decomps(m: MultiIndex, parts: int) -> tuple[tuple[MultiIndex, ...], ...]:
+    """Ordered decompositions of m into `parts` indices, each of order >= 1.
 
-    The returned set is closed under swapping u and v.
+    The first part varies slowest, each component ascending, so parts=2
+    yields m = u + v and parts=3 yields m = u + v + t. The returned set is
+    closed under permutation of the parts.
     """
+    if parts == 1:
+        return ((m,),) if order(m) >= 1 else ()
     out = []
     for u1 in range(m[0] + 1):
         for u2 in range(m[1] + 1):
             u = (u1, u2)
-            v = (m[0] - u1, m[1] - u2)
-            if order(u) >= 1 and order(v) >= 1:
-                out.append((u, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def triple_decomps(
-    m: MultiIndex,
-) -> tuple[tuple[MultiIndex, MultiIndex, MultiIndex], ...]:
-    """Ordered decompositions m = u + v + t with all parts of order >= 1.
-
-    Closed under permutation of the three parts.
-    """
-    out = []
-    for u1 in range(m[0] + 1):
-        for u2 in range(m[1] + 1):
-            u = (u1, u2)
-            if order(u) < 1:
-                continue
-            rest = (m[0] - u1, m[1] - u2)
-            for v1 in range(rest[0] + 1):
-                for v2 in range(rest[1] + 1):
-                    v = (v1, v2)
-                    t = (rest[0] - v1, rest[1] - v2)
-                    if order(v) >= 1 and order(t) >= 1:
-                        out.append((u, v, t))
+            if order(u) >= 1:
+                out.extend((u, *rest) for rest in decomps((m[0] - u1, m[1] - u2), parts - 1))
     return tuple(out)

@@ -24,15 +24,14 @@ import numpy as np
 
 from .backbone import domega_drho, dx_drho, x_theta_samples
 from .errors import ConjugacyError, TurningPointError
-from .mechmodel import MechModel, ParamDerivatives
+from .mechmodel import MechModel, ParamDerivatives, SymTensor
 from .multiindex import (
     all_indices,
     canonical_indices,
+    decomps,
     is_canonical,
     order,
-    pair_decomps,
     symmetric,
-    triple_decomps,
 )
 from .sens_direct import lambda_derivative
 from .ssm import SsmExpansion, index_solve, v_decomps
@@ -211,13 +210,12 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         bars.rbar(k)[j] += u[j] * (bar_vdot @ exp.wdot(u))
 
     # nonlinear force convolution
-    for u, v in pair_decomps(m):
-        _route_force_bar(exp, bars, u, model.T2.vjp_pair(bar_f, 0, exp.w(v)))
-        _route_force_bar(exp, bars, v, model.T2.vjp_pair(bar_f, 1, exp.w(u)))
-    for u, v, t in triple_decomps(m):
-        _route_force_bar(exp, bars, u, model.T3.vjp_triple(bar_f, 0, exp.w(v), exp.w(t)))
-        _route_force_bar(exp, bars, v, model.T3.vjp_triple(bar_f, 1, exp.w(u), exp.w(t)))
-        _route_force_bar(exp, bars, t, model.T3.vjp_triple(bar_f, 2, exp.w(u), exp.w(v)))
+    for T in (model.T2, model.T3):
+        for d in decomps(m, T.arity):
+            ws = [exp.w(u) for u in d]
+            for slot, u in enumerate(d):
+                bar_u = T.vjp(bar_f, slot, ws[:slot] + ws[slot + 1 :])
+                _route_force_bar(exp, bars, u, bar_u)
 
 
 def solve_adjoint_w(
@@ -335,6 +333,22 @@ class AdjointReport:
     seconds: float = 0.0
 
 
+def _stack_params(tensors, n: int) -> SymTensor | None:
+    """The per-parameter tensors as one tensor whose rows are p*n + i.
+
+    One contraction of the stacked tensor yields the partial forces of all
+    parameters at once, as a flat (P*n) vector; None when all are empty.
+    """
+    parts = [(p, t) for p, t in enumerate(tensors) if t.nnz]
+    if not parts:
+        return None
+    pid = np.concatenate([np.full(t.nnz, p) for p, t in parts])
+    idx = np.vstack([t.idx for _, t in parts])
+    idx[:, 0] += pid * n
+    vals = np.concatenate([t.vals for _, t in parts])
+    return SymTensor(len(tensors) * n, idx, vals)
+
+
 def contract_gradient(
     model: MechModel,
     exp: SsmExpansion,
@@ -361,32 +375,9 @@ def contract_gradient(
     lam_pair = master.lambda_pair
     shift = model.alpha_r + model.beta_r * master.omega**2
 
-    # stacked tensor-derivative entries with a parameter id per entry
-    def stack2():
-        pids, idxs, vals = [], [], []
-        for p in range(P):
-            t = params.dT2[p]
-            if t.nnz:
-                pids.append(np.full(t.nnz, p))
-                idxs.append(t.idx)
-                vals.append(t.vals)
-        if not pids:
-            return None
-        return np.concatenate(pids), np.vstack(idxs), np.concatenate(vals)
-
-    def stack3():
-        pids, idxs, vals = [], [], []
-        for p in range(P):
-            t = params.dT3[p]
-            if t.nnz:
-                pids.append(np.full(t.nnz, p))
-                idxs.append(t.idx)
-                vals.append(t.vals)
-        if not pids:
-            return None
-        return np.concatenate(pids), np.vstack(idxs), np.concatenate(vals)
-
-    s2, s3 = stack2(), stack3()
+    stacked = [
+        t for t in (_stack_params(params.dT2, n), _stack_params(params.dT3, n)) if t is not None
+    ]
     matrix_params = [
         p
         for p in range(P)
@@ -396,28 +387,9 @@ def contract_gradient(
 
     def pf_all(m):
         out = np.zeros((P, n), dtype=complex)
-        if s2 is not None:
-            pid, idx, vals = s2
-            i, j, k = idx.T
-            G = np.zeros(len(vals), dtype=complex)
-            for u, v in pair_decomps(m):
-                G += exp.w(u)[j] * exp.w(v)[k]
-            flat = np.bincount(pid * n + i, (vals * G).real, minlength=P * n).astype(
-                complex
-            )
-            flat += 1j * np.bincount(pid * n + i, (vals * G).imag, minlength=P * n)
-            out += flat.reshape(P, n)
-        if s3 is not None:
-            pid, idx, vals = s3
-            i, j, k, l = idx.T
-            G = np.zeros(len(vals), dtype=complex)
-            for u, v, t in triple_decomps(m):
-                G += exp.w(u)[j] * exp.w(v)[k] * exp.w(t)[l]
-            flat = np.bincount(pid * n + i, (vals * G).real, minlength=P * n).astype(
-                complex
-            )
-            flat += 1j * np.bincount(pid * n + i, (vals * G).imag, minlength=P * n)
-            out += flat.reshape(P, n)
+        for T in stacked:
+            args = [tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)]
+            out += T.contract_sum(args).reshape(P, n)
         return out
 
     phiM = phi @ M

@@ -20,10 +20,9 @@ from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
     all_indices,
     canonical_indices,
+    decomps,
     order,
-    pair_decomps,
     symmetric,
-    triple_decomps,
 )
 from .ssm import SsmExpansion, index_solve, v_decomps
 
@@ -134,7 +133,7 @@ def chain_derivatives(
 
     for p in range(P):
         dM, dK = params.dM[p], params.dK[p]
-        dT2, dT3 = params.dT2[p], params.dT3[p]
+        tensor_pairs = ((model.T2, params.dT2[p]), (model.T3, params.dT3[p]))
         dCmat = params.dC(p, model)
         dphi = dphi_all[p].astype(complex)
         domega = domega_all[p]
@@ -159,17 +158,12 @@ def chain_derivatives(
                 dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
 
                 df = np.zeros(n, dtype=complex)
-                for u, v in pair_decomps(m):
-                    wu, wv = exp.w(u), exp.w(v)
-                    df += dT2.contract_pair(wu, wv)
-                    df += model.T2.contract_pair(dcoef[u][0], wv)
-                    df += model.T2.contract_pair(wu, dcoef[v][0])
-                for u, v, t in triple_decomps(m):
-                    wu, wv, wt = exp.w(u), exp.w(v), exp.w(t)
-                    df += dT3.contract_triple(wu, wv, wt)
-                    df += model.T3.contract_triple(dcoef[u][0], wv, wt)
-                    df += model.T3.contract_triple(wu, dcoef[v][0], wt)
-                    df += model.T3.contract_triple(wu, wv, dcoef[t][0])
+                for T, dT in tensor_pairs:
+                    for d in decomps(m, T.arity):
+                        ws = [exp.w(u) for u in d]
+                        df += dT.contract(*ws)
+                        for slot, u in enumerate(d):
+                            df += T.contract(*ws[:slot], dcoef[u][0], *ws[slot + 1 :])
 
                 dV = np.zeros(n, dtype=complex)
                 dVdot = np.zeros(n, dtype=complex)

@@ -36,13 +36,12 @@ from .multiindex import (
     MultiIndex,
     all_indices,
     canonical_indices,
+    decomps,
     monomial,
     order,
-    pair_decomps,
     r1_active_index,
     resonant_slot,
     symmetric,
-    triple_decomps,
 )
 from .spectral import MasterPair
 
@@ -183,11 +182,6 @@ class SsmExpansion:
         return [(q, r1_active_index(q)) for q in self.r_orders()]
 
 
-def leading_order(master: MasterPair, model: MechModel) -> SsmExpansion:
-    """Order-1 expansion seeded with the master pair."""
-    return SsmExpansion(model, master)
-
-
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
     ms = symmetric(rec.m)
     slot = None if rec.slot is None else 1 - rec.slot
@@ -220,11 +214,11 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
 
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
-    f = model.T2.contract_pair_sum(
-        [(exp.w(u), exp.w(v)) for u, v in pair_decomps(m)]
-    ) + model.T3.contract_triple_sum(
-        [(exp.w(u), exp.w(v), exp.w(t)) for u, v, t in triple_decomps(m)]
+    f2, f3 = (
+        T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
+        for T in (model.T2, model.T3)
     )
+    f = f2 + f3
 
     V = np.zeros(n, dtype=complex)
     Vdot = np.zeros(n, dtype=complex)
@@ -407,7 +401,7 @@ def invariance_residual(
             Rp += rec.R * pm
         x = W[:n]
         F = np.zeros(2 * n, dtype=complex)
-        F[:n] = -(model.T2.force(x) + model.T3.force(x))
+        F[:n] = -model.nonlinear_force(x)
         rhs = A @ W + F
         lhs = B @ (dW1 * Rp[0] + dW2 * Rp[1])
         den = state_norm(rhs)

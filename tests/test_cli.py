@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ssmopt.cli import main
 
@@ -81,6 +82,26 @@ class TestBackboneCommand:
         }
         cfg = {"model": bad, "backbone": {"dof": 0, "x_targets": [0.1]}}
         assert main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("T3", {"T3": [[0, 0, 0, 0.1]]}),  # one index short
+            ("T2", {"T2": [[0, 0, 0, 0, 0.5]]}),  # one index too many
+            ("T2", {"T2": [[0.5, 0, 0, 0.5]]}),  # fractional index
+            ("T2", {"T2": [[0, 0, 0, "x"]]}),  # non-numeric value
+            ("T3", {"T3": [[0, 0, 0, 0, float("nan")]]}),  # non-finite value
+            ("n", {"n": 2}),  # disagrees with the 1x1 M
+        ],
+    )
+    def test_malformed_matrix_model_exit_code(self, tmp_path, capsys, field, fields):
+        model = dict({"type": "matrix", "n": 1, "M": [[1.0]], "K": [[1.0]]}, **fields)
+        cfg = {"model": model, "backbone": {"dof": 0, "x_targets": [0.1], "order": 3}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: {field} ")
+        assert "Traceback" not in err
 
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = {

@@ -1,11 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ssmopt import MechModel, SymTensor2, SymTensor3, check_light_damping, model_from_json, model_to_json
+from ssmopt import MechModel, SymTensor, check_light_damping, model_from_json, model_to_json
 from ssmopt.errors import ModelError
+from ssmopt.multiindex import all_indices, decomps
 
 
 def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
@@ -14,8 +16,8 @@ def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
         K=np.eye(1),
         alpha_r=alpha_r,
         beta_r=beta_r,
-        T2=SymTensor2.from_entries(1, [(0, 0, 0, k2)] if k2 else []),
-        T3=SymTensor3.from_entries(1, [(0, 0, 0, 0, k3)] if k3 else []),
+        T2=SymTensor.from_entries(1, 2, [(0, 0, 0, k2)] if k2 else []),
+        T3=SymTensor.from_entries(1, 3, [(0, 0, 0, 0, k3)] if k3 else []),
     )
 
 
@@ -32,7 +34,7 @@ class TestDamping:
 
     def test_mass_scaling_identity(self):
         m = MechModel(np.eye(3), 2 * np.eye(3), 1.0, 0.0,
-                      SymTensor2.empty(3), SymTensor3.empty(3))
+                      SymTensor.empty(3, 2), SymTensor.empty(3, 3))
         assert np.allclose(m.damping(), np.eye(3))
 
     def test_elementwise_combination(self, chain2):
@@ -65,8 +67,8 @@ class TestNonlinearForce:
 
     def test_homogeneity_quadratic_and_cubic(self, chain2):
         model, _ = chain2
-        quad = MechModel(model.M, model.K, 0.0, 0.0, model.T2, SymTensor3.empty(2))
-        cub = MechModel(model.M, model.K, 0.0, 0.0, SymTensor2.empty(2), model.T3)
+        quad = MechModel(model.M, model.K, 0.0, 0.0, model.T2, SymTensor.empty(2, 3))
+        cub = MechModel(model.M, model.K, 0.0, 0.0, SymTensor.empty(2, 2), model.T3)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=2)
@@ -74,17 +76,55 @@ class TestNonlinearForce:
             assert np.allclose(quad.nonlinear_force(lam * x), lam**2 * quad.nonlinear_force(x))
             assert np.allclose(cub.nonlinear_force(lam * x), lam**3 * cub.nonlinear_force(x))
 
-    def test_symmetrized_storage_contraction_order(self, chain2):
-        model, _ = chain2
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            x, y = rng.normal(size=(2, 2))
-            assert np.allclose(model.T2.bilinear(x, y), model.T2.bilinear(y, x))
-            z = rng.normal(size=2)
-            perms = [(x, y, z), (y, x, z), (z, y, x), (x, z, y)]
-            ref = model.T3.trilinear(x, y, z)
-            for a, b, c in perms:
-                assert np.allclose(model.T3.trilinear(a, b, c), ref)
+
+def _random_tensor(rng, n, arity):
+    """A SymTensor from unsorted, partly duplicated entries, plus its dense
+    symmetrized form as the oracle."""
+    raw = rng.integers(0, n, size=(12, arity + 1))
+    raw = np.vstack([raw, raw[:3]])  # duplicates merge on ingest
+    vals = rng.normal(size=len(raw))
+    tensor = SymTensor.from_entries(n, arity, [(*map(int, r), v) for r, v in zip(raw, vals)])
+    dense = np.zeros((n,) * (arity + 1))
+    for r, v in zip(raw, vals):
+        dense[tuple(r)] += v
+    perms = list(itertools.permutations(range(1, arity + 1)))
+    dense = sum(np.transpose(dense, (0, *p)) for p in perms) / len(perms)
+    return tensor, dense
+
+
+# dense oracles: the force contraction, and its derivative in one argument
+# (any one: the symmetrized tensor makes the slot irrelevant)
+DENSE_FORCE = {2: "ijk,j,k->i", 3: "ijkl,j,k,l->i"}
+DENSE_VJP = {2: "ijk,i,k->j", 3: "ijkl,i,k,l->j"}
+
+
+class TestSymTensor:
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_matches_dense_symmetrized_oracle(self, arity):
+        rng = np.random.default_rng(20 + arity)
+        n = 4
+        tensor, dense = _random_tensor(rng, n, arity)
+        assert tensor.arity == arity
+        x = rng.normal(size=n)
+        assert np.allclose(tensor.force(x), np.einsum(DENSE_FORCE[arity], dense, *[x] * arity))
+        for m in all_indices(4):
+            sets = decomps(m, arity)
+            w = {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in sets for u in d}
+            args = [tuple(w[u] for u in d) for d in sets]
+            want = sum(np.einsum(DENSE_FORCE[arity], dense, *a) for a in args)
+            assert np.allclose(tensor.contract_sum(args), want, atol=1e-12)
+            # reverse mode: every slot's vector-Jacobian product, summed per
+            # receiving index over the permutation-closed set
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got = {u: np.zeros(n, complex) for u in w}
+            ref = {u: np.zeros(n, complex) for u in w}
+            for a, d in zip(args, sets):
+                for slot, u in enumerate(d):
+                    others = list(a[:slot] + a[slot + 1 :])
+                    got[u] += tensor.vjp(v, slot, others)
+                    ref[u] += np.einsum(DENSE_VJP[arity], dense, v, *others)
+            for u in w:
+                assert np.allclose(got[u], ref[u], atol=1e-12)
 
 
 class TestLightDamping:
@@ -138,7 +178,8 @@ class TestFirstOrderForm:
         for t in np.linspace(0.1, 4.9, 7):
             z = sol.sol(t)
             zdot = rhs(t, z)
-            resid = B @ zdot - A @ z - model.first_order_nonlinearity(z)
+            F = np.concatenate([-model.nonlinear_force(z[:n]), np.zeros(n)])
+            resid = B @ zdot - A @ z - F
             assert np.linalg.norm(resid) < 1e-8 * max(1.0, np.linalg.norm(z))
 
 
@@ -146,17 +187,17 @@ class TestValidation:
     def test_rejects_indefinite_mass(self):
         with pytest.raises(ModelError):
             MechModel(-np.eye(2), np.eye(2), 0.0, 0.0,
-                      SymTensor2.empty(2), SymTensor3.empty(2))
+                      SymTensor.empty(2, 2), SymTensor.empty(2, 3))
 
     def test_rejects_negative_rayleigh(self):
         with pytest.raises(ModelError):
             MechModel(np.eye(2), np.eye(2), -0.1, 0.0,
-                      SymTensor2.empty(2), SymTensor3.empty(2))
+                      SymTensor.empty(2, 2), SymTensor.empty(2, 3))
 
     def test_rejects_asymmetric_stiffness(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ModelError):
-            MechModel(np.eye(2), K, 0.0, 0.0, SymTensor2.empty(2), SymTensor3.empty(2))
+            MechModel(np.eye(2), K, 0.0, 0.0, SymTensor.empty(2, 2), SymTensor.empty(2, 3))
 
 
 def test_json_descriptor_round_trip(chain2):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,8 @@ from ssmopt.models import (
     ChainSpec,
     VkBeamSpec,
     build_chain,
-    build_named,
     build_vk_beam,
     chain_per_spring_k3,
-    model_catalog,
     vk_center_dof,
 )
 
@@ -122,13 +122,12 @@ class TestVkBeam:
         # assembly-level finite differences at two step sizes: the error of a
         # central difference drops by ~4 when the step is halved
         from ssmopt.fdcheck import fd_gradient_richardson
-        from ssmopt.models import _vk_model, build_vk_beam_at
+        from ssmopt.models import _vk_model
 
-        params = ("a1", "a2", "h", "L")
         mu0 = np.array([0.001, 0.0005, beam_spec.thickness, beam_spec.length])
 
         def omega_at(mu):
-            model = _vk_model(build_vk_beam_at(beam_spec, mu, params))
+            model = _vk_model(replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
             return solve_master(model, 0, reference=beam_master.phi).omega
 
         _, ratio = fd_gradient_richardson(omega_at, mu0, rel_step=1e-4)
@@ -137,14 +136,14 @@ class TestVkBeam:
         assert np.all(ratio > 2.0)
 
     def test_fd_of_assembly_matches_eig_derivative_fd(self, beam, beam_spec, beam_master):
-        from ssmopt.models import _vk_model, build_vk_beam_at
+        from ssmopt.models import _vk_model
         from ssmopt.sens_direct import eig_derivatives
 
         model, params = beam
         _, domega = eig_derivatives(model, beam_master, params)
 
         def omega_at(mu):
-            m = _vk_model(build_vk_beam_at(beam_spec, mu, ("a1", "a2", "h", "L")))
+            m = _vk_model(replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
             return solve_master(m, 0, reference=beam_master.phi).omega
 
         mu0 = np.array([0.0, 0.0, beam_spec.thickness, beam_spec.length])
@@ -163,19 +162,14 @@ class TestVkBeam:
 
 
 class TestCatalog:
-    def test_reference_chain_entry(self):
-        model, params = build_named("chain2")
+    """The reference models the tests share (conftest fixtures)."""
+
+    def test_reference_chain_entry(self, chain2):
+        model, params = chain2
         assert model.n == 2 and params.names == ("mass", "k", "k2", "k3")
         assert np.array_equal(model.K, [[2.0, -1.0], [-1.0, 1.0]])
 
-    def test_duffing_entry(self):
-        model, params = build_named("duffing1")
+    def test_duffing_entry(self, duffing):
+        model, params = duffing
         assert model.n == 1 and params.names == ("k", "k3")
         assert solve_master(model, 0).lam == 1j
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ConfigError):
-            build_named("nope")
-
-    def test_catalog_lists_builders(self):
-        assert {"chain2", "duffing1", "vk_beam10"} <= set(model_catalog())

@@ -1,30 +1,30 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ssmopt.multiindex import (
     all_indices,
     canonical_indices,
-    enumerate_order,
+    decomps,
     monomial,
     order,
-    pair_decomps,
     r1_active_index,
     resonant_slot,
     symmetric,
-    triple_decomps,
 )
 
 
 class TestEnumeration:
     def test_leading_order(self):
-        assert enumerate_order(1).indices == ((1, 0),)
+        assert canonical_indices(1) == [(1, 0)]
 
     def test_order_three_canonical_half(self):
-        assert enumerate_order(3).indices == ((3, 0), (2, 1))
+        assert canonical_indices(3) == [(3, 0), (2, 1)]
 
     def test_order_five_counts(self):
         assert len(all_indices(5)) == 6
-        assert len(enumerate_order(5).indices) == 3
+        assert len(canonical_indices(5)) == 3
 
     def test_counting_rule(self):
         for q in range(1, 12):
@@ -33,7 +33,7 @@ class TestEnumeration:
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
-            enumerate_order(0)
+            canonical_indices(0)
 
 
 class TestMonomial:
@@ -84,24 +84,17 @@ class TestNearResonance:
 
 
 class TestDecompositions:
-    def test_pair_decomps_closed_under_swap(self):
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_decomps_closed_under_permutation(self, parts):
         for m in [(3, 1), (2, 2), (5, 0)]:
-            d = set(pair_decomps(m))
-            assert {(v, u) for u, v in d} == d
-            for u, v in d:
-                assert (u[0] + v[0], u[1] + v[1]) == m
-                assert order(u) >= 1 and order(v) >= 1
-
-    def test_triple_decomps_closed_under_permutation(self):
-        import itertools
-
-        for m in [(3, 1), (2, 2)]:
-            d = set(triple_decomps(m))
-            for trip in d:
-                for perm in itertools.permutations(trip):
+            d = set(decomps(m, parts))
+            for split in d:
+                assert (sum(u[0] for u in split), sum(u[1] for u in split)) == m
+                assert all(order(u) >= 1 for u in split)
+                for perm in itertools.permutations(split):
                     assert perm in d
 
     def test_pair_counts(self):
         # order-2 target: the only split of (1,1) is e1+e2 in both orders
-        assert len(pair_decomps((1, 1))) == 2
-        assert len(pair_decomps((2, 0))) == 1  # (1,0)+(1,0)
+        assert len(decomps((1, 1), 2)) == 2
+        assert len(decomps((2, 0), 2)) == 1  # (1,0)+(1,0)

@@ -3,7 +3,7 @@ import pytest
 
 from ssmopt import compute_ssm, rho_of_x, solve_master
 from ssmopt.fdcheck import backbone_response, fd_gradient, fd_gradient_richardson
-from ssmopt.mechmodel import ParamDerivatives, SymTensor2, SymTensor3
+from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.multiindex import symmetric
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
@@ -15,8 +15,8 @@ def null_params(n):
         names=("null",),
         dM=(zeros,),
         dK=(zeros,),
-        dT2=(SymTensor2.empty(n),),
-        dT3=(SymTensor3.empty(n),),
+        dT2=(SymTensor.empty(n, 2),),
+        dT3=(SymTensor.empty(n, 3),),
     )
 
 

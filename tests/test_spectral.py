@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssmopt import MechModel, SymTensor2, SymTensor3, mac, solve_master, track_mode
+from ssmopt import MechModel, SymTensor, mac, solve_master, track_mode
 from ssmopt.errors import DegenerateModeError, LightDampingError, TrackingLostError
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.spectral import solve_modes
@@ -9,7 +9,7 @@ from ssmopt.spectral import solve_modes
 
 def bare(M, K, alpha_r=0.0, beta_r=0.0):
     n = M.shape[0]
-    return MechModel(M, K, alpha_r, beta_r, SymTensor2.empty(n), SymTensor3.empty(n))
+    return MechModel(M, K, alpha_r, beta_r, SymTensor.empty(n, 2), SymTensor.empty(n, 3))
 
 
 class TestSolveMaster:

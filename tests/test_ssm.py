@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ssmopt import compute_ssm, invariance_residual, leading_order, solve_master
+from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.multiindex import monomial, order, symmetric
 from ssmopt.ssm import adapt_order
@@ -16,18 +16,18 @@ def make_duffing_exp(duffing, duffing_master, O=5):
 class TestLeadingOrder:
     def test_unit_oscillator_coefficients(self, duffing, duffing_master):
         model, _ = duffing
-        exp = leading_order(duffing_master, model)
+        exp = SsmExpansion(model, duffing_master)
         assert exp.w((1, 0))[0] == 1.0
         assert exp.R((1, 0))[0] == 1j
 
     def test_velocity_coefficient_definition(self, chain2, chain2_master):
         model, _ = chain2
-        exp = leading_order(chain2_master, model)
+        exp = SsmExpansion(model, chain2_master)
         assert np.allclose(exp.wdot((1, 0)) - chain2_master.lam * exp.w((1, 0)), 0.0)
 
     def test_leading_conjugacy(self, chain2, chain2_master):
         model, _ = chain2
-        exp = leading_order(chain2_master, model)
+        exp = SsmExpansion(model, chain2_master)
         assert np.array_equal(np.conj(exp.w((0, 1))), exp.w((1, 0)))
 
 
