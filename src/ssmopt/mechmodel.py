@@ -7,15 +7,28 @@ The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
 sorted trailing indices and pre-symmetrized values, so the contraction order
-of the trailing arguments is irrelevant by construction. Its kernels
-(`contract`, `contract_sum`, `vjp`) serve the SSM recursion, the direct chain
-and the adjoint sweep alike. `SymTensor.from_entries` is also where tensor
-entries from a JSON descriptor are validated.
+of the trailing arguments is irrelevant by construction.
+
+Many entries share a trailing key (j, k[, l]) and differ only in the
+receiving row i: a beam's T3 has about six entries per key. The kernels that
+sum over decomposition sets therefore work in a key-factored layout, built on
+first use and cached (`SymTensor.key_pattern`): the distinct sorted trailing
+keys, one contiguous column per trailing slot, and each entry's key number.
+`contract_sum` forms its products once per key and expands them to the
+entries in one accumulation; `pullback`, its reverse mode, reduces the
+adjoint onto the keys once and scatters one accumulation per receiving index
+and slot. `contract` and `force` stay entrywise. The SSM recursion and the
+gradient contraction use `contract_sum`, the adjoint sweep `pullback`, and
+the direct chain `contract`.
+`SymTensor.from_entries` is also where tensor entries from a JSON descriptor
+are validated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +43,25 @@ def _accum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
             idx, weights.imag, minlength=n
         )
     return np.bincount(idx, weights, minlength=n)
+
+
+def _number_table(rows) -> np.ndarray | None:
+    """`rows` as a 2-D numeric array, or None when it is not a table of numbers.
+
+    numpy reads a ragged list as an error, strings as a string array and a
+    bool (JSON true/false) next to a number as 0 or 1; all are rejected.
+    """
+    try:
+        arr = np.array(rows)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim != 2 or arr.dtype.kind not in "iuf":
+        return None
+    if not isinstance(rows, np.ndarray) and bool in set(
+        map(type, itertools.chain.from_iterable(rows))
+    ):
+        return None
+    return arr
 
 
 @dataclass(frozen=True)
@@ -66,11 +98,8 @@ class SymTensor:
         if not entries:
             return cls.empty(n, arity)
         width = arity + 2
-        try:
-            arr = np.array(entries)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is None or arr.ndim != 2 or arr.shape[1] != width or arr.dtype.kind not in "iuf":
+        arr = _number_table(entries)
+        if arr is None or arr.shape[1] != width:
             raise ModelError(
                 f"{name} entries must be rows of {width} numbers "
                 f"({arity + 1} indices, then the value)"
@@ -125,31 +154,69 @@ class SymTensor:
     def force(self, x: np.ndarray) -> np.ndarray:
         return self.contract(*[x] * self.arity)
 
+    @cached_property
+    def key_pattern(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(key_cols, key_of): the distinct trailing keys and each entry's key.
+
+        key_cols holds one contiguous column per trailing slot, the keys in
+        ascending order; key_of[e] is the number of entry e's key. Built on
+        first use, so constructing a tensor costs nothing extra.
+        """
+        trailing = self.cols[1:]
+        base = int(max(c.max() for c in trailing)) + 1
+        code = trailing[0].astype(np.int64)
+        for c in trailing[1:]:
+            code = code * base + c
+        _, first, key_of = np.unique(code, return_index=True, return_inverse=True)
+        return tuple(np.ascontiguousarray(c[first]) for c in trailing), key_of
+
     def contract_sum(self, arg_tuples) -> np.ndarray:
-        """Sum of contract over a list of argument tuples; one accumulation."""
+        """Sum of contract over a list of argument tuples; one accumulation.
+
+        The products depend only on the trailing key, so they are formed once
+        per key and expanded to the entries in the accumulation.
+        """
         if self.nnz == 0 or not arg_tuples:
             return np.zeros(self.n, dtype=complex)
-        trailing = self.cols[1:]
-        G = np.zeros(self.nnz, dtype=complex)
+        key_cols, key_of = self.key_pattern
+        G = np.zeros(len(key_cols[0]), dtype=complex)
         for args in arg_tuples:
-            term = args[0][trailing[0]]
-            for a, c in zip(args[1:], trailing[1:]):
+            term = args[0][key_cols[0]]
+            for a, c in zip(args[1:], key_cols[1:]):
                 term = term * a[c]
             G += term
-        return _accum(self.cols[0], self.vals * G, self.n)
+        return _accum(self.cols[0], self.vals * G[key_of], self.n)
 
-    def vjp(self, v: np.ndarray, slot: int, others) -> np.ndarray:
-        """Row-vector product r_p = sum_i v_i d(contract)_i / d(args[slot])_p.
+    def pullback(self, v: np.ndarray, parts, w) -> dict:
+        """Reverse mode of contract_sum over the decomposition set `parts`.
 
-        `others` are the arguments that stay fixed, in positional order.
+        Each decomposition d contributes contract(w(d[0]), w(d[1]), ...);
+        `w` maps an index to its vector. Returns {u: r_u} for every index u
+        that occurs in some d, with r_u[p] = sum_i v_i dF_i / dw(u)_p and F
+        the sum over `parts`. The adjoint is reduced onto the trailing keys
+        once, each (u, slot) vector is gathered once, the products are summed
+        per (u, slot), and each (u, slot) sum is scattered in one
+        accumulation.
         """
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(v, *others))
-        trailing = self.cols[1:]
-        prod = self.vals * v[self.cols[0]]
-        for a, c in zip(others, trailing[:slot] + trailing[slot + 1 :]):
-            prod = prod * a[c]
-        return _accum(trailing[slot], prod, self.n)
+        if self.nnz == 0 or not parts:
+            return {}
+        key_cols, key_of = self.key_pattern
+        s = _accum(key_of, self.vals * v[self.cols[0]], len(key_cols[0]))
+        used = {(u, slot) for d in parts for slot, u in enumerate(d)}
+        gathered = {(u, slot): w(u)[key_cols[slot]] for u, slot in used}
+        sums: dict = {}
+        for d in parts:
+            for slot, u in enumerate(d):
+                others = [gathered[t, o] for o, t in enumerate(d) if o != slot]
+                term = others[0]
+                for g in others[1:]:
+                    term = term * g
+                sums[u, slot] = sums[u, slot] + term if (u, slot) in sums else term
+        out: dict = {}
+        for (u, slot), g in sums.items():
+            r = _accum(key_cols[slot], s * g, self.n)
+            out[u] = out[u] + r if u in out else r
+        return out
 
 
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
@@ -170,10 +237,14 @@ class MechModel:
     T3: SymTensor
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        K = np.asarray(self.K, dtype=float)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "K", K)
+        for name in ("M", "K"):
+            arr = _number_table(getattr(self, name))
+            if arr is None:
+                raise ModelError(f"{name} must be a matrix of numbers (equal-length rows)")
+            if not np.all(np.isfinite(arr)):
+                raise ModelError(f"{name} holds a non-finite number")
+            object.__setattr__(self, name, arr.astype(float, copy=False))
+        M, K = self.M, self.K
         n = M.shape[0]
         if M.shape != (n, n) or K.shape != (n, n):
             raise ModelError("M and K must be square matrices of equal size")
@@ -186,6 +257,9 @@ class MechModel:
         kmin = float(scipy.linalg.eigvalsh(K, subset_by_index=[0, 0])[0])
         if kmin < -1e-10 * max(1.0, float(np.abs(K).max())):
             raise ModelError("stiffness matrix is not positive semidefinite")
+        for name in ("alpha_r", "beta_r"):
+            if not np.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be a finite number")
         if self.alpha_r < 0 or self.beta_r < 0:
             raise ModelError("Rayleigh coefficients must be nonnegative")
         if self.T2.n != n or self.T3.n != n:
@@ -240,6 +314,28 @@ class ParamDerivatives:
     @property
     def count(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def stacked(self) -> tuple[SymTensor, ...]:
+        """dT2 and dT3 each as one tensor whose rows are p*n + i.
+
+        One contract_sum of a stacked tensor yields the partial forces of all
+        parameters at once, as a flat (P*n) vector. Tensors that are empty
+        for every parameter are left out. Built once per instance, so the
+        key pattern of each stacked tensor is derived once too.
+        """
+        out = []
+        for tensors in (self.dT2, self.dT3):
+            parts = [(p, t) for p, t in enumerate(tensors) if t.nnz]
+            if not parts:
+                continue
+            n = parts[0][1].n
+            pid = np.concatenate([np.full(t.nnz, p) for p, t in parts])
+            idx = np.vstack([t.idx for _, t in parts])
+            idx[:, 0] += pid * n
+            vals = np.concatenate([t.vals for _, t in parts])
+            out.append(SymTensor(len(tensors) * n, idx, vals))
+        return tuple(out)
 
     def dC(self, i: int, model: MechModel) -> np.ndarray:
         return model.alpha_r * self.dM[i] + model.beta_r * self.dK[i]
@@ -296,12 +392,11 @@ def model_from_json(desc: dict) -> MechModel:
     if desc.get("type") != "matrix":
         raise ModelError(f"expected a matrix-form descriptor, got type={desc.get('type')!r}")
     n = int(desc["n"])
-    M = np.asarray(desc["M"], dtype=float)
-    if len(M) != n:
-        raise ModelError(f"n = {n} but M has {len(M)} rows")
+    if len(desc["M"]) != n:
+        raise ModelError(f"n = {n} but M has {len(desc['M'])} rows")
     return MechModel(
-        M=M,
-        K=np.asarray(desc["K"], dtype=float),
+        M=desc["M"],
+        K=desc["K"],
         alpha_r=float(desc.get("alpha_r", 0.0)),
         beta_r=float(desc.get("beta_r", 0.0)),
         T2=SymTensor.from_entries(n, 2, desc.get("T2", [])),

@@ -9,7 +9,11 @@ bordered real system for the mode-shape/frequency pair. Per-parameter cost is
 a contraction with the explicit operator derivatives: no extra linear solves.
 
 All cross-order couplings are evaluated as vector-times-operator products;
-dense Jacobians between coefficient blocks are never materialized.
+dense Jacobians between coefficient blocks are never materialized. The force
+convolution at each index is pulled back in one call per tensor
+(`SymTensor.pullback`), which returns the summed bar of every lower-order
+index the convolution reads. The contraction's stacked parameter tensors are
+built once per `ParamDerivatives` and reused by every call.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -24,7 +28,7 @@ import numpy as np
 
 from .backbone import domega_drho, dx_drho, x_theta_samples
 from .errors import ConjugacyError, TurningPointError
-from .mechmodel import MechModel, ParamDerivatives, SymTensor
+from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
     all_indices,
     canonical_indices,
@@ -33,7 +37,7 @@ from .multiindex import (
     order,
     symmetric,
 )
-from .sens_direct import lambda_derivative
+from .sens_direct import lambda_derivative, solve_mode_bordered
 from .ssm import SsmExpansion, index_solve, v_decomps
 
 IMAG_RESIDUE_RTOL = 1e-10
@@ -209,13 +213,10 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         bars.vec(bars.wdot, u)[:] += u[j] * Rkj * bar_vdot
         bars.rbar(k)[j] += u[j] * (bar_vdot @ exp.wdot(u))
 
-    # nonlinear force convolution
+    # nonlinear force convolution: one pullback per tensor
     for T in (model.T2, model.T3):
-        for d in decomps(m, T.arity):
-            ws = [exp.w(u) for u in d]
-            for slot, u in enumerate(d):
-                bar_u = T.vjp(bar_f, slot, ws[:slot] + ws[slot + 1 :])
-                _route_force_bar(exp, bars, u, bar_u)
+        for u, bar_u in T.pullback(bar_f, decomps(m, T.arity), exp.w).items():
+            _route_force_bar(exp, bars, u, bar_u)
 
 
 def solve_adjoint_w(
@@ -281,19 +282,14 @@ def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):
 
     n = model.n
     Mphi = model.M @ master.phi
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = model.K - master.omega**2 * model.M
-    A[:n, n] = 2.0 * Mphi
-    A[n, :n] = -2.0 * master.omega * Mphi
-    rhs = np.concatenate([-g_phi, [-g_omega]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        from .errors import DegenerateModeError
-
-        raise DegenerateModeError(
-            "bordered mode-shape adjoint system is singular (repeated frequency)"
-        ) from None
+    sol = solve_mode_bordered(
+        model,
+        master.omega,
+        2.0 * Mphi,
+        -2.0 * master.omega * Mphi,
+        np.concatenate([-g_phi, [-g_omega]]),
+        "bordered mode-shape adjoint system",
+    )
     return sol[:n], float(sol[n])
 
 
@@ -333,22 +329,6 @@ class AdjointReport:
     seconds: float = 0.0
 
 
-def _stack_params(tensors, n: int) -> SymTensor | None:
-    """The per-parameter tensors as one tensor whose rows are p*n + i.
-
-    One contraction of the stacked tensor yields the partial forces of all
-    parameters at once, as a flat (P*n) vector; None when all are empty.
-    """
-    parts = [(p, t) for p, t in enumerate(tensors) if t.nnz]
-    if not parts:
-        return None
-    pid = np.concatenate([np.full(t.nnz, p) for p, t in parts])
-    idx = np.vstack([t.idx for _, t in parts])
-    idx[:, 0] += pid * n
-    vals = np.concatenate([t.vals for _, t in parts])
-    return SymTensor(len(tensors) * n, idx, vals)
-
-
 def contract_gradient(
     model: MechModel,
     exp: SsmExpansion,
@@ -359,7 +339,8 @@ def contract_gradient(
 
     One ascending pass of explicit operator-derivative contractions,
     vectorized across the parameters: the force-tensor derivatives of all
-    parameters are stacked into one entry list, the per-index partials are
+    parameters are stacked into one tensor per arity (`params.stacked`,
+    built once per `ParamDerivatives`), the per-index partials are
     (P, n) arrays, and the adjoint vectors enter through cached row products.
     No linear solves and no dense matrix products appear per parameter, so
     the cost stays nearly independent of the parameter count. Parameters with
@@ -375,9 +356,6 @@ def contract_gradient(
     lam_pair = master.lambda_pair
     shift = model.alpha_r + model.beta_r * master.omega**2
 
-    stacked = [
-        t for t in (_stack_params(params.dT2, n), _stack_params(params.dT3, n)) if t is not None
-    ]
     matrix_params = [
         p
         for p in range(P)
@@ -387,7 +365,7 @@ def contract_gradient(
 
     def pf_all(m):
         out = np.zeros((P, n), dtype=complex)
-        for T in stacked:
+        for T in params.stacked:
             args = [tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)]
             out += T.contract_sum(args).reshape(P, n)
         return out

@@ -24,7 +24,7 @@ from .multiindex import (
     order,
     symmetric,
 )
-from .ssm import SsmExpansion, index_solve, v_decomps
+from .ssm import RCOND_SINGULAR, SsmExpansion, index_solve, lu_rcond, v_decomps
 
 IMAG_RESIDUE_RTOL = 1e-10
 
@@ -47,6 +47,35 @@ class DirectDerivatives:
     coeffs: list[dict]
 
 
+def solve_mode_bordered(
+    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, rhs: np.ndarray, what: str
+) -> np.ndarray:
+    """Solution of [[K - omega^2 M, b], [c^T, 0]] [x; s] = rhs (rhs: one column or many).
+
+    Both borders are scaled to the size of K and omega^2 M before the
+    factorization, so the rcond check sees how close the system is to
+    singular (a repeated frequency), not the units of the border; the
+    unscaled solution is returned. Raises DegenerateModeError when the
+    scaled system is singular.
+    """
+    n = model.n
+    scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
+    gb = scale / np.linalg.norm(b, 1)
+    gc = scale / np.linalg.norm(c, 1)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = model.K - omega**2 * model.M
+    A[:n, n] = gb * b
+    A[n, :n] = gc * c
+    lu, rcond = lu_rcond(A)
+    if rcond < RCOND_SINGULAR:
+        raise DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
+    rhs = np.array(rhs, dtype=float)
+    rhs[n] *= gc
+    sol = scipy.linalg.lu_solve(lu, rhs)
+    sol[n] *= gb
+    return sol
+
+
 def eig_derivatives(
     model: MechModel, master, params: ParamDerivatives
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,24 +87,14 @@ def eig_derivatives(
     n = model.n
     phi, omega = master.phi, master.omega
     Mphi = model.M @ phi
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = model.K - omega**2 * model.M
-    B[:n, n] = -2.0 * omega * Mphi
-    B[n, :n] = -2.0 * omega * Mphi
-    try:
-        lu = scipy.linalg.lu_factor(B)
-    except scipy.linalg.LinAlgError:
-        raise DegenerateModeError("bordered eigenpair system is singular") from None
-    dphi = np.zeros((params.count, n))
-    domega = np.zeros(params.count)
+    rhs = np.empty((n + 1, params.count))
     for p in range(params.count):
-        rhs = np.empty(n + 1)
-        rhs[:n] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
-        rhs[n] = omega * (phi @ params.dM[p] @ phi)
-        sol = scipy.linalg.lu_solve(lu, rhs)
-        dphi[p] = sol[:n]
-        domega[p] = sol[n]
-    return dphi, domega
+        rhs[:n, p] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
+        rhs[n, p] = omega * (phi @ params.dM[p] @ phi)
+    sol = solve_mode_bordered(
+        model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, rhs, "bordered eigenpair system"
+    )
+    return sol[:n].T, sol[n]
 
 
 def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):

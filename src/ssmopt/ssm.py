@@ -71,15 +71,29 @@ class IndexCoeffs:
     border_gamma: float = 0.0
 
 
-def _factor_with_rcond(A: np.ndarray, m: MultiIndex):
+def lu_rcond(A: np.ndarray) -> tuple[tuple, float]:
+    """LU factors of A and LAPACK's estimate of its reciprocal condition number.
+
+    scipy's lu_factor only warns on a singular matrix, so callers compare the
+    estimate with RCOND_SINGULAR and raise their own typed error. A failed
+    estimate reads as rcond 0.
+    """
     anorm = np.linalg.norm(A, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A)
-    rcond, info = lapack.zgecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_SINGULAR:
-        raise OuterResonanceError(m, float(rcond))
-    return lu, piv
+    (gecon,) = lapack.get_lapack_funcs(("gecon",), (lu,))
+    rcond, info = gecon(lu, anorm)
+    if info != 0 or not np.isfinite(rcond):
+        rcond = 0.0
+    return (lu, piv), float(rcond)
+
+
+def _factor_with_rcond(A: np.ndarray, m: MultiIndex):
+    lu, rcond = lu_rcond(A)
+    if rcond < RCOND_SINGULAR:
+        raise OuterResonanceError(m, rcond)
+    return lu
 
 
 def index_solve(rec: IndexCoeffs, b1: np.ndarray, border_rhs: complex = 0.0):

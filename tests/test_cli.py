@@ -92,6 +92,12 @@ class TestBackboneCommand:
             ("T2", {"T2": [[0, 0, 0, "x"]]}),  # non-numeric value
             ("T3", {"T3": [[0, 0, 0, 0, float("nan")]]}),  # non-finite value
             ("n", {"n": 2}),  # disagrees with the 1x1 M
+            ("M", {"M": [["a"]]}),  # non-numeric matrix entry
+            ("K", {"K": [[1.0], [1.0, 2.0]]}),  # ragged matrix
+            ("M", {"M": [[float("inf")]]}),  # non-finite matrix entry
+            ("T2", {"T2": [[True, 0, 0, 1.0]]}),  # boolean index
+            ("alpha_r", {"alpha_r": float("nan")}),  # non-finite Rayleigh coefficient
+            ("beta_r", {"beta_r": float("inf")}),
         ],
     )
     def test_malformed_matrix_model_exit_code(self, tmp_path, capsys, field, fields):
@@ -195,8 +201,9 @@ class TestBenchCommand:
         assert rc == 0
         rows = (out / "bench.csv").read_text().strip().split("\n")
         assert rows[0] == "method,order,nparams,seconds"
-        assert len(rows) == 1 + 2 * 2  # two methods x two param counts
+        assert len(rows) == 1 + 1 + 2 * 2  # primal, then two methods x two param counts
+        assert rows[1].startswith("primal,3,0,")
         for row in rows[1:]:
             method, order, nparams, seconds = row.split(",")
-            assert method in ("direct", "adjoint")
+            assert method in ("primal", "direct", "adjoint")
             assert float(seconds) > 0

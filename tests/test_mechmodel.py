@@ -98,6 +98,34 @@ DENSE_FORCE = {2: "ijk,j,k->i", 3: "ijkl,j,k,l->i"}
 DENSE_VJP = {2: "ijk,i,k->j", 3: "ijkl,i,k,l->j"}
 
 
+def _dense_pullback(dense, arity, v, sets, w):
+    """Reverse mode of the summed contraction, slot by slot, per receiving index."""
+    ref = {}
+    for d in sets:
+        for slot, u in enumerate(d):
+            others = [w[t] for o, t in enumerate(d) if o != slot]
+            ref[u] = ref.get(u, 0) + np.einsum(DENSE_VJP[arity], dense, v, *others)
+    return ref
+
+
+def _check_kernels(tensor, dense, arity, rng, n):
+    """contract_sum and pullback against the dense oracle for every order-4 index."""
+    for m in all_indices(4):
+        sets = decomps(m, arity)
+        w = {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in sets for u in d}
+        args = [tuple(w[u] for u in d) for d in sets]
+        want = sum(np.einsum(DENSE_FORCE[arity], dense, *a) for a in args)
+        assert np.allclose(tensor.contract_sum(args), want, atol=1e-12)
+        # reverse mode: the summed bar of every receiving index over the
+        # permutation-closed set
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = tensor.pullback(v, sets, w.__getitem__)
+        ref = _dense_pullback(dense, arity, v, sets, w)
+        assert got.keys() == ref.keys() == w.keys()
+        for u in w:
+            assert np.allclose(got[u], ref[u], atol=1e-12)
+
+
 class TestSymTensor:
     @pytest.mark.parametrize("arity", [2, 3])
     def test_matches_dense_symmetrized_oracle(self, arity):
@@ -107,24 +135,35 @@ class TestSymTensor:
         assert tensor.arity == arity
         x = rng.normal(size=n)
         assert np.allclose(tensor.force(x), np.einsum(DENSE_FORCE[arity], dense, *[x] * arity))
-        for m in all_indices(4):
-            sets = decomps(m, arity)
-            w = {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in sets for u in d}
-            args = [tuple(w[u] for u in d) for d in sets]
-            want = sum(np.einsum(DENSE_FORCE[arity], dense, *a) for a in args)
-            assert np.allclose(tensor.contract_sum(args), want, atol=1e-12)
-            # reverse mode: every slot's vector-Jacobian product, summed per
-            # receiving index over the permutation-closed set
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            got = {u: np.zeros(n, complex) for u in w}
-            ref = {u: np.zeros(n, complex) for u in w}
-            for a, d in zip(args, sets):
-                for slot, u in enumerate(d):
-                    others = list(a[:slot] + a[slot + 1 :])
-                    got[u] += tensor.vjp(v, slot, others)
-                    ref[u] += np.einsum(DENSE_VJP[arity], dense, v, *others)
-            for u in w:
-                assert np.allclose(got[u], ref[u], atol=1e-12)
+        _check_kernels(tensor, dense, arity, rng, n)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_contract_sum_shares_trailing_keys(self, arity):
+        # every receiving row on each of three trailing keys, the keys given
+        # in permuted slot order and every entry listed twice, so the key
+        # map and the duplicate summation both carry the result
+        rng = np.random.default_rng(40 + arity)
+        n = 6
+        keys = [tuple(rng.integers(0, n, size=arity)) for _ in range(3)]
+        while len({tuple(sorted(k)) for k in keys}) < 3:
+            keys = [tuple(rng.integers(0, n, size=arity)) for _ in range(3)]
+        rows, dense = [], np.zeros((n,) * (arity + 1))
+        for key in keys:
+            for i in range(n):
+                for _ in range(2):
+                    v = rng.normal()
+                    perm = tuple(rng.permutation(key))
+                    rows.append((i, *map(int, perm), v))
+                    dense[(i, *perm)] += v
+        order = rng.permutation(len(rows))
+        tensor = SymTensor.from_entries(n, arity, [rows[k] for k in order])
+        perms = list(itertools.permutations(range(1, arity + 1)))
+        dense = sum(np.transpose(dense, (0, *p)) for p in perms) / len(perms)
+        key_cols, key_of = tensor.key_pattern
+        assert len(key_cols[0]) == 3 and tensor.nnz == 3 * n
+        for c, kc in zip(tensor.cols[1:], key_cols):
+            assert np.array_equal(kc[key_of], c)
+        _check_kernels(tensor, dense, arity, rng, n)
 
 
 class TestLightDamping:
@@ -193,6 +232,19 @@ class TestValidation:
         with pytest.raises(ModelError):
             MechModel(np.eye(2), np.eye(2), -0.1, 0.0,
                       SymTensor.empty(2, 2), SymTensor.empty(2, 3))
+
+    @pytest.mark.parametrize("field", ["alpha_r", "beta_r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_rayleigh(self, field, value):
+        coeffs = {"alpha_r": 0.0, "beta_r": 0.0, field: value}
+        with pytest.raises(ModelError, match=f"^{field} "):
+            MechModel(np.eye(2), np.eye(2), T2=SymTensor.empty(2, 2),
+                      T3=SymTensor.empty(2, 3), **coeffs)
+
+    @pytest.mark.parametrize("row", [[True, 0, 0, 1.0], [0, 0, 0, False], [1, True, 0, 2]])
+    def test_rejects_boolean_tensor_entries(self, row):
+        with pytest.raises(ModelError, match="^T2 "):
+            SymTensor.from_entries(2, 2, [row])
 
     def test_rejects_asymmetric_stiffness(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])

@@ -1,12 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ssmopt import compute_ssm, rho_of_x, solve_master
+from ssmopt import MechModel, compute_ssm, rho_of_x, solve_master
+from ssmopt.errors import DegenerateModeError
 from ssmopt.fdcheck import backbone_response, fd_gradient, fd_gradient_richardson
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.multiindex import symmetric
+from ssmopt.sens_adjoint import _Bars, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
+from ssmopt.spectral import MasterPair
 
 
 def null_params(n):
@@ -18,6 +23,38 @@ def null_params(n):
         dT2=(SymTensor.empty(n, 2),),
         dT3=(SymTensor.empty(n, 3),),
     )
+
+
+class TestSingularBorderedSystems:
+    """Two uncoupled unit oscillators whose second frequency is 1 + split.
+
+    With the master at omega = 1 the bordered mode systems are singular
+    (split 0) or singular to working precision (split 1e-14). An unchecked
+    LU returns inf/nan or a meaningless huge solution there.
+    """
+
+    @staticmethod
+    def _pair(split):
+        model = MechModel(np.eye(2), np.diag([1.0, (1.0 + split) ** 2]), 0.0, 0.0,
+                          SymTensor.empty(2, 2), SymTensor.empty(2, 3))
+        master = MasterPair(phi=np.array([1.0, 0.0]), omega=1.0, xi=0.0, lam=1j, mode_index=0)
+        return model, master
+
+    @pytest.mark.parametrize("split", [0.0, 1e-14])
+    def test_eigenpair_system(self, split):
+        model, master = self._pair(split)
+        params = ParamDerivatives(("k",), (np.zeros((2, 2)),), (np.eye(2),),
+                                  (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
+        with pytest.raises(DegenerateModeError, match="eigenpair system is singular"):
+            eig_derivatives(model, master, params)
+
+    @pytest.mark.parametrize("split", [0.0, 1e-14])
+    def test_mode_shape_adjoint_system(self, split):
+        model, master = self._pair(split)
+        bars = _Bars(2)
+        bars.phi[:] = 1.0
+        with pytest.raises(DegenerateModeError, match="adjoint system is singular"):
+            solve_adjoint_phi_omega(model, SimpleNamespace(master=master), bars)
 
 
 class TestEigDerivatives:
