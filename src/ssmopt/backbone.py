@@ -1,13 +1,26 @@
-"""Physical-space backbone: Omega(rho), theta-grid RMS amplitude, inversion."""
+"""Physical-space backbone: Omega(rho), the closed-form amplitude map, inversion.
+
+The observed displacement of one DOF on the SSM is the trigonometric
+polynomial x(theta) = sum_d c_d(rho) e^{i d theta}, with
+c_d(rho) = sum over m1 - m2 = d of w_m[dof] rho**(m1 + m2). Its RMS over
+theta is therefore, by Parseval, the square root of the real polynomial
+sum_d |c_d(rho)|**2 of degree 2 order. `x_rms`, `dx_drho` and `rho_of_x`
+evaluate that polynomial; its coefficients are built once per (DOF,
+truncation order, expansion order) and cached on the expansion
+(`SsmExpansion.backbone_cache`), and so is the validity cap of each DOF. The
+theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
+form is checked against.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmplitudeUnreachableError, ConjugacyError, TurningPointError
-from .multiindex import order
+from .multiindex import order, symmetric
 from .ssm import SsmExpansion
 
 DEFAULT_N_THETA = 128
@@ -71,7 +84,11 @@ def x_theta_samples(
     n_theta: int,
     max_order: int | None = None,
 ) -> np.ndarray:
-    """Displacement of one DOF over the theta grid; real by conjugate pairing."""
+    """Displacement of one DOF over the theta grid; real by conjugate pairing.
+
+    The grid oracle for the closed-form amplitude map (`ssmopt verify` and
+    the tests compare the two); the backbone path itself never samples.
+    """
     thetas = _theta_grid(n_theta)
     x = np.zeros(n_theta, dtype=complex)
     for m, rec in exp.data.items():
@@ -87,6 +104,86 @@ def x_theta_samples(
     return x.real
 
 
+@dataclass(frozen=True)
+class _AmplitudeMap:
+    """Closed-form amplitude of one DOF at one truncation order.
+
+    c[d + exp.order, q] is the coefficient of rho**q e^{i d theta} in x; p
+    holds the coefficients of x_rms**2 in powers of rho**2, highest first,
+    and dp those of (d x_rms**2 / d rho) / rho.
+    """
+
+    c: np.ndarray
+    p: tuple[float, ...]
+    dp: tuple[float, ...]
+
+
+def _build_amplitude_map(exp: SsmExpansion, dof_index: int, top: int) -> _AmplitudeMap:
+    O = exp.order
+    c = np.zeros((2 * O + 1, O + 1), dtype=complex)
+    for m, rec in exp.data.items():
+        q = order(m)
+        if q > top:
+            continue
+        w = rec.w[dof_index]
+        # one index per (d, q), so the coefficientwise pairing is exactly the
+        # condition for x(theta) to be real at every rho
+        residue = abs(exp.data[symmetric(m)].w[dof_index] - np.conj(w))
+        if residue > IMAG_RESIDUE_RTOL * max(1.0, abs(w)):
+            raise ConjugacyError(
+                f"coefficients at {m} and {symmetric(m)} of DOF {dof_index} "
+                f"are not conjugate (residue {residue:.2e})"
+            )
+        c[m[0] - m[1] + O, q] = w
+    # sum_d |c_d(rho)|^2 = sum_{q, q'} Re G[q, q'] rho^(q + q'); q + q' is
+    # even wherever G is nonzero, since q = d = q' mod 2
+    G = (c.conj().T @ c).real
+    p2 = np.zeros(2 * O + 1)
+    for q in range(O + 1):
+        p2[q : q + O + 1] += G[q]
+    p = p2[::2]
+    k = np.arange(len(p))
+    return _AmplitudeMap(
+        c, tuple(p[::-1].tolist()), tuple((2.0 * k * p)[:0:-1].tolist())
+    )
+
+
+def _cached(exp: SsmExpansion, key: tuple, build):
+    """Memo on the expansion, keyed on its order as well: compute_ssm with
+    from_expansion extends an expansion in place."""
+    key = (exp.order, *key)
+    cache = exp.backbone_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _amplitude_map(
+    exp: SsmExpansion, dof_index: int, max_order: int | None = None
+) -> _AmplitudeMap:
+    top = exp.order if max_order is None else min(max_order, exp.order)
+    return _cached(
+        exp, ("map", dof_index, top), lambda: _build_amplitude_map(exp, dof_index, top)
+    )
+
+
+def _horner(coefs: tuple[float, ...], s: float) -> float:
+    acc = 0.0
+    for a in coefs:
+        acc = acc * s + a
+    return acc
+
+
+def x_harmonics(exp: SsmExpansion, dof_index: int, rho: float) -> np.ndarray:
+    """c_d(rho) for d = -order ... order (entry d + order), x = sum_d c_d e^{i d theta}.
+
+    The theta-grid sum of x e^{i d theta} is n_theta * c_{-d}(rho) on every
+    accepted grid, which is how the sensitivity passes seed the amplitude.
+    """
+    c = _amplitude_map(exp, dof_index).c
+    return c @ rho ** np.arange(c.shape[1])
+
+
 def x_rms(
     exp: SsmExpansion,
     dof_index: int,
@@ -94,30 +191,37 @@ def x_rms(
     n_theta: int = DEFAULT_N_THETA,
     max_order: int | None = None,
 ) -> float:
-    """RMS over the theta grid of the observed DOF displacement."""
+    """RMS over theta of the observed DOF displacement, in closed form.
+
+    x(theta) = sum_d c_d(rho) e^{i d theta} is a trigonometric polynomial of
+    degree `order`, so on any grid of n_theta >= 2 order + 1 points Parseval
+    makes the grid mean of x**2 exactly sum_d |c_d(rho)|**2: a real
+    polynomial in rho**2 of degree `order`. Its coefficients are built once
+    per (DOF, truncation order) and cached on the expansion, and building
+    them checks the conjugate pairing of the coefficients (ConjugacyError).
+    n_theta only has to be a valid grid.
+    """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     _check_n_theta(exp, n_theta)
     if rho == 0.0:
         return 0.0
-    xk = x_theta_samples(exp, dof_index, rho, n_theta, max_order)
-    return float(np.sqrt(np.mean(xk**2)))
+    p = _amplitude_map(exp, dof_index, max_order).p
+    return math.sqrt(max(_horner(p, rho * rho), 0.0))
 
 
 def dx_drho(exp: SsmExpansion, dof_index: int, rho: float, n_theta: int = DEFAULT_N_THETA) -> float:
-    """Analytic d x_rms / d rho (used by the inversion and the adjoint pass)."""
+    """d x_rms / d rho = P'(rho) / (2 x_rms), P = x_rms**2 the cached polynomial.
+
+    Used by the inversion and the sensitivity passes.
+    """
     _check_n_theta(exp, n_theta)
-    thetas = _theta_grid(n_theta)
-    xk = x_theta_samples(exp, dof_index, rho, n_theta)
-    x = np.sqrt(np.mean(xk**2))
+    amp = _amplitude_map(exp, dof_index)
+    s = rho * rho
+    x = math.sqrt(max(_horner(amp.p, s), 0.0))
     if x == 0.0:
         raise TurningPointError("dx/drho is undefined at zero amplitude")
-    dxk = np.zeros(n_theta, dtype=complex)
-    for m, rec in exp.data.items():
-        q = order(m)
-        dxk += rec.w[dof_index] * q * rho ** (q - 1) * np.exp(1j * (m[0] - m[1]) * thetas)
-    val = np.sum(xk * dxk) / (n_theta * x)
-    return float(val.real)
+    return rho * _horner(amp.dp, s) / (2.0 * x)
 
 
 def _validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
@@ -125,8 +229,14 @@ def _validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
 
     The expansion carries no a-priori radius of convergence; the practical
     radius is taken where dropping the two highest orders moves the predicted
-    amplitude by more than VALIDITY_DIVERGENCE.
+    amplitude by more than VALIDITY_DIVERGENCE. The scan runs once per
+    (expansion, DOF); later calls read the cache.
     """
+    _check_n_theta(exp, n_theta)
+    return _cached(exp, ("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index, n_theta))
+
+
+def _scan_validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
     if exp.order <= 3:
         lower = 1
     else:

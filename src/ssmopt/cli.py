@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,12 +18,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbone import backbone_to_csv, sample_backbone, x_rms
+from .backbone import (
+    DEFAULT_N_THETA,
+    backbone_to_csv,
+    omega_of_rho,
+    rho_of_x,
+    sample_backbone,
+    x_rms,
+    x_theta_samples,
+)
 from .config import (
     load_config,
     make_builder,
     model_design_vector,
     resolve_model,
+    resolve_model_params,
 )
 from .errors import ConfigError, ModelError, SsmError, SsmOptError
 from .fdcheck import backbone_response, fd_gradient
@@ -39,12 +49,16 @@ from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
 from .spectral import mac, solve_master
 from .ssm import adapt_order, compute_ssm, dump_expansion, invariance_residual
-from .backbone import omega_of_rho, rho_of_x
 
 EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_SSM = 3
 EXIT_FAILED = 4
+
+# backbone and sens block defaults
+DEFAULT_EPS_TOL = 1e-3
+DEFAULT_MAX_ORDER = 13
+DEFAULT_SENS_ORDER = 5
 
 
 def _write(outdir: Path, name: str, text: str):
@@ -63,9 +77,9 @@ def _resolve_order(cfg_block, model, master, rho_probe, n_theta):
         result = adapt_order(
             model,
             master,
-            tol=cfg_block.get("eps_tol", 1e-3),
+            tol=cfg_block.get("eps_tol", DEFAULT_EPS_TOL),
             rho=rho_probe,
-            order_range=(3, cfg_block.get("max_order", 13)),
+            order_range=(3, cfg_block.get("max_order", DEFAULT_MAX_ORDER)),
         )
         return result.expansion, result.error, result.warned
     exp = compute_ssm(model, master, int(order))
@@ -73,11 +87,42 @@ def _resolve_order(cfg_block, model, master, rho_probe, n_theta):
     return exp, err, False
 
 
+def _check_block(name: str, block: dict, n_dof: int, targets: str, default_order) -> None:
+    """Reject, naming the field, every input of a backbone or sens block that
+    the computation cannot take; runs before any computation."""
+    for field in ("dof", "mode"):
+        value = block.get(field, 0)
+        if value >= n_dof:
+            raise ConfigError(
+                f"{name}.{field} = {value} is out of range for a model with {n_dof} DOFs"
+            )
+    xs = block[targets] if isinstance(block[targets], list) else [block[targets]]
+    if not all(math.isfinite(x) and x > 0 for x in xs):
+        raise ConfigError(f"{name}.{targets} must be positive and finite, got {block[targets]}")
+    order = block.get("order", default_order)
+    max_order = block.get("max_order", DEFAULT_MAX_ORDER)
+    for field, value in (("order", order), ("max_order", max_order)):
+        if value != "auto" and value % 2 == 0:
+            raise ConfigError(f"{name}.{field} must be odd, got {value}")
+    eps_tol = block.get("eps_tol", DEFAULT_EPS_TOL)
+    if not (math.isfinite(eps_tol) and eps_tol > 0):
+        raise ConfigError(f"{name}.eps_tol must be positive and finite, got {eps_tol}")
+    # 'auto' may end at max_order, and every grid must resolve the order used
+    top = max_order if order == "auto" else order
+    n_theta = block.get("n_theta", DEFAULT_N_THETA)
+    if n_theta < 2 * top + 1:
+        raise ConfigError(
+            f"{name}.n_theta = {n_theta} undersamples an order-{top} expansion; "
+            f"need at least {2 * top + 1}"
+        )
+
+
 def cmd_backbone(cfg: dict, outdir: Path) -> int:
-    model, _, _ = resolve_model(cfg["model"])
+    model = resolve_model(cfg["model"])
     block = cfg["backbone"]
+    _check_block("backbone", block, model.n, "x_targets", "auto")
     master = solve_master(model, block.get("mode", 0))
-    n_theta = block.get("n_theta", 128)
+    n_theta = block.get("n_theta", DEFAULT_N_THETA)
     dof = block["dof"]
     targets = block["x_targets"]
 
@@ -111,13 +156,14 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
-    model, params, _ = resolve_model(cfg["model"])
+    model, params = resolve_model_params(cfg["model"])
     if params is None or params.count == 0:
         raise ConfigError("sensitivity needs a parametrized model (declare params)")
     block = cfg["sens"]
+    _check_block("sens", block, model.n, "x0", DEFAULT_SENS_ORDER)
     master = solve_master(model, block.get("mode", 0))
-    order = block.get("order", 5)
-    n_theta = block.get("n_theta", 128)
+    order = block.get("order", DEFAULT_SENS_ORDER)
+    n_theta = block.get("n_theta", DEFAULT_N_THETA)
     dof, x0 = block["dof"], block["x0"]
     exp = compute_ssm(model, master, order)
     rho = rho_of_x(exp, dof, x0, n_theta)
@@ -295,12 +341,15 @@ def cmd_verify(cfg: dict | None, outdir: Path) -> int:
     )
 
     rho = 0.3
-    xa = x_rms(exp, 1, rho, 64)
-    xb = x_rms(exp, 1, rho, 128)
+    x = x_rms(exp, 1, rho)
+    dev = max(
+        abs(x - float(np.sqrt(np.mean(x_theta_samples(exp, 1, rho, n) ** 2))))
+        for n in (64, 128)
+    )
     check(
-        "theta-grid RMS amplitude is grid-size exact",
-        abs(xa - xb) <= 1e-12 * max(xa, 1.0),
-        f"|x(64)-x(128)| = {abs(xa - xb):.2e}",
+        "closed-form RMS amplitude equals the theta-grid RMS at 64 and 128 points",
+        dev <= 1e-12 * max(x, 1.0),
+        f"max |x - x_grid| = {dev:.2e}",
     )
 
     rng = np.random.default_rng(42)
@@ -348,6 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_order(text: str):
+    if text == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"--order must be an odd integer or 'auto', got {text!r}") from None
+    if value < 3:
+        raise ConfigError(f"--order must be at least 3, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     outdir = Path(args.out)
@@ -357,9 +418,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, args.command)
         if args.command == "backbone":
             if args.order is not None:
-                cfg["backbone"]["order"] = (
-                    "auto" if args.order == "auto" else int(args.order)
-                )
+                cfg["backbone"]["order"] = _parse_order(args.order)
             if args.eps_tol is not None:
                 cfg["backbone"]["eps_tol"] = args.eps_tol
             return cmd_backbone(cfg, outdir)

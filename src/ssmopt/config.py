@@ -18,8 +18,6 @@ from .models import (
     VkBeamSpec,
     build_chain,
     build_vk_beam,
-    chain_per_spring_k3,
-    vk_center_dof,
 )
 
 _NUM = {"type": "number"}
@@ -229,25 +227,35 @@ def load_config(path: str, command: str | None = None) -> dict:
     return validate_config(cfg, command)
 
 
-def resolve_model(block: dict):
-    """(model, params, meta) from a model block; meta carries builder context."""
-    kind = block["type"]
-    if kind == "chain":
-        fields = {k: v for k, v in block.items() if k not in ("type", "params")}
-        spec = ChainSpec(**fields)
+def _model_builder(block: dict):
+    """(builder, spec, declared parameter names) of a chain or vk_beam block."""
+    fields = {k: v for k, v in block.items() if k not in ("type", "params")}
+    if block["type"] == "chain":
         params = tuple(block.get("params", ("mass", "k", "k2", "k3")))
-        model, derivs = build_chain(spec, params)
-        return model, derivs, {"spec": spec, "kind": kind}
-    if kind == "vk_beam":
-        fields = {k: v for k, v in block.items() if k not in ("type", "params")}
-        spec = VkBeamSpec(**fields)
-        params = tuple(block.get("params", ("a1", "a2", "h", "L")))
-        model, derivs = build_vk_beam(spec, params)
-        return model, derivs, {"spec": spec, "kind": kind, "center_dof": vk_center_dof(spec)}
-    if kind == "matrix":
-        model = model_from_json(block)
-        return model, None, {"kind": kind}
-    raise ConfigError(f"unknown model type {kind!r}")
+        return build_chain, ChainSpec(**fields), params
+    params = tuple(block.get("params", ("a1", "a2", "h", "L")))
+    return build_vk_beam, VkBeamSpec(**fields), params
+
+
+def resolve_model(block: dict):
+    """The model of a model block, without parameter derivatives."""
+    if block["type"] == "matrix":
+        return model_from_json(block)
+    build, spec, _ = _model_builder(block)
+    return build(spec, ())[0]
+
+
+def resolve_model_params(block: dict):
+    """(model, params) of a model block; params is None for a matrix model.
+
+    The derivatives are those of the declared (or default) parameters; for a
+    vk_beam each costs two extra assemblies, so only commands that
+    differentiate ask for them.
+    """
+    if block["type"] == "matrix":
+        return model_from_json(block), None
+    build, spec, params = _model_builder(block)
+    return build(spec, params)
 
 
 def model_design_vector(block: dict) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import domega_drho, dx_drho, x_theta_samples
+from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
 from .errors import ConjugacyError, TurningPointError
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
@@ -125,13 +125,12 @@ def _seed_bars(exp, bars: _Bars, lambda_rho: float, dof_index: int, rho: float, 
     for q, a in exp.r1_terms():
         bars.rbar(a)[0] += -0.5j * rho ** (q - 1)
         bars.rbar(symmetric(a))[1] += +0.5j * rho ** (q - 1)
-    # amplitude seeds
-    xk = x_theta_samples(exp, dof_index, rho, n_theta)
-    x = float(np.sqrt(np.mean(xk**2)))
-    thetas = 2.0 * np.pi * np.arange(1, n_theta + 1) / n_theta
-    phase = {d: np.sum(xk * np.exp(1j * d * thetas)) for d in range(-exp.order, exp.order + 1)}
+    # amplitude seeds: the grid sum of x e^{i d theta} is n_theta * c_{-d},
+    # so n_theta cancels against the 1/n_theta of the mean
+    x = x_rms(exp, dof_index, rho, n_theta)
+    c = x_harmonics(exp, dof_index, rho)
     for m in exp.data:
-        coef = lambda_rho / (n_theta * x) * rho ** order(m) * phase[m[0] - m[1]]
+        coef = lambda_rho / x * rho ** order(m) * c[exp.order + m[1] - m[0]]
         if order(m) == 1:
             bars.phi[dof_index] += coef
         else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .backbone import dx_drho, x_theta_samples
+from .backbone import dx_drho, x_harmonics, x_rms
 from .errors import ConjugacyError, DegenerateModeError
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
@@ -135,13 +135,8 @@ def chain_derivatives(
 
     dphi_all, domega_all = eig_derivatives(model, master, params)
 
-    xk = x_theta_samples(exp, dof_index, rho, n_theta)
-    thetas = 2.0 * np.pi * np.arange(1, n_theta + 1) / n_theta
-    max_d = exp.order
-    phase = {
-        d: np.sum(xk * np.exp(1j * d * thetas)) for d in range(-max_d, max_d + 1)
-    }
-    x = float(np.sqrt(np.mean(xk**2)))
+    x = x_rms(exp, dof_index, rho, n_theta)
+    c = x_harmonics(exp, dof_index, rho)
     dxdr = dx_drho(exp, dof_index, rho, n_theta)
 
     d_omega = np.zeros(P)
@@ -240,11 +235,12 @@ def chain_derivatives(
                 if not exp.full_set and m[0] != m[1]:
                     dcoef[symmetric(m)] = _mirror_coeff(dw, dwdot, dR)
 
-        # reduced-amplitude derivative at fixed physical amplitude
+        # reduced-amplitude derivative at fixed physical amplitude; the grid
+        # sum of x e^{i d theta} is n_theta * c_{-d}, and n_theta cancels
         num = 0.0 + 0.0j
         for m, (dw, _, _) in dcoef.items():
-            num += dw[dof_index] * rho ** order(m) * phase[m[0] - m[1]]
-        drho = -num / (n_theta * x * dxdr)
+            num += dw[dof_index] * rho ** order(m) * c[exp.order + m[1] - m[0]]
+        drho = -num / (x * dxdr)
         if abs(drho.imag) > IMAG_RESIDUE_RTOL * max(1.0, abs(drho.real)):
             raise ConjugacyError(f"drho has imaginary residue {drho.imag:.2e}")
         drho = drho.real

@@ -37,7 +37,6 @@ from .multiindex import (
     all_indices,
     canonical_indices,
     decomps,
-    monomial,
     order,
     r1_active_index,
     resonant_slot,
@@ -142,6 +141,8 @@ class SsmExpansion:
         self.order = 1
         self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.n_solves = 0
+        # backbone's amplitude polynomials and validity caps, keyed on order
+        self.backbone_cache: dict = {}
         self._init_leading()
 
     def _init_leading(self):
@@ -381,6 +382,13 @@ def invariance_residual(
     components (e.g. axial FE DOFs) whose defect has no bearing on the master
     dynamics; the weighted measure tracks the accuracy of the predicted
     response itself.
+
+    All grid points are evaluated at once. At p = (rho e^{i theta},
+    rho e^{-i theta}) the monomial p^m is rho^|m| e^{i (m1 - m2) theta}, so
+    W, R(p) and the partials dW/dp1, dW/dp2 are each one (theta x index)
+    monomial matrix times the stacked coefficients [w; wdot] or R; both norm
+    blocks take one LU solve with all grid points as right-hand sides. Only
+    the internal force is evaluated point by point.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -391,37 +399,36 @@ def invariance_residual(
     luM = scipy.linalg.lu_factor(model.M)
     omega = exp.master.omega
 
-    def state_norm(vec: np.ndarray) -> float:
-        s1 = scipy.linalg.lu_solve(luK, vec[:n])
-        s2 = scipy.linalg.lu_solve(luM, vec[n:]) / omega
-        return float(np.sqrt(np.linalg.norm(s1) ** 2 + np.linalg.norm(s2) ** 2))
+    def state_norms(V: np.ndarray) -> np.ndarray:
+        """Weighted norm of each column of the (2n x theta) matrix V."""
+        s1 = scipy.linalg.lu_solve(luK, V[:n])
+        s2 = scipy.linalg.lu_solve(luM, V[n:]) / omega
+        return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=0))
 
-    eps = 0.0
-    for k in range(1, theta_samples + 1):
-        theta = 2.0 * np.pi * k / theta_samples
-        p = np.array([rho * np.exp(1j * theta), rho * np.exp(-1j * theta)])
-        W = np.zeros(2 * n, dtype=complex)
-        dW1 = np.zeros(2 * n, dtype=complex)
-        dW2 = np.zeros(2 * n, dtype=complex)
-        Rp = np.zeros(2, dtype=complex)
-        for m, rec in exp.data.items():
-            pm = monomial(p, m)
-            Wm = np.concatenate([rec.w, rec.wdot])
-            W += Wm * pm
-            if m[0] > 0:
-                dW1 += m[0] * monomial(p, (m[0] - 1, m[1])) * Wm
-            if m[1] > 0:
-                dW2 += m[1] * monomial(p, (m[0], m[1] - 1)) * Wm
-            Rp += rec.R * pm
-        x = W[:n]
-        F = np.zeros(2 * n, dtype=complex)
-        F[:n] = -model.nonlinear_force(x)
-        rhs = A @ W + F
-        lhs = B @ (dW1 * Rp[0] + dW2 * Rp[1])
-        den = state_norm(rhs)
-        if den == 0.0:
-            raise SsmError("degenerate evaluation point: zero invariance denominator")
-        eps = max(eps, state_norm(lhs - rhs) / den)
+    thetas = 2.0 * np.pi * np.arange(1, theta_samples + 1) / theta_samples
+    ms = np.array(list(exp.data))
+    q = ms.sum(axis=1)
+    d = ms[:, 0] - ms[:, 1]
+    # monomials of W and of the two partials (m1 p^(m - e1), m2 p^(m - e2))
+    rho_q1 = rho ** np.maximum(q - 1, 0)
+    Phi = np.exp(1j * np.outer(thetas, d)) * rho**q
+    Phi1 = np.exp(1j * np.outer(thetas, d - 1)) * (ms[:, 0] * rho_q1)
+    Phi2 = np.exp(1j * np.outer(thetas, d + 1)) * (ms[:, 1] * rho_q1)
+    recs = exp.data.values()
+    Wm = np.array([np.concatenate([rec.w, rec.wdot]) for rec in recs])
+    Rm = np.array([rec.R for rec in recs])
+
+    W = Phi @ Wm
+    Rp = Phi @ Rm
+    dW = (Phi1 @ Wm) * Rp[:, :1] + (Phi2 @ Wm) * Rp[:, 1:]
+    F = np.zeros_like(W)
+    F[:, :n] = [-model.nonlinear_force(x) for x in W[:, :n]]
+    rhs = W @ A.T + F
+    lhs = dW @ B.T
+    den = state_norms(rhs.T)
+    if np.any(den == 0.0):
+        raise SsmError("degenerate evaluation point: zero invariance denominator")
+    eps = float(np.max(state_norms((lhs - rhs).T) / den))
     return ErrorMeasure(eps, rho, theta_samples)
 
 

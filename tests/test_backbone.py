@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, omega_of_rho, rho_of_x, sample_backbone, solve_master, x_rms
-from ssmopt.backbone import backbone_to_csv, dx_drho
-from ssmopt.errors import AmplitudeUnreachableError
+from ssmopt.backbone import (
+    _linear_rho_scale,
+    _validity_cap,
+    backbone_to_csv,
+    dx_drho,
+    x_harmonics,
+    x_theta_samples,
+)
+from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError
+from ssmopt.models import VkBeamSpec, build_vk_beam
 
 
 class TestOmegaOfRho:
@@ -151,3 +159,106 @@ def test_backbone_invariant_under_mode_sign_flip(chain2, chain2_master):
         ra = rho_of_x(exp_a, 1, x0)
         rb = rho_of_x(exp_b, 1, x0)
         assert omega_of_rho(exp_a, ra) == pytest.approx(omega_of_rho(exp_b, rb), rel=1e-12)
+
+
+# -- closed-form amplitude map against the theta-grid oracle -------------------
+
+
+def grid_rms(exp, dof, rho, n_theta=128, max_order=None):
+    xk = x_theta_samples(exp, dof, rho, n_theta, max_order)
+    return float(np.sqrt(np.mean(xk**2)))
+
+
+def grid_slope(exp, dof, rho, n_theta=128):
+    """d x_rms / d rho as the grid mean of x dx/drho over x_rms."""
+    thetas = 2.0 * np.pi * np.arange(1, n_theta + 1) / n_theta
+    xk = x_theta_samples(exp, dof, rho, n_theta)
+    dxk = np.zeros(n_theta, dtype=complex)
+    for m, rec in exp.data.items():
+        q = m[0] + m[1]
+        dxk += rec.w[dof] * q * rho ** (q - 1) * np.exp(1j * (m[0] - m[1]) * thetas)
+    return float((np.sum(xk * dxk) / (n_theta * np.sqrt(np.mean(xk**2)))).real)
+
+
+def grid_validity_cap(exp, dof, n_theta=128):
+    """The validity-cap scan evaluated on theta-grid RMS values."""
+    lower = 1 if exp.order <= 3 else exp.order - 2
+    rho = _linear_rho_scale(exp, dof)
+    for _ in range(200):
+        xf = grid_rms(exp, dof, rho, n_theta)
+        xl = grid_rms(exp, dof, rho, n_theta, max_order=lower)
+        if xf == 0.0 or abs(xf - xl) > 0.1 * xf:
+            return rho
+        rho *= 1.25
+    return rho
+
+
+CURVED_BEAM = VkBeamSpec(a1=0.005, a2=0.002)
+
+
+@pytest.fixture(scope="module")
+def curved_beam_model():
+    return build_vk_beam(CURVED_BEAM, ())[0]
+
+
+@pytest.fixture(scope="module")
+def o9_expansions(chain2, duffing, curved_beam_model):
+    models = {"chain2": chain2[0], "duffing": duffing[0], "vk_beam10": curved_beam_model}
+    return {k: compute_ssm(m, solve_master(m, 0), 9) for k, m in models.items()}
+
+
+class TestClosedFormAmplitude:
+    @pytest.mark.parametrize("name", ["chain2", "duffing", "vk_beam10"])
+    def test_equals_grid_oracle(self, o9_expansions, name):
+        exp = o9_expansions[name]
+        for dof in range(exp.model.n):
+            cap = _validity_cap(exp, dof, 128)
+            for rho in cap * np.array([1e-3, 0.1, 0.5, 1.0]):
+                for max_order in (None, 1, 3, 5, 7):
+                    want = grid_rms(exp, dof, rho, max_order=max_order)
+                    got = x_rms(exp, dof, rho, max_order=max_order)
+                    assert abs(got - want) <= 1e-12 * want, (dof, rho, max_order)
+                want = grid_slope(exp, dof, rho)
+                assert abs(dx_drho(exp, dof, rho) - want) <= 1e-12 * abs(want), (dof, rho)
+
+    def test_matches_grid_rms_at_every_grid_size(self, chain2_exp5):
+        x = x_rms(chain2_exp5, 1, 0.3)
+        for n_theta in (11, 64, 128, 1024):
+            assert abs(x - grid_rms(chain2_exp5, 1, 0.3, n_theta)) <= 1e-12 * x
+
+    @pytest.mark.parametrize("m, delta", [((1, 2), 1e-6), ((1, 1), 1e-6j)])
+    def test_unpaired_coefficient_raises(self, chain2, chain2_master, m, delta):
+        # (1, 2) is the conjugate record of (2, 1); (1, 1) must be real
+        model, _ = chain2
+        exp = compute_ssm(model, chain2_master, 5)
+        exp.data[m].w[1] += delta
+        with pytest.raises(ConjugacyError):
+            x_rms(exp, 1, 0.1)
+        with pytest.raises(ConjugacyError):
+            x_theta_samples(exp, 1, 0.5, 128)
+        x_rms(exp, 0, 0.1)  # the other DOF stays paired
+
+    def test_extension_in_place_refreshes_the_cache(self, chain2, chain2_master):
+        model, _ = chain2
+        exp = compute_ssm(model, chain2_master, 3)
+        low = (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), _validity_cap(exp, 1, 128))
+        compute_ssm(model, chain2_master, 7, from_expansion=exp)
+        fresh = compute_ssm(model, chain2_master, 7)
+        for f in (
+            lambda e: x_rms(e, 1, 0.3),
+            lambda e: x_rms(e, 1, 0.3, max_order=5),
+            lambda e: dx_drho(e, 1, 0.3),
+            lambda e: _validity_cap(e, 1, 128),
+            lambda e: tuple(x_harmonics(e, 1, 0.3)),
+        ):
+            assert f(exp) == f(fresh)
+        assert (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), _validity_cap(exp, 1, 128)) != low
+
+    def test_validity_cap_equals_grid_scan(self, chain2, chain2_master, curved_beam_model):
+        cases = [(chain2[0], range(2), (3, 5, 7, 9)), (curved_beam_model, (0, 13, 22), (5, 9))]
+        for model, dofs, orders in cases:
+            exp = None
+            for O in orders:
+                exp = compute_ssm(model, solve_master(model, 0), O, from_expansion=exp)
+                for dof in dofs:
+                    assert _validity_cap(exp, dof, 128) == grid_validity_cap(exp, dof)

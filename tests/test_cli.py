@@ -109,6 +109,33 @@ class TestBackboneCommand:
         assert err.startswith(f"model error: {field} ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, fields, argv",
+        [
+            ("x_targets", {"x_targets": [0.1, -0.2]}, []),  # negative target
+            ("x_targets", {"x_targets": [float("nan")]}, []),  # NaN target
+            ("dof", {"dof": 7}, []),  # the model has 2 DOFs
+            ("mode", {"mode": 9}, []),
+            ("n_theta", {"n_theta": 3}, []),  # undersamples order 5
+            ("order", {"order": 4}, []),  # even order in the config
+            ("order", {}, ["--order", "4"]),  # even order on the command line
+            ("order", {}, ["--order", "five"]),
+            ("max_order", {"order": "auto", "max_order": 8}, []),
+            ("eps_tol", {"order": "auto", "eps_tol": -1.0}, []),
+            ("eps_tol", {"order": "auto"}, ["--eps-tol", "nan"]),
+        ],
+    )
+    def test_bad_backbone_input_exit_code(self, tmp_path, capsys, field, fields, argv):
+        block = dict({"dof": 1, "x_targets": [0.1], "order": 5}, **fields)
+        cfg = {"model": CHAIN_MODEL, "backbone": block}
+        path = write_config(tmp_path, cfg)
+        rc = main(["backbone", "--config", path, "--out", str(tmp_path / "o"), *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = {
             "command": "sens",
@@ -144,6 +171,25 @@ class TestSensCommand:
         assert rc == 0
         blk = json.loads((out / "sens_fd_check.json").read_text())
         assert blk["max_rel_err_adjoint"] <= 1e-5
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("dof", {"dof": 7}),
+            ("mode", {"mode": 2}),
+            ("x0", {"x0": -0.1}),
+            ("x0", {"x0": float("inf")}),
+            ("order", {"order": 4}),
+            ("n_theta", {"n_theta": 3}),
+        ],
+    )
+    def test_bad_sens_input_exit_code(self, tmp_path, capsys, field, fields):
+        cfg = {"model": CHAIN_MODEL, "sens": dict({"dof": 1, "x0": 0.1}, **fields)}
+        rc = main(["sens", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "o").exists()
 
     def test_matrix_model_without_params_rejected(self, tmp_path):
         cfg = {

@@ -1,0 +1,102 @@
+"""Invariants on seeded random small models.
+
+Each model has SPD mass and stiffness matrices, light Rayleigh damping and
+random quadratic and cubic force tensors. A random model may hit a documented
+failure (an outer resonance, an unreachable amplitude, ...): that typed error
+is an acceptable outcome. A NaN or any other exception is not.
+"""
+
+import numpy as np
+
+from ssmopt import MechModel, ParamDerivatives, SymTensor, compute_ssm, solve_master
+from ssmopt.backbone import _validity_cap, dx_drho, rho_of_x, x_rms, x_theta_samples
+from ssmopt.errors import SsmOptError
+from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
+from ssmopt.sens_direct import chain_derivatives
+
+N_MODELS = 16
+N_PARAMS = 3
+
+
+def spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def sym(rng, n):
+    a = rng.normal(size=(n, n))
+    return a + a.T
+
+
+def tensor(rng, n, arity, count, scale):
+    rows = [[*rng.integers(0, n, size=arity + 1), scale * rng.normal()] for _ in range(count)]
+    return SymTensor.from_entries(n, arity, rows)
+
+
+def random_case(seed):
+    """(model, params, order) of the seed's model."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    model = MechModel(
+        M=spd(rng, n),
+        K=spd(rng, n),
+        alpha_r=float(rng.uniform(0.0, 0.01)),
+        beta_r=float(rng.uniform(0.0, 0.01)),
+        T2=tensor(rng, n, 2, 2 * n, 0.5),
+        T3=tensor(rng, n, 3, 3 * n, 0.5),
+    )
+    params = ParamDerivatives(
+        names=tuple(f"p{k}" for k in range(N_PARAMS)),
+        dM=tuple(sym(rng, n) for _ in range(N_PARAMS)),
+        dK=tuple(sym(rng, n) for _ in range(N_PARAMS)),
+        dT2=tuple(tensor(rng, n, 2, n, 1.0) for _ in range(N_PARAMS)),
+        dT3=tuple(tensor(rng, n, 3, n, 1.0) for _ in range(N_PARAMS)),
+    )
+    return model, params, int(rng.choice([3, 5, 7]))
+
+
+def outcomes(check):
+    """Run check(seed) on every model; count passes, let typed errors through."""
+    passed, typed = 0, []
+    for seed in range(N_MODELS):
+        try:
+            check(seed)
+        except SsmOptError as e:
+            typed.append(type(e).__name__)
+        else:
+            passed += 1
+    return passed, typed
+
+
+def test_closed_form_amplitude_equals_grid_oracle():
+    def check(seed):
+        model, _, order = random_case(seed)
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        for dof in range(model.n):
+            cap = _validity_cap(exp, dof, 128)
+            for rho in cap * np.array([0.1, 0.5, 1.0]):
+                want = np.sqrt(np.mean(x_theta_samples(exp, dof, rho, 128) ** 2))
+                got = x_rms(exp, dof, rho)
+                assert np.isfinite(got) and np.isfinite(dx_drho(exp, dof, rho))
+                assert abs(got - want) <= 1e-12 * want, (seed, dof, rho)
+
+    passed, typed = outcomes(check)
+    assert passed >= N_MODELS // 2, typed
+
+
+def test_adjoint_equals_direct():
+    def check(seed):
+        model, params, order = random_case(seed)
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        dof = model.n - 1
+        x0 = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof, 128))
+        rho = rho_of_x(exp, dof, x0)
+        adj = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params).d_omega
+        direct = chain_derivatives(model, exp, params, dof, rho).d_omega
+        assert np.all(np.isfinite(adj)) and np.all(np.isfinite(direct)), seed
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(adj - direct)) <= 1e-8 * scale, seed
+
+    passed, typed = outcomes(check)
+    assert passed >= N_MODELS // 2, typed
+

@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master
-from ssmopt.models import ChainSpec, build_chain
+from ssmopt.backbone import _validity_cap
+from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import monomial, order, symmetric
 from ssmopt.ssm import adapt_order
 
@@ -166,6 +167,60 @@ class TestInvarianceResidual:
         model, _ = chain2
         with pytest.raises(ValueError):
             invariance_residual(model, chain2_exp5, 0.0)
+
+    @pytest.mark.parametrize("name", ["chain2", "vk_beam10"])
+    def test_matches_pointwise_loop(self, chain2, name):
+        if name == "chain2":
+            model = chain2[0]
+        else:
+            model = build_vk_beam(VkBeamSpec(a1=0.005, a2=0.002), ())[0]
+        master = solve_master(model, 0)
+        exp = None
+        for O in (3, 5, 7, 9):
+            exp = compute_ssm(model, master, O, from_expansion=exp)
+            cap = _validity_cap(exp, 1, 128)
+            for rho in (0.01 * cap, 0.3 * cap, cap):
+                want = loop_residual(model, exp, rho)
+                got = invariance_residual(model, exp, rho).epsilon
+                # epsilon is itself relative; near the roundoff floor of the
+                # defect only an absolute comparison is meaningful
+                assert abs(got - want) <= 1e-12 * max(1.0, want), (O, rho)
+
+
+def loop_residual(model, exp, rho, theta_samples=32):
+    """invariance_residual's epsilon, one theta point and one index at a time."""
+    B, A = model.first_order_operators()
+    n = model.n
+    Kreg = model.K + 1e-14 * np.linalg.norm(model.K, 1) * np.eye(n)
+    Minv = np.linalg.inv(model.M)
+
+    def state_norm(vec):
+        s1 = np.linalg.solve(Kreg, vec[:n])
+        s2 = Minv @ vec[n:] / exp.master.omega
+        return np.sqrt(np.linalg.norm(s1) ** 2 + np.linalg.norm(s2) ** 2)
+
+    eps = 0.0
+    for k in range(1, theta_samples + 1):
+        theta = 2.0 * np.pi * k / theta_samples
+        p = np.array([rho * np.exp(1j * theta), rho * np.exp(-1j * theta)])
+        W = np.zeros(2 * n, dtype=complex)
+        dW1 = np.zeros(2 * n, dtype=complex)
+        dW2 = np.zeros(2 * n, dtype=complex)
+        Rp = np.zeros(2, dtype=complex)
+        for m, rec in exp.data.items():
+            Wm = np.concatenate([rec.w, rec.wdot])
+            W += Wm * monomial(p, m)
+            if m[0] > 0:
+                dW1 += m[0] * monomial(p, (m[0] - 1, m[1])) * Wm
+            if m[1] > 0:
+                dW2 += m[1] * monomial(p, (m[0], m[1] - 1)) * Wm
+            Rp += rec.R * monomial(p, m)
+        F = np.zeros(2 * n, dtype=complex)
+        F[:n] = -model.nonlinear_force(W[:n])
+        rhs = A @ W + F
+        lhs = B @ (dW1 * Rp[0] + dW2 * Rp[1])
+        eps = max(eps, state_norm(lhs - rhs) / state_norm(rhs))
+    return eps
 
 
 class TestAdaptOrder:
