@@ -19,13 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeUnreachableError, ConjugacyError, TurningPointError
+from .errors import (
+    IMAG_RESIDUE_RTOL,
+    AmplitudeUnreachableError,
+    ConjugacyError,
+    TurningPointError,
+    assert_real,
+)
 from .multiindex import order, symmetric
 from .ssm import SsmExpansion
 
 DEFAULT_N_THETA = 128
 VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
-IMAG_RESIDUE_RTOL = 1e-10
 RHO_X_RTOL = 1e-10
 
 
@@ -58,9 +63,7 @@ def omega_of_rho(exp: SsmExpansion, rho: float, form: str = "compact") -> float:
             r1 = exp.R(a)[0]
             r2 = exp.R((a[1], a[0]))[1]
             total += 0.5j * (r2 - r1) * rho ** (q - 1)
-        if abs(total.imag) > IMAG_RESIDUE_RTOL * max(1.0, abs(total.real)):
-            raise ConjugacyError(f"paired backbone sum has imaginary residue {total.imag:.2e}")
-        return float(total.real)
+        return assert_real(total, "paired backbone sum")
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -96,12 +99,7 @@ def x_theta_samples(
         if max_order is not None and q > max_order:
             continue
         x += rec.w[dof_index] * rho**q * np.exp(1j * (m[0] - m[1]) * thetas)
-    scale = max(1.0, float(np.abs(x.real).max()))
-    if np.abs(x.imag).max() > IMAG_RESIDUE_RTOL * scale:
-        raise ConjugacyError(
-            f"theta samples have imaginary residue {np.abs(x.imag).max():.2e}"
-        )
-    return x.real
+    return assert_real(x, "theta samples")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,7 @@ from .backbone import (
     x_rms,
     x_theta_samples,
 )
-from .config import (
-    load_config,
-    make_builder,
-    model_design_vector,
-    resolve_model,
-    resolve_model_params,
-)
+from .config import load_config, resolve_design, resolve_model
 from .errors import ConfigError, ModelError, SsmError, SsmOptError
 from .fdcheck import backbone_response, fd_gradient
 from .models import ChainSpec, build_chain, chain_per_spring_k3
@@ -55,10 +50,14 @@ EXIT_MODEL = 2
 EXIT_SSM = 3
 EXIT_FAILED = 4
 
-# backbone and sens block defaults
-DEFAULT_EPS_TOL = 1e-3
-DEFAULT_MAX_ORDER = 13
-DEFAULT_SENS_ORDER = 5
+BACKBONE_DEFAULTS = {
+    "order": "auto",
+    "max_order": 13,
+    "eps_tol": 1e-3,
+    "n_theta": DEFAULT_N_THETA,
+    "mode": 0,
+}
+SENS_DEFAULTS = {"order": 5, "n_theta": DEFAULT_N_THETA, "mode": 0, "methods": ["adjoint"]}
 
 
 def _write(outdir: Path, name: str, text: str):
@@ -71,15 +70,15 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_order(cfg_block, model, master, rho_probe, n_theta):
-    order = cfg_block.get("order", "auto")
+def _resolve_order(block, model, master, rho_probe):
+    order = block["order"]
     if order == "auto":
         result = adapt_order(
             model,
             master,
-            tol=cfg_block.get("eps_tol", DEFAULT_EPS_TOL),
+            tol=block["eps_tol"],
             rho=rho_probe,
-            order_range=(3, cfg_block.get("max_order", DEFAULT_MAX_ORDER)),
+            order_range=(3, block["max_order"]),
         )
         return result.expansion, result.error, result.warned
     exp = compute_ssm(model, master, int(order))
@@ -87,42 +86,51 @@ def _resolve_order(cfg_block, model, master, rho_probe, n_theta):
     return exp, err, False
 
 
-def _check_block(name: str, block: dict, n_dof: int, targets: str, default_order) -> None:
-    """Reject, naming the field, every input of a backbone or sens block that
-    the computation cannot take; runs before any computation."""
+def _check_block(name: str, value: dict, n_dof: int) -> None:
+    """Reject, naming the field, every input of a block (defaults filled in)
+    that the computation cannot take; runs before any computation. A field
+    the block does not have is not checked."""
     for field in ("dof", "mode"):
-        value = block.get(field, 0)
-        if value >= n_dof:
+        if field in value and value[field] >= n_dof:
             raise ConfigError(
-                f"{name}.{field} = {value} is out of range for a model with {n_dof} DOFs"
+                f"{name}.{field} = {value[field]} is out of range for a model with {n_dof} DOFs"
             )
-    xs = block[targets] if isinstance(block[targets], list) else [block[targets]]
-    if not all(math.isfinite(x) and x > 0 for x in xs):
-        raise ConfigError(f"{name}.{targets} must be positive and finite, got {block[targets]}")
-    order = block.get("order", default_order)
-    max_order = block.get("max_order", DEFAULT_MAX_ORDER)
-    for field, value in (("order", order), ("max_order", max_order)):
-        if value != "auto" and value % 2 == 0:
-            raise ConfigError(f"{name}.{field} must be odd, got {value}")
-    eps_tol = block.get("eps_tol", DEFAULT_EPS_TOL)
-    if not (math.isfinite(eps_tol) and eps_tol > 0):
+    for field in ("x_targets", "x0", "x"):
+        xs = value.get(field, [])
+        if not all(math.isfinite(x) and x > 0 for x in (xs if isinstance(xs, list) else [xs])):
+            raise ConfigError(f"{name}.{field} must be positive and finite, got {xs}")
+    for field in ("order", "max_order"):
+        if value.get(field, "auto") != "auto" and value[field] % 2 == 0:
+            raise ConfigError(f"{name}.{field} must be odd, got {value[field]}")
+    eps_tol = value.get("eps_tol")
+    if eps_tol is not None and not (math.isfinite(eps_tol) and eps_tol > 0):
         raise ConfigError(f"{name}.eps_tol must be positive and finite, got {eps_tol}")
-    # 'auto' may end at max_order, and every grid must resolve the order used
-    top = max_order if order == "auto" else order
-    n_theta = block.get("n_theta", DEFAULT_N_THETA)
-    if n_theta < 2 * top + 1:
+    if "n_theta" in value:
+        # 'auto' may end at max_order, and every grid must resolve the order used
+        top = value["max_order"] if value.get("order", "auto") == "auto" else value["order"]
+        if value["n_theta"] < 2 * top + 1:
+            raise ConfigError(
+                f"{name}.n_theta = {value['n_theta']} undersamples an order-{top} "
+                f"expansion; need at least {2 * top + 1}"
+            )
+
+
+def _resolve_design(cfg: dict, command: str):
+    """resolve_design of the config's model, which must have design parameters."""
+    names, mu0, builder = resolve_design(cfg["model"])
+    if not names:
         raise ConfigError(
-            f"{name}.n_theta = {n_theta} undersamples an order-{top} expansion; "
-            f"need at least {2 * top + 1}"
+            f"{command} needs design parameters: a chain or vk_beam model with non-empty params"
         )
+    return names, mu0, builder
 
 
 def cmd_backbone(cfg: dict, outdir: Path) -> int:
     model = resolve_model(cfg["model"])
-    block = cfg["backbone"]
-    _check_block("backbone", block, model.n, "x_targets", "auto")
-    master = solve_master(model, block.get("mode", 0))
-    n_theta = block.get("n_theta", DEFAULT_N_THETA)
+    block = BACKBONE_DEFAULTS | cfg["backbone"]
+    _check_block("backbone", block, model.n)
+    master = solve_master(model, block["mode"])
+    n_theta = block["n_theta"]
     dof = block["dof"]
     targets = block["x_targets"]
 
@@ -130,7 +138,7 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
     # low-order expansion first
     probe_exp = compute_ssm(model, master, 3)
     rho_probe = rho_of_x(probe_exp, dof, max(targets), n_theta)
-    exp, err, warned = _resolve_order(block, model, master, rho_probe, n_theta)
+    exp, err, warned = _resolve_order(block, model, master, rho_probe)
 
     curve = sample_backbone(exp, dof, targets, n_theta)
     _write(outdir, "backbone.csv", backbone_to_csv(curve))
@@ -156,21 +164,18 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
-    model, params = resolve_model_params(cfg["model"])
-    if params is None or params.count == 0:
-        raise ConfigError("sensitivity needs a parametrized model (declare params)")
-    block = cfg["sens"]
-    _check_block("sens", block, model.n, "x0", DEFAULT_SENS_ORDER)
-    master = solve_master(model, block.get("mode", 0))
-    order = block.get("order", DEFAULT_SENS_ORDER)
-    n_theta = block.get("n_theta", DEFAULT_N_THETA)
+    names, mu0, builder = _resolve_design(cfg, "sens")
+    model, params = builder(mu0)
+    block = SENS_DEFAULTS | cfg["sens"]
+    _check_block("sens", block, model.n)
+    master = solve_master(model, block["mode"])
+    order, n_theta = block["order"], block["n_theta"]
     dof, x0 = block["dof"], block["x0"]
     exp = compute_ssm(model, master, order)
     rho = rho_of_x(exp, dof, x0, n_theta)
 
-    methods = block.get("methods", ["adjoint"])
     results = {}
-    for method in methods:
+    for method in block["methods"]:
         t0 = time.perf_counter()
         if method == "adjoint":
             adj = solve_adjoint(model, exp, dof, rho, n_theta)
@@ -193,8 +198,6 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
         _write(outdir, f"sens_{method}.json", _json_dumps(report))
 
     if verify_fd:
-        builder = make_builder(cfg["model"])
-        mu0, _ = model_design_vector(cfg["model"])
         fd = fd_gradient(
             lambda mu: backbone_response(
                 lambda m: builder(m)[0],
@@ -217,8 +220,20 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
 
 def cmd_optimize(cfg: dict, outdir: Path, method_override: str | None) -> int:
     block = cfg["optimize"]
-    builder = make_builder(cfg["model"])
-    mu0, names = model_design_vector(cfg["model"])
+    names, mu0, build = _resolve_design(cfg, "optimize")
+    tol = OptTolerances(**block.get("tolerances", {}))
+
+    def builder(mu):
+        # the start model, which the optimizer builds first, gives the DOF
+        # count: the block is checked before any expansion, at no extra
+        # assembly
+        model, params = build(mu)
+        _check_block("optimize", block, model.n)
+        _check_block("optimize.tolerances", asdict(tol), model.n)
+        for i, c in enumerate(block["constraints"]):
+            _check_block(f"optimize.constraints[{i}]", c, model.n)
+        return model, params
+
     if "mu0" in block:
         mu0 = np.asarray(block["mu0"], dtype=float)
     lower = np.asarray(block["bounds"]["lower"], dtype=float)
@@ -233,7 +248,6 @@ def cmd_optimize(cfg: dict, outdir: Path, method_override: str | None) -> int:
         for c in block["constraints"]
         if c["type"] == "eigfreq"
     )
-    tol = OptTolerances(**block.get("tolerances", {}))
     problem = OptProblem(
         builder=builder,
         names=names,

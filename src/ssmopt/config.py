@@ -7,76 +7,61 @@ errors carry the JSON path of the offending key.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from .errors import ConfigError
-from .mechmodel import model_from_json
-from .models import (
-    ChainSpec,
-    VkBeamSpec,
-    build_chain,
-    build_vk_beam,
-)
+from .mechmodel import ParamDerivatives, model_from_json
+from .models import FAMILIES, ModelFamily
+from .optimizer import OBJECTIVE_REFS
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
 
+
+def _family_schema(family: ModelFamily) -> dict:
+    """One property per spec field (int -> positive integer, else number),
+    and `params` drawn from the family's parameter names."""
+    hints = get_type_hints(family.spec)
+    return {
+        "properties": {
+            "type": True,
+            **{name: _POSINT if t is int else _NUM for name, t in hints.items()},
+            "params": {"type": "array", "items": {"enum": list(family.params)}},
+        },
+        "additionalProperties": False,
+    }
+
+
+_MODEL_KINDS = {kind: _family_schema(family) for kind, family in FAMILIES.items()} | {
+    "matrix": {
+        "properties": {
+            "type": True,
+            "n": _POSINT,
+            "M": {"type": "array"},
+            "K": {"type": "array"},
+            "alpha_r": _NUM,
+            "beta_r": _NUM,
+            "T2": {"type": "array"},
+            "T3": {"type": "array"},
+        },
+        "required": ["n", "M", "K"],
+        "additionalProperties": False,
+    }
+}
+
+# selected by `type` (if/then rather than oneOf), so an error names the key
 MODEL_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "chain"},
-                "n_masses": _POSINT,
-                "mass": _NUM,
-                "k": _NUM,
-                "k2": _NUM,
-                "k3": _NUM,
-                "alpha_r": _NUM,
-                "beta_r": _NUM,
-                "params": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["type"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "vk_beam"},
-                "n_elements": _POSINT,
-                "length": _NUM,
-                "thickness": _NUM,
-                "width": _NUM,
-                "a1": _NUM,
-                "a2": _NUM,
-                "youngs": _NUM,
-                "poisson": _NUM,
-                "density": _NUM,
-                "alpha_r": _NUM,
-                "beta_r": _NUM,
-                "params": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["type"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "matrix"},
-                "n": _POSINT,
-                "M": {"type": "array"},
-                "K": {"type": "array"},
-                "alpha_r": _NUM,
-                "beta_r": _NUM,
-                "T2": {"type": "array"},
-                "T3": {"type": "array"},
-            },
-            "required": ["type", "n", "M", "K"],
-            "additionalProperties": False,
-        },
-    ]
+    "type": "object",
+    "properties": {"type": {"enum": list(_MODEL_KINDS)}},
+    "required": ["type"],
+    "allOf": [
+        {"if": {"properties": {"type": {"const": kind}}, "required": ["type"]}, "then": schema}
+        for kind, schema in _MODEL_KINDS.items()
+    ],
 }
 
 _BACKBONE_BLOCK = {
@@ -115,7 +100,19 @@ _SENS_BLOCK = {
 _OPT_BLOCK = {
     "type": "object",
     "properties": {
-        "objective": {"type": "object"},
+        "objective": {
+            "type": "object",
+            "properties": {
+                "type": {"enum": list(OBJECTIVE_REFS)},
+                "value": _NUM,
+                "name": {"type": "string"},
+                "coeffs": {"type": "object", "additionalProperties": _NUM},
+                "offset": _NUM,
+                "vars": {"type": "array", "items": {"type": "string"}},
+            },
+            "required": ["type"],
+            "additionalProperties": False,
+        },
         "constraints": {
             "type": "array",
             "items": {
@@ -227,80 +224,30 @@ def load_config(path: str, command: str | None = None) -> dict:
     return validate_config(cfg, command)
 
 
-def _model_builder(block: dict):
-    """(builder, spec, declared parameter names) of a chain or vk_beam block."""
-    fields = {k: v for k, v in block.items() if k not in ("type", "params")}
-    if block["type"] == "chain":
-        params = tuple(block.get("params", ("mass", "k", "k2", "k3")))
-        return build_chain, ChainSpec(**fields), params
-    params = tuple(block.get("params", ("a1", "a2", "h", "L")))
-    return build_vk_beam, VkBeamSpec(**fields), params
-
-
 def resolve_model(block: dict):
     """The model of a model block, without parameter derivatives."""
-    if block["type"] == "matrix":
-        return model_from_json(block)
-    build, spec, _ = _model_builder(block)
-    return build(spec, ())[0]
+    _, mu0, builder = resolve_design(dict(block, params=[]))
+    return builder(mu0)[0]
 
 
-def resolve_model_params(block: dict):
-    """(model, params) of a model block; params is None for a matrix model.
+def resolve_design(block: dict):
+    """(names, mu0, builder) of a model block.
 
-    The derivatives are those of the declared (or default) parameters; for a
-    vk_beam each costs two extra assemblies, so only commands that
-    differentiate ask for them.
+    names are the declared (or default) design parameters, mu0 their values
+    in the block, and builder(mu) returns (MechModel, ParamDerivatives) at the
+    design mu with the derivatives of names; for a vk_beam each name costs two
+    extra assemblies. A matrix model has no design parameters.
     """
     if block["type"] == "matrix":
-        return model_from_json(block), None
-    build, spec, params = _model_builder(block)
-    return build(spec, params)
+        no_params = ParamDerivatives(names=(), dM=(), dK=(), dT2=(), dT3=())
+        return (), np.zeros(0), lambda mu: (model_from_json(block), no_params)
+    family = FAMILIES[block["type"]]
+    names = tuple(block.get("params", family.params))
+    spec = family.spec(**{k: v for k, v in block.items() if k not in ("type", "params")})
+    mu0 = np.array([getattr(spec, family.params[p]) for p in names], dtype=float)
 
+    def builder(mu):
+        values = {family.params[p]: float(v) for p, v in zip(names, mu)}
+        return family.build(replace(spec, **values), names)
 
-def model_design_vector(block: dict) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Initial design vector implied by a parametrized model block."""
-    kind = block["type"]
-    if kind == "chain":
-        spec_fields = {"mass", "k", "k2", "k3"}
-        params = tuple(block.get("params", ("mass", "k", "k2", "k3")))
-        spec = ChainSpec(**{k: v for k, v in block.items() if k not in ("type", "params")})
-        vals = []
-        for p in params:
-            if p not in spec_fields:
-                raise ConfigError(f"chain parameter {p!r} has no initial value")
-            vals.append(getattr(spec, p))
-        return np.array(vals, dtype=float), params
-    if kind == "vk_beam":
-        field_of = {"a1": "a1", "a2": "a2", "h": "thickness", "L": "length"}
-        params = tuple(block.get("params", ("a1", "a2", "h", "L")))
-        spec = VkBeamSpec(**{k: v for k, v in block.items() if k not in ("type", "params")})
-        return np.array([getattr(spec, field_of[p]) for p in params]), params
-    raise ConfigError(f"model type {kind!r} cannot be optimized (no parametrization)")
-
-
-def make_builder(block: dict):
-    """builder(mu) -> (MechModel, ParamDerivatives) for the optimizer."""
-    kind = block["type"]
-    if kind == "chain":
-        _, params = model_design_vector(block)
-        base = {k: v for k, v in block.items() if k not in ("type", "params")}
-
-        def build(mu):
-            fields = dict(base)
-            fields.update({p: float(v) for p, v in zip(params, mu)})
-            return build_chain(ChainSpec(**fields), params)
-
-        return build
-    if kind == "vk_beam":
-        field_of = {"a1": "a1", "a2": "a2", "h": "thickness", "L": "length"}
-        _, params = model_design_vector(block)
-        base = {k: v for k, v in block.items() if k not in ("type", "params")}
-
-        def build(mu):
-            fields = dict(base)
-            fields.update({field_of[p]: float(v) for p, v in zip(params, mu)})
-            return build_vk_beam(VkBeamSpec(**fields), params)
-
-        return build
-    raise ConfigError(f"model type {kind!r} cannot be optimized")
+    return names, mu0, builder

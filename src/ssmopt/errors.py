@@ -1,8 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the real-residue check behind ConjugacyError.
 
 Three top-level classes map onto the CLI exit codes: ConfigError -> 1,
 ModelError -> 2, SsmError -> 3.
 """
+
+import numpy as np
+
+IMAG_RESIDUE_RTOL = 1e-10
 
 
 class SsmOptError(Exception):
@@ -75,3 +79,17 @@ class ConjugacyError(SsmError):
 
 class TurningPointError(SsmError):
     """dx/drho vanished: the amplitude map is not invertible at this point."""
+
+
+def assert_real(value, what: str):
+    """The real part of a quantity that is real by conjugate pairing.
+
+    Raises ConjugacyError naming `what` when the largest imaginary part
+    exceeds IMAG_RESIDUE_RTOL * max(1, largest real part).
+    """
+    value = np.asarray(value)
+    scale = max(1.0, float(np.abs(value.real).max()))
+    residue = float(np.abs(value.imag).max())
+    if residue > IMAG_RESIDUE_RTOL * scale:
+        raise ConjugacyError(f"{what} has imaginary residue {residue:.2e} (scale {scale:.2e})")
+    return value.real if value.ndim else float(value.real)

@@ -13,10 +13,14 @@ Two families:
   coordinates (a sine-series heightmap), which activates quadratic
   axial-bending coupling for curved shapes. Parameter derivatives are central
   finite differences of the assembly.
+
+`FAMILIES` maps each family's config `type` to its spec class, its design
+parameters (name -> spec field) and its builder.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -79,9 +83,12 @@ def _chain_operators(spec: ChainSpec, k: float, k2: float, k3: float):
 
 
 def build_chain(
-    spec: ChainSpec, params: tuple[str, ...] = ("mass", "k", "k2", "k3")
+    spec: ChainSpec, params: tuple[str, ...] | None = None
 ) -> tuple[MechModel, ParamDerivatives]:
-    """Chain model plus analytic derivatives for the selected shared parameters."""
+    """Chain model plus analytic derivatives for the selected shared parameters
+    (default: every parameter of the chain family)."""
+    if params is None:
+        params = tuple(FAMILIES["chain"].params)
     n = spec.n_masses
     if n < 1 or spec.mass <= 0:
         raise ModelError("chain needs at least one mass with positive mass value")
@@ -304,19 +311,20 @@ def _vk_model(spec: VkBeamSpec) -> MechModel:
     )
 
 
-VK_PARAM_FIELDS = {"a1": "a1", "a2": "a2", "h": "thickness", "L": "length"}
-
-
 def build_vk_beam(
-    spec: VkBeamSpec, params: tuple[str, ...] = ("a1", "a2", "h", "L")
+    spec: VkBeamSpec, params: tuple[str, ...] | None = None
 ) -> tuple[MechModel, ParamDerivatives]:
-    """Beam model plus FD-of-assembly derivatives for shape/size parameters."""
+    """Beam model plus FD-of-assembly derivatives for shape/size parameters
+    (default: every parameter of the vk_beam family)."""
+    fields = FAMILIES["vk_beam"].params
+    if params is None:
+        params = tuple(fields)
     model = _vk_model(spec)
     dM, dK, dT = [], [], {2: [], 3: []}
     for p in params:
-        if p not in VK_PARAM_FIELDS:
+        if p not in fields:
             raise ConfigError(f"unknown beam parameter {p!r}")
-        fld = VK_PARAM_FIELDS[p]
+        fld = fields[p]
         mu = getattr(spec, fld)
         h = FD_ASSEMBLY_RELSTEP * (1.0 + abs(mu))
         plus = _assemble_vk(replace(spec, **{fld: mu + h}))
@@ -341,3 +349,35 @@ def vk_center_dof(spec: VkBeamSpec) -> int:
         raise ConfigError("center DOF requires an even element count")
     center_node = spec.n_elements // 2
     return 3 * (center_node - 1) + 1  # node 0 is clamped away
+
+
+# -- family table --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelFamily:
+    """A parametrized model family.
+
+    params maps each design parameter to the spec field it sets, in the
+    default order; build(spec, params) returns (MechModel, ParamDerivatives).
+    """
+
+    spec: type
+    params: dict[str, str]
+    build: Callable[[object, tuple[str, ...]], tuple[MechModel, ParamDerivatives]]
+
+
+# the builders are looked up by module attribute at each call, so a wrapper
+# installed on the attribute sees every build
+FAMILIES = {
+    "chain": ModelFamily(
+        ChainSpec,
+        {p: p for p in ("mass", "k", "k2", "k3")},
+        lambda spec, params: build_chain(spec, params),
+    ),
+    "vk_beam": ModelFamily(
+        VkBeamSpec,
+        {"a1": "a1", "a2": "a2", "h": "thickness", "L": "length"},
+        lambda spec, params: build_vk_beam(spec, params),
+    ),
+}

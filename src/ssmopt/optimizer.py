@@ -9,10 +9,14 @@ frozen during the iteration; the order is re-decided once per accepted
 iterate from the invariance residual (never decreased within a run).
 
 The variables are normalized by their bounds and the constraints by the
-initial natural frequency before being handed to the dense SQP engine
-(scipy's SLSQP: BFGS-approximated Hessian, linearized equality constraints,
-L1 merit line search, bound clipping). The engine's iterates are recorded
-through its per-iteration callback.
+initial natural frequency. `solve` runs a dense SQP iteration of its own:
+a damped-BFGS Lagrangian Hessian, a step split into a minimum-norm
+restoration part toward the linearized equality constraints and an
+objective part in their null space, bound clipping, a trust cap and an L1
+merit line search. When the line search stalls short of feasibility it
+probes interior values of each variable, and a Gauss-Newton restoration on
+the constraints alone polishes the end point. Each accepted iterate is
+recorded in the trace and re-decides the expansion order.
 """
 
 from __future__ import annotations
@@ -85,12 +89,36 @@ class OptProblem:
             raise ConfigError("bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise ConfigError("lower bounds must be strictly below upper bounds")
+        check_objective(self.objective, self.names)
         if (
             not self.backbone_targets
             and not self.eigfreq_targets
             and self.objective.get("type") == "constant"
         ):
             raise ConfigError("problem needs at least one constraint or a nontrivial objective")
+
+
+# objective type -> the key naming the design variables it reads
+OBJECTIVE_REFS = {"constant": None, "variable": "name", "linear": "coeffs", "product": "vars"}
+
+
+def check_objective(spec: dict, names: tuple[str, ...]) -> None:
+    """Reject an objective whose type is unknown, whose variable key is
+    missing, or which reads a name that is not a design parameter."""
+    kind = spec.get("type")
+    if kind not in OBJECTIVE_REFS:
+        raise ConfigError(f"objective.type must be one of {list(OBJECTIVE_REFS)}, got {kind!r}")
+    key = OBJECTIVE_REFS[kind]
+    if key is None:
+        return
+    if key not in spec:
+        raise ConfigError(f"objective.{key} is required by a {kind!r} objective")
+    refs = [spec[key]] if isinstance(spec[key], str) else list(spec[key])
+    unknown = [r for r in refs if r not in names]
+    if unknown:
+        raise ConfigError(
+            f"objective.{key} names {unknown}, which are not design parameters {list(names)}"
+        )
 
 
 def objective_value_grad(spec: dict, names: tuple[str, ...], mu: np.ndarray):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
-from .errors import ConjugacyError, TurningPointError
+from .errors import TurningPointError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
     all_indices,
@@ -39,17 +39,6 @@ from .multiindex import (
 )
 from .sens_direct import lambda_derivative, solve_mode_bordered
 from .ssm import SsmExpansion, index_solve, v_decomps
-
-IMAG_RESIDUE_RTOL = 1e-10
-
-
-def _assert_real(value, what: str, rtol: float = IMAG_RESIDUE_RTOL):
-    value = np.asarray(value)
-    scale = max(1.0, float(np.abs(value.real).max()))
-    residue = float(np.abs(value.imag).max())
-    if residue > rtol * scale:
-        raise ConjugacyError(f"{what} has imaginary residue {residue:.2e} (scale {scale:.2e})")
-    return value.real if value.ndim else float(value.real)
 
 
 @dataclass
@@ -276,8 +265,8 @@ def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):
     master = exp.master
     _, dlam_domega = lambda_derivative(master, model.alpha_r, model.beta_r, 1.0)
     bars.omega += bars.lam[0] * dlam_domega + bars.lam[1] * np.conj(dlam_domega)
-    g_phi = _assert_real(bars.phi, "mode-shape adjoint source")
-    g_omega = _assert_real(bars.omega, "frequency adjoint source")
+    g_phi = assert_real(bars.phi, "mode-shape adjoint source")
+    g_omega = assert_real(bars.omega, "frequency adjoint source")
 
     n = model.n
     Mphi = model.M @ master.phi
@@ -452,7 +441,7 @@ def contract_gradient(
         total[p] += adjoint.lambda_omega * (phi @ (params.dM[p] @ phi))
     d_omega = np.array(
         [
-            _assert_real(total[p], f"gradient for parameter {params.names[p]!r}")
+            assert_real(total[p], f"gradient for parameter {params.names[p]!r}")
             for p in range(P)
         ]
     )

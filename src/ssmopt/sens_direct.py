@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .backbone import dx_drho, x_harmonics, x_rms
-from .errors import ConjugacyError, DegenerateModeError
+from .errors import DegenerateModeError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import (
     all_indices,
@@ -25,8 +25,6 @@ from .multiindex import (
     symmetric,
 )
 from .ssm import RCOND_SINGULAR, SsmExpansion, index_solve, lu_rcond, v_decomps
-
-IMAG_RESIDUE_RTOL = 1e-10
 
 
 @dataclass
@@ -240,10 +238,7 @@ def chain_derivatives(
         num = 0.0 + 0.0j
         for m, (dw, _, _) in dcoef.items():
             num += dw[dof_index] * rho ** order(m) * c[exp.order + m[1] - m[0]]
-        drho = -num / (x * dxdr)
-        if abs(drho.imag) > IMAG_RESIDUE_RTOL * max(1.0, abs(drho.real)):
-            raise ConjugacyError(f"drho has imaginary residue {drho.imag:.2e}")
-        drho = drho.real
+        drho = assert_real(-num / (x * dxdr), "drho")
 
         dOm = 0.5j * (dlam_pair[1] - dlam_pair[0])
         for q, a in exp.r1_terms():
@@ -255,10 +250,7 @@ def chain_derivatives(
                 (dR2 - dR1) * rho ** (q - 1)
                 + (r2 - r1) * (q - 1) * rho ** (q - 2) * drho
             )
-        if abs(dOm.imag) > IMAG_RESIDUE_RTOL * max(1.0, abs(dOm.real)):
-            raise ConjugacyError(f"dOmega has imaginary residue {dOm.imag:.2e}")
-
-        d_omega[p] = dOm.real
+        d_omega[p] = assert_real(dOm, "dOmega")
         d_rho[p] = drho
         coeffs_out.append(dcoef)
 

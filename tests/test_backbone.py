@@ -10,7 +10,7 @@ from ssmopt.backbone import (
     x_harmonics,
     x_theta_samples,
 )
-from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError
+from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, assert_real
 from ssmopt.models import VkBeamSpec, build_vk_beam
 
 
@@ -237,6 +237,15 @@ class TestClosedFormAmplitude:
         with pytest.raises(ConjugacyError):
             x_theta_samples(exp, 1, 0.5, 128)
         x_rms(exp, 0, 0.1)  # the other DOF stays paired
+
+    def test_assert_real_bound_and_message(self):
+        # the bound is IMAG_RESIDUE_RTOL relative to max(1, largest real part)
+        assert assert_real(3.0 + 2e-10j, "q") == 3.0
+        assert assert_real(np.array([0.5 + 0.9e-10j, -2.0]), "q").tolist() == [0.5, -2.0]
+        with pytest.raises(ConjugacyError, match="^dOmega has imaginary residue"):
+            assert_real(0.5 + 1.1e-10j, "dOmega")
+        with pytest.raises(ConjugacyError, match="^theta samples "):
+            assert_real(np.array([4.0, 1j * 5e-10]), "theta samples")
 
     def test_extension_in_place_refreshes_the_cache(self, chain2, chain2_master):
         model, _ = chain2

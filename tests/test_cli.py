@@ -136,6 +136,28 @@ class TestBackboneCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, model",
+        [
+            ("model/params/0': 'foo' is not one of", dict(CHAIN_MODEL, params=["foo"])),
+            ("'bogus' was unexpected", dict(CHAIN_MODEL, bogus=1)),
+            ("'thickness' was unexpected", dict(CHAIN_MODEL, thickness=0.01)),
+            ("'n_masses' was unexpected", {"type": "vk_beam", "n_masses": 2}),
+            ("model/params/1': 'k3' is not one of", {"type": "vk_beam", "params": ["h", "k3"]}),
+            ("n_elements", {"type": "vk_beam", "n_elements": 0}),
+            ("model/type", {"type": "spring"}),
+            ("'params' was unexpected", {"type": "matrix", "n": 1, "M": [[1.0]], "K": [[1.0]], "params": []}),
+        ],
+    )
+    def test_bad_model_block_names_the_key(self, tmp_path, capsys, field, model):
+        cfg = {"model": model, "backbone": {"dof": 0, "x_targets": [0.001], "order": 3}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = {
             "command": "sens",
@@ -229,6 +251,73 @@ class TestOptimizeCommand:
         trace = (out / "trace.csv").read_text().strip().split("\n")
         assert trace[0].startswith("iteration,")
         assert len(trace) >= 2
+
+
+OPT_BLOCK = {
+    "objective": {"type": "constant"},
+    "constraints": [{"type": "backbone", "dof": 1, "x": 0.35, "omega": 0.6083}],
+    "bounds": {"lower": [-1.0], "upper": [1.0]},
+    "tolerances": {"max_iter": 2},
+}
+
+
+def opt_case(model=None, constraint=None, tolerances=None, **fields):
+    block = dict(OPT_BLOCK, **fields)
+    if constraint is not None:
+        block["constraints"] = [dict(OPT_BLOCK["constraints"][0], **constraint)]
+    if tolerances is not None:
+        block["tolerances"] = dict(OPT_BLOCK["tolerances"], **tolerances)
+    return {"model": model or dict(CHAIN_MODEL, params=["k3"]), "optimize": block}
+
+
+class TestOptimizeInputs:
+    @pytest.mark.parametrize(
+        "field, cfg",
+        [
+            ("constraints[0].dof", opt_case(constraint={"dof": 7})),
+            ("constraints[0].x", opt_case(constraint={"x": -0.35})),
+            (
+                "constraints[0].mode",
+                opt_case(constraints=[{"type": "eigfreq", "mode": 5, "omega": 1.0}]),
+            ),
+            ("optimize.mode", opt_case(mode=5)),
+            ("tolerances.n_theta", opt_case(tolerances={"n_theta": 3})),
+            ("tolerances.max_order", opt_case(tolerances={"max_order": 8})),
+            ("tolerances.eps_tol", opt_case(tolerances={"eps_tol": -1.0})),
+            ("objective.name", opt_case(objective={"type": "variable", "name": "foo"})),
+            ("objective.coeffs", opt_case(objective={"type": "linear"})),
+            ("objective.vars", opt_case(objective={"type": "product", "vars": ["k3", "k"]})),
+            ("objective/type", opt_case(objective={"type": "quadratic"})),
+            ("'scale' was unexpected", opt_case(objective={"type": "constant", "scale": 2})),
+            (
+                "model/params/0': 'foo' is not one of",
+                opt_case(model={"type": "vk_beam", "n_elements": 2, "params": ["foo"]}),
+            ),
+            (
+                "optimize needs design parameters",
+                opt_case(model={"type": "matrix", "n": 1, "M": [[1.0]], "K": [[1.0]]}),
+            ),
+            ("optimize needs design parameters", opt_case(model=dict(CHAIN_MODEL, params=[]))),
+        ],
+    )
+    def test_bad_optimize_input_exit_code(self, tmp_path, capsys, field, cfg):
+        rc = main(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_objective_over_declared_parameters_runs(self, tmp_path):
+        model = dict(CHAIN_MODEL, params=["k3", "k2"])
+        cfg = opt_case(
+            model=model,
+            objective={"type": "linear", "coeffs": {"k2": 1.0}, "offset": 0.5},
+            bounds={"lower": [-1.0, 0.0], "upper": [1.0, 1.0]},
+        )
+        rc = main(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc in (0, 4)
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["names"] == ["k3", "k2"]
 
 
 class TestBenchCommand:
