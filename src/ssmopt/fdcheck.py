@@ -47,16 +47,3 @@ def fd_gradient(fun, mu0, rel_step: float = 1e-6) -> np.ndarray:
         grad[i] = (fun(up) - fun(dn)) / (2.0 * h)
     return grad
 
-
-def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
-    """(extrapolated gradient, consistency ratio per component).
-
-    Central differences at steps h and h/2; the error ratio of a smooth
-    function is ~4, and the Richardson combination cancels the leading term.
-    """
-    g1 = fd_gradient(fun, mu0, rel_step)
-    g2 = fd_gradient(fun, mu0, rel_step / 2.0)
-    extrap = (4.0 * g2 - g1) / 3.0
-    denom = np.maximum(np.abs(g2 - extrap), 1e-300)
-    ratio = np.abs(g1 - extrap) / denom
-    return extrap, ratio

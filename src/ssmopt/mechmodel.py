@@ -94,8 +94,7 @@ class SymTensor:
         indices in [0, n) and a finite value; duplicates are summed.
         """
         name = f"T{arity}"
-        entries = list(entries)
-        if not entries:
+        if len(entries) == 0:
             return cls.empty(n, arity)
         width = arity + 2
         arr = _number_table(entries)

@@ -11,8 +11,16 @@ Two families:
   elements with linear axial and cubic Hermite transverse interpolation and
   axial strain ``u' + w'**2 / 2``. The initial shape enters through the nodal
   coordinates (a sine-series heightmap), which activates quadratic
-  axial-bending coupling for curved shapes. Parameter derivatives are central
-  finite differences of the assembly.
+  axial-bending coupling for curved shapes. Each design is assembled in one
+  batched pass: the element quantities carry a leading element axis, the
+  rotation to global DOFs is one batched product per operator, and the
+  element contributions are scattered by key (`bincount`). Parameter
+  derivatives are central finite differences of the assembly (nominal and
+  +/- design of each parameter), so their roundoff is part of the result:
+  one-ulp changes in the element quantities move the beam gradients by as
+  much as 1.6e-6 relative. The batched pass therefore performs each element's
+  arithmetic in the same order as an element-by-element assembly and sums
+  the elements in element order (`tests/oracles.py` holds that reference).
 
 `FAMILIES` maps each family's config `type` to its spec class, its design
 parameters (name -> spec field) and its builder.
@@ -174,62 +182,64 @@ _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _GAUSS_XI = 0.5 * (_GAUSS_XI + 1.0)  # map to [0, 1]
 _GAUSS_W = 0.5 * _GAUSS_W
 
-_T2_ROT_PATH = np.einsum_path(
-    "ijk,ia,jb,kc->abc", np.empty((6,) * 3), *([np.empty((6, 6))] * 3), optimize="optimal"
-)[0]
-_T3_ROT_PATH = np.einsum_path(
-    "ijkl,ia,jb,kc,ld->abcd", np.empty((6,) * 4), *([np.empty((6, 6))] * 4), optimize="optimal"
-)[0]
+
+def _outer(*vecs: np.ndarray) -> np.ndarray:
+    """Per-element outer product of (ne, 6) rows, multiplied left to right."""
+    subs = "ijkl"[: len(vecs)]
+    return np.einsum(",".join("e" + c for c in subs) + "->e" + subs, *vecs)
 
 
-def _element_local(E: float, A: float, I: float, rho: float, Le: float):
-    """Local matrices/tensors of one straight element, DOFs (u1,w1,t1,u2,w2,t2)."""
-    K = np.zeros((6, 6))
-    M = np.zeros((6, 6))
-    T2 = np.zeros((6, 6, 6))
-    T3 = np.zeros((6, 6, 6, 6))
-    Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / Le
+def _element_local(E: float, A: float, I: float, rho: float, Le: np.ndarray):
+    """Local matrices/tensors of straight elements with lengths `Le`, one per
+    element on the leading axis; DOFs (u1,w1,t1,u2,w2,t2)."""
+    ne = len(Le)
+    K = np.zeros((ne, 6, 6))
+    M = np.zeros((ne, 6, 6))
+    T2 = np.zeros((ne, 6, 6, 6))
+    T3 = np.zeros((ne, 6, 6, 6, 6))
+    # Le**2 through the C library's pow, as a Python float computes it: numpy
+    # squares by one multiplication, which rounds differently about once in
+    # a thousand, and the FD derivatives carry every such roundoff
+    Le2 = np.array([le**2 for le in Le.tolist()])
+    zero = np.zeros(ne)
+
+    def rows(*cols):
+        """(ne, 6) rows from six columns, each one value or one per element."""
+        return np.column_stack([c + zero for c in cols])
+
+    Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / Le[:, None]
     for xi, wgt in zip(_GAUSS_XI, _GAUSS_W):
         dx = wgt * Le
         Nu = np.array([1 - xi, 0, 0, xi, 0, 0])
-        H = np.array(
-            [
-                0,
-                1 - 3 * xi**2 + 2 * xi**3,
-                Le * (xi - 2 * xi**2 + xi**3),
-                0,
-                3 * xi**2 - 2 * xi**3,
-                Le * (-(xi**2) + xi**3),
-            ]
+        H = rows(
+            0,
+            1 - 3 * xi**2 + 2 * xi**3,
+            Le * (xi - 2 * xi**2 + xi**3),
+            0,
+            3 * xi**2 - 2 * xi**3,
+            Le * (-(xi**2) + xi**3),
         )
-        G = np.array(
-            [
-                0,
-                (-6 * xi + 6 * xi**2) / Le,
-                1 - 4 * xi + 3 * xi**2,
-                0,
-                (6 * xi - 6 * xi**2) / Le,
-                -2 * xi + 3 * xi**2,
-            ]
+        G = rows(
+            0,
+            (-6 * xi + 6 * xi**2) / Le,
+            1 - 4 * xi + 3 * xi**2,
+            0,
+            (6 * xi - 6 * xi**2) / Le,
+            -2 * xi + 3 * xi**2,
         )
-        S = np.array(
-            [
-                0,
-                (-6 + 12 * xi) / Le**2,
-                (-4 + 6 * xi) / Le,
-                0,
-                (6 - 12 * xi) / Le**2,
-                (-2 + 6 * xi) / Le,
-            ]
+        S = rows(
+            0,
+            (-6 + 12 * xi) / Le2,
+            (-4 + 6 * xi) / Le,
+            0,
+            (6 - 12 * xi) / Le2,
+            (-2 + 6 * xi) / Le,
         )
-        K += dx * (E * A * np.outer(Bu, Bu) + E * I * np.outer(S, S))
-        M += dx * rho * A * (np.outer(Nu, Nu) + np.outer(H, H))
+        K += dx[:, None, None] * (E * A * _outer(Bu, Bu) + E * I * _outer(S, S))
+        M += (dx * rho * A)[:, None, None] * (np.outer(Nu, Nu) + _outer(H, H))
         # membrane coupling: EA * (w'^2/2 * du' + u'w' * dw') and EA/2 * w'^3 * dw'
-        T2 += dx * E * A * (
-            0.5 * np.einsum("i,j,k->ijk", Bu, G, G)
-            + np.einsum("i,j,k->ijk", G, Bu, G)
-        )
-        T3 += dx * 0.5 * E * A * np.einsum("i,j,k,l->ijkl", G, G, G, G)
+        T2 += (dx * E * A)[:, None, None, None] * (0.5 * _outer(Bu, G, G) + _outer(G, Bu, G))
+        T3 += (dx * 0.5 * E * A)[:, None, None, None, None] * _outer(G, G, G, G)
     return K, M, T2, T3
 
 
@@ -241,8 +251,33 @@ def _beam_nodes(spec: VkBeamSpec) -> np.ndarray:
     return np.column_stack([x, y])
 
 
+def _merge_entries(Tg: np.ndarray, loc: np.ndarray, n: int):
+    """Free-DOF entries of the rotated element tensors Tg (ne, 6, ..., 6).
+
+    loc (ne, 6) holds the free-DOF index of each element DOF, -1 where it is
+    clamped. Per element, values up to 1e-14 * max(1, max|Tg_e|) are
+    dropped; so is every entry on a clamped DOF. Returns (codes, vals): the
+    raveled full keys (i, j, k[, l]) in order of first appearance and their
+    values summed over the elements in element order.
+    """
+    ne, slots = len(Tg), Tg.ndim - 1
+    code, free = 0, True
+    for a in range(slots):
+        la = np.expand_dims(loc, tuple(b + 1 for b in range(slots) if b != a))
+        code, free = code * n + la, free & (la >= 0)
+    mag = np.abs(Tg)
+    tol = 1e-14 * np.maximum(1.0, mag.reshape(ne, -1).max(axis=1))
+    hit = np.flatnonzero(free & (mag > tol.reshape((ne,) + (1,) * slots)))
+    codes = code.ravel()[hit]
+    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.bincount(inv, Tg.ravel()[hit], minlength=len(uniq))
+    order = np.argsort(first)
+    return uniq[order], sums[order]
+
+
 def _assemble_vk(spec: VkBeamSpec):
-    """Free-DOF operators after clamping: M, K dense, (T2, T3) as entry dicts."""
+    """Free-DOF operators of one design after clamping, all elements in one
+    batched pass: M, K dense, and (codes, vals) of T2 and T3 (`_merge_entries`)."""
     if spec.thickness <= 0 or spec.length <= 0:
         raise ModelError("beam thickness and length must be positive")
     if spec.n_elements < 2:
@@ -252,74 +287,65 @@ def _assemble_vk(spec: VkBeamSpec):
         raise ModelError("beam width must be positive")
     A = b * spec.thickness
     I = b * spec.thickness**3 / 12.0
-    nodes = _beam_nodes(spec)
-    n_nodes = spec.n_elements + 1
-    ndof = 3 * n_nodes
-    M = np.zeros((ndof, ndof))
-    K = np.zeros((ndof, ndof))
-    # both end nodes are clamped (all three DOFs each); tensor entries on a
-    # clamped DOF are dropped as they are assembled
-    free = np.arange(3, ndof - 3)
-    free_index = np.full(ndof, -1)
-    free_index[free] = np.arange(len(free))
-    t2: dict[tuple[int, int, int], float] = {}
-    t3: dict[tuple[int, int, int, int], float] = {}
-    for e in range(spec.n_elements):
-        d = nodes[e + 1] - nodes[e]
-        Le = float(np.hypot(*d))
-        if Le <= 0:
-            raise ModelError("inverted or degenerate beam geometry")
-        c, s = d / Le
-        Kl, Ml, T2l, T3l = _element_local(spec.youngs, A, I, spec.density, Le)
-        R = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
-        T = np.zeros((6, 6))
-        T[:3, :3] = R
-        T[3:, 3:] = R
-        Kg = T.T @ Kl @ T
-        Mg = T.T @ Ml @ T
-        T2g = np.einsum("ijk,ia,jb,kc->abc", T2l, T, T, T, optimize=_T2_ROT_PATH)
-        T3g = np.einsum("ijkl,ia,jb,kc,ld->abcd", T3l, T, T, T, T, optimize=_T3_ROT_PATH)
-        dofs = np.r_[3 * e : 3 * e + 3, 3 * (e + 1) : 3 * (e + 1) + 3]
-        K[np.ix_(dofs, dofs)] += Kg
-        M[np.ix_(dofs, dofs)] += Mg
-        for Tg, acc in ((T2g, t2), (T3g, t3)):
-            tol = 1e-14 * max(1.0, np.abs(Tg).max())
-            nz = np.nonzero(np.abs(Tg) > tol)
-            keys = free_index[dofs[np.array(nz)]].T
-            kept = np.all(keys >= 0, axis=1)
-            for key, v in zip(map(tuple, keys[kept].tolist()), Tg[nz][kept]):
-                acc[key] = acc.get(key, 0.0) + v
-    Mf = M[np.ix_(free, free)]
-    Kf = K[np.ix_(free, free)]
-    return Mf, Kf, (t2, t3)
+    ne = spec.n_elements
+    d = np.diff(_beam_nodes(spec), axis=0)
+    Le = np.hypot(d[:, 0], d[:, 1])
+    if np.any(Le <= 0):
+        raise ModelError("inverted or degenerate beam geometry")
+    c, s = (d / Le[:, None]).T
+    Kl, Ml, T2l, T3l = _element_local(spec.youngs, A, I, spec.density, Le)
+    # rotation to global DOFs: the same 3x3 block at both nodes
+    T = np.zeros((ne, 6, 6))
+    for o in (0, 3):
+        T[:, o, o] = T[:, o + 1, o + 1] = c
+        T[:, o, o + 1] = s
+        T[:, o + 1, o] = -s
+        T[:, o + 2, o + 2] = 1.0
+    Tt = T.transpose(0, 2, 1)
+    ndof = 3 * (ne + 1)
+    dofs = 3 * np.arange(ne)[:, None] + np.arange(6)
+    flat = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
+    # both end nodes are clamped (all three DOFs each): free DOF f is global
+    # DOF f + 3, and loc is -1 on a clamped element DOF
+    n = ndof - 6
+    loc = dofs - 3
+    loc[(loc < 0) | (loc >= n)] = -1
+
+    def scatter(X):
+        full = np.bincount(flat, (Tt @ X @ T).ravel(), minlength=ndof * ndof)
+        return full.reshape(ndof, ndof)[3:-3, 3:-3]
+
+    T2g = np.einsum("eijk,eia,ejb,ekc->eabc", T2l, T, T, T, optimize=True)
+    T3g = np.einsum("eijkl,eia,ejb,ekc,eld->eabcd", T3l, T, T, T, T, optimize=True)
+    return scatter(Ml), scatter(Kl), (_merge_entries(T2g, loc, n), _merge_entries(T3g, loc, n))
 
 
-def _tensor_from_dict(n: int, arity: int, entries: dict) -> SymTensor:
-    return SymTensor.from_entries(n, arity, [(*key, v) for key, v in entries.items()])
-
-
-def _vk_model(spec: VkBeamSpec) -> MechModel:
-    Mf, Kf, (t2, t3) = _assemble_vk(spec)
-    n = Mf.shape[0]
-    return MechModel(
-        M=Mf,
-        K=Kf,
-        alpha_r=spec.alpha_r,
-        beta_r=spec.beta_r,
-        T2=_tensor_from_dict(n, 2, t2),
-        T3=_tensor_from_dict(n, 3, t3),
-    )
+def _sym_tensor(n: int, arity: int, codes: np.ndarray, vals: np.ndarray) -> SymTensor:
+    """SymTensor from raveled full keys and their values, rows in the given order."""
+    ids = np.unravel_index(codes, (n,) * (arity + 1))
+    return SymTensor.from_entries(n, arity, np.column_stack([*ids, vals]))
 
 
 def build_vk_beam(
     spec: VkBeamSpec, params: tuple[str, ...] | None = None
 ) -> tuple[MechModel, ParamDerivatives]:
     """Beam model plus FD-of-assembly derivatives for shape/size parameters
-    (default: every parameter of the vk_beam family)."""
+    (default: every parameter of the vk_beam family). Tensor derivatives are
+    differenced per full key, over the union of both designs' keys, before
+    symmetrization."""
     fields = FAMILIES["vk_beam"].params
     if params is None:
         params = tuple(fields)
-    model = _vk_model(spec)
+    M, K, tensors = _assemble_vk(spec)
+    n = M.shape[0]
+    model = MechModel(
+        M=M,
+        K=K,
+        alpha_r=spec.alpha_r,
+        beta_r=spec.beta_r,
+        T2=_sym_tensor(n, 2, *tensors[0]),
+        T3=_sym_tensor(n, 3, *tensors[1]),
+    )
     dM, dK, dT = [], [], {2: [], 3: []}
     for p in params:
         if p not in fields:
@@ -331,12 +357,12 @@ def build_vk_beam(
         minus = _assemble_vk(replace(spec, **{fld: mu - h}))
         dM.append((plus[0] - minus[0]) / (2 * h))
         dK.append((plus[1] - minus[1]) / (2 * h))
-        for arity, tp, tm in zip((2, 3), plus[2], minus[2]):
-            diff = {
-                key: (tp.get(key, 0.0) - tm.get(key, 0.0)) / (2 * h)
-                for key in set(tp) | set(tm)
-            }
-            dT[arity].append(_tensor_from_dict(model.n, arity, diff))
+        for arity, (cp, vp), (cm, vm) in zip((2, 3), plus[2], minus[2]):
+            codes, at = np.unique(np.concatenate([cp, cm]), return_inverse=True)
+            a, b = np.zeros(len(codes)), np.zeros(len(codes))
+            a[at[: len(cp)]] = vp
+            b[at[len(cp) :]] = vm
+            dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
     derivs = ParamDerivatives(
         names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT[2]), dT3=tuple(dT[3])
     )

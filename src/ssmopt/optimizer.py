@@ -13,10 +13,12 @@ initial natural frequency. `solve` runs a dense SQP iteration of its own:
 a damped-BFGS Lagrangian Hessian, a step split into a minimum-norm
 restoration part toward the linearized equality constraints and an
 objective part in their null space, bound clipping, a trust cap and an L1
-merit line search. When the line search stalls short of feasibility it
-probes interior values of each variable, and a Gauss-Newton restoration on
-the constraints alone polishes the end point. Each accepted iterate is
-recorded in the trace and re-decides the expansion order.
+merit line search, in which a trial design that cannot be evaluated (a
+typed `SsmOptError`) counts as an infinite merit. When the line search
+stalls short of feasibility it probes interior values of each variable, and
+a Gauss-Newton restoration on the constraints alone polishes the end point.
+Each accepted iterate is recorded in the trace and re-decides the expansion
+order.
 """
 
 from __future__ import annotations
@@ -389,6 +391,16 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         except SsmOptError:
             return None
 
+    def reevaluate(z, res):
+        """Local model of the accepted point z at the order on_accepted chose.
+        When z cannot be evaluated at a raised order, the order stays at the
+        one z was accepted at, and so does the local model (`res`)."""
+        again = try_eval(z)
+        if again is None:
+            ses.order = res.order
+            again = res
+        return localize(again)
+
     def gn_restore(z0, max_steps):
         """Damped minimum-norm Newton steps on the constraints alone."""
         res0 = try_eval(z0)
@@ -509,11 +521,13 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         accepted = None
         while alpha >= 2.0**-9:
             z_try = np.clip(z + alpha * d, 0.0, 1.0)
-            res_try = ses.evaluate(unscale(z_try))
-            f_t, g_t, c_t, J_t = localize(res_try)
-            if merit(f_t, c_t, sigma) <= phi0 - 1e-4 * alpha * max(pred, 0.0):
-                accepted = (z_try, res_try, f_t, g_t, c_t, J_t)
-                break
+            # a trial design that cannot be evaluated has an infinite merit
+            res_try = try_eval(z_try)
+            if res_try is not None:
+                f_t, g_t, c_t, J_t = localize(res_try)
+                if merit(f_t, c_t, sigma) <= phi0 - 1e-4 * alpha * max(pred, 0.0):
+                    accepted = (z_try, res_try, f_t, g_t, c_t, J_t)
+                    break
             alpha *= 0.5
 
         stalled = accepted is None or (
@@ -532,7 +546,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 if hit is not None:
                     _, z, res = hit
                     ses.on_accepted(unscale(z), res)
-                    f, g, c, J = localize(ses.evaluate(unscale(z)))
+                    f, g, c, J = reevaluate(z, res)
                     B = np.eye(P)
                     trust = 0.25
                     continue
@@ -564,7 +578,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
 
         z, res = z_new, res_new
         ses.on_accepted(unscale(z), res)
-        f, g, c, J = localize(ses.evaluate(unscale(z)))  # order may have changed
+        f, g, c, J = reevaluate(z, res)
         viol = float(np.abs(c).max()) if len(c) else 0.0
         if (viol, f) < best[:2] and not res.extrapolated:
             best = (viol, f, z.copy())

@@ -106,10 +106,10 @@ def test_criterion_2_three_way_gradient_equivalence():
     model, params = build_vk_beam(bspec)
     dof = vk_center_dof(bspec)
     ref = solve_master(model, 0).phi
-    from ssmopt.models import _vk_model
 
     def beam_b(mu):
-        return _vk_model(VkBeamSpec(a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
+        spec = VkBeamSpec(a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
+        return build_vk_beam(spec, ())[0]
 
     _three_way.mu0 = np.array([bspec.a1, bspec.a2, bspec.thickness, bspec.length])
     for order in (3, 5, 7):

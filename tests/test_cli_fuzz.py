@@ -143,3 +143,28 @@ def test_random_config_exits_with_a_documented_code(tmp_path, capsys, seed):
         assert rc == 1 and "needs design parameters" in err
     else:
         assert rc in (0, 2, 3, 4), err
+
+
+def test_unbuildable_line_search_trial_shortens_the_step(tmp_path, capsys):
+    # seed 15's config, rounded: the first full step sends the mass to its
+    # lower bound -0.5, where the chain cannot be built; that trial must count
+    # as an infinite merit and halve the step instead of ending the run
+    cfg = {
+        "model": {
+            "type": "chain", "n_masses": 3, "mass": 1.7237, "k": 1.0166, "k2": -0.4552,
+            "k3": 0.04296, "alpha_r": 0.00292, "beta_r": 0.0719, "params": ["mass", "k3"],
+        },
+        "optimize": {
+            "objective": {"type": "variable", "name": "mass"},
+            "constraints": [{"type": "backbone", "dof": 0, "x": 0.05126, "omega": 1.0}],
+            "bounds": {"lower": [-0.5, -0.5], "upper": [3.0, 3.0]},
+            "tolerances": {"max_iter": 3, "max_order": 5},
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc = main(["optimize", "--config", str(path), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mu_star"][0] > 0.0

@@ -246,6 +246,32 @@ class TestValidation:
         with pytest.raises(ModelError, match="^T2 "):
             SymTensor.from_entries(2, 2, [row])
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_float_array_entries_match_list_entries(self, arity):
+        rng = np.random.default_rng(7)
+        rows = [[*map(int, rng.integers(0, 3, size=arity + 1)), float(rng.normal())]
+                for _ in range(12)]
+        rows += rows[:4]  # duplicates are summed
+        from_list = SymTensor.from_entries(3, arity, rows)
+        from_array = SymTensor.from_entries(3, arity, np.array(rows))
+        assert np.array_equal(from_array.idx, from_list.idx)
+        assert np.array_equal(from_array.vals, from_list.vals)
+        assert SymTensor.from_entries(3, arity, np.zeros((0, arity + 2))).nnz == 0
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda w: np.ones((2, w), dtype=bool),
+            lambda w: np.array([[0.0] * (w - 1) + [np.nan]]),
+            lambda w: np.array([[0.0] * (w - 2) + [2.0, 1.0]]),
+        ],
+        ids=["bool", "nan", "index out of range"],
+    )
+    def test_rejects_bad_array_entries(self, arity, table):
+        with pytest.raises(ModelError, match=f"^T{arity} "):
+            SymTensor.from_entries(2, arity, table(arity + 2))
+
     def test_rejects_asymmetric_stiffness(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ModelError):

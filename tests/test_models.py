@@ -15,6 +15,8 @@ from ssmopt.models import (
     vk_center_dof,
 )
 
+from oracles import fd_gradient_richardson
+
 
 class TestChain:
     def test_reference_operators(self, chain2):
@@ -121,13 +123,11 @@ class TestVkBeam:
     def test_fd_derivatives_pass_richardson_check(self, beam_spec, beam_master, beam_center_dof):
         # assembly-level finite differences at two step sizes: the error of a
         # central difference drops by ~4 when the step is halved
-        from ssmopt.fdcheck import fd_gradient_richardson
-        from ssmopt.models import _vk_model
-
         mu0 = np.array([0.001, 0.0005, beam_spec.thickness, beam_spec.length])
 
         def omega_at(mu):
-            model = _vk_model(replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
+            spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
+            model = build_vk_beam(spec, ())[0]
             return solve_master(model, 0, reference=beam_master.phi).omega
 
         _, ratio = fd_gradient_richardson(omega_at, mu0, rel_step=1e-4)
@@ -136,14 +136,14 @@ class TestVkBeam:
         assert np.all(ratio > 2.0)
 
     def test_fd_of_assembly_matches_eig_derivative_fd(self, beam, beam_spec, beam_master):
-        from ssmopt.models import _vk_model
         from ssmopt.sens_direct import eig_derivatives
 
         model, params = beam
         _, domega = eig_derivatives(model, beam_master, params)
 
         def omega_at(mu):
-            m = _vk_model(replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
+            spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
+            m = build_vk_beam(spec, ())[0]
             return solve_master(m, 0, reference=beam_master.phi).omega
 
         mu0 = np.array([0.0, 0.0, beam_spec.thickness, beam_spec.length])

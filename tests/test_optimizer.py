@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ssmopt import compute_ssm, omega_of_rho, rho_of_x, solve_master
-from ssmopt.errors import ConfigError
+from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
+from ssmopt.errors import ConfigError, OuterResonanceError
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.optimizer import (
     BackboneTarget,
@@ -181,6 +181,22 @@ class TestSolve:
         x0, nominal = chain_target
         res = solve(chain_problem(0.5 * nominal, x0, max_order=5))  # unreachable shift
         assert not res.converged
+
+    def test_order_raise_that_fails_keeps_the_accepted_order(self, chain_target, monkeypatch):
+        # at 0.97 the accepted iterates ask for order 7 after the second one;
+        # if the accepted point cannot be expanded there, the run goes on at 5
+        x0, nominal = chain_target
+        assert [r.order for r in solve(chain_problem(0.97 * nominal, x0)).trace] == [5, 5, 7, 7]
+
+        def no_order_7(problem, mu, order, **kwargs):
+            if order >= 7:
+                raise OuterResonanceError((order, 0), 0.0)
+            return evaluate(problem, mu, order, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate", no_order_7)
+        res = solve(chain_problem(0.97 * nominal, x0))
+        assert res.converged
+        assert {r.order for r in res.trace} == {5}
 
     def test_trace_csv_shape(self, chain_target):
         x0, nominal = chain_target

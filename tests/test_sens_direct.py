@@ -5,13 +5,15 @@ import pytest
 
 from ssmopt import MechModel, compute_ssm, rho_of_x, solve_master
 from ssmopt.errors import DegenerateModeError
-from ssmopt.fdcheck import backbone_response, fd_gradient, fd_gradient_richardson
+from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.multiindex import symmetric
 from ssmopt.sens_adjoint import _Bars, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
+
+from oracles import fd_gradient_richardson
 
 
 def null_params(n):
