@@ -175,8 +175,11 @@ _BENCH_BLOCK = {
     "properties": {
         "n_masses": _POSINT,
         "param_counts": {"type": "array", "items": _POSINT, "minItems": 1},
-        "orders": {"type": "array", "items": {"type": "integer", "minimum": 3}},
-        "x0": _NUM,
+        "orders": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}},
+        },
+        "x0": {"type": "number", "exclusiveMinimum": 0},
         "repeats": _POSINT,
     },
     "additionalProperties": False,

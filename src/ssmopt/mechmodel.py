@@ -17,9 +17,8 @@ keys, one contiguous column per trailing slot, and each entry's key number.
 `contract_sum` forms its products once per key and expands them to the
 entries in one accumulation; `pullback`, its reverse mode, reduces the
 adjoint onto the keys once and scatters one accumulation per receiving index
-and slot. `contract` and `force` stay entrywise. The SSM recursion and the
-gradient contraction use `contract_sum`, the adjoint sweep `pullback`, and
-the direct chain `contract`.
+and slot. `force` stays entrywise. The SSM recursion, the direct chain and
+the gradient contraction use `contract_sum`, the adjoint sweep `pullback`.
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
 are validated.
 """
@@ -139,19 +138,14 @@ class SymTensor:
     def to_entries(self) -> list[list[float]]:
         return [[*map(int, key), float(v)] for key, v in zip(self.idx, self.vals)]
 
-    # Entrywise kernel: exact only when summed over permutation-closed
-    # decomposition sets or with equal arguments.
-    def contract(self, *args: np.ndarray) -> np.ndarray:
-        """f_i = sum v * args[0][j] * args[1][k] (* args[2][l])."""
-        if self.nnz == 0:
-            return np.zeros(self.n, dtype=np.result_type(*args))
-        prod = self.vals
-        for a, c in zip(args, self.cols[1:]):
-            prod = prod * a[c]
-        return _accum(self.cols[0], prod, self.n)
-
     def force(self, x: np.ndarray) -> np.ndarray:
-        return self.contract(*[x] * self.arity)
+        """f_i = sum v * x[j] * x[k] (* x[l]), entry by entry."""
+        if self.nnz == 0:
+            return np.zeros(self.n, dtype=np.result_type(x))
+        prod = self.vals
+        for c in self.cols[1:]:
+            prod = prod * x[c]
+        return _accum(self.cols[0], prod, self.n)
 
     @cached_property
     def key_pattern(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -170,7 +164,7 @@ class SymTensor:
         return tuple(np.ascontiguousarray(c[first]) for c in trailing), key_of
 
     def contract_sum(self, arg_tuples) -> np.ndarray:
-        """Sum of contract over a list of argument tuples; one accumulation.
+        """f_i = sum over the argument tuples (a, b[, c]) of sum v * a[j] * b[k] (* c[l]).
 
         The products depend only on the trailing key, so they are formed once
         per key and expanded to the entries in the accumulation.
@@ -189,7 +183,7 @@ class SymTensor:
     def pullback(self, v: np.ndarray, parts, w) -> dict:
         """Reverse mode of contract_sum over the decomposition set `parts`.
 
-        Each decomposition d contributes contract(w(d[0]), w(d[1]), ...);
+        Each decomposition d contributes contract_sum([(w(d[0]), w(d[1]), ...)]);
         `w` maps an index to its vector. Returns {u: r_u} for every index u
         that occurs in some d, with r_u[p] = sum_i v_i dF_i / dw(u)_p and F
         the sum over `parts`. The adjoint is reduced onto the trailing keys

@@ -342,3 +342,21 @@ class TestBenchCommand:
             method, order, nparams, seconds = row.split(",")
             assert method in ("primal", "direct", "adjoint")
             assert float(seconds) > 0
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("bench/orders/0", {"orders": [4]}),
+            ("bench/x0", {"x0": -1}),
+            ("bench/x0", {"x0": 0}),
+        ],
+    )
+    def test_bad_bench_input_exit_code(self, tmp_path, capsys, field, fields):
+        block = {"n_masses": 5, "param_counts": [1], "orders": [3], "x0": 0.01, "repeats": 1}
+        cfg = {"command": "bench", "bench": dict(block, **fields)}
+        rc = main(["bench", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "b")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()

@@ -7,9 +7,9 @@ from ssmopt import MechModel, compute_ssm, rho_of_x, solve_master
 from ssmopt.errors import DegenerateModeError
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
-from ssmopt.models import ChainSpec, build_chain
+from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
 from ssmopt.multiindex import symmetric
-from ssmopt.sens_adjoint import _Bars, solve_adjoint_phi_omega
+from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
 
@@ -203,3 +203,21 @@ class TestChainDerivatives:
         # four parameters should cost measurably more than one, far less than 16x
         assert t_four > 1.5 * t_one
         assert t_four < 16.0 * t_one
+
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_per_spring_gradient_matches_adjoint_to_roundoff(self, order):
+        # chain21 with one k3 per spring. The bound separates roundoff
+        # (<= 3e-14 with one key-factored contraction per tensor) from the
+        # 6e-13-1.3e-12 that one entrywise contraction per decomposition and
+        # slot accumulates on this model
+        spec = ChainSpec(n_masses=21, alpha_r=0.0, beta_r=0.02)
+        model, _ = build_chain(spec)
+        params = chain_per_spring_k3(spec, 20)
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        for x in (0.01, 0.05, 0.15):
+            rho = rho_of_x(exp, 20, x)
+            direct = chain_derivatives(model, exp, params, 20, rho).d_omega
+            adj = solve_adjoint(model, exp, 20, rho)
+            adjoint = contract_gradient(model, exp, adj, params).d_omega
+            err = np.max(np.abs(direct - adjoint)) / np.max(np.abs(adjoint))
+            assert err <= 2e-13, f"x={x}: direct vs adjoint {err:.1e}"
