@@ -2,14 +2,16 @@
 
 The observed displacement of one DOF on the SSM is the trigonometric
 polynomial x(theta) = sum_d c_d(rho) e^{i d theta}, with
-c_d(rho) = sum over m1 - m2 = d of w_m[dof] rho**(m1 + m2). Its RMS over
-theta is therefore, by Parseval, the square root of the real polynomial
-sum_d |c_d(rho)|**2 of degree 2 order. `x_rms`, `dx_drho` and `rho_of_x`
-evaluate that polynomial; its coefficients are built once per (DOF,
-truncation order, expansion order) and cached on the expansion
+c_d(rho) = sum over m1 - m2 = d of w_m[dof] rho**(m1 + m2). Parseval gives
+its mean square over a period directly: (1/2pi) int x**2 dtheta =
+sum_d |c_d(rho)|**2, a real polynomial in rho of degree 2 order, and the
+amplitude is its square root. `x_rms`, `dx_drho` and `rho_of_x` evaluate
+that polynomial; its coefficients are built once per (DOF, truncation
+order, expansion order) and cached on the expansion
 (`SsmExpansion.backbone_cache`), and so is the validity cap of each DOF. The
 theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
-form is checked against.
+form is checked against: on any grid of at least 2 order + 1 points the
+grid mean of x**2 equals the Parseval sum exactly.
 """
 
 from __future__ import annotations
@@ -29,17 +31,8 @@ from .errors import (
 from .multiindex import order, symmetric
 from .ssm import SsmExpansion
 
-DEFAULT_N_THETA = 128
 VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
 RHO_X_RTOL = 1e-10
-
-
-def _check_n_theta(exp: SsmExpansion, n_theta: int):
-    if n_theta < 2 * exp.order + 1:
-        raise ValueError(
-            f"n_theta={n_theta} undersamples an order-{exp.order} expansion; "
-            f"need at least {2 * exp.order + 1}"
-        )
 
 
 def omega_of_rho(exp: SsmExpansion, rho: float, form: str = "compact") -> float:
@@ -175,8 +168,9 @@ def _horner(coefs: tuple[float, ...], s: float) -> float:
 def x_harmonics(exp: SsmExpansion, dof_index: int, rho: float) -> np.ndarray:
     """c_d(rho) for d = -order ... order (entry d + order), x = sum_d c_d e^{i d theta}.
 
-    The theta-grid sum of x e^{i d theta} is n_theta * c_{-d}(rho) on every
-    accepted grid, which is how the sensitivity passes seed the amplitude.
+    By Parseval, d(x_rms**2) = sum_d 2 Re(conj(c_d) dc_d) = sum_d 2 c_{-d} dc_d
+    (x is real, so conj(c_d) = c_{-d}): the harmonics are the weights with
+    which the sensitivity passes seed the amplitude.
     """
     c = _amplitude_map(exp, dof_index).c
     return c @ rho ** np.arange(c.shape[1])
@@ -186,34 +180,31 @@ def x_rms(
     exp: SsmExpansion,
     dof_index: int,
     rho: float,
-    n_theta: int = DEFAULT_N_THETA,
+    *,
     max_order: int | None = None,
 ) -> float:
     """RMS over theta of the observed DOF displacement, in closed form.
 
-    x(theta) = sum_d c_d(rho) e^{i d theta} is a trigonometric polynomial of
-    degree `order`, so on any grid of n_theta >= 2 order + 1 points Parseval
-    makes the grid mean of x**2 exactly sum_d |c_d(rho)|**2: a real
-    polynomial in rho**2 of degree `order`. Its coefficients are built once
-    per (DOF, truncation order) and cached on the expansion, and building
-    them checks the conjugate pairing of the coefficients (ConjugacyError).
-    n_theta only has to be a valid grid.
+    By Parseval, the mean of x(theta)**2 over a period is
+    sum_d |c_d(rho)|**2 for x = sum_d c_d(rho) e^{i d theta}: a real
+    polynomial in rho**2 of degree `order` (or `max_order`). Its coefficients
+    are built once per (DOF, truncation order) and cached on the expansion,
+    and building them checks the conjugate pairing of the coefficients
+    (ConjugacyError).
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    _check_n_theta(exp, n_theta)
     if rho == 0.0:
         return 0.0
     p = _amplitude_map(exp, dof_index, max_order).p
     return math.sqrt(max(_horner(p, rho * rho), 0.0))
 
 
-def dx_drho(exp: SsmExpansion, dof_index: int, rho: float, n_theta: int = DEFAULT_N_THETA) -> float:
+def dx_drho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
     """d x_rms / d rho = P'(rho) / (2 x_rms), P = x_rms**2 the cached polynomial.
 
     Used by the inversion and the sensitivity passes.
     """
-    _check_n_theta(exp, n_theta)
     amp = _amplitude_map(exp, dof_index)
     s = rho * rho
     x = math.sqrt(max(_horner(amp.p, s), 0.0))
@@ -222,7 +213,7 @@ def dx_drho(exp: SsmExpansion, dof_index: int, rho: float, n_theta: int = DEFAUL
     return rho * _horner(amp.dp, s) / (2.0 * x)
 
 
-def _validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
+def _validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     """Largest rho where the top two truncations still agree within 10%.
 
     The expansion carries no a-priori radius of convergence; the practical
@@ -230,19 +221,18 @@ def _validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
     amplitude by more than VALIDITY_DIVERGENCE. The scan runs once per
     (expansion, DOF); later calls read the cache.
     """
-    _check_n_theta(exp, n_theta)
-    return _cached(exp, ("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index, n_theta))
+    return _cached(exp, ("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index))
 
 
-def _scan_validity_cap(exp: SsmExpansion, dof_index: int, n_theta: int) -> float:
+def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     if exp.order <= 3:
         lower = 1
     else:
         lower = exp.order - 2
     rho = _linear_rho_scale(exp, dof_index)
     for _ in range(200):
-        xf = x_rms(exp, dof_index, rho, n_theta)
-        xl = x_rms(exp, dof_index, rho, n_theta, max_order=lower)
+        xf = x_rms(exp, dof_index, rho)
+        xl = x_rms(exp, dof_index, rho, max_order=lower)
         if xf == 0.0 or abs(xf - xl) > VALIDITY_DIVERGENCE * xf:
             return rho
         rho *= 1.25
@@ -256,17 +246,11 @@ def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
     return 1e-6 / (np.sqrt(2.0) * amp)
 
 
-def rho_of_x(
-    exp: SsmExpansion,
-    dof_index: int,
-    x0: float,
-    n_theta: int = DEFAULT_N_THETA,
-) -> float:
+def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
     """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded Newton."""
     if x0 <= 0:
         raise ValueError("target amplitude must be positive")
-    _check_n_theta(exp, n_theta)
-    cap = _validity_cap(exp, dof_index, n_theta)
+    cap = _validity_cap(exp, dof_index)
 
     phi_i = abs(exp.master.phi[dof_index])
     if phi_i > 0:
@@ -274,27 +258,25 @@ def rho_of_x(
     else:
         rho_hi = cap * 1e-3
     rho_hi = max(rho_hi, 1e-300)
-    x_hi = x_rms(exp, dof_index, rho_hi, n_theta)
+    x_hi = x_rms(exp, dof_index, rho_hi)
     while x_hi < x0:
         if rho_hi >= cap:
-            raise AmplitudeUnreachableError(
-                x0, x_rms(exp, dof_index, cap, n_theta), rho_cap=cap
-            )
+            raise AmplitudeUnreachableError(x0, x_rms(exp, dof_index, cap), rho_cap=cap)
         rho_hi = min(rho_hi * 1.5, cap)
-        x_hi = x_rms(exp, dof_index, rho_hi, n_theta)
+        x_hi = x_rms(exp, dof_index, rho_hi)
     rho_lo = 0.0
     x_lo = 0.0
 
     rho = rho_hi * min(1.0, x0 / x_hi)
     for _ in range(200):
-        x = x_rms(exp, dof_index, rho, n_theta)
+        x = x_rms(exp, dof_index, rho)
         if abs(x - x0) <= RHO_X_RTOL * x0:
             return rho
         if x < x0:
             rho_lo, x_lo = rho, x
         else:
             rho_hi, x_hi = rho, x
-        slope = dx_drho(exp, dof_index, rho, n_theta)
+        slope = dx_drho(exp, dof_index, rho)
         cand = rho - (x - x0) / slope if slope > 0 else None
         if cand is None or not rho_lo < cand < rho_hi:
             cand = 0.5 * (rho_lo + rho_hi)
@@ -315,25 +297,19 @@ class BackbonePoint:
 @dataclass(frozen=True)
 class BackboneCurve:
     dof_index: int
-    n_theta: int
     points: tuple[BackbonePoint, ...]
     monotone: bool  # x strictly increasing in rho over the sampled range
 
 
-def sample_backbone(
-    exp: SsmExpansion,
-    dof_index: int,
-    x_targets,
-    n_theta: int = DEFAULT_N_THETA,
-) -> BackboneCurve:
+def sample_backbone(exp: SsmExpansion, dof_index: int, x_targets) -> BackboneCurve:
     """One backbone point per target amplitude, in the given order."""
     pts = []
     for x0 in x_targets:
-        rho = rho_of_x(exp, dof_index, float(x0), n_theta)
+        rho = rho_of_x(exp, dof_index, float(x0))
         pts.append(BackbonePoint(rho, omega_of_rho(exp, rho), float(x0)))
     by_rho = sorted(pts, key=lambda p: p.rho)
     monotone = all(b.x > a.x for a, b in zip(by_rho, by_rho[1:]))
-    return BackboneCurve(dof_index, n_theta, tuple(pts), monotone)
+    return BackboneCurve(dof_index, tuple(pts), monotone)
 
 
 def backbone_to_csv(curve: BackboneCurve) -> str:

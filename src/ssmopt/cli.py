@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .backbone import (
-    DEFAULT_N_THETA,
     backbone_to_csv,
     omega_of_rho,
     rho_of_x,
@@ -43,21 +42,21 @@ from .optimizer import (
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
 from .spectral import mac, solve_master
-from .ssm import adapt_order, compute_ssm, dump_expansion, invariance_residual
+from .ssm import (
+    RESIDUAL_THETA_SAMPLES,
+    adapt_order,
+    compute_ssm,
+    dump_expansion,
+    invariance_residual,
+)
 
 EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_SSM = 3
 EXIT_FAILED = 4
 
-BACKBONE_DEFAULTS = {
-    "order": "auto",
-    "max_order": 13,
-    "eps_tol": 1e-3,
-    "n_theta": DEFAULT_N_THETA,
-    "mode": 0,
-}
-SENS_DEFAULTS = {"order": 5, "n_theta": DEFAULT_N_THETA, "mode": 0, "methods": ["adjoint"]}
+BACKBONE_DEFAULTS = {"order": "auto", "max_order": 13, "eps_tol": 1e-3, "mode": 0}
+SENS_DEFAULTS = {"order": 5, "mode": 0, "methods": ["adjoint"]}
 
 
 def _write(outdir: Path, name: str, text: str):
@@ -105,14 +104,6 @@ def _check_block(name: str, value: dict, n_dof: int) -> None:
     eps_tol = value.get("eps_tol")
     if eps_tol is not None and not (math.isfinite(eps_tol) and eps_tol > 0):
         raise ConfigError(f"{name}.eps_tol must be positive and finite, got {eps_tol}")
-    if "n_theta" in value:
-        # 'auto' may end at max_order, and every grid must resolve the order used
-        top = value["max_order"] if value.get("order", "auto") == "auto" else value["order"]
-        if value["n_theta"] < 2 * top + 1:
-            raise ConfigError(
-                f"{name}.n_theta = {value['n_theta']} undersamples an order-{top} "
-                f"expansion; need at least {2 * top + 1}"
-            )
 
 
 def _resolve_design(cfg: dict, command: str):
@@ -130,17 +121,16 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
     block = BACKBONE_DEFAULTS | cfg["backbone"]
     _check_block("backbone", block, model.n)
     master = solve_master(model, block["mode"])
-    n_theta = block["n_theta"]
     dof = block["dof"]
     targets = block["x_targets"]
 
     # probe amplitude for the order decision: largest target mapped through a
     # low-order expansion first
     probe_exp = compute_ssm(model, master, 3)
-    rho_probe = rho_of_x(probe_exp, dof, max(targets), n_theta)
+    rho_probe = rho_of_x(probe_exp, dof, max(targets))
     exp, err, warned = _resolve_order(block, model, master, rho_probe)
 
-    curve = sample_backbone(exp, dof, targets, n_theta)
+    curve = sample_backbone(exp, dof, targets)
     _write(outdir, "backbone.csv", backbone_to_csv(curve))
     _write(outdir, "expansion.json", _json_dumps(dump_expansion(exp)))
     _write(
@@ -150,7 +140,7 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
             {
                 "epsilon": err.epsilon,
                 "rho_max": err.rho_max,
-                "theta_samples": err.theta_samples,
+                "theta_samples": RESIDUAL_THETA_SAMPLES,
                 "order": exp.order,
                 "order_warning": warned,
                 "xi": exp.master.xi,
@@ -169,19 +159,18 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
     block = SENS_DEFAULTS | cfg["sens"]
     _check_block("sens", block, model.n)
     master = solve_master(model, block["mode"])
-    order, n_theta = block["order"], block["n_theta"]
-    dof, x0 = block["dof"], block["x0"]
+    order, dof, x0 = block["order"], block["dof"], block["x0"]
     exp = compute_ssm(model, master, order)
-    rho = rho_of_x(exp, dof, x0, n_theta)
+    rho = rho_of_x(exp, dof, x0)
 
     results = {}
     for method in block["methods"]:
         t0 = time.perf_counter()
         if method == "adjoint":
-            adj = solve_adjoint(model, exp, dof, rho, n_theta)
+            adj = solve_adjoint(model, exp, dof, rho)
             grads = contract_gradient(model, exp, adj, params).d_omega
         else:
-            grads = chain_derivatives(model, exp, params, dof, rho, n_theta).d_omega
+            grads = chain_derivatives(model, exp, params, dof, rho).d_omega
         dt = time.perf_counter() - t0
         report = {
             "method": method,
@@ -205,7 +194,6 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
                 x0=x0,
                 dof_index=dof,
                 order=order,
-                n_theta=n_theta,
                 reference=master.phi,
             ),
             mu0,

@@ -69,7 +69,6 @@ _BACKBONE_BLOCK = {
     "properties": {
         "dof": {"type": "integer", "minimum": 0},
         "x_targets": {"type": "array", "items": _NUM, "minItems": 1},
-        "n_theta": _POSINT,
         "order": {"oneOf": [{"type": "integer", "minimum": 3}, {"const": "auto"}]},
         "max_order": {"type": "integer", "minimum": 3},
         "eps_tol": _NUM,
@@ -90,7 +89,6 @@ _SENS_BLOCK = {
             "minItems": 1,
         },
         "order": {"type": "integer", "minimum": 3},
-        "n_theta": _POSINT,
         "mode": {"type": "integer", "minimum": 0},
     },
     "required": ["dof", "x0"],
@@ -159,7 +157,6 @@ _OPT_BLOCK = {
                 "eps_tol": _NUM,
                 "max_order": {"type": "integer", "minimum": 3},
                 "max_iter": _POSINT,
-                "n_theta": _POSINT,
             },
             "additionalProperties": False,
         },

@@ -16,7 +16,6 @@ def backbone_response(
     x0: float,
     dof_index: int,
     order: int,
-    n_theta: int = 128,
     reference=None,
 ) -> float:
     """Omega at fixed target amplitude for the model built at mu.
@@ -30,7 +29,7 @@ def backbone_response(
     else:
         master = solve_master(model, 0)
     exp = compute_ssm(model, master, order)
-    rho = rho_of_x(exp, dof_index, x0, n_theta)
+    rho = rho_of_x(exp, dof_index, x0)
     return omega_of_rho(exp, rho)
 
 

@@ -57,7 +57,6 @@ class OptTolerances:
     eps_tol: float = 1e-1
     max_order: int = 13
     max_iter: int = 60
-    n_theta: int = 128
 
 
 @dataclass
@@ -296,24 +295,20 @@ def evaluate(
             # line search sees finite, repelling values. Accepted iterates are
             # rejected upstream when this path was taken.
             try:
-                rho = rho_of_x(exp, tgt.dof_index, tgt.x, tol.n_theta)
+                rho = rho_of_x(exp, tgt.dof_index, tgt.x)
                 omega = omega_of_rho(exp, rho)
             except AmplitudeUnreachableError as err:
                 extrapolated = True
                 rho = err.rho_cap
-                slope = domega_drho(exp, rho) / dx_drho(
-                    exp, tgt.dof_index, rho, tol.n_theta
-                )
+                slope = domega_drho(exp, rho) / dx_drho(exp, tgt.dof_index, rho)
                 omega = omega_of_rho(exp, rho) + slope * (tgt.x - err.x_max)
             rho_max = max(rho_max, rho)
             cons.append((omega - tgt.omega) / omega_scale)
             if method == "adjoint":
-                adj = solve_adjoint(model, exp, tgt.dof_index, rho, tol.n_theta)
+                adj = solve_adjoint(model, exp, tgt.dof_index, rho)
                 grad = contract_gradient(model, exp, adj, params).d_omega
             else:
-                grad = chain_derivatives(
-                    model, exp, params, tgt.dof_index, rho, tol.n_theta
-                ).d_omega
+                grad = chain_derivatives(model, exp, params, tgt.dof_index, rho).d_omega
             jac.append(grad / omega_scale)
         epsilon = invariance_residual(model, exp, rho_max).epsilon
 

@@ -57,7 +57,6 @@ class AdjointState:
     lambda_omega: float
     rho: float
     dof_index: int
-    n_theta: int
 
     def lam_m(self, m) -> np.ndarray:
         if m in self.lambda_m:
@@ -99,24 +98,24 @@ class _Bars:
         return self.R[m]
 
 
-def solve_adjoint_rho(exp: SsmExpansion, dof_index: int, rho: float, n_theta: int = 128) -> float:
+def solve_adjoint_rho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
     """Amplitude adjoint: -(dOmega/drho)/(dx/drho)."""
-    slope = dx_drho(exp, dof_index, rho, n_theta)
+    slope = dx_drho(exp, dof_index, rho)
     if slope == 0.0:
         raise TurningPointError("dx/drho vanished; amplitude constraint is degenerate")
     return -domega_drho(exp, rho) / slope
 
 
-def _seed_bars(exp, bars: _Bars, lambda_rho: float, dof_index: int, rho: float, n_theta: int):
+def _seed_bars(exp, bars: _Bars, lambda_rho: float, dof_index: int, rho: float):
     # frequency seeds (conjugate-pair difference form)
     bars.lam[0] += -0.5j
     bars.lam[1] += +0.5j
     for q, a in exp.r1_terms():
         bars.rbar(a)[0] += -0.5j * rho ** (q - 1)
         bars.rbar(symmetric(a))[1] += +0.5j * rho ** (q - 1)
-    # amplitude seeds: the grid sum of x e^{i d theta} is n_theta * c_{-d},
-    # so n_theta cancels against the 1/n_theta of the mean
-    x = x_rms(exp, dof_index, rho, n_theta)
+    # amplitude seeds: by Parseval x**2 = sum_d c_d c_{-d}, so
+    # dx / dw_m[dof] = rho**|m| c_{-d} / x with d = m1 - m2
+    x = x_rms(exp, dof_index, rho)
     c = x_harmonics(exp, dof_index, rho)
     for m in exp.data:
         coef = lambda_rho / x * rho ** order(m) * c[exp.order + m[1] - m[0]]
@@ -213,7 +212,7 @@ def solve_adjoint_w(
     lambda_rho: float,
     dof_index: int,
     rho: float,
-    n_theta: int = 128,
+    *,
     full_set: bool = False,
 ):
     """Reverse sweep over the coefficient adjoints, highest order first.
@@ -224,7 +223,7 @@ def solve_adjoint_w(
     implied; full_set solves every index independently (verification path).
     """
     bars = _Bars(model.n)
-    _seed_bars(exp, bars, lambda_rho, dof_index, rho, n_theta)
+    _seed_bars(exp, bars, lambda_rho, dof_index, rho)
 
     lambda_m: dict = {}
     nu_m: dict = {}
@@ -286,13 +285,13 @@ def solve_adjoint(
     exp: SsmExpansion,
     dof_index: int,
     rho: float,
-    n_theta: int = 128,
+    *,
     full_set: bool = False,
 ) -> AdjointState:
     """All adjoint variables for Omega at the given reduced amplitude."""
-    lambda_rho = solve_adjoint_rho(exp, dof_index, rho, n_theta)
+    lambda_rho = solve_adjoint_rho(exp, dof_index, rho)
     lambda_m, nu_m, bars = solve_adjoint_w(
-        model, exp, lambda_rho, dof_index, rho, n_theta, full_set
+        model, exp, lambda_rho, dof_index, rho, full_set=full_set
     )
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
     canonical_lm = {m: v for m, v in lambda_m.items() if is_canonical(m)}
@@ -305,7 +304,6 @@ def solve_adjoint(
         lambda_omega=lambda_omega,
         rho=rho,
         dof_index=dof_index,
-        n_theta=n_theta,
     )
 
 

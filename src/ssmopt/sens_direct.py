@@ -44,11 +44,7 @@ from .ssm import RCOND_SINGULAR, SsmExpansion, index_solve, lu_rcond, v_decomps
 
 @dataclass
 class DirectDerivatives:
-    """Forward-mode derivatives per design variable.
-
-    coeffs[p] maps each multi-index to (dw, dwdot, dR); leading-order entries
-    hold the mode-shape derivative.
-    """
+    """Forward-mode derivatives per design variable."""
 
     names: tuple[str, ...]
     d_omega: np.ndarray  # dOmega/dmu at fixed target amplitude
@@ -57,7 +53,6 @@ class DirectDerivatives:
     d_omega0: np.ndarray  # natural-frequency derivative
     d_lambda: np.ndarray  # complex eigenvalue derivative
     d_xi: np.ndarray
-    coeffs: list[dict]
 
 
 def solve_mode_bordered(
@@ -129,7 +124,6 @@ def chain_derivatives(
     params: ParamDerivatives,
     dof_index: int,
     rho: float,
-    n_theta: int = 128,
 ) -> DirectDerivatives:
     """Full forward derivative chain at fixed target physical amplitude.
 
@@ -152,9 +146,9 @@ def chain_derivatives(
 
     dphi_all, domega_all = eig_derivatives(model, master, params)
 
-    x = x_rms(exp, dof_index, rho, n_theta)
+    x = x_rms(exp, dof_index, rho)
     c = x_harmonics(exp, dof_index, rho)
-    dxdr = dx_drho(exp, dof_index, rho, n_theta)
+    dxdr = dx_drho(exp, dof_index, rho)
 
     # once per index: the recursion's terms that no parameter changes
     steps = []
@@ -179,7 +173,6 @@ def chain_derivatives(
     d_rho = np.zeros(P)
     d_lambda = np.zeros(P, dtype=complex)
     d_xi = np.zeros(P)
-    coeffs_out: list[dict] = []
 
     for p in range(P):
         dM, dK = params.dM[p].astype(complex), params.dK[p].astype(complex)
@@ -266,8 +259,8 @@ def chain_derivatives(
             if not exp.full_set and m[0] != m[1]:
                 dcoef[symmetric(m)] = _mirror_coeff(dw, dwdot, dR)
 
-        # reduced-amplitude derivative at fixed physical amplitude; the grid
-        # sum of x e^{i d theta} is n_theta * c_{-d}, and n_theta cancels
+        # reduced-amplitude derivative at fixed physical amplitude: by
+        # Parseval x**2 = sum_d c_d c_{-d}, so dx = sum_m rho**|m| c_{-d} dw_m / x
         num = 0.0 + 0.0j
         for m, (dw, _, _) in dcoef.items():
             num += dw[dof_index] * rho ** order(m) * c[exp.order + m[1] - m[0]]
@@ -285,7 +278,6 @@ def chain_derivatives(
             )
         d_omega[p] = assert_real(dOm, "dOmega")
         d_rho[p] = drho
-        coeffs_out.append(dcoef)
 
     return DirectDerivatives(
         names=params.names,
@@ -295,5 +287,4 @@ def chain_derivatives(
         d_omega0=domega_all,
         d_lambda=d_lambda,
         d_xi=d_xi,
-        coeffs=coeffs_out,
     )

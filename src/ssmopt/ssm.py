@@ -47,6 +47,7 @@ from .spectral import MasterPair
 RCOND_SINGULAR = 1e-12
 DENOMINATOR_TOL = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-9
+RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
 
 
 @dataclass
@@ -360,7 +361,6 @@ class ErrorMeasure:
 
     epsilon: float
     rho_max: float
-    theta_samples: int
 
 
 @dataclass(frozen=True)
@@ -370,10 +370,9 @@ class AdaptResult:
     warned: bool
 
 
-def invariance_residual(
-    model: MechModel, exp: SsmExpansion, rho: float, theta_samples: int = 32
-) -> ErrorMeasure:
-    """Relative residual of the invariance equation, max over the theta grid.
+def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> ErrorMeasure:
+    """Relative residual of the invariance equation, max over a theta grid of
+    RESIDUAL_THETA_SAMPLES points.
 
     The defect B dW/dp R - A W - F(W) is measured against A W + F(W) in a
     compliance-weighted state norm: the force-balance block is preconditioned
@@ -405,7 +404,8 @@ def invariance_residual(
         s2 = scipy.linalg.lu_solve(luM, V[n:]) / omega
         return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=0))
 
-    thetas = 2.0 * np.pi * np.arange(1, theta_samples + 1) / theta_samples
+    n_grid = RESIDUAL_THETA_SAMPLES
+    thetas = 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
     ms = np.array(list(exp.data))
     q = ms.sum(axis=1)
     d = ms[:, 0] - ms[:, 1]
@@ -429,7 +429,7 @@ def invariance_residual(
     if np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")
     eps = float(np.max(state_norms((lhs - rhs).T) / den))
-    return ErrorMeasure(eps, rho, theta_samples)
+    return ErrorMeasure(eps, rho)
 
 
 def adapt_order(
@@ -438,7 +438,6 @@ def adapt_order(
     tol: float,
     rho: float,
     order_range: tuple[int, int] = (3, 13),
-    theta_samples: int = 32,
 ) -> AdaptResult:
     """Smallest odd order in range whose residual at rho meets the tolerance.
 
@@ -453,7 +452,7 @@ def adapt_order(
     err = None
     for O in range(lo, hi + 1, 2):
         exp = compute_ssm(model, master, O, from_expansion=exp)
-        err = invariance_residual(model, exp, rho, theta_samples)
+        err = invariance_residual(model, exp, rho)
         if err.epsilon <= tol:
             return AdaptResult(exp, err, False)
     return AdaptResult(exp, err, True)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from ssmopt import cli, config, optimizer
 from ssmopt.cli import main
 
 CHAIN_MODEL = {
@@ -116,7 +118,7 @@ class TestBackboneCommand:
             ("x_targets", {"x_targets": [float("nan")]}, []),  # NaN target
             ("dof", {"dof": 7}, []),  # the model has 2 DOFs
             ("mode", {"mode": 9}, []),
-            ("n_theta", {"n_theta": 3}, []),  # undersamples order 5
+            ("n_theta", {"n_theta": 128}, []),  # no grid setting: an unknown key
             ("order", {"order": 4}, []),  # even order in the config
             ("order", {}, ["--order", "4"]),  # even order on the command line
             ("order", {}, ["--order", "five"]),
@@ -202,7 +204,7 @@ class TestSensCommand:
             ("x0", {"x0": -0.1}),
             ("x0", {"x0": float("inf")}),
             ("order", {"order": 4}),
-            ("n_theta", {"n_theta": 3}),
+            ("n_theta", {"n_theta": 128}),
         ],
     )
     def test_bad_sens_input_exit_code(self, tmp_path, capsys, field, fields):
@@ -281,7 +283,7 @@ class TestOptimizeInputs:
                 opt_case(constraints=[{"type": "eigfreq", "mode": 5, "omega": 1.0}]),
             ),
             ("optimize.mode", opt_case(mode=5)),
-            ("tolerances.n_theta", opt_case(tolerances={"n_theta": 3})),
+            ("'n_theta' was unexpected", opt_case(tolerances={"n_theta": 128})),
             ("tolerances.max_order", opt_case(tolerances={"max_order": 8})),
             ("tolerances.eps_tol", opt_case(tolerances={"eps_tol": -1.0})),
             ("objective.name", opt_case(objective={"type": "variable", "name": "foo"})),
@@ -318,6 +320,18 @@ class TestOptimizeInputs:
         rc = main(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert rc in (0, 4)
         assert json.loads((tmp_path / "o" / "summary.json").read_text())["names"] == ["k3", "k2"]
+
+
+def test_defaults_are_schema_properties():
+    """Every default the CLI fills in is a key the schema accepts."""
+    blocks = config.CONFIG_SCHEMA["properties"]
+    tolerances = blocks["optimize"]["properties"]["tolerances"]["properties"]
+    for defaults, props in (
+        (cli.BACKBONE_DEFAULTS, blocks["backbone"]["properties"]),
+        (cli.SENS_DEFAULTS, blocks["sens"]["properties"]),
+        ({f.name for f in dataclasses.fields(optimizer.OptTolerances)}, tolerances),
+    ):
+        assert set(defaults) <= set(props)
 
 
 class TestBenchCommand:

@@ -6,10 +6,19 @@ failure (an outer resonance, an unreachable amplitude, ...): that typed error
 is an acceptable outcome. A NaN or any other exception is not.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from ssmopt import MechModel, ParamDerivatives, SymTensor, compute_ssm, solve_master
-from ssmopt.backbone import _validity_cap, dx_drho, rho_of_x, x_rms, x_theta_samples
+from ssmopt.backbone import (
+    _validity_cap,
+    dx_drho,
+    omega_of_rho,
+    rho_of_x,
+    x_rms,
+    x_theta_samples,
+)
 from ssmopt.errors import SsmOptError
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
 from ssmopt.sens_direct import chain_derivatives
@@ -73,7 +82,7 @@ def test_closed_form_amplitude_equals_grid_oracle():
         model, _, order = random_case(seed)
         exp = compute_ssm(model, solve_master(model, 0), order)
         for dof in range(model.n):
-            cap = _validity_cap(exp, dof, 128)
+            cap = _validity_cap(exp, dof)
             for rho in cap * np.array([0.1, 0.5, 1.0]):
                 want = np.sqrt(np.mean(x_theta_samples(exp, dof, rho, 128) ** 2))
                 got = x_rms(exp, dof, rho)
@@ -89,7 +98,7 @@ def test_adjoint_equals_direct():
         model, params, order = random_case(seed)
         exp = compute_ssm(model, solve_master(model, 0), order)
         dof = model.n - 1
-        x0 = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof, 128))
+        x0 = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
         rho = rho_of_x(exp, dof, x0)
         adj = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params).d_omega
         direct = chain_derivatives(model, exp, params, dof, rho).d_omega
@@ -100,3 +109,37 @@ def test_adjoint_equals_direct():
     passed, typed = outcomes(check)
     assert passed >= N_MODELS // 2, typed
 
+
+
+def test_amplitude_scaling_law():
+    """Omega_{T2,T3}(x) = Omega_{s T2, s^2 T3}(x / s): y = x / s solves the
+    system with scaled tensors, so the identity holds at every truncation
+    order and runs through the amplitude map and its inversion."""
+
+    def scaled(model, s):
+        T2, T3 = model.T2, model.T3
+        return replace(
+            model,
+            T2=SymTensor(T2.n, T2.idx, s * T2.vals),
+            T3=SymTensor(T3.n, T3.idx, s * s * T3.vals),
+        )
+
+    def check(seed):
+        model, _, order = random_case(seed)
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        for s in (0.5, 2.0):
+            model_s = scaled(model, s)
+            exp_s = compute_ssm(model_s, solve_master(model_s, 0), order)
+            for dof in range(model.n):
+                # the cap scan's rho grid does not scale with s: stay below both caps
+                cap = min(
+                    x_rms(exp, dof, _validity_cap(exp, dof)),
+                    s * x_rms(exp_s, dof, _validity_cap(exp_s, dof)),
+                )
+                x = 0.5 * cap
+                want = omega_of_rho(exp, rho_of_x(exp, dof, x))
+                got = omega_of_rho(exp_s, rho_of_x(exp_s, dof, x / s))
+                assert abs(got - want) <= 1e-10 * abs(want), (seed, s, dof)
+
+    passed, typed = outcomes(check)
+    assert passed >= N_MODELS // 2, typed

@@ -8,7 +8,6 @@ from ssmopt.errors import DegenerateModeError
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
-from ssmopt.multiindex import symmetric
 from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
@@ -149,17 +148,6 @@ class TestChainDerivatives:
         exp = compute_ssm(model, chain2_master, 3)
         dd = chain_derivatives(model, exp, params, 1, rho_of_x(exp, 1, 0.1))
         assert np.allclose(dd.d_omega, extrap, rtol=1e-7)
-
-    def test_coefficient_conjugacy(self, chain2, chain2_exp5):
-        model, params = chain2
-        rho = rho_of_x(chain2_exp5, 1, 0.1)
-        dd = chain_derivatives(model, chain2_exp5, params, 1, rho)
-        for dcoef in dd.coeffs:
-            for m, (dw, dwdot, dR) in dcoef.items():
-                ms = symmetric(m)
-                dws, dwdots, dRs = dcoef[ms]
-                assert np.allclose(np.conj(dw), dws, atol=1e-15)
-                assert np.allclose(np.conj(dR[::-1]), dRs, atol=1e-15)
 
     def test_fixed_amplitude_rho_derivative(self, chain2, chain2_master):
         # d rho/d mu must match finite differences of the amplitude inversion

@@ -178,7 +178,7 @@ class TestInvarianceResidual:
         exp = None
         for O in (3, 5, 7, 9):
             exp = compute_ssm(model, master, O, from_expansion=exp)
-            cap = _validity_cap(exp, 1, 128)
+            cap = _validity_cap(exp, 1)
             for rho in (0.01 * cap, 0.3 * cap, cap):
                 want = loop_residual(model, exp, rho)
                 got = invariance_residual(model, exp, rho).epsilon
