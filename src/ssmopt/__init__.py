@@ -8,7 +8,6 @@ from .mechmodel import (
     SymTensor,
     check_light_damping,
     model_from_json,
-    model_to_json,
 )
 from .spectral import MasterPair, mac, solve_master, track_mode
 from .ssm import (
@@ -31,7 +30,6 @@ __all__ = [
     "SymTensor",
     "check_light_damping",
     "model_from_json",
-    "model_to_json",
     "MasterPair",
     "mac",
     "solve_master",

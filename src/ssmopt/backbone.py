@@ -35,29 +35,20 @@ VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
 RHO_X_RTOL = 1e-10
 
 
-def omega_of_rho(exp: SsmExpansion, rho: float, form: str = "compact") -> float:
-    """Backbone frequency at reduced amplitude rho.
+def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
+    """Backbone frequency at reduced amplitude rho: the damped frequency plus
+    Im(R1) of each active odd order times rho**(q - 1).
 
-    Both forms are mathematically identical: "compact" sums Im(R1) over the
-    active odd orders, "paired" uses the conjugate-pair difference form that
-    the sensitivity passes differentiate. They agree to roundoff.
+    The sensitivity passes differentiate the same sum in its conjugate-pair
+    form, 0.5j (R2 - R1) at the swapped index pair, which equals Im(R1)
+    because R2 at the swapped index is the conjugate of R1.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    if form == "compact":
-        total = exp.master.omega_d
-        for q, a in exp.r1_terms():
-            total += exp.R(a)[0].imag * rho ** (q - 1)
-        return float(total)
-    if form == "paired":
-        lam = exp.master.lam
-        total = 0.5j * (np.conj(lam) - lam)
-        for q, a in exp.r1_terms():
-            r1 = exp.R(a)[0]
-            r2 = exp.R((a[1], a[0]))[1]
-            total += 0.5j * (r2 - r1) * rho ** (q - 1)
-        return assert_real(total, "paired backbone sum")
-    raise ValueError(f"unknown form {form!r}")
+    total = exp.master.omega_d
+    for q, a in exp.r1_terms():
+        total += exp.R(a)[0].imag * rho ** (q - 1)
+    return float(total)
 
 
 def domega_drho(exp: SsmExpansion, rho: float) -> float:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -86,24 +84,14 @@ def _resolve_order(block, model, master, rho_probe):
 
 
 def _check_block(name: str, value: dict, n_dof: int) -> None:
-    """Reject, naming the field, every input of a block (defaults filled in)
-    that the computation cannot take; runs before any computation. A field
-    the block does not have is not checked."""
+    """Reject, naming the field, a `dof` or `mode` of a block that the model
+    does not have; runs before any computation. Every rule that does not
+    depend on the model is the schema's (config.CONFIG_SCHEMA)."""
     for field in ("dof", "mode"):
         if field in value and value[field] >= n_dof:
             raise ConfigError(
                 f"{name}.{field} = {value[field]} is out of range for a model with {n_dof} DOFs"
             )
-    for field in ("x_targets", "x0", "x"):
-        xs = value.get(field, [])
-        if not all(math.isfinite(x) and x > 0 for x in (xs if isinstance(xs, list) else [xs])):
-            raise ConfigError(f"{name}.{field} must be positive and finite, got {xs}")
-    for field in ("order", "max_order"):
-        if value.get(field, "auto") != "auto" and value[field] % 2 == 0:
-            raise ConfigError(f"{name}.{field} must be odd, got {value[field]}")
-    eps_tol = value.get("eps_tol")
-    if eps_tol is not None and not (math.isfinite(eps_tol) and eps_tol > 0):
-        raise ConfigError(f"{name}.eps_tol must be positive and finite, got {eps_tol}")
 
 
 def _resolve_design(cfg: dict, command: str):
@@ -217,7 +205,6 @@ def cmd_optimize(cfg: dict, outdir: Path, method_override: str | None) -> int:
         # assembly
         model, params = build(mu)
         _check_block("optimize", block, model.n)
-        _check_block("optimize.tolerances", asdict(tol), model.n)
         for i, c in enumerate(block["constraints"]):
             _check_block(f"optimize.constraints[{i}]", c, model.n)
         return model, params
@@ -400,15 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_order(text: str):
+    """--order as the config holds it: an integer or "auto"; the schema
+    checks its range."""
     if text == "auto":
         return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(f"--order must be an odd integer or 'auto', got {text!r}") from None
-    if value < 3:
-        raise ConfigError(f"--order must be at least 3, got {value}")
-    return value
+
+
+def _overrides(args) -> dict:
+    """The command-line options that replace config values, by block."""
+    values = {}
+    if getattr(args, "order", None) is not None:
+        values["order"] = _parse_order(args.order)
+    if getattr(args, "eps_tol", None) is not None:
+        values["eps_tol"] = args.eps_tol
+    return {"backbone": values}
 
 
 def main(argv=None) -> int:
@@ -417,12 +413,8 @@ def main(argv=None) -> int:
     try:
         cfg = None
         if getattr(args, "config", None):
-            cfg = load_config(args.config, args.command)
+            cfg = load_config(args.config, args.command, _overrides(args))
         if args.command == "backbone":
-            if args.order is not None:
-                cfg["backbone"]["order"] = _parse_order(args.order)
-            if args.eps_tol is not None:
-                cfg["backbone"]["eps_tol"] = args.eps_tol
             return cmd_backbone(cfg, outdir)
         if args.command == "sens":
             return cmd_sens(cfg, outdir, args.verify_fd)

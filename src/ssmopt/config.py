@@ -1,17 +1,21 @@
 """JSON run-configuration schema and model/problem resolution.
 
 Configs are validated (unknown keys rejected) before any computation; schema
-errors carry the JSON path of the offending key.
+errors carry the JSON path of the offending key. The schema holds every rule
+of the run blocks that does not depend on the model: positive and finite
+amplitudes, frequencies and tolerances, odd orders, finite numbers. Only the
+DOF and mode bounds, which need the model's size, are checked in code.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError, validators
 
 from .errors import ConfigError
 from .mechmodel import ParamDerivatives, model_from_json
@@ -20,6 +24,22 @@ from .optimizer import OBJECTIVE_REFS
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
+_INDEX = {"type": "integer", "minimum": 0}
+# the run blocks' numbers; the model blocks keep _NUM, their builders check them
+_FINITE = {"type": "number", "finite": True}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0, "finite": True}
+_ODD_ORDER = {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}}
+
+
+def _finite(validator, finite, instance, schema):
+    """The `finite` keyword. jsonschema's comparison keywords let NaN through
+    (every comparison with NaN is false), and inf passes every lower bound."""
+    number = validator.is_type(instance, "number")
+    if finite and number and not abs(instance) <= sys.float_info.max:
+        yield ValidationError(f"{instance!r} is not a finite number")
+
+
+ConfigValidator = validators.extend(Draft202012Validator, {"finite": _finite})
 
 
 def _family_schema(family: ModelFamily) -> dict:
@@ -53,26 +73,32 @@ _MODEL_KINDS = {kind: _family_schema(family) for kind, family in FAMILIES.items(
     }
 }
 
-# selected by `type` (if/then rather than oneOf), so an error names the key
-MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {"type": {"enum": list(_MODEL_KINDS)}},
-    "required": ["type"],
-    "allOf": [
-        {"if": {"properties": {"type": {"const": kind}}, "required": ["type"]}, "then": schema}
-        for kind, schema in _MODEL_KINDS.items()
-    ],
-}
+
+def _select_by_type(kinds: dict) -> dict:
+    """An object schema that applies kinds[type]; selected by if/then rather
+    than oneOf, so an error names the key."""
+    return {
+        "type": "object",
+        "properties": {"type": {"enum": list(kinds)}},
+        "required": ["type"],
+        "allOf": [
+            {"if": {"properties": {"type": {"const": kind}}, "required": ["type"]}, "then": schema}
+            for kind, schema in kinds.items()
+        ],
+    }
+
+
+MODEL_SCHEMA = _select_by_type(_MODEL_KINDS)
 
 _BACKBONE_BLOCK = {
     "type": "object",
     "properties": {
-        "dof": {"type": "integer", "minimum": 0},
-        "x_targets": {"type": "array", "items": _NUM, "minItems": 1},
-        "order": {"oneOf": [{"type": "integer", "minimum": 3}, {"const": "auto"}]},
-        "max_order": {"type": "integer", "minimum": 3},
-        "eps_tol": _NUM,
-        "mode": {"type": "integer", "minimum": 0},
+        "dof": _INDEX,
+        "x_targets": {"type": "array", "items": _POSITIVE, "minItems": 1},
+        "order": {"if": {"type": "string"}, "then": {"const": "auto"}, "else": _ODD_ORDER},
+        "max_order": _ODD_ORDER,
+        "eps_tol": _POSITIVE,
+        "mode": _INDEX,
     },
     "required": ["dof", "x_targets"],
     "additionalProperties": False,
@@ -81,15 +107,15 @@ _BACKBONE_BLOCK = {
 _SENS_BLOCK = {
     "type": "object",
     "properties": {
-        "dof": {"type": "integer", "minimum": 0},
-        "x0": _NUM,
+        "dof": _INDEX,
+        "x0": _POSITIVE,
         "methods": {
             "type": "array",
             "items": {"enum": ["adjoint", "direct"]},
             "minItems": 1,
         },
-        "order": {"type": "integer", "minimum": 3},
-        "mode": {"type": "integer", "minimum": 0},
+        "order": _ODD_ORDER,
+        "mode": _INDEX,
     },
     "required": ["dof", "x0"],
     "additionalProperties": False,
@@ -102,10 +128,10 @@ _OPT_BLOCK = {
             "type": "object",
             "properties": {
                 "type": {"enum": list(OBJECTIVE_REFS)},
-                "value": _NUM,
+                "value": _FINITE,
                 "name": {"type": "string"},
-                "coeffs": {"type": "object", "additionalProperties": _NUM},
-                "offset": _NUM,
+                "coeffs": {"type": "object", "additionalProperties": _FINITE},
+                "offset": _FINITE,
                 "vars": {"type": "array", "items": {"type": "string"}},
             },
             "required": ["type"],
@@ -113,38 +139,32 @@ _OPT_BLOCK = {
         },
         "constraints": {
             "type": "array",
-            "items": {
-                "oneOf": [
-                    {
-                        "type": "object",
+            "items": _select_by_type(
+                {
+                    "backbone": {
                         "properties": {
-                            "type": {"const": "backbone"},
-                            "dof": {"type": "integer", "minimum": 0},
-                            "x": _NUM,
-                            "omega": _NUM,
+                            "type": True,
+                            "dof": _INDEX,
+                            "x": _POSITIVE,
+                            "omega": _POSITIVE,
                         },
-                        "required": ["type", "dof", "x", "omega"],
+                        "required": ["dof", "x", "omega"],
                         "additionalProperties": False,
                     },
-                    {
-                        "type": "object",
-                        "properties": {
-                            "type": {"const": "eigfreq"},
-                            "mode": {"type": "integer", "minimum": 0},
-                            "omega": _NUM,
-                        },
-                        "required": ["type", "mode", "omega"],
+                    "eigfreq": {
+                        "properties": {"type": True, "mode": _INDEX, "omega": _POSITIVE},
+                        "required": ["mode", "omega"],
                         "additionalProperties": False,
                     },
-                ]
-            },
+                }
+            ),
         },
-        "mu0": {"type": "array", "items": _NUM},
+        "mu0": {"type": "array", "items": _FINITE},
         "bounds": {
             "type": "object",
             "properties": {
-                "lower": {"type": "array", "items": _NUM},
-                "upper": {"type": "array", "items": _NUM},
+                "lower": {"type": "array", "items": _FINITE},
+                "upper": {"type": "array", "items": _FINITE},
             },
             "required": ["lower", "upper"],
             "additionalProperties": False,
@@ -152,16 +172,16 @@ _OPT_BLOCK = {
         "tolerances": {
             "type": "object",
             "properties": {
-                "constraint_tol": _NUM,
-                "step_tol": _NUM,
-                "eps_tol": _NUM,
-                "max_order": {"type": "integer", "minimum": 3},
+                "constraint_tol": _POSITIVE,
+                "step_tol": _POSITIVE,
+                "eps_tol": _POSITIVE,
+                "max_order": _ODD_ORDER,
                 "max_iter": _POSINT,
             },
             "additionalProperties": False,
         },
         "method": {"enum": ["adjoint", "direct"]},
-        "mode": {"type": "integer", "minimum": 0},
+        "mode": _INDEX,
     },
     "required": ["objective", "constraints", "bounds"],
     "additionalProperties": False,
@@ -172,11 +192,8 @@ _BENCH_BLOCK = {
     "properties": {
         "n_masses": _POSINT,
         "param_counts": {"type": "array", "items": _POSINT, "minItems": 1},
-        "orders": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}},
-        },
-        "x0": {"type": "number", "exclusiveMinimum": 0},
+        "orders": {"type": "array", "items": _ODD_ORDER},
+        "x0": _POSITIVE,
         "repeats": _POSINT,
     },
     "additionalProperties": False,
@@ -191,29 +208,44 @@ CONFIG_SCHEMA = {
         "sens": _SENS_BLOCK,
         "optimize": _OPT_BLOCK,
         "bench": _BENCH_BLOCK,
-        "out": {"type": "string"},
     },
     "additionalProperties": False,
 }
 
 
+def _field(path) -> str:
+    """A JSON path as the field name the code's own checks use:
+    optimize.constraints[0].x."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
 def validate_config(cfg: dict, command: str | None = None) -> dict:
-    errors = sorted(
-        Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: list(e.path)
-    )
+    errors = sorted(ConfigValidator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: list(e.path))
     if errors:
         e = errors[0]
         path = "/".join(str(p) for p in e.path) or "<root>"
-        raise ConfigError(f"invalid config at '{path}': {e.message}")
+        field = _field(e.path)
+        named = "" if field in (path, "") else f" (field {field})"
+        raise ConfigError(f"invalid config at '{path}': {e.message}{named}")
     declared = cfg.get("command")
     if command is not None and declared is not None and declared != command:
         raise ConfigError(
             f"config declares command {declared!r} but {command!r} was invoked"
         )
+    if command in ("backbone", "sens", "optimize"):
+        for block in ("model", command):
+            if block not in cfg:
+                raise ConfigError(f"a {command} run needs a {block!r} block")
     return cfg
 
 
-def load_config(path: str, command: str | None = None) -> dict:
+def load_config(path: str, command: str | None = None, overrides: dict | None = None) -> dict:
+    """The validated config in the file at path.
+
+    overrides ({block: {key: value}}, from command-line options) are written
+    into the config's blocks before it is validated, so the schema checks
+    them like any other value.
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -221,6 +253,9 @@ def load_config(path: str, command: str | None = None) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
+    for block, values in (overrides or {}).items():
+        if isinstance(cfg, dict) and isinstance(cfg.get(block), dict):
+            cfg[block].update(values)
     return validate_config(cfg, command)
 
 

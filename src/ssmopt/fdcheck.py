@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import omega_of_rho, rho_of_x
-from .spectral import solve_master, track_mode
+from .spectral import track_mode
 from .ssm import compute_ssm
 
 
@@ -16,18 +16,15 @@ def backbone_response(
     x0: float,
     dof_index: int,
     order: int,
-    reference=None,
+    reference: np.ndarray,
 ) -> float:
     """Omega at fixed target amplitude for the model built at mu.
 
-    builder(mu) -> MechModel. The master mode is tracked against `reference`
-    when given (recommended for finite differencing), else mode 0 is used.
+    builder(mu) -> MechModel. The master mode is tracked against `reference`,
+    so a finite-difference step follows the same mode shape.
     """
     model = builder(np.asarray(mu, dtype=float))
-    if reference is not None:
-        master = track_mode(model, reference)
-    else:
-        master = solve_master(model, 0)
+    master = track_mode(model, reference)
     exp = compute_ssm(model, master, order)
     rho = rho_of_x(exp, dof_index, x0)
     return omega_of_rho(exp, rho)

@@ -135,9 +135,6 @@ class SymTensor:
     def nnz(self) -> int:
         return len(self.vals)
 
-    def to_entries(self) -> list[list[float]]:
-        return [[*map(int, key), float(v)] for key, v in zip(self.idx, self.vals)]
-
     def force(self, x: np.ndarray) -> np.ndarray:
         """f_i = sum v * x[j] * x[k] (* x[l]), entry by entry."""
         if self.nnz == 0:
@@ -365,20 +362,6 @@ def check_light_damping(alpha_r: float, beta_r: float, omega: float) -> LightDam
         interval, never = (np.nan, np.nan), True
     valid = (alpha_r - 2.0 * omega + beta_r * omega**2) < 0.0
     return LightDampingVerdict(valid=valid, never_satisfied=never, omega_interval=interval)
-
-
-def model_to_json(model: MechModel) -> dict:
-    """Explicit matrix-form descriptor (0-based tensor indices)."""
-    return {
-        "type": "matrix",
-        "n": model.n,
-        "M": model.M.tolist(),
-        "K": model.K.tolist(),
-        "alpha_r": model.alpha_r,
-        "beta_r": model.beta_r,
-        "T2": model.T2.to_entries(),
-        "T3": model.T3.to_entries(),
-    }
 
 
 def model_from_json(desc: dict) -> MechModel:

@@ -161,8 +161,6 @@ class VkBeamSpec:
     """Clamped-clamped beam with a two-harmonic sine heightmap.
 
     width=None means a square cross-section that tracks the thickness.
-    poisson is retained as material metadata; the beam force law uses the
-    Young's modulus directly.
     """
 
     n_elements: int = 10
@@ -172,7 +170,6 @@ class VkBeamSpec:
     a1: float = 0.0
     a2: float = 0.0
     youngs: float = 90e9
-    poisson: float = 0.3
     density: float = 7850.0
     alpha_r: float = 0.0
     beta_r: float = 0.0

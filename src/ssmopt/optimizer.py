@@ -90,6 +90,8 @@ class OptProblem:
             raise ConfigError("bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise ConfigError("lower bounds must be strictly below upper bounds")
+        if np.any((self.mu0 < self.lower) | (self.mu0 > self.upper)):
+            raise ConfigError(f"mu0 = {self.mu0.tolist()} lies outside the bounds [lower, upper]")
         check_objective(self.objective, self.names)
         if (
             not self.backbone_targets
@@ -160,7 +162,6 @@ class EvalResult:
     order: int
     mac: float
     phi: np.ndarray
-    omega0: float
     extrapolated: bool = False  # a target exceeded the validity radius
 
 
@@ -336,7 +337,6 @@ def evaluate(
         order=order if problem.backbone_targets else 0,
         mac=master.mac if master.mac is not None else 1.0,
         phi=master.phi,
-        omega0=master.omega,
         extrapolated=extrapolated,
     )
 

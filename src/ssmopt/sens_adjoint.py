@@ -50,13 +50,11 @@ class AdjointState:
     constraints of the bordered (resonant) solves.
     """
 
-    lambda_rho: float
     lambda_m: dict
     nu_m: dict
     lambda_phi: np.ndarray
     lambda_omega: float
     rho: float
-    dof_index: int
 
     def lam_m(self, m) -> np.ndarray:
         if m in self.lambda_m:
@@ -218,9 +216,10 @@ def solve_adjoint_w(
     """Reverse sweep over the coefficient adjoints, highest order first.
 
     Returns (lambda_m over all indices, nu_m, bars) with the mode-shape and
-    frequency bars accumulated and ready for the final coupled solve. In the
-    default mode only canonical indices are solved and conjugates are
-    implied; full_set solves every index independently (verification path).
+    frequency bars accumulated and ready for the final coupled solve. Only
+    canonical indices are solved and conjugates are implied; full_set=True
+    solves every index independently, the reference that the shortcut is
+    checked against.
     """
     bars = _Bars(model.n)
     _seed_bars(exp, bars, lambda_rho, dof_index, rho)
@@ -285,25 +284,19 @@ def solve_adjoint(
     exp: SsmExpansion,
     dof_index: int,
     rho: float,
-    *,
-    full_set: bool = False,
 ) -> AdjointState:
     """All adjoint variables for Omega at the given reduced amplitude."""
     lambda_rho = solve_adjoint_rho(exp, dof_index, rho)
-    lambda_m, nu_m, bars = solve_adjoint_w(
-        model, exp, lambda_rho, dof_index, rho, full_set=full_set
-    )
+    lambda_m, nu_m, bars = solve_adjoint_w(model, exp, lambda_rho, dof_index, rho)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
     canonical_lm = {m: v for m, v in lambda_m.items() if is_canonical(m)}
     canonical_nu = {m: v for m, v in nu_m.items() if is_canonical(m)}
     return AdjointState(
-        lambda_rho=lambda_rho,
         lambda_m=canonical_lm,
         nu_m=canonical_nu,
         lambda_phi=lambda_phi,
         lambda_omega=lambda_omega,
         rho=rho,
-        dof_index=dof_index,
     )
 
 
@@ -311,8 +304,6 @@ def solve_adjoint(
 class AdjointReport:
     names: tuple[str, ...]
     d_omega: np.ndarray
-    method: str = "adjoint"
-    seconds: float = 0.0
 
 
 def contract_gradient(
@@ -331,7 +322,9 @@ def contract_gradient(
     No linear solves and no dense matrix products appear per parameter, so
     the cost stays nearly independent of the parameter count. Parameters with
     mass/stiffness derivatives get their few extra dense terms in a short
-    scalar loop.
+    scalar loop. The pass walks the canonical indices and mirrors each
+    partial to the swapped index, so a full-set expansion gives the same
+    gradient as the canonical one.
     """
     master = exp.master
     phi = master.phi
@@ -364,8 +357,7 @@ def contract_gradient(
     accum = np.zeros(P, dtype=complex)
 
     for q in range(2, exp.order + 1):
-        targets = all_indices(q) if exp.full_set else canonical_indices(q)
-        for m in targets:
+        for m in canonical_indices(q):
             rec = exp.coeffs(m)
             lam = adjoint.lam_m(m)
             lamM = lam @ M
@@ -422,7 +414,7 @@ def contract_gradient(
             pwdot = (pR[:, 0] + pR[:, 1])[:, None] * phi[None, :] + pV
             prevR[m] = pR
             prevW[m] = pwdot
-            if not exp.full_set and m[0] != m[1]:
+            if m[0] != m[1]:
                 ms = symmetric(m)
                 prevR[ms] = np.conj(pR[:, ::-1])
                 prevW[ms] = np.conj(pwdot)

@@ -32,13 +32,7 @@ import scipy.linalg
 from .backbone import dx_drho, x_harmonics, x_rms
 from .errors import DegenerateModeError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import (
-    all_indices,
-    canonical_indices,
-    decomps,
-    order,
-    symmetric,
-)
+from .multiindex import canonical_indices, decomps, order, symmetric
 from .ssm import RCOND_SINGULAR, SsmExpansion, index_solve, lu_rcond, v_decomps
 
 
@@ -49,10 +43,6 @@ class DirectDerivatives:
     names: tuple[str, ...]
     d_omega: np.ndarray  # dOmega/dmu at fixed target amplitude
     d_rho: np.ndarray
-    d_phi: np.ndarray  # (P, n)
-    d_omega0: np.ndarray  # natural-frequency derivative
-    d_lambda: np.ndarray  # complex eigenvalue derivative
-    d_xi: np.ndarray
 
 
 def solve_mode_bordered(
@@ -129,7 +119,9 @@ def chain_derivatives(
 
     The reported dOmega/dmu holds the observed RMS amplitude constant: the
     reduced-amplitude derivative comes from differentiating the amplitude
-    map at x = const.
+    map at x = const. Each pass walks the canonical indices and mirrors every
+    derivative to the swapped index by conjugation, so a full-set expansion
+    gives the same derivatives as the canonical one.
     """
     master = exp.master
     phi = master.phi
@@ -153,7 +145,7 @@ def chain_derivatives(
     # once per index: the recursion's terms that no parameter changes
     steps = []
     for q in range(2, exp.order + 1):
-        for m in all_indices(q) if exp.full_set else canonical_indices(q):
+        for m in canonical_indices(q):
             rec = exp.coeffs(m)
             decs = [decomps(m, T.arity) for T in tensors]
             prim = [[tuple(exp.w(u) for u in d) for d in ds] for ds in decs]
@@ -171,18 +163,14 @@ def chain_derivatives(
 
     d_omega = np.zeros(P)
     d_rho = np.zeros(P)
-    d_lambda = np.zeros(P, dtype=complex)
-    d_xi = np.zeros(P)
 
     for p in range(P):
         dM, dK = params.dM[p].astype(complex), params.dK[p].astype(complex)
         dCmat = params.dC(p, model).astype(complex)
         dtensors = (params.dT2[p], params.dT3[p])
         domega = domega_all[p]
-        dxi, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
+        _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
         dlam_pair = np.array([dlam, np.conj(dlam)])
-        d_lambda[p] = dlam
-        d_xi[p] = dxi
         # once per parameter: the mode-shape products every index reuses
         dphi = dphi_all[p].astype(complex)
         dMphi, dCphi = dM @ phi, dCmat @ phi
@@ -256,7 +244,7 @@ def chain_derivatives(
                 + (rec.R[0] + rec.R[1]) * dphi
             )
             dcoef[m] = (dw, dwdot, dR)
-            if not exp.full_set and m[0] != m[1]:
+            if m[0] != m[1]:
                 dcoef[symmetric(m)] = _mirror_coeff(dw, dwdot, dR)
 
         # reduced-amplitude derivative at fixed physical amplitude: by
@@ -279,12 +267,4 @@ def chain_derivatives(
         d_omega[p] = assert_real(dOm, "dOmega")
         d_rho[p] = drho
 
-    return DirectDerivatives(
-        names=params.names,
-        d_omega=d_omega,
-        d_rho=d_rho,
-        d_phi=dphi_all,
-        d_omega0=domega_all,
-        d_lambda=d_lambda,
-        d_xi=d_xi,
-    )
+    return DirectDerivatives(names=params.names, d_omega=d_omega, d_rho=d_rho)

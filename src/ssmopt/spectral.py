@@ -101,14 +101,9 @@ def _master_from_mode(
     )
 
 
-def solve_master(
-    model: MechModel,
-    mode_index: int | None = None,
-    reference: np.ndarray | None = None,
-) -> MasterPair:
-    """Master pair selected by mode index or, when given, by a reference shape."""
-    if reference is not None:
-        return track_mode(model, reference)
+def solve_master(model: MechModel, mode_index: int | None = None) -> MasterPair:
+    """Master pair of the given mode index (default 0); `track_mode` selects
+    one by a reference shape instead."""
     omegas, Phi = solve_modes(model)
     i = 0 if mode_index is None else int(mode_index)
     if not 0 <= i < len(omegas):

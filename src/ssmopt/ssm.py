@@ -9,9 +9,11 @@ exactly-singular undamped case is handled by the same path as the lightly
 damped one (for which the bordered and plain solutions coincide).
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
-those at (m1, m2); by default only canonical indices are solved and the rest
-are written by conjugation. `full_set=True` solves every index independently,
-which exists to let tests verify the conjugacy property.
+those at (m1, m2), so only canonical indices are solved and the rest are
+written by conjugation. `compute_ssm(..., full_set=True)` solves every index
+independently instead; it is the reference path against which the conjugacy
+property is checked, and nothing downstream needs it: the sensitivity passes
+walk the canonical indices of either kind of expansion.
 """
 
 from __future__ import annotations
@@ -59,13 +61,11 @@ class IndexCoeffs:
     wdot: np.ndarray
     R: np.ndarray  # shape (2,), complex reduced-dynamics coefficients
     Lam: complex
-    f: np.ndarray
     V: np.ndarray
     Vdot: np.ndarray
     C: np.ndarray
     D: list  # two slots, complex n-vectors where the slot is resonant else None
     slot: int | None  # resonant slot (0 or 1) or None
-    canonical: bool
     lu: tuple | None = None  # LU of L_m, or of the scaled bordered operator
     bordered: bool = False
     border_gamma: float = 0.0
@@ -160,13 +160,11 @@ class SsmExpansion:
                 wdot=lam_j * phi,
                 R=R,
                 Lam=lam_j,
-                f=zero.copy(),
                 V=zero.copy(),
                 Vdot=zero.copy(),
                 C=zero.copy(),
                 D=[None, None],
                 slot=slot,
-                canonical=(m == (1, 0)),
             )
 
     # -- accessors ---------------------------------------------------------
@@ -209,13 +207,11 @@ def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
         wdot=np.conj(rec.wdot),
         R=np.conj(rec.R[::-1]),
         Lam=np.conj(rec.Lam),
-        f=np.conj(rec.f),
         V=np.conj(rec.V),
         Vdot=np.conj(rec.Vdot),
         C=np.conj(rec.C),
         D=D,
         slot=slot,
-        canonical=False,
     )
 
 
@@ -265,8 +261,8 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     L = (K + Lam * Cmat + Lam**2 * M).astype(complex)
     if slot is None:
         lu = _factor_with_rcond(L, m)
-        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, f, V,
-                          Vdot, C_m, D, slot, canonical=True, lu=lu, bordered=False)
+        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
+                          C_m, D, slot, lu=lu, bordered=False)
         w, _ = index_solve(rec, h)
     else:
         # Bordered operator: the reduced coefficient removed the master
@@ -286,9 +282,8 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         B[:n, n] = gamma * c
         B[n, :n] = gamma * c
         lu = _factor_with_rcond(B, m)
-        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, f, V,
-                          Vdot, C_m, D, slot, canonical=True, lu=lu, bordered=True,
-                          border_gamma=gamma)
+        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
+                          C_m, D, slot, lu=lu, bordered=True, border_gamma=gamma)
         w, _ = index_solve(rec, h)
 
     # h can be a round-off-level difference of large terms (e.g. a 1-DOF
@@ -308,7 +303,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         # dropping the roundoff imaginary part makes the conjugacy invariant
         # hold by construction
         w = w.real.astype(complex)
-        for arr in (rec.f, rec.V, rec.Vdot, rec.C):
+        for arr in (rec.V, rec.Vdot, rec.C):
             arr.imag = 0.0
 
     rec.w = w
@@ -328,6 +323,8 @@ def compute_ssm(
 
     Passing a lower-order expansion extends it: the recursion is lower
     triangular in order, so existing coefficients are reused unchanged.
+    full_set=True solves the swapped indices too instead of conjugating; it
+    is only the reference for the conjugacy checks.
     """
     if order_ < 3 or order_ % 2 == 0:
         raise ValueError(f"expansion order must be odd and >= 3, got {order_}")
@@ -343,8 +340,6 @@ def compute_ssm(
         targets = all_indices(q) if full_set else canonical_indices(q)
         for m in targets:
             rec = order_step(model, exp, m)
-            if full_set:
-                rec.canonical = m[0] >= m[1]
             exp.data[m] = rec
             if not full_set and m[0] != m[1]:
                 exp.data[symmetric(m)] = _conjugate_record(rec)

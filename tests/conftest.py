@@ -1,3 +1,14 @@
+import os
+import sys
+
+# Tier-1 runs with one BLAS thread. Criterion 8's timing gates compare a
+# direct call of about 10 ms with one of about 0.5 s, and with OpenBLAS free
+# to spread small solves over every CPU, a second busy process makes the
+# small call several times slower. The thread count is read when numpy loads,
+# so it must be set before anything imports numpy.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from ssmopt import compute_ssm, solve_master

@@ -32,12 +32,6 @@ class TestOmegaOfRho:
         assert exp.R((2, 1))[0].imag > 0
         assert omega_of_rho(exp, 0.2) > omega_of_rho(exp, 0.1) > duffing_master.omega_d
 
-    def test_forms_agree(self, chain2_exp5):
-        for rho in (0.0, 0.1, 0.37):
-            a = omega_of_rho(chain2_exp5, rho, form="compact")
-            b = omega_of_rho(chain2_exp5, rho, form="paired")
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
 
 class TestXrms:
     def test_leading_order_only_gives_sqrt2_rho(self, linear_chain):

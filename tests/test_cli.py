@@ -149,6 +149,7 @@ class TestBackboneCommand:
             ("n_elements", {"type": "vk_beam", "n_elements": 0}),
             ("model/type", {"type": "spring"}),
             ("'params' was unexpected", {"type": "matrix", "n": 1, "M": [[1.0]], "K": [[1.0]], "params": []}),
+            ("'poisson' was unexpected", {"type": "vk_beam", "poisson": 0.3}),  # read by nothing
         ],
     )
     def test_bad_model_block_names_the_key(self, tmp_path, capsys, field, model):
@@ -159,6 +160,30 @@ class TestBackboneCommand:
         assert err.startswith("config error: ") and field in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_out_key_rejected(self, tmp_path, capsys):
+        # the output directory comes from --out alone
+        cfg = {"model": CHAIN_MODEL, "backbone": {"dof": 1, "x_targets": [0.1]}, "out": "o2"}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'out' was unexpected" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("backbone", {"model": CHAIN_MODEL}),
+            ("sens", {"model": CHAIN_MODEL}),
+            ("optimize", {"model": CHAIN_MODEL}),
+            ("backbone", {"backbone": {"dof": 1, "x_targets": [0.1]}}),
+        ],
+    )
+    def test_missing_block_rejected(self, tmp_path, capsys, command, cfg):
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "block" in err
+        assert "Traceback" not in err
 
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = {
@@ -300,6 +325,18 @@ class TestOptimizeInputs:
                 opt_case(model={"type": "matrix", "n": 1, "M": [[1.0]], "K": [[1.0]]}),
             ),
             ("optimize needs design parameters", opt_case(model=dict(CHAIN_MODEL, params=[]))),
+            ("constraints[0].omega", opt_case(constraint={"omega": float("nan")})),
+            ("constraints[0].omega", opt_case(constraint={"omega": float("inf")})),
+            ("tolerances.constraint_tol", opt_case(tolerances={"constraint_tol": float("nan")})),
+            ("tolerances.constraint_tol", opt_case(tolerances={"constraint_tol": -1.0})),
+            ("tolerances.step_tol", opt_case(tolerances={"step_tol": float("nan")})),
+            ("objective.value", opt_case(objective={"type": "constant", "value": float("nan")})),
+            (
+                "objective.coeffs.k3",
+                opt_case(objective={"type": "linear", "coeffs": {"k3": float("nan")}}),
+            ),
+            ("mu0", opt_case(mu0=[float("nan")])),
+            ("mu0", opt_case(mu0=[5.0])),  # outside the bounds [-1, 1]
         ],
     )
     def test_bad_optimize_input_exit_code(self, tmp_path, capsys, field, cfg):
@@ -323,15 +360,18 @@ class TestOptimizeInputs:
 
 
 def test_defaults_are_schema_properties():
-    """Every default the CLI fills in is a key the schema accepts."""
+    """Every default the CLI fills in is a key the schema accepts, with a
+    value the schema accepts."""
     blocks = config.CONFIG_SCHEMA["properties"]
     tolerances = blocks["optimize"]["properties"]["tolerances"]["properties"]
     for defaults, props in (
         (cli.BACKBONE_DEFAULTS, blocks["backbone"]["properties"]),
         (cli.SENS_DEFAULTS, blocks["sens"]["properties"]),
-        ({f.name for f in dataclasses.fields(optimizer.OptTolerances)}, tolerances),
+        ({f.name: f.default for f in dataclasses.fields(optimizer.OptTolerances)}, tolerances),
     ):
         assert set(defaults) <= set(props)
+        for key, value in defaults.items():
+            assert config.ConfigValidator(props[key]).is_valid(value), key
 
 
 class TestBenchCommand:

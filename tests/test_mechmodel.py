@@ -1,11 +1,10 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ssmopt import MechModel, SymTensor, check_light_damping, model_from_json, model_to_json
+from ssmopt import MechModel, SymTensor, check_light_damping
 from ssmopt.errors import ModelError
 from ssmopt.multiindex import all_indices, decomps
 
@@ -277,14 +276,3 @@ class TestValidation:
         with pytest.raises(ModelError):
             MechModel(np.eye(2), K, 0.0, 0.0, SymTensor.empty(2, 2), SymTensor.empty(2, 3))
 
-
-def test_json_descriptor_round_trip(chain2):
-    model, _ = chain2
-    desc = json.loads(json.dumps(model_to_json(model)))
-    back = model_from_json(desc)
-    assert np.array_equal(back.M, model.M)
-    assert np.array_equal(back.K, model.K)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        x = rng.normal(size=2)
-        assert np.allclose(back.nonlinear_force(x), model.nonlinear_force(x), atol=1e-15)

@@ -1,12 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ssmopt import compute_ssm, omega_of_rho, solve_master
+from ssmopt import compute_ssm, omega_of_rho, solve_master, track_mode
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.models import (
+    FAMILIES,
     ChainSpec,
     VkBeamSpec,
     build_chain,
@@ -128,7 +129,7 @@ class TestVkBeam:
         def omega_at(mu):
             spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
             model = build_vk_beam(spec, ())[0]
-            return solve_master(model, 0, reference=beam_master.phi).omega
+            return track_mode(model, beam_master.phi).omega
 
         _, ratio = fd_gradient_richardson(omega_at, mu0, rel_step=1e-4)
         # consistency: extrapolation agrees with the fine step far better
@@ -144,7 +145,7 @@ class TestVkBeam:
         def omega_at(mu):
             spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
             m = build_vk_beam(spec, ())[0]
-            return solve_master(m, 0, reference=beam_master.phi).omega
+            return track_mode(m, beam_master.phi).omega
 
         mu0 = np.array([0.0, 0.0, beam_spec.thickness, beam_spec.length])
         fd = fd_gradient(omega_at, mu0)
@@ -173,3 +174,31 @@ class TestCatalog:
         model, params = duffing
         assert model.n == 1 and params.names == ("k", "k3")
         assert solve_master(model, 0).lam == 1j
+
+
+def _moved(value):
+    """A spec value changed: integers +1, floats x1.1 (or 0.001 from 0), and
+    a None width set to 0.02."""
+    if value is None:
+        return 0.02
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.1 if value else 0.001
+
+
+def _operators(model):
+    return (model.M, model.K, model.T2.idx, model.T2.vals, model.T3.idx, model.T3.vals,
+            model.alpha_r, model.beta_r)
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(kind, f.name) for kind, fam in FAMILIES.items() for f in fields(fam.spec)]
+)
+def test_every_spec_field_changes_the_model(kind, field):
+    """A spec field that the builder never reads would be an inert config key."""
+    family = FAMILIES[kind]
+    spec = family.spec()
+    base = family.build(spec, ())[0]
+    moved = family.build(replace(spec, **{field: _moved(getattr(spec, field))}), ())[0]
+    same = [np.array_equal(a, b) for a, b in zip(_operators(base), _operators(moved))]
+    assert not all(same)

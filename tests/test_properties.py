@@ -143,3 +143,36 @@ def test_amplitude_scaling_law():
 
     passed, typed = outcomes(check)
     assert passed >= N_MODELS // 2, typed
+
+
+def test_canonical_equals_full_set():
+    """The full-set expansion solves every swapped index instead of
+    conjugating the canonical one. Its records agree with the canonical
+    expansion's, and so do the gradients both sensitivity passes take on it:
+    the passes walk the canonical indices of either kind of expansion."""
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def gradients(model, params, exp, dof, rho):
+        adj = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params)
+        return adj.d_omega, chain_derivatives(model, exp, params, dof, rho).d_omega
+
+    def check(seed):
+        model, params, _ = random_case(seed)
+        master = solve_master(model, 0)
+        canonical = compute_ssm(model, master, 5)
+        full = compute_ssm(model, master, 5, full_set=True)
+        assert full.data.keys() == canonical.data.keys()
+        for m, rec in canonical.data.items():
+            for name in ("w", "wdot", "R"):
+                assert close(getattr(full.data[m], name), getattr(rec, name)), (seed, m, name)
+        dof = model.n - 1
+        rho = rho_of_x(canonical, dof, 0.5 * x_rms(canonical, dof, _validity_cap(canonical, dof)))
+        want = gradients(model, params, canonical, dof, rho)
+        got = gradients(model, params, full, dof, rho)
+        for g, w, method in zip(got, want, ("adjoint", "direct")):
+            assert close(g, w), (seed, method)
+
+    passed, typed = outcomes(check)
+    assert passed >= N_MODELS // 2, typed
