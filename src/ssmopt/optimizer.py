@@ -30,7 +30,6 @@ import numpy as np
 
 from .backbone import domega_drho, dx_drho, omega_of_rho, rho_of_x
 from .errors import AmplitudeUnreachableError, ConfigError, SsmOptError
-from .mechmodel import MechModel, ParamDerivatives
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
 from .spectral import solve_modes, track_mode

@@ -2,11 +2,15 @@
 
 The Lagrangian couples the response frequency with the amplitude map, the
 cohomological equations, the eigenproblem and the mass normalization. Adjoint
-variables are obtained by a reverse sweep: the amplitude adjoint first, then
+variables are obtained by one reverse sweep: the amplitude adjoint first, then
 the per-index vectors from the highest order downward (reusing the primal
 factorizations; the operators are complex symmetric), finally a coupled
-bordered real system for the mode-shape/frequency pair. Per-parameter cost is
-a contraction with the explicit operator derivatives: no extra linear solves.
+bordered real system for the mode-shape/frequency pair. The sweep carries
+every cross-order coupling backward, including the total bar of each resonant
+reduced coefficient R_m, which it keeps. The gradient is then one local
+contraction per index: the explicit operator derivatives at that index,
+weighted by its lambda_m, nu_m and R bar, plus the eigenproblem terms. No
+linear solves and no cross-order sums appear per parameter.
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
@@ -45,27 +49,19 @@ from .ssm import SsmExpansion, index_solve, v_decomps
 class AdjointState:
     """Adjoint variables of the fixed-amplitude frequency response.
 
-    lambda_m holds the canonical half; values at swapped indices are the
-    elementwise conjugates. nu_m are the scalars adjoint to the orthogonality
-    constraints of the bordered (resonant) solves.
+    All dicts hold the canonical half; the swapped index carries the
+    elementwise conjugate. lambda_m are adjoint to the cohomological
+    equations, nu_m to the orthogonality constraints of the bordered
+    (resonant) solves, and r_bar_m is the total bar of the resonant reduced
+    coefficient R_m[slot] that the reverse sweep collected from every
+    higher-order coupling and from the frequency seeds.
     """
 
     lambda_m: dict
     nu_m: dict
+    r_bar: dict
     lambda_phi: np.ndarray
     lambda_omega: float
-    rho: float
-
-    def lam_m(self, m) -> np.ndarray:
-        if m in self.lambda_m:
-            return self.lambda_m[m]
-        return np.conj(self.lambda_m[symmetric(m)])
-
-    def nu(self, m) -> complex:
-        if m in self.nu_m:
-            return self.nu_m[m]
-        ms = symmetric(m)
-        return np.conj(self.nu_m[ms]) if ms in self.nu_m else 0.0
 
 
 @dataclass
@@ -175,7 +171,9 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     if rec.slot is not None:
         j = rec.slot
         den = rec.Lam + master.lambda_pair[j] + model.alpha_r + model.beta_r * master.omega**2
-        g = bars.R.pop(m, np.zeros(2, complex))[j]
+        # final here: every reader of R_m lies above m's order or at m
+        # itself; solve_adjoint keeps it as r_bar for the contraction
+        g = bars.rbar(m)[j]
         if g != 0.0:
             bar_c += (g / den) * phi
             bars.phi += (g / den) * rec.C
@@ -289,14 +287,13 @@ def solve_adjoint(
     lambda_rho = solve_adjoint_rho(exp, dof_index, rho)
     lambda_m, nu_m, bars = solve_adjoint_w(model, exp, lambda_rho, dof_index, rho)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
-    canonical_lm = {m: v for m, v in lambda_m.items() if is_canonical(m)}
-    canonical_nu = {m: v for m, v in nu_m.items() if is_canonical(m)}
+    slots = {m: exp.coeffs(m).slot for m in lambda_m if is_canonical(m)}
     return AdjointState(
-        lambda_m=canonical_lm,
-        nu_m=canonical_nu,
+        lambda_m={m: lambda_m[m] for m in slots},
+        nu_m={m: nu_m[m] for m in slots if m in nu_m},
+        r_bar={m: bars.R[m][j] for m, j in slots.items() if j is not None},
         lambda_phi=lambda_phi,
         lambda_omega=lambda_omega,
-        rho=rho,
     )
 
 
@@ -314,24 +311,28 @@ def contract_gradient(
 ) -> AdjointReport:
     """dOmega/dmu for every design variable from the solved adjoint state.
 
-    One ascending pass of explicit operator-derivative contractions,
-    vectorized across the parameters: the force-tensor derivatives of all
-    parameters are stacked into one tensor per arity (`params.stacked`,
-    built once per `ParamDerivatives`), the per-index partials are
-    (P, n) arrays, and the adjoint vectors enter through cached row products.
-    No linear solves and no dense matrix products appear per parameter, so
-    the cost stays nearly independent of the parameter count. Parameters with
-    mass/stiffness derivatives get their few extra dense terms in a short
-    scalar loop. The pass walks the canonical indices and mirrors each
-    partial to the swapped index, so a full-set expansion gives the same
-    gradient as the canonical one.
+    The reverse sweep has already carried every cross-order coupling, so each
+    index adds only its local explicit operator derivatives, weighted by
+    lambda_m, nu_m and the R bar. With bar_C = -lambda_m + (r_bar_m/den) phi,
+    the total bar of C_m (its second term only at a resonant index), the
+    index's term is
+
+        bar_C . (-df_m - dM Vdot_m - (Lam_m dM + dC) V_m)
+        + lambda_m . (dK + Lam_m dC + Lam_m^2 dM) w_m
+        + R_m[j] lambda_m . ((Lam_m + lambda_j) dM + dC) phi + nu_m phi^T dM w_m.
+
+    The force-tensor derivatives of all parameters are stacked into one
+    tensor per arity (`params.stacked`, built once per `ParamDerivatives`),
+    so df_m . bar_C is one contraction per arity for all parameters;
+    parameters with mass/stiffness derivatives get their dense terms in a
+    short scalar loop. No linear solves appear. The pass walks the canonical
+    indices and adds each term's conjugate for the swapped index, so a
+    full-set expansion gives the same gradient as the canonical one.
     """
     master = exp.master
     phi = master.phi
-    rho = adjoint.rho
     n = model.n
     P = params.count
-    M, Cmat = model.M, model.damping()
     lam_pair = master.lambda_pair
     shift = model.alpha_r + model.beta_r * master.omega**2
 
@@ -342,96 +343,43 @@ def contract_gradient(
     ]
     dC = {p: params.dC(p, model) for p in matrix_params}
 
-    def pf_all(m):
-        out = np.zeros((P, n), dtype=complex)
-        for T in params.stacked:
-            args = [tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)]
-            out += T.contract_sum(args).reshape(P, n)
-        return out
-
-    phiM = phi @ M
-    phiC = phi @ Cmat
-    zero_pn = np.zeros((P, n), dtype=complex)
-    prevR = {(1, 0): np.zeros((P, 2), complex), (0, 1): np.zeros((P, 2), complex)}
-    prevW = {(1, 0): zero_pn, (0, 1): zero_pn}
     accum = np.zeros(P, dtype=complex)
-
     for q in range(2, exp.order + 1):
         for m in canonical_indices(q):
             rec = exp.coeffs(m)
-            lam = adjoint.lam_m(m)
-            lamM = lam @ M
-            lamLC = rec.Lam * lamM + lam @ Cmat
-            phiLC = rec.Lam * phiM + phiC
-
-            pf = pf_all(m)
-            pV = np.zeros((P, n), dtype=complex)
-            pVdot = np.zeros((P, n), dtype=complex)
-            for u, j, k in v_decomps(m, exp.r_orders()):
-                pRkj = prevR[k][:, j]
-                pV += u[j] * pRkj[:, None] * exp.w(u)[None, :]
-                pVdot += u[j] * (
-                    prevW[u] * exp.R(k)[j] + pRkj[:, None] * exp.wdot(u)[None, :]
-                )
-
-            # phi^T pC and lambda^T ph without forming pC / ph
-            phi_pC = -(pVdot @ phiM) - (pV @ phiLC) - (pf @ phi)
-            lam_pC = -(pVdot @ lamM) - (pV @ lamLC) - (pf @ lam)
-            for p in matrix_params:
-                extra = (
-                    -params.dM[p] @ rec.Vdot
-                    - (rec.Lam * params.dM[p] + dC[p]) @ rec.V
-                )
-                phi_pC[p] += phi @ extra
-                lam_pC[p] += lam @ extra
-
-            pR = np.zeros((P, 2), dtype=complex)
-            lam_ph = lam_pC.copy()
-            if rec.slot is not None:
-                j = rec.slot
+            lam = adjoint.lambda_m[m]
+            j = rec.slot
+            bar_c = -lam
+            if j is not None:
                 den = rec.Lam + lam_pair[j] + shift
-                pR[:, j] = phi_pC / den
-                lamD = lam @ rec.D[j]
-                lam_ph += lamD * pR[:, j]
-                for p in matrix_params:
-                    pD = -((rec.Lam + lam_pair[j]) * params.dM[p] + dC[p]) @ phi
-                    lam_ph[p] += (lam @ pD) * rec.R[j]
+                bar_c = bar_c + (adjoint.r_bar[m] / den) * phi
 
-            lam_pLw = np.zeros(P, dtype=complex)
+            pf = np.zeros(P * n, dtype=complex)
+            for T in params.stacked:
+                pf += T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
+            term = -(pf.reshape(P, n) @ bar_c)
+
             for p in matrix_params:
-                pLw = (
-                    params.dK[p] + rec.Lam * dC[p] + rec.Lam**2 * params.dM[p]
-                ) @ rec.w
-                lam_pLw[p] = lam @ pLw
-
-            term = lam_pLw - lam_ph
-            if rec.bordered:
-                nu = adjoint.nu(m)
-                for p in matrix_params:
-                    term[p] += nu * (phi @ (params.dM[p] @ rec.w))
+                dM = params.dM[p]
+                pC = -dM @ rec.Vdot - (rec.Lam * dM + dC[p]) @ rec.V
+                pL = params.dK[p] + rec.Lam * dC[p] + rec.Lam**2 * dM
+                term[p] += bar_c @ pC + lam @ (pL @ rec.w)
+                if j is not None:
+                    term[p] += rec.R[j] * (lam @ (((rec.Lam + lam_pair[j]) * dM + dC[p]) @ phi))
+                if rec.bordered:
+                    term[p] += adjoint.nu_m[m] * (phi @ (dM @ rec.w))
             accum += term
-
-            pwdot = (pR[:, 0] + pR[:, 1])[:, None] * phi[None, :] + pV
-            prevR[m] = pR
-            prevW[m] = pwdot
             if m[0] != m[1]:
-                ms = symmetric(m)
-                prevR[ms] = np.conj(pR[:, ::-1])
-                prevW[ms] = np.conj(pwdot)
                 accum += np.conj(term)
 
-    p_omega = np.zeros(P, dtype=complex)
-    for q, a in exp.r1_terms():
-        p_omega += 0.5j * (prevR[symmetric(a)][:, 1] - prevR[a][:, 0]) * rho ** (q - 1)
-    total = p_omega + accum
     for p in matrix_params:
-        total[p] += adjoint.lambda_phi @ (
+        accum[p] += adjoint.lambda_phi @ (
             (params.dK[p] - master.omega**2 * params.dM[p]) @ phi
         )
-        total[p] += adjoint.lambda_omega * (phi @ (params.dM[p] @ phi))
+        accum[p] += adjoint.lambda_omega * (phi @ (params.dM[p] @ phi))
     d_omega = np.array(
         [
-            assert_real(total[p], f"gradient for parameter {params.names[p]!r}")
+            assert_real(accum[p], f"gradient for parameter {params.names[p]!r}")
             for p in range(P)
         ]
     )

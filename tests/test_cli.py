@@ -221,6 +221,20 @@ class TestSensCommand:
         blk = json.loads((out / "sens_fd_check.json").read_text())
         assert blk["max_rel_err_adjoint"] <= 1e-5
 
+    def test_verify_fd_is_normwise(self, tmp_path):
+        # d/da2 of the curved beam is ~3e-10 against ~5e-5 of central-FD
+        # noise: a componentwise error would read ~1 for agreeing gradients
+        cfg = {
+            "model": {"type": "vk_beam", "n_elements": 4, "a1": 0.001, "params": ["a1", "a2", "h", "L"]},
+            "sens": {"dof": 4, "x0": 0.002, "methods": ["adjoint", "direct"], "order": 5},
+        }
+        out = tmp_path / "fd"
+        rc = main(["sens", "--config", write_config(tmp_path, cfg), "--out", str(out), "--verify-fd"])
+        assert rc == 0
+        blk = json.loads((out / "sens_fd_check.json").read_text())
+        assert blk["max_rel_err_adjoint"] <= 1e-5
+        assert blk["max_rel_err_direct"] <= 1e-5
+
     @pytest.mark.parametrize(
         "field, fields",
         [

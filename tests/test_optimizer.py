@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
-from ssmopt.errors import ConfigError, OuterResonanceError
+from ssmopt.backbone import domega_drho, dx_drho
+from ssmopt.errors import AmplitudeUnreachableError, ConfigError, OuterResonanceError
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.optimizer import (
     BackboneTarget,
@@ -128,6 +129,36 @@ class TestEvaluate:
         res = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
         assert abs(res.constraints[0]) <= 1e-12
         assert res.con_jac[0, 0] == 0.0  # k3 does not move the linear spectrum
+
+    def test_target_past_validity_cap_is_extrapolated(self):
+        # at order 3 the validity cap of chain2 is x_rms = 1.84 at dof 1: the
+        # constraint continues linearly in amplitude from the cap
+        model, _ = chain_builder([0.2])
+        master = solve_master(model, 0)
+        exp = compute_ssm(model, master, 3)
+        x = 2.0
+        with pytest.raises(AmplitudeUnreachableError) as info:
+            rho_of_x(exp, 1, x)
+        cap = info.value
+        slope = domega_drho(exp, cap.rho_cap) / dx_drho(exp, 1, cap.rho_cap)
+        want = (omega_of_rho(exp, cap.rho_cap) + slope * (x - cap.x_max) - master.omega) / master.omega
+        prob = OptProblem(
+            builder=chain_builder,
+            names=("k3",),
+            mu0=np.array([0.2]),
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            objective={"type": "constant"},
+            backbone_targets=(BackboneTarget(1, x, master.omega),),
+        )
+        jac = {}
+        for method in ("adjoint", "direct"):
+            res = evaluate(prob, prob.mu0, order=3, reference=master.phi,
+                           omega_scale=master.omega, method=method)
+            assert res.extrapolated
+            assert res.constraints[0] == pytest.approx(want, rel=1e-12)
+            jac[method] = res.con_jac[0, 0]
+        assert jac["adjoint"] == pytest.approx(jac["direct"], rel=1e-8)
 
 
 class TestSolve:
