@@ -256,7 +256,6 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
         rho_hi = min(rho_hi * 1.5, cap)
         x_hi = x_rms(exp, dof_index, rho_hi)
     rho_lo = 0.0
-    x_lo = 0.0
 
     rho = rho_hi * min(1.0, x0 / x_hi)
     for _ in range(200):
@@ -264,7 +263,7 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
         if abs(x - x0) <= RHO_X_RTOL * x0:
             return rho
         if x < x0:
-            rho_lo, x_lo = rho, x
+            rho_lo = rho
         else:
             rho_hi, x_hi = rho, x
         slope = dx_drho(exp, dof_index, rho)

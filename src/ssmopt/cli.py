@@ -142,7 +142,7 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
-    names, mu0, builder = _resolve_design(cfg, "sens")
+    _, mu0, builder = _resolve_design(cfg, "sens")
     model, params = builder(mu0)
     block = SENS_DEFAULTS | cfg["sens"]
     _check_block("sens", block, model.n)

@@ -25,10 +25,6 @@ def symmetric(m: MultiIndex) -> MultiIndex:
     return (m[1], m[0])
 
 
-def is_canonical(m: MultiIndex) -> bool:
-    return m[0] >= m[1]
-
-
 def all_indices(order_: int) -> list[MultiIndex]:
     """All order_+1 multi-indices at the given order, m1 descending."""
     if order_ < 1:

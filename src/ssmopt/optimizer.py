@@ -276,7 +276,6 @@ def evaluate(
     method: str = "adjoint",
 ) -> EvalResult:
     """Objective, scaled constraints and their gradients at one design point."""
-    tol = problem.tolerances
     model, params = problem.builder(mu)
     master = track_mode(model, reference)
     obj, obj_grad = objective_value_grad(problem.objective, problem.names, mu)
@@ -520,7 +519,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             if res_try is not None:
                 f_t, g_t, c_t, J_t = localize(res_try)
                 if merit(f_t, c_t, sigma) <= phi0 - 1e-4 * alpha * max(pred, 0.0):
-                    accepted = (z_try, res_try, f_t, g_t, c_t, J_t)
+                    accepted = (z_try, res_try, g_t, J_t)
                     break
             alpha *= 0.5
 
@@ -547,7 +546,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             message = "merit line search stalled"
             break
 
-        z_new, res_new, f_n, g_n, c_n, J_n = accepted
+        z_new, res_new, g_n, J_n = accepted
         step = float(np.abs(z_new - z).max())
         lam_n = multipliers(g_n, J_n)
         grad_L = g + (J.T @ lam_n if lam_n.size else 0.0)

@@ -12,6 +12,16 @@ contraction per index: the explicit operator derivatives at that index,
 weighted by its lambda_m, nu_m and R bar, plus the eigenproblem terms. No
 linear solves and no cross-order sums appear per parameter.
 
+The sweep is the reverse of the program the primal runs: one cohomological
+step per canonical index (m1 >= m2) and a conjugate copy for the swapped
+index. It walks the canonical indices only. The reverse of the copy is a
+fold: the bars pushed to the swapped index reach the canonical one
+conjugated (with the two R slots exchanged) before the canonical step is
+reversed. A self-symmetric index (m1 = m2) and the objective are their own
+mirrors, so their pushes enter at half weight and the fold restores them;
+the mode shape and the frequency fold to bar + conj(bar), the eigenvalue
+pair to bar_0 + conj(bar_1).
+
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
 convolution at each index is pulled back in one call per tensor
@@ -33,14 +43,7 @@ import numpy as np
 from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
 from .errors import TurningPointError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import (
-    all_indices,
-    canonical_indices,
-    decomps,
-    is_canonical,
-    order,
-    symmetric,
-)
+from .multiindex import canonical_indices, decomps, order, symmetric
 from .sens_direct import lambda_derivative, solve_mode_bordered
 from .ssm import SsmExpansion, index_solve, v_decomps
 
@@ -91,6 +94,18 @@ class _Bars:
             self.R[m] = np.zeros(2, dtype=complex)
         return self.R[m]
 
+    def fold(self, store: dict, m) -> np.ndarray:
+        """Pop the total bar of canonical m from store.
+
+        The swapped index's record is the conjugate copy of m's, so the bar
+        pushed to it arrives conjugated. A self-symmetric index is its own
+        copy: its total is bar + conj(bar).
+        """
+        zero = np.zeros(self.n, dtype=complex)
+        own = store.pop(m, zero)
+        mirror = own if m[0] == m[1] else store.pop(symmetric(m), zero)
+        return own + np.conj(mirror)
+
 
 def solve_adjoint_rho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
     """Amplitude adjoint: -(dOmega/drho)/(dx/drho)."""
@@ -101,28 +116,28 @@ def solve_adjoint_rho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
 
 
 def _seed_bars(exp, bars: _Bars, lambda_rho: float, dof_index: int, rho: float):
+    """Seeds of the objective at half weight: it is its own mirror, so the
+    fold of each bar restores the other half."""
     # frequency seeds (conjugate-pair difference form)
-    bars.lam[0] += -0.5j
-    bars.lam[1] += +0.5j
+    bars.lam[0] += -0.25j
+    bars.lam[1] += +0.25j
     for q, a in exp.r1_terms():
-        bars.rbar(a)[0] += -0.5j * rho ** (q - 1)
-        bars.rbar(symmetric(a))[1] += +0.5j * rho ** (q - 1)
+        bars.rbar(a)[0] += -0.25j * rho ** (q - 1)
+        bars.rbar(symmetric(a))[1] += +0.25j * rho ** (q - 1)
     # amplitude seeds: by Parseval x**2 = sum_d c_d c_{-d}, so
     # dx / dw_m[dof] = rho**|m| c_{-d} / x with d = m1 - m2
     x = x_rms(exp, dof_index, rho)
     c = x_harmonics(exp, dof_index, rho)
     for m in exp.data:
-        coef = lambda_rho / x * rho ** order(m) * c[exp.order + m[1] - m[0]]
+        coef = 0.5 * lambda_rho / x * rho ** order(m) * c[exp.order + m[1] - m[0]]
         if order(m) == 1:
             bars.phi[dof_index] += coef
         else:
             bars.vec(bars.w, m)[dof_index] += coef
 
 
-def _backprop_wdot(exp, bars: _Bars, m, rec):
-    b = bars.wdot.pop(m, None)
-    if b is None:
-        return
+def _backprop_wdot(exp, bars: _Bars, m, rec, b):
+    """Reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the bar b."""
     bars.vec(bars.w, m)[:] += rec.Lam * b
     if rec.slot is not None:
         bars.rbar(m)[rec.slot] += b @ exp.master.phi
@@ -202,60 +217,6 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
             _route_force_bar(exp, bars, u, bar_u)
 
 
-def solve_adjoint_w(
-    model: MechModel,
-    exp: SsmExpansion,
-    lambda_rho: float,
-    dof_index: int,
-    rho: float,
-    *,
-    full_set: bool = False,
-):
-    """Reverse sweep over the coefficient adjoints, highest order first.
-
-    Returns (lambda_m over all indices, nu_m, bars) with the mode-shape and
-    frequency bars accumulated and ready for the final coupled solve. Only
-    canonical indices are solved and conjugates are implied; full_set=True
-    solves every index independently, the reference that the shortcut is
-    checked against.
-    """
-    bars = _Bars(model.n)
-    _seed_bars(exp, bars, lambda_rho, dof_index, rho)
-
-    lambda_m: dict = {}
-    nu_m: dict = {}
-    for q in range(exp.order, 1, -1):
-        idx_q = all_indices(q)
-        for m in idx_q:
-            _backprop_wdot(exp, bars, m, exp.coeffs(m))
-        for m in idx_q:
-            if not is_canonical(m) and not full_set:
-                continue
-            rhs = -bars.w.pop(m, np.zeros(model.n, complex))
-            rec_solve = exp.coeffs(m)
-            if rec_solve.lu is not None:
-                lam, extra = index_solve(rec_solve, rhs)
-            else:
-                # conjugate record: L at the swapped index is the conjugate
-                # operator, so solve with the canonical factorization
-                rec_solve = exp.coeffs(symmetric(m))
-                lam, extra = index_solve(rec_solve, np.conj(rhs))
-                lam, extra = np.conj(lam), np.conj(extra)
-            lambda_m[m] = lam
-            if rec_solve.bordered:
-                nu_m[m] = extra
-            if not full_set and m[0] != m[1]:
-                ms = symmetric(m)
-                lambda_m[ms] = np.conj(lam)
-                if rec_solve.bordered:
-                    nu_m[ms] = np.conj(extra)
-        for m in idx_q:
-            _backprop_index(
-                model, exp, bars, m, exp.coeffs(m), lambda_m[m], nu_m.get(m, 0.0)
-            )
-    return lambda_m, nu_m, bars
-
-
 def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):
     """Coupled bordered solve for the mode-shape and frequency adjoints."""
     master = exp.master
@@ -283,18 +244,41 @@ def solve_adjoint(
     dof_index: int,
     rho: float,
 ) -> AdjointState:
-    """All adjoint variables for Omega at the given reduced amplitude."""
-    lambda_rho = solve_adjoint_rho(exp, dof_index, rho)
-    lambda_m, nu_m, bars = solve_adjoint_w(model, exp, lambda_rho, dof_index, rho)
+    """All adjoint variables for Omega at the given reduced amplitude.
+
+    One reverse sweep over the canonical indices, highest order first; each
+    index folds in its mirror's bars, solves with its own factorization and
+    reverses its step. The folded mode-shape and frequency bars then feed
+    the coupled bordered solve.
+    """
+    bars = _Bars(model.n)
+    _seed_bars(exp, bars, solve_adjoint_rho(exp, dof_index, rho), dof_index, rho)
+
+    lambda_m: dict = {}
+    nu_m: dict = {}
+    for q in range(exp.order, 1, -1):
+        for m in canonical_indices(q):
+            rec = exp.coeffs(m)
+            # a self-symmetric index is its own mirror: the folds double what
+            # it pushes, so it pushes at half weight, and its w_m is folded
+            # only after its own wdot step has pushed to it
+            wt = 0.5 if m[0] == m[1] else 1.0
+            _backprop_wdot(exp, bars, m, rec, wt * bars.fold(bars.wdot, m))
+            lam, nu = index_solve(rec, -bars.fold(bars.w, m))
+            lambda_m[m] = lam
+            if rec.slot is not None:
+                nu_m[m] = nu
+                # the swapped R pair is this one conjugated, slots exchanged
+                bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
+            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
+
+    # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
+    bars.phi += np.conj(bars.phi)
+    bars.lam += np.conj(bars.lam[::-1])
+    bars.omega += np.conj(bars.omega)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
-    slots = {m: exp.coeffs(m).slot for m in lambda_m if is_canonical(m)}
-    return AdjointState(
-        lambda_m={m: lambda_m[m] for m in slots},
-        nu_m={m: nu_m[m] for m in slots if m in nu_m},
-        r_bar={m: bars.R[m][j] for m, j in slots.items() if j is not None},
-        lambda_phi=lambda_phi,
-        lambda_omega=lambda_omega,
-    )
+    r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
+    return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 
 @dataclass
@@ -366,7 +350,6 @@ def contract_gradient(
                 term[p] += bar_c @ pC + lam @ (pL @ rec.w)
                 if j is not None:
                     term[p] += rec.R[j] * (lam @ (((rec.Lam + lam_pair[j]) * dM + dC[p]) @ phi))
-                if rec.bordered:
                     term[p] += adjoint.nu_m[m] * (phi @ (dM @ rec.w))
             accum += term
             if m[0] != m[1]:

@@ -231,10 +231,8 @@ def chain_derivatives(
                 dh = dC + dD * rec.R[j] + rec.D[j] * dR[j]
 
             dLw = dK @ rec.w + Lam * (dCmat @ rec.w) + Lam**2 * (dM @ rec.w) + dLam * Lw
-            if rec.bordered:
-                dw, _ = index_solve(rec, dh - dLw, -((dMphi + Mdphi) @ rec.w))
-            else:
-                dw, _ = index_solve(rec, dh - dLw)
+            # border row: d(phi^T M w_m) = 0; a plain record ignores it
+            dw, _ = index_solve(rec, dh - dLw, -((dMphi + Mdphi) @ rec.w))
 
             dwdot = (
                 dLam * rec.w

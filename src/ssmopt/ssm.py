@@ -13,7 +13,8 @@ those at (m1, m2), so only canonical indices are solved and the rest are
 written by conjugation. `compute_ssm(..., full_set=True)` solves every index
 independently instead; it is the reference path against which the conjugacy
 property is checked, and nothing downstream needs it: the sensitivity passes
-walk the canonical indices of either kind of expansion.
+(direct, adjoint sweep, contraction) walk the canonical indices of either kind
+of expansion and mirror the swapped ones by conjugation.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class IndexCoeffs:
     C: np.ndarray
     D: list  # two slots, complex n-vectors where the slot is resonant else None
     slot: int | None  # resonant slot (0 or 1) or None
-    lu: tuple | None = None  # LU of L_m, or of the scaled bordered operator
-    bordered: bool = False
+    lu: tuple | None = None  # LU of L_m, or of the scaled bordered operator when resonant
     border_gamma: float = 0.0
 
 
@@ -106,7 +106,7 @@ def index_solve(rec: IndexCoeffs, b1: np.ndarray, border_rhs: complex = 0.0):
     """
     if rec.lu is None:
         raise SsmError(f"index {rec.m} carries no factorization (conjugate record)")
-    if not rec.bordered:
+    if rec.slot is None:
         return scipy.linalg.lu_solve(rec.lu, b1), 0.0
     rhs = np.concatenate([b1, [rec.border_gamma * border_rhs]])
     sol = scipy.linalg.lu_solve(rec.lu, rhs)
@@ -262,7 +262,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     if slot is None:
         lu = _factor_with_rcond(L, m)
         rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
-                          C_m, D, slot, lu=lu, bordered=False)
+                          C_m, D, slot, lu=lu)
         w, _ = index_solve(rec, h)
     else:
         # Bordered operator: the reduced coefficient removed the master
@@ -283,7 +283,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         B[n, :n] = gamma * c
         lu = _factor_with_rcond(B, m)
         rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
-                          C_m, D, slot, lu=lu, bordered=True, border_gamma=gamma)
+                          C_m, D, slot, lu=lu, border_gamma=gamma)
         w, _ = index_solve(rec, h)
 
     # h can be a round-off-level difference of large terms (e.g. a 1-DOF

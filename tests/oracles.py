@@ -6,6 +6,10 @@
   assembly with central-FD parameter derivatives. `models.build_vk_beam`
   assembles all elements of a design in one batched pass; this is the
   element-by-element form it must reproduce bit for bit.
+* `reference_adjoint`: the all-index reverse sweep. `sens_adjoint.solve_adjoint`
+  walks only the canonical indices and folds each swapped index's bars into
+  its canonical partner; this sweep reverses every index on its own, the form
+  the fold must reproduce to roundoff.
 """
 
 from __future__ import annotations
@@ -18,6 +22,17 @@ from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import MechModel, ParamDerivatives, SymTensor
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
+from ssmopt.multiindex import all_indices, symmetric
+from ssmopt.sens_adjoint import (
+    AdjointState,
+    _backprop_index,
+    _backprop_wdot,
+    _Bars,
+    _seed_bars,
+    solve_adjoint_phi_omega,
+    solve_adjoint_rho,
+)
+from ssmopt.ssm import index_solve
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -197,3 +212,47 @@ def reference_vk_beam(
         names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT[2]), dT3=tuple(dT[3])
     )
     return model, derivs
+
+
+def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> AdjointState:
+    """Adjoint variables from a reverse sweep over every index.
+
+    Each index, swapped ones included, reverses its own wdot and
+    cohomological steps; a swapped index is solved with the conjugated
+    factorization of its canonical partner (its operator is the conjugate
+    one). Every bar is read where it was pushed, so nothing is folded and the
+    objective's seeds count at full weight. The dicts cover every index.
+    """
+    bars = _Bars(model.n)
+    _seed_bars(exp, bars, solve_adjoint_rho(exp, dof_index, rho), dof_index, rho)
+    # `_seed_bars` seeds half of each bar for the fold; doubling is exact
+    bars.lam *= 2.0
+    bars.phi *= 2.0
+    for store in (bars.w, bars.R):
+        for v in store.values():
+            v *= 2.0
+
+    lambda_m: dict = {}
+    nu_m: dict = {}
+    for q in range(exp.order, 1, -1):
+        idx_q = all_indices(q)
+        for m in idx_q:
+            b = bars.wdot.pop(m, np.zeros(model.n, complex))
+            _backprop_wdot(exp, bars, m, exp.coeffs(m), b)
+        for m in idx_q:
+            rhs = -bars.w.pop(m, np.zeros(model.n, complex))
+            rec = exp.coeffs(m)
+            if rec.lu is not None:
+                lam, nu = index_solve(rec, rhs)
+            else:
+                lam, nu = index_solve(exp.coeffs(symmetric(m)), np.conj(rhs))
+                lam, nu = np.conj(lam), np.conj(nu)
+            lambda_m[m] = lam
+            if rec.slot is not None:
+                nu_m[m] = nu
+        for m in idx_q:
+            _backprop_index(model, exp, bars, m, exp.coeffs(m), lambda_m[m], nu_m.get(m, 0.0))
+
+    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
+    r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
+    return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)

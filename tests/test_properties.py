@@ -20,6 +20,7 @@ from ssmopt.backbone import (
     x_theta_samples,
 )
 from ssmopt.errors import SsmOptError
+from ssmopt.ssm import invariance_residual
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
 from ssmopt.sens_direct import chain_derivatives
 
@@ -109,6 +110,25 @@ def test_adjoint_equals_direct():
     passed, typed = outcomes(check)
     assert passed >= N_MODELS // 2, typed
 
+
+def test_residual_slope_reaches_the_order():
+    """An O-th order expansion leaves an invariance residual of order rho**O
+    relative to the force: between rho = cap/100 and cap/10 the log-log slope
+    of epsilon is at least O - 0.5. O7 is left out: at cap/100 its residual
+    reaches the roundoff floor."""
+
+    def check(seed):
+        model, _, _ = random_case(seed)
+        master = solve_master(model, 0)
+        dof = model.n - 1
+        for order in (3, 5):
+            exp = compute_ssm(model, master, order)
+            cap = _validity_cap(exp, dof)
+            lo, hi = (invariance_residual(model, exp, f * cap).epsilon for f in (0.01, 0.1))
+            assert np.log10(hi / lo) >= order - 0.5, (seed, order, lo, hi)
+
+    passed, typed = outcomes(check)
+    assert passed >= N_MODELS // 2, typed
 
 
 def test_amplitude_scaling_law():

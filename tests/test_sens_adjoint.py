@@ -3,15 +3,12 @@ import pytest
 
 from ssmopt import compute_ssm, rho_of_x, solve_master
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, x_rms
-from ssmopt.models import ChainSpec, build_chain
+from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import symmetric
-from ssmopt.sens_adjoint import (
-    contract_gradient,
-    solve_adjoint,
-    solve_adjoint_rho,
-    solve_adjoint_w,
-)
+from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
 from ssmopt.sens_direct import chain_derivatives
+
+from oracles import reference_adjoint
 
 
 class TestAdjointRho:
@@ -40,11 +37,28 @@ class TestAdjointRho:
         assert abs(resid) <= 1e-10 * max(1.0, abs(domega_drho(chain2_exp5, rho)))
 
 
+def _chain3_o7():
+    model, _ = build_chain(ChainSpec(n_masses=3))
+    exp = compute_ssm(model, solve_master(model, 0), 7)
+    return model, exp, 2, rho_of_x(exp, 2, 0.1)
+
+
+def _damped_curved_beam_o7():
+    # bordered solves with n > 2 and complex Lam_m at every index
+    spec = VkBeamSpec(a1=0.002, a2=0.001, alpha_r=1.0, beta_r=1e-6)
+    model, _ = build_vk_beam(spec)
+    exp = compute_ssm(model, solve_master(model, 0), 7)
+    dof = vk_center_dof(spec)
+    return model, exp, dof, rho_of_x(exp, dof, 0.004)
+
+
 class TestAdjointW:
     def test_linear_model_coefficients_vanish(self, linear_chain):
         model, _ = linear_chain
         exp = compute_ssm(model, solve_master(model, 0), 5)
-        lam_m, nu_m, _ = solve_adjoint_w(model, exp, 0.0, 1, 0.2)
+        # the linear model's amplitude adjoint is exactly zero
+        assert solve_adjoint_rho(exp, 1, 0.2) == 0.0
+        lam_m = solve_adjoint(model, exp, 1, 0.2).lambda_m
         for lam in lam_m.values():
             assert np.abs(lam).max() == 0.0
 
@@ -54,7 +68,7 @@ class TestAdjointW:
         model, _ = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.2)
         lam_rho = solve_adjoint_rho(chain2_exp5, 1, rho)
-        lam_m, _, _ = solve_adjoint_w(model, chain2_exp5, lam_rho, 1, rho)
+        lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
         # independent mini-solve for one highest-order index
         from ssmopt.ssm import index_solve
         from ssmopt.backbone import x_theta_samples
@@ -74,24 +88,30 @@ class TestAdjointW:
         assert np.allclose(lam, lam_m[m], rtol=1e-12)
 
     def test_conjugacy_of_adjoint_vectors(self, chain2, chain2_exp5):
+        # the all-index sweep solves the swapped indices on their own; each
+        # is the conjugate of the canonical sweep's vector
         model, _ = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.2)
-        lam_rho = solve_adjoint_rho(chain2_exp5, 1, rho)
-        lam_m, nu_m, _ = solve_adjoint_w(model, chain2_exp5, lam_rho, 1, rho)
+        lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
+        ref = reference_adjoint(model, chain2_exp5, 1, rho).lambda_m
+        assert set(ref) == set(lam_m) | {symmetric(m) for m in lam_m}
         for m, lam in lam_m.items():
-            assert np.allclose(np.conj(lam), lam_m[symmetric(m)], atol=1e-14)
+            assert np.allclose(np.conj(lam), ref[symmetric(m)], atol=1e-14)
 
     def test_canonical_shortcut_equals_full_solve(self):
-        spec = ChainSpec(n_masses=3)
-        model, params = build_chain(spec)
-        master = solve_master(model, 0)
-        exp = compute_ssm(model, master, 7)
-        rho = rho_of_x(exp, 2, 0.1)
-        lam_rho = solve_adjoint_rho(exp, 2, rho)
-        short, nu_s, _ = solve_adjoint_w(model, exp, lam_rho, 2, rho)
-        full, nu_f, _ = solve_adjoint_w(model, exp, lam_rho, 2, rho, full_set=True)
-        for m in short:
-            assert np.allclose(short[m], full[m], rtol=0, atol=1e-12 * (1 + np.abs(full[m]).max()))
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        for case in (_chain3_o7, _damped_curved_beam_o7):
+            model, exp, dof, rho = case()
+            short = solve_adjoint(model, exp, dof, rho)
+            full = reference_adjoint(model, exp, dof, rho)
+            assert set(short.r_bar) == set(short.nu_m) and short.r_bar
+            for field in ("lambda_m", "nu_m", "r_bar"):
+                for m, value in getattr(short, field).items():
+                    assert close(value, getattr(full, field)[m]), (case.__name__, field, m)
+            assert close(short.lambda_phi, full.lambda_phi), case.__name__
+            assert close(short.lambda_omega, full.lambda_omega), case.__name__
 
 
 class TestGradientEquivalence:

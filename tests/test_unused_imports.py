@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no function
+binds a local it never reads.
 
-A deletion that leaves its imports behind fails here. The names that
-`ssmopt/__init__.py` lists in `__all__` are re-exports, not leftovers.
+A deletion that leaves its imports or its inputs behind fails here. The names
+that `ssmopt/__init__.py` lists in `__all__` are re-exports, not leftovers.
 """
 
 import ast
@@ -28,6 +29,45 @@ def imported_names(tree):
     return out
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(fn):
+    """Nodes of a function body outside its nested functions and classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(tree):
+    """{(function, name): line} of every name a function binds, tuple targets
+    included, that neither it nor a closure of it reads. `nonlocal`/`global`
+    and augmented assignments count as reads; `_` is the discard name."""
+    out = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {}
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        for name, line in bound.items():
+            if name not in read and name != "_":
+                out[(fn.name, name)] = line
+    return out
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "sens_adjoint.py", "optimizer.py"}
 
@@ -43,3 +83,23 @@ def test_no_unused_import(path):
         if name not in used and name not in exported
     }
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_local(path):
+    unused = unused_locals(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name} binds locals it never reads: {unused}"
+
+
+def test_unused_local_guard_sees_tuple_targets_and_closures():
+    tree = ast.parse(
+        "def f(a):\n"
+        "    x, y = a\n"
+        "    z = 1\n"
+        "    _ = 2\n"
+        "    def g():\n"
+        "        nonlocal z\n"
+        "        return x\n"
+        "    return g\n"
+    )
+    assert unused_locals(tree) == {("f", "y"): 2}
