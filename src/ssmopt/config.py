@@ -173,7 +173,6 @@ _OPT_BLOCK = {
             "type": "object",
             "properties": {
                 "constraint_tol": _POSITIVE,
-                "step_tol": _POSITIVE,
                 "eps_tol": _POSITIVE,
                 "max_order": _ODD_ORDER,
                 "max_iter": _POSINT,

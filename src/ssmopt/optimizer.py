@@ -5,8 +5,10 @@ constraints pin the response frequency at target physical amplitudes,
 optional eigenfrequency constraints pin undamped natural frequencies. Every
 evaluation rebuilds the model, tracks the master mode by MAC against the last
 accepted iterate, and evaluates frequencies on an expansion whose order is
-frozen during the iteration; the order is re-decided once per accepted
-iterate from the invariance residual (never decreased within a run).
+frozen during the iteration. `_Session` alone decides the order, by one
+rule at the start design and at every accepted iterate: raise it by two
+while the invariance residual exceeds `eps_tol` or a target lies beyond the
+validity radius (never decreased within a run).
 
 The variables are normalized by their bounds and the constraints by the
 initial natural frequency. `solve` runs a dense SQP iteration of its own:
@@ -17,8 +19,8 @@ merit line search, in which a trial design that cannot be evaluated (a
 typed `SsmOptError`) counts as an infinite merit. When the line search
 stalls short of feasibility it probes interior values of each variable, and
 a Gauss-Newton restoration on the constraints alone polishes the end point.
-Each accepted iterate is recorded in the trace and re-decides the expansion
-order.
+Each accepted iterate (a line-search step, a restoration probe or the
+polished end point) is recorded in the trace and re-decides the order.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class EigfreqTarget:
 @dataclass(frozen=True)
 class OptTolerances:
     constraint_tol: float = 1e-6  # relative to the initial natural frequency
-    step_tol: float = 1e-10
     eps_tol: float = 1e-1
     max_order: int = 13
     max_iter: int = 60
@@ -152,7 +153,6 @@ def objective_value_grad(spec: dict, names: tuple[str, ...], mu: np.ndarray):
 
 @dataclass
 class EvalResult:
-    mu: np.ndarray
     objective: float
     obj_grad: np.ndarray
     constraints: np.ndarray  # scaled residuals
@@ -174,7 +174,6 @@ class IterRecord:
     order: int
     mac: float
     grad_norm: float
-    extrapolated: bool = False
 
 
 @dataclass
@@ -191,7 +190,9 @@ class OptResult:
 
 
 class _Session:
-    """Evaluation state shared across SQP callbacks: tracking shape and order."""
+    """Evaluation state of one run: the tracking shape, the evaluation cache,
+    the trace of accepted iterates and the expansion order, which only this
+    class decides."""
 
     def __init__(self, problem: OptProblem, method: str):
         self.problem = problem
@@ -203,16 +204,17 @@ class _Session:
         self.order = problem.start_order
         self.cache: dict[bytes, EvalResult] = {}
         self.trace: list[IterRecord] = []
-        # initial order decision: raise until the residual at the largest
-        # target amplitude meets tolerance (never lowered afterwards)
-        if problem.backbone_targets:
-            tol = problem.tolerances
-            while True:
-                eps = self.evaluate(problem.mu0).epsilon
-                nxt = order_policy(eps, tol.eps_tol, self.order, tol.max_order)
-                if nxt == self.order:
-                    break
-                self.order = nxt
+        # initial order decision: raise until the start design meets the
+        # rule every accepted iterate meets (never lowered afterwards)
+        while (nxt := self.next_order(self.evaluate(problem.mu0))) != self.order:
+            self.order = nxt
+
+    def next_order(self, res: EvalResult) -> int:
+        """The order rule: an evaluation beyond the validity radius counts as
+        an accuracy failure, whatever its residual."""
+        tol = self.problem.tolerances
+        eps = np.inf if res.extrapolated else res.epsilon
+        return order_policy(eps, tol.eps_tol, self.order, tol.max_order)
 
     def evaluate(self, mu: np.ndarray) -> EvalResult:
         key = np.asarray(mu, dtype=float).tobytes() + bytes([self.order])
@@ -237,27 +239,30 @@ class _Session:
         self.cache[key] = res
         return res
 
-    def on_accepted(self, mu, res: EvalResult):
+    def accept(self, mu, res: EvalResult) -> EvalResult:
+        """Record the iterate, track its shape, re-decide the order and return
+        the iterate's evaluation at that order. When the iterate cannot be
+        evaluated at a raised order, the order stays at the one it was
+        accepted at, and so does its evaluation."""
         self.trace.append(
             IterRecord(
                 iteration=len(self.trace),
                 mu=mu.copy(),
                 objective=res.objective,
-                max_violation=float(np.abs(res.constraints).max() * self.omega_ref)
-                if len(res.constraints)
-                else 0.0,
+                max_violation=_violation(res.constraints) * self.omega_ref,
                 epsilon=res.epsilon,
                 order=res.order,
                 mac=res.mac,
                 grad_norm=float(np.linalg.norm(res.obj_grad)),
-                extrapolated=res.extrapolated,
             )
         )
         self.reference = res.phi.copy()
-        # an iterate beyond the validity radius counts as an accuracy failure
-        eps_for_policy = np.inf if res.extrapolated else res.epsilon
-        self.order = order_policy(eps_for_policy, self.problem.tolerances.eps_tol,
-                                  self.order, self.problem.tolerances.max_order)
+        self.order = self.next_order(res)
+        try:
+            return self.evaluate(mu)
+        except SsmOptError:
+            self.order = res.order
+            return res
 
 
 def order_policy(epsilon: float, eps_tol: float, current_order: int, max_order: int) -> int:
@@ -284,15 +289,14 @@ def evaluate(
     jac: list[np.ndarray] = []
     epsilon = 0.0
     extrapolated = False
-    exp = None
     if problem.backbone_targets:
         exp = compute_ssm(model, master, order)
         rho_max = 0.0
         for tgt in problem.backbone_targets:
             # Exploratory SQP steps may leave the expansion's validity radius;
             # continue the constraint linearly in amplitude past the cap so the
-            # line search sees finite, repelling values. Accepted iterates are
-            # rejected upstream when this path was taken.
+            # line search sees finite, repelling values. An extrapolated
+            # iterate raises the order and never counts as converged.
             try:
                 rho = rho_of_x(exp, tgt.dof_index, tgt.x)
                 omega = omega_of_rho(exp, rho)
@@ -326,7 +330,6 @@ def evaluate(
             jac.append(grad / omega_scale)
 
     return EvalResult(
-        mu=np.asarray(mu, dtype=float).copy(),
         objective=obj,
         obj_grad=obj_grad,
         constraints=np.array(cons),
@@ -337,6 +340,31 @@ def evaluate(
         phi=master.phi,
         extrapolated=extrapolated,
     )
+
+def _violation(c: np.ndarray) -> float:
+    """Largest absolute constraint residual (0 without constraints)."""
+    return float(np.abs(c).max(initial=0.0))
+
+
+def _capped(d: np.ndarray, radius: float) -> np.ndarray:
+    """The step d, scaled down to max-norm `radius` when it is longer."""
+    nrm = float(np.abs(d).max())
+    return d * (radius / nrm) if nrm > radius else d
+
+
+def _min_norm_step(J: np.ndarray, c: np.ndarray, reg: float) -> np.ndarray:
+    """Minimum-norm solution of J d = -c, Tikhonov-regularized relative to
+    the trace of J J^T."""
+    JJt = J @ J.T
+    return -J.T @ np.linalg.solve(JJt + reg * max(np.trace(JJt), 1.0) * np.eye(len(c)), c)
+
+
+def _multipliers(g: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Least-squares Lagrange multipliers: lam minimizing |g + J^T lam|."""
+    if J.size == 0:
+        return np.zeros(0)
+    lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
+    return lam
 
 
 def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
@@ -369,30 +397,14 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         J = res.con_jac * span[None, :]
         return f, g, c, J
 
-    def multipliers(g, J):
-        if J.size == 0:
-            return np.zeros(0)
-        lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
-        return lam
-
     def merit(f, c, sigma):
-        return f + sigma * float(np.abs(c).sum()) if len(c) else f
+        return f + sigma * float(np.abs(c).sum())
 
     def try_eval(z_try):
         try:
             return ses.evaluate(unscale(z_try))
         except SsmOptError:
             return None
-
-    def reevaluate(z, res):
-        """Local model of the accepted point z at the order on_accepted chose.
-        When z cannot be evaluated at a raised order, the order stays at the
-        one z was accepted at, and so does the local model (`res`)."""
-        again = try_eval(z)
-        if again is None:
-            ses.order = res.order
-            again = res
-        return localize(again)
 
     def gn_restore(z0, max_steps):
         """Damped minimum-norm Newton steps on the constraints alone."""
@@ -402,16 +414,9 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         z_cur, res_cur = z0, res0
         for _ in range(max_steps):
             c = res_cur.constraints
-            if not len(c) or float(np.abs(c).max()) <= tol.constraint_tol:
+            if _violation(c) <= tol.constraint_tol:
                 break
-            J = res_cur.con_jac * span[None, :]
-            JJt = J @ J.T
-            d = -J.T @ np.linalg.solve(
-                JJt + 1e-13 * max(np.trace(JJt), 1.0) * np.eye(len(c)), c
-            )
-            nrm = float(np.abs(d).max())
-            if nrm > 0.25:
-                d *= 0.25 / nrm
+            d = _capped(_min_norm_step(res_cur.con_jac * span[None, :], c, 1e-13), 0.25)
             base = float(np.abs(c).sum())
             improved = None
             alpha = 1.0
@@ -461,32 +466,22 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                         return best_probe
         return best_probe
 
-    res = ses.evaluate(unscale(z))
-    f, g, c, J = localize(res)
+    f, g, c, J = localize(ses.evaluate(unscale(z)))
     B = np.eye(P)
     trust = 0.25
     sigma = 10.0
     converged = False
     message = "maximum iterations reached"
-    best = (float(np.abs(c).max()) if len(c) else 0.0, f, z.copy())
+    best = (_violation(c), f, z.copy())
     probes_left = 2
 
     for _ in range(tol.max_iter):
-        viol = float(np.abs(c).max()) if len(c) else 0.0
-        lam = multipliers(g, J)
-        sigma = max(sigma, 2.0 * float(np.abs(lam).max()) if lam.size else 0.0)
+        viol = _violation(c)
+        lam = _multipliers(g, J)
+        sigma = max(sigma, 2.0 * float(np.abs(lam).max(initial=0.0)))
 
         # restoration component toward the linearized constraints
-        if len(c):
-            JJt = J @ J.T
-            d_n = -J.T @ np.linalg.solve(
-                JJt + 1e-12 * max(np.trace(JJt), 1.0) * np.eye(len(c)), c
-            )
-        else:
-            d_n = np.zeros(P)
-        nrm = float(np.abs(d_n).max())
-        if nrm > trust:
-            d_n *= trust / nrm
+        d_n = _capped(_min_norm_step(J, c, 1e-12) if len(c) else np.zeros(P), trust)
         # objective component in the null space of the constraint rows
         if len(c):
             _, sv, Vt = np.linalg.svd(J)
@@ -501,10 +496,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             d = d_n + Z @ d_z
         else:
             d = d_n
-        nrm = float(np.abs(d).max())
-        if nrm > trust:
-            d *= trust / nrm
-        d = np.clip(z + d, 0.0, 1.0) - z
+        d = np.clip(z + _capped(d, trust), 0.0, 1.0) - z
 
         pred = -float(g @ d)
         if len(c):
@@ -538,21 +530,18 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 hit = restoration_probe(z, c)
                 if hit is not None:
                     _, z, res = hit
-                    ses.on_accepted(unscale(z), res)
-                    f, g, c, J = reevaluate(z, res)
+                    f, g, c, J = localize(ses.accept(unscale(z), res))
                     B = np.eye(P)
                     trust = 0.25
                     continue
             message = "merit line search stalled"
             break
 
-        z_new, res_new, g_n, J_n = accepted
+        z_new, res, g_n, J_n = accepted
         step = float(np.abs(z_new - z).max())
-        lam_n = multipliers(g_n, J_n)
-        grad_L = g + (J.T @ lam_n if lam_n.size else 0.0)
-        grad_L_new = g_n + (J_n.T @ lam_n if lam_n.size else 0.0)
+        lam_n = _multipliers(g_n, J_n)
         s = z_new - z
-        y = grad_L_new - grad_L
+        y = (g_n + J_n.T @ lam_n) - (g + J.T @ lam_n)
         sBs = float(s @ B @ s)
         sy = float(s @ y)
         if sBs > 0 and np.linalg.norm(s) > 0:
@@ -569,23 +558,21 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         elif alpha <= 0.25:
             trust = max(trust * 0.5, 1e-2)
 
-        z, res = z_new, res_new
-        ses.on_accepted(unscale(z), res)
-        f, g, c, J = reevaluate(z, res)
-        viol = float(np.abs(c).max()) if len(c) else 0.0
+        z = z_new
+        f, g, c, J = localize(ses.accept(unscale(z), res))
+        viol = _violation(c)
         if (viol, f) < best[:2] and not res.extrapolated:
             best = (viol, f, z.copy())
-        if viol <= tol.constraint_tol and step <= max(tol.step_tol, 1e-9) \
-                and not res.extrapolated:
-            converged, message = True, "constraints and step within tolerance"
-            break
-        if viol <= tol.constraint_tol and _stationarity_residual(res, z) <= 1e-6 \
-                and not res.extrapolated:
-            converged, message = True, "first-order optimality at a feasible point"
-            break
+        if viol <= tol.constraint_tol and not res.extrapolated:
+            if step <= 1e-9:
+                converged, message = True, "constraints and step within tolerance"
+                break
+            if _stationarity_residual(res, z) <= 1e-6:
+                converged, message = True, "first-order optimality at a feasible point"
+                break
 
     if not converged:
-        if best[0] < (float(np.abs(c).max()) if len(c) else 0.0):
+        if best[0] < _violation(c):
             z = best[2]
         # Feasibility polish: the merit iteration can stall with a small but
         # above-tolerance violation (curved constraint manifold, conservative
@@ -594,18 +581,15 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         polished = gn_restore(z, 30)
         if polished is not None:
             z, res = polished
-            ses.on_accepted(unscale(z), res)
-            if (
-                len(res.constraints) == 0
-                or float(np.abs(res.constraints).max()) <= tol.constraint_tol
-            ) and not res.extrapolated:
+            ses.accept(unscale(z), res)
+            if _violation(res.constraints) <= tol.constraint_tol and not res.extrapolated:
                 converged, message = True, "feasible after constraint polish"
     mu_star = unscale(z)
     final = ses.evaluate(mu_star)
-    max_violation = (
-        float(np.abs(final.constraints).max()) if len(final.constraints) else 0.0
+    converged = (
+        converged and _violation(final.constraints) <= tol.constraint_tol
+        and not final.extrapolated
     )
-    converged = converged and max_violation <= tol.constraint_tol and not final.extrapolated
     stationarity = _stationarity_residual(final, (mu_star - problem.lower) / span)
     return OptResult(
         mu_star=mu_star,
@@ -626,14 +610,9 @@ def _stationarity_residual(final: EvalResult, z: np.ndarray) -> float:
     Active bounds are handled by projecting the residual onto the inactive
     coordinates.
     """
-    g = final.obj_grad.copy()
+    g = final.obj_grad
     scale = max(1.0, float(np.linalg.norm(g)))
-    A = final.con_jac
-    if A.size:
-        nu, *_ = np.linalg.lstsq(A.T, -g, rcond=None)
-        r = g + A.T @ nu
-    else:
-        r = g
+    r = g + final.con_jac.T @ _multipliers(g, final.con_jac)
     active_lo = (z <= 1e-12) & (r > 0)
     active_hi = (z >= 1.0 - 1e-12) & (r < 0)
     r = np.where(active_lo | active_hi, 0.0, r)
@@ -641,20 +620,14 @@ def _stationarity_residual(final: EvalResult, z: np.ndarray) -> float:
 
 
 def trace_to_csv(trace: list) -> str:
-    header = "iteration,objective,max_violation,epsilon,order,mac,grad_norm,"
-    names_done = False
-    lines = []
-    for rec in trace:
-        if not names_done:
-            header += ",".join(f"mu{i}" for i in range(len(rec.mu)))
-            lines.append(header)
-            names_done = True
-        row = (
-            f"{rec.iteration},{rec.objective:.16e},{rec.max_violation:.16e},"
-            f"{rec.epsilon:.16e},{rec.order},{rec.mac:.16e},{rec.grad_norm:.16e},"
-            + ",".join(f"{v:.16e}" for v in rec.mu)
-        )
-        lines.append(row)
-    if not lines:
-        lines.append(header + "mu0")
-    return "\n".join(lines) + "\n"
+    n_mu = len(trace[0].mu) if trace else 1
+    header = "iteration,objective,max_violation,epsilon,order,mac,grad_norm," + ",".join(
+        f"mu{i}" for i in range(n_mu)
+    )
+    rows = [
+        f"{rec.iteration},{rec.objective:.16e},{rec.max_violation:.16e},"
+        f"{rec.epsilon:.16e},{rec.order},{rec.mac:.16e},{rec.grad_norm:.16e},"
+        + ",".join(f"{v:.16e}" for v in rec.mu)
+        for rec in trace
+    ]
+    return "\n".join([header, *rows]) + "\n"

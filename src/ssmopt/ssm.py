@@ -10,11 +10,9 @@ damped one (for which the bordered and plain solutions coincide).
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
-written by conjugation. `compute_ssm(..., full_set=True)` solves every index
-independently instead; it is the reference path against which the conjugacy
-property is checked, and nothing downstream needs it: the sensitivity passes
-(direct, adjoint sweep, contraction) walk the canonical indices of either kind
-of expansion and mirror the swapped ones by conjugation.
+written by conjugation. The sensitivity passes (direct, adjoint sweep,
+contraction) walk the canonical indices too and mirror the swapped ones by
+conjugation.
 """
 
 from __future__ import annotations
@@ -135,10 +133,9 @@ def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
 class SsmExpansion:
     """SSM coefficients up to a given odd order, plus per-index solver cache."""
 
-    def __init__(self, model: MechModel, master: MasterPair, full_set: bool = False):
+    def __init__(self, model: MechModel, master: MasterPair):
         self.model = model
         self.master = master
-        self.full_set = full_set
         self.order = 1
         self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.n_solves = 0
@@ -317,31 +314,27 @@ def compute_ssm(
     master: MasterPair,
     order_: int,
     from_expansion: SsmExpansion | None = None,
-    full_set: bool = False,
 ) -> SsmExpansion:
     """Expansion up to the given odd order >= 3.
 
     Passing a lower-order expansion extends it: the recursion is lower
     triangular in order, so existing coefficients are reused unchanged.
-    full_set=True solves the swapped indices too instead of conjugating; it
-    is only the reference for the conjugacy checks.
     """
     if order_ < 3 or order_ % 2 == 0:
         raise ValueError(f"expansion order must be odd and >= 3, got {order_}")
     if from_expansion is None:
-        exp = SsmExpansion(model, master, full_set=full_set)
+        exp = SsmExpansion(model, master)
     else:
-        if from_expansion.model is not model or from_expansion.full_set != full_set:
-            raise ValueError("extension requires the same model and full_set mode")
+        if from_expansion.model is not model:
+            raise ValueError("extension requires the same model")
         exp = from_expansion
         if exp.order >= order_:
             return exp
     for q in range(exp.order + 1, order_ + 1):
-        targets = all_indices(q) if full_set else canonical_indices(q)
-        for m in targets:
+        for m in canonical_indices(q):
             rec = order_step(model, exp, m)
             exp.data[m] = rec
-            if not full_set and m[0] != m[1]:
+            if m[0] != m[1]:
                 exp.data[symmetric(m)] = _conjugate_record(rec)
         exp.order = q
     return exp

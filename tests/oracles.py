@@ -10,6 +10,10 @@
   walks only the canonical indices and folds each swapped index's bars into
   its canonical partner; this sweep reverses every index on its own, the form
   the fold must reproduce to roundoff.
+* `reference_full_set_ssm`: the expansion with every index solved on its
+  own. `ssm.compute_ssm` solves only the canonical indices and writes the
+  swapped ones by conjugation; this is the form the conjugation must
+  reproduce to roundoff.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ssmopt.sens_adjoint import (
     solve_adjoint_phi_omega,
     solve_adjoint_rho,
 )
-from ssmopt.ssm import index_solve
+from ssmopt.ssm import SsmExpansion, index_solve, order_step
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -256,3 +260,14 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
+
+
+def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion:
+    """Expansion up to `order` that solves every index, the swapped ones
+    included, instead of conjugating the canonical records."""
+    exp = SsmExpansion(model, master)
+    for q in range(exp.order + 1, order + 1):
+        for m in all_indices(q):
+            exp.data[m] = order_step(model, exp, m)
+        exp.order = q
+    return exp

@@ -343,7 +343,7 @@ class TestOptimizeInputs:
             ("constraints[0].omega", opt_case(constraint={"omega": float("inf")})),
             ("tolerances.constraint_tol", opt_case(tolerances={"constraint_tol": float("nan")})),
             ("tolerances.constraint_tol", opt_case(tolerances={"constraint_tol": -1.0})),
-            ("tolerances.step_tol", opt_case(tolerances={"step_tol": float("nan")})),
+            ("'step_tol' was unexpected", opt_case(tolerances={"step_tol": float("nan")})),
             ("objective.value", opt_case(objective={"type": "constant", "value": float("nan")})),
             (
                 "objective.coeffs.k3",

@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
 from ssmopt.backbone import domega_drho, dx_drho
-from ssmopt.errors import AmplitudeUnreachableError, ConfigError, OuterResonanceError
+from ssmopt.errors import AmplitudeUnreachableError, ConfigError, ModelError, OuterResonanceError
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.optimizer import (
     BackboneTarget,
@@ -228,6 +228,126 @@ class TestSolve:
         res = solve(chain_problem(0.97 * nominal, x0))
         assert res.converged
         assert {r.order for r in res.trace} == {5}
+
+    # (order, k3, max_violation, epsilon) per accepted iterate, and k3*, of
+    # the chain solves at 0.97, 0.98 and 0.99 x nominal; a rewrite of the
+    # optimizer must reproduce them, which same-process replay cannot show
+    GOLDEN = {
+        0.97: (
+            "first-order optimality at a feasible point",
+            [
+                (5, -0.30000000000000004, 0.00867323255218988, 0.0033367196017119356),
+                (5, -0.7364286610673437, 0.00013870893048839594, 0.01183688646394982),
+                (7, -0.7028350374939096, 1.6674651036607813e-06, 0.002855266403498006),
+                (7, -0.7027582172418689, 8.68394245401305e-12, 0.0028545358598917134),
+            ],
+            -0.7027582172418689,
+        ),
+        0.98: (
+            "first-order optimality at a feasible point",
+            [
+                (5, -0.30000000000000004, 0.0025286965962324492, 0.0033367196017119356),
+                (5, -0.42724156340770936, 1.1662385369426431e-05, 0.005261872872808409),
+                (5, -0.4266600988915259, 2.4572466283956373e-10, 0.005252105864219955),
+            ],
+            -0.4266600988915259,
+        ),
+        0.99: (
+            "constraints and step within tolerance",
+            [
+                (5, -0.12045698538804595, 7.071927303881065e-05, 0.001302111519552543),
+                (5, -0.11685218427431643, 9.145349810779635e-09, 0.001268936807214697),
+                (5, -0.11685171798426541, 6.661338147750939e-16, 0.0012689325348163277),
+                (5, -0.11685171798423144, 1.1102230246251565e-16, 0.0012689325348159961),
+            ],
+            -0.11685171798423144,
+        ),
+    }
+
+    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    def test_chain_iterates_match_golden(self, chain_target, scale):
+        # pins the iterates across versions, not only within one process;
+        # the absolute tolerance covers violations at roundoff level
+        x0, nominal = chain_target
+        message, rows, k3_star = self.GOLDEN[scale]
+        res = solve(chain_problem(scale * nominal, x0))
+        assert res.message == message
+        assert [r.order for r in res.trace] == [row[0] for row in rows]
+        got = [(r.mu[0], r.max_violation, r.epsilon) for r in res.trace]
+        assert np.allclose(got, [row[1:] for row in rows], rtol=1e-10, atol=1e-14)
+        assert res.mu_star[0] == pytest.approx(k3_star, rel=1e-10)
+
+    def test_extrapolated_start_raises_the_order(self):
+        # the O3 validity cap of chain2 at dof 1 is x = 1.84, so a target at
+        # 1.9 is extrapolated at the start; its residual at the cap passes
+        # eps_tol, but the start follows the rule of every accepted iterate:
+        # an extrapolated evaluation asks for a higher order
+        model, _ = chain_builder([0.2])
+        master = solve_master(model, 0)
+        prob = OptProblem(
+            builder=chain_builder,
+            names=("k3",),
+            mu0=np.array([0.2]),
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            objective={"type": "constant"},
+            backbone_targets=(BackboneTarget(1, 1.9, master.omega),),
+            tolerances=OptTolerances(eps_tol=1.0, max_order=5, max_iter=1),
+            start_order=3,
+        )
+        start = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
+        assert start.extrapolated and start.epsilon <= 1.0
+        res = solve(prob)
+        assert res.trace[0].order == 5
+
+    def test_constraint_free_problem_reaches_the_bound_corner(self):
+        def builder(mu):
+            k, k3 = map(float, mu)
+            spec = ChainSpec(n_masses=2, mass=1.0, k=k, k2=0.5, k3=k3, beta_r=0.1)
+            return build_chain(spec, params=("k", "k3"))
+
+        res = solve(
+            OptProblem(
+                builder=builder,
+                names=("k", "k3"),
+                mu0=np.array([1.0, 0.2]),
+                lower=np.array([0.5, -1.0]),
+                upper=np.array([2.0, 1.0]),
+                objective={"type": "product", "vars": ["k", "k3"]},
+            )
+        )
+        assert res.converged
+        assert res.mu_star == pytest.approx([2.0, -1.0], abs=1e-12)
+        assert res.objective == pytest.approx(-2.0, abs=1e-12)
+
+    def test_unbuildable_trials_shrink_the_trust_radius_then_stop(self):
+        # every design but the start fails to build: each line search tries
+        # ten step lengths, and the trust radius shrinks 0.25 -> 1/16 ->
+        # 1/64 -> 1e-2 before the stalled run stops at its feasible start
+        failed = []
+
+        def builder(mu):
+            if abs(float(mu[0]) - 0.2) > 1e-12:
+                failed.append(float(mu[0]))
+                raise ModelError("only the start design can be built")
+            return chain_builder(mu)
+
+        model, _ = chain_builder([0.2])
+        res = solve(
+            OptProblem(
+                builder=builder,
+                names=("k3",),
+                mu0=np.array([0.2]),
+                lower=np.array([-1.0]),
+                upper=np.array([1.0]),
+                objective={"type": "variable", "name": "k3"},
+                eigfreq_targets=(EigfreqTarget(0, solve_master(model, 0).omega),),
+            )
+        )
+        assert res.converged
+        assert res.message == "merit stalled at a feasible point"
+        assert res.iterations == 0
+        assert len(failed) == 4 * 10
 
     def test_trace_csv_shape(self, chain_target):
         x0, nominal = chain_target
