@@ -67,20 +67,25 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_order(block, model, master, rho_probe):
-    order = block["order"]
-    if order == "auto":
-        result = adapt_order(
-            model,
-            master,
-            tol=block["eps_tol"],
-            rho=rho_probe,
-            order_range=(3, block["max_order"]),
-        )
-        return result.expansion, result.error, result.warned
-    exp = compute_ssm(model, master, int(order))
-    err = invariance_residual(model, exp, rho_probe)
-    return exp, err, False
+def _resolve_order(block, model, master):
+    """(expansion, residual at the largest target, order warning).
+
+    A fixed order maps the largest target through its own expansion. `auto`
+    has no order yet, so it maps the target through an O3 probe expansion
+    and adapts the order to the residual at that amplitude.
+    """
+    dof, x_max, order = block["dof"], max(block["x_targets"]), block["order"]
+    if order != "auto":
+        exp = compute_ssm(model, master, int(order))
+        return exp, invariance_residual(model, exp, rho_of_x(exp, dof, x_max)), False
+    result = adapt_order(
+        model,
+        master,
+        tol=block["eps_tol"],
+        rho=rho_of_x(compute_ssm(model, master, 3), dof, x_max),
+        order_range=(3, block["max_order"]),
+    )
+    return result.expansion, result.error, result.warned
 
 
 def _check_block(name: str, value: dict, n_dof: int) -> None:
@@ -109,16 +114,9 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
     block = BACKBONE_DEFAULTS | cfg["backbone"]
     _check_block("backbone", block, model.n)
     master = solve_master(model, block["mode"])
-    dof = block["dof"]
-    targets = block["x_targets"]
+    exp, err, warned = _resolve_order(block, model, master)
 
-    # probe amplitude for the order decision: largest target mapped through a
-    # low-order expansion first
-    probe_exp = compute_ssm(model, master, 3)
-    rho_probe = rho_of_x(probe_exp, dof, max(targets))
-    exp, err, warned = _resolve_order(block, model, master, rho_probe)
-
-    curve = sample_backbone(exp, dof, targets)
+    curve = sample_backbone(exp, block["dof"], block["x_targets"])
     _write(outdir, "backbone.csv", backbone_to_csv(curve))
     _write(outdir, "expansion.json", _json_dumps(dump_expansion(exp)))
     _write(

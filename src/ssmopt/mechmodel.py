@@ -269,19 +269,6 @@ class MechModel:
         """Quadratic plus cubic internal force at displacement x."""
         return self.T2.force(x) + self.T3.force(x)
 
-    def first_order_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrices (B, A) of the equivalent first-order form B z' = A z + F(z)."""
-        n = self.n
-        C = self.damping()
-        B = np.zeros((2 * n, 2 * n))
-        B[:n, :n] = C
-        B[:n, n:] = self.M
-        B[n:, :n] = self.M
-        A = np.zeros((2 * n, 2 * n))
-        A[:n, :n] = -self.K
-        A[n:, n:] = self.M
-        return B, A
-
 
 @dataclass(frozen=True)
 class ParamDerivatives:

@@ -1,7 +1,7 @@
 """Two-dimensional multi-index algebra.
 
 A multi-index is a pair ``(m1, m2)`` of nonnegative integers encoding the
-monomial ``p1**m1 * p2**m2``. The canonical representative of the pair
+power product ``p1**m1 * p2**m2``. The canonical representative of the pair
 ``{m, m_swapped}`` is the one with ``m1 >= m2``; coefficients at the swapped
 index are complex conjugates of those at the canonical one, so only the
 canonical half needs to be computed.
@@ -35,11 +35,6 @@ def all_indices(order_: int) -> list[MultiIndex]:
 def canonical_indices(order_: int) -> list[MultiIndex]:
     """Canonical (m1 >= m2) multi-indices at the given order, m1 descending."""
     return [m for m in all_indices(order_) if m[0] >= m[1]]
-
-
-def monomial(p, m: MultiIndex) -> complex:
-    """p1**m1 * p2**m2 for a 2-vector p."""
-    return p[0] ** m[0] * p[1] ** m[1]
 
 
 def resonant_slot(m: MultiIndex) -> int | None:

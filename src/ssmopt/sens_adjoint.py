@@ -44,8 +44,8 @@ from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
 from .errors import TurningPointError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, decomps, order, symmetric
-from .sens_direct import lambda_derivative, solve_mode_bordered
-from .ssm import SsmExpansion, index_solve, v_decomps
+from .sens_direct import lambda_derivative, mode_factorization
+from .ssm import SsmExpansion, v_decomps
 
 
 @dataclass
@@ -167,11 +167,11 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     _add_lam_bar(bars, m, lam_m @ (Cmat @ rec.w + 2.0 * rec.Lam * (M @ rec.w)))
     bar_h = -lam_m
 
-    # h = C + sum_j D_j R_j
+    # h = C + D R_m[slot]
     bar_c = bar_h.copy()
     if rec.slot is not None:
         j = rec.slot
-        bars.rbar(m)[j] += bar_h @ rec.D[j]
+        bars.rbar(m)[j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
         bars.phi += -(((rec.Lam + master.lambda_pair[j]) * M + Cmat) @ bar_d)
         sc = -(bar_d @ (M @ phi))
@@ -185,14 +185,13 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     # R_m = phi^T C_m / den
     if rec.slot is not None:
         j = rec.slot
-        den = rec.Lam + master.lambda_pair[j] + model.alpha_r + model.beta_r * master.omega**2
         # final here: every reader of R_m lies above m's order or at m
         # itself; solve_adjoint keeps it as r_bar for the contraction
         g = bars.rbar(m)[j]
         if g != 0.0:
-            bar_c += (g / den) * phi
-            bars.phi += (g / den) * rec.C
-            t = -g * rec.R[j] / den
+            bar_c += (g / rec.den) * phi
+            bars.phi += (g / rec.den) * rec.C
+            t = -g * rec.R[j] / rec.den
             _add_lam_bar(bars, m, t)
             bars.lam[j] += t
             bars.omega += t * 2.0 * model.beta_r * master.omega
@@ -225,17 +224,13 @@ def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):
     g_phi = assert_real(bars.phi, "mode-shape adjoint source")
     g_omega = assert_real(bars.omega, "frequency adjoint source")
 
-    n = model.n
     Mphi = model.M @ master.phi
-    sol = solve_mode_bordered(
-        model,
-        master.omega,
-        2.0 * Mphi,
-        -2.0 * master.omega * Mphi,
-        np.concatenate([-g_phi, [-g_omega]]),
+    lu = mode_factorization(
+        model, master.omega, 2.0 * Mphi, -2.0 * master.omega * Mphi,
         "bordered mode-shape adjoint system",
     )
-    return sol[:n], float(sol[n])
+    lambda_phi, lambda_omega = lu.solve(-g_phi, -g_omega)
+    return lambda_phi, float(lambda_omega)
 
 
 def solve_adjoint(
@@ -264,7 +259,7 @@ def solve_adjoint(
             # only after its own wdot step has pushed to it
             wt = 0.5 if m[0] == m[1] else 1.0
             _backprop_wdot(exp, bars, m, rec, wt * bars.fold(bars.wdot, m))
-            lam, nu = index_solve(rec, -bars.fold(bars.w, m))
+            lam, nu = rec.lu.solve(-bars.fold(bars.w, m))
             lambda_m[m] = lam
             if rec.slot is not None:
                 nu_m[m] = nu
@@ -318,7 +313,6 @@ def contract_gradient(
     n = model.n
     P = params.count
     lam_pair = master.lambda_pair
-    shift = model.alpha_r + model.beta_r * master.omega**2
 
     matrix_params = [
         p
@@ -335,8 +329,7 @@ def contract_gradient(
             j = rec.slot
             bar_c = -lam
             if j is not None:
-                den = rec.Lam + lam_pair[j] + shift
-                bar_c = bar_c + (adjoint.r_bar[m] / den) * phi
+                bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
 
             pf = np.zeros(P * n, dtype=complex)
             for T in params.stacked:

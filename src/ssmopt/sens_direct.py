@@ -16,10 +16,12 @@ then takes one key-factored `contract_sum` per tensor for dT over the primal
 vectors and one for T with each slot's vector replaced by its derivative,
 matrix-vector products distributed over the vectors (no n x n matrix is
 formed per index and parameter), and one solve with the factorization the
-expansion cached. Parameters are never batched: a coefficient's derivative
-needs the same parameter's lower-order derivatives, so the passes share
-nothing but the hoisted terms, and the cost stays linear in the number of
-design variables.
+index's record keeps, which also holds its resonant denominator. Parameters
+are never batched: a coefficient's derivative needs the same parameter's
+lower-order derivatives, so the passes share nothing but the hoisted terms,
+and the cost stays linear in the number of design variables. Only the
+eigenpair derivatives take all parameters at once, as one block solve with
+the bordered factorization of K - omega^2 M (`mode_factorization`).
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .backbone import dx_drho, x_harmonics, x_rms
 from .errors import DegenerateModeError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, decomps, order, symmetric
-from .ssm import RCOND_SINGULAR, SsmExpansion, index_solve, lu_rcond, v_decomps
+from .ssm import Factorization, SsmExpansion, factorize, v_decomps
 
 
 @dataclass
@@ -45,33 +46,18 @@ class DirectDerivatives:
     d_rho: np.ndarray
 
 
-def solve_mode_bordered(
-    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, rhs: np.ndarray, what: str
-) -> np.ndarray:
-    """Solution of [[K - omega^2 M, b], [c^T, 0]] [x; s] = rhs (rhs: one column or many).
-
-    Both borders are scaled to the size of K and omega^2 M before the
-    factorization, so the rcond check sees how close the system is to
-    singular (a repeated frequency), not the units of the border; the
-    unscaled solution is returned. Raises DegenerateModeError when the
-    scaled system is singular.
-    """
-    n = model.n
+def mode_factorization(
+    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, what: str
+) -> Factorization:
+    """Factorization of [[K - omega^2 M, b], [c^T, 0]], the borders scaled to
+    the size of K and omega^2 M. Raises DegenerateModeError when the system
+    is singular (a repeated frequency)."""
     scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
-    gb = scale / np.linalg.norm(b, 1)
-    gc = scale / np.linalg.norm(c, 1)
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = model.K - omega**2 * model.M
-    A[:n, n] = gb * b
-    A[n, :n] = gc * c
-    lu, rcond = lu_rcond(A)
-    if rcond < RCOND_SINGULAR:
-        raise DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
-    rhs = np.array(rhs, dtype=float)
-    rhs[n] *= gc
-    sol = scipy.linalg.lu_solve(lu, rhs)
-    sol[n] *= gb
-    return sol
+
+    def singular(rcond):
+        return DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
+
+    return factorize(model.K - omega**2 * model.M, singular, b, c, scale)
 
 
 def eig_derivatives(
@@ -85,14 +71,16 @@ def eig_derivatives(
     n = model.n
     phi, omega = master.phi, master.omega
     Mphi = model.M @ phi
-    rhs = np.empty((n + 1, params.count))
+    rhs = np.empty((n, params.count))
+    border = np.empty(params.count)
     for p in range(params.count):
-        rhs[:n, p] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
-        rhs[n, p] = omega * (phi @ params.dM[p] @ phi)
-    sol = solve_mode_bordered(
-        model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, rhs, "bordered eigenpair system"
+        rhs[:, p] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
+        border[p] = omega * (phi @ params.dM[p] @ phi)
+    lu = mode_factorization(
+        model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, "bordered eigenpair system"
     )
-    return sol[:n].T, sol[n]
+    dphi, domega = lu.solve(rhs, border)
+    return dphi.T, domega
 
 
 def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):
@@ -224,15 +212,14 @@ def chain_derivatives(
                 j = rec.slot
                 lj = Lam + lam_pair[j]
                 dlj = dLam + dlam_pair[j]
-                den = lj + model.alpha_r + model.beta_r * omega**2
                 dden = dlj + 2.0 * model.beta_r * omega * domega
-                dR[j] = (dphi @ rec.C + phi @ dC) / den - rec.R[j] * dden / den
+                dR[j] = (dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
                 dD = -lj * Mdphi - Cdphi - dlj * Mphi - lj * dMphi - dCphi
-                dh = dC + dD * rec.R[j] + rec.D[j] * dR[j]
+                dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
             dLw = dK @ rec.w + Lam * (dCmat @ rec.w) + Lam**2 * (dM @ rec.w) + dLam * Lw
             # border row: d(phi^T M w_m) = 0; a plain record ignores it
-            dw, _ = index_solve(rec, dh - dLw, -((dMphi + Mdphi) @ rec.w))
+            dw, _ = rec.lu.solve(dh - dLw, -((dMphi + Mdphi) @ rec.w))
 
             dwdot = (
                 dLam * rec.w

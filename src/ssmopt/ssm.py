@@ -8,6 +8,12 @@ operator is solved in bordered form with the constraint phi^T M w_m = 0 so the
 exactly-singular undamped case is handled by the same path as the lightly
 damped one (for which the bordered and plain solutions coincide).
 
+Each operator is factored once, by `factorize`, into a rcond-checked
+`Factorization` that the record keeps; the sensitivity passes solve with
+it and do not factor again. A resonant record also keeps the denominator
+of its R_m and the force D that R_m exerts on the right-hand side, so no
+pass rebuilds them.
+
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
 written by conjugation. The sensitivity passes (direct, adjoint sweep,
@@ -18,8 +24,8 @@ conjugation.
 from __future__ import annotations
 
 import warnings
-
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +41,6 @@ from .multiindex import (
     E1,
     E2,
     MultiIndex,
-    all_indices,
     canonical_indices,
     decomps,
     order,
@@ -51,6 +56,58 @@ SOLVE_RESIDUAL_RTOL = 1e-9
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """LU factors of a dense system A, or of A bordered by one column b and
+    one row c^T:
+
+        [[A, gb b], [gc c^T, 0]],  gb = scale/||b||_1,  gc = scale/||c||_1.
+
+    Scaling both borders to `scale`, the size of A's terms, makes the rcond
+    check see how close the system is to singular, not the units of the
+    border. `solve` takes the unscaled border value and returns the unscaled
+    border unknown.
+    """
+
+    lu: tuple
+    gb: float | None = None  # None: A is not bordered
+    gc: float | None = None
+
+    def solve(self, rhs: np.ndarray, border=0.0):
+        """(x, s) solving A x + b s = rhs, c^T x = border (bordered), or
+        (x, 0.0) solving A x = rhs. rhs is one column or an (n, K) block with
+        one border value per column."""
+        if self.gb is None:
+            return scipy.linalg.lu_solve(self.lu, rhs), 0.0
+        last = self.gc * np.broadcast_to(border, rhs.shape[1:])
+        sol = scipy.linalg.lu_solve(self.lu, np.concatenate([rhs, last[None]]))
+        return sol[:-1], self.gb * sol[-1]
+
+
+def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Factorization:
+    """Factorization of A, or of A bordered by b and c scaled to `scale`.
+
+    LAPACK's condition estimate of the factored matrix is checked: below
+    RCOND_SINGULAR, `error(rcond)` is raised (scipy's lu_factor only warns on
+    a singular matrix). A failed or non-finite estimate reads as rcond 0.
+    """
+    gb = gc = None
+    if b is not None:
+        gb, gc = (max(scale, 1e-300) / max(np.linalg.norm(v, 1), 1e-300) for v in (b, c))
+        A = np.block([[A, gb * b[:, None]], [gc * c, 0.0]])
+    anorm = np.linalg.norm(A, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(A)
+    (gecon,) = lapack.get_lapack_funcs(("gecon",), (lu[0],))
+    rcond, info = gecon(lu[0], anorm)
+    if info != 0 or not np.isfinite(rcond):
+        rcond = 0.0
+    if rcond < RCOND_SINGULAR:
+        raise error(float(rcond))
+    return Factorization(lu, gb, gc)
+
+
 @dataclass
 class IndexCoeffs:
     """Coefficients and cached solver data for one multi-index."""
@@ -63,52 +120,10 @@ class IndexCoeffs:
     V: np.ndarray
     Vdot: np.ndarray
     C: np.ndarray
-    D: list  # two slots, complex n-vectors where the slot is resonant else None
+    D: np.ndarray | None  # force of R_m[slot] on the right-hand side, resonant only
     slot: int | None  # resonant slot (0 or 1) or None
-    lu: tuple | None = None  # LU of L_m, or of the scaled bordered operator when resonant
-    border_gamma: float = 0.0
-
-
-def lu_rcond(A: np.ndarray) -> tuple[tuple, float]:
-    """LU factors of A and LAPACK's estimate of its reciprocal condition number.
-
-    scipy's lu_factor only warns on a singular matrix, so callers compare the
-    estimate with RCOND_SINGULAR and raise their own typed error. A failed
-    estimate reads as rcond 0.
-    """
-    anorm = np.linalg.norm(A, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    (gecon,) = lapack.get_lapack_funcs(("gecon",), (lu,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond):
-        rcond = 0.0
-    return (lu, piv), float(rcond)
-
-
-def _factor_with_rcond(A: np.ndarray, m: MultiIndex):
-    lu, rcond = lu_rcond(A)
-    if rcond < RCOND_SINGULAR:
-        raise OuterResonanceError(m, rcond)
-    return lu
-
-
-def index_solve(rec: IndexCoeffs, b1: np.ndarray, border_rhs: complex = 0.0):
-    """Solve the cached operator of a canonical index against a new RHS.
-
-    For bordered (resonant) records the system is
-    [L_m, c; c^T, 0] [w; s] = [b1; border_rhs] with c = M phi; returns
-    (w, s). Plain records return (w, 0). The operator is complex symmetric,
-    so the same factorization serves transposed (adjoint) systems.
-    """
-    if rec.lu is None:
-        raise SsmError(f"index {rec.m} carries no factorization (conjugate record)")
-    if rec.slot is None:
-        return scipy.linalg.lu_solve(rec.lu, b1), 0.0
-    rhs = np.concatenate([b1, [rec.border_gamma * border_rhs]])
-    sol = scipy.linalg.lu_solve(rec.lu, rhs)
-    return sol[:-1], rec.border_gamma * sol[-1]
+    den: complex | None = None  # denominator of R_m[slot], resonant only
+    lu: Factorization | None = None  # L_m, bordered when resonant; canonical only
 
 
 def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
@@ -160,7 +175,7 @@ class SsmExpansion:
                 V=zero.copy(),
                 Vdot=zero.copy(),
                 C=zero.copy(),
-                D=[None, None],
+                D=None,
                 slot=slot,
             )
 
@@ -178,12 +193,6 @@ class SsmExpansion:
     def R(self, m: MultiIndex) -> np.ndarray:
         return self.data[m].R
 
-    def indices(self, min_order: int = 2) -> list[MultiIndex]:
-        out = []
-        for q in range(min_order, self.order + 1):
-            out.extend(all_indices(q))
-        return out
-
     def r_orders(self) -> tuple[int, ...]:
         """Odd orders >= 3 carrying reduced-dynamics coefficients."""
         return tuple(q for q in range(3, self.order + 1, 2))
@@ -196,8 +205,6 @@ class SsmExpansion:
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
     ms = symmetric(rec.m)
     slot = None if rec.slot is None else 1 - rec.slot
-    D = [None if rec.D[1] is None else np.conj(rec.D[1]),
-         None if rec.D[0] is None else np.conj(rec.D[0])]
     return IndexCoeffs(
         m=ms,
         w=np.conj(rec.w),
@@ -207,8 +214,9 @@ def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
         V=np.conj(rec.V),
         Vdot=np.conj(rec.Vdot),
         C=np.conj(rec.C),
-        D=D,
+        D=None if rec.D is None else np.conj(rec.D),
         slot=slot,
+        den=None if rec.den is None else np.conj(rec.den),
     )
 
 
@@ -240,8 +248,13 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
 
     slot = resonant_slot(m)
     R = np.zeros(2, dtype=complex)
-    D: list = [None, None]
-    if slot is not None:
+    D = den = None
+    h = C_m
+    L = (K + Lam * Cmat + Lam**2 * M).astype(complex)
+    singular = partial(OuterResonanceError, m)
+    if slot is None:
+        lu = factorize(L, singular)
+    else:
         lam_j = lam_pair[slot]
         den = Lam + lam_j + model.alpha_r + model.beta_r * master.omega**2
         if abs(den) < DENOMINATOR_TOL:
@@ -249,45 +262,27 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
                 f"near-resonant denominator {abs(den):.2e} at index {m}"
             )
         R[slot] = (phi @ C_m) / den
-        D[slot] = -((Lam + lam_j) * M + Cmat) @ phi.astype(complex)
-
-    h = C_m.copy()
-    if slot is not None:
-        h = h + D[slot] * R[slot]
-
-    L = (K + Lam * Cmat + Lam**2 * M).astype(complex)
-    if slot is None:
-        lu = _factor_with_rcond(L, m)
-        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
-                          C_m, D, slot, lu=lu)
-        w, _ = index_solve(rec, h)
-    else:
+        D = -((Lam + lam_j) * M + Cmat) @ phi.astype(complex)
+        h = C_m + D * R[slot]
         # Bordered operator: the reduced coefficient removed the master
         # projection from h, so the solution with phi^T M w = 0 is the
-        # regular limit; for xi > 0 it equals the plain solve.
-        c = (M @ phi).astype(complex)
-        # Characteristic magnitude of L's terms: L itself may cancel to zero
-        # at exact resonance, but the border must stay on the matrix scale.
+        # regular limit; for xi > 0 it equals the plain solve. The border
+        # stays on the scale of L's terms, which may cancel to zero at exact
+        # resonance.
         lscale = (
             np.linalg.norm(K, 1)
             + abs(Lam) * np.linalg.norm(Cmat, 1)
             + abs(Lam) ** 2 * np.linalg.norm(M, 1)
         )
-        gamma = max(lscale, 1e-300) / max(np.linalg.norm(c, 1), 1e-300)
-        B = np.zeros((n + 1, n + 1), dtype=complex)
-        B[:n, :n] = L
-        B[:n, n] = gamma * c
-        B[n, :n] = gamma * c
-        lu = _factor_with_rcond(B, m)
-        rec = IndexCoeffs(m, np.zeros(n, complex), np.zeros(n, complex), R, Lam, V, Vdot,
-                          C_m, D, slot, lu=lu, border_gamma=gamma)
-        w, _ = index_solve(rec, h)
+        Mphi = M @ phi
+        lu = factorize(L, singular, Mphi, Mphi, lscale)
+    w, _ = lu.solve(h)
 
     # h can be a round-off-level difference of large terms (e.g. a 1-DOF
     # resonant index); accept residuals on that cancellation floor.
     cancel_scale = np.linalg.norm(C_m)
     if slot is not None:
-        cancel_scale += abs(R[slot]) * np.linalg.norm(D[slot])
+        cancel_scale += abs(R[slot]) * np.linalg.norm(D)
     resid = np.linalg.norm(L @ w - h)
     tol = SOLVE_RESIDUAL_RTOL * np.linalg.norm(h) + 100 * np.finfo(float).eps * cancel_scale
     if resid > tol:
@@ -300,13 +295,12 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         # dropping the roundoff imaginary part makes the conjugacy invariant
         # hold by construction
         w = w.real.astype(complex)
-        for arr in (rec.V, rec.Vdot, rec.C):
+        for arr in (V, Vdot, C_m):
             arr.imag = 0.0
 
-    rec.w = w
-    rec.wdot = Lam * w + (R[0] + R[1]) * phi + V
+    wdot = Lam * w + (R[0] + R[1]) * phi + V
     exp.n_solves += 1
-    return rec
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu)
 
 
 def compute_ssm(
@@ -362,42 +356,44 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     """Relative residual of the invariance equation, max over a theta grid of
     RESIDUAL_THETA_SAMPLES points.
 
-    The defect B dW/dp R - A W - F(W) is measured against A W + F(W) in a
-    compliance-weighted state norm: the force-balance block is preconditioned
-    by the static stiffness and the velocity block by the mass matrix and the
-    natural frequency. A raw force-relative measure over-penalizes stiff
-    components (e.g. axial FE DOFs) whose defect has no bearing on the master
-    dynamics; the weighted measure tracks the accuracy of the predicted
-    response itself.
+    On the SSM, x = W(p) and v = Wdot(p) with p' = R(p). The force-balance
+    defect C x' + M v' + K x + f(x) is measured against K x + f(x), both
+    preconditioned by the static stiffness; the velocity defect x' - v is
+    measured against v, both divided by the natural frequency. A raw
+    force-relative measure over-penalizes stiff components (e.g. axial FE
+    DOFs) whose defect has no bearing on the master dynamics; the weighted
+    measure tracks the accuracy of the predicted response itself.
+
+    K is regularized by 1e-14 ||K||_1 and factored without the rcond check:
+    a free-free stiffness (a rigid-body mode beside the master) is valid
+    input, and its regularized factorization has rcond near 1e-14.
 
     All grid points are evaluated at once. At p = (rho e^{i theta},
-    rho e^{-i theta}) the monomial p^m is rho^|m| e^{i (m1 - m2) theta}, so
+    rho e^{-i theta}) the power p^m is rho^|m| e^{i (m1 - m2) theta}, so
     W, R(p) and the partials dW/dp1, dW/dp2 are each one (theta x index)
-    monomial matrix times the stacked coefficients [w; wdot] or R; both norm
-    blocks take one LU solve with all grid points as right-hand sides. Only
-    the internal force is evaluated point by point.
+    matrix of powers times the stacked coefficients [w; wdot] or R; the
+    stiffness preconditioner takes one LU solve with all grid points as
+    right-hand sides. Only the internal force is evaluated point by point.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    B, A = model.first_order_operators()
     n = model.n
-    Kreg = model.K + 1e-14 * np.linalg.norm(model.K, 1) * np.eye(n)
-    luK = scipy.linalg.lu_factor(Kreg)
-    luM = scipy.linalg.lu_factor(model.M)
+    K = model.K
+    luK = scipy.linalg.lu_factor(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(n))
     omega = exp.master.omega
 
-    def state_norms(V: np.ndarray) -> np.ndarray:
-        """Weighted norm of each column of the (2n x theta) matrix V."""
-        s1 = scipy.linalg.lu_solve(luK, V[:n])
-        s2 = scipy.linalg.lu_solve(luM, V[n:]) / omega
-        return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=0))
+    def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+        """Weighted norm at each grid point of the (theta x n) blocks."""
+        s1 = scipy.linalg.lu_solve(luK, force.T)
+        s2 = velocity / omega
+        return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=1))
 
     n_grid = RESIDUAL_THETA_SAMPLES
     thetas = 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
     ms = np.array(list(exp.data))
     q = ms.sum(axis=1)
     d = ms[:, 0] - ms[:, 1]
-    # monomials of W and of the two partials (m1 p^(m - e1), m2 p^(m - e2))
+    # powers p^m of W and of the two partials (m1 p^(m - e1), m2 p^(m - e2))
     rho_q1 = rho ** np.maximum(q - 1, 0)
     Phi = np.exp(1j * np.outer(thetas, d)) * rho**q
     Phi1 = np.exp(1j * np.outer(thetas, d - 1)) * (ms[:, 0] * rho_q1)
@@ -409,14 +405,14 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     W = Phi @ Wm
     Rp = Phi @ Rm
     dW = (Phi1 @ Wm) * Rp[:, :1] + (Phi2 @ Wm) * Rp[:, 1:]
-    F = np.zeros_like(W)
-    F[:, :n] = [-model.nonlinear_force(x) for x in W[:, :n]]
-    rhs = W @ A.T + F
-    lhs = dW @ B.T
-    den = state_norms(rhs.T)
+    x, v = W[:, :n], W[:, n:]
+    dx, dv = dW[:, :n], dW[:, n:]
+    ref = x @ K.T + np.array([model.nonlinear_force(xk) for xk in x])
+    defect = dx @ model.damping().T + dv @ model.M.T + ref
+    den = state_norms(ref, v)
     if np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")
-    eps = float(np.max(state_norms((lhs - rhs).T) / den))
+    eps = float(np.max(state_norms(defect, dx - v) / den))
     return ErrorMeasure(eps, rho)
 
 

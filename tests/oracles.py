@@ -14,6 +14,9 @@
   own. `ssm.compute_ssm` solves only the canonical indices and writes the
   swapped ones by conjugation; this is the form the conjugation must
   reproduce to roundoff.
+* `first_order_operators`: the matrices of the equivalent first-order form.
+  `ssm.invariance_residual` works in the second-order form; the first-order
+  one is the independent reference its tests compare with.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ssmopt.sens_adjoint import (
     solve_adjoint_phi_omega,
     solve_adjoint_rho,
 )
-from ssmopt.ssm import SsmExpansion, index_solve, order_step
+from ssmopt.ssm import SsmExpansion, order_step
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -247,9 +250,9 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
             rhs = -bars.w.pop(m, np.zeros(model.n, complex))
             rec = exp.coeffs(m)
             if rec.lu is not None:
-                lam, nu = index_solve(rec, rhs)
+                lam, nu = rec.lu.solve(rhs)
             else:
-                lam, nu = index_solve(exp.coeffs(symmetric(m)), np.conj(rhs))
+                lam, nu = exp.coeffs(symmetric(m)).lu.solve(np.conj(rhs))
                 lam, nu = np.conj(lam), np.conj(nu)
             lambda_m[m] = lam
             if rec.slot is not None:
@@ -271,3 +274,17 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
             exp.data[m] = order_step(model, exp, m)
         exp.order = q
     return exp
+
+
+def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (B, A) of the equivalent first-order form B z' = A z + F(z),
+    z = (x, v), F = (-f(x), 0)."""
+    n = model.n
+    B = np.zeros((2 * n, 2 * n))
+    B[:n, :n] = model.damping()
+    B[:n, n:] = model.M
+    B[n:, :n] = model.M
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n] = -model.K
+    A[n:, n:] = model.M
+    return B, A

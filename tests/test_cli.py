@@ -85,6 +85,35 @@ class TestBackboneCommand:
         cfg = {"model": bad, "backbone": {"dof": 0, "x_targets": [0.1]}}
         assert main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
 
+    def test_fixed_order_maps_targets_through_its_own_expansion(self, tmp_path):
+        # 0.0075 lies past the O3 validity cap of this beam (0.00699) but
+        # inside the O9 one; a fixed order never looks at the O3 expansion
+        cfg = {
+            "model": {"type": "vk_beam", "a1": 0.01},
+            "backbone": {"dof": 13, "x_targets": [0.002, 0.0075], "order": 9},
+        }
+        out = tmp_path / "o"
+        assert main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "error_report.json").read_text())
+        assert report["order"] == 9
+        assert report["epsilon"] == pytest.approx(2.7e-2, rel=0.05)
+
+    def test_outer_resonance_exit_code_names_the_index(self, tmp_path, capsys):
+        # omega_2 = 3 omega_1: the (3, 0) operator K - 9 M is singular
+        model = {
+            "type": "matrix",
+            "n": 2,
+            "M": [[1.0, 0.0], [0.0, 1.0]],
+            "K": [[1.0, 0.0], [0.0, 9.0]],
+            "T3": [[0, 0, 0, 0, 1.0]],
+        }
+        cfg = {"model": model, "backbone": {"dof": 0, "x_targets": [0.1], "order": 3}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "cohomological operator at index (3, 0) is numerically singular" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, fields",
         [

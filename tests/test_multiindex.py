@@ -1,13 +1,11 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from ssmopt.multiindex import (
     all_indices,
     canonical_indices,
     decomps,
-    monomial,
     order,
     r1_active_index,
     resonant_slot,
@@ -34,24 +32,6 @@ class TestEnumeration:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             canonical_indices(0)
-
-
-class TestMonomial:
-    def test_polar_example(self):
-        rho, theta = 0.7, 0.3
-        p = np.array([rho * np.exp(1j * theta), rho * np.exp(-1j * theta)])
-        assert monomial(p, (2, 1)) == pytest.approx(rho**3 * np.exp(1j * theta))
-
-    def test_empty_product(self):
-        assert monomial(np.array([2.0 + 1j, -3.0]), (0, 0)) == 1.0
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            p1 = rng.normal() + 1j * rng.normal()
-            p = np.array([p1, np.conj(p1)])
-            m = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-            assert np.conj(monomial(p, m)) == pytest.approx(monomial(p, symmetric(m)))
 
 
 class TestNearResonance:

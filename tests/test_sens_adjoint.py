@@ -70,7 +70,6 @@ class TestAdjointW:
         lam_rho = solve_adjoint_rho(chain2_exp5, 1, rho)
         lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
         # independent mini-solve for one highest-order index
-        from ssmopt.ssm import index_solve
         from ssmopt.backbone import x_theta_samples
 
         m = (3, 2)
@@ -84,7 +83,7 @@ class TestAdjointW:
         bar[1] += coef
         # wdot of (3,2) is consumed by nothing at order 5 (top order)
         rhs = -bar
-        lam, _ = index_solve(rec, rhs)
+        lam, _ = rec.lu.solve(rhs)
         assert np.allclose(lam, lam_m[m], rtol=1e-12)
 
     def test_conjugacy_of_adjoint_vectors(self, chain2, chain2_exp5):

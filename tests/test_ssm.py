@@ -3,12 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master
-from ssmopt.backbone import _validity_cap
+from ssmopt.backbone import _validity_cap, rho_of_x
+from ssmopt.errors import OuterResonanceError
+from ssmopt.mechmodel import model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
-from ssmopt.multiindex import monomial, order, symmetric
+from ssmopt.multiindex import order, symmetric
 from ssmopt.ssm import adapt_order
 
-from oracles import reference_full_set_ssm
+from oracles import first_order_operators, reference_full_set_ssm
 
 
 def make_duffing_exp(duffing, duffing_master, O=5):
@@ -38,9 +40,10 @@ class TestOrderStep:
     def test_linear_model_all_higher_coefficients_vanish(self, linear_chain):
         model, _ = linear_chain
         exp = compute_ssm(model, solve_master(model, 0), 7)
-        for m in exp.indices(min_order=2):
-            assert np.abs(exp.w(m)).max() == 0.0
-            assert np.abs(exp.R(m)).max() == 0.0
+        for m in exp.data:
+            if order(m) >= 2:
+                assert np.abs(exp.w(m)).max() == 0.0
+                assert np.abs(exp.R(m)).max() == 0.0
 
     def test_duffing_cubic_backbone_coefficient(self, duffing, duffing_master):
         # oracle: first-order harmonic balance Omega^2 = omega^2 + (3/4)g a^2
@@ -53,17 +56,18 @@ class TestOrderStep:
     def test_cohomological_residual_per_index(self, chain2, chain2_exp5):
         model, _ = chain2
         Cmat = model.damping()
-        for m in chain2_exp5.indices(min_order=2):
-            rec = chain2_exp5.coeffs(m)
+        for m, rec in chain2_exp5.data.items():
+            if order(m) < 2:
+                continue
             L = model.K + rec.Lam * Cmat + rec.Lam**2 * model.M
             h = rec.C.copy()
             if rec.slot is not None:
-                h = h + rec.D[rec.slot] * rec.R[rec.slot]
+                h = h + rec.D * rec.R[rec.slot]
             resid = np.linalg.norm(L @ rec.w - h)
             assert resid <= 1e-9 * np.linalg.norm(h) + 1e-14
 
     def test_even_orders_carry_no_reduced_dynamics(self, chain2_exp5):
-        for m in chain2_exp5.indices(min_order=2):
+        for m in chain2_exp5.data:
             if order(m) % 2 == 0:
                 assert np.abs(chain2_exp5.R(m)).max() == 0.0
 
@@ -78,7 +82,7 @@ class TestComputeSsm:
     def test_extension_preserves_lower_orders(self, chain2, chain2_master):
         model, _ = chain2
         e5 = compute_ssm(model, chain2_master, 5)
-        snapshot = {m: e5.w(m).copy() for m in e5.indices(min_order=2)}
+        snapshot = {m: rec.w.copy() for m, rec in e5.data.items()}
         e7 = compute_ssm(model, chain2_master, 7, from_expansion=e5)
         assert e7.order == 7
         for m, w in snapshot.items():
@@ -91,13 +95,13 @@ class TestComputeSsm:
         master = solve_master(model, 0)
         canon = compute_ssm(model, master, 7)
         full = reference_full_set_ssm(model, master, 7)
-        for m in canon.indices(min_order=2):
+        for m in canon.data:
             assert np.allclose(canon.w(m), full.w(m), rtol=0, atol=1e-13)
             assert np.allclose(canon.wdot(m), full.wdot(m), rtol=0, atol=1e-13)
             assert np.allclose(canon.R(m), full.R(m), rtol=0, atol=1e-13)
 
     def test_conjugacy_of_stored_records(self, chain2_exp5):
-        for m in chain2_exp5.indices(min_order=2):
+        for m in chain2_exp5.data:
             ms = symmetric(m)
             assert np.array_equal(np.conj(chain2_exp5.w(m)), chain2_exp5.w(ms))
             assert np.array_equal(np.conj(chain2_exp5.R(m)[::-1]), chain2_exp5.R(ms))
@@ -106,6 +110,52 @@ class TestComputeSsm:
         model, _ = chain2
         with pytest.raises(ValueError):
             compute_ssm(model, chain2_master, 4)
+
+
+def two_dof_matrix_model(K, beta_r=0.0):
+    return model_from_json(
+        {"type": "matrix", "n": 2, "M": [[1.0, 0.0], [0.0, 1.0]], "K": K, "beta_r": beta_r,
+         "T3": [[0, 0, 0, 0, 1.0]]}
+    )
+
+
+class TestFactorization:
+    def test_outer_resonance_raises_at_the_index(self):
+        # omega_2 = 3 omega_1: L at (3, 0) is K - 9 M = diag(-8, 0)
+        model = two_dof_matrix_model([[1.0, 0.0], [0.0, 9.0]])
+        with pytest.raises(OuterResonanceError) as info:
+            compute_ssm(model, solve_master(model, 0), 3)
+        assert info.value.m == (3, 0)
+        assert info.value.rcond < 1e-12
+
+    def test_free_free_stiffness_expands(self):
+        # a rigid-body mode beside the master is valid input: the residual
+        # factors a regularized K without the rcond check
+        model = two_dof_matrix_model([[1.0, -1.0], [-1.0, 1.0]], beta_r=0.01)
+        master = solve_master(model, 1)
+        eps = []
+        for O in (3, 5):
+            exp = compute_ssm(model, master, O)
+            eps.append(invariance_residual(model, exp, rho_of_x(exp, 0, 0.05)).epsilon)
+        assert np.all(np.isfinite(eps))
+        assert eps[1] < eps[0]
+
+    @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
+    def test_block_solve_equals_column_solves(self, m):
+        # plain (4, 1) and resonant (3, 2) records: an (n, K) block with one
+        # border value per column is K one-column solves
+        model, _ = build_chain(ChainSpec(n_masses=3))
+        rec = compute_ssm(model, solve_master(model, 0), 5).coeffs(m)
+        assert (rec.slot is None) == (m == (4, 1))
+        rng = np.random.default_rng(3)
+        rhs = rng.normal(size=(model.n, 4)) + 1j * rng.normal(size=(model.n, 4))
+        border = rng.normal(size=4) + 1j * rng.normal(size=4)
+        x, s = rec.lu.solve(rhs, border)
+        for k in range(4):
+            xk, sk = rec.lu.solve(rhs[:, k], border[k])
+            assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
+            if rec.slot is not None:
+                assert abs(s[k] - sk) <= 1e-14 * abs(sk)
 
 
 class TestInvarianceResidual:
@@ -135,7 +185,7 @@ class TestInvarianceResidual:
         model, _ = chain2
         O = 3
         exp = compute_ssm(model, chain2_master, O)
-        B, A = model.first_order_operators()
+        B, A = first_order_operators(model)
         n = model.n
 
         def defect(rho):
@@ -148,13 +198,13 @@ class TestInvarianceResidual:
                 d2 = np.zeros(2 * n, dtype=complex)
                 R = np.zeros(2, dtype=complex)
                 for m, rec in exp.data.items():
-                    pm = monomial(p, m)
+                    pm = p[0] ** m[0] * p[1] ** m[1]
                     Wm = np.concatenate([rec.w, rec.wdot])
                     W += Wm * pm
                     if m[0]:
-                        d1 += m[0] * monomial(p, (m[0] - 1, m[1])) * Wm
+                        d1 += m[0] * p[0] ** (m[0] - 1) * p[1] ** m[1] * Wm
                     if m[1]:
-                        d2 += m[1] * monomial(p, (m[0], m[1] - 1)) * Wm
+                        d2 += m[1] * p[0] ** m[0] * p[1] ** (m[1] - 1) * Wm
                     R += rec.R * pm
                 F = np.zeros(2 * n)
                 F[:n] = -model.nonlinear_force(W[:n].real)
@@ -190,8 +240,9 @@ class TestInvarianceResidual:
 
 
 def loop_residual(model, exp, rho, theta_samples=32):
-    """invariance_residual's epsilon, one theta point and one index at a time."""
-    B, A = model.first_order_operators()
+    """invariance_residual's epsilon, one theta point and one index at a time,
+    from the first-order form with the velocity block weighted by M^-1."""
+    B, A = first_order_operators(model)
     n = model.n
     Kreg = model.K + 1e-14 * np.linalg.norm(model.K, 1) * np.eye(n)
     Minv = np.linalg.inv(model.M)
@@ -211,12 +262,13 @@ def loop_residual(model, exp, rho, theta_samples=32):
         Rp = np.zeros(2, dtype=complex)
         for m, rec in exp.data.items():
             Wm = np.concatenate([rec.w, rec.wdot])
-            W += Wm * monomial(p, m)
+            pm = p[0] ** m[0] * p[1] ** m[1]
+            W += Wm * pm
             if m[0] > 0:
-                dW1 += m[0] * monomial(p, (m[0] - 1, m[1])) * Wm
+                dW1 += m[0] * p[0] ** (m[0] - 1) * p[1] ** m[1] * Wm
             if m[1] > 0:
-                dW2 += m[1] * monomial(p, (m[0], m[1] - 1)) * Wm
-            Rp += rec.R * monomial(p, m)
+                dW2 += m[1] * p[0] ** m[0] * p[1] ** (m[1] - 1) * Wm
+            Rp += rec.R * pm
         F = np.zeros(2 * n, dtype=complex)
         F[:n] = -model.nonlinear_force(W[:n])
         rhs = A @ W + F
@@ -242,8 +294,6 @@ class TestAdaptOrder:
         assert res.warned and res.expansion.order == 5
 
     def test_order_increases_with_amplitude_on_beam(self, beam, beam_master, beam_center_dof):
-        from ssmopt.backbone import rho_of_x
-
         model, _ = beam
         exp = compute_ssm(model, beam_master, 9)
         orders = []
