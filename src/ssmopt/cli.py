@@ -45,7 +45,6 @@ from .ssm import (
     adapt_order,
     compute_ssm,
     dump_expansion,
-    invariance_residual,
 )
 
 EXIT_CONFIG = 1
@@ -65,27 +64,6 @@ def _write(outdir: Path, name: str, text: str):
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _resolve_order(block, model, master):
-    """(expansion, residual at the largest target, order warning).
-
-    A fixed order maps the largest target through its own expansion. `auto`
-    has no order yet, so it maps the target through an O3 probe expansion
-    and adapts the order to the residual at that amplitude.
-    """
-    dof, x_max, order = block["dof"], max(block["x_targets"]), block["order"]
-    if order != "auto":
-        exp = compute_ssm(model, master, int(order))
-        return exp, invariance_residual(model, exp, rho_of_x(exp, dof, x_max)), False
-    result = adapt_order(
-        model,
-        master,
-        tol=block["eps_tol"],
-        rho=rho_of_x(compute_ssm(model, master, 3), dof, x_max),
-        order_range=(3, block["max_order"]),
-    )
-    return result.expansion, result.error, result.warned
 
 
 def _check_block(name: str, value: dict, n_dof: int) -> None:
@@ -114,9 +92,18 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
     block = BACKBONE_DEFAULTS | cfg["backbone"]
     _check_block("backbone", block, model.n)
     master = solve_master(model, block["mode"])
-    exp, err, warned = _resolve_order(block, model, master)
+    # a fixed order is the range of that one order
+    dof, x_max, order = block["dof"], max(block["x_targets"]), block["order"]
+    result = adapt_order(
+        model,
+        master,
+        tol=block["eps_tol"],
+        rho_at=lambda e: rho_of_x(e, dof, x_max),
+        order_range=(3, block["max_order"]) if order == "auto" else (order, order),
+    )
+    exp, err = result.expansion, result.error
 
-    curve = sample_backbone(exp, block["dof"], block["x_targets"])
+    curve = sample_backbone(exp, dof, block["x_targets"])
     _write(outdir, "backbone.csv", backbone_to_csv(curve))
     _write(outdir, "expansion.json", _json_dumps(dump_expansion(exp)))
     _write(
@@ -128,7 +115,7 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
                 "rho_max": err.rho_max,
                 "theta_samples": RESIDUAL_THETA_SAMPLES,
                 "order": exp.order,
-                "order_warning": warned,
+                "order_warning": result.warned,
                 "xi": exp.master.xi,
                 "monotone": curve.monotone,
             }

@@ -6,9 +6,10 @@ optional eigenfrequency constraints pin undamped natural frequencies. Every
 evaluation rebuilds the model, tracks the master mode by MAC against the last
 accepted iterate, and evaluates frequencies on an expansion whose order is
 frozen during the iteration. `_Session` alone decides the order, by one
-rule at the start design and at every accepted iterate: raise it by two
-while the invariance residual exceeds `eps_tol` or a target lies beyond the
-validity radius (never decreased within a run).
+rule: an order fails while the invariance residual exceeds `eps_tol` or a
+target lies beyond the validity radius. At the start design `adapt_order`
+picks the lowest order that passes; every accepted iterate that fails
+raises it by two (never decreased within a run).
 
 The variables are normalized by their bounds and the constraints by the
 initial natural frequency. `solve` runs a dense SQP iteration of its own:
@@ -35,7 +36,7 @@ from .errors import AmplitudeUnreachableError, ConfigError, SsmOptError
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
 from .spectral import solve_modes, track_mode
-from .ssm import compute_ssm, invariance_residual
+from .ssm import adapt_order, compute_ssm, invariance_residual
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,16 @@ class _Session:
         self.order = problem.start_order
         self.cache: dict[bytes, EvalResult] = {}
         self.trace: list[IterRecord] = []
-        # initial order decision: raise until the start design meets the
-        # rule every accepted iterate meets (never lowered afterwards)
-        while (nxt := self.next_order(self.evaluate(problem.mu0))) != self.order:
-            self.order = nxt
-
-    def next_order(self, res: EvalResult) -> int:
-        """The order rule: an evaluation beyond the validity radius counts as
-        an accuracy failure, whatever its residual."""
-        tol = self.problem.tolerances
-        eps = np.inf if res.extrapolated else res.epsilon
-        return order_policy(eps, tol.eps_tol, self.order, tol.max_order)
+        targets = problem.backbone_targets
+        if targets:
+            # the lowest order at which the start design passes the rule
+            self.order = adapt_order(
+                model0,
+                track_mode(model0, self.reference),
+                problem.tolerances.eps_tol,
+                rho_at=lambda e: max(rho_of_x(e, t.dof_index, t.x) for t in targets),
+                order_range=(self.order, max(self.order, problem.tolerances.max_order)),
+            ).expansion.order
 
     def evaluate(self, mu: np.ndarray) -> EvalResult:
         key = np.asarray(mu, dtype=float).tobytes() + bytes([self.order])
@@ -257,7 +257,11 @@ class _Session:
             )
         )
         self.reference = res.phi.copy()
-        self.order = self.next_order(res)
+        # an evaluation beyond the validity radius fails the rule, whatever
+        # its residual
+        tol = self.problem.tolerances
+        eps = np.inf if res.extrapolated else res.epsilon
+        self.order = order_policy(eps, tol.eps_tol, self.order, tol.max_order)
         try:
             return self.evaluate(mu)
         except SsmOptError:

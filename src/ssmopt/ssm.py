@@ -32,6 +32,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import (
+    AmplitudeUnreachableError,
     DegenerateParametrizationError,
     OuterResonanceError,
     SsmError,
@@ -420,23 +421,30 @@ def adapt_order(
     model: MechModel,
     master: MasterPair,
     tol: float,
-    rho: float,
+    rho_at,
     order_range: tuple[int, int] = (3, 13),
 ) -> AdaptResult:
-    """Smallest odd order in range whose residual at rho meets the tolerance.
-
-    Returns the highest order with warned=True when none qualifies.
+    """Smallest odd order in range whose residual at rho_at(expansion), the
+    amplitude that order's own expansion maps the targets to, meets the
+    tolerance. An order at which rho_at raises AmplitudeUnreachableError
+    misses, with residual inf at the validity cap. Returns the highest order
+    with warned=True when none qualifies.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = order_range
-    if lo % 2 == 0 or hi % 2 == 0 or lo < 3 or hi < lo:
+    # a bound may come from JSON as an integral float such as 9.0
+    if lo % 2 != 1 or hi % 2 != 1 or lo < 3 or hi < lo:
         raise ValueError(f"order range must be odd bounds with 3 <= lo <= hi, got {order_range}")
     exp = None
-    err = None
-    for O in range(lo, hi + 1, 2):
+    for O in range(int(lo), int(hi) + 1, 2):
         exp = compute_ssm(model, master, O, from_expansion=exp)
-        err = invariance_residual(model, exp, rho)
+        try:
+            rho = rho_at(exp)
+        except AmplitudeUnreachableError as unreachable:
+            err = ErrorMeasure(np.inf, unreachable.rho_cap)
+        else:
+            err = invariance_residual(model, exp, rho)
         if err.epsilon <= tol:
             return AdaptResult(exp, err, False)
     return AdaptResult(exp, err, True)

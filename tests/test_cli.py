@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ssmopt import cli, config, optimizer
+from ssmopt import cli, config, optimizer, ssm
 from ssmopt.cli import main
 
 CHAIN_MODEL = {
@@ -97,6 +97,72 @@ class TestBackboneCommand:
         report = json.loads((out / "error_report.json").read_text())
         assert report["order"] == 9
         assert report["epsilon"] == pytest.approx(2.7e-2, rel=0.05)
+
+    def test_auto_reaches_a_target_past_the_o3_cap(self, tmp_path):
+        # auto measures each order where its own expansion maps the targets:
+        # O3 cannot reach 0.0075, O9 can, and its residual misses eps_tol
+        cfg = {
+            "model": {"type": "vk_beam", "a1": 0.01},
+            "backbone": {
+                "dof": 13,
+                "x_targets": [0.002, 0.0075],
+                "order": "auto",
+                "max_order": 9,
+                "eps_tol": 1e-3,
+            },
+        }
+        out = tmp_path / "o"
+        assert main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "error_report.json").read_text())
+        assert report["order"] == 9 and report["order_warning"]
+        assert report["epsilon"] == pytest.approx(2.7e-2, rel=0.05)
+
+    def test_auto_solves_each_index_once(self, tmp_path, monkeypatch):
+        # one expansion grows from O3 to O9: one solve per canonical index of
+        # orders 2-9, and no probe expansion beside it
+        calls = []
+        step = ssm.order_step
+
+        def counted(model, exp, m):
+            calls.append(m)
+            return step(model, exp, m)
+
+        monkeypatch.setattr(ssm, "order_step", counted)
+        cfg = {
+            "model": {"type": "vk_beam", "a1": 0.01},
+            "backbone": {"dof": 13, "x_targets": [0.002, 0.005], "order": "auto", "max_order": 9},
+        }
+        assert main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 28 and len(set(calls)) == 28
+
+    @pytest.mark.parametrize(
+        "model, block",
+        [
+            (CHAIN_MODEL, {"dof": 1, "x_targets": [0.2], "eps_tol": 1e-6}),
+            ({"type": "vk_beam", "a1": 0.01}, {"dof": 13, "x_targets": [0.002, 0.005], "max_order": 9}),
+        ],
+    )
+    def test_auto_reports_what_its_fixed_order_reports(self, tmp_path, model, block):
+        def report(order):
+            cfg = {"model": model, "backbone": block | {"order": order}}
+            out = tmp_path / str(order)
+            path = write_config(tmp_path, cfg, f"{order}.json")
+            assert main(["backbone", "--config", path, "--out", str(out)]) == 0
+            return json.loads((out / "error_report.json").read_text())
+
+        auto = report("auto")
+        fixed = report(auto["order"])
+        assert (auto["epsilon"], auto["rho_max"]) == (fixed["epsilon"], fixed["rho_max"])
+        eps_tol = block.get("eps_tol", cli.BACKBONE_DEFAULTS["eps_tol"])
+        for rep in (auto, fixed):
+            assert rep["order_warning"] == (rep["epsilon"] > eps_tol)
+
+    def test_integral_float_orders_run(self, tmp_path):
+        # JSON integers may arrive as 5.0; the schema accepts them as integers
+        for i, block in enumerate(({"order": 5.0}, {"order": "auto", "max_order": 5.0})):
+            cfg = {"model": CHAIN_MODEL, "backbone": {"dof": 1, "x_targets": [0.1]} | block}
+            path = write_config(tmp_path, cfg, f"{i}.json")
+            assert main(["backbone", "--config", path, "--out", str(tmp_path / str(i))]) == 0
 
     def test_outer_resonance_exit_code_names_the_index(self, tmp_path, capsys):
         # omega_2 = 3 omega_1: the (3, 0) operator K - 9 M is singular

@@ -277,7 +277,7 @@ class TestSolve:
         assert np.allclose(got, [row[1:] for row in rows], rtol=1e-10, atol=1e-14)
         assert res.mu_star[0] == pytest.approx(k3_star, rel=1e-10)
 
-    def test_extrapolated_start_raises_the_order(self):
+    def test_extrapolated_start_raises_the_order(self, monkeypatch):
         # the O3 validity cap of chain2 at dof 1 is x = 1.84, so a target at
         # 1.9 is extrapolated at the start; its residual at the cap passes
         # eps_tol, but the start follows the rule of every accepted iterate:
@@ -297,8 +297,17 @@ class TestSolve:
         )
         start = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
         assert start.extrapolated and start.epsilon <= 1.0
+        # the start order is decided before any evaluation, not by one
+        orders = []
+
+        def counted(problem, mu, order, **kwargs):
+            orders.append(order)
+            return evaluate(problem, mu, order, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate", counted)
         res = solve(prob)
         assert res.trace[0].order == 5
+        assert orders and min(orders) >= res.trace[0].order
 
     def test_constraint_free_problem_reaches_the_bound_corner(self):
         def builder(mu):

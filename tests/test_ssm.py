@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master
 from ssmopt.backbone import _validity_cap, rho_of_x
-from ssmopt.errors import OuterResonanceError
+from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError
 from ssmopt.mechmodel import model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
@@ -280,29 +280,68 @@ def loop_residual(model, exp, rho, theta_samples=32):
 class TestAdaptOrder:
     def test_linear_model_stops_at_three(self, linear_chain):
         model, _ = linear_chain
-        res = adapt_order(model, solve_master(model, 0), tol=1e-8, rho=0.5)
+        res = adapt_order(model, solve_master(model, 0), tol=1e-8, rho_at=lambda e: 0.5)
         assert res.expansion.order == 3 and not res.warned
 
     def test_infinite_tolerance_returns_three(self, chain2, chain2_master):
         model, _ = chain2
-        res = adapt_order(model, chain2_master, tol=np.inf, rho=0.2)
+        res = adapt_order(model, chain2_master, tol=np.inf, rho_at=lambda e: 0.2)
         assert res.expansion.order == 3
 
     def test_warning_flag_when_range_exhausted(self, duffing, duffing_master):
         model, _ = duffing
-        res = adapt_order(model, duffing_master, tol=1e-14, rho=0.5, order_range=(3, 5))
+        res = adapt_order(
+            model, duffing_master, tol=1e-14, rho_at=lambda e: 0.5, order_range=(3, 5)
+        )
         assert res.warned and res.expansion.order == 5
 
     def test_order_increases_with_amplitude_on_beam(self, beam, beam_master, beam_center_dof):
         model, _ = beam
-        exp = compute_ssm(model, beam_master, 9)
         orders = []
         for xt in (0.0005, 0.002, 0.004):
-            rho = rho_of_x(exp, beam_center_dof, xt)
-            res = adapt_order(model, beam_master, tol=1e-3, rho=rho, order_range=(3, 9))
+            res = adapt_order(
+                model,
+                beam_master,
+                tol=1e-3,
+                rho_at=lambda e: rho_of_x(e, beam_center_dof, xt),
+                order_range=(3, 9),
+            )
+            assert res.error.rho_max == rho_of_x(res.expansion, beam_center_dof, xt)
             orders.append(res.expansion.order)
         assert orders == sorted(orders)
         assert orders[-1] > orders[0]
+
+    @staticmethod
+    def reachable_from(first_order, rho):
+        """rho_at that misses below first_order, at a cap of 0.3."""
+
+        def rho_at(exp):
+            if exp.order < first_order:
+                raise AmplitudeUnreachableError(1.0, 0.5, rho_cap=0.3)
+            return rho
+
+        return rho_at
+
+    def test_unreachable_target_raises_the_order(self, chain2, chain2_master):
+        # a tolerance no finite residual exceeds leaves unreachability the
+        # only cause to raise
+        model, _ = chain2
+        res = adapt_order(model, chain2_master, tol=1e300, rho_at=self.reachable_from(7, 0.2))
+        assert res.expansion.order == 7 and not res.warned
+        assert res.error.rho_max == 0.2
+        assert res.error.epsilon == invariance_residual(model, res.expansion, 0.2).epsilon
+
+    def test_unreachable_at_the_top_order_warns(self, chain2, chain2_master):
+        model, _ = chain2
+        res = adapt_order(
+            model,
+            chain2_master,
+            tol=1e300,
+            rho_at=self.reachable_from(7, 0.2),
+            order_range=(3, 5),
+        )
+        assert res.warned and res.expansion.order == 5
+        assert res.error.epsilon == np.inf and res.error.rho_max == 0.3
 
 
 class TestBackboneAgainstSimulation:
