@@ -13,12 +13,19 @@ Many entries share a trailing key (j, k[, l]) and differ only in the
 receiving row i: a beam's T3 has about six entries per key. The kernels that
 sum over decomposition sets therefore work in a key-factored layout, built on
 first use and cached (`SymTensor.key_pattern`): the distinct sorted trailing
-keys, one contiguous column per trailing slot, and each entry's key number.
+keys, one contiguous row of a (slot, key) array per trailing slot, and each
+entry's key number.
 `contract_sum` forms its products once per key and expands them to the
-entries in one accumulation; `pullback`, its reverse mode, reduces the
-adjoint onto the keys once and scatters one accumulation per receiving index
-and slot. `force` stays entrywise. The SSM recursion, the direct chain and
-the gradient contraction use `contract_sum`, the adjoint sweep `pullback`.
+entries in one accumulation. `linearize` takes one multi-index's
+decomposition set and linearizes its force convolution in the lower-order
+vectors: one coefficient over the keys per (index, slot), the sum of the
+other slots' products. That one `Linearization` serves both modes: `forward`
+applies it to derivative vectors in one accumulation (the direct pass), and
+`reverse` reduces an adjoint onto the keys once and scatters one
+accumulation per (index, slot) (the adjoint sweep, through `pullback`).
+`force` stays entrywise. `contract_sum` is left to the SSM recursion and to
+the parameter tensors' partial forces (the gradient contraction and the
+direct pass).
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
 are validated.
 """
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +68,30 @@ def _number_table(rows) -> np.ndarray | None:
     ):
         return None
     return arr
+
+
+@lru_cache(maxsize=None)
+def _linear_plan(parts) -> tuple[tuple, tuple]:
+    """(rows, steps): the layout of `SymTensor.linearize` for one
+    decomposition set, which depends on the set alone.
+
+    rows lists the (u, slot) pairs in the order the decompositions first read
+    them. steps holds one (r, head, tail, first) per decomposition d and slot,
+    in the order of `parts`: r is the row of (d[slot], slot), head and tail
+    the rows of the other slots' pairs in slot order (the first one, then the
+    rest), and first whether d is the first decomposition to reach row r.
+    """
+    rows = tuple(dict.fromkeys((u, slot) for d in parts for slot, u in enumerate(d)))
+    row_of = {pair: r for r, pair in enumerate(rows)}
+    slots = range(len(parts[0]))
+    other_slots = [[o for o in slots if o != slot] for slot in slots]
+    steps, reached = [], set()
+    for d in parts:
+        rs = [row_of[u, slot] for slot, u in enumerate(d)]
+        for r, others in zip(rs, other_slots):
+            steps.append((r, rs[others[0]], tuple(rs[o] for o in others[1:]), r not in reached))
+            reached.add(r)
+    return rows, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -145,10 +176,10 @@ class SymTensor:
         return _accum(self.cols[0], prod, self.n)
 
     @cached_property
-    def key_pattern(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def key_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """(key_cols, key_of): the distinct trailing keys and each entry's key.
 
-        key_cols holds one contiguous column per trailing slot, the keys in
+        key_cols holds one contiguous row per trailing slot, the keys in
         ascending order; key_of[e] is the number of entry e's key. Built on
         first use, so constructing a tensor costs nothing extra.
         """
@@ -158,7 +189,7 @@ class SymTensor:
         for c in trailing[1:]:
             code = code * base + c
         _, first, key_of = np.unique(code, return_index=True, return_inverse=True)
-        return tuple(np.ascontiguousarray(c[first]) for c in trailing), key_of
+        return np.stack([c[first] for c in trailing]), key_of
 
     def contract_sum(self, arg_tuples) -> np.ndarray:
         """f_i = sum over the argument tuples (a, b[, c]) of sum v * a[j] * b[k] (* c[l]).
@@ -177,35 +208,95 @@ class SymTensor:
             G += term
         return _accum(self.cols[0], self.vals * G[key_of], self.n)
 
+    def linearize(self, parts, w) -> "Linearization":
+        """The sum over `parts` of contract_sum([(w(d[0]), w(d[1]), ...)]),
+        linearized in the vectors of the indices it reads.
+
+        For each index u and slot, the coefficient over the trailing keys is
+        the sum over the decompositions d with d[slot] = u of the product of
+        the other slots' vectors at their key columns, added in the order of
+        `parts`. Each (u, slot) vector is gathered once; the bookkeeping of
+        which products go to which row is cached per set (`_linear_plan`).
+        """
+        if self.nnz == 0 or not parts:
+            return Linearization(self, (), np.zeros((0, 0), dtype=complex))
+        key_cols, _ = self.key_pattern
+        rows, steps = _linear_plan(parts)
+        gathered = [w(u)[key_cols[slot]] for u, slot in rows]
+        dtype = np.result_type(*{g.dtype for g in gathered})
+        coef = np.empty((len(rows), len(key_cols[0])), dtype)
+        coef_rows = list(coef)
+        for r, head, tail, first in steps:
+            term = gathered[head]
+            for o in tail:
+                term = term * gathered[o]
+            if first:
+                coef_rows[r][:] = term
+            else:
+                coef_rows[r] += term
+        return Linearization(self, rows, coef)
+
     def pullback(self, v: np.ndarray, parts, w) -> dict:
         """Reverse mode of contract_sum over the decomposition set `parts`.
 
         Each decomposition d contributes contract_sum([(w(d[0]), w(d[1]), ...)]);
         `w` maps an index to its vector. Returns {u: r_u} for every index u
         that occurs in some d, with r_u[p] = sum_i v_i dF_i / dw(u)_p and F
-        the sum over `parts`. The adjoint is reduced onto the trailing keys
-        once, each (u, slot) vector is gathered once, the products are summed
-        per (u, slot), and each (u, slot) sum is scattered in one
-        accumulation.
+        the sum over `parts`.
         """
-        if self.nnz == 0 or not parts:
+        return self.linearize(parts, w).reverse(v)
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """A force convolution linearized in key space (`SymTensor.linearize`).
+
+    Row r of `coef` is the coefficient of the vector of index u in slot
+    `slot`, (u, slot) = rows[r], over the tensor's trailing keys; the rows
+    follow the order in which the decompositions first read the pairs.
+    `forward` applies the linearization to derivative vectors, `reverse`
+    pulls an adjoint back onto the indices.
+    """
+
+    tensor: SymTensor
+    rows: tuple
+    coef: np.ndarray = field(repr=False)  # (rows, keys)
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """For each coefficient entry (r, k), its position in the flattened
+        table whose row r is the vector of rows[r]'s index: k's key column
+        of the row's slot. Built on the first forward product; the reverse
+        does not need it."""
+        T = self.tensor
+        key_cols, _ = T.key_pattern
+        slots = np.fromiter((slot for _, slot in self.rows), np.intp, len(self.rows))
+        return key_cols[slots] + (np.arange(len(self.rows)) * T.n)[:, None]
+
+    def forward(self, dw) -> np.ndarray:
+        """sum over (u, slot) of coef * dw(u) at the slot's key column,
+        expanded to the receiving rows in one accumulation; `dw` maps an
+        index to its vector."""
+        T = self.tensor
+        if not self.rows:
+            return np.zeros(T.n, dtype=complex)
+        table = np.array([dw(u) for u, _ in self.rows])
+        G = np.einsum("rk,rk->k", self.coef, table.ravel().take(self._flat))
+        return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
+
+    def reverse(self, v: np.ndarray) -> dict:
+        """{u: r_u}, r_u[p] = sum_i v_i dF_i / dw(u)_p. The adjoint is
+        reduced onto the trailing keys once and each coefficient is
+        scattered in one accumulation."""
+        if not self.rows:
             return {}
-        key_cols, key_of = self.key_pattern
-        s = _accum(key_of, self.vals * v[self.cols[0]], len(key_cols[0]))
-        used = {(u, slot) for d in parts for slot, u in enumerate(d)}
-        gathered = {(u, slot): w(u)[key_cols[slot]] for u, slot in used}
-        sums: dict = {}
-        for d in parts:
-            for slot, u in enumerate(d):
-                others = [gathered[t, o] for o, t in enumerate(d) if o != slot]
-                term = others[0]
-                for g in others[1:]:
-                    term = term * g
-                sums[u, slot] = sums[u, slot] + term if (u, slot) in sums else term
+        T = self.tensor
+        key_cols, key_of = T.key_pattern
+        s = _accum(key_of, T.vals * v[T.cols[0]], len(key_cols[0]))
         out: dict = {}
-        for (u, slot), g in sums.items():
-            r = _accum(key_cols[slot], s * g, self.n)
-            out[u] = out[u] + r if u in out else r
+        for (u, slot), c in zip(self.rows, self.coef):
+            g = _accum(key_cols[slot], s * c, T.n)
+            out[u] = out[u] + g if u in out else g
         return out
 
 
@@ -313,6 +404,15 @@ class ParamDerivatives:
             vals = np.concatenate([t.vals for _, t in parts])
             out.append(SymTensor(len(tensors) * n, idx, vals))
         return tuple(out)
+
+    @cached_property
+    def matrix_params(self) -> tuple[int, ...]:
+        """The parameters with a nonzero dM or dK. The others change only the
+        force tensors (one k3 per spring, for one), so every dense matrix
+        term of theirs vanishes and the sensitivity passes skip it."""
+        return tuple(
+            p for p in range(self.count) if np.any(self.dM[p]) or np.any(self.dK[p])
+        )
 
     def dC(self, i: int, model: MechModel) -> np.ndarray:
         return model.alpha_r * self.dM[i] + model.beta_r * self.dK[i]

@@ -314,12 +314,7 @@ def contract_gradient(
     P = params.count
     lam_pair = master.lambda_pair
 
-    matrix_params = [
-        p
-        for p in range(P)
-        if np.any(params.dM[p]) or np.any(params.dK[p])
-    ]
-    dC = {p: params.dC(p, model) for p in matrix_params}
+    dC = {p: params.dC(p, model) for p in params.matrix_params}
 
     accum = np.zeros(P, dtype=complex)
     for q in range(2, exp.order + 1):
@@ -336,7 +331,7 @@ def contract_gradient(
                 pf += T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
             term = -(pf.reshape(P, n) @ bar_c)
 
-            for p in matrix_params:
+            for p in params.matrix_params:
                 dM = params.dM[p]
                 pC = -dM @ rec.Vdot - (rec.Lam * dM + dC[p]) @ rec.V
                 pL = params.dK[p] + rec.Lam * dC[p] + rec.Lam**2 * dM
@@ -348,7 +343,7 @@ def contract_gradient(
             if m[0] != m[1]:
                 accum += np.conj(term)
 
-    for p in matrix_params:
+    for p in params.matrix_params:
         accum[p] += adjoint.lambda_phi @ (
             (params.dK[p] - master.omega**2 * params.dM[p]) @ phi
         )

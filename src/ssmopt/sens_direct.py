@@ -6,22 +6,25 @@ ascending order, finally the reduced amplitude (at fixed target physical
 amplitude) and the response frequency. It serves as the cross-check oracle
 for the adjoint.
 
-Each parameter gets its own forward pass, and a pass does only the work
-that depends on its parameter. What depends on the index alone is computed
-once, before the first pass: the index list, each tensor's decompositions
-with their primal vectors, the lower-order coupling terms, M V_m and
-(C + 2 Lam_m M) w_m. What depends on the parameter alone is computed once at
-the start of its pass: dM phi, dC phi, M dphi and C dphi. Per index a pass
-then takes one key-factored `contract_sum` per tensor for dT over the primal
-vectors and one for T with each slot's vector replaced by its derivative,
-matrix-vector products distributed over the vectors (no n x n matrix is
-formed per index and parameter), and one solve with the factorization the
-index's record keeps, which also holds its resonant denominator. Parameters
-are never batched: a coefficient's derivative needs the same parameter's
-lower-order derivatives, so the passes share nothing but the hoisted terms,
-and the cost stays linear in the number of design variables. Only the
-eigenpair derivatives take all parameters at once, as one block solve with
-the bordered factorization of K - omega^2 M (`mode_factorization`).
+Every parameter has its own forward pass (`_Pass`), and the passes advance
+together: the walk visits each canonical index once and runs every pass's
+step there. What depends on the index alone is built once per index and
+dropped before the next: each force tensor's key-space linearization in the
+lower-order coefficients (`SymTensor.linearize`, the same one the adjoint
+sweep pulls back), the partial forces of all parameter tensors over the
+primal vectors (one `contract_sum` per stacked tensor, as in the gradient
+contraction), the lower-order coupling terms, M V_m and (C + 2 Lam_m M) w_m.
+A pass's step at the index then applies the linearizations to its own
+lower-order derivatives, adds its own matrix terms (none for a parameter
+without dM and dK: see `ParamDerivatives.matrix_params`) and solves its own
+right-hand side with the factorization the index's record keeps, which also
+holds its resonant denominator. Parameters are never batched into one solve:
+a coefficient's derivative needs the same parameter's lower-order
+derivatives, so each pass keeps its own table of the derivatives later
+indices read, and the cost stays linear in the number of design variables.
+Only the eigenpair derivatives take all parameters at once, as one block
+solve with the bordered factorization of K - omega^2 M
+(`mode_factorization`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .backbone import dx_drho, x_harmonics, x_rms
 from .errors import DegenerateModeError, assert_real
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, decomps, order, symmetric
-from .ssm import Factorization, SsmExpansion, factorize, v_decomps
+from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
 
 
 @dataclass
@@ -66,21 +69,29 @@ def eig_derivatives(
     """Mode-shape and frequency derivatives from the bordered eigenpair system.
 
     One factorization serves all parameters (the matrix does not depend on
-    the design variables).
+    the design variables). A parameter without dM and dK leaves the
+    eigenpair unchanged: its derivatives are zero and need no solve.
     """
     n = model.n
     phi, omega = master.phi, master.omega
+    dphi = np.zeros((params.count, n))
+    domega = np.zeros(params.count)
+    dense = list(params.matrix_params)
+    if not dense:
+        return dphi, domega
     Mphi = model.M @ phi
-    rhs = np.empty((n, params.count))
-    border = np.empty(params.count)
-    for p in range(params.count):
-        rhs[:, p] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
-        border[p] = omega * (phi @ params.dM[p] @ phi)
+    rhs = np.empty((n, len(dense)))
+    border = np.empty(len(dense))
+    for k, p in enumerate(dense):
+        rhs[:, k] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
+        border[k] = omega * (phi @ params.dM[p] @ phi)
     lu = mode_factorization(
         model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, "bordered eigenpair system"
     )
-    dphi, domega = lu.solve(rhs, border)
-    return dphi.T, domega
+    sol, dom = lu.solve(rhs, border)
+    dphi[dense] = sol.T
+    domega[dense] = dom
+    return dphi, domega
 
 
 def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):
@@ -92,8 +103,177 @@ def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):
     return dxi, dlam
 
 
-def _mirror_coeff(dw, dwdot, dR):
-    return np.conj(dw), np.conj(dwdot), np.conj(dR[::-1])
+def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a real matrix and a complex vector, without the complex copy
+    of A that numpy makes for a mixed product."""
+    return A @ x.real + 1j * (A @ x.imag)
+
+
+class _Pass:
+    """One parameter's forward pass through the expansion.
+
+    Holds the parameter's own constants and, of its coefficient derivatives,
+    only what a later index reads: dw below the top order, dwdot of the
+    indices the R couplings read, and dR; the amplitude sum takes dw at the
+    observed DOF as each index is done. A parameter without dM and dK (see
+    `ParamDerivatives.matrix_params`) has a zero mode-shape and eigenvalue
+    derivative and skips every dense matrix term.
+    """
+
+    def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float):
+        model, params, master = ctx.model, ctx.params, ctx.exp.master
+        self.ctx = ctx
+        self.domega = domega
+        _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
+        self.dlam_pair = np.array([dlam, np.conj(dlam)])
+        self.dphi = dphi.astype(complex)
+        self.dense = p in params.matrix_params
+        if self.dense:
+            self.dM, self.dK, self.dCm = params.dM[p], params.dK[p], params.dC(p, model)
+            self.dMphi, self.dCphi = self.dM @ master.phi, self.dCm @ master.phi
+            self.Mdphi, self.Cdphi = ctx.Mc @ self.dphi, ctx.Cc @ self.dphi
+        else:
+            self.dMphi = self.dCphi = self.Mdphi = self.Cdphi = ctx.zero
+        self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
+        self.dwdot: dict = {}
+        self.dR: dict = {}
+        # reduced-amplitude derivative at fixed physical amplitude: by
+        # Parseval x**2 = sum_d c_d c_{-d}, so dx = sum_m rho**|m| c_{-d} dw_m / x
+        self.num = 0.0 + 0.0j
+        for m in ((1, 0), (0, 1)):
+            self._add_amplitude(m, self.dphi)
+
+    def _add_amplitude(self, m, dw):
+        ctx = self.ctx
+        self.num += dw[ctx.dof] * ctx.rho ** order(m) * ctx.c[ctx.exp.order + m[1] - m[0]]
+
+    def step(self, ix: "_Index", pf: np.ndarray):
+        """The derivative of index ix.m's coefficients: its own right-hand
+        side and its own solve with the factorization the record keeps."""
+        ctx, m, rec = self.ctx, ix.m, ix.rec
+        exp, model, phi = ctx.exp, ctx.model, ctx.exp.master.phi
+        dlam_pair = self.dlam_pair
+        Lam = rec.Lam
+        dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
+
+        # dT over the primal vectors (pf), T linearized in the lower orders
+        df = pf + sum(lin.forward(self.dw.__getitem__) for lin in ix.lins)
+
+        dV = dVdot = 0.0
+        dC = -df - dLam * ix.MV
+        if ix.v_terms:
+            for u, j, k, uj, Rkj in ix.v_terms:
+                dRkj = self.dR[k][j]
+                dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
+                dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
+            dC = dC - ctx.Mc @ (dVdot + Lam * dV) - ctx.Cc @ dV
+        if self.dense:
+            dC = dC - _real_times(self.dM, rec.Vdot + Lam * rec.V) - _real_times(self.dCm, rec.V)
+
+        dR = np.zeros(2, dtype=complex)
+        dh = dC
+        if rec.slot is not None:
+            j = rec.slot
+            lj = Lam + ctx.lam_pair[j]
+            dlj = dLam + dlam_pair[j]
+            dden = dlj + 2.0 * model.beta_r * ctx.omega * self.domega
+            dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
+            dD = -lj * self.Mdphi - self.Cdphi - dlj * ctx.Mphi - lj * self.dMphi - self.dCphi
+            dh = dC + dD * rec.R[j] + rec.D * dR[j]
+
+        dLw = dLam * ix.Lw
+        if self.dense:
+            dLw = (
+                dLw
+                + _real_times(self.dK, rec.w)
+                + Lam * _real_times(self.dCm, rec.w)
+                + Lam**2 * _real_times(self.dM, rec.w)
+            )
+        # border row: d(phi^T M w_m) = 0; a plain record ignores it
+        dw, _ = rec.lu.solve(dh - dLw, -((self.dMphi + self.Mdphi) @ rec.w))
+
+        dwdot = None
+        if ix.keep_wdot:
+            dwdot = (
+                dLam * rec.w
+                + Lam * dw
+                + dV
+                + (dR[0] + dR[1]) * phi
+                + (rec.R[0] + rec.R[1]) * self.dphi
+            )
+        self._keep(m, dw, dwdot, dR, ix.keep_w)
+        if m[0] != m[1]:
+            # the swapped index's coefficients are the conjugate ones
+            self._keep(
+                symmetric(m),
+                np.conj(dw),
+                None if dwdot is None else np.conj(dwdot),
+                np.conj(dR[::-1]),
+                ix.keep_w,
+            )
+
+    def _keep(self, m, dw, dwdot, dR, keep_w: bool):
+        self._add_amplitude(m, dw)
+        self.dR[m] = dR
+        if keep_w:
+            self.dw[m] = dw
+        if dwdot is not None:
+            self.dwdot[m] = dwdot
+
+    def finish(self) -> tuple[float, float]:
+        """(dOmega, drho) at the fixed target amplitude."""
+        ctx = self.ctx
+        exp, rho, dlam_pair = ctx.exp, ctx.rho, self.dlam_pair
+        drho = assert_real(-self.num / (ctx.x * ctx.dxdr), "drho")
+        dOm = 0.5j * (dlam_pair[1] - dlam_pair[0])
+        for q, a in exp.r1_terms():
+            dR1 = self.dR[a][0]
+            dR2 = self.dR[symmetric(a)][1]
+            r1 = exp.R(a)[0]
+            r2 = exp.R(symmetric(a))[1]
+            dOm += 0.5j * (
+                (dR2 - dR1) * rho ** (q - 1)
+                + (r2 - r1) * (q - 1) * rho ** (q - 2) * drho
+            )
+        return assert_real(dOm, "dOmega"), drho
+
+
+@dataclass
+class _Chain:
+    """What every pass shares: the model, the expansion and the target."""
+
+    model: MechModel
+    exp: SsmExpansion
+    params: ParamDerivatives
+    dof: int
+    rho: float
+
+    def __post_init__(self):
+        model, master = self.model, self.exp.master
+        self.lam_pair, self.omega = master.lambda_pair, master.omega
+        # complex copies: a real matrix times a complex vector would copy the
+        # matrix to complex in every product. The parameters' matrices, one
+        # set per parameter, go through _real_times instead.
+        self.Mc, self.Cc = model.M.astype(complex), model.damping().astype(complex)
+        self.Mphi = model.M @ master.phi
+        self.zero = np.zeros(model.n, dtype=complex)
+        self.x = x_rms(self.exp, self.dof, self.rho)
+        self.c = x_harmonics(self.exp, self.dof, self.rho)
+        self.dxdr = dx_drho(self.exp, self.dof, self.rho)
+
+
+@dataclass
+class _Index:
+    """One canonical index's terms that no parameter changes."""
+
+    m: tuple
+    rec: IndexCoeffs
+    lins: list  # one key-space linearization per tensor
+    v_terms: list  # (u, j, k, u[j], R_k[j]) of the lower-order coupling
+    MV: np.ndarray | float  # M V_m
+    Lw: np.ndarray | float  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
+    keep_w: bool  # a later index reads dw_m
+    keep_wdot: bool  # a later coupling reads dwdot_m
 
 
 def chain_derivatives(
@@ -107,149 +287,49 @@ def chain_derivatives(
 
     The reported dOmega/dmu holds the observed RMS amplitude constant: the
     reduced-amplitude derivative comes from differentiating the amplitude
-    map at x = const. Each pass walks the canonical indices and mirrors every
-    derivative to the swapped index by conjugation, so a full-set expansion
-    gives the same derivatives as the canonical one.
+    map at x = const. The walk visits the canonical indices once, and each
+    parameter's pass mirrors every derivative to the swapped index by
+    conjugation, so a full-set expansion gives the same derivatives as the
+    canonical one.
     """
-    master = exp.master
-    phi = master.phi
-    lam = master.lam
-    lam_pair = master.lambda_pair
-    omega = master.omega
-    Cmat = model.damping()
-    M = model.M
-    P = params.count
-    # complex copies, here and per parameter: a real matrix times a complex
-    # vector would copy the matrix to complex in every product
-    Mc, Cc = M.astype(complex), Cmat.astype(complex)
+    ctx = _Chain(model, exp, params, dof_index, rho)
     tensors = (model.T2, model.T3)
+    P, n = params.count, model.n
 
-    dphi_all, domega_all = eig_derivatives(model, master, params)
+    dphi_all, domega_all = eig_derivatives(model, exp.master, params)
+    passes = [_Pass(ctx, p, dphi_all[p], domega_all[p]) for p in range(P)]
 
-    x = x_rms(exp, dof_index, rho)
-    c = x_harmonics(exp, dof_index, rho)
-    dxdr = dx_drho(exp, dof_index, rho)
-
-    # once per index: the recursion's terms that no parameter changes
-    steps = []
-    for q in range(2, exp.order + 1):
-        for m in canonical_indices(q):
-            rec = exp.coeffs(m)
-            decs = [decomps(m, T.arity) for T in tensors]
-            prim = [[tuple(exp.w(u) for u in d) for d in ds] for ds in decs]
-            v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, exp.r_orders())]
-            # M V_m, and (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
-            MV, Lw = M @ rec.V, Cmat @ rec.w + 2.0 * rec.Lam * (M @ rec.w)
-            steps.append((m, rec, decs, prim, v_terms, MV, Lw))
-    Mphi = M @ phi
-    # each parameter tensor caches its key pattern on first use; built inside
-    # the loop, the caches landed between the passes' short-lived arrays and
-    # left the heap 2.4 MB larger after the first call (chain101, P = 100)
-    for dT in params.dT2 + params.dT3:
-        if dT.nnz:
-            dT.key_pattern
+    indices = [m for q in range(2, exp.order + 1) for m in canonical_indices(q)]
+    r_orders = exp.r_orders()
+    wdot_read = {u for m in indices for u, _, _ in v_decomps(m, r_orders)}
+    for m in indices:
+        rec = exp.coeffs(m)
+        # the partial forces of all parameters, dT over the primal vectors:
+        # one contraction per stacked tensor
+        pf = np.zeros(P * n, dtype=complex)
+        for T in params.stacked:
+            pf += T.contract_sum([tuple(map(exp.w, d)) for d in decomps(m, T.arity)])
+        # read only times dLam, which is zero for a parameter without dM and dK
+        MV = Lw = 0.0
+        if params.matrix_params:
+            MV = ctx.Mc @ rec.V
+            Lw = ctx.Cc @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
+        ix = _Index(
+            m,
+            rec,
+            [T.linearize(decomps(m, T.arity), exp.w) for T in tensors],
+            [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)],
+            MV,
+            Lw,
+            order(m) < exp.order,
+            m in wdot_read or symmetric(m) in wdot_read,
+        )
+        for ps, pf_p in zip(passes, pf.reshape(P, n)):
+            ps.step(ix, pf_p)
+        del ix  # one index's linearizations at a time
 
     d_omega = np.zeros(P)
     d_rho = np.zeros(P)
-
-    for p in range(P):
-        dM, dK = params.dM[p].astype(complex), params.dK[p].astype(complex)
-        dCmat = params.dC(p, model).astype(complex)
-        dtensors = (params.dT2[p], params.dT3[p])
-        domega = domega_all[p]
-        _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
-        dlam_pair = np.array([dlam, np.conj(dlam)])
-        # once per parameter: the mode-shape products every index reuses
-        dphi = dphi_all[p].astype(complex)
-        dMphi, dCphi = dM @ phi, dCmat @ phi
-        Mdphi, Cdphi = Mc @ dphi, Cc @ dphi
-
-        dcoef: dict = {
-            (1, 0): (dphi, dlam * phi + lam * dphi, np.array([dlam, 0.0], complex)),
-            (0, 1): (
-                dphi,
-                np.conj(dlam * phi + lam * dphi),
-                np.array([0.0, np.conj(dlam)], complex),
-            ),
-        }
-
-        for m, rec, decs, prim, v_terms, MV, Lw in steps:
-            Lam = rec.Lam
-            dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
-
-            # dT over the primal vectors, T with each slot's vector replaced
-            # by its derivative: one key-factored contraction per tensor
-            df = sum(dT.contract_sum(a) for dT, a in zip(dtensors, prim)) + sum(
-                T.contract_sum(
-                    [
-                        (*w[:s], dcoef[u][0], *w[s + 1 :])
-                        for d, w in zip(ds, a)
-                        for s, u in enumerate(d)
-                    ]
-                )
-                for T, ds, a in zip(tensors, decs, prim)
-            )
-
-            dV = np.zeros(model.n, dtype=complex)
-            dVdot = np.zeros(model.n, dtype=complex)
-            for u, j, k, uj, Rkj in v_terms:
-                dRkj = dcoef[k][2][j]
-                dV += uj * (dcoef[u][0] * Rkj + exp.w(u) * dRkj)
-                dVdot += uj * (dcoef[u][1] * Rkj + exp.wdot(u) * dRkj)
-
-            dC = (
-                -(dM @ (rec.Vdot + Lam * rec.V))
-                - Mc @ (dVdot + Lam * dV)
-                - Cc @ dV
-                - dCmat @ rec.V
-                - dLam * MV
-                - df
-            )
-
-            dR = np.zeros(2, dtype=complex)
-            dh = dC
-            if rec.slot is not None:
-                j = rec.slot
-                lj = Lam + lam_pair[j]
-                dlj = dLam + dlam_pair[j]
-                dden = dlj + 2.0 * model.beta_r * omega * domega
-                dR[j] = (dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
-                dD = -lj * Mdphi - Cdphi - dlj * Mphi - lj * dMphi - dCphi
-                dh = dC + dD * rec.R[j] + rec.D * dR[j]
-
-            dLw = dK @ rec.w + Lam * (dCmat @ rec.w) + Lam**2 * (dM @ rec.w) + dLam * Lw
-            # border row: d(phi^T M w_m) = 0; a plain record ignores it
-            dw, _ = rec.lu.solve(dh - dLw, -((dMphi + Mdphi) @ rec.w))
-
-            dwdot = (
-                dLam * rec.w
-                + Lam * dw
-                + dV
-                + (dR[0] + dR[1]) * phi
-                + (rec.R[0] + rec.R[1]) * dphi
-            )
-            dcoef[m] = (dw, dwdot, dR)
-            if m[0] != m[1]:
-                dcoef[symmetric(m)] = _mirror_coeff(dw, dwdot, dR)
-
-        # reduced-amplitude derivative at fixed physical amplitude: by
-        # Parseval x**2 = sum_d c_d c_{-d}, so dx = sum_m rho**|m| c_{-d} dw_m / x
-        num = 0.0 + 0.0j
-        for m, (dw, _, _) in dcoef.items():
-            num += dw[dof_index] * rho ** order(m) * c[exp.order + m[1] - m[0]]
-        drho = assert_real(-num / (x * dxdr), "drho")
-
-        dOm = 0.5j * (dlam_pair[1] - dlam_pair[0])
-        for q, a in exp.r1_terms():
-            dR1 = dcoef[a][2][0]
-            dR2 = dcoef[symmetric(a)][2][1]
-            r1 = exp.R(a)[0]
-            r2 = exp.R(symmetric(a))[1]
-            dOm += 0.5j * (
-                (dR2 - dR1) * rho ** (q - 1)
-                + (r2 - r1) * (q - 1) * rho ** (q - 2) * drho
-            )
-        d_omega[p] = assert_real(dOm, "dOmega")
-        d_rho[p] = drho
-
+    for p, ps in enumerate(passes):
+        d_omega[p], d_rho[p] = ps.finish()
     return DirectDerivatives(names=params.names, d_omega=d_omega, d_rho=d_rho)

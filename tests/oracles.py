@@ -14,6 +14,10 @@
   own. `ssm.compute_ssm` solves only the canonical indices and writes the
   swapped ones by conjugation; this is the form the conjugation must
   reproduce to roundoff.
+* `reference_pullback`: the reverse mode of a force convolution as one loop
+  over the decompositions. `SymTensor.pullback` builds the key-space
+  linearization and scatters it; this loop forms the same sums in the same
+  order, so the two must agree bit for bit.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
@@ -27,7 +31,7 @@ import numpy as np
 
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
-from ssmopt.mechmodel import MechModel, ParamDerivatives, SymTensor
+from ssmopt.mechmodel import MechModel, ParamDerivatives, SymTensor, _accum
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
 from ssmopt.multiindex import all_indices, symmetric
 from ssmopt.sens_adjoint import (
@@ -274,6 +278,30 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
             exp.data[m] = order_step(model, exp, m)
         exp.order = q
     return exp
+
+
+def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:
+    """{u: r_u} of `SymTensor.pullback`, summed per (u, slot) in one loop over
+    the decompositions and scattered per (u, slot)."""
+    if T.nnz == 0 or not parts:
+        return {}
+    key_cols, key_of = T.key_pattern
+    s = _accum(key_of, T.vals * v[T.cols[0]], len(key_cols[0]))
+    used = {(u, slot) for d in parts for slot, u in enumerate(d)}
+    gathered = {(u, slot): w(u)[key_cols[slot]] for u, slot in used}
+    sums: dict = {}
+    for d in parts:
+        for slot, u in enumerate(d):
+            others = [gathered[t, o] for o, t in enumerate(d) if o != slot]
+            term = others[0]
+            for g in others[1:]:
+                term = term * g
+            sums[u, slot] = sums[u, slot] + term if (u, slot) in sums else term
+    out: dict = {}
+    for (u, slot), g in sums.items():
+        r = _accum(key_cols[slot], s * g, T.n)
+        out[u] = out[u] + r if u in out else r
+    return out
 
 
 def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:

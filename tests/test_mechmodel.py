@@ -8,7 +8,7 @@ from ssmopt import MechModel, SymTensor, check_light_damping
 from ssmopt.errors import ModelError
 from ssmopt.multiindex import all_indices, decomps
 
-from oracles import first_order_operators
+from oracles import first_order_operators, reference_pullback
 
 
 def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
@@ -165,6 +165,81 @@ class TestSymTensor:
         for c, kc in zip(tensor.cols[1:], key_cols):
             assert np.array_equal(kc[key_of], c)
         _check_kernels(tensor, dense, arity, rng, n)
+
+
+def _linearization_cases():
+    """(tensor, parts) pairs: random tensors of arity 2 and 3 and an empty
+    one, over the decomposition sets of every index of orders 2-5 and a set
+    that repeats decompositions and reads one index in several slots."""
+    rng = np.random.default_rng(60)
+    n = 5
+    repeated = {
+        2: (((1, 0), (1, 0)), ((1, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 0), (2, 0))),
+        3: (((1, 0),) * 3, ((1, 0),) * 3, ((0, 1), (1, 0), (1, 0)), ((1, 0), (0, 1), (1, 0))),
+    }
+    for arity in (2, 3):
+        sets = [decomps(m, arity) for q in range(2, 6) for m in all_indices(q)]
+        sets = [p for p in sets if p] + [repeated[arity]]
+        for tensor in (_random_tensor(rng, n, arity)[0], SymTensor.empty(n, arity)):
+            for parts in sets:
+                yield tensor, parts
+
+
+def _vectors(rng, n, parts):
+    return {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in parts for u in d}
+
+
+class TestLinearization:
+    """`SymTensor.linearize`: one key-space linearization per decomposition
+    set, applied forward by the direct pass and in reverse by the sweep."""
+
+    def test_forward_is_the_sum_of_slot_replaced_contractions(self):
+        rng = np.random.default_rng(61)
+        for tensor, parts in _linearization_cases():
+            w, dw = _vectors(rng, tensor.n, parts), _vectors(rng, tensor.n, parts)
+            got = tensor.linearize(parts, w.__getitem__).forward(dw.__getitem__)
+            want = tensor.contract_sum(
+                [(*(w[t] for t in d[:s]), dw[u], *(w[t] for t in d[s + 1 :]))
+                 for d in parts for s, u in enumerate(d)]
+            )
+            assert got.shape == (tensor.n,)
+            if tensor.nnz == 0:
+                assert np.all(got == 0.0)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_reverse_is_the_adjoint_of_forward(self):
+        # dot-product identity: v . (J dw) = sum_u r_u . dw_u
+        rng = np.random.default_rng(62)
+        for tensor, parts in _linearization_cases():
+            w, dw = _vectors(rng, tensor.n, parts), _vectors(rng, tensor.n, parts)
+            v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
+            lin = tensor.linearize(parts, w.__getitem__)
+            r = lin.reverse(v)
+            lhs = v @ lin.forward(dw.__getitem__)
+            rhs = sum(r[u] @ dw[u] for u in r)
+            scale = sum(np.abs(r[u]) @ np.abs(dw[u]) for u in r)
+            assert abs(lhs - rhs) <= 1e-14 * scale
+            if tensor.nnz == 0:
+                assert r == {} and lhs == 0.0
+            else:
+                assert r.keys() == w.keys()
+
+    def test_pullback_is_bitwise_the_decomposition_loop(self):
+        rng = np.random.default_rng(63)
+        for tensor, parts in _linearization_cases():
+            w = _vectors(rng, tensor.n, parts)
+            v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
+            got = tensor.pullback(v, parts, w.__getitem__)
+            ref = reference_pullback(tensor, v, parts, w.__getitem__)
+            assert list(got) == list(ref)
+            for u in ref:
+                assert np.array_equal(got[u], ref[u])
+
+    def test_empty_decomposition_set(self):
+        tensor, _ = _random_tensor(np.random.default_rng(64), 4, 3)
+        lin = tensor.linearize((), None)
+        assert np.all(lin.forward(None) == 0.0) and lin.reverse(np.ones(4)) == {}
 
 
 class TestLightDamping:

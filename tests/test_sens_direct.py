@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,14 @@ from ssmopt import MechModel, compute_ssm, rho_of_x, solve_master, track_mode
 from ssmopt.errors import DegenerateModeError
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
-from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
+from ssmopt.models import (
+    ChainSpec,
+    VkBeamSpec,
+    build_chain,
+    build_vk_beam,
+    chain_per_spring_k3,
+    vk_center_dof,
+)
 from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
@@ -209,3 +217,48 @@ class TestChainDerivatives:
             adjoint = contract_gradient(model, exp, adj, params).d_omega
             err = np.max(np.abs(direct - adjoint)) / np.max(np.abs(adjoint))
             assert err <= 2e-13, f"x={x}: direct vs adjoint {err:.1e}"
+
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_mixed_parameters_match_adjoint_to_roundoff(self, order):
+        # one ParamDerivatives that interleaves parameters with mass and
+        # stiffness derivatives and per-spring k3 parameters, which skip
+        # every dense matrix term: the skip must not leak between them
+        spec = ChainSpec(n_masses=21, alpha_r=0.0, beta_r=0.02)
+        model, family = build_chain(spec, params=("k", "mass"))
+        springs = chain_per_spring_k3(spec, 20)
+        chosen = [(springs, p) for p in range(10)] + [(family, 0)]
+        chosen += [(springs, p) for p in range(10, 20)] + [(family, 1)]
+        params = ParamDerivatives(
+            *(
+                tuple(getattr(src, field)[p] for src, p in chosen)
+                for field in ("names", "dM", "dK", "dT2", "dT3")
+            )
+        )
+        assert params.matrix_params == (10, 21)
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        for x in (0.01, 0.05, 0.15):
+            rho = rho_of_x(exp, 20, x)
+            direct = chain_derivatives(model, exp, params, 20, rho).d_omega
+            adj = solve_adjoint(model, exp, 20, rho)
+            adjoint = contract_gradient(model, exp, adj, params).d_omega
+            err = np.max(np.abs(direct - adjoint)) / np.max(np.abs(adjoint))
+            assert err <= 2e-13, f"x={x}: direct vs adjoint {err:.1e}"
+
+    def test_memory_stays_at_one_index(self):
+        # each index's linearizations are dropped before the next index:
+        # one call on the curved ten-element beam at O9 (four parameters)
+        # peaked at about 1.7 MB, where holding every index's linearization
+        # for the whole call peaked at about 10 MB
+        spec = VkBeamSpec(a1=0.002, a2=0.001)
+        model, params = build_vk_beam(spec)
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        dof = vk_center_dof(spec)
+        rho = rho_of_x(exp, dof, 0.002)
+        chain_derivatives(model, exp, params, dof, rho)  # the caches fill here
+        tracemalloc.start()
+        try:
+            chain_derivatives(model, exp, params, dof, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
