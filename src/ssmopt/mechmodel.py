@@ -2,7 +2,8 @@
 
 The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 ``C = alpha_r M + beta_r K`` and a polynomial internal force
-``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``.
+``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``. One `Pencil` holds M, C
+and K and builds every operator the passes apply from them.
 
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
@@ -22,7 +23,7 @@ vectors: one coefficient over the keys per (index, slot), the sum of the
 other slots' products. That one `Linearization` serves both modes: `forward`
 applies it to derivative vectors in one accumulation (the direct pass), and
 `reverse` reduces an adjoint onto the keys once and scatters one
-accumulation per (index, slot) (the adjoint sweep, through `pullback`).
+accumulation per (index, slot) (the adjoint sweep).
 `force` stays entrywise. `contract_sum` is left to the SSM recursion and to
 the parameter tensors' partial forces (the gradient contraction and the
 direct pass).
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -236,16 +237,6 @@ class SymTensor:
                 coef_rows[r] += term
         return Linearization(self, rows, coef)
 
-    def pullback(self, v: np.ndarray, parts, w) -> dict:
-        """Reverse mode of contract_sum over the decomposition set `parts`.
-
-        Each decomposition d contributes contract_sum([(w(d[0]), w(d[1]), ...)]);
-        `w` maps an index to its vector. Returns {u: r_u} for every index u
-        that occurs in some d, with r_u[p] = sum_i v_i dF_i / dw(u)_p and F
-        the sum over `parts`.
-        """
-        return self.linearize(parts, w).reverse(v)
-
 
 @dataclass(frozen=True)
 class Linearization:
@@ -300,6 +291,30 @@ class Linearization:
         return out
 
 
+@dataclass(frozen=True)
+class Pencil:
+    """M, C and K and, each in one association, the operators at(s) = K + s C +
+    s^2 M, velocity(s) = s M + C, modal(omega) = K - omega^2 M, and scale(s),
+    the size of at(s)'s terms (which may cancel to zero at resonance)."""
+
+    M: np.ndarray
+    C: np.ndarray
+    K: np.ndarray
+
+    def at(self, s) -> np.ndarray:
+        return self.K + s * self.C + s**2 * self.M
+
+    def velocity(self, s) -> np.ndarray:
+        return s * self.M + self.C
+
+    def modal(self, omega: float) -> np.ndarray:
+        return self.K - omega**2 * self.M
+
+    def scale(self, s) -> float:
+        norm = partial(np.linalg.norm, ord=1)
+        return norm(self.K) + abs(s) * norm(self.C) + abs(s) ** 2 * norm(self.M)
+
+
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > tol * scale:
@@ -352,9 +367,10 @@ class MechModel:
     def n(self) -> int:
         return self.M.shape[0]
 
-    def damping(self) -> np.ndarray:
-        """Rayleigh damping matrix alpha_r*M + beta_r*K."""
-        return self.alpha_r * self.M + self.beta_r * self.K
+    @cached_property
+    def pencil(self) -> Pencil:
+        """M, the Rayleigh damping alpha_r M + beta_r K, and K."""
+        return Pencil(self.M, self.alpha_r * self.M + self.beta_r * self.K, self.K)
 
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""
@@ -365,7 +381,7 @@ class MechModel:
 class ParamDerivatives:
     """Per-design-variable derivatives of all system operators.
 
-    The damping derivative is implied: dC = alpha_r*dM + beta_r*dK.
+    The damping derivative is implied: `pencil` forms alpha_r dM + beta_r dK.
     """
 
     names: tuple[str, ...]
@@ -414,8 +430,10 @@ class ParamDerivatives:
             p for p in range(self.count) if np.any(self.dM[p]) or np.any(self.dK[p])
         )
 
-    def dC(self, i: int, model: MechModel) -> np.ndarray:
-        return model.alpha_r * self.dM[i] + model.beta_r * self.dK[i]
+    def pencil(self, p: int, model: MechModel) -> Pencil:
+        """Parameter p's derivative of `model.pencil`."""
+        dM, dK = self.dM[p], self.dK[p]
+        return Pencil(dM, model.alpha_r * dM + model.beta_r * dK, dK)
 
 
 @dataclass(frozen=True)

@@ -327,7 +327,7 @@ def evaluate(
             cons.append((w - tgt.omega) / omega_scale)
             grad = np.array(
                 [
-                    phi @ ((params.dK[p] - w**2 * params.dM[p]) @ phi) / (2.0 * w)
+                    phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w)
                     for p in range(params.count)
                 ]
             )

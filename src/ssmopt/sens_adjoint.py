@@ -24,10 +24,11 @@ pair to bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
-convolution at each index is pulled back in one call per tensor
-(`SymTensor.pullback`), which returns the summed bar of every lower-order
-index the convolution reads. The contraction's stacked parameter tensors are
-built once per `ParamDerivatives` and reused by every call.
+convolution at each index is pulled back once per tensor, by the reverse of
+its key-space linearization (`SymTensor.linearize`), which returns the summed
+bar of every lower-order index the convolution reads. Operators come from the
+model's `Pencil` and each parameter's derivative pencil; the contraction's
+stacked parameter tensors are built once per `ParamDerivatives`.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -161,10 +162,10 @@ def _route_force_bar(exp, bars: _Bars, u, vec):
 def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     master = exp.master
     phi = master.phi
-    M, Cmat = model.M, model.damping()
+    pen, M = model.pencil, model.M
 
     # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
-    _add_lam_bar(bars, m, lam_m @ (Cmat @ rec.w + 2.0 * rec.Lam * (M @ rec.w)))
+    _add_lam_bar(bars, m, lam_m @ (pen.C @ rec.w + 2.0 * rec.Lam * (M @ rec.w)))
     bar_h = -lam_m
 
     # h = C + D R_m[slot]
@@ -173,7 +174,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         j = rec.slot
         bars.rbar(m)[j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
-        bars.phi += -(((rec.Lam + master.lambda_pair[j]) * M + Cmat) @ bar_d)
+        bars.phi += -(pen.velocity(rec.Lam + master.lambda_pair[j]) @ bar_d)
         sc = -(bar_d @ (M @ phi))
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
@@ -198,7 +199,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
 
     # C = -M Vdot - (Lam M + C) V - f
     bar_vdot = -(M @ bar_c)
-    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M + Cmat) @ bar_c
+    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - pen.velocity(rec.Lam) @ bar_c
     bar_f = -bar_c
     _add_lam_bar(bars, m, -(bar_c @ (M @ rec.V)))
 
@@ -212,7 +213,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
 
     # nonlinear force convolution: one pullback per tensor
     for T in (model.T2, model.T3):
-        for u, bar_u in T.pullback(bar_f, decomps(m, T.arity), exp.w).items():
+        for u, bar_u in T.linearize(decomps(m, T.arity), exp.w).reverse(bar_f).items():
             _route_force_bar(exp, bars, u, bar_u)
 
 
@@ -293,12 +294,12 @@ def contract_gradient(
     The reverse sweep has already carried every cross-order coupling, so each
     index adds only its local explicit operator derivatives, weighted by
     lambda_m, nu_m and the R bar. With bar_C = -lambda_m + (r_bar_m/den) phi,
-    the total bar of C_m (its second term only at a resonant index), the
-    index's term is
+    the total bar of C_m (its second term only at a resonant index), and dP
+    the parameter's derivative pencil (dM, dC, dK), the index's term is
 
-        bar_C . (-df_m - dM Vdot_m - (Lam_m dM + dC) V_m)
-        + lambda_m . (dK + Lam_m dC + Lam_m^2 dM) w_m
-        + R_m[j] lambda_m . ((Lam_m + lambda_j) dM + dC) phi + nu_m phi^T dM w_m.
+        bar_C . (-df_m - dM Vdot_m - dP.velocity(Lam_m) V_m)
+        + lambda_m . dP.at(Lam_m) w_m
+        + R_m[j] lambda_m . dP.velocity(Lam_m + lambda_j) phi + nu_m phi^T dM w_m.
 
     The force-tensor derivatives of all parameters are stacked into one
     tensor per arity (`params.stacked`, built once per `ParamDerivatives`),
@@ -314,7 +315,7 @@ def contract_gradient(
     P = params.count
     lam_pair = master.lambda_pair
 
-    dC = {p: params.dC(p, model) for p in params.matrix_params}
+    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
 
     accum = np.zeros(P, dtype=complex)
     for q in range(2, exp.order + 1):
@@ -331,23 +332,19 @@ def contract_gradient(
                 pf += T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
             term = -(pf.reshape(P, n) @ bar_c)
 
-            for p in params.matrix_params:
-                dM = params.dM[p]
-                pC = -dM @ rec.Vdot - (rec.Lam * dM + dC[p]) @ rec.V
-                pL = params.dK[p] + rec.Lam * dC[p] + rec.Lam**2 * dM
-                term[p] += bar_c @ pC + lam @ (pL @ rec.w)
+            for p, dP in dpens:
+                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
+                term[p] += bar_c @ pC + lam @ (dP.at(rec.Lam) @ rec.w)
                 if j is not None:
-                    term[p] += rec.R[j] * (lam @ (((rec.Lam + lam_pair[j]) * dM + dC[p]) @ phi))
-                    term[p] += adjoint.nu_m[m] * (phi @ (dM @ rec.w))
+                    term[p] += rec.R[j] * (lam @ (dP.velocity(rec.Lam + lam_pair[j]) @ phi))
+                    term[p] += adjoint.nu_m[m] * (phi @ (dP.M @ rec.w))
             accum += term
             if m[0] != m[1]:
                 accum += np.conj(term)
 
-    for p in params.matrix_params:
-        accum[p] += adjoint.lambda_phi @ (
-            (params.dK[p] - master.omega**2 * params.dM[p]) @ phi
-        )
-        accum[p] += adjoint.lambda_omega * (phi @ (params.dM[p] @ phi))
+    for p, dP in dpens:
+        accum[p] += adjoint.lambda_phi @ (dP.modal(master.omega) @ phi)
+        accum[p] += adjoint.lambda_omega * (phi @ (dP.M @ phi))
     d_omega = np.array(
         [
             assert_real(accum[p], f"gradient for parameter {params.names[p]!r}")

@@ -13,15 +13,16 @@ dropped before the next: each force tensor's key-space linearization in the
 lower-order coefficients (`SymTensor.linearize`, the same one the adjoint
 sweep pulls back), the partial forces of all parameter tensors over the
 primal vectors (one `contract_sum` per stacked tensor, as in the gradient
-contraction), the lower-order coupling terms, M V_m and (C + 2 Lam_m M) w_m.
-A pass's step at the index then applies the linearizations to its own
-lower-order derivatives, adds its own matrix terms (none for a parameter
-without dM and dK: see `ParamDerivatives.matrix_params`) and solves its own
-right-hand side with the factorization the index's record keeps, which also
-holds its resonant denominator. Parameters are never batched into one solve:
-a coefficient's derivative needs the same parameter's lower-order
-derivatives, so each pass keeps its own table of the derivatives later
-indices read, and the cost stays linear in the number of design variables.
+contraction), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and
+the `Pencil`'s velocity(Lam_m). A pass's step at the index then applies the
+linearizations to its own lower-order derivatives, adds its derivative
+pencil's terms (none without dM and dK: see `ParamDerivatives.matrix_params`)
+and solves its own right-hand side with the factorization the index's record
+keeps, which also holds its resonant denominator. Every operator is applied
+in the primal's association. Parameters are never batched into one solve: a
+coefficient's derivative needs the same parameter's lower-order derivatives,
+so each pass keeps its own table of the derivatives later indices read, and
+the cost stays linear in the number of design variables.
 Only the eigenpair derivatives take all parameters at once, as one block
 solve with the bordered factorization of K - omega^2 M
 (`mode_factorization`).
@@ -60,7 +61,7 @@ def mode_factorization(
     def singular(rcond):
         return DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
 
-    return factorize(model.K - omega**2 * model.M, singular, b, c, scale)
+    return factorize(model.pencil.modal(omega), singular, b, c, scale)
 
 
 def eig_derivatives(
@@ -83,7 +84,7 @@ def eig_derivatives(
     rhs = np.empty((n, len(dense)))
     border = np.empty(len(dense))
     for k, p in enumerate(dense):
-        rhs[:, k] = (omega**2 * params.dM[p] - params.dK[p]) @ phi
+        rhs[:, k] = -(params.pencil(p, model).modal(omega) @ phi)
         border[k] = omega * (phi @ params.dM[p] @ phi)
     lu = mode_factorization(
         model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, "bordered eigenpair system"
@@ -103,12 +104,6 @@ def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):
     return dxi, dlam
 
 
-def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for a real matrix and a complex vector, without the complex copy
-    of A that numpy makes for a mixed product."""
-    return A @ x.real + 1j * (A @ x.imag)
-
-
 class _Pass:
     """One parameter's forward pass through the expansion.
 
@@ -117,7 +112,7 @@ class _Pass:
     indices the R couplings read, and dR; the amplitude sum takes dw at the
     observed DOF as each index is done. A parameter without dM and dK (see
     `ParamDerivatives.matrix_params`) has a zero mode-shape and eigenvalue
-    derivative and skips every dense matrix term.
+    derivative, no derivative pencil (`dpen`) and no dense matrix term.
     """
 
     def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float):
@@ -127,13 +122,11 @@ class _Pass:
         _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
         self.dlam_pair = np.array([dlam, np.conj(dlam)])
         self.dphi = dphi.astype(complex)
-        self.dense = p in params.matrix_params
-        if self.dense:
-            self.dM, self.dK, self.dCm = params.dM[p], params.dK[p], params.dC(p, model)
-            self.dMphi, self.dCphi = self.dM @ master.phi, self.dCm @ master.phi
-            self.Mdphi, self.Cdphi = ctx.Mc @ self.dphi, ctx.Cc @ self.dphi
-        else:
-            self.dMphi = self.dCphi = self.Mdphi = self.Cdphi = ctx.zero
+        self.dpen = params.pencil(p, model) if p in params.matrix_params else None
+        # d(M phi): the derivative of a resonant solve's border row
+        self.dMphi = ctx.zero
+        if self.dpen is not None:
+            self.dMphi = self.dpen.M @ master.phi + ctx.Mc @ self.dphi
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
@@ -150,7 +143,7 @@ class _Pass:
     def step(self, ix: "_Index", pf: np.ndarray):
         """The derivative of index ix.m's coefficients: its own right-hand
         side and its own solve with the factorization the record keeps."""
-        ctx, m, rec = self.ctx, ix.m, ix.rec
+        ctx, m, rec, dpen = self.ctx, ix.m, ix.rec, self.dpen
         exp, model, phi = ctx.exp, ctx.model, ctx.exp.master.phi
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
@@ -166,9 +159,9 @@ class _Pass:
                 dRkj = self.dR[k][j]
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
-            dC = dC - ctx.Mc @ (dVdot + Lam * dV) - ctx.Cc @ dV
-        if self.dense:
-            dC = dC - _real_times(self.dM, rec.Vdot + Lam * rec.V) - _real_times(self.dCm, rec.V)
+            dC = dC - ctx.Mc @ dVdot - ix.velocity @ dV
+        if dpen is not None:
+            dC = dC - dpen.M @ rec.Vdot - dpen.velocity(Lam) @ rec.V
 
         dR = np.zeros(2, dtype=complex)
         dh = dC
@@ -178,19 +171,17 @@ class _Pass:
             dlj = dLam + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * ctx.omega * self.domega
             dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
-            dD = -lj * self.Mdphi - self.Cdphi - dlj * ctx.Mphi - lj * self.dMphi - self.dCphi
+            # D = -velocity(lj) @ phi
+            dD = -dlj * ctx.Mphi
+            if dpen is not None:
+                dD = dD - model.pencil.velocity(lj) @ self.dphi - dpen.velocity(lj) @ phi
             dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
         dLw = dLam * ix.Lw
-        if self.dense:
-            dLw = (
-                dLw
-                + _real_times(self.dK, rec.w)
-                + Lam * _real_times(self.dCm, rec.w)
-                + Lam**2 * _real_times(self.dM, rec.w)
-            )
+        if dpen is not None:
+            dLw = dLw + dpen.at(Lam) @ rec.w
         # border row: d(phi^T M w_m) = 0; a plain record ignores it
-        dw, _ = rec.lu.solve(dh - dLw, -((self.dMphi + self.Mdphi) @ rec.w))
+        dw, _ = rec.lu.solve(dh - dLw, -(self.dMphi @ rec.w))
 
         dwdot = None
         if ix.keep_wdot:
@@ -251,10 +242,9 @@ class _Chain:
     def __post_init__(self):
         model, master = self.model, self.exp.master
         self.lam_pair, self.omega = master.lambda_pair, master.omega
-        # complex copies: a real matrix times a complex vector would copy the
-        # matrix to complex in every product. The parameters' matrices, one
-        # set per parameter, go through _real_times instead.
-        self.Mc, self.Cc = model.M.astype(complex), model.damping().astype(complex)
+        # a complex copy: a real matrix times a complex vector would copy
+        # the matrix to complex in every product
+        self.Mc = model.M.astype(complex)
         self.Mphi = model.M @ master.phi
         self.zero = np.zeros(model.n, dtype=complex)
         self.x = x_rms(self.exp, self.dof, self.rho)
@@ -272,6 +262,7 @@ class _Index:
     v_terms: list  # (u, j, k, u[j], R_k[j]) of the lower-order coupling
     MV: np.ndarray | float  # M V_m
     Lw: np.ndarray | float  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
+    velocity: np.ndarray  # the pencil's velocity(Lam_m)
     keep_w: bool  # a later index reads dw_m
     keep_wdot: bool  # a later coupling reads dwdot_m
 
@@ -313,7 +304,7 @@ def chain_derivatives(
         MV = Lw = 0.0
         if params.matrix_params:
             MV = ctx.Mc @ rec.V
-            Lw = ctx.Cc @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
+            Lw = model.pencil.C @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
         ix = _Index(
             m,
             rec,
@@ -321,6 +312,7 @@ def chain_derivatives(
             [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)],
             MV,
             Lw,
+            model.pencil.velocity(rec.Lam),
             order(m) < exp.order,
             m in wdot_read or symmetric(m) in wdot_read,
         )

@@ -1,7 +1,8 @@
 """Two-dimensional autonomous SSM expansion via per-index cohomological solves.
 
 For each multi-index m (order >= 2) the displacement coefficient w_m solves
-``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M``. Near-resonant
+``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M``, the model's
+`Pencil` at Lam_m. Near-resonant
 indices (|m1 - m2| = 1, odd order) carry a reduced-dynamics coefficient R_m
 chosen to project the right-hand side out of the master direction; their
 operator is solved in bordered form with the constraint phi^T M w_m = 0 so the
@@ -10,9 +11,10 @@ damped one (for which the bordered and plain solutions coincide).
 
 Each operator is factored once, by `factorize`, into a rcond-checked
 `Factorization` that the record keeps; the sensitivity passes solve with
-it and do not factor again. A resonant record also keeps the denominator
-of its R_m and the force D that R_m exerts on the right-hand side, so no
-pass rebuilds them.
+it and do not factor again. Each solve's normwise backward error is checked,
+and an overflowed right-hand side is reported before the solve. A resonant
+record also keeps the denominator of its R_m and the force D that R_m exerts
+on the right-hand side, so no pass rebuilds them.
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
@@ -53,7 +55,8 @@ from .spectral import MasterPair
 
 RCOND_SINGULAR = 1e-12
 DENOMINATOR_TOL = 1e-10
-SOLVE_RESIDUAL_RTOL = 1e-9
+# bound on a solve's normwise backward error, in units of machine epsilon
+SOLVE_BACKWARD_ERROR = 1e3
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
 
 
@@ -71,6 +74,7 @@ class Factorization:
     """
 
     lu: tuple
+    anorm: float  # 1-norm of the factored (bordered) matrix
     gb: float | None = None  # None: A is not bordered
     gc: float | None = None
 
@@ -106,7 +110,7 @@ def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Facto
         rcond = 0.0
     if rcond < RCOND_SINGULAR:
         raise error(float(rcond))
-    return Factorization(lu, gb, gc)
+    return Factorization(lu, anorm, gb, gc)
 
 
 @dataclass
@@ -226,9 +230,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     master = exp.master
     phi = master.phi
     lam_pair = master.lambda_pair
-    Cmat = model.damping()
-    M, K = model.M, model.K
-    n = model.n
+    pen, M, n = model.pencil, model.M, model.n
 
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
@@ -245,13 +247,13 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         V += coef * exp.w(u)
         Vdot += coef * exp.wdot(u)
 
-    C_m = -M @ Vdot - (Lam * M + Cmat) @ V - f
+    C_m = -M @ Vdot - pen.velocity(Lam) @ V - f
 
     slot = resonant_slot(m)
     R = np.zeros(2, dtype=complex)
     D = den = None
     h = C_m
-    L = (K + Lam * Cmat + Lam**2 * M).astype(complex)
+    L = pen.at(Lam)
     singular = partial(OuterResonanceError, m)
     if slot is None:
         lu = factorize(L, singular)
@@ -263,30 +265,30 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
                 f"near-resonant denominator {abs(den):.2e} at index {m}"
             )
         R[slot] = (phi @ C_m) / den
-        D = -((Lam + lam_j) * M + Cmat) @ phi.astype(complex)
+        D = -pen.velocity(Lam + lam_j) @ phi.astype(complex)
         h = C_m + D * R[slot]
         # Bordered operator: the reduced coefficient removed the master
         # projection from h, so the solution with phi^T M w = 0 is the
         # regular limit; for xi > 0 it equals the plain solve. The border
-        # stays on the scale of L's terms, which may cancel to zero at exact
-        # resonance.
-        lscale = (
-            np.linalg.norm(K, 1)
-            + abs(Lam) * np.linalg.norm(Cmat, 1)
-            + abs(Lam) ** 2 * np.linalg.norm(M, 1)
-        )
+        # stays on the scale of L's terms.
         Mphi = M @ phi
-        lu = factorize(L, singular, Mphi, Mphi, lscale)
+        lu = factorize(L, singular, Mphi, Mphi, pen.scale(Lam))
+    if not np.all(np.isfinite(h)):
+        raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
     w, _ = lu.solve(h)
 
-    # h can be a round-off-level difference of large terms (e.g. a 1-DOF
-    # resonant index); accept residuals on that cancellation floor.
+    # w must solve a nearby system: its normwise backward error
+    # ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a round-off-
+    # level difference of large terms (e.g. a 1-DOF resonant index); residuals
+    # on that cancellation floor pass too. NaN fails the test.
+    eps = np.finfo(float).eps
     cancel_scale = np.linalg.norm(C_m)
     if slot is not None:
         cancel_scale += abs(R[slot]) * np.linalg.norm(D)
     resid = np.linalg.norm(L @ w - h)
-    tol = SOLVE_RESIDUAL_RTOL * np.linalg.norm(h) + 100 * np.finfo(float).eps * cancel_scale
-    if resid > tol:
+    scale = lu.anorm * np.linalg.norm(w) + np.linalg.norm(h)
+    tol = eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
+    if not resid <= tol:
         raise SsmError(
             f"cohomological solve at index {m} failed: residual {resid:.2e} above {tol:.2e}"
         )
@@ -409,7 +411,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     x, v = W[:, :n], W[:, n:]
     dx, dv = dW[:, :n], dW[:, n:]
     ref = x @ K.T + np.array([model.nonlinear_force(xk) for xk in x])
-    defect = dx @ model.damping().T + dv @ model.M.T + ref
+    defect = dx @ model.pencil.C.T + dv @ model.M.T + ref
     den = state_norms(ref, v)
     if np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")

@@ -15,8 +15,8 @@
   swapped ones by conjugation; this is the form the conjugation must
   reproduce to roundoff.
 * `reference_pullback`: the reverse mode of a force convolution as one loop
-  over the decompositions. `SymTensor.pullback` builds the key-space
-  linearization and scatters it; this loop forms the same sums in the same
+  over the decompositions. `SymTensor.linearize(...).reverse` builds the
+  key-space linearization and scatters it; this loop forms the same sums in the same
   order, so the two must agree bit for bit.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
@@ -281,7 +281,7 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
 
 
 def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:
-    """{u: r_u} of `SymTensor.pullback`, summed per (u, slot) in one loop over
+    """{u: r_u} of `SymTensor.linearize(parts, w).reverse(v)`, summed per (u, slot) in one loop over
     the decompositions and scattered per (u, slot)."""
     if T.nnz == 0 or not parts:
         return {}
@@ -309,7 +309,7 @@ def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:
     z = (x, v), F = (-f(x), 0)."""
     n = model.n
     B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = model.damping()
+    B[:n, :n] = model.pencil.C
     B[:n, n:] = model.M
     B[n:, :n] = model.M
     A = np.zeros((2 * n, 2 * n))

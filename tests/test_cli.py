@@ -180,6 +180,25 @@ class TestBackboneCommand:
         assert "cohomological operator at index (3, 0) is numerically singular" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_expansion_exit_code_names_the_index(self, tmp_path, capsys):
+        # every entry is finite, but the order-5 force products of the order-3
+        # coefficients (about 1e300 each) overflow to inf
+        model = {
+            "type": "matrix",
+            "n": 2,
+            "M": [[1, 0], [0, 1]],
+            "K": [[2, -1], [-1, 2]],
+            "beta_r": 0.01,
+            "T3": [[0, 0, 0, 0, 1e300], [1, 1, 1, 1, 1e300]],
+        }
+        cfg = {"model": model, "backbone": {"dof": 0, "x_targets": [0.1], "order": 5}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert "computation error: cohomological right-hand side at index (5, 0)" in err
+
     @pytest.mark.parametrize(
         "field, fields",
         [

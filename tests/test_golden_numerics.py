@@ -6,7 +6,9 @@ change that moves every number by the same amount passes them. These pin the
 numbers across versions: per canonical index ||w_m|| and R_m, and at two
 target amplitudes the frequency Omega, the direct and the adjoint gradients
 and the residual epsilon, for the two-mass chain and a curved ten-element von
-Karman beam at order 9. Everything agrees to 1e-13 relative, epsilon to 1e-10
+Karman beam at order 9, the beam once undamped and once with Rayleigh
+damping (alpha_r 1, beta_r 1e-5), which pins the damping terms of every
+pass. Everything agrees to 1e-13 relative, epsilon to 1e-10
 relative above an absolute floor of 1e-15: epsilon is a ratio of a defect
 that cancels to roundoff against its reference, and at epsilon ~ 1e-6 an
 extended-precision evaluation of the defect moves it by about 1e-15.
@@ -14,11 +16,15 @@ extended-precision evaluation of the defect moves it by about 1e-15.
 Regenerate the references (only where a change is meant to move the numbers)
 with
 
-    PYTHONPATH=src python tests/test_golden_numerics.py
+    PYTHONPATH=src python tests/test_golden_numerics.py [CASE ...]
+
+Named cases are regenerated and the stored text of the others is kept; with
+no names every case is regenerated.
 """
 
 import json
 import os
+import sys
 from pathlib import Path
 
 # one BLAS thread, as in the suite (conftest.py), also when run as a script
@@ -41,13 +47,17 @@ def _chain2():
     return model, params, 1, (0.2, 0.5)
 
 
-def _vk_beam10():
-    spec = models.VkBeamSpec(a1=0.002, a2=0.001)
+def _vk_beam10(**damping):
+    spec = models.VkBeamSpec(a1=0.002, a2=0.001, **damping)
     model, params = models.build_vk_beam(spec)
     return model, params, models.vk_center_dof(spec), (0.002, 0.004)
 
 
-CASES = {"chain2": _chain2, "vk_beam10": _vk_beam10}
+CASES = {
+    "chain2": _chain2,
+    "vk_beam10": _vk_beam10,
+    "vk_beam10_damped": lambda: _vk_beam10(alpha_r=1.0, beta_r=1e-5),
+}
 ORDER = 9
 
 
@@ -105,12 +115,17 @@ def test_matches_stored_references(golden, case):
 
 
 if __name__ == "__main__":
-    # one line per stored list
+    names = sys.argv[1:] or list(CASES)
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown case(s) {sorted(unknown)}; known: {list(CASES)}")
+    stored = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    # one line per stored list; json round-trips the stored floats, so a
+    # kept case is written back as the same text
     blocks = []
     for case in CASES:
-        fields = ",\n".join(
-            f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in golden_numerics(case).items()
-        )
+        data = golden_numerics(case) if case in names else stored[case]
+        fields = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in data.items())
         blocks.append(f" {json.dumps(case)}: {{\n{fields}\n }}")
     GOLDEN_PATH.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
-    print(f"wrote {GOLDEN_PATH}")
+    print(f"wrote {GOLDEN_PATH} ({', '.join(names)} regenerated)")

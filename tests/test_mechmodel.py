@@ -6,6 +6,8 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import MechModel, SymTensor, check_light_damping
 from ssmopt.errors import ModelError
+from ssmopt.mechmodel import Pencil
+from ssmopt.models import VkBeamSpec, build_vk_beam
 from ssmopt.multiindex import all_indices, decomps
 
 from oracles import first_order_operators, reference_pullback
@@ -26,22 +28,45 @@ class TestDamping:
     def test_zero_coefficients_give_zero_matrix(self, chain2):
         model, _ = chain2
         undamped = MechModel(model.M, model.K, 0.0, 0.0, model.T2, model.T3)
-        assert np.all(undamped.damping() == 0.0)
+        assert np.all(undamped.pencil.C == 0.0)
 
     def test_reference_chain_damping_follows_stiffness_pattern(self, chain2):
         # beta_r = 0.1 on the unit-stiffness chain puts c = 0.1 on K's pattern
         model, _ = chain2
-        assert np.allclose(model.damping(), 0.1 * model.K, rtol=0, atol=1e-15)
+        assert np.allclose(model.pencil.C, 0.1 * model.K, rtol=0, atol=1e-15)
 
     def test_mass_scaling_identity(self):
         m = MechModel(np.eye(3), 2 * np.eye(3), 1.0, 0.0,
                       SymTensor.empty(3, 2), SymTensor.empty(3, 3))
-        assert np.allclose(m.damping(), np.eye(3))
+        assert np.allclose(m.pencil.C, np.eye(3))
 
     def test_elementwise_combination(self, chain2):
         model, _ = chain2
         expected = model.alpha_r * model.M + model.beta_r * model.K
-        assert np.array_equal(model.damping(), expected)
+        assert np.array_equal(model.pencil.C, expected)
+
+    def test_pencil_is_formed_once_per_model(self, chain2):
+        model, _ = chain2
+        assert model.pencil is model.pencil
+        assert model.pencil.M is model.M and model.pencil.K is model.K
+
+    def test_pencil_operators(self):
+        rng = np.random.default_rng(5)
+        M, C, K = (rng.normal(size=(3, 3)) for _ in range(3))
+        pen = Pencil(M, C, K)
+        s = 0.3 - 1.7j
+        assert np.allclose(pen.at(s), K + s * C + s * s * M, rtol=1e-15, atol=0)
+        assert np.allclose(pen.velocity(s), s * M + C, rtol=1e-15, atol=0)
+        assert np.allclose(pen.modal(2.0), K - 4.0 * M, rtol=1e-15, atol=0)
+        norm = [np.abs(A).sum(axis=0).max() for A in (M, C, K)]
+        assert pen.scale(s) == pytest.approx(norm[2] + abs(s) * norm[1] + abs(s) ** 2 * norm[0])
+
+    def test_parameter_pencil_is_the_derivative_of_the_model_pencil(self):
+        spec = VkBeamSpec(n_elements=4, a1=0.001, alpha_r=1.0, beta_r=1e-5)
+        model, params = build_vk_beam(spec, ("h",))
+        dpen = params.pencil(0, model)
+        assert dpen.M is params.dM[0] and dpen.K is params.dK[0]
+        assert np.array_equal(dpen.C, 1.0 * params.dM[0] + 1e-5 * params.dK[0])
 
 
 class TestNonlinearForce:
@@ -110,7 +135,8 @@ def _dense_pullback(dense, arity, v, sets, w):
 
 
 def _check_kernels(tensor, dense, arity, rng, n):
-    """contract_sum and pullback against the dense oracle for every order-4 index."""
+    """contract_sum and the reverse linearization against the dense oracle
+    for every order-4 index."""
     for m in all_indices(4):
         sets = decomps(m, arity)
         w = {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in sets for u in d}
@@ -120,7 +146,7 @@ def _check_kernels(tensor, dense, arity, rng, n):
         # reverse mode: the summed bar of every receiving index over the
         # permutation-closed set
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = tensor.pullback(v, sets, w.__getitem__)
+        got = tensor.linearize(sets, w.__getitem__).reverse(v)
         ref = _dense_pullback(dense, arity, v, sets, w)
         assert got.keys() == ref.keys() == w.keys()
         for u in w:
@@ -230,7 +256,7 @@ class TestLinearization:
         for tensor, parts in _linearization_cases():
             w = _vectors(rng, tensor.n, parts)
             v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
-            got = tensor.pullback(v, parts, w.__getitem__)
+            got = tensor.linearize(parts, w.__getitem__).reverse(v)
             ref = reference_pullback(tensor, v, parts, w.__getitem__)
             assert list(got) == list(ref)
             for u in ref:
@@ -279,7 +305,7 @@ class TestFirstOrderForm:
         # first-order operators reproduce the same dynamics pointwise
         model, _ = chain2
         n = model.n
-        C = model.damping()
+        C = model.pencil.C
         Minv = np.linalg.inv(model.M)
 
         def rhs(_t, z):

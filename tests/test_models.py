@@ -25,7 +25,7 @@ class TestChain:
         model, _ = chain2
         assert np.array_equal(model.K, [[2.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(model.M, np.eye(2))
-        assert np.allclose(model.damping(), 0.1 * model.K)
+        assert np.allclose(model.pencil.C, 0.1 * model.K)
 
     def test_zero_nonlinearity_gives_linear_chain(self):
         model, _ = build_chain(ChainSpec(k2=0.0, k3=0.0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -357,6 +359,24 @@ class TestSolve:
         assert res.message == "merit stalled at a feasible point"
         assert res.iterations == 0
         assert len(failed) == 4 * 10
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_trials_count_as_infinite_merit(self, chain_target):
+        # every design but the start has k3 = 1e300, whose order-5 force
+        # products overflow: each such trial is a failed evaluation, not a crash
+        x0, nominal = chain_target
+        failed = []
+
+        def builder(mu):
+            if abs(float(mu[0]) - 0.2) > 1e-12:
+                failed.append(float(mu[0]))
+                return chain_builder([1e300])
+            return chain_builder(mu)
+
+        res = solve(replace(chain_problem(0.98 * nominal, x0), builder=builder))
+        assert failed
+        assert not res.converged
+        assert res.mu_star == pytest.approx([0.2], abs=1e-12)
 
     def test_trace_csv_shape(self, chain_target):
         x0, nominal = chain_target

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master
+from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
 from ssmopt.backbone import _validity_cap, rho_of_x
-from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError
+from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError, SsmError
 from ssmopt.mechmodel import model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
-from ssmopt.ssm import adapt_order
+from ssmopt.ssm import adapt_order, factorize
 
 from oracles import first_order_operators, reference_full_set_ssm
 
@@ -55,7 +57,7 @@ class TestOrderStep:
 
     def test_cohomological_residual_per_index(self, chain2, chain2_exp5):
         model, _ = chain2
-        Cmat = model.damping()
+        Cmat = model.pencil.C
         for m, rec in chain2_exp5.data.items():
             if order(m) < 2:
                 continue
@@ -156,6 +158,40 @@ class TestFactorization:
             assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
             if rec.slot is not None:
                 assert abs(s[k] - sk) <= 1e-14 * abs(sk)
+
+
+class TestSolveCheck:
+    """The per-index check of the cohomological solve: a normwise backward
+    error, which does not grow with the size of the operator's terms."""
+
+    def test_curved_vk_beam320_expands(self):
+        # n = 957: ||L w - h|| reaches about 1e-9 ||h|| at index (2, 2) with
+        # ||L|| ||w|| large, while the backward error stays near epsilon
+        model, _ = build_vk_beam(VkBeamSpec(n_elements=320, a1=0.002, a2=0.001), ())
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        assert exp.n_solves == 10
+
+    def test_corrupted_factor_raises(self, chain2, chain2_master, monkeypatch):
+        def corrupted(*args, **kwargs):
+            fac = factorize(*args, **kwargs)
+            lu, piv = fac.lu
+            lu = lu.copy()
+            np.fill_diagonal(lu, 2.0 * np.diag(lu))
+            return dataclasses.replace(fac, lu=(lu, piv))
+
+        monkeypatch.setattr(ssm, "factorize", corrupted)
+        with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 0\) failed"):
+            compute_ssm(chain2[0], chain2_master, 3)
+
+    def test_wrong_border_raises(self, chain2, chain2_master, monkeypatch):
+        # the border row of a resonant solve is phi^T M; any other row
+        # moves w off the solution of L w = h
+        def wrong_border(A, error, b=None, c=None, scale=0.0):
+            return factorize(A, error, b, None if c is None else np.ones_like(c), scale)
+
+        monkeypatch.setattr(ssm, "factorize", wrong_border)
+        with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 1\) failed"):
+            compute_ssm(chain2[0], chain2_master, 3)
 
 
 class TestInvarianceResidual:
