@@ -17,16 +17,25 @@ first use and cached (`SymTensor.key_pattern`): the distinct sorted trailing
 keys, one contiguous row of a (slot, key) array per trailing slot, and each
 entry's key number.
 `contract_sum` forms its products once per key and expands them to the
-entries in one accumulation. `linearize` takes one multi-index's
-decomposition set and linearizes its force convolution in the lower-order
-vectors: one coefficient over the keys per (index, slot), the sum of the
-other slots' products. That one `Linearization` serves both modes: `forward`
-applies it to derivative vectors in one accumulation (the direct pass), and
-`reverse` reduces an adjoint onto the keys once and scatters one
-accumulation per (index, slot) (the adjoint sweep).
-`force` stays entrywise. `contract_sum` is left to the SSM recursion and to
-the parameter tensors' partial forces (the gradient contraction and the
-direct pass).
+entries in one accumulation; the SSM recursion sums its force convolutions
+with it, over every ordered triple of T3, so the expansion's numbers do not
+depend on how the sensitivity passes group their products.
+The sensitivity passes build one `PairSums` table per tensor per pass
+(`solve_adjoint`, `contract_gradient` and `chain_derivatives` each build
+their own): for T3 the pair sums P_s = sum over u + v = s of w_u w_v at the
+key columns, for T2 the vectors themselves. Its `linearize(m)` linearizes
+the force convolution at m in the lower-order vectors, one coefficient over
+the keys per (index, slot) gathered from the table, bitwise the
+decomposition-by-decomposition form. That one `Linearization` serves both
+modes: `forward` applies it to derivative vectors in one accumulation (the
+direct pass), and `reverse` reduces an adjoint onto the keys once and
+scatters one accumulation per (index, slot) (the adjoint sweep). Its
+`force(m)` gives the parameter tensors' partial forces (the gradient
+contraction and the direct pass) in one sum per first part instead of one
+per triple. The primal keeps the triple loop: pair sums reassociate its
+products, and would move its coefficients at roundoff (7.4e-13 normwise on
+curved vk_beam10 at O9).
+`SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
 are validated.
 """
@@ -41,15 +50,18 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ModelError
+from .multiindex import all_indices, decomps, order
 
 
 def _accum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum `weights` into an n-vector at positions `idx` (complex-safe)."""
-    if np.iscomplexobj(weights):
-        return np.bincount(idx, weights.real, minlength=n) + 1j * np.bincount(
-            idx, weights.imag, minlength=n
-        )
-    return np.bincount(idx, weights, minlength=n)
+    """Sum `weights` into an n-vector at positions `idx`, in order (complex-safe).
+
+    One ordered pass: the sums are bitwise those of a `bincount` per real
+    part. numpy 1.25 made `ufunc.at` fast enough for this.
+    """
+    out = np.zeros(n, np.result_type(weights, float))
+    np.add.at(out, idx, weights)
+    return out
 
 
 def _number_table(rows) -> np.ndarray | None:
@@ -71,28 +83,52 @@ def _number_table(rows) -> np.ndarray | None:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _linear_plan(parts) -> tuple[tuple, tuple]:
-    """(rows, steps): the layout of `SymTensor.linearize` for one
-    decomposition set, which depends on the set alone.
+def _distinct(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): where each distinct column of the integer table
+    `cols` first occurs, in ascending order of the columns, and each
+    column's number among them."""
+    base = int(max(c.max() for c in cols)) + 1
+    code = cols[0].astype(np.int64)
+    for c in cols[1:]:
+        code = code * base + c
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
 
-    rows lists the (u, slot) pairs in the order the decompositions first read
-    them. steps holds one (r, head, tail, first) per decomposition d and slot,
-    in the order of `parts`: r is the row of (d[slot], slot), head and tail
-    the rows of the other slots' pairs in slot order (the first one, then the
-    rest), and first whether d is the first decomposition to reach row r.
+
+@lru_cache(maxsize=None)
+def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(rows, at, slots): the layout of `PairSums.linearize(m)`, which depends
+    on the index and the arity alone.
+
+    rows lists the (u, slot) pairs in the order the decompositions of m into
+    `arity` parts first read them; at[r] is the table row of m - u and
+    slots[r] the slot of rows[r].
     """
-    rows = tuple(dict.fromkeys((u, slot) for d in parts for slot, u in enumerate(d)))
-    row_of = {pair: r for r, pair in enumerate(rows)}
-    slots = range(len(parts[0]))
-    other_slots = [[o for o in slots if o != slot] for slot in slots]
-    steps, reached = [], set()
-    for d in parts:
-        rs = [row_of[u, slot] for slot, u in enumerate(d)]
-        for r, others in zip(rs, other_slots):
-            steps.append((r, rs[others[0]], tuple(rs[o] for o in others[1:]), r not in reached))
-            reached.add(r)
-    return rows, tuple(steps)
+    rows = tuple(dict.fromkeys((u, slot) for d in decomps(m, arity) for slot, u in enumerate(d)))
+    at = np.fromiter((_table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u, _ in rows), np.intp)
+    slots = np.fromiter((slot for _, slot in rows), np.intp)
+    return rows, at, slots
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(lo: int, top: int) -> tuple:
+    """The terms of a `PairSums` table of the indices of orders lo .. top - 1:
+    one (row, parts, first) per decomposition of each index into lo parts, in
+    `decomps` order. parts holds the parts' rows in the table of vectors
+    (orders 1 and up), and first marks a row's first term."""
+    sums = [s for q in range(lo, top) for s in all_indices(q)]
+    return tuple(
+        (r, tuple(_table_row(v, 1) for v in d), k == 0)
+        for r, s in enumerate(sums)
+        for k, d in enumerate(decomps(s, lo))
+    )
+
+
+def _table_row(s, lo: int) -> int:
+    """Row of index s in a table of the indices of orders lo and up, in
+    ascending order and each order's in `all_indices` order."""
+    q = order(s)
+    return (q * (q + 1) - lo * (lo + 1)) // 2 + s[1]
 
 
 @dataclass(frozen=True)
@@ -185,12 +221,18 @@ class SymTensor:
         first use, so constructing a tensor costs nothing extra.
         """
         trailing = self.cols[1:]
-        base = int(max(c.max() for c in trailing)) + 1
-        code = trailing[0].astype(np.int64)
-        for c in trailing[1:]:
-            code = code * base + c
-        _, first, key_of = np.unique(code, return_index=True, return_inverse=True)
+        first, key_of = _distinct(trailing)
         return np.stack([c[first] for c in trailing]), key_of
+
+    @cached_property
+    def projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, proj): the distinct column tuples of the keys with one slot
+        dropped, over every slot, and in proj[s] each key's tuple with slot s
+        dropped. Built on first use, like `key_pattern`."""
+        key_cols, _ = self.key_pattern
+        dropped = np.hstack([np.delete(key_cols, s, axis=0) for s in range(self.arity)])
+        first, inverse = _distinct(dropped)
+        return dropped[:, first], inverse.reshape(self.arity, -1)
 
     def contract_sum(self, arg_tuples) -> np.ndarray:
         """f_i = sum over the argument tuples (a, b[, c]) of sum v * a[j] * b[k] (* c[l]).
@@ -209,38 +251,84 @@ class SymTensor:
             G += term
         return _accum(self.cols[0], self.vals * G[key_of], self.n)
 
-    def linearize(self, parts, w) -> "Linearization":
-        """The sum over `parts` of contract_sum([(w(d[0]), w(d[1]), ...)]),
-        linearized in the vectors of the indices it reads.
 
-        For each index u and slot, the coefficient over the trailing keys is
-        the sum over the decompositions d with d[slot] = u of the product of
-        the other slots' vectors at their key columns, added in the order of
-        `parts`. Each (u, slot) vector is gathered once; the bookkeeping of
-        which products go to which row is cached per set (`_linear_plan`).
-        """
-        if self.nnz == 0 or not parts:
-            return Linearization(self, (), np.zeros((0, 0), dtype=complex))
-        key_cols, _ = self.key_pattern
-        rows, steps = _linear_plan(parts)
-        gathered = [w(u)[key_cols[slot]] for u, slot in rows]
-        dtype = np.result_type(*{g.dtype for g in gathered})
-        coef = np.empty((len(rows), len(key_cols[0])), dtype)
-        coef_rows = list(coef)
-        for r, head, tail, first in steps:
-            term = gathered[head]
-            for o in tail:
-                term = term * gathered[o]
+class PairSums:
+    """A force tensor's sums over the lower parts of every decomposition, for
+    one expansion's vectors `w` up to a top order.
+
+    For a tensor of arity k and each index s of orders k - 1 .. order - 1,
+    the table holds
+
+        P_s[c] = sum over (v, ...) in decomps(s, k - 1) of w(v)[c_0] * ...,
+
+    added in `decomps` order, at the column tuples c of the union of the
+    tensor's (k - 1)-slot key projections. For T3 these are pair sums over
+    the (j, k), (j, l) and (k, l) columns (Haro et al., The Parameterization
+    Method for Invariant Manifolds, 2016, ch. 2); for T2 they are the vectors
+    themselves at the key columns. A convolution at m is then one sum over
+    the first part u of its decompositions with P_{m-u}, instead of one over
+    every ordered triple.
+
+    `linearize(m)` is bitwise the decomposition-by-decomposition
+    linearization: for slot s, the decompositions with d_s = u are the
+    decompositions of m - u into the other slots, in `decomps` order and
+    multiplied lower slot first, which is how the table adds them. `force(m)`
+    reassociates the cubic products and so moves T3's partial force at
+    roundoff; T2's is bitwise `contract_sum`'s.
+
+    A pass builds one table per tensor and reads it at every index.
+    """
+
+    def __init__(self, tensor: SymTensor, w, order_: int):
+        """The table of `tensor` over the vectors `w(index)` of an expansion
+        of order `order_` >= tensor.arity."""
+        self.tensor, self.w = tensor, w
+        if tensor.nnz == 0:
+            return
+        cols, self.proj = tensor.projections
+        lo = tensor.arity - 1
+        W = np.array([w(v) for q in range(1, order_ - lo + 1) for v in all_indices(q)])
+        gathered = [W[:, c] for c in cols]
+        # every index of order >= lo has a decomposition into lo parts, so
+        # each row gets its first term
+        self.table = np.empty((_table_row((order_, 0), lo), cols.shape[1]), W.dtype)
+        for r, d, first in _sum_plan(lo, order_):
+            term = gathered[0][d[0]]
+            for g, v in zip(gathered[1:], d[1:]):
+                term = term * g[v]
             if first:
-                coef_rows[r][:] = term
+                self.table[r] = term
             else:
-                coef_rows[r] += term
-        return Linearization(self, rows, coef)
+                self.table[r] += term
+
+    def linearize(self, m) -> "Linearization":
+        """The force convolution at m linearized in the vectors of the
+        indices it reads: row (u, slot) is P_{m-u} at the slot's projection,
+        all rows in one gather."""
+        T = self.tensor
+        if T.nnz == 0:
+            return Linearization(T, (), np.zeros((0, 0), dtype=complex))
+        rows, at, slots = _linear_plan(m, T.arity)
+        return Linearization(T, rows, self.table[at[:, None], self.proj[slots]])
+
+    def force(self, m) -> np.ndarray:
+        """The force convolution at m: the sum over the first part u of
+        w(u) at the first key column times P_{m-u} at the other columns."""
+        T = self.tensor
+        if T.nnz == 0:
+            return np.zeros(T.n, dtype=complex)
+        key_cols, key_of = T.key_pattern
+        rows, at, slots = _linear_plan(m, T.arity)
+        first = np.flatnonzero(slots == 0)
+        G = np.zeros(len(key_cols[0]), dtype=complex)
+        for r, P in zip(first, self.table[at[first][:, None], self.proj[0]]):
+            G += self.w(rows[r][0])[key_cols[0]] * P
+        return _accum(T.cols[0], T.vals * G[key_of], T.n)
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """A force convolution linearized in key space (`SymTensor.linearize`).
+    """A force convolution linearized in key space (`PairSums.linearize`).
 
     Row r of `coef` is the coefficient of the vector of index u in slot
     `slot`, (u, slot) = rows[r], over the tensor's trailing keys; the rows

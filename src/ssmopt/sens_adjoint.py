@@ -25,8 +25,14 @@ pair to bar_0 + conj(bar_1).
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
 convolution at each index is pulled back once per tensor, by the reverse of
-its key-space linearization (`SymTensor.linearize`), which returns the summed
-bar of every lower-order index the convolution reads. Operators come from the
+its key-space linearization (`PairSums.linearize`), which returns the summed
+bar of every lower-order index the convolution reads. The sweep builds one
+`PairSums` table per model tensor and the contraction one per stacked
+parameter tensor, each once per call: the pair sums of T3 replace the sum
+over ordered triples at every index. The primal keeps the triple loop (see
+`mechmodel`), so the expansion the passes read is unchanged, the sweep's
+adjoint variables are bitwise the triple loop's, and only the contraction's
+cubic partial forces are reassociated, at roundoff. Operators come from the
 model's `Pencil` and each parameter's derivative pencil; the contraction's
 stacked parameter tensors are built once per `ParamDerivatives`.
 
@@ -43,8 +49,8 @@ import numpy as np
 
 from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
 from .errors import TurningPointError, assert_real
-from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import canonical_indices, decomps, order, symmetric
+from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .multiindex import canonical_indices, order, symmetric
 from .sens_direct import lambda_derivative, mode_factorization
 from .ssm import SsmExpansion, v_decomps
 
@@ -159,7 +165,7 @@ def _route_force_bar(exp, bars: _Bars, u, vec):
         bars.vec(bars.w, u)[:] += vec
 
 
-def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
+def _backprop_index(model: MechModel, exp, tables, bars: _Bars, m, rec, lam_m, nu_m):
     master = exp.master
     phi = master.phi
     pen, M = model.pencil, model.M
@@ -211,9 +217,9 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         bars.vec(bars.wdot, u)[:] += u[j] * Rkj * bar_vdot
         bars.rbar(k)[j] += u[j] * (bar_vdot @ exp.wdot(u))
 
-    # nonlinear force convolution: one pullback per tensor
-    for T in (model.T2, model.T3):
-        for u, bar_u in T.linearize(decomps(m, T.arity), exp.w).reverse(bar_f).items():
+    # nonlinear force convolution: one pullback per tensor's table
+    for table in tables:
+        for u, bar_u in table.linearize(m).reverse(bar_f).items():
             _route_force_bar(exp, bars, u, bar_u)
 
 
@@ -247,6 +253,7 @@ def solve_adjoint(
     reverses its step. The folded mode-shape and frequency bars then feed
     the coupled bordered solve.
     """
+    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
     bars = _Bars(model.n)
     _seed_bars(exp, bars, solve_adjoint_rho(exp, dof_index, rho), dof_index, rho)
 
@@ -266,7 +273,7 @@ def solve_adjoint(
                 nu_m[m] = nu
                 # the swapped R pair is this one conjugated, slots exchanged
                 bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
+            _backprop_index(model, exp, tables, bars, m, rec, wt * lam, wt * nu)
 
     # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
     bars.phi += np.conj(bars.phi)
@@ -303,7 +310,8 @@ def contract_gradient(
 
     The force-tensor derivatives of all parameters are stacked into one
     tensor per arity (`params.stacked`, built once per `ParamDerivatives`),
-    so df_m . bar_C is one contraction per arity for all parameters;
+    so df_m . bar_C is one contraction per arity for all parameters, read
+    from one `PairSums` table per stacked tensor built for this call;
     parameters with mass/stiffness derivatives get their dense terms in a
     short scalar loop. No linear solves appear. The pass walks the canonical
     indices and adds each term's conjugate for the swapped index, so a
@@ -316,6 +324,7 @@ def contract_gradient(
     lam_pair = master.lambda_pair
 
     dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
+    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
 
     accum = np.zeros(P, dtype=complex)
     for q in range(2, exp.order + 1):
@@ -328,8 +337,8 @@ def contract_gradient(
                 bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
 
             pf = np.zeros(P * n, dtype=complex)
-            for T in params.stacked:
-                pf += T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
+            for table in tables:
+                pf += table.force(m)
             term = -(pf.reshape(P, n) @ bar_c)
 
             for p, dP in dpens:

@@ -8,13 +8,17 @@ for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
-step there. What depends on the index alone is built once per index and
-dropped before the next: each force tensor's key-space linearization in the
-lower-order coefficients (`SymTensor.linearize`, the same one the adjoint
-sweep pulls back), the partial forces of all parameter tensors over the
-primal vectors (one `contract_sum` per stacked tensor, as in the gradient
-contraction), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and
-the `Pencil`'s velocity(Lam_m). A pass's step at the index then applies the
+step there. One `PairSums` table per model tensor and per stacked
+parameter tensor is built once per call. What depends on the index alone is
+built once per index and dropped before the next: each force tensor's
+key-space linearization in the lower-order coefficients
+(`PairSums.linearize`, the same one the adjoint sweep pulls back), the
+partial forces of all parameter tensors over the primal vectors (one
+`PairSums.force` per stacked tensor, as in the gradient contraction, so the
+two methods reassociate the cubic partial forces alike), the lower-order
+coupling terms, M V_m, (C + 2 Lam_m M) w_m and the `Pencil`'s
+velocity(Lam_m). The primal expansion keeps its triple loop (see
+`mechmodel`). A pass's step at the index then applies the
 linearizations to its own lower-order derivatives, adds its derivative
 pencil's terms (none without dM and dK: see `ParamDerivatives.matrix_params`)
 and solves its own right-hand side with the factorization the index's record
@@ -36,8 +40,8 @@ import numpy as np
 
 from .backbone import dx_drho, x_harmonics, x_rms
 from .errors import DegenerateModeError, assert_real
-from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import canonical_indices, decomps, order, symmetric
+from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .multiindex import canonical_indices, order, symmetric
 from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
 
 
@@ -284,7 +288,8 @@ def chain_derivatives(
     canonical one.
     """
     ctx = _Chain(model, exp, params, dof_index, rho)
-    tensors = (model.T2, model.T3)
+    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
+    pf_tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
     P, n = params.count, model.n
 
     dphi_all, domega_all = eig_derivatives(model, exp.master, params)
@@ -298,8 +303,8 @@ def chain_derivatives(
         # the partial forces of all parameters, dT over the primal vectors:
         # one contraction per stacked tensor
         pf = np.zeros(P * n, dtype=complex)
-        for T in params.stacked:
-            pf += T.contract_sum([tuple(map(exp.w, d)) for d in decomps(m, T.arity)])
+        for table in pf_tables:
+            pf += table.force(m)
         # read only times dLam, which is zero for a parameter without dM and dK
         MV = Lw = 0.0
         if params.matrix_params:
@@ -308,7 +313,7 @@ def chain_derivatives(
         ix = _Index(
             m,
             rec,
-            [T.linearize(decomps(m, T.arity), exp.w) for T in tensors],
+            [table.linearize(m) for table in tables],
             [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)],
             MV,
             Lw,

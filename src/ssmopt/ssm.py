@@ -234,11 +234,13 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
 
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
-    f2, f3 = (
-        T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
-        for T in (model.T2, model.T3)
-    )
-    f = f2 + f3
+    # an overflowed force is reported below as a non-finite right-hand side
+    with np.errstate(over="ignore", invalid="ignore"):
+        f2, f3 = (
+            T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
+            for T in (model.T2, model.T3)
+        )
+        f = f2 + f3
 
     V = np.zeros(n, dtype=complex)
     Vdot = np.zeros(n, dtype=complex)
@@ -280,17 +282,23 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     # w must solve a nearby system: its normwise backward error
     # ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a round-off-
     # level difference of large terms (e.g. a 1-DOF resonant index); residuals
-    # on that cancellation floor pass too. NaN fails the test.
+    # on that cancellation floor pass too. The test is scale-free, so it is
+    # taken on w, h, C_m and R[slot] divided by a power of two at their largest
+    # magnitude: exact, and no norm overflows while the entries are finite. A
+    # non-finite bound (an overflowed w) and NaN fail the test.
     eps = np.finfo(float).eps
-    cancel_scale = np.linalg.norm(C_m)
+    big = max(np.abs(w).max(), np.abs(h).max(), np.abs(C_m).max(), np.abs(R).max())
+    sc = np.ldexp(1.0, -max(int(np.frexp(big)[1]), 0))
+    cancel_scale = np.linalg.norm(sc * C_m)
     if slot is not None:
-        cancel_scale += abs(R[slot]) * np.linalg.norm(D)
-    resid = np.linalg.norm(L @ w - h)
-    scale = lu.anorm * np.linalg.norm(w) + np.linalg.norm(h)
+        cancel_scale += abs(sc * R[slot]) * np.linalg.norm(D)
+    resid = np.linalg.norm(L @ (sc * w) - sc * h)
+    scale = lu.anorm * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
     tol = eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
-    if not resid <= tol:
+    if not (np.isfinite(tol) and resid <= tol):
         raise SsmError(
-            f"cohomological solve at index {m} failed: residual {resid:.2e} above {tol:.2e}"
+            f"cohomological solve at index {m} failed: "
+            f"scaled residual {resid:.2e} above {tol:.2e}"
         )
 
     if m[0] == m[1]:

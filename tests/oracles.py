@@ -14,10 +14,14 @@
   own. `ssm.compute_ssm` solves only the canonical indices and writes the
   swapped ones by conjugation; this is the form the conjugation must
   reproduce to roundoff.
+* `reference_linearize`: the key-space linearization of the force
+  convolution over any decomposition set, one decomposition at a time.
+  `PairSums.linearize(m)` gathers each coefficient from a table of pair sums;
+  over `decomps(m, arity)` the two add the same products in the same order.
 * `reference_pullback`: the reverse mode of a force convolution as one loop
-  over the decompositions. `SymTensor.linearize(...).reverse` builds the
-  key-space linearization and scatters it; this loop forms the same sums in the same
-  order, so the two must agree bit for bit.
+  over the decompositions. `PairSums.linearize(m).reverse` gathers the
+  key-space linearization and scatters it; this loop forms the same sums in
+  the same order, so the two must agree bit for bit.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
@@ -31,7 +35,7 @@ import numpy as np
 
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
-from ssmopt.mechmodel import MechModel, ParamDerivatives, SymTensor, _accum
+from ssmopt.mechmodel import Linearization, MechModel, PairSums, ParamDerivatives, SymTensor, _accum
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
 from ssmopt.multiindex import all_indices, symmetric
 from ssmopt.sens_adjoint import (
@@ -243,6 +247,7 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
         for v in store.values():
             v *= 2.0
 
+    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
     lambda_m: dict = {}
     nu_m: dict = {}
     for q in range(exp.order, 1, -1):
@@ -262,7 +267,8 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
             if rec.slot is not None:
                 nu_m[m] = nu
         for m in idx_q:
-            _backprop_index(model, exp, bars, m, exp.coeffs(m), lambda_m[m], nu_m.get(m, 0.0))
+            rec = exp.coeffs(m)
+            _backprop_index(model, exp, tables, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
@@ -280,9 +286,34 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
     return exp
 
 
+def reference_linearize(T: SymTensor, parts, w) -> Linearization:
+    """The sum over `parts` of contract_sum([(w(d[0]), w(d[1]), ...)]),
+    linearized in the vectors of the indices it reads.
+
+    For each index u and slot, the coefficient over the trailing keys is the
+    sum over the decompositions d with d[slot] = u of the product of the
+    other slots' vectors at their key columns, in slot order, added in the
+    order of `parts`. The rows follow the order in which the decompositions
+    first read the (u, slot) pairs.
+    """
+    if T.nnz == 0 or not parts:
+        return Linearization(T, (), np.zeros((0, 0), dtype=complex))
+    key_cols, _ = T.key_pattern
+    coef: dict = {}
+    for d in parts:
+        for slot, u in enumerate(d):
+            others = [w(t)[key_cols[o]] for o, t in enumerate(d) if o != slot]
+            term = others[0]
+            for g in others[1:]:
+                term = term * g
+            coef[u, slot] = coef[u, slot] + term if (u, slot) in coef else term
+    return Linearization(T, tuple(coef), np.array(list(coef.values())))
+
+
 def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:
-    """{u: r_u} of `SymTensor.linearize(parts, w).reverse(v)`, summed per (u, slot) in one loop over
-    the decompositions and scattered per (u, slot)."""
+    """{u: r_u} of `PairSums.linearize(m).reverse(v)` over parts =
+    `decomps(m, T.arity)`, summed per (u, slot) in one loop over the
+    decompositions and scattered per (u, slot)."""
     if T.nnz == 0 or not parts:
         return {}
     key_cols, key_of = T.key_pattern

@@ -180,7 +180,7 @@ class TestBackboneCommand:
         assert "cohomological operator at index (3, 0) is numerically singular" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_expansion_exit_code_names_the_index(self, tmp_path, capsys):
         # every entry is finite, but the order-5 force products of the order-3
         # coefficients (about 1e300 each) overflow to inf

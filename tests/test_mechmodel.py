@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ssmopt import MechModel, SymTensor, check_light_damping
+from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
 from ssmopt.errors import ModelError
-from ssmopt.mechmodel import Pencil
+from ssmopt.mechmodel import PairSums, Pencil, _accum
 from ssmopt.models import VkBeamSpec, build_vk_beam
 from ssmopt.multiindex import all_indices, decomps
 
-from oracles import first_order_operators, reference_pullback
+from oracles import first_order_operators, reference_linearize, reference_pullback
 
 
 def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
@@ -134,22 +134,33 @@ def _dense_pullback(dense, arity, v, sets, w):
     return ref
 
 
+def _vectors(rng, n, top):
+    """A random complex vector for every index of orders 1 .. top."""
+    return {
+        u: rng.normal(size=n) + 1j * rng.normal(size=n)
+        for q in range(1, top + 1)
+        for u in all_indices(q)
+    }
+
+
 def _check_kernels(tensor, dense, arity, rng, n):
-    """contract_sum and the reverse linearization against the dense oracle
-    for every order-4 index."""
+    """contract_sum, the pair-sum force and the reverse linearization against
+    the dense oracle for every order-4 index."""
+    w = _vectors(rng, n, 3)
+    table = PairSums(tensor, w.__getitem__, 4)
     for m in all_indices(4):
         sets = decomps(m, arity)
-        w = {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in sets for u in d}
         args = [tuple(w[u] for u in d) for d in sets]
         want = sum(np.einsum(DENSE_FORCE[arity], dense, *a) for a in args)
         assert np.allclose(tensor.contract_sum(args), want, atol=1e-12)
+        assert np.allclose(table.force(m), want, atol=1e-12)
         # reverse mode: the summed bar of every receiving index over the
         # permutation-closed set
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = tensor.linearize(sets, w.__getitem__).reverse(v)
+        got = table.linearize(m).reverse(v)
         ref = _dense_pullback(dense, arity, v, sets, w)
-        assert got.keys() == ref.keys() == w.keys()
-        for u in w:
+        assert got.keys() == ref.keys() == {u for d in sets for u in d}
+        for u in ref:
             assert np.allclose(got[u], ref[u], atol=1e-12)
 
 
@@ -193,43 +204,56 @@ class TestSymTensor:
         _check_kernels(tensor, dense, arity, rng, n)
 
 
-def _linearization_cases():
-    """(tensor, parts) pairs: random tensors of arity 2 and 3 and an empty
-    one, over the decomposition sets of every index of orders 2-5 and a set
-    that repeats decompositions and reads one index in several slots."""
-    rng = np.random.default_rng(60)
+TOP = 5  # the linearization cases read every index of orders 2 .. TOP
+
+
+def _linearization_cases(seed):
+    """(tensor, w, table, m): random tensors of arity 2 and 3 and an empty one,
+    random vectors of every index below TOP and their pair-sum table, at every
+    index of orders 2 .. TOP."""
+    rng = np.random.default_rng(seed)
     n = 5
-    repeated = {
-        2: (((1, 0), (1, 0)), ((1, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 0), (2, 0))),
-        3: (((1, 0),) * 3, ((1, 0),) * 3, ((0, 1), (1, 0), (1, 0)), ((1, 0), (0, 1), (1, 0))),
-    }
     for arity in (2, 3):
-        sets = [decomps(m, arity) for q in range(2, 6) for m in all_indices(q)]
-        sets = [p for p in sets if p] + [repeated[arity]]
         for tensor in (_random_tensor(rng, n, arity)[0], SymTensor.empty(n, arity)):
-            for parts in sets:
-                yield tensor, parts
+            w = _vectors(rng, n, TOP - 1)
+            table = PairSums(tensor, w.__getitem__, TOP)
+            for q in range(2, TOP + 1):
+                for m in all_indices(q):
+                    yield tensor, w, table, m
 
 
-def _vectors(rng, n, parts):
-    return {u: rng.normal(size=n) + 1j * rng.normal(size=n) for d in parts for u in d}
+def _assert_bitwise_pullback(tensor, table, m, v, w):
+    """The table's linearization at m and its reverse are bitwise those of
+    the decomposition-by-decomposition loops."""
+    parts = decomps(m, tensor.arity)
+    lin, ref_lin = table.linearize(m), reference_linearize(tensor, parts, w)
+    assert lin.rows == ref_lin.rows
+    if lin.rows:
+        assert np.array_equal(lin.coef, ref_lin.coef)
+    got = lin.reverse(v)
+    ref = reference_pullback(tensor, v, parts, w)
+    assert list(got) == list(ref)
+    for u in ref:
+        assert np.array_equal(got[u], ref[u])
 
 
 class TestLinearization:
-    """`SymTensor.linearize`: one key-space linearization per decomposition
-    set, applied forward by the direct pass and in reverse by the sweep."""
+    """`PairSums.linearize`: one key-space linearization per index, gathered
+    from the pair-sum table, applied forward by the direct pass and in
+    reverse by the sweep."""
 
     def test_forward_is_the_sum_of_slot_replaced_contractions(self):
         rng = np.random.default_rng(61)
-        for tensor, parts in _linearization_cases():
-            w, dw = _vectors(rng, tensor.n, parts), _vectors(rng, tensor.n, parts)
-            got = tensor.linearize(parts, w.__getitem__).forward(dw.__getitem__)
+        for tensor, w, table, m in _linearization_cases(60):
+            parts = decomps(m, tensor.arity)
+            dw = _vectors(rng, tensor.n, TOP - 1)
+            got = table.linearize(m).forward(dw.__getitem__)
             want = tensor.contract_sum(
                 [(*(w[t] for t in d[:s]), dw[u], *(w[t] for t in d[s + 1 :]))
                  for d in parts for s, u in enumerate(d)]
             )
             assert got.shape == (tensor.n,)
-            if tensor.nnz == 0:
+            if tensor.nnz == 0 or not parts:
                 assert np.all(got == 0.0)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -237,35 +261,103 @@ class TestLinearization:
     def test_reverse_is_the_adjoint_of_forward(self):
         # dot-product identity: v . (J dw) = sum_u r_u . dw_u
         rng = np.random.default_rng(62)
-        for tensor, parts in _linearization_cases():
-            w, dw = _vectors(rng, tensor.n, parts), _vectors(rng, tensor.n, parts)
+        for tensor, w, table, m in _linearization_cases(60):
+            parts = decomps(m, tensor.arity)
+            dw = _vectors(rng, tensor.n, TOP - 1)
             v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
-            lin = tensor.linearize(parts, w.__getitem__)
+            lin = table.linearize(m)
             r = lin.reverse(v)
             lhs = v @ lin.forward(dw.__getitem__)
             rhs = sum(r[u] @ dw[u] for u in r)
             scale = sum(np.abs(r[u]) @ np.abs(dw[u]) for u in r)
             assert abs(lhs - rhs) <= 1e-14 * scale
-            if tensor.nnz == 0:
+            if tensor.nnz == 0 or not parts:
                 assert r == {} and lhs == 0.0
             else:
-                assert r.keys() == w.keys()
+                assert r.keys() == {u for d in parts for u in d}
 
     def test_pullback_is_bitwise_the_decomposition_loop(self):
         rng = np.random.default_rng(63)
-        for tensor, parts in _linearization_cases():
-            w = _vectors(rng, tensor.n, parts)
+        for tensor, w, table, m in _linearization_cases(60):
             v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
-            got = tensor.linearize(parts, w.__getitem__).reverse(v)
-            ref = reference_pullback(tensor, v, parts, w.__getitem__)
-            assert list(got) == list(ref)
-            for u in ref:
-                assert np.array_equal(got[u], ref[u])
+            _assert_bitwise_pullback(tensor, table, m, v, w.__getitem__)
+
+    def test_pullback_is_bitwise_the_decomposition_loop_on_a_beam(self):
+        # the expansion's own vectors, every index of curved vk_beam10 to O9
+        model, _ = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001), ())
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        rng = np.random.default_rng(65)
+        for tensor in (model.T2, model.T3):
+            table = PairSums(tensor, exp.w, exp.order)
+            for m in exp.data:
+                if m[0] + m[1] >= 2:
+                    v = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
+                    _assert_bitwise_pullback(tensor, table, m, v, exp.w)
 
     def test_empty_decomposition_set(self):
+        # no three indices of order >= 1 sum to an order-2 index
         tensor, _ = _random_tensor(np.random.default_rng(64), 4, 3)
-        lin = tensor.linearize((), None)
+        w = _vectors(np.random.default_rng(64), 4, 2)
+        lin = PairSums(tensor, w.__getitem__, 3).linearize((1, 1))
         assert np.all(lin.forward(None) == 0.0) and lin.reverse(np.ones(4)) == {}
+
+
+class TestPairSums:
+    """`PairSums.force`: the convolution as one sum per first part."""
+
+    @staticmethod
+    def _check_force(tensor, table, m, w):
+        parts = decomps(m, tensor.arity)
+        want = tensor.contract_sum([tuple(w(u) for u in d) for d in parts])
+        got = table.force(m)
+        if tensor.arity == 2:
+            # the products are contract_sum's, added in its order
+            assert np.array_equal(got, want)
+            return
+        # the cubic products are reassociated: roundoff of the contraction of
+        # |T| over |w| bounds the difference, whatever cancels in the sum
+        bound = SymTensor(tensor.n, tensor.idx, np.abs(tensor.vals)).contract_sum(
+            [tuple(np.abs(w(u)) for u in d) for d in parts]
+        )
+        assert np.all(np.abs(got - want) <= 1e-13 * bound.real)
+
+    def test_force_matches_contract_sum(self):
+        for tensor, w, table, m in _linearization_cases(66):
+            self._check_force(tensor, table, m, w.__getitem__)
+
+    def test_stacked_parameter_forces_on_a_beam(self):
+        model, params = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001))
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        assert [T.arity for T in params.stacked] == [2, 3]
+        for tensor in params.stacked:
+            table = PairSums(tensor, exp.w, exp.order)
+            for m in exp.data:
+                if m[0] + m[1] >= 2:
+                    self._check_force(tensor, table, m, exp.w)
+
+
+class TestAccum:
+    """`_accum` is one ordered scatter: bitwise a bincount per real part."""
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 7, 5000])
+    def test_bitwise_the_bincount_pair(self, complex_weights, size):
+        rng = np.random.default_rng(size)
+        n = 40  # bins past the largest index stay unused
+        idx = rng.integers(0, 30, size=size)  # repeated indices
+        weights = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        if complex_weights:
+            weights = weights + 1j * rng.normal(size=size)
+            want = np.bincount(idx, weights.real, minlength=n) + 1j * np.bincount(
+                idx, weights.imag, minlength=n
+            )
+        else:
+            want = np.bincount(idx, weights, minlength=n)
+        got = _accum(idx, weights, n)
+        # bincount of an empty index returns integer zeros; the scatter keeps
+        # the weights' floating type
+        assert got.dtype == np.result_type(weights, float) and got.shape == (n,)
+        assert np.array_equal(got.view(float), want.astype(got.dtype).view(float))
 
 
 class TestLightDamping:

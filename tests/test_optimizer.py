@@ -360,7 +360,7 @@ class TestSolve:
         assert res.iterations == 0
         assert len(failed) == 4 * 10
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trials_count_as_infinite_merit(self, chain_target):
         # every design but the start has k3 = 1e300, whose order-5 force
         # products overflow: each such trial is a failed evaluation, not a crash

@@ -172,6 +172,12 @@ class TestSolveCheck:
         assert exp.n_solves == 10
 
     def test_corrupted_factor_raises(self, chain2, chain2_master, monkeypatch):
+        self._corrupt(monkeypatch)
+        with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 0\) failed"):
+            compute_ssm(chain2[0], chain2_master, 3)
+
+    @staticmethod
+    def _corrupt(monkeypatch):
         def corrupted(*args, **kwargs):
             fac = factorize(*args, **kwargs)
             lu, piv = fac.lu
@@ -180,8 +186,22 @@ class TestSolveCheck:
             return dataclasses.replace(fac, lu=(lu, piv))
 
         monkeypatch.setattr(ssm, "factorize", corrupted)
-        with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 0\) failed"):
-            compute_ssm(chain2[0], chain2_master, 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_check_holds_past_squared_overflow(self, monkeypatch):
+        # with T3 entries 1e300 the order-3 coefficients reach about 4e298:
+        # their squares overflow, so unscaled norms read inf and any residual
+        # would pass; the scaled test still sees a corrupted factor
+        model = model_from_json({
+            "type": "matrix", "n": 2, "M": [[1, 0], [0, 1]], "K": [[2, -1], [-1, 2]],
+            "beta_r": 0.01, "T3": [[0, 0, 0, 0, 1e300], [1, 1, 1, 1, 1e300]],
+        })
+        master = solve_master(model, 0)
+        exp = compute_ssm(model, master, 3)
+        assert np.abs(exp.w((3, 0))).max() > 1e200
+        self._corrupt(monkeypatch)
+        with pytest.raises(SsmError, match=r"cohomological solve at index \(3, 0\) failed"):
+            compute_ssm(model, master, 3)
 
     def test_wrong_border_raises(self, chain2, chain2_master, monkeypatch):
         # the border row of a resonant solve is phi^T M; any other row
