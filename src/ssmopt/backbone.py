@@ -28,7 +28,7 @@ from .errors import (
     TurningPointError,
     assert_real,
 )
-from .multiindex import order, symmetric
+from .multiindex import MultiIndex, order, symmetric
 from .ssm import SsmExpansion
 
 VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
@@ -37,12 +37,7 @@ RHO_X_RTOL = 1e-10
 
 def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
     """Backbone frequency at reduced amplitude rho: the damped frequency plus
-    Im(R1) of each active odd order times rho**(q - 1).
-
-    The sensitivity passes differentiate the same sum in its conjugate-pair
-    form, 0.5j (R2 - R1) at the swapped index pair, which equals Im(R1)
-    because R2 at the swapped index is the conjugate of R1.
-    """
+    Im(R1) of each active odd order times rho**(q - 1)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     total = exp.master.omega_d
@@ -55,8 +50,7 @@ def domega_drho(exp: SsmExpansion, rho: float) -> float:
     """d Omega / d rho."""
     total = 0.0
     for q, a in exp.r1_terms():
-        if q >= 3:
-            total += exp.R(a)[0].imag * (q - 1) * rho ** (q - 2)
+        total += exp.R(a)[0].imag * (q - 1) * rho ** (q - 2)
     return float(total)
 
 
@@ -157,12 +151,7 @@ def _horner(coefs: tuple[float, ...], s: float) -> float:
 
 
 def x_harmonics(exp: SsmExpansion, dof_index: int, rho: float) -> np.ndarray:
-    """c_d(rho) for d = -order ... order (entry d + order), x = sum_d c_d e^{i d theta}.
-
-    By Parseval, d(x_rms**2) = sum_d 2 Re(conj(c_d) dc_d) = sum_d 2 c_{-d} dc_d
-    (x is real, so conj(c_d) = c_{-d}): the harmonics are the weights with
-    which the sensitivity passes seed the amplitude.
-    """
+    """c_d(rho) for d = -order ... order (entry d + order), x = sum_d c_d e^{i d theta}."""
     c = _amplitude_map(exp, dof_index).c
     return c @ rho ** np.arange(c.shape[1])
 
@@ -174,14 +163,10 @@ def x_rms(
     *,
     max_order: int | None = None,
 ) -> float:
-    """RMS over theta of the observed DOF displacement, in closed form.
-
-    By Parseval, the mean of x(theta)**2 over a period is
-    sum_d |c_d(rho)|**2 for x = sum_d c_d(rho) e^{i d theta}: a real
-    polynomial in rho**2 of degree `order` (or `max_order`). Its coefficients
-    are built once per (DOF, truncation order) and cached on the expansion,
-    and building them checks the conjugate pairing of the coefficients
-    (ConjugacyError).
+    """RMS over theta of the observed DOF displacement, in closed form (the
+    Parseval polynomial of the module docstring, truncated at `max_order`);
+    building its coefficients checks the conjugate pairing of the
+    coefficients (ConjugacyError).
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -192,10 +177,7 @@ def x_rms(
 
 
 def dx_drho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
-    """d x_rms / d rho = P'(rho) / (2 x_rms), P = x_rms**2 the cached polynomial.
-
-    Used by the inversion and the sensitivity passes.
-    """
+    """d x_rms / d rho = P'(rho) / (2 x_rms), P = x_rms**2 the cached polynomial."""
     amp = _amplitude_map(exp, dof_index)
     s = rho * rho
     x = math.sqrt(max(_horner(amp.p, s), 0.0))
@@ -216,10 +198,7 @@ def _validity_cap(exp: SsmExpansion, dof_index: int) -> float:
 
 
 def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
-    if exp.order <= 3:
-        lower = 1
-    else:
-        lower = exp.order - 2
+    lower = max(exp.order - 2, 1)
     rho = _linear_rho_scale(exp, dof_index)
     for _ in range(200):
         xf = x_rms(exp, dof_index, rho)
@@ -274,6 +253,52 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
     raise TurningPointError(
         f"amplitude inversion failed to converge for x0={x0:.6g} "
         f"(bracket [{rho_lo:.6g}, {rho_hi:.6g}])"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PointWeights:
+    """First-order weights of the backbone point (Omega, x) at reduced amplitude
+    rho: the direct method applies them to its tangents, the adjoint seeds its
+    sweep with them.
+
+    `lam` weighs (lambda, conj(lambda)) and `R` the ((index, slot), weight)
+    pairs of Omega = Im(lambda) + sum_q Im(R_{a_q}[0]) rho**(q - 1) in
+    conjugate-pair form (R at the swapped index is the conjugate), at fixed
+    rho. By Parseval x**2 = sum_d c_d c_{-d}, so dx/dw_m[dof] =
+    rho**|m| c_{-d} / x with d = m1 - m2.
+    """
+
+    lam: tuple[complex, complex]
+    R: tuple[tuple[tuple[MultiIndex, int], complex], ...]
+    domega_drho: float
+    dx_drho: float
+    x: float
+    rho: float
+    indices: tuple[MultiIndex, ...]
+    c: np.ndarray  # x_harmonics at rho
+
+    def amplitude(self, scale: float) -> dict:
+        """{m: scale * dx/dw_m[dof]} over every index of the expansion."""
+        O = (len(self.c) - 1) // 2
+        return {
+            m: ((scale / self.x) * self.rho ** order(m)) * self.c[O + m[1] - m[0]]
+            for m in self.indices
+        }
+
+
+def point_weights(exp: SsmExpansion, dof_index: int, rho: float) -> PointWeights:
+    """The weights at rho for the observed DOF; TurningPointError where dx/drho
+    vanishes, since the amplitude then does not fix rho."""
+    slope = dx_drho(exp, dof_index, rho)
+    if slope == 0.0:
+        raise TurningPointError("dx/drho vanished; amplitude constraint is degenerate")
+    R = []
+    for q, a in exp.r1_terms():
+        R += [((a, 0), -0.5j * rho ** (q - 1)), ((symmetric(a), 1), +0.5j * rho ** (q - 1))]
+    x, c = x_rms(exp, dof_index, rho), x_harmonics(exp, dof_index, rho)
+    return PointWeights(
+        (-0.5j, +0.5j), tuple(R), domega_drho(exp, rho), slope, x, rho, tuple(exp.data), c
     )
 
 

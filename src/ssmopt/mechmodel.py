@@ -491,8 +491,8 @@ class ParamDerivatives:
     def stacked(self) -> tuple[SymTensor, ...]:
         """dT2 and dT3 each as one tensor whose rows are p*n + i.
 
-        One contract_sum of a stacked tensor yields the partial forces of all
-        parameters at once, as a flat (P*n) vector. Tensors that are empty
+        One `PairSums.force` of a stacked tensor yields the partial forces of
+        all parameters at once, as a flat (P*n) vector. Tensors that are empty
         for every parameter are left out. Built once per instance, so the
         key pattern of each stacked tensor is derived once too.
         """

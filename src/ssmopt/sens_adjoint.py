@@ -2,15 +2,17 @@
 
 The Lagrangian couples the response frequency with the amplitude map, the
 cohomological equations, the eigenproblem and the mass normalization. Adjoint
-variables are obtained by one reverse sweep: the amplitude adjoint first, then
-the per-index vectors from the highest order downward (reusing the primal
-factorizations; the operators are complex symmetric), finally a coupled
-bordered real system for the mode-shape/frequency pair. The sweep carries
-every cross-order coupling backward, including the total bar of each resonant
-reduced coefficient R_m, which it keeps. The gradient is then one local
-contraction per index: the explicit operator derivatives at that index,
-weighted by its lambda_m, nu_m and R bar, plus the eigenproblem terms. No
-linear solves and no cross-order sums appear per parameter.
+variables are obtained by one reverse sweep, seeded with the backbone point's
+weights (`backbone.point_weights`, the amplitude weights scaled by the
+amplitude adjoint): the per-index vectors from the highest order downward
+(reusing the primal factorizations; the operators are complex symmetric),
+finally a coupled bordered real system for the mode-shape/frequency pair.
+The sweep carries every cross-order coupling backward, including the total
+bar of each resonant reduced coefficient R_m, which it keeps. The gradient
+is then one local contraction per index: the explicit operator derivatives
+at that index, weighted by its lambda_m, nu_m and R bar, plus the
+eigenproblem terms. No linear solves and no cross-order sums appear per
+parameter.
 
 The sweep is the reverse of the program the primal runs: one cohomological
 step per canonical index (m1 >= m2) and a conjugate copy for the swapped
@@ -47,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import domega_drho, dx_drho, x_harmonics, x_rms
-from .errors import TurningPointError, assert_real
+from .backbone import PointWeights, point_weights
+from .errors import assert_real
 from .mechmodel import MechModel, PairSums, ParamDerivatives
 from .multiindex import canonical_indices, order, symmetric
 from .sens_direct import lambda_derivative, mode_factorization
@@ -114,29 +116,19 @@ class _Bars:
         return own + np.conj(mirror)
 
 
-def solve_adjoint_rho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
-    """Amplitude adjoint: -(dOmega/drho)/(dx/drho)."""
-    slope = dx_drho(exp, dof_index, rho)
-    if slope == 0.0:
-        raise TurningPointError("dx/drho vanished; amplitude constraint is degenerate")
-    return -domega_drho(exp, rho) / slope
+def solve_adjoint_rho(pw: PointWeights) -> float:
+    """Amplitude adjoint of the backbone point: -(dOmega/drho)/(dx/drho)."""
+    return -pw.domega_drho / pw.dx_drho
 
 
-def _seed_bars(exp, bars: _Bars, lambda_rho: float, dof_index: int, rho: float):
-    """Seeds of the objective at half weight: it is its own mirror, so the
-    fold of each bar restores the other half."""
-    # frequency seeds (conjugate-pair difference form)
-    bars.lam[0] += -0.25j
-    bars.lam[1] += +0.25j
-    for q, a in exp.r1_terms():
-        bars.rbar(a)[0] += -0.25j * rho ** (q - 1)
-        bars.rbar(symmetric(a))[1] += +0.25j * rho ** (q - 1)
-    # amplitude seeds: by Parseval x**2 = sum_d c_d c_{-d}, so
-    # dx / dw_m[dof] = rho**|m| c_{-d} / x with d = m1 - m2
-    x = x_rms(exp, dof_index, rho)
-    c = x_harmonics(exp, dof_index, rho)
-    for m in exp.data:
-        coef = 0.5 * lambda_rho / x * rho ** order(m) * c[exp.order + m[1] - m[0]]
+def _seed_bars(bars: _Bars, pw: PointWeights, dof_index: int):
+    """The point's weights as seeds, at half weight: the objective is its own
+    mirror, so the fold of each bar restores the other half."""
+    bars.lam[0] += 0.5 * pw.lam[0]
+    bars.lam[1] += 0.5 * pw.lam[1]
+    for (a, slot), wt in pw.R:
+        bars.rbar(a)[slot] += 0.5 * wt
+    for m, coef in pw.amplitude(0.5 * solve_adjoint_rho(pw)).items():
         if order(m) == 1:
             bars.phi[dof_index] += coef
         else:
@@ -255,7 +247,7 @@ def solve_adjoint(
     """
     tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
     bars = _Bars(model.n)
-    _seed_bars(exp, bars, solve_adjoint_rho(exp, dof_index, rho), dof_index, rho)
+    _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
     lambda_m: dict = {}
     nu_m: dict = {}

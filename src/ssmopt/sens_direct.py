@@ -2,9 +2,11 @@
 
 Propagates per-parameter derivatives forward through the whole pipeline:
 eigenpair, damping ratio, eigenvalue, then every expansion coefficient in
-ascending order, finally the reduced amplitude (at fixed target physical
-amplitude) and the response frequency. It serves as the cross-check oracle
-for the adjoint.
+ascending order. The walk knows nothing of the target: only the final
+projection reads it, through the backbone point's weights
+(`backbone.point_weights`), which give the reduced-amplitude derivative at
+fixed physical amplitude and the response frequency's. It serves as the
+cross-check oracle for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
@@ -38,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import dx_drho, x_harmonics, x_rms
+from .backbone import PointWeights, point_weights
 from .errors import DegenerateModeError, assert_real
 from .mechmodel import MechModel, PairSums, ParamDerivatives
-from .multiindex import canonical_indices, order, symmetric
+from .multiindex import canonical_indices, symmetric
 from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
 
 
@@ -112,9 +114,8 @@ class _Pass:
     """One parameter's forward pass through the expansion.
 
     Holds the parameter's own constants and, of its coefficient derivatives,
-    only what a later index reads: dw below the top order, dwdot of the
-    indices the R couplings read, and dR; the amplitude sum takes dw at the
-    observed DOF as each index is done. A parameter without dM and dK (see
+    what a later index or the final projection reads: dw, dwdot of the
+    indices the R couplings read, and dR. A parameter without dM and dK (see
     `ParamDerivatives.matrix_params`) has a zero mode-shape and eigenvalue
     derivative, no derivative pencil (`dpen`) and no dense matrix term.
     """
@@ -134,15 +135,6 @@ class _Pass:
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
-        # reduced-amplitude derivative at fixed physical amplitude: by
-        # Parseval x**2 = sum_d c_d c_{-d}, so dx = sum_m rho**|m| c_{-d} dw_m / x
-        self.num = 0.0 + 0.0j
-        for m in ((1, 0), (0, 1)):
-            self._add_amplitude(m, self.dphi)
-
-    def _add_amplitude(self, m, dw):
-        ctx = self.ctx
-        self.num += dw[ctx.dof] * ctx.rho ** order(m) * ctx.c[ctx.exp.order + m[1] - m[0]]
 
     def step(self, ix: "_Index", pf: np.ndarray):
         """The derivative of index ix.m's coefficients: its own right-hand
@@ -196,7 +188,7 @@ class _Pass:
                 + (dR[0] + dR[1]) * phi
                 + (rec.R[0] + rec.R[1]) * self.dphi
             )
-        self._keep(m, dw, dwdot, dR, ix.keep_w)
+        self._keep(m, dw, dwdot, dR)
         if m[0] != m[1]:
             # the swapped index's coefficients are the conjugate ones
             self._keep(
@@ -204,44 +196,32 @@ class _Pass:
                 np.conj(dw),
                 None if dwdot is None else np.conj(dwdot),
                 np.conj(dR[::-1]),
-                ix.keep_w,
             )
 
-    def _keep(self, m, dw, dwdot, dR, keep_w: bool):
-        self._add_amplitude(m, dw)
+    def _keep(self, m, dw, dwdot, dR):
+        self.dw[m] = dw
         self.dR[m] = dR
-        if keep_w:
-            self.dw[m] = dw
         if dwdot is not None:
             self.dwdot[m] = dwdot
 
-    def finish(self) -> tuple[float, float]:
-        """(dOmega, drho) at the fixed target amplitude."""
-        ctx = self.ctx
-        exp, rho, dlam_pair = ctx.exp, ctx.rho, self.dlam_pair
-        drho = assert_real(-self.num / (ctx.x * ctx.dxdr), "drho")
-        dOm = 0.5j * (dlam_pair[1] - dlam_pair[0])
-        for q, a in exp.r1_terms():
-            dR1 = self.dR[a][0]
-            dR2 = self.dR[symmetric(a)][1]
-            r1 = exp.R(a)[0]
-            r2 = exp.R(symmetric(a))[1]
-            dOm += 0.5j * (
-                (dR2 - dR1) * rho ** (q - 1)
-                + (r2 - r1) * (q - 1) * rho ** (q - 2) * drho
-            )
-        return assert_real(dOm, "dOmega"), drho
+    def finish(self, pw: PointWeights, dof: int) -> tuple[float, float]:
+        """(dOmega, drho) at the fixed target amplitude: the point's weights
+        applied to this parameter's derivatives."""
+        amp = pw.amplitude(-1.0 / pw.dx_drho)
+        drho = assert_real(sum(a * self.dw[m][dof] for m, a in amp.items()), "drho")
+        dOm = pw.lam[0] * self.dlam_pair[0] + pw.lam[1] * self.dlam_pair[1]
+        for (m, slot), wt in pw.R:
+            dOm += wt * self.dR[m][slot]
+        return assert_real(dOm, "dOmega") + pw.domega_drho * drho, drho
 
 
 @dataclass
 class _Chain:
-    """What every pass shares: the model, the expansion and the target."""
+    """What every pass shares: the model and the expansion."""
 
     model: MechModel
     exp: SsmExpansion
     params: ParamDerivatives
-    dof: int
-    rho: float
 
     def __post_init__(self):
         model, master = self.model, self.exp.master
@@ -251,9 +231,6 @@ class _Chain:
         self.Mc = model.M.astype(complex)
         self.Mphi = model.M @ master.phi
         self.zero = np.zeros(model.n, dtype=complex)
-        self.x = x_rms(self.exp, self.dof, self.rho)
-        self.c = x_harmonics(self.exp, self.dof, self.rho)
-        self.dxdr = dx_drho(self.exp, self.dof, self.rho)
 
 
 @dataclass
@@ -267,7 +244,6 @@ class _Index:
     MV: np.ndarray | float  # M V_m
     Lw: np.ndarray | float  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
     velocity: np.ndarray  # the pencil's velocity(Lam_m)
-    keep_w: bool  # a later index reads dw_m
     keep_wdot: bool  # a later coupling reads dwdot_m
 
 
@@ -287,7 +263,8 @@ def chain_derivatives(
     conjugation, so a full-set expansion gives the same derivatives as the
     canonical one.
     """
-    ctx = _Chain(model, exp, params, dof_index, rho)
+    pw = point_weights(exp, dof_index, rho)
+    ctx = _Chain(model, exp, params)
     tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
     pf_tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
     P, n = params.count, model.n
@@ -318,7 +295,6 @@ def chain_derivatives(
             MV,
             Lw,
             model.pencil.velocity(rec.Lam),
-            order(m) < exp.order,
             m in wdot_read or symmetric(m) in wdot_read,
         )
         for ps, pf_p in zip(passes, pf.reshape(P, n)):
@@ -328,5 +304,5 @@ def chain_derivatives(
     d_omega = np.zeros(P)
     d_rho = np.zeros(P)
     for p, ps in enumerate(passes):
-        d_omega[p], d_rho[p] = ps.finish()
+        d_omega[p], d_rho[p] = ps.finish(pw, dof_index)
     return DirectDerivatives(names=params.names, d_omega=d_omega, d_rho=d_rho)

@@ -33,6 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ssmopt.backbone import point_weights
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import Linearization, MechModel, PairSums, ParamDerivatives, SymTensor, _accum
@@ -45,7 +46,6 @@ from ssmopt.sens_adjoint import (
     _Bars,
     _seed_bars,
     solve_adjoint_phi_omega,
-    solve_adjoint_rho,
 )
 from ssmopt.ssm import SsmExpansion, order_step
 
@@ -239,7 +239,7 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     objective's seeds count at full weight. The dicts cover every index.
     """
     bars = _Bars(model.n)
-    _seed_bars(exp, bars, solve_adjoint_rho(exp, dof_index, rho), dof_index, rho)
+    _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
     # `_seed_bars` seeds half of each bar for the fold; doubling is exact
     bars.lam *= 2.0
     bars.phi *= 2.0

@@ -6,12 +6,15 @@ from ssmopt.backbone import (
     _linear_rho_scale,
     _validity_cap,
     backbone_to_csv,
+    domega_drho,
     dx_drho,
+    point_weights,
     x_harmonics,
     x_theta_samples,
 )
 from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, assert_real
-from ssmopt.models import VkBeamSpec, build_vk_beam
+from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
+from ssmopt.multiindex import order
 
 
 class TestOmegaOfRho:
@@ -252,3 +255,45 @@ class TestClosedFormAmplitude:
                 exp = compute_ssm(model, solve_master(model, 0), O, from_expansion=exp)
                 for dof in dofs:
                     assert _validity_cap(exp, dof) == grid_validity_cap(exp, dof)
+
+
+class TestPointWeights:
+    """The weights are the first-order expansion of (Omega, x) in (lambda, R, w):
+    applied to the point's own coefficients they rebuild what they differentiate."""
+
+    @pytest.fixture(params=["chain2", "vk_beam10"])
+    def point(self, request, o9_expansions):
+        exp = o9_expansions[request.param]
+        dof = 1 if request.param == "chain2" else vk_center_dof(CURVED_BEAM)
+        return exp, dof
+
+    @staticmethod
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+    def test_frequency_weights_rebuild_omega(self, point):
+        exp, dof = point
+        lam = exp.master.lam
+        for rho in _validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
+            pw = point_weights(exp, dof, rho)
+            total = pw.lam[0] * lam + pw.lam[1] * np.conj(lam)
+            total += sum(wt * exp.R(m)[slot] for (m, slot), wt in pw.R)
+            self.close(assert_real(total, "Omega"), omega_of_rho(exp, rho))
+            self.close(
+                assert_real(
+                    sum(wt * (order(m) - 1) * exp.R(m)[slot] for (m, slot), wt in pw.R),
+                    "rho dOmega/drho",
+                ),
+                rho * domega_drho(exp, rho),
+            )
+
+    def test_amplitude_weights_rebuild_x_and_its_slope(self, point):
+        # x is homogeneous of degree 1 in the w, and rho d/drho scales w_m by |m|
+        exp, dof = point
+        for rho in _validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
+            amp = point_weights(exp, dof, rho).amplitude(1.0)
+            assert set(amp) == set(exp.data)
+            x = sum(a * exp.w(m)[dof] for m, a in amp.items())
+            self.close(assert_real(x, "x"), x_rms(exp, dof, rho))
+            slope = sum(a * order(m) * exp.w(m)[dof] for m, a in amp.items())
+            self.close(assert_real(slope, "rho dx/drho"), rho * dx_drho(exp, dof, rho))

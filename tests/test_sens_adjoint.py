@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, rho_of_x, solve_master
-from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, x_rms
+from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import symmetric
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
@@ -15,7 +15,7 @@ class TestAdjointRho:
     def test_linear_model_gives_zero(self, linear_chain):
         model, _ = linear_chain
         exp = compute_ssm(model, solve_master(model, 0), 5)
-        assert solve_adjoint_rho(exp, 1, 0.2) == 0.0
+        assert solve_adjoint_rho(point_weights(exp, 1, 0.2)) == 0.0
 
     def test_matches_fd_slope_ratio(self, duffing, duffing_master):
         model, _ = duffing
@@ -23,16 +23,16 @@ class TestAdjointRho:
         rho, h = 0.1, 1e-7
         dom = (omega_of_rho(exp, rho + h) - omega_of_rho(exp, rho - h)) / (2 * h)
         dx = (x_rms(exp, 0, rho + h) - x_rms(exp, 0, rho - h)) / (2 * h)
-        assert solve_adjoint_rho(exp, 0, rho) == pytest.approx(-dom / dx, rel=1e-6)
+        assert solve_adjoint_rho(point_weights(exp, 0, rho)) == pytest.approx(-dom / dx, rel=1e-6)
 
     def test_hardening_sign(self, duffing, duffing_master):
         model, _ = duffing
         exp = compute_ssm(model, duffing_master, 5)
-        assert solve_adjoint_rho(exp, 0, 0.1) < 0.0
+        assert solve_adjoint_rho(point_weights(exp, 0, 0.1)) < 0.0
 
     def test_stationarity_identity(self, chain2, chain2_exp5):
         rho = rho_of_x(chain2_exp5, 1, 0.2)
-        lam_rho = solve_adjoint_rho(chain2_exp5, 1, rho)
+        lam_rho = solve_adjoint_rho(point_weights(chain2_exp5, 1, rho))
         resid = domega_drho(chain2_exp5, rho) + lam_rho * dx_drho(chain2_exp5, 1, rho)
         assert abs(resid) <= 1e-10 * max(1.0, abs(domega_drho(chain2_exp5, rho)))
 
@@ -57,7 +57,7 @@ class TestAdjointW:
         model, _ = linear_chain
         exp = compute_ssm(model, solve_master(model, 0), 5)
         # the linear model's amplitude adjoint is exactly zero
-        assert solve_adjoint_rho(exp, 1, 0.2) == 0.0
+        assert solve_adjoint_rho(point_weights(exp, 1, 0.2)) == 0.0
         lam_m = solve_adjoint(model, exp, 1, 0.2).lambda_m
         for lam in lam_m.values():
             assert np.abs(lam).max() == 0.0
@@ -67,7 +67,7 @@ class TestAdjointW:
         # verified by comparing against an expansion truncated at that order
         model, _ = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.2)
-        lam_rho = solve_adjoint_rho(chain2_exp5, 1, rho)
+        lam_rho = solve_adjoint_rho(point_weights(chain2_exp5, 1, rho))
         lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
         # independent mini-solve for one highest-order index
         from ssmopt.backbone import x_theta_samples
