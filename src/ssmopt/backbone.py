@@ -7,8 +7,8 @@ its mean square over a period directly: (1/2pi) int x**2 dtheta =
 sum_d |c_d(rho)|**2, a real polynomial in rho of degree 2 order, and the
 amplitude is its square root. `x_rms`, `dx_drho` and `rho_of_x` evaluate
 that polynomial; its coefficients are built once per (DOF, truncation
-order, expansion order) and cached on the expansion
-(`SsmExpansion.backbone_cache`), and so is the validity cap of each DOF. The
+order, expansion order) and kept in the expansion's memo
+(`SsmExpansion.memo`), and so is the validity cap of each DOF. The
 theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
 form is checked against: on any grid of at least 2 order + 1 points the
 grid mean of x**2 equals the Parseval sum exactly.
@@ -124,23 +124,11 @@ def _build_amplitude_map(exp: SsmExpansion, dof_index: int, top: int) -> _Amplit
     )
 
 
-def _cached(exp: SsmExpansion, key: tuple, build):
-    """Memo on the expansion, keyed on its order as well: compute_ssm with
-    from_expansion extends an expansion in place."""
-    key = (exp.order, *key)
-    cache = exp.backbone_cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 def _amplitude_map(
     exp: SsmExpansion, dof_index: int, max_order: int | None = None
 ) -> _AmplitudeMap:
     top = exp.order if max_order is None else min(max_order, exp.order)
-    return _cached(
-        exp, ("map", dof_index, top), lambda: _build_amplitude_map(exp, dof_index, top)
-    )
+    return exp.memo(("map", dof_index, top), lambda: _build_amplitude_map(exp, dof_index, top))
 
 
 def _horner(coefs: tuple[float, ...], s: float) -> float:
@@ -192,9 +180,9 @@ def _validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     The expansion carries no a-priori radius of convergence; the practical
     radius is taken where dropping the two highest orders moves the predicted
     amplitude by more than VALIDITY_DIVERGENCE. The scan runs once per
-    (expansion, DOF); later calls read the cache.
+    (expansion, DOF); later calls read the memo.
     """
-    return _cached(exp, ("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index))
+    return exp.memo(("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index))
 
 
 def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:

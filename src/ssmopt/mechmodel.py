@@ -20,10 +20,14 @@ entry's key number.
 entries in one accumulation; the SSM recursion sums its force convolutions
 with it, over every ordered triple of T3, so the expansion's numbers do not
 depend on how the sensitivity passes group their products.
-The sensitivity passes build one `PairSums` table per tensor per pass
-(`solve_adjoint`, `contract_gradient` and `chain_derivatives` each build
-their own): for T3 the pair sums P_s = sum over u + v = s of w_u w_v at the
-key columns, for T2 the vectors themselves. Its `linearize(m)` linearizes
+The sensitivity passes read the force tensors through `PairSums` tables:
+for T3 the pair sums P_s = sum over u + v = s of w_u w_v at the key columns,
+for T2 the vectors themselves. The model tensors' tables are built once per
+expansion order and kept on the expansion (`SsmExpansion.force_tables`), so
+the adjoint sweep and the direct pass of every target read the same ones.
+The stacked parameter tensors' tables are built for the gradient
+contraction's record, once per `ParamDerivatives` and order, and by the
+direct pass once per call. A table's `linearize(m)` linearizes
 the force convolution at m in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
 decomposition-by-decomposition form. That one `Linearization` serves both
@@ -276,18 +280,21 @@ class PairSums:
     reassociates the cubic products and so moves T3's partial force at
     roundoff; T2's is bitwise `contract_sum`'s.
 
-    A pass builds one table per tensor and reads it at every index.
+    A table is built once and read at every index. It keeps copies of the
+    vectors it reads, not the expansion, so an expansion can keep its own
+    tables (`SsmExpansion.force_tables`).
     """
 
     def __init__(self, tensor: SymTensor, w, order_: int):
         """The table of `tensor` over the vectors `w(index)` of an expansion
         of order `order_` >= tensor.arity."""
-        self.tensor, self.w = tensor, w
+        self.tensor = tensor
         if tensor.nnz == 0:
             return
         cols, self.proj = tensor.projections
         lo = tensor.arity - 1
-        W = np.array([w(v) for q in range(1, order_ - lo + 1) for v in all_indices(q)])
+        # the vectors of orders 1 .. order_ - lo, one row each (`_table_row`)
+        self.W = W = np.array([w(v) for q in range(1, order_ - lo + 1) for v in all_indices(q)])
         gathered = [W[:, c] for c in cols]
         # every index of order >= lo has a decomposition into lo parts, so
         # each row gets its first term
@@ -322,7 +329,7 @@ class PairSums:
         first = np.flatnonzero(slots == 0)
         G = np.zeros(len(key_cols[0]), dtype=complex)
         for r, P in zip(first, self.table[at[first][:, None], self.proj[0]]):
-            G += self.w(rows[r][0])[key_cols[0]] * P
+            G += self.W[_table_row(rows[r][0], 1)][key_cols[0]] * P
         return _accum(T.cols[0], T.vals * G[key_of], T.n)
 
 

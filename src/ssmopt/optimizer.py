@@ -325,12 +325,10 @@ def evaluate(
             w = float(omegas[tgt.mode_index])
             phi = Phi[:, tgt.mode_index]
             cons.append((w - tgt.omega) / omega_scale)
-            grad = np.array(
-                [
-                    phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w)
-                    for p in range(params.count)
-                ]
-            )
+            # zero for a parameter without dM and dK
+            grad = np.zeros(params.count)
+            for p in params.matrix_params:
+                grad[p] = phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w)
             jac.append(grad / omega_scale)
 
     return EvalResult(

@@ -28,15 +28,20 @@ All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
 convolution at each index is pulled back once per tensor, by the reverse of
 its key-space linearization (`PairSums.linearize`), which returns the summed
-bar of every lower-order index the convolution reads. The sweep builds one
-`PairSums` table per model tensor and the contraction one per stacked
-parameter tensor, each once per call: the pair sums of T3 replace the sum
-over ordered triples at every index. The primal keeps the triple loop (see
-`mechmodel`), so the expansion the passes read is unchanged, the sweep's
-adjoint variables are bitwise the triple loop's, and only the contraction's
-cubic partial forces are reassociated, at roundoff. Operators come from the
-model's `Pencil` and each parameter's derivative pencil; the contraction's
-stacked parameter tensors are built once per `ParamDerivatives`.
+bar of every lower-order index the convolution reads: the pair sums of T3
+replace the sum over ordered triples at every index. The primal keeps the
+triple loop (see `mechmodel`), so the expansion the passes read is
+unchanged, the sweep's adjoint variables are bitwise the triple loop's, and
+only the contraction's cubic partial forces are reassociated, at roundoff.
+Operators come from the model's `Pencil` and each parameter's derivative
+pencil.
+
+Only the seeds depend on the amplitude target. What depends on the
+expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
+and every target reads it: the sweep reads the model tensors' `PairSums`
+tables (`SsmExpansion.force_tables`, shared with the direct pass), and the
+contraction reads one record of the residuals' explicit parameter
+derivatives per `ParamDerivatives` (`_Contraction`).
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -245,7 +250,7 @@ def solve_adjoint(
     reverses its step. The folded mode-shape and frequency bars then feed
     the coupled bordered solve.
     """
-    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
+    tables = exp.force_tables(model)
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
@@ -282,6 +287,52 @@ class AdjointReport:
     d_omega: np.ndarray
 
 
+@dataclass(eq=False)
+class _Contraction:
+    """The explicit partial derivatives of the residuals for one
+    `ParamDerivatives`, which no amplitude target changes.
+
+    `indices` holds, per canonical index m of order >= 2, (m, pf, dense):
+    pf the (P, n) partial forces of all parameters, and dense one entry
+    (p, pC, Aw, Vphi, phiMw) per matrix parameter with
+    pC = -dM Vdot_m - dP.velocity(Lam_m) V_m, Aw = dP.at(Lam_m) w_m and, at a
+    resonant index only, Vphi = dP.velocity(Lam_m + lambda_j) phi and
+    phiMw = phi . dM w_m (None elsewhere). `eig` holds (p, dP.modal(omega) phi,
+    phi . dM phi) per matrix parameter.
+    """
+
+    indices: list
+    eig: list
+
+
+def _build_contraction(model: MechModel, exp: SsmExpansion, params: ParamDerivatives):
+    phi = exp.master.phi
+    n, P = model.n, params.count
+    lam_pair = exp.master.lambda_pair
+    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
+    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
+
+    indices = []
+    for q in range(2, exp.order + 1):
+        for m in canonical_indices(q):
+            rec = exp.coeffs(m)
+            j = rec.slot
+            pf = np.zeros(P * n, dtype=complex)
+            for table in tables:
+                pf += table.force(m)
+            dense = []
+            for p, dP in dpens:
+                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
+                Vphi = phiMw = None
+                if j is not None:
+                    Vphi = dP.velocity(rec.Lam + lam_pair[j]) @ phi
+                    phiMw = phi @ (dP.M @ rec.w)
+                dense.append((p, pC, dP.at(rec.Lam) @ rec.w, Vphi, phiMw))
+            indices.append((m, pf.reshape(P, n), dense))
+    eig = [(p, dP.modal(exp.master.omega) @ phi, phi @ (dP.M @ phi)) for p, dP in dpens]
+    return _Contraction(indices, eig)
+
+
 def contract_gradient(
     model: MechModel,
     exp: SsmExpansion,
@@ -300,52 +351,47 @@ def contract_gradient(
         + lambda_m . dP.at(Lam_m) w_m
         + R_m[j] lambda_m . dP.velocity(Lam_m + lambda_j) phi + nu_m phi^T dM w_m.
 
-    The force-tensor derivatives of all parameters are stacked into one
-    tensor per arity (`params.stacked`, built once per `ParamDerivatives`),
-    so df_m . bar_C is one contraction per arity for all parameters, read
-    from one `PairSums` table per stacked tensor built for this call;
-    parameters with mass/stiffness derivatives get their dense terms in a
-    short scalar loop. No linear solves appear. The pass walks the canonical
-    indices and adds each term's conjugate for the swapped index, so a
-    full-set expansion gives the same gradient as the canonical one.
+    Only the adjoint variables depend on the amplitude target. Everything
+    they are contracted with (the partial forces df_m of all parameters, the
+    derivative pencils applied to the primal vectors, and the eigenproblem
+    terms) is built on the first call for this `ParamDerivatives` and kept in
+    the expansion's memo, in one slot that another `ParamDerivatives`
+    replaces. The partial forces come from one `PairSums` table per stacked
+    parameter tensor (`params.stacked`). A call is then one (P, n) mat-vec
+    and a few dot products per index; no linear solves appear. The pass
+    walks the canonical indices and adds each term's conjugate for the
+    swapped index, so a full-set expansion gives the same gradient as the
+    canonical one.
     """
-    master = exp.master
-    phi = master.phi
-    n = model.n
+    exp.check_model(model)
+    record = exp.memo(
+        "contraction", lambda: _build_contraction(model, exp, params), owner=params
+    )
+    phi = exp.master.phi
     P = params.count
-    lam_pair = master.lambda_pair
-
-    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
-    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
 
     accum = np.zeros(P, dtype=complex)
-    for q in range(2, exp.order + 1):
-        for m in canonical_indices(q):
-            rec = exp.coeffs(m)
-            lam = adjoint.lambda_m[m]
-            j = rec.slot
-            bar_c = -lam
+    for m, pf, dense in record.indices:
+        rec = exp.coeffs(m)
+        lam = adjoint.lambda_m[m]
+        j = rec.slot
+        bar_c = -lam
+        if j is not None:
+            bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
+
+        term = -(pf @ bar_c)
+        for p, pC, Aw, Vphi, phiMw in dense:
+            term[p] += bar_c @ pC + lam @ Aw
             if j is not None:
-                bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
+                term[p] += rec.R[j] * (lam @ Vphi)
+                term[p] += adjoint.nu_m[m] * phiMw
+        accum += term
+        if m[0] != m[1]:
+            accum += np.conj(term)
 
-            pf = np.zeros(P * n, dtype=complex)
-            for table in tables:
-                pf += table.force(m)
-            term = -(pf.reshape(P, n) @ bar_c)
-
-            for p, dP in dpens:
-                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
-                term[p] += bar_c @ pC + lam @ (dP.at(rec.Lam) @ rec.w)
-                if j is not None:
-                    term[p] += rec.R[j] * (lam @ (dP.velocity(rec.Lam + lam_pair[j]) @ phi))
-                    term[p] += adjoint.nu_m[m] * (phi @ (dP.M @ rec.w))
-            accum += term
-            if m[0] != m[1]:
-                accum += np.conj(term)
-
-    for p, dP in dpens:
-        accum[p] += adjoint.lambda_phi @ (dP.modal(master.omega) @ phi)
-        accum[p] += adjoint.lambda_omega * (phi @ (dP.M @ phi))
+    for p, modal_phi, phiMphi in record.eig:
+        accum[p] += adjoint.lambda_phi @ modal_phi
+        accum[p] += adjoint.lambda_omega * phiMphi
     d_omega = np.array(
         [
             assert_real(accum[p], f"gradient for parameter {params.names[p]!r}")

@@ -10,11 +10,13 @@ cross-check oracle for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
-step there. One `PairSums` table per model tensor and per stacked
-parameter tensor is built once per call. What depends on the index alone is
-built once per index and dropped before the next: each force tensor's
-key-space linearization in the lower-order coefficients
-(`PairSums.linearize`, the same one the adjoint sweep pulls back), the
+step there. It reads the model tensors' `PairSums` tables from the
+expansion (`SsmExpansion.force_tables`, built once per order for every
+target) and builds one table per stacked parameter tensor per call. What
+depends on the index alone is built once per index and dropped before the
+next: each force tensor's key-space linearization in the lower-order
+coefficients (`PairSums.linearize`, the same one the adjoint sweep pulls
+back), the
 partial forces of all parameter tensors over the primal vectors (one
 `PairSums.force` per stacked tensor, as in the gradient contraction, so the
 two methods reassociate the cubic partial forces alike), the lower-order
@@ -265,7 +267,7 @@ def chain_derivatives(
     """
     pw = point_weights(exp, dof_index, rho)
     ctx = _Chain(model, exp, params)
-    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
+    tables = exp.force_tables(model)
     pf_tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
     P, n = params.count, model.n
 

@@ -39,7 +39,7 @@ from .errors import (
     OuterResonanceError,
     SsmError,
 )
-from .mechmodel import MechModel
+from .mechmodel import MechModel, PairSums
 from .multiindex import (
     E1,
     E2,
@@ -151,7 +151,17 @@ def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
 
 
 class SsmExpansion:
-    """SSM coefficients up to a given odd order, plus per-index solver cache."""
+    """SSM coefficients up to a given odd order, and what the later passes
+    read from them at every amplitude target.
+
+    Each index's record keeps its factorization. The memo (`memo`) keeps
+    what depends on the expansion alone: the backbone's amplitude
+    polynomials and validity caps, the force tensors' pair-sum tables
+    (`force_tables`) and the gradient contraction's parameter record. It
+    holds the current order's entries only: `compute_ssm` with
+    from_expansion extends an expansion in place, and the first read after
+    that drops what the lower order built.
+    """
 
     def __init__(self, model: MechModel, master: MasterPair):
         self.model = model
@@ -159,8 +169,8 @@ class SsmExpansion:
         self.order = 1
         self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.n_solves = 0
-        # backbone's amplitude polynomials and validity caps, keyed on order
-        self.backbone_cache: dict = {}
+        self._memo: dict = {}
+        self._memo_order = self.order
         self._init_leading()
 
     def _init_leading(self):
@@ -205,6 +215,39 @@ class SsmExpansion:
     def r1_terms(self) -> list[tuple[int, MultiIndex]]:
         """(order, index) pairs of the active first reduced coefficients."""
         return [(q, r1_active_index(q)) for q in self.r_orders()]
+
+    # -- memo ----------------------------------------------------------------
+
+    def memo(self, key, build, owner=None):
+        """build(), kept under key until the expansion's order changes.
+
+        An entry belongs to its owner: a read for another owner (compared
+        by identity, against the reference the entry keeps) rebuilds the
+        entry and replaces it, so a key holds one owner's value at a time.
+        """
+        if self._memo_order != self.order:
+            self._memo.clear()
+            self._memo_order = self.order
+        held = self._memo.get(key)
+        if held is None or held[0] is not owner:
+            held = self._memo[key] = (owner, build())
+        return held[1]
+
+    def check_model(self, model: MechModel):
+        """ValueError unless `model` is the one the expansion was computed
+        for: its coefficients and its memo belong to that model."""
+        if model is not self.model:
+            raise ValueError("the expansion was computed for another model")
+
+    def force_tables(self, model: MechModel) -> tuple[PairSums, PairSums]:
+        """The `PairSums` tables of the model's T2 and T3 over the
+        expansion's vectors, built on first use at each order. The adjoint
+        sweep and the direct pass of every target read them."""
+        self.check_model(model)
+        return self.memo(
+            "force tables",
+            lambda: tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3)),
+        )
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
@@ -330,8 +373,7 @@ def compute_ssm(
     if from_expansion is None:
         exp = SsmExpansion(model, master)
     else:
-        if from_expansion.model is not model:
-            raise ValueError("extension requires the same model")
+        from_expansion.check_model(model)
         exp = from_expansion
         if exp.order >= order_:
             return exp

@@ -5,9 +5,11 @@ import pytest
 from scipy.optimize import brentq
 
 from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
+from ssmopt.spectral import solve_modes
 from ssmopt.backbone import domega_drho, dx_drho
 from ssmopt.errors import AmplitudeUnreachableError, ConfigError, ModelError, OuterResonanceError
-from ssmopt.models import ChainSpec, build_chain
+from ssmopt.mechmodel import ParamDerivatives
+from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
 from ssmopt.optimizer import (
     BackboneTarget,
     EigfreqTarget,
@@ -131,6 +133,41 @@ class TestEvaluate:
         res = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
         assert abs(res.constraints[0]) <= 1e-12
         assert res.con_jac[0, 0] == 0.0  # k3 does not move the linear spectrum
+
+    def test_eigfreq_gradient_skips_tensor_only_parameters(self):
+        # per-spring k3 parameters interleaved with the chain's k and mass:
+        # the Jacobian row skips the k3 ones and equals the dense formula
+        # taken over every parameter
+        spec = ChainSpec(n_masses=5, alpha_r=0.0, beta_r=0.02)
+        model, family = build_chain(spec, params=("k", "mass"))
+        springs = chain_per_spring_k3(spec, 4)
+        chosen = [(springs, 0), (family, 0), (springs, 1), (springs, 2), (family, 1), (springs, 3)]
+        params = ParamDerivatives(
+            *(
+                tuple(getattr(src, field)[p] for src, p in chosen)
+                for field in ("names", "dM", "dK", "dT2", "dT3")
+            )
+        )
+        assert params.matrix_params == (1, 4)
+        master = solve_master(model, 0)
+        count = params.count
+        prob = OptProblem(
+            builder=lambda mu: (model, params),
+            names=params.names,
+            mu0=np.zeros(count),
+            lower=-np.ones(count),
+            upper=np.ones(count),
+            objective={"type": "constant"},
+            eigfreq_targets=(EigfreqTarget(0, 1.01 * master.omega),),
+        )
+        res = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
+        omegas, Phi = solve_modes(model)
+        w, phi = float(omegas[0]), Phi[:, 0]
+        dense = np.array(
+            [phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w) for p in range(count)]
+        )
+        assert np.array_equal(res.con_jac[0], dense / master.omega)
+        assert np.all(res.con_jac[0, [1, 4]] != 0.0)
 
     def test_target_past_validity_cap_is_extrapolated(self):
         # at order 3 the validity cap of chain2 is x_rms = 1.84 at dof 1: the

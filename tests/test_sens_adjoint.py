@@ -1,11 +1,16 @@
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, rho_of_x, solve_master
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
+from ssmopt.mechmodel import ParamDerivatives
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import symmetric
-from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
+from ssmopt.sens_adjoint import _Contraction, contract_gradient, solve_adjoint, solve_adjoint_rho
 from ssmopt.sens_direct import chain_derivatives
 
 from oracles import reference_adjoint
@@ -174,3 +179,117 @@ class TestGradientEquivalence:
         # effect (parity), while the cubic one does
         assert rep.d_omega[2] == pytest.approx(0.0, abs=1e-12)
         assert rep.d_omega[3] != 0.0
+
+
+def _curved_beam10_o9():
+    spec = VkBeamSpec(a1=0.002, a2=0.001)
+    model, params = build_vk_beam(spec)
+    master = solve_master(model, 0)
+    return model, params, master, vk_center_dof(spec), (0.002, 0.004)
+
+
+def _first(params: ParamDerivatives, count: int) -> ParamDerivatives:
+    """A new ParamDerivatives holding the first `count` parameters."""
+    fields = ("names", "dM", "dK", "dT2", "dT3")
+    return ParamDerivatives(*(getattr(params, f)[:count] for f in fields))
+
+
+def _gradients(model, exp, params, dof, x):
+    """(adjoint, direct) gradients at amplitude x."""
+    rho = rho_of_x(exp, dof, x)
+    adjoint = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params)
+    return adjoint.d_omega, chain_derivatives(model, exp, params, dof, rho).d_omega
+
+
+def _fresh_gradients(model, master, order, params, dof, x):
+    """The gradients from a new expansion and a new ParamDerivatives."""
+    return _gradients(model, compute_ssm(model, master, order), replace(params), dof, x)
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), (g, w)
+
+
+class TestExpansionStore:
+    """The expansion's memo keeps what every amplitude target reads: the
+    force tables of the sweep and the direct pass, and the contraction's
+    parameter record. Reading it must give the gradients of a cold call,
+    bit for bit."""
+
+    @pytest.mark.parametrize("case", ["vk_beam10", "duffing"])
+    def test_targets_on_one_expansion_match_fresh_ones(self, case, duffing, duffing_master):
+        if case == "vk_beam10":
+            model, params, master, dof, xs = _curved_beam10_o9()
+            order = 9
+        else:  # undamped: every resonant index takes the bordered path
+            (model, params), master, dof, xs = duffing, duffing_master, 0, (0.1, 0.2)
+            order = 7
+        exp = compute_ssm(model, master, order)
+        for x in xs:
+            _assert_bitwise(
+                _gradients(model, exp, params, dof, x),
+                _fresh_gradients(model, master, order, params, dof, x),
+            )
+
+    def test_extended_expansion_gives_the_fresh_gradient(self):
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 5)
+        _gradients(model, exp, params, dof, x)
+        compute_ssm(model, master, 9, from_expansion=exp)
+        _assert_bitwise(
+            _gradients(model, exp, params, dof, x),
+            _fresh_gradients(model, master, 9, params, dof, x),
+        )
+
+    def test_each_param_derivatives_gets_its_own_record(self):
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        for count in (1, 3, 1):
+            sub = _first(params, count)
+            got = _gradients(model, exp, sub, dof, x)
+            assert len(got[0]) == count
+            _assert_bitwise(got, _fresh_gradients(model, master, 9, sub, dof, x))
+
+    def test_another_model_is_rejected(self, chain2, chain2_exp5):
+        model, params = chain2
+        twin = replace(model)  # equal values, another object
+        rho = rho_of_x(chain2_exp5, 1, 0.2)
+        adj = solve_adjoint(model, chain2_exp5, 1, rho)
+        with pytest.raises(ValueError, match="another model"):
+            solve_adjoint(twin, chain2_exp5, 1, rho)
+        with pytest.raises(ValueError, match="another model"):
+            contract_gradient(twin, chain2_exp5, adj, params)
+        with pytest.raises(ValueError, match="another model"):
+            chain_derivatives(twin, chain2_exp5, params, 1, rho)
+
+    def test_record_size_and_one_record_alive(self):
+        # the record of curved vk_beam10 at O9 with four parameters holds
+        # 0.19 MB (0.14 MB of arrays); the bound leaves 30 % over that
+        bound = 0.25 * 2**20
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        rho = rho_of_x(exp, dof, x)
+        adj = solve_adjoint(model, exp, dof, rho)
+        # the stacked tensors and their key layouts are cached on params,
+        # not in the record
+        for T in params.stacked:
+            T.key_pattern, T.projections
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            contract_gradient(model, exp, adj, params)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= bound, f"record holds {held / 2**20:.3f} MB"
+
+        def live_records():
+            gc.collect()
+            return sum(isinstance(o, _Contraction) for o in gc.get_objects())
+
+        # other expansions alive in the session may hold records of their own
+        before = live_records()
+        for _ in range(10):
+            contract_gradient(model, exp, adj, replace(params))
+        assert live_records() == before
