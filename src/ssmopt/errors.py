@@ -93,3 +93,24 @@ def assert_real(value, what: str):
     if residue > IMAG_RESIDUE_RTOL * scale:
         raise ConjugacyError(f"{what} has imaginary residue {residue:.2e} (scale {scale:.2e})")
     return value.real if value.ndim else float(value.real)
+
+
+def assert_real_each(values, what: str, names) -> np.ndarray:
+    """The real parts of values, the check of `assert_real` applied to each
+    component on its own scale.
+
+    Raises ConjugacyError naming the first failing component's name when
+    its imaginary part exceeds IMAG_RESIDUE_RTOL * max(1, its real part).
+    """
+    values = np.asarray(values)
+    residue = np.abs(values.imag)
+    # fmax, as Python's max(1.0, nan) in assert_real, keeps 1.0 for a NaN
+    scale = np.fmax(1.0, np.abs(values.real))
+    bad = np.flatnonzero(residue > IMAG_RESIDUE_RTOL * scale)
+    if bad.size:
+        p = bad[0]
+        raise ConjugacyError(
+            f"{what} for parameter {names[p]!r} has imaginary residue "
+            f"{residue[p]:.2e} (scale {scale[p]:.2e})"
+        )
+    return values.real.copy()

@@ -41,7 +41,8 @@ expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
 and every target reads it: the sweep reads the model tensors' `PairSums`
 tables (`SsmExpansion.force_tables`, shared with the direct pass), and the
 contraction reads one record of the residuals' explicit parameter
-derivatives per `ParamDerivatives` (`_Contraction`).
+derivatives per `ParamDerivatives` (`_Contraction`), whose partial forces
+are the ones the direct walk reads (`SsmExpansion.partial_forces`).
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -55,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import PointWeights, point_weights
-from .errors import assert_real
-from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .errors import assert_real, assert_real_each
+from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, order, symmetric
 from .sens_direct import lambda_derivative, mode_factorization
 from .ssm import SsmExpansion, v_decomps
@@ -293,7 +294,8 @@ class _Contraction:
     `ParamDerivatives`, which no amplitude target changes.
 
     `indices` holds, per canonical index m of order >= 2, (m, pf, dense):
-    pf the (P, n) partial forces of all parameters, and dense one entry
+    pf the (P, n) partial forces of all parameters (the array
+    `SsmExpansion.partial_forces` keeps), and dense one entry
     (p, pC, Aw, Vphi, phiMw) per matrix parameter with
     pC = -dM Vdot_m - dP.velocity(Lam_m) V_m, Aw = dP.at(Lam_m) w_m and, at a
     resonant index only, Vphi = dP.velocity(Lam_m + lambda_j) phi and
@@ -307,19 +309,15 @@ class _Contraction:
 
 def _build_contraction(model: MechModel, exp: SsmExpansion, params: ParamDerivatives):
     phi = exp.master.phi
-    n, P = model.n, params.count
     lam_pair = exp.master.lambda_pair
     dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
-    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
+    forces = exp.partial_forces(params)
 
     indices = []
     for q in range(2, exp.order + 1):
         for m in canonical_indices(q):
             rec = exp.coeffs(m)
             j = rec.slot
-            pf = np.zeros(P * n, dtype=complex)
-            for table in tables:
-                pf += table.force(m)
             dense = []
             for p, dP in dpens:
                 pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
@@ -328,7 +326,7 @@ def _build_contraction(model: MechModel, exp: SsmExpansion, params: ParamDerivat
                     Vphi = dP.velocity(rec.Lam + lam_pair[j]) @ phi
                     phiMw = phi @ (dP.M @ rec.w)
                 dense.append((p, pC, dP.at(rec.Lam) @ rec.w, Vphi, phiMw))
-            indices.append((m, pf.reshape(P, n), dense))
+            indices.append((m, forces[m], dense))
     eig = [(p, dP.modal(exp.master.omega) @ phi, phi @ (dP.M @ phi)) for p, dP in dpens]
     return _Contraction(indices, eig)
 
@@ -356,9 +354,10 @@ def contract_gradient(
     derivative pencils applied to the primal vectors, and the eigenproblem
     terms) is built on the first call for this `ParamDerivatives` and kept in
     the expansion's memo, in one slot that another `ParamDerivatives`
-    replaces. The partial forces come from one `PairSums` table per stacked
-    parameter tensor (`params.stacked`). A call is then one (P, n) mat-vec
-    and a few dot products per index; no linear solves appear. The pass
+    replaces. The partial forces are the expansion's
+    (`SsmExpansion.partial_forces`), which the direct walk reads too. A call
+    is then one (P, n) mat-vec and a few dot products per index, and one
+    realness check of all P sums; no linear solves appear. The pass
     walks the canonical indices and adds each term's conjugate for the
     swapped index, so a full-set expansion gives the same gradient as the
     canonical one.
@@ -392,10 +391,5 @@ def contract_gradient(
     for p, modal_phi, phiMphi in record.eig:
         accum[p] += adjoint.lambda_phi @ modal_phi
         accum[p] += adjoint.lambda_omega * phiMphi
-    d_omega = np.array(
-        [
-            assert_real(accum[p], f"gradient for parameter {params.names[p]!r}")
-            for p in range(P)
-        ]
-    )
+    d_omega = assert_real_each(accum, "gradient", params.names)
     return AdjointReport(names=params.names, d_omega=d_omega)

@@ -5,28 +5,31 @@ eigenpair, damping ratio, eigenvalue, then every expansion coefficient in
 ascending order. The walk knows nothing of the target: only the final
 projection reads it, through the backbone point's weights
 (`backbone.point_weights`), which give the reduced-amplitude derivative at
-fixed physical amplitude and the response frequency's. It serves as the
-cross-check oracle for the adjoint.
+fixed physical amplitude and the response frequency's. So the walk runs
+once per expansion order and `ParamDerivatives`: its record (`_Tangent`
+per parameter: dlam, dR of the resonant indices and dw of every index) is
+kept in the expansion's memo (`SsmExpansion.memo`), and every target, at
+any DOF, costs one projection. It serves as the cross-check oracle for the
+adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
-step there. It reads the model tensors' `PairSums` tables from the
-expansion (`SsmExpansion.force_tables`, built once per order for every
-target) and builds one table per stacked parameter tensor per call. What
-depends on the index alone is built once per index and dropped before the
-next: each force tensor's key-space linearization in the lower-order
+step there. It reads from the expansion the model tensors' `PairSums`
+tables (`SsmExpansion.force_tables`) and the partial forces of all
+parameter tensors over the primal vectors (`SsmExpansion.partial_forces`,
+one `PairSums.force` per stacked tensor, the ones the gradient contraction
+reads, so the two methods reassociate the cubic partial forces alike).
+What depends on the index alone is built once per index and dropped before
+the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, the same one the adjoint sweep pulls
-back), the
-partial forces of all parameter tensors over the primal vectors (one
-`PairSums.force` per stacked tensor, as in the gradient contraction, so the
-two methods reassociate the cubic partial forces alike), the lower-order
-coupling terms, M V_m, (C + 2 Lam_m M) w_m and the `Pencil`'s
-velocity(Lam_m). The primal expansion keeps its triple loop (see
-`mechmodel`). A pass's step at the index then applies the
-linearizations to its own lower-order derivatives, adds its derivative
-pencil's terms (none without dM and dK: see `ParamDerivatives.matrix_params`)
-and solves its own right-hand side with the factorization the index's record
-keeps, which also holds its resonant denominator. Every operator is applied
+back), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and,
+where the couplings read it, the `Pencil`'s velocity(Lam_m). The primal
+expansion keeps its triple loop (see `mechmodel`). A pass's step at the
+index then applies the linearizations to its own lower-order
+derivatives, adds its derivative pencil's terms (none without dM and dK:
+see `ParamDerivatives.matrix_params`) and solves its own right-hand side
+with the factorization the index's record keeps, which also holds its
+resonant denominator. Every operator is applied
 in the primal's association. Parameters are never batched into one solve: a
 coefficient's derivative needs the same parameter's lower-order derivatives,
 so each pass keeps its own table of the derivatives later indices read, and
@@ -42,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import PointWeights, point_weights
-from .errors import DegenerateModeError, assert_real
-from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .backbone import point_weights
+from .errors import DegenerateModeError, assert_real_each
+from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, symmetric
 from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
 
@@ -116,10 +119,11 @@ class _Pass:
     """One parameter's forward pass through the expansion.
 
     Holds the parameter's own constants and, of its coefficient derivatives,
-    what a later index or the final projection reads: dw, dwdot of the
-    indices the R couplings read, and dR. A parameter without dM and dK (see
-    `ParamDerivatives.matrix_params`) has a zero mode-shape and eigenvalue
-    derivative, no derivative pencil (`dpen`) and no dense matrix term.
+    what a later index or the projection reads: dw, dwdot of the indices
+    the R couplings read, and dR; the walk keeps its `tangent`. A parameter
+    without dM and dK (see `ParamDerivatives.matrix_params`) has a zero
+    mode-shape and eigenvalue derivative, no derivative pencil (`dpen`) and
+    no dense matrix term.
     """
 
     def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float):
@@ -206,15 +210,22 @@ class _Pass:
         if dwdot is not None:
             self.dwdot[m] = dwdot
 
-    def finish(self, pw: PointWeights, dof: int) -> tuple[float, float]:
-        """(dOmega, drho) at the fixed target amplitude: the point's weights
-        applied to this parameter's derivatives."""
-        amp = pw.amplitude(-1.0 / pw.dx_drho)
-        drho = assert_real(sum(a * self.dw[m][dof] for m, a in amp.items()), "drho")
-        dOm = pw.lam[0] * self.dlam_pair[0] + pw.lam[1] * self.dlam_pair[1]
-        for (m, slot), wt in pw.R:
-            dOm += wt * self.dR[m][slot]
-        return assert_real(dOm, "dOmega") + pw.domega_drho * drho, drho
+    def tangent(self) -> "_Tangent":
+        """What the projection reads of this pass; dwdot is dropped."""
+        data = self.ctx.exp.data
+        dR = {m: dR for m, dR in self.dR.items() if data[m].slot is not None}
+        return _Tangent(self.dlam_pair, dR, self.dw)
+
+
+@dataclass(eq=False)
+class _Tangent:
+    """One parameter's walk record: what the projection reads. It holds no
+    reference to the model, the expansion or the params, so the expansion's
+    memo that keeps it makes no cycle back to the expansion."""
+
+    dlam_pair: np.ndarray  # (dlam, conj(dlam))
+    dR: dict  # dR_m of the resonant indices
+    dw: dict  # dw_m of every index of the expansion
 
 
 @dataclass
@@ -245,8 +256,46 @@ class _Index:
     v_terms: list  # (u, j, k, u[j], R_k[j]) of the lower-order coupling
     MV: np.ndarray | float  # M V_m
     Lw: np.ndarray | float  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
-    velocity: np.ndarray  # the pencil's velocity(Lam_m)
+    velocity: np.ndarray | None  # the pencil's velocity(Lam_m), read with v_terms only
     keep_wdot: bool  # a later coupling reads dwdot_m
+
+
+def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tuple:
+    """Every parameter's forward pass through the expansion: one `_Tangent`
+    per parameter. Nothing here reads the amplitude target."""
+    ctx = _Chain(model, exp, params)
+    tables = exp.force_tables(model)
+    forces = exp.partial_forces(params)
+
+    dphi_all, domega_all = eig_derivatives(model, exp.master, params)
+    passes = [_Pass(ctx, p, dphi_all[p], domega_all[p]) for p in range(params.count)]
+
+    indices = [m for q in range(2, exp.order + 1) for m in canonical_indices(q)]
+    r_orders = exp.r_orders()
+    wdot_read = {u for m in indices for u, _, _ in v_decomps(m, r_orders)}
+    for m in indices:
+        rec = exp.coeffs(m)
+        # read only times dLam, which is zero for a parameter without dM and dK
+        MV = Lw = 0.0
+        if params.matrix_params:
+            MV = ctx.Mc @ rec.V
+            Lw = model.pencil.C @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
+        v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
+        ix = _Index(
+            m,
+            rec,
+            [table.linearize(m) for table in tables],
+            v_terms,
+            MV,
+            Lw,
+            model.pencil.velocity(rec.Lam) if v_terms else None,
+            m in wdot_read or symmetric(m) in wdot_read,
+        )
+        # the partial forces of all parameters, dT over the primal vectors
+        for ps, pf_p in zip(passes, forces[m]):
+            ps.step(ix, pf_p)
+        del ix  # one index's linearizations at a time
+    return tuple(ps.tangent() for ps in passes)
 
 
 def chain_derivatives(
@@ -264,47 +313,26 @@ def chain_derivatives(
     parameter's pass mirrors every derivative to the swapped index by
     conjugation, so a full-set expansion gives the same derivatives as the
     canonical one.
+
+    The walk reads no target. It runs on the first call for this
+    `ParamDerivatives` and its record is kept in the expansion's memo, in
+    one slot that another `ParamDerivatives` replaces; every call, at any
+    DOF and amplitude, projects it with the backbone point's weights.
     """
+    exp.check_model(model)
     pw = point_weights(exp, dof_index, rho)
-    ctx = _Chain(model, exp, params)
-    tables = exp.force_tables(model)
-    pf_tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
-    P, n = params.count, model.n
+    walk = exp.memo("direct walk", lambda: _walk(model, exp, params), owner=params)
 
-    dphi_all, domega_all = eig_derivatives(model, exp.master, params)
-    passes = [_Pass(ctx, p, dphi_all[p], domega_all[p]) for p in range(P)]
-
-    indices = [m for q in range(2, exp.order + 1) for m in canonical_indices(q)]
-    r_orders = exp.r_orders()
-    wdot_read = {u for m in indices for u, _, _ in v_decomps(m, r_orders)}
-    for m in indices:
-        rec = exp.coeffs(m)
-        # the partial forces of all parameters, dT over the primal vectors:
-        # one contraction per stacked tensor
-        pf = np.zeros(P * n, dtype=complex)
-        for table in pf_tables:
-            pf += table.force(m)
-        # read only times dLam, which is zero for a parameter without dM and dK
-        MV = Lw = 0.0
-        if params.matrix_params:
-            MV = ctx.Mc @ rec.V
-            Lw = model.pencil.C @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
-        ix = _Index(
-            m,
-            rec,
-            [table.linearize(m) for table in tables],
-            [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)],
-            MV,
-            Lw,
-            model.pencil.velocity(rec.Lam),
-            m in wdot_read or symmetric(m) in wdot_read,
-        )
-        for ps, pf_p in zip(passes, pf.reshape(P, n)):
-            ps.step(ix, pf_p)
-        del ix  # one index's linearizations at a time
-
-    d_omega = np.zeros(P)
-    d_rho = np.zeros(P)
-    for p, ps in enumerate(passes):
-        d_omega[p], d_rho[p] = ps.finish(pw, dof_index)
+    amp = list(pw.amplitude(-1.0 / pw.dx_drho).items())
+    P = params.count
+    drho = np.empty(P, dtype=complex)
+    dOm = np.empty(P, dtype=complex)
+    for p, t in enumerate(walk):
+        drho[p] = sum(a * t.dw[m][dof_index] for m, a in amp)
+        d = pw.lam[0] * t.dlam_pair[0] + pw.lam[1] * t.dlam_pair[1]
+        for (m, slot), wt in pw.R:
+            d += wt * t.dR[m][slot]
+        dOm[p] = d
+    d_rho = assert_real_each(drho, "drho", params.names)
+    d_omega = assert_real_each(dOm, "dOmega", params.names) + pw.domega_drho * d_rho
     return DirectDerivatives(names=params.names, d_omega=d_omega, d_rho=d_rho)

@@ -39,7 +39,7 @@ from .errors import (
     OuterResonanceError,
     SsmError,
 )
-from .mechmodel import MechModel, PairSums
+from .mechmodel import MechModel, PairSums, ParamDerivatives
 from .multiindex import (
     E1,
     E2,
@@ -156,11 +156,13 @@ class SsmExpansion:
 
     Each index's record keeps its factorization. The memo (`memo`) keeps
     what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps, the force tensors' pair-sum tables
-    (`force_tables`) and the gradient contraction's parameter record. It
-    holds the current order's entries only: `compute_ssm` with
-    from_expansion extends an expansion in place, and the first read after
-    that drops what the lower order built.
+    polynomials and validity caps and the force tensors' pair-sum tables
+    (`force_tables`). Per `ParamDerivatives`, in one slot each that another
+    `ParamDerivatives` replaces, it keeps the parameters' partial forces
+    (`partial_forces`), the gradient contraction's record and the direct
+    method's walk record. It holds the current order's entries only:
+    `compute_ssm` with from_expansion extends an expansion in place, and the
+    first read after that drops what the lower order built.
     """
 
     def __init__(self, model: MechModel, master: MasterPair):
@@ -248,6 +250,27 @@ class SsmExpansion:
             "force tables",
             lambda: tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3)),
         )
+
+    def partial_forces(self, params: ParamDerivatives) -> dict:
+        """{m: the (P, n) partial forces dT of all parameters over the
+        expansion's vectors} at each canonical index of order >= 2: one
+        `PairSums.force` per stacked parameter tensor (`params.stacked`),
+        built on first use for each `ParamDerivatives`. The gradient
+        contraction and the direct walk read them."""
+
+        def build():
+            tables = [PairSums(T, self.w, self.order) for T in params.stacked]
+            P, n = params.count, self.model.n
+            forces = {}
+            for q in range(2, self.order + 1):
+                for m in canonical_indices(q):
+                    pf = np.zeros(P * n, dtype=complex)
+                    for table in tables:
+                        pf += table.force(m)
+                    forces[m] = pf.reshape(P, n)
+            return forces
+
+        return self.memo("partial forces", build, owner=params)
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:

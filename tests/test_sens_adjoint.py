@@ -1,12 +1,14 @@
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssmopt import compute_ssm, rho_of_x, solve_master
+from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
+from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
 from ssmopt.mechmodel import ParamDerivatives
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import symmetric
@@ -181,6 +183,32 @@ class TestGradientEquivalence:
         assert rep.d_omega[3] != 0.0
 
 
+class TestGradientRealness:
+    """`contract_gradient` checks all P sums at once, each on its own scale
+    (`assert_real_each`), as one `assert_real` per parameter did."""
+
+    names = ("a", "b", "c", "d", "e")
+
+    def test_passing_values_are_the_per_parameter_ones(self):
+        accum = np.array(
+            [3.0 + 2e-10j, -0.5 + 0.9e-10j, 1e6 - 9e-5j, -7e-13 + 1e-11j, np.nan + 1j * np.nan]
+        )
+        got = assert_real_each(accum, "gradient", self.names)
+        want = [assert_real(v, f"gradient for parameter {n!r}") for v, n in zip(accum, self.names)]
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+        assert got.dtype == np.float64
+
+    def test_the_first_failing_parameter_is_named(self):
+        # b fails on its own scale; an array-wide scale (1e6) would pass it
+        accum = np.array([1e6 + 0j, 1.0 + 1e-8j, 2.0, 4.0 + 1j, 0.5])
+        with pytest.raises(
+            ConjugacyError, match=r"^gradient for parameter 'b' has imaginary residue 1.00e-08"
+        ):
+            assert_real_each(accum, "gradient", self.names)
+        with pytest.raises(ConjugacyError, match=r"^gradient for parameter 'b' has"):
+            assert_real(accum[1], "gradient for parameter 'b'")
+
+
 def _curved_beam10_o9():
     spec = VkBeamSpec(a1=0.002, a2=0.001)
     model, params = build_vk_beam(spec)
@@ -195,10 +223,11 @@ def _first(params: ParamDerivatives, count: int) -> ParamDerivatives:
 
 
 def _gradients(model, exp, params, dof, x):
-    """(adjoint, direct) gradients at amplitude x."""
+    """The adjoint gradient, and the direct gradient and d_rho, at amplitude x."""
     rho = rho_of_x(exp, dof, x)
     adjoint = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params)
-    return adjoint.d_omega, chain_derivatives(model, exp, params, dof, rho).d_omega
+    direct = chain_derivatives(model, exp, params, dof, rho)
+    return adjoint.d_omega, direct.d_omega, direct.d_rho
 
 
 def _fresh_gradients(model, master, order, params, dof, x):
@@ -211,11 +240,27 @@ def _assert_bitwise(got, want):
         assert np.array_equal(g, w), (g, w)
 
 
+def _count_walks(monkeypatch, exp) -> list:
+    """The ParamDerivatives of every direct walk on exp from here on, one
+    per walk."""
+    walks = []
+    walk = sens_direct._walk
+
+    def counted(model, on, params):
+        if on is exp:
+            walks.append(params)
+        return walk(model, on, params)
+
+    monkeypatch.setattr(sens_direct, "_walk", counted)
+    return walks
+
+
 class TestExpansionStore:
     """The expansion's memo keeps what every amplitude target reads: the
-    force tables of the sweep and the direct pass, and the contraction's
-    parameter record. Reading it must give the gradients of a cold call,
-    bit for bit."""
+    force tables of the sweep and the direct walk, the parameters' partial
+    forces, the contraction's parameter record and the direct walk's
+    record. Reading it must give the gradients of a cold call, bit for
+    bit."""
 
     @pytest.mark.parametrize("case", ["vk_beam10", "duffing"])
     def test_targets_on_one_expansion_match_fresh_ones(self, case, duffing, duffing_master):
@@ -232,36 +277,70 @@ class TestExpansionStore:
                 _fresh_gradients(model, master, order, params, dof, x),
             )
 
-    def test_extended_expansion_gives_the_fresh_gradient(self):
+    def test_extended_expansion_gives_the_fresh_gradient(self, monkeypatch):
         model, params, master, dof, (x, _) = _curved_beam10_o9()
         exp = compute_ssm(model, master, 5)
+        walks = _count_walks(monkeypatch, exp)
         _gradients(model, exp, params, dof, x)
         compute_ssm(model, master, 9, from_expansion=exp)
         _assert_bitwise(
             _gradients(model, exp, params, dof, x),
             _fresh_gradients(model, master, 9, params, dof, x),
         )
+        assert [w is params for w in walks] == [True, True]  # O9 walks again
 
-    def test_each_param_derivatives_gets_its_own_record(self):
+    def test_each_param_derivatives_gets_its_own_record(self, monkeypatch):
         model, params, master, dof, (x, _) = _curved_beam10_o9()
         exp = compute_ssm(model, master, 9)
-        for count in (1, 3, 1):
-            sub = _first(params, count)
+        walks = _count_walks(monkeypatch, exp)
+        one, three = _first(params, 1), _first(params, 3)
+        for sub in (one, three, three, one):
             got = _gradients(model, exp, sub, dof, x)
-            assert len(got[0]) == count
+            assert len(got[0]) == sub.count
             _assert_bitwise(got, _fresh_gradients(model, master, 9, sub, dof, x))
+        # one slot per key: the second `three` reads it, the last `one` walks again
+        assert [w is one for w in walks] == [True, False, True]
 
     def test_another_model_is_rejected(self, chain2, chain2_exp5):
         model, params = chain2
         twin = replace(model)  # equal values, another object
         rho = rho_of_x(chain2_exp5, 1, 0.2)
         adj = solve_adjoint(model, chain2_exp5, 1, rho)
+        # the memo is warm: the walk and the record are kept here
+        chain_derivatives(model, chain2_exp5, params, 1, rho)
+        contract_gradient(model, chain2_exp5, adj, params)
         with pytest.raises(ValueError, match="another model"):
             solve_adjoint(twin, chain2_exp5, 1, rho)
         with pytest.raises(ValueError, match="another model"):
             contract_gradient(twin, chain2_exp5, adj, params)
         with pytest.raises(ValueError, match="another model"):
             chain_derivatives(twin, chain2_exp5, params, 1, rho)
+
+    def test_targets_on_one_expansion_share_one_walk(self, monkeypatch):
+        model, params, master, dof, (x1, x2) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        walks = _count_walks(monkeypatch, exp)
+        # two amplitudes at the center DOF, and two other DOFs
+        for d, x in ((dof, x1), (dof, x2), (dof - 3, 0.001), (dof + 3, 0.001)):
+            _assert_bitwise(
+                _gradients(model, exp, params, d, x),
+                _fresh_gradients(model, master, 9, params, d, x),
+            )
+        assert [w is params for w in walks] == [True]
+
+    def test_memo_makes_no_reference_cycle(self):
+        # every record the memo keeps holds no reference back to the
+        # expansion: reference counting alone frees it
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        _gradients(model, exp, params, dof, x)
+        ref = weakref.ref(exp)
+        gc.disable()
+        try:
+            del exp
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_record_size_and_one_record_alive(self):
         # the record of curved vk_beam10 at O9 with four parameters holds

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,13 +189,21 @@ class TestChainDerivatives:
             dT2=params.dT2[:1],
             dT3=params.dT3[:1],
         )
+        # a new ParamDerivatives per call: the expansion keeps the walk of
+        # the last one, and each timed call must walk. Their stacked tensors
+        # and key layouts are built outside the timer
+        ones = [replace(one) for _ in range(3)]
+        fours = [replace(params) for _ in range(3)]
+        for p in ones + fours:
+            for T in p.stacked:
+                T.key_pattern, T.projections
         t0 = time.perf_counter()
-        for _ in range(3):
-            chain_derivatives(model, chain2_exp5, one, 1, rho)
+        for p in ones:
+            chain_derivatives(model, chain2_exp5, p, 1, rho)
         t_one = time.perf_counter() - t0
         t0 = time.perf_counter()
-        for _ in range(3):
-            chain_derivatives(model, chain2_exp5, params, 1, rho)
+        for p in fours:
+            chain_derivatives(model, chain2_exp5, p, 1, rho)
         t_four = time.perf_counter() - t0
         # four parameters should cost measurably more than one, far less than 16x
         assert t_four > 1.5 * t_one
@@ -255,9 +264,14 @@ class TestChainDerivatives:
         dof = vk_center_dof(spec)
         rho = rho_of_x(exp, dof, 0.002)
         chain_derivatives(model, exp, params, dof, rho)  # the caches fill here
+        # a new ParamDerivatives walks again; its stacked tensors and their
+        # key layouts are built outside the trace
+        fresh = replace(params)
+        for T in fresh.stacked:
+            T.key_pattern, T.projections
         tracemalloc.start()
         try:
-            chain_derivatives(model, exp, params, dof, rho)
+            chain_derivatives(model, exp, fresh, dof, rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
