@@ -14,6 +14,12 @@
   own. `ssm.compute_ssm` solves only the canonical indices and writes the
   swapped ones by conjugation; this is the form the conjugation must
   reproduce to roundoff.
+* `contract_sum`: the force convolution as one sum over every ordered tuple
+  of lower indices, the products formed once per trailing key. `PairSums`
+  sums each convolution over its first part only, the other parts taken
+  from a table of pair sums; this is the form it reassociates. With
+  arguments in extended precision it is the reference the kernels'
+  accuracy is measured against.
 * `reference_linearize`: the key-space linearization of the force
   convolution over any decomposition set, one decomposition at a time.
   `PairSums.linearize(m)` gathers each coefficient from a table of pair sums;
@@ -284,6 +290,25 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
             exp.data[m] = order_step(model, exp, m)
         exp.order = q
     return exp
+
+
+def contract_sum(T: SymTensor, arg_tuples) -> np.ndarray:
+    """f_i = sum over the argument tuples (a, b[, c]) of sum v * a[j] * b[k] (* c[l]).
+
+    The products depend only on the trailing key, so they are formed once
+    per key and expanded to the entries in one accumulation. The sums are
+    complex, in the arguments' precision when that is wider (`np.clongdouble`).
+    """
+    if T.nnz == 0 or not arg_tuples:
+        return np.zeros(T.n, dtype=complex)
+    key_cols, key_of = T.key_pattern
+    G = np.zeros(len(key_cols[0]), dtype=np.result_type(complex, *arg_tuples[0]))
+    for args in arg_tuples:
+        term = args[0][key_cols[0]]
+        for a, c in zip(args[1:], key_cols[1:]):
+            term = term * a[c]
+        G += term
+    return _accum(T.cols[0], T.vals * G[key_of], T.n)
 
 
 def reference_linearize(T: SymTensor, parts, w) -> Linearization:

@@ -8,9 +8,9 @@ from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve
 from ssmopt.errors import ModelError
 from ssmopt.mechmodel import PairSums, Pencil, _accum
 from ssmopt.models import VkBeamSpec, build_vk_beam
-from ssmopt.multiindex import all_indices, decomps
+from ssmopt.multiindex import all_indices, canonical_indices, decomps
 
-from oracles import first_order_operators, reference_linearize, reference_pullback
+from oracles import contract_sum, first_order_operators, reference_linearize, reference_pullback
 
 
 def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
@@ -334,6 +334,35 @@ class TestPairSums:
             for m in exp.data:
                 if m[0] + m[1] >= 2:
                     self._check_force(tensor, table, m, exp.w)
+
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 here, so there is no "
+        "extended-precision reference",
+    )
+    @pytest.mark.parametrize("n_elements", [10, 40])
+    def test_cubic_force_is_no_less_accurate_than_the_triple_loop(self, n_elements):
+        # the T3 convolutions over a curved beam's O9 vectors against the
+        # triple sum in extended precision: the pair sums' worst normwise
+        # error is at most the triple loop's (on x86-64, vk_beam10 1.5e-13
+        # against 3.4e-13, vk_beam40 2.5e-11 against 9.9e-11)
+        spec = VkBeamSpec(n_elements=n_elements, a1=0.002, a2=0.001)
+        model, _ = build_vk_beam(spec, ())
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        T = model.T3
+        table = PairSums(T, exp.w, exp.order)
+        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.data}
+        worst = {"pairs": 0.0, "triples": 0.0}
+        for q in range(3, exp.order + 1):
+            for m in canonical_indices(q):
+                parts = decomps(m, 3)
+                ref = contract_sum(T, [tuple(wide[u] for u in d) for d in parts])
+                triples = contract_sum(T, [tuple(exp.w(u) for u in d) for d in parts])
+                for kernel, got in (("pairs", table.force(m)), ("triples", triples)):
+                    err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+                    worst[kernel] = max(worst[kernel], err)
+        assert worst["pairs"] <= worst["triples"], worst
 
 
 class TestAccum:
