@@ -7,7 +7,8 @@ projection reads it, through the backbone point's weights
 (`backbone.point_weights`), which give the reduced-amplitude derivative at
 fixed physical amplitude and the response frequency's. So the walk runs
 once per expansion order and `ParamDerivatives`: its record (`_Tangent`
-per parameter: dlam, dR of the resonant indices and dw of every index) is
+per parameter: dlam, and dR of the resonant indices and dw of every index,
+the canonical half, which the projection conjugates for the swapped one) is
 kept in the expansion's memo (`SsmExpansion.memo`), and every target, at
 any DOF, costs one projection. It serves as the cross-check oracle for the
 adjoint.
@@ -211,21 +212,35 @@ class _Pass:
             self.dwdot[m] = dwdot
 
     def tangent(self) -> "_Tangent":
-        """What the projection reads of this pass; dwdot is dropped."""
+        """What the projection reads of this pass, canonical indices only;
+        dwdot is dropped."""
         data = self.ctx.exp.data
-        dR = {m: dR for m, dR in self.dR.items() if data[m].slot is not None}
-        return _Tangent(self.dlam_pair, dR, self.dw)
+        dR = {m: dR for m, dR in self.dR.items() if data[m].slot is not None and m[0] >= m[1]}
+        dw = {m: dw for m, dw in self.dw.items() if m[0] >= m[1]}
+        return _Tangent(self.dlam_pair, dR, dw)
 
 
 @dataclass(eq=False)
 class _Tangent:
-    """One parameter's walk record: what the projection reads. It holds no
+    """One parameter's walk record: what the projection reads. It keeps the
+    canonical half (m1 >= m2); a swapped index's derivatives are the
+    conjugates of its partner's, with the two R slots exchanged. It holds no
     reference to the model, the expansion or the params, so the expansion's
     memo that keeps it makes no cycle back to the expansion."""
 
     dlam_pair: np.ndarray  # (dlam, conj(dlam))
-    dR: dict  # dR_m of the resonant indices
-    dw: dict  # dw_m of every index of the expansion
+    dR: dict  # dR_m of the canonical resonant indices
+    dw: dict  # dw_m of every canonical index of the expansion
+
+    def dw_at(self, m, dof_index: int) -> complex:
+        if m[0] >= m[1]:
+            return self.dw[m][dof_index]
+        return np.conj(self.dw[symmetric(m)][dof_index])
+
+    def dR_at(self, m, slot: int) -> complex:
+        if m[0] >= m[1]:
+            return self.dR[m][slot]
+        return np.conj(self.dR[symmetric(m)][1 - slot])
 
 
 @dataclass
@@ -328,10 +343,10 @@ def chain_derivatives(
     drho = np.empty(P, dtype=complex)
     dOm = np.empty(P, dtype=complex)
     for p, t in enumerate(walk):
-        drho[p] = sum(a * t.dw[m][dof_index] for m, a in amp)
+        drho[p] = sum(a * t.dw_at(m, dof_index) for m, a in amp)
         d = pw.lam[0] * t.dlam_pair[0] + pw.lam[1] * t.dlam_pair[1]
         for (m, slot), wt in pw.R:
-            d += wt * t.dR[m][slot]
+            d += wt * t.dR_at(m, slot)
         dOm[p] = d
     d_rho = assert_real_each(drho, "drho", params.names)
     d_omega = assert_real_each(dOm, "dOmega", params.names) + pw.domega_drho * d_rho
