@@ -15,30 +15,26 @@ receiving row i: a beam's T3 has about six entries per key. The kernels that
 sum over decomposition sets therefore work in a key-factored layout, built on
 first use and cached (`SymTensor.key_pattern`): the distinct sorted trailing
 keys, one contiguous row of a (slot, key) array per trailing slot, and each
-entry's key number.
-`contract_sum` forms its products once per key and expands them to the
-entries in one accumulation; the SSM recursion sums its force convolutions
-with it, over every ordered triple of T3, so the expansion's numbers do not
-depend on how the sensitivity passes group their products.
-The sensitivity passes read the force tensors through `PairSums` tables:
-for T3 the pair sums P_s = sum over u + v = s of w_u w_v at the key columns,
-for T2 the vectors themselves. The model tensors' tables are built once per
-expansion order and kept on the expansion (`SsmExpansion.force_tables`), so
-the adjoint sweep and the direct pass of every target read the same ones.
-The stacked parameter tensors' tables are built for the gradient
-contraction's record, once per `ParamDerivatives` and order, and by the
-direct pass once per call. A table's `linearize(m)` linearizes
-the force convolution at m in the lower-order vectors, one coefficient over
+entry's key number. They form their products once per key and expand them to
+the entries in one accumulation.
+
+One kernel sums the force convolutions of the SSM recursion, for the
+expansion and for every sensitivity pass: a `PairSums` table holds, for T3,
+the pair sums P_s = sum over u + v = s of w_u w_v at the key columns, and for
+T2 the vectors themselves, so the convolution at m is one sum over its first
+part u with P_{m-u} instead of one over every ordered triple. The expansion
+owns its model tensors' tables and grows them by one order before it solves
+each order (`SsmExpansion.tables`); the adjoint sweep and the direct walk
+read the same tables. The stacked parameter tensors' tables are built once
+per `ParamDerivatives` and order, for the partial forces that the gradient
+contraction and the direct walk share (`SsmExpansion.partial_forces`).
+A table's `force(m)` is the convolution at m, and its `linearize(m)`
+linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
 decomposition-by-decomposition form. That one `Linearization` serves both
 modes: `forward` applies it to derivative vectors in one accumulation (the
-direct pass), and `reverse` reduces an adjoint onto the keys once and
-scatters one accumulation per (index, slot) (the adjoint sweep). Its
-`force(m)` gives the parameter tensors' partial forces (the gradient
-contraction and the direct pass) in one sum per first part instead of one
-per triple. The primal keeps the triple loop: pair sums reassociate its
-products, and would move its coefficients at roundoff (7.4e-13 normwise on
-curved vk_beam10 at O9).
+direct walk), and `reverse` reduces an adjoint onto the keys once and
+scatters one accumulation per (index, slot) (the adjoint sweep).
 `SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
 are validated.
@@ -115,15 +111,26 @@ def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _sum_plan(lo: int, top: int) -> tuple:
-    """The terms of a `PairSums` table of the indices of orders lo .. top - 1:
-    one (row, parts, first) per decomposition of each index into lo parts, in
-    `decomps` order. parts holds the parts' rows in the table of vectors
-    (orders 1 and up), and first marks a row's first term."""
-    sums = [s for q in range(lo, top) for s in all_indices(q)]
+def _force_plan(m, arity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, at): the layout of `PairSums.force(m)`. For each first part u
+    of the decompositions of m into `arity` parts, in the order they first
+    read it, parts holds u's row in the table of vectors and at the table
+    row of m - u."""
+    rows, at, slots = _linear_plan(m, arity)
+    first = np.flatnonzero(slots == 0)
+    return np.fromiter((_table_row(rows[r][0], 1) for r in first), np.intp), at[first]
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(lo: int, q: int) -> tuple:
+    """The terms of a `PairSums` table's rows of order q: one (row, parts,
+    first) per decomposition of each index of order q into lo parts, in
+    `decomps` order. row is the index's row among the order's, parts holds
+    the parts' rows in the table of vectors (orders 1 and up), and first
+    marks a row's first term."""
     return tuple(
         (r, tuple(_table_row(v, 1) for v in d), k == 0)
-        for r, s in enumerate(sums)
+        for r, s in enumerate(all_indices(q))
         for k, d in enumerate(decomps(s, lo))
     )
 
@@ -238,24 +245,6 @@ class SymTensor:
         first, inverse = _distinct(dropped)
         return dropped[:, first], inverse.reshape(self.arity, -1)
 
-    def contract_sum(self, arg_tuples) -> np.ndarray:
-        """f_i = sum over the argument tuples (a, b[, c]) of sum v * a[j] * b[k] (* c[l]).
-
-        The products depend only on the trailing key, so they are formed once
-        per key and expanded to the entries in the accumulation.
-        """
-        if self.nnz == 0 or not arg_tuples:
-            return np.zeros(self.n, dtype=complex)
-        key_cols, key_of = self.key_pattern
-        G = np.zeros(len(key_cols[0]), dtype=complex)
-        for args in arg_tuples:
-            term = args[0][key_cols[0]]
-            for a, c in zip(args[1:], key_cols[1:]):
-                term = term * a[c]
-            G += term
-        return _accum(self.cols[0], self.vals * G[key_of], self.n)
-
-
 class PairSums:
     """A force tensor's sums over the lower parts of every decomposition, for
     one expansion's vectors `w` up to a top order.
@@ -277,36 +266,63 @@ class PairSums:
     linearization: for slot s, the decompositions with d_s = u are the
     decompositions of m - u into the other slots, in `decomps` order and
     multiplied lower slot first, which is how the table adds them. `force(m)`
-    reassociates the cubic products and so moves T3's partial force at
-    roundoff; T2's is bitwise `contract_sum`'s.
+    adds T2's products in the order of the sum over every decomposition, and
+    groups T3's triples by their first part. Against an extended-precision
+    triple sum that grouping is no less accurate than the triple loop (on
+    vk_beam40 at O9, 2.5e-11 against 9.9e-11 worst normwise).
 
-    A table is built once and read at every index. It keeps copies of the
-    vectors it reads, not the expansion, so an expansion can keep its own
-    tables (`SsmExpansion.force_tables`).
+    A table grows one order at a time (`extend`): each order appends the
+    vectors it reads and its own rows, and no row is rebuilt. The expansion
+    keeps its model tensors' tables (`SsmExpansion.tables`) and extends them
+    before it solves each order; a table built at once is the same loop
+    started from an empty table. It keeps copies of the vectors it reads,
+    not the expansion, so the expansion's own tables make no reference
+    cycle.
     """
 
     def __init__(self, tensor: SymTensor, w, order_: int):
         """The table of `tensor` over the vectors `w(index)` of an expansion
-        of order `order_` >= tensor.arity."""
+        of order `order_`."""
         self.tensor = tensor
-        if tensor.nnz == 0:
-            return
-        cols, self.proj = tensor.projections
-        lo = tensor.arity - 1
-        # the vectors of orders 1 .. order_ - lo, one row each (`_table_row`)
-        self.W = W = np.array([w(v) for q in range(1, order_ - lo + 1) for v in all_indices(q)])
-        gathered = [W[:, c] for c in cols]
-        # every index of order >= lo has a decomposition into lo parts, so
-        # each row gets its first term
-        self.table = np.empty((_table_row((order_, 0), lo), cols.shape[1]), W.dtype)
-        for r, d, first in _sum_plan(lo, order_):
-            term = gathered[0][d[0]]
-            for g, v in zip(gathered[1:], d[1:]):
-                term = term * g[v]
-            if first:
-                self.table[r] = term
-            else:
-                self.table[r] += term
+        # the highest order whose convolutions the table serves; below
+        # tensor.arity there are none
+        self.top = tensor.arity - 1
+        if tensor.nnz:
+            cols, self.proj = tensor.projections
+            self.W = np.empty((0, len(w((1, 0)))), complex)
+            self.table = np.empty((0, cols.shape[1]), complex)
+        self.extend(w, order_)
+
+    def extend(self, w, order_: int):
+        """Grow the table to serve the convolutions at orders up to `order_`
+        over the vectors `w(index)`, which must reach order `order_` - 1.
+
+        Serving order top needs the rows of the indices of order top - 1
+        and the vectors of orders up to top - lo, lo = arity - 1: each
+        order appends the vectors of its one new order and then its rows.
+        """
+        T = self.tensor
+        lo = T.arity - 1
+        for top in range(self.top + 1, order_ + 1):
+            self.top = top
+            if T.nnz == 0:
+                continue
+            cols = T.projections[0]
+            new = np.array([w(v) for v in all_indices(top - lo)])
+            self.W = W = np.concatenate([self.W, new])
+            gathered = [W[:, c] for c in cols]
+            rows = np.empty((top, cols.shape[1]), W.dtype)  # order top - 1 has top indices
+            # every index of order >= lo has a decomposition into lo parts,
+            # so each row gets its first term
+            for r, d, first in _sum_plan(lo, top - 1):
+                term = gathered[0][d[0]]
+                for g, v in zip(gathered[1:], d[1:]):
+                    term = term * g[v]
+                if first:
+                    rows[r] = term
+                else:
+                    rows[r] += term
+            self.table = np.concatenate([self.table, rows])
 
     def linearize(self, m) -> "Linearization":
         """The force convolution at m linearized in the vectors of the
@@ -325,11 +341,10 @@ class PairSums:
         if T.nnz == 0:
             return np.zeros(T.n, dtype=complex)
         key_cols, key_of = T.key_pattern
-        rows, at, slots = _linear_plan(m, T.arity)
-        first = np.flatnonzero(slots == 0)
+        parts, at = _force_plan(m, T.arity)
         G = np.zeros(len(key_cols[0]), dtype=complex)
-        for r, P in zip(first, self.table[at[first][:, None], self.proj[0]]):
-            G += self.W[_table_row(rows[r][0], 1)][key_cols[0]] * P
+        for w, P in zip(self.W[parts[:, None], key_cols[0]], self.table[at[:, None], self.proj[0]]):
+            G += w * P
         return _accum(T.cols[0], T.vals * G[key_of], T.n)
 
 

@@ -28,21 +28,17 @@ All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized. The force
 convolution at each index is pulled back once per tensor, by the reverse of
 its key-space linearization (`PairSums.linearize`), which returns the summed
-bar of every lower-order index the convolution reads: the pair sums of T3
-replace the sum over ordered triples at every index. The primal keeps the
-triple loop (see `mechmodel`), so the expansion the passes read is
-unchanged, the sweep's adjoint variables are bitwise the triple loop's, and
-only the contraction's cubic partial forces are reassociated, at roundoff.
-Operators come from the model's `Pencil` and each parameter's derivative
-pencil.
+bar of every lower-order index the convolution reads. The linearizations
+come from the expansion's own tables (`SsmExpansion.tables`), the ones its
+recursion summed the forces with. Operators come from the model's `Pencil`
+and each parameter's derivative pencil.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
-and every target reads it: the sweep reads the model tensors' `PairSums`
-tables (`SsmExpansion.force_tables`, shared with the direct pass), and the
-contraction reads one record of the residuals' explicit parameter
-derivatives per `ParamDerivatives` (`_Contraction`), whose partial forces
-are the ones the direct walk reads (`SsmExpansion.partial_forces`).
+and every target reads it: the contraction reads one record of the
+residuals' explicit parameter derivatives per `ParamDerivatives`
+(`_Contraction`), whose partial forces are the ones the direct walk reads
+(`SsmExpansion.partial_forces`).
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -163,7 +159,7 @@ def _route_force_bar(exp, bars: _Bars, u, vec):
         bars.vec(bars.w, u)[:] += vec
 
 
-def _backprop_index(model: MechModel, exp, tables, bars: _Bars, m, rec, lam_m, nu_m):
+def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     master = exp.master
     phi = master.phi
     pen, M = model.pencil, model.M
@@ -216,7 +212,7 @@ def _backprop_index(model: MechModel, exp, tables, bars: _Bars, m, rec, lam_m, n
         bars.rbar(k)[j] += u[j] * (bar_vdot @ exp.wdot(u))
 
     # nonlinear force convolution: one pullback per tensor's table
-    for table in tables:
+    for table in exp.tables:
         for u, bar_u in table.linearize(m).reverse(bar_f).items():
             _route_force_bar(exp, bars, u, bar_u)
 
@@ -251,7 +247,7 @@ def solve_adjoint(
     reverses its step. The folded mode-shape and frequency bars then feed
     the coupled bordered solve.
     """
-    tables = exp.force_tables(model)
+    exp.check_model(model)
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
@@ -271,7 +267,7 @@ def solve_adjoint(
                 nu_m[m] = nu
                 # the swapped R pair is this one conjugated, slots exchanged
                 bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(model, exp, tables, bars, m, rec, wt * lam, wt * nu)
+            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
 
     # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
     bars.phi += np.conj(bars.phi)

@@ -15,18 +15,16 @@ adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
-step there. It reads from the expansion the model tensors' `PairSums`
-tables (`SsmExpansion.force_tables`) and the partial forces of all
-parameter tensors over the primal vectors (`SsmExpansion.partial_forces`,
-one `PairSums.force` per stacked tensor, the ones the gradient contraction
-reads, so the two methods reassociate the cubic partial forces alike).
+step there. It reads the expansion's own `PairSums` tables
+(`SsmExpansion.tables`) and the partial forces of all parameter tensors over
+the primal vectors (`SsmExpansion.partial_forces`, one `PairSums.force` per
+stacked tensor, the ones the gradient contraction reads).
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, the same one the adjoint sweep pulls
 back), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and,
-where the couplings read it, the `Pencil`'s velocity(Lam_m). The primal
-expansion keeps its triple loop (see `mechmodel`). A pass's step at the
-index then applies the linearizations to its own lower-order
+where the couplings read it, the `Pencil`'s velocity(Lam_m). A pass's step
+at the index then applies the linearizations to its own lower-order
 derivatives, adds its derivative pencil's terms (none without dM and dK:
 see `ParamDerivatives.matrix_params`) and solves its own right-hand side
 with the factorization the index's record keeps, which also holds its
@@ -278,8 +276,8 @@ class _Index:
 def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tuple:
     """Every parameter's forward pass through the expansion: one `_Tangent`
     per parameter. Nothing here reads the amplitude target."""
+    exp.check_model(model)
     ctx = _Chain(model, exp, params)
-    tables = exp.force_tables(model)
     forces = exp.partial_forces(params)
 
     dphi_all, domega_all = eig_derivatives(model, exp.master, params)
@@ -299,7 +297,7 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tupl
         ix = _Index(
             m,
             rec,
-            [table.linearize(m) for table in tables],
+            [table.linearize(m) for table in exp.tables],
             v_terms,
             MV,
             Lw,

@@ -9,6 +9,11 @@ operator is solved in bordered form with the constraint phi^T M w_m = 0 so the
 exactly-singular undamped case is handled by the same path as the lightly
 damped one (for which the bordered and plain solutions coincide).
 
+The force convolution at each index reads the expansion's own `PairSums`
+tables of T2 and T3 (`SsmExpansion.tables`), which `compute_ssm` grows by one
+order before it solves that order's indices; the sensitivity passes read the
+same tables.
+
 Each operator is factored once, by `factorize`, into a rcond-checked
 `Factorization` that the record keeps; the sensitivity passes solve with
 it and do not factor again. Each solve's normwise backward error is checked,
@@ -45,7 +50,6 @@ from .multiindex import (
     E2,
     MultiIndex,
     canonical_indices,
-    decomps,
     order,
     r1_active_index,
     resonant_slot,
@@ -154,13 +158,14 @@ class SsmExpansion:
     """SSM coefficients up to a given odd order, and what the later passes
     read from them at every amplitude target.
 
-    Each index's record keeps its factorization. The memo (`memo`) keeps
-    what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps and the force tensors' pair-sum tables
-    (`force_tables`). Per `ParamDerivatives`, in one slot each that another
-    `ParamDerivatives` replaces, it keeps the parameters' partial forces
-    (`partial_forces`), the gradient contraction's record and the direct
-    method's walk record. It holds the current order's entries only:
+    Each index's record keeps its factorization. The model tensors'
+    `PairSums` tables (`tables`, T2's and T3's) grow with the expansion, and
+    the recursion and every sensitivity pass read them. The memo (`memo`)
+    keeps what depends on the expansion alone: the backbone's amplitude
+    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
+    that another `ParamDerivatives` replaces, it keeps the parameters'
+    partial forces (`partial_forces`), the gradient contraction's record and
+    the direct method's walk record. It holds the current order's entries only:
     `compute_ssm` with from_expansion extends an expansion in place, and the
     first read after that drops what the lower order built.
     """
@@ -174,6 +179,7 @@ class SsmExpansion:
         self._memo: dict = {}
         self._memo_order = self.order
         self._init_leading()
+        self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3))
 
     def _init_leading(self):
         phi = self.master.phi.astype(complex)
@@ -241,16 +247,6 @@ class SsmExpansion:
         if model is not self.model:
             raise ValueError("the expansion was computed for another model")
 
-    def force_tables(self, model: MechModel) -> tuple[PairSums, PairSums]:
-        """The `PairSums` tables of the model's T2 and T3 over the
-        expansion's vectors, built on first use at each order. The adjoint
-        sweep and the direct pass of every target read them."""
-        self.check_model(model)
-        return self.memo(
-            "force tables",
-            lambda: tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3)),
-        )
-
     def partial_forces(self, params: ParamDerivatives) -> dict:
         """{m: the (P, n) partial forces dT of all parameters over the
         expansion's vectors} at each canonical index of order >= 2: one
@@ -302,10 +298,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
 
     # an overflowed force is reported below as a non-finite right-hand side
     with np.errstate(over="ignore", invalid="ignore"):
-        f2, f3 = (
-            T.contract_sum([tuple(exp.w(u) for u in d) for d in decomps(m, T.arity)])
-            for T in (model.T2, model.T3)
-        )
+        f2, f3 = (table.force(m) for table in exp.tables)
         f = f2 + f3
 
     V = np.zeros(n, dtype=complex)
@@ -401,6 +394,10 @@ def compute_ssm(
         if exp.order >= order_:
             return exp
     for q in range(exp.order + 1, order_ + 1):
+        # an overflowed vector is reported as a non-finite right-hand side
+        with np.errstate(over="ignore", invalid="ignore"):
+            for table in exp.tables:
+                table.extend(exp.w, q)
         for m in canonical_indices(q):
             rec = order_step(model, exp, m)
             exp.data[m] = rec

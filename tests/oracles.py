@@ -42,7 +42,7 @@ import numpy as np
 from ssmopt.backbone import point_weights
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
-from ssmopt.mechmodel import Linearization, MechModel, PairSums, ParamDerivatives, SymTensor, _accum
+from ssmopt.mechmodel import Linearization, MechModel, ParamDerivatives, SymTensor, _accum
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
 from ssmopt.multiindex import all_indices, symmetric
 from ssmopt.sens_adjoint import (
@@ -253,7 +253,6 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
         for v in store.values():
             v *= 2.0
 
-    tables = [PairSums(T, exp.w, exp.order) for T in (model.T2, model.T3)]
     lambda_m: dict = {}
     nu_m: dict = {}
     for q in range(exp.order, 1, -1):
@@ -274,7 +273,7 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
                 nu_m[m] = nu
         for m in idx_q:
             rec = exp.coeffs(m)
-            _backprop_index(model, exp, tables, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
+            _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
@@ -286,6 +285,8 @@ def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion
     included, instead of conjugating the canonical records."""
     exp = SsmExpansion(model, master)
     for q in range(exp.order + 1, order + 1):
+        for table in exp.tables:
+            table.extend(exp.w, q)
         for m in all_indices(q):
             exp.data[m] = order_step(model, exp, m)
         exp.order = q

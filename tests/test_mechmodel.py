@@ -144,15 +144,15 @@ def _vectors(rng, n, top):
 
 
 def _check_kernels(tensor, dense, arity, rng, n):
-    """contract_sum, the pair-sum force and the reverse linearization against
-    the dense oracle for every order-4 index."""
+    """The triple loop (`oracles.contract_sum`), the pair-sum force and the
+    reverse linearization against the dense oracle for every order-4 index."""
     w = _vectors(rng, n, 3)
     table = PairSums(tensor, w.__getitem__, 4)
     for m in all_indices(4):
         sets = decomps(m, arity)
         args = [tuple(w[u] for u in d) for d in sets]
         want = sum(np.einsum(DENSE_FORCE[arity], dense, *a) for a in args)
-        assert np.allclose(tensor.contract_sum(args), want, atol=1e-12)
+        assert np.allclose(contract_sum(tensor, args), want, atol=1e-12)
         assert np.allclose(table.force(m), want, atol=1e-12)
         # reverse mode: the summed bar of every receiving index over the
         # permutation-closed set
@@ -248,7 +248,8 @@ class TestLinearization:
             parts = decomps(m, tensor.arity)
             dw = _vectors(rng, tensor.n, TOP - 1)
             got = table.linearize(m).forward(dw.__getitem__)
-            want = tensor.contract_sum(
+            want = contract_sum(
+                tensor,
                 [(*(w[t] for t in d[:s]), dw[u], *(w[t] for t in d[s + 1 :]))
                  for d in parts for s, u in enumerate(d)]
             )
@@ -308,16 +309,17 @@ class TestPairSums:
     @staticmethod
     def _check_force(tensor, table, m, w):
         parts = decomps(m, tensor.arity)
-        want = tensor.contract_sum([tuple(w(u) for u in d) for d in parts])
+        want = contract_sum(tensor, [tuple(w(u) for u in d) for d in parts])
         got = table.force(m)
         if tensor.arity == 2:
-            # the products are contract_sum's, added in its order
+            # the products are the triple loop's, added in its order
             assert np.array_equal(got, want)
             return
         # the cubic products are reassociated: roundoff of the contraction of
         # |T| over |w| bounds the difference, whatever cancels in the sum
-        bound = SymTensor(tensor.n, tensor.idx, np.abs(tensor.vals)).contract_sum(
-            [tuple(np.abs(w(u)) for u in d) for d in parts]
+        bound = contract_sum(
+            SymTensor(tensor.n, tensor.idx, np.abs(tensor.vals)),
+            [tuple(np.abs(w(u)) for u in d) for d in parts],
         )
         assert np.all(np.abs(got - want) <= 1e-13 * bound.real)
 

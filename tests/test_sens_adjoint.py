@@ -257,10 +257,9 @@ def _count_walks(monkeypatch, exp) -> list:
 
 class TestExpansionStore:
     """The expansion's memo keeps what every amplitude target reads: the
-    force tables of the sweep and the direct walk, the parameters' partial
-    forces, the contraction's parameter record and the direct walk's
-    record. Reading it must give the gradients of a cold call, bit for
-    bit."""
+    parameters' partial forces, the contraction's parameter record and the
+    direct walk's record. Reading it must give the gradients of a cold
+    call, bit for bit."""
 
     @pytest.mark.parametrize("case", ["vk_beam10", "duffing"])
     def test_targets_on_one_expansion_match_fresh_ones(self, case, duffing, duffing_master):

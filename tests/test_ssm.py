@@ -7,12 +7,23 @@ from scipy.integrate import solve_ivp
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
 from ssmopt.backbone import _validity_cap, rho_of_x
 from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError, SsmError
-from ssmopt.mechmodel import model_from_json
+from ssmopt.mechmodel import PairSums, model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
 from ssmopt.ssm import adapt_order, factorize
 
 from oracles import first_order_operators, reference_full_set_ssm
+
+
+def assert_tables_built_at_once(exp):
+    """The expansion's force tables, grown order by order, are bitwise the
+    tables built at once from its finished vectors."""
+    for table in exp.tables:
+        once = PairSums(table.tensor, exp.w, exp.order)
+        assert table.top == once.top == exp.order
+        if table.tensor.nnz:
+            assert np.array_equal(table.W, once.W)
+            assert np.array_equal(table.table, once.table)
 
 
 def make_duffing_exp(duffing, duffing_master, O=5):
@@ -89,6 +100,18 @@ class TestComputeSsm:
         assert e7.order == 7
         for m, w in snapshot.items():
             assert np.array_equal(e7.w(m), w)
+        assert_tables_built_at_once(e7)
+
+    @pytest.mark.parametrize("case", ["chain2", "vk_beam10"])
+    def test_force_tables_grow_to_the_one_shot_build(self, case, chain2, chain2_master):
+        if case == "chain2":
+            (model, _), master = chain2, chain2_master
+        else:
+            model, _ = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001), ())
+            master = solve_master(model, 0)
+        exp = compute_ssm(model, master, 9)
+        assert [t.tensor for t in exp.tables] == [model.T2, model.T3]
+        assert_tables_built_at_once(exp)
 
     def test_full_set_matches_canonical_conjugation(self):
         # independent full-index recomputation against the conjugate shortcut
