@@ -289,6 +289,7 @@ class PairSums:
         self.top = tensor.arity - 1
         if tensor.nnz:
             cols, self.proj = tensor.projections
+            # one row per vector; a stacked tensor's n is not the vectors' length
             self.W = np.empty((0, len(w((1, 0)))), complex)
             self.table = np.empty((0, cols.shape[1]), complex)
         self.extend(w, order_)
