@@ -26,8 +26,10 @@ part u with P_{m-u} instead of one over every ordered triple. The expansion
 owns its model tensors' tables and grows them by one order before it solves
 each order (`SsmExpansion.tables`); the adjoint sweep and the direct walk
 read the same tables. The stacked parameter tensors' tables are built once
-per `ParamDerivatives` and order, for the partial forces that the gradient
-contraction and the direct walk share (`SsmExpansion.partial_forces`).
+per `ParamDerivatives` and order, for the partial forces in the record of
+explicit parameter partials that both sensitivity methods read
+(`SsmExpansion.partials`); `ParamDerivatives.modal_partials` gives that
+record's eigenproblem terms.
 A table's `force(m)` is the convolution at m, and its `linearize(m)`
 linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
@@ -545,6 +547,12 @@ class ParamDerivatives:
         """Parameter p's derivative of `model.pencil`."""
         dM, dK = self.dM[p], self.dK[p]
         return Pencil(dM, model.alpha_r * dM + model.beta_r * dK, dK)
+
+    def modal_partials(self, model: MechModel, omega: float, phi: np.ndarray) -> list:
+        """(p, dP.modal(omega) phi, dP.M phi) per matrix parameter, dP its
+        derivative pencil: the eigenproblem's explicit partials at (omega, phi)."""
+        dpens = ((p, self.pencil(p, model)) for p in self.matrix_params)
+        return [(p, dP.modal(omega) @ phi, dP.M @ phi) for p, dP in dpens]
 
 
 @dataclass(frozen=True)

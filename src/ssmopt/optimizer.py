@@ -327,8 +327,8 @@ def evaluate(
             cons.append((w - tgt.omega) / omega_scale)
             # zero for a parameter without dM and dK
             grad = np.zeros(params.count)
-            for p in params.matrix_params:
-                grad[p] = phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w)
+            for p, modal_phi, _ in params.modal_partials(model, w, phi):
+                grad[p] = phi @ modal_phi / (2.0 * w)
             jac.append(grad / omega_scale)
 
     return EvalResult(
@@ -390,7 +390,8 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
     # into the interior so the first linearization carries their influence.
     z = np.clip((problem.mu0 - problem.lower) / span, 1e-2, 1.0 - 1e-2)
 
-    obj_scale = max(abs(ses.evaluate(problem.mu0).objective), 1.0)
+    obj0, _ = objective_value_grad(problem.objective, problem.names, problem.mu0)
+    obj_scale = max(abs(obj0), 1.0)
 
     def localize(res: EvalResult):
         f = res.objective / obj_scale

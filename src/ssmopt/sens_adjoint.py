@@ -35,10 +35,9 @@ and each parameter's derivative pencil.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
-and every target reads it: the contraction reads one record of the
-residuals' explicit parameter derivatives per `ParamDerivatives`
-(`_Contraction`), whose partial forces are the ones the direct walk reads
-(`SsmExpansion.partial_forces`).
+and every target reads it: the contraction reads the record of the
+residuals' explicit parameter partials per `ParamDerivatives`
+(`SsmExpansion.partials`), the same record the direct walk reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -284,49 +283,6 @@ class AdjointReport:
     d_omega: np.ndarray
 
 
-@dataclass(eq=False)
-class _Contraction:
-    """The explicit partial derivatives of the residuals for one
-    `ParamDerivatives`, which no amplitude target changes.
-
-    `indices` holds, per canonical index m of order >= 2, (m, pf, dense):
-    pf the (P, n) partial forces of all parameters (the array
-    `SsmExpansion.partial_forces` keeps), and dense one entry
-    (p, pC, Aw, Vphi, phiMw) per matrix parameter with
-    pC = -dM Vdot_m - dP.velocity(Lam_m) V_m, Aw = dP.at(Lam_m) w_m and, at a
-    resonant index only, Vphi = dP.velocity(Lam_m + lambda_j) phi and
-    phiMw = phi . dM w_m (None elsewhere). `eig` holds (p, dP.modal(omega) phi,
-    phi . dM phi) per matrix parameter.
-    """
-
-    indices: list
-    eig: list
-
-
-def _build_contraction(model: MechModel, exp: SsmExpansion, params: ParamDerivatives):
-    phi = exp.master.phi
-    lam_pair = exp.master.lambda_pair
-    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
-    forces = exp.partial_forces(params)
-
-    indices = []
-    for q in range(2, exp.order + 1):
-        for m in canonical_indices(q):
-            rec = exp.coeffs(m)
-            j = rec.slot
-            dense = []
-            for p, dP in dpens:
-                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
-                Vphi = phiMw = None
-                if j is not None:
-                    Vphi = dP.velocity(rec.Lam + lam_pair[j]) @ phi
-                    phiMw = phi @ (dP.M @ rec.w)
-                dense.append((p, pC, dP.at(rec.Lam) @ rec.w, Vphi, phiMw))
-            indices.append((m, forces[m], dense))
-    eig = [(p, dP.modal(exp.master.omega) @ phi, phi @ (dP.M @ phi)) for p, dP in dpens]
-    return _Contraction(indices, eig)
-
-
 def contract_gradient(
     model: MechModel,
     exp: SsmExpansion,
@@ -348,10 +304,9 @@ def contract_gradient(
     Only the adjoint variables depend on the amplitude target. Everything
     they are contracted with (the partial forces df_m of all parameters, the
     derivative pencils applied to the primal vectors, and the eigenproblem
-    terms) is built on the first call for this `ParamDerivatives` and kept in
-    the expansion's memo, in one slot that another `ParamDerivatives`
-    replaces. The partial forces are the expansion's
-    (`SsmExpansion.partial_forces`), which the direct walk reads too. A call
+    terms) is the expansion's record of explicit parameter partials
+    (`SsmExpansion.partials`), built on the first call of either method for
+    this `ParamDerivatives` and read by the direct walk too. A call
     is then one (P, n) mat-vec and a few dot products per index, and one
     realness check of all P sums; no linear solves appear. The pass
     walks the canonical indices and adds each term's conjugate for the
@@ -359,9 +314,7 @@ def contract_gradient(
     canonical one.
     """
     exp.check_model(model)
-    record = exp.memo(
-        "contraction", lambda: _build_contraction(model, exp, params), owner=params
-    )
+    record = exp.partials(params)
     phi = exp.master.phi
     P = params.count
 
@@ -375,7 +328,7 @@ def contract_gradient(
             bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
 
         term = -(pf @ bar_c)
-        for p, pC, Aw, Vphi, phiMw in dense:
+        for p, (pC, Aw, Vphi, phiMw) in dense.items():
             term[p] += bar_c @ pC + lam @ Aw
             if j is not None:
                 term[p] += rec.R[j] * (lam @ Vphi)
@@ -384,8 +337,8 @@ def contract_gradient(
         if m[0] != m[1]:
             accum += np.conj(term)
 
-    for p, modal_phi, phiMphi in record.eig:
+    for p, modal_phi, dMphi in record.eig:
         accum[p] += adjoint.lambda_phi @ modal_phi
-        accum[p] += adjoint.lambda_omega * phiMphi
+        accum[p] += adjoint.lambda_omega * (phi @ dMphi)
     d_omega = assert_real_each(accum, "gradient", params.names)
     return AdjointReport(names=params.names, d_omega=d_omega)

@@ -16,16 +16,18 @@ adjoint.
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
 step there. It reads the expansion's own `PairSums` tables
-(`SsmExpansion.tables`) and the partial forces of all parameter tensors over
-the primal vectors (`SsmExpansion.partial_forces`, one `PairSums.force` per
-stacked tensor, the ones the gradient contraction reads).
+(`SsmExpansion.tables`) and the record of the residuals' explicit parameter
+partials (`SsmExpansion.partials`, the one the gradient contraction reads):
+per index the partial forces of all parameter tensors over the primal
+vectors and each derivative pencil applied to the primal vectors, and
+dM phi of the master.
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, the same one the adjoint sweep pulls
 back), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and,
 where the couplings read it, the `Pencil`'s velocity(Lam_m). A pass's step
 at the index then applies the linearizations to its own lower-order
-derivatives, adds its derivative pencil's terms (none without dM and dK:
+derivatives, adds its explicit partials (no dense term without dM and dK:
 see `ParamDerivatives.matrix_params`) and solves its own right-hand side
 with the factorization the index's record keeps, which also holds its
 resonant denominator. Every operator is applied
@@ -47,7 +49,7 @@ import numpy as np
 from .backbone import point_weights
 from .errors import DegenerateModeError, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import canonical_indices, symmetric
+from .multiindex import symmetric
 from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
 
 
@@ -93,9 +95,9 @@ def eig_derivatives(
     Mphi = model.M @ phi
     rhs = np.empty((n, len(dense)))
     border = np.empty(len(dense))
-    for k, p in enumerate(dense):
-        rhs[:, k] = -(params.pencil(p, model).modal(omega) @ phi)
-        border[k] = omega * (phi @ params.dM[p] @ phi)
+    for k, (_, modal_phi, dMphi) in enumerate(params.modal_partials(model, omega, phi)):
+        rhs[:, k] = -modal_phi
+        border[k] = omega * (phi @ dMphi)
     lu = mode_factorization(
         model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, "bordered eigenpair system"
     )
@@ -121,31 +123,33 @@ class _Pass:
     what a later index or the projection reads: dw, dwdot of the indices
     the R couplings read, and dR; the walk keeps its `tangent`. A parameter
     without dM and dK (see `ParamDerivatives.matrix_params`) has a zero
-    mode-shape and eigenvalue derivative, no derivative pencil (`dpen`) and
-    no dense matrix term.
+    mode-shape and eigenvalue derivative and no dense matrix term: the
+    record of explicit partials (`SsmExpansion.partials`) holds no dense
+    entry for it and no dM phi.
     """
 
-    def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float):
-        model, params, master = ctx.model, ctx.params, ctx.exp.master
+    def __init__(self, ctx: "_Chain", dphi: np.ndarray, domega: float, dMphi):
+        model, master = ctx.model, ctx.exp.master
         self.ctx = ctx
         self.domega = domega
         _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
         self.dlam_pair = np.array([dlam, np.conj(dlam)])
         self.dphi = dphi.astype(complex)
-        self.dpen = params.pencil(p, model) if p in params.matrix_params else None
         # d(M phi): the derivative of a resonant solve's border row
         self.dMphi = ctx.zero
-        if self.dpen is not None:
-            self.dMphi = self.dpen.M @ master.phi + ctx.Mc @ self.dphi
+        if dMphi is not None:
+            self.dMphi = dMphi + ctx.Mc @ self.dphi
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
 
-    def step(self, ix: "_Index", pf: np.ndarray):
+    def step(self, ix: "_Index", pf: np.ndarray, dense: tuple | None):
         """The derivative of index ix.m's coefficients: its own right-hand
-        side and its own solve with the factorization the record keeps."""
-        ctx, m, rec, dpen = self.ctx, ix.m, ix.rec, self.dpen
+        side and its own solve with the factorization the record keeps. pf and
+        dense are the parameter's explicit partials at the index (`Partials`)."""
+        ctx, m, rec = self.ctx, ix.m, ix.rec
         exp, model, phi = ctx.exp, ctx.model, ctx.exp.master.phi
+        pC, Aw, Vphi, _ = dense or (None,) * 4
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
         dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
@@ -161,8 +165,8 @@ class _Pass:
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
             dC = dC - ctx.Mc @ dVdot - ix.velocity @ dV
-        if dpen is not None:
-            dC = dC - dpen.M @ rec.Vdot - dpen.velocity(Lam) @ rec.V
+        if pC is not None:
+            dC = dC + pC
 
         dR = np.zeros(2, dtype=complex)
         dh = dC
@@ -174,13 +178,13 @@ class _Pass:
             dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
             # D = -velocity(lj) @ phi
             dD = -dlj * ctx.Mphi
-            if dpen is not None:
-                dD = dD - model.pencil.velocity(lj) @ self.dphi - dpen.velocity(lj) @ phi
+            if Vphi is not None:
+                dD = dD - model.pencil.velocity(lj) @ self.dphi - Vphi
             dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
         dLw = dLam * ix.Lw
-        if dpen is not None:
-            dLw = dLw + dpen.at(Lam) @ rec.w
+        if Aw is not None:
+            dLw = dLw + Aw
         # border row: d(phi^T M w_m) = 0; a plain record ignores it
         dw, _ = rec.lu.solve(dh - dLw, -(self.dMphi @ rec.w))
 
@@ -247,7 +251,6 @@ class _Chain:
 
     model: MechModel
     exp: SsmExpansion
-    params: ParamDerivatives
 
     def __post_init__(self):
         model, master = self.model, self.exp.master
@@ -277,16 +280,16 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tupl
     """Every parameter's forward pass through the expansion: one `_Tangent`
     per parameter. Nothing here reads the amplitude target."""
     exp.check_model(model)
-    ctx = _Chain(model, exp, params)
-    forces = exp.partial_forces(params)
+    ctx = _Chain(model, exp)
+    record = exp.partials(params)
 
     dphi_all, domega_all = eig_derivatives(model, exp.master, params)
-    passes = [_Pass(ctx, p, dphi_all[p], domega_all[p]) for p in range(params.count)]
+    dMphi = {p: v for p, _, v in record.eig}
+    passes = [_Pass(ctx, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)]
 
-    indices = [m for q in range(2, exp.order + 1) for m in canonical_indices(q)]
     r_orders = exp.r_orders()
-    wdot_read = {u for m in indices for u, _, _ in v_decomps(m, r_orders)}
-    for m in indices:
+    wdot_read = {u for m, _, _ in record.indices for u, _, _ in v_decomps(m, r_orders)}
+    for m, pf, dense in record.indices:
         rec = exp.coeffs(m)
         # read only times dLam, which is zero for a parameter without dM and dK
         MV = Lw = 0.0
@@ -304,9 +307,8 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tupl
             model.pencil.velocity(rec.Lam) if v_terms else None,
             m in wdot_read or symmetric(m) in wdot_read,
         )
-        # the partial forces of all parameters, dT over the primal vectors
-        for ps, pf_p in zip(passes, forces[m]):
-            ps.step(ix, pf_p)
+        for p, ps in enumerate(passes):
+            ps.step(ix, pf[p], dense.get(p))
         del ix  # one index's linearizations at a time
     return tuple(ps.tangent() for ps in passes)
 

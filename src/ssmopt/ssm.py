@@ -25,7 +25,9 @@ All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
 written by conjugation. The sensitivity passes (direct, adjoint sweep,
 contraction) walk the canonical indices too and mirror the swapped ones by
-conjugation.
+conjugation. The direct walk and the contraction read one record per
+`ParamDerivatives` of the residuals' explicit partial derivatives in the
+design variables at every index (`Partials`, kept by `SsmExpansion.partials`).
 """
 
 from __future__ import annotations
@@ -163,9 +165,10 @@ class SsmExpansion:
     the recursion and every sensitivity pass read them. The memo (`memo`)
     keeps what depends on the expansion alone: the backbone's amplitude
     polynomials and validity caps. Per `ParamDerivatives`, in one slot each
-    that another `ParamDerivatives` replaces, it keeps the parameters'
-    partial forces (`partial_forces`), the gradient contraction's record and
-    the direct method's walk record. It holds the current order's entries only:
+    that another `ParamDerivatives` replaces, it keeps the record of the
+    residuals' explicit parameter partials (`partials`), which both
+    sensitivity methods read, and the direct method's walk record. It holds
+    the current order's entries only:
     `compute_ssm` with from_expansion extends an expansion in place, and the
     first read after that drops what the lower order built.
     """
@@ -247,26 +250,54 @@ class SsmExpansion:
         if model is not self.model:
             raise ValueError("the expansion was computed for another model")
 
-    def partial_forces(self, params: ParamDerivatives) -> dict:
-        """{m: the (P, n) partial forces dT of all parameters over the
-        expansion's vectors} at each canonical index of order >= 2: one
-        `PairSums.force` per stacked parameter tensor (`params.stacked`),
-        built on first use for each `ParamDerivatives`. The gradient
-        contraction and the direct walk read them."""
+    def partials(self, params: ParamDerivatives) -> "Partials":
+        """The residuals' explicit partial derivatives in the parameters
+        (`Partials`), built on first use for each `ParamDerivatives`. The
+        gradient contraction and the direct walk both read them."""
+        return self.memo("partials", lambda: _build_partials(self, params), owner=params)
 
-        def build():
-            tables = [PairSums(T, self.w, self.order) for T in params.stacked]
-            P, n = params.count, self.model.n
-            forces = {}
-            for q in range(2, self.order + 1):
-                for m in canonical_indices(q):
-                    pf = np.zeros(P * n, dtype=complex)
-                    for table in tables:
-                        pf += table.force(m)
-                    forces[m] = pf.reshape(P, n)
-            return forces
 
-        return self.memo("partial forces", build, owner=params)
+@dataclass(eq=False)
+class Partials:
+    """The residuals' explicit partial derivatives for one `ParamDerivatives`
+    (`SsmExpansion.partials`). `indices` holds (m, pf, dense) per canonical
+    index m of order >= 2, ascending: pf the (P, n) partial forces dT of all
+    parameters over the expansion's vectors, one `PairSums.force` per
+    stacked tensor, and dense {p: (pC, Aw, Vphi, phiMw)} per matrix
+    parameter, dP its derivative pencil: pC = -dM Vdot_m - dP.velocity(Lam_m)
+    V_m, Aw = dP.at(Lam_m) w_m and, at a resonant index only (else None),
+    Vphi = dP.velocity(Lam_m + lambda_j) phi and phiMw = phi . dM w_m. `eig`
+    is the master's `ParamDerivatives.modal_partials`. Arrays only: the memo
+    that keeps the record makes no cycle back to the expansion."""
+
+    indices: list
+    eig: list
+
+
+def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
+    model, master, phi = exp.model, exp.master, exp.master.phi
+    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
+    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
+    P, n = params.count, model.n
+
+    indices = []
+    for q in range(2, exp.order + 1):
+        for m in canonical_indices(q):
+            rec = exp.coeffs(m)
+            j = rec.slot
+            pf = np.zeros(P * n, dtype=complex)
+            for table in tables:
+                pf += table.force(m)
+            dense = {}
+            for p, dP in dpens:
+                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
+                Vphi = phiMw = None
+                if j is not None:
+                    Vphi = dP.velocity(rec.Lam + master.lambda_pair[j]) @ phi
+                    phiMw = phi @ (dP.M @ rec.w)
+                dense[p] = (pC, dP.at(rec.Lam) @ rec.w, Vphi, phiMw)
+            indices.append((m, pf.reshape(P, n), dense))
+    return Partials(indices, params.modal_partials(model, master.omega, phi))
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:

@@ -279,8 +279,9 @@ def test_criterion_8_adjoint_scaling():
 
     def cold(count):
         """A new expansion and a new ParamDerivatives, built outside the
-        timer: the expansion keeps what a first call builds (tables, the
-        contraction's record), and each timed call must build it again."""
+        timer: the expansion keeps what a first call builds (the record of
+        explicit parameter partials, the direct walk's record), and each
+        timed call must build it again."""
         exp = compute_ssm(model, master, 5)
         return exp, chain_per_spring_k3(spec, count), rho_of_x(exp, dof, 0.05)
 

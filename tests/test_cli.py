@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ssmopt import cli, config, optimizer, sens_adjoint, sens_direct, ssm
+from ssmopt import cli, config, optimizer, sens_direct, ssm
 from ssmopt.cli import main
 
 CHAIN_MODEL = {
@@ -527,28 +527,29 @@ class TestBenchCommand:
 
     def test_every_timed_call_is_cold(self, tmp_path, monkeypatch):
         # each repeat of each method gets its own expansion and
-        # ParamDerivatives: one direct walk and one contraction record per
-        # repeat x parameter count x order, none read from an earlier call
-        builds = {"walk": [], "contraction": []}
+        # ParamDerivatives: one record of explicit partials per timed call
+        # and one direct walk per direct call, none read from an earlier call
+        builds = {"walk": [], "partials": []}
         for name, module, fn in (
             ("walk", sens_direct, "_walk"),
-            ("contraction", sens_adjoint, "_build_contraction"),
+            ("partials", ssm, "_build_partials"),
         ):
 
-            def counted(model, exp, params, _build=getattr(module, fn), _seen=builds[name]):
-                _seen.append((exp, params))
-                return _build(model, exp, params)
+            def counted(*args, _build=getattr(module, fn), _seen=builds[name]):
+                _seen.append(args[-2:])  # (exp, params)
+                return _build(*args)
 
             monkeypatch.setattr(module, fn, counted)
         cfg = {"bench": {"n_masses": 5, "param_counts": [1, 3], "orders": [3, 5], "repeats": 2}}
         rc = main(["bench", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "b")])
         assert rc == 0
         runs = 2 * 2 * 2  # repeats x parameter counts x orders
-        walked, contracted = builds["walk"], builds["contraction"]
-        assert len(walked) == len(contracted) == runs
+        walked, recorded = builds["walk"], builds["partials"]
+        # one record per timed call: the direct call's and the adjoint call's
+        assert len(walked) == runs and len(recorded) == 2 * runs
         # a new expansion and a new ParamDerivatives for every timed call
-        exps = {id(exp) for exp, _ in walked + contracted}
-        params = {id(p) for _, p in walked + contracted}
+        exps = {id(exp) for exp, _ in walked + recorded}
+        params = {id(p) for _, p in walked + recorded}
         assert len(exps) == len(params) == 2 * runs
 
     @pytest.mark.parametrize(

@@ -208,6 +208,25 @@ class TestSolve:
         assert res.iterations <= 2
         assert abs(res.mu_star[0] - 0.2) <= 1e-6
 
+    @pytest.mark.parametrize("shift, evaluations", [(1.0, 1), (0.98, 4)])
+    def test_no_evaluation_repeats_a_design(self, chain_target, monkeypatch, shift, evaluations):
+        # the objective scale is read off the objective alone: an evaluation
+        # at mu0 would be wasted, since the first iterate, unscale(clip(z)),
+        # differs from mu0 by roundoff and misses the cache
+        x0, nominal = chain_target
+        calls = []
+
+        def counted(problem, mu, order, **kwargs):
+            calls.append((np.array(mu, copy=True), order))
+            return evaluate(problem, mu, order, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate", counted)
+        assert solve(chain_problem(shift * nominal, x0)).converged
+        assert len(calls) == evaluations
+        for i, (mu, order) in enumerate(calls):
+            for prior, prior_order in calls[:i]:
+                assert order != prior_order or not np.allclose(mu, prior, rtol=1e-12, atol=0)
+
     def test_chain_toy_matches_bisection(self, chain_target):
         # oracle: 1-D root solve on the same response
         x0, nominal = chain_target

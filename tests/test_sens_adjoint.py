@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master
+from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
 from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
 from ssmopt.mechmodel import ParamDerivatives
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import symmetric
-from ssmopt.sens_adjoint import _Contraction, contract_gradient, solve_adjoint, solve_adjoint_rho
+from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
+from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
 from oracles import reference_adjoint
@@ -257,7 +258,7 @@ def _count_walks(monkeypatch, exp) -> list:
 
 class TestExpansionStore:
     """The expansion's memo keeps what every amplitude target reads: the
-    parameters' partial forces, the contraction's parameter record and the
+    record of explicit parameter partials, which both methods read, and the
     direct walk's record. Reading it must give the gradients of a cold
     call, bit for bit."""
 
@@ -327,6 +328,33 @@ class TestExpansionStore:
             )
         assert [w is params for w in walks] == [True]
 
+    @pytest.mark.parametrize("first", ["adjoint", "direct"])
+    def test_methods_share_one_partials_record(self, monkeypatch, first):
+        # whichever method runs first builds the record; the other reads it
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        builds = []
+        build = ssm._build_partials
+
+        def counted(on, p):
+            if on is exp:
+                builds.append(p)
+            return build(on, p)
+
+        monkeypatch.setattr(ssm, "_build_partials", counted)
+        rho = rho_of_x(exp, dof, x)
+        methods = {
+            "adjoint": lambda: contract_gradient(
+                model, exp, solve_adjoint(model, exp, dof, rho), params
+            ).d_omega,
+            "direct": lambda: chain_derivatives(model, exp, params, dof, rho).d_omega,
+        }
+        got = {first: methods[first]()}
+        got.update((name, run()) for name, run in methods.items() if name not in got)
+        assert [b is params for b in builds] == [True]
+        want = _fresh_gradients(model, master, 9, params, dof, x)[:2]
+        _assert_bitwise((got["adjoint"], got["direct"]), want)
+
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the
         # expansion: reference counting alone frees it
@@ -364,7 +392,7 @@ class TestExpansionStore:
 
         def live_records():
             gc.collect()
-            return sum(isinstance(o, _Contraction) for o in gc.get_objects())
+            return sum(isinstance(o, Partials) for o in gc.get_objects())
 
         # other expansions alive in the session may hold records of their own
         before = live_records()

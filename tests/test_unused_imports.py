@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses, and no function
-binds a local it never reads.
+"""No module of the package imports a name it never uses, no function binds
+a local it never reads, and no module-level private function or class goes
+unreferenced in the package.
 
-A deletion that leaves its imports or its inputs behind fails here. The names
+A deletion that leaves its imports, its inputs or its private helpers behind
+fails here; a helper that only tests call counts as left behind. The names
 that `ssmopt/__init__.py` lists in `__all__` are re-exports, not leftovers.
 """
 
@@ -68,6 +70,50 @@ def unused_locals(tree):
     return out
 
 
+def private_definitions(tree):
+    """{name: line} of every module-level function or class whose name
+    starts with one underscore."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def referenced_names(tree, skip=()):
+    """Every name a module reads, as a bare name, an attribute or an import,
+    outside the top-level definitions named in `skip`: a definition's own
+    body does not reference it."""
+    out = set()
+    for top in tree.body:
+        if getattr(top, "name", None) in skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_privates(trees: dict):
+    """{(module, name): line} of the module-level private functions and
+    classes that no module of `trees` references outside their own body."""
+    out = {}
+    for mod, tree in trees.items():
+        for name, line in private_definitions(tree).items():
+            if not any(
+                name in referenced_names(other, skip=(name,) if other is tree else ())
+                for other in trees.values()
+            ):
+                out[(mod, name)] = line
+    return out
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "sens_adjoint.py", "optimizer.py"}
 
@@ -103,3 +149,23 @@ def test_unused_local_guard_sees_tuple_targets_and_closures():
         "    return g\n"
     )
     assert unused_locals(tree) == {("f", "y"): 2}
+
+
+def test_no_unreferenced_private_definition():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    unused = unreferenced_privates(trees)
+    assert not unused, f"private definitions that nothing in the package uses: {unused}"
+
+
+def test_private_definition_guard_sees_other_modules_and_self_reference():
+    trees = {
+        "a.py": ast.parse(
+            "def _used(): pass\n"
+            "def _self(n):\n"
+            "    return _self(n - 1)\n"
+            "class _Lonely: pass\n"
+            "def __dunder__(): pass\n"
+        ),
+        "b.py": ast.parse("from a import _used\n"),
+    }
+    assert unreferenced_privates(trees) == {("a.py", "_self"): 2, ("a.py", "_Lonely"): 4}
