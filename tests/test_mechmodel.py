@@ -366,6 +366,43 @@ class TestPairSums:
                     worst[kernel] = max(worst[kernel], err)
         assert worst["pairs"] <= worst["triples"], worst
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 here, so there is no "
+        "extended-precision reference",
+    )
+    @pytest.mark.parametrize("n_elements", [10, 40])
+    def test_pullback_is_no_less_accurate_than_the_decomposition_loop(self, n_elements):
+        # each tensor's pullback of a random adjoint at every canonical index
+        # of a curved beam's O9 expansion, against the decomposition loop in
+        # extended precision: per tensor, the table kernel's worst normwise
+        # error is at most the loop's in float64
+        spec = VkBeamSpec(n_elements=n_elements, a1=0.002, a2=0.001)
+        model, _ = build_vk_beam(spec, ())
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.data}
+        rng = np.random.default_rng(67)
+        for T, table in zip((model.T2, model.T3), exp.tables):
+            worst = {"table": 0.0, "loop": 0.0}
+            for q in range(2, exp.order + 1):
+                for m in canonical_indices(q):
+                    parts = decomps(m, T.arity)
+                    v = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
+                    ref = reference_pullback(T, v.astype(np.clongdouble), parts, wide.__getitem__)
+                    if not ref:
+                        continue
+                    want = np.array([ref[u] for u in ref])
+                    kernels = {
+                        "table": table.linearize(m).reverse(v),
+                        "loop": reference_pullback(T, v, parts, exp.w),
+                    }
+                    for kernel, got in kernels.items():
+                        assert got.keys() == ref.keys()
+                        diff = np.array([got[u] for u in ref]) - want
+                        err = float(np.linalg.norm(diff) / np.linalg.norm(want))
+                        worst[kernel] = max(worst[kernel], err)
+            assert worst["table"] <= worst["loop"], (T.arity, worst)
+
 
 class TestAccum:
     """`_accum` is one ordered scatter: bitwise a bincount per real part."""
