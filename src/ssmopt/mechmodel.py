@@ -33,10 +33,13 @@ record's eigenproblem terms.
 A table's `force(m)` is the convolution at m, and its `linearize(m)`
 linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
-decomposition-by-decomposition form. That one `Linearization` serves both
-modes: `forward` applies it to derivative vectors in one accumulation (the
-direct walk), and `reverse` reduces an adjoint onto the keys once and
-scatters one accumulation per (index, slot) (the adjoint sweep).
+decomposition-by-decomposition form. The direct walk applies it to
+derivative vectors with `Linearization.forward`, in one accumulation. The
+adjoint sweep calls the reverse, `pullback(m, v)`, which forms no
+coefficients: it reduces v onto the keys once, gathers the table rows of
+every part of m at the tensor's `scatter_pattern` in one take, and sums each
+(slot, receiving DOF) bin in key order. Its bars are bitwise those of
+scattering the coefficients one (index, slot) at a time.
 `SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
 are validated.
@@ -110,6 +113,28 @@ def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     at = np.fromiter((_table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u, _ in rows), np.intp)
     slots = np.fromiter((slot for _, slot in rows), np.intp)
     return rows, at, slots
+
+
+@lru_cache(maxsize=None)
+def _pull_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(parts, at, rows): the layout of `PairSums.pullback(m, v)`.
+
+    parts lists the distinct parts u of the decompositions of m into
+    `arity` parts in the order they first read them, and at[k] is the table
+    row of m - parts[k]. `decomps` is closed under permutation, so every
+    part fills every slot: rows holds, part after part, the row
+    k * arity + slot of each of part k's slots, in the order the
+    decompositions first read (u, slot).
+    """
+    lin_rows = _linear_plan(m, arity)[0]
+    parts = tuple(dict.fromkeys(u for u, _ in lin_rows))
+    number = {u: k for k, u in enumerate(parts)}
+    at = np.fromiter(
+        (_table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u in parts), np.intp, len(parts)
+    )
+    # a stable sort keeps each part's slots in first-read order
+    rows = sorted((number[u] * arity + slot for u, slot in lin_rows), key=lambda r: r // arity)
+    return parts, at, np.array(rows, np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +272,31 @@ class SymTensor:
         first, inverse = _distinct(dropped)
         return dropped[:, first], inverse.reshape(self.arity, -1)
 
+    @cached_property
+    def scatter_pattern(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(proj, keys, depth): the (slot, key) entries of the pullback laid
+        out by receiving bin. Bin slot * n + p holds the keys whose column
+        in that slot is p, in ascending order. The bins form the columns
+        and a bin's keys the rows of a (depth, arity * n) grid, depth the
+        longest bin. A cell holds its entry's projection column (from
+        `projections`) and key number. A cell past a bin's end holds
+        column 0 and key number len(keys), which `PairSums.pullback`
+        weights by zero. Built on first use, like `key_pattern`.
+        """
+        key_cols, _ = self.key_pattern
+        n_keys = key_cols.shape[1]
+        bins = (np.arange(self.arity)[:, None] * self.n + key_cols).ravel()
+        by_bin = np.argsort(bins, kind="stable")
+        bins = bins[by_bin]
+        counts = np.bincount(bins, minlength=self.arity * self.n)
+        depth = int(counts.max())
+        row = np.arange(len(bins)) - np.repeat(np.cumsum(counts) - counts, counts)
+        proj = np.zeros((depth, self.arity * self.n), np.intp)
+        keys = np.full((depth, self.arity * self.n), n_keys, np.intp)
+        proj[row, bins] = self.projections[1].ravel()[by_bin]
+        keys[row, bins] = np.tile(np.arange(n_keys), self.arity)[by_bin]
+        return proj.ravel(), keys.ravel(), depth
+
 class PairSums:
     """A force tensor's sums over the lower parts of every decomposition, for
     one expansion's vectors `w` up to a top order.
@@ -267,8 +317,10 @@ class PairSums:
     `linearize(m)` is bitwise the decomposition-by-decomposition
     linearization: for slot s, the decompositions with d_s = u are the
     decompositions of m - u into the other slots, in `decomps` order and
-    multiplied lower slot first, which is how the table adds them. `force(m)`
-    adds T2's products in the order of the sum over every decomposition, and
+    multiplied lower slot first, which is how the table adds them. Its
+    reverse, `pullback(m, v)`, reads the same table rows and adds in the
+    same order, so it is bitwise the decomposition loop's pullback too
+    (`tests/oracles.py`, `reference_pullback`). `force(m)` adds T2's products in the order of the sum over every decomposition, and
     groups T3's triples by their first part. Against an extended-precision
     triple sum that grouping is no less accurate than the triple loop (on
     vk_beam40 at O9, 2.5e-11 against 9.9e-11 worst normwise).
@@ -337,6 +389,36 @@ class PairSums:
         rows, at, slots = _linear_plan(m, T.arity)
         return Linearization(T, rows, self.table[at[:, None], self.proj[slots]])
 
+    def pullback(self, m, v: np.ndarray) -> dict:
+        """{u: r_u}, r_u[p] = sum_i v_i dF_i / dw(u)_p, for the force
+        convolution F at m.
+
+        v is reduced onto the trailing keys once. The table rows P_{m-u} of
+        every part u are gathered at the tensor's `scatter_pattern` in one
+        take and weighted by the reduced adjoint. Summing over the grid's
+        depth then adds each (slot, receiving DOF) bin's keys in ascending
+        order, as a scatter would. numpy reduces an axis that is not the
+        last one in order, one row after another. Adding each part's slots
+        in the order the decompositions first read them gives
+        `linearize(m)`'s reverse bit for bit, with no loop over (u, slot).
+        """
+        T = self.tensor
+        if T.nnz == 0:
+            return {}
+        parts, at, rows = _pull_plan(m, T.arity)
+        if not parts:
+            return {}
+        key_cols, key_of = T.key_pattern
+        proj, keys, depth = T.scatter_pattern
+        # one entry past the last key stays zero: the weight of the padding
+        s = _accum(key_of, T.vals * v[T.cols[0]], key_cols.shape[1] + 1)
+        G = self.table[at].take(proj, axis=1)
+        # s first: numpy's complex product is not symmetric in its operands
+        np.multiply(s[keys], G, out=G)
+        bins = G.reshape(len(parts), depth, -1).sum(axis=1)
+        r = bins.reshape(-1, T.n)[rows].reshape(len(parts), T.arity, T.n).sum(axis=1)
+        return dict(zip(parts, r))
+
     def force(self, m) -> np.ndarray:
         """The force convolution at m: the sum over the first part u of
         w(u) at the first key column times P_{m-u} at the other columns."""
@@ -358,8 +440,8 @@ class Linearization:
     Row r of `coef` is the coefficient of the vector of index u in slot
     `slot`, (u, slot) = rows[r], over the tensor's trailing keys; the rows
     follow the order in which the decompositions first read the pairs.
-    `forward` applies the linearization to derivative vectors, `reverse`
-    pulls an adjoint back onto the indices.
+    `forward` applies the linearization to derivative vectors; its reverse
+    is `PairSums.pullback`, which reads the table without forming `coef`.
     """
 
     tensor: SymTensor
@@ -370,8 +452,7 @@ class Linearization:
     def _flat(self) -> np.ndarray:
         """For each coefficient entry (r, k), its position in the flattened
         table whose row r is the vector of rows[r]'s index: k's key column
-        of the row's slot. Built on the first forward product; the reverse
-        does not need it."""
+        of the row's slot. Built on the first forward product."""
         T = self.tensor
         key_cols, _ = T.key_pattern
         slots = np.fromiter((slot for _, slot in self.rows), np.intp, len(self.rows))
@@ -387,21 +468,6 @@ class Linearization:
         table = np.array([dw(u) for u, _ in self.rows])
         G = np.einsum("rk,rk->k", self.coef, table.ravel().take(self._flat))
         return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
-
-    def reverse(self, v: np.ndarray) -> dict:
-        """{u: r_u}, r_u[p] = sum_i v_i dF_i / dw(u)_p. The adjoint is
-        reduced onto the trailing keys once and each coefficient is
-        scattered in one accumulation."""
-        if not self.rows:
-            return {}
-        T = self.tensor
-        key_cols, key_of = T.key_pattern
-        s = _accum(key_of, T.vals * v[T.cols[0]], len(key_cols[0]))
-        out: dict = {}
-        for (u, slot), c in zip(self.rows, self.coef):
-            g = _accum(key_cols[slot], s * c, T.n)
-            out[u] = out[u] + g if u in out else g
-        return out
 
 
 @dataclass(frozen=True)
@@ -538,9 +604,16 @@ class ParamDerivatives:
     def matrix_params(self) -> tuple[int, ...]:
         """The parameters with a nonzero dM or dK. The others change only the
         force tensors (one k3 per spring, for one), so every dense matrix
-        term of theirs vanishes and the sensitivity passes skip it."""
+        term of theirs vanishes and the sensitivity passes skip it.
+
+        Each distinct matrix is scanned once: `chain_per_spring_k3` hands
+        every parameter the same zero matrix, and 200 scans of it were most
+        of a cold gradient contraction at P = 100.
+        """
+        distinct = {id(a): a for a in (*self.dM, *self.dK)}
+        nonzero = {key: np.any(a) for key, a in distinct.items()}
         return tuple(
-            p for p in range(self.count) if np.any(self.dM[p]) or np.any(self.dK[p])
+            p for p in range(self.count) if nonzero[id(self.dM[p])] or nonzero[id(self.dK[p])]
         )
 
     def pencil(self, p: int, model: MechModel) -> Pencil:

@@ -25,13 +25,14 @@ the mode shape and the frequency fold to bar + conj(bar), the eigenvalue
 pair to bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
-dense Jacobians between coefficient blocks are never materialized. The force
-convolution at each index is pulled back once per tensor, by the reverse of
-its key-space linearization (`PairSums.linearize`), which returns the summed
-bar of every lower-order index the convolution reads. The linearizations
-come from the expansion's own tables (`SsmExpansion.tables`), the ones its
-recursion summed the forces with. Operators come from the model's `Pencil`
-and each parameter's derivative pencil.
+dense Jacobians between coefficient blocks are never materialized, and no
+operator is formed to be applied to one vector: the pencil's velocity
+s M + C reaches a bar as s (M b) + C b. The force convolution at each index
+is pulled back once per tensor (`PairSums.pullback`): one gather from the
+expansion's own tables (`SsmExpansion.tables`), the ones its recursion
+summed the forces with, returns the summed bar of every lower-order index
+the convolution reads. Operators come from the model's `Pencil` and each
+parameter's derivative pencil.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
@@ -151,13 +152,6 @@ def _add_lam_bar(bars: _Bars, m, value: complex):
     bars.lam[1] += m[1] * value
 
 
-def _route_force_bar(exp, bars: _Bars, u, vec):
-    if order(u) == 1:
-        bars.phi += vec
-    else:
-        bars.vec(bars.w, u)[:] += vec
-
-
 def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     master = exp.master
     phi = master.phi
@@ -173,7 +167,8 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         j = rec.slot
         bars.rbar(m)[j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
-        bars.phi += -(pen.velocity(rec.Lam + master.lambda_pair[j]) @ bar_d)
+        # the pencil's velocity(Lam + lambda_j) applied to bar_d, not formed
+        bars.phi -= (rec.Lam + master.lambda_pair[j]) * (M @ bar_d) + pen.C @ bar_d
         sc = -(bar_d @ (M @ phi))
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
@@ -196,9 +191,10 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
             bars.lam[j] += t
             bars.omega += t * 2.0 * model.beta_r * master.omega
 
-    # C = -M Vdot - (Lam M + C) V - f
-    bar_vdot = -(M @ bar_c)
-    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - pen.velocity(rec.Lam) @ bar_c
+    # C = -M Vdot - (Lam M + C) V - f; M bar_c serves both bars
+    M_bar_c = M @ bar_c
+    bar_vdot = -M_bar_c
+    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M_bar_c + pen.C @ bar_c)
     bar_f = -bar_c
     _add_lam_bar(bars, m, -(bar_c @ (M @ rec.V)))
 
@@ -212,8 +208,11 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
 
     # nonlinear force convolution: one pullback per tensor's table
     for table in exp.tables:
-        for u, bar_u in table.linearize(m).reverse(bar_f).items():
-            _route_force_bar(exp, bars, u, bar_u)
+        for u, bar_u in table.pullback(m, bar_f).items():
+            if order(u) == 1:
+                bars.phi += bar_u
+            else:
+                bars.vec(bars.w, u)[:] += bar_u
 
 
 def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):

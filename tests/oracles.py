@@ -25,9 +25,10 @@
   `PairSums.linearize(m)` gathers each coefficient from a table of pair sums;
   over `decomps(m, arity)` the two add the same products in the same order.
 * `reference_pullback`: the reverse mode of a force convolution as one loop
-  over the decompositions. `PairSums.linearize(m).reverse` gathers the
-  key-space linearization and scatters it; this loop forms the same sums in
-  the same order, so the two must agree bit for bit.
+  over the decompositions. `PairSums.pullback` gathers the pair-sum table
+  rows at a per-tensor scatter pattern and sums each receiving bin in key
+  order; this loop forms the same sums in the same order, so the two must
+  agree bit for bit.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
@@ -337,7 +338,7 @@ def reference_linearize(T: SymTensor, parts, w) -> Linearization:
 
 
 def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:
-    """{u: r_u} of `PairSums.linearize(m).reverse(v)` over parts =
+    """{u: r_u} of `PairSums.pullback(m, v)` over parts =
     `decomps(m, T.arity)`, summed per (u, slot) in one loop over the
     decompositions and scattered per (u, slot)."""
     if T.nnz == 0 or not parts:

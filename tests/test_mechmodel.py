@@ -145,7 +145,7 @@ def _vectors(rng, n, top):
 
 def _check_kernels(tensor, dense, arity, rng, n):
     """The triple loop (`oracles.contract_sum`), the pair-sum force and the
-    reverse linearization against the dense oracle for every order-4 index."""
+    pair-sum pullback against the dense oracle for every order-4 index."""
     w = _vectors(rng, n, 3)
     table = PairSums(tensor, w.__getitem__, 4)
     for m in all_indices(4):
@@ -157,7 +157,7 @@ def _check_kernels(tensor, dense, arity, rng, n):
         # reverse mode: the summed bar of every receiving index over the
         # permutation-closed set
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = table.linearize(m).reverse(v)
+        got = table.pullback(m, v)
         ref = _dense_pullback(dense, arity, v, sets, w)
         assert got.keys() == ref.keys() == {u for d in sets for u in d}
         for u in ref:
@@ -223,14 +223,14 @@ def _linearization_cases(seed):
 
 
 def _assert_bitwise_pullback(tensor, table, m, v, w):
-    """The table's linearization at m and its reverse are bitwise those of
+    """The table's linearization at m and its pullback are bitwise those of
     the decomposition-by-decomposition loops."""
     parts = decomps(m, tensor.arity)
     lin, ref_lin = table.linearize(m), reference_linearize(tensor, parts, w)
     assert lin.rows == ref_lin.rows
     if lin.rows:
         assert np.array_equal(lin.coef, ref_lin.coef)
-    got = lin.reverse(v)
+    got = table.pullback(m, v)
     ref = reference_pullback(tensor, v, parts, w)
     assert list(got) == list(ref)
     for u in ref:
@@ -239,8 +239,8 @@ def _assert_bitwise_pullback(tensor, table, m, v, w):
 
 class TestLinearization:
     """`PairSums.linearize`: one key-space linearization per index, gathered
-    from the pair-sum table, applied forward by the direct pass and in
-    reverse by the sweep."""
+    from the pair-sum table and applied forward by the direct pass, and its
+    reverse `PairSums.pullback`, which the sweep calls."""
 
     def test_forward_is_the_sum_of_slot_replaced_contractions(self):
         rng = np.random.default_rng(61)
@@ -259,16 +259,15 @@ class TestLinearization:
             else:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_reverse_is_the_adjoint_of_forward(self):
+    def test_pullback_is_the_adjoint_of_forward(self):
         # dot-product identity: v . (J dw) = sum_u r_u . dw_u
         rng = np.random.default_rng(62)
         for tensor, w, table, m in _linearization_cases(60):
             parts = decomps(m, tensor.arity)
             dw = _vectors(rng, tensor.n, TOP - 1)
             v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
-            lin = table.linearize(m)
-            r = lin.reverse(v)
-            lhs = v @ lin.forward(dw.__getitem__)
+            r = table.pullback(m, v)
+            lhs = v @ table.linearize(m).forward(dw.__getitem__)
             rhs = sum(r[u] @ dw[u] for u in r)
             scale = sum(np.abs(r[u]) @ np.abs(dw[u]) for u in r)
             assert abs(lhs - rhs) <= 1e-14 * scale
@@ -299,8 +298,9 @@ class TestLinearization:
         # no three indices of order >= 1 sum to an order-2 index
         tensor, _ = _random_tensor(np.random.default_rng(64), 4, 3)
         w = _vectors(np.random.default_rng(64), 4, 2)
-        lin = PairSums(tensor, w.__getitem__, 3).linearize((1, 1))
-        assert np.all(lin.forward(None) == 0.0) and lin.reverse(np.ones(4)) == {}
+        table = PairSums(tensor, w.__getitem__, 3)
+        assert np.all(table.linearize((1, 1)).forward(None) == 0.0)
+        assert table.pullback((1, 1), np.ones(4)) == {}
 
 
 class TestPairSums:
@@ -393,7 +393,7 @@ class TestPairSums:
                         continue
                     want = np.array([ref[u] for u in ref])
                     kernels = {
-                        "table": table.linearize(m).reverse(v),
+                        "table": table.pullback(m, v),
                         "loop": reference_pullback(T, v, parts, exp.w),
                     }
                     for kernel, got in kernels.items():
