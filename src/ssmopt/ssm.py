@@ -87,11 +87,23 @@ class Factorization:
     def solve(self, rhs: np.ndarray, border=0.0):
         """(x, s) solving A x + b s = rhs, c^T x = border (bordered), or
         (x, 0.0) solving A x = rhs. rhs is one column or an (n, K) block with
-        one border value per column."""
+        one border value per column.
+
+        LAPACK's getrs is called directly: `scipy.linalg.lu_solve` spends
+        more time in its wrappers than getrs spends solving. The routine is
+        chosen by the factors' and rhs's types, as lu_solve chooses it, so a
+        real factor solves a complex rhs in complex arithmetic. A non-finite
+        rhs raises lu_solve's ValueError.
+        """
+        if self.gb is not None:
+            last = self.gc * np.broadcast_to(border, rhs.shape[1:])
+            rhs = np.concatenate([rhs, last[None]])
+        rhs = np.asarray_chkfinite(rhs)
+        lu, piv = self.lu
+        (getrs,) = lapack.get_lapack_funcs(("getrs",), (lu, rhs))
+        sol, _ = getrs(lu, piv, rhs)  # info < 0 flags an argument these shapes rule out
         if self.gb is None:
-            return scipy.linalg.lu_solve(self.lu, rhs), 0.0
-        last = self.gc * np.broadcast_to(border, rhs.shape[1:])
-        sol = scipy.linalg.lu_solve(self.lu, np.concatenate([rhs, last[None]]))
+            return sol, 0.0
         return sol[:-1], self.gb * sol[-1]
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
@@ -181,6 +183,36 @@ class TestFactorization:
             assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
             if rec.slot is not None:
                 assert abs(s[k] - sk) <= 1e-14 * abs(sk)
+
+    def test_solve_is_bitwise_scipy_lu_solve(self):
+        # a real and a complex factor, each with a real and a complex
+        # right-hand side, one column and a block
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(5, 5))
+        for fac in (factorize(A, ValueError), factorize(A + 1j * rng.normal(size=(5, 5)), ValueError)):
+            for shape in ((5,), (5, 3)):
+                for rhs in (rng.normal(size=shape), rng.normal(size=shape) * (1 + 1j)):
+                    x, s = fac.solve(rhs)
+                    assert s == 0.0
+                    assert np.array_equal(x, scipy.linalg.lu_solve(fac.lu, rhs))
+
+    @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_hand_side_raises(self, m, bad):
+        # plain (4, 1) and bordered (3, 2): a non-finite entry of the rhs,
+        # or a non-finite border value, raises scipy.linalg.lu_solve's
+        # ValueError before LAPACK sees it
+        model, _ = build_chain(ChainSpec(n_masses=3))
+        rec = compute_ssm(model, solve_master(model, 0), 5).coeffs(m)
+        rhs = np.ones(model.n, complex)
+        rhs[1] = bad
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.lu_solve((np.eye(model.n), np.arange(model.n)), rhs)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            rec.lu.solve(rhs)
+        if rec.slot is not None:
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                rec.lu.solve(np.ones(model.n, complex), bad)
 
 
 class TestSolveCheck:
