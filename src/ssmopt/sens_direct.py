@@ -23,9 +23,10 @@ vectors and each derivative pencil applied to the primal vectors, and
 dM phi of the master.
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
-coefficients (`PairSums.linearize`, the same one the adjoint sweep pulls
-back), the lower-order coupling terms, M V_m, (C + 2 Lam_m M) w_m and,
-where the couplings read it, the `Pencil`'s velocity(Lam_m). A pass's step
+coefficients (`PairSums.linearize`, whose reverse the adjoint sweep
+applies as `PairSums.pullback`), the lower-order coupling terms, M V_m,
+(C + 2 Lam_m M) w_m and, where the couplings read it, the `Pencil`'s
+velocity(Lam_m). A pass's step
 at the index then applies the linearizations to its own lower-order
 derivatives, adds its explicit partials (no dense term without dM and dK:
 see `ParamDerivatives.matrix_params`) and solves its own right-hand side
@@ -77,25 +78,29 @@ def mode_factorization(
 
 
 def eig_derivatives(
-    model: MechModel, master, params: ParamDerivatives
+    model: MechModel, master, count: int, modal: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-shape and frequency derivatives from the bordered eigenpair system.
+    """Mode-shape and frequency derivatives of `count` parameters from the
+    bordered eigenpair system.
 
-    One factorization serves all parameters (the matrix does not depend on
-    the design variables). A parameter without dM and dK leaves the
-    eigenpair unchanged: its derivatives are zero and need no solve.
+    `modal` holds the master's explicit partials (p, dP.modal(omega) phi,
+    dP.M phi) of the matrix parameters, as `ParamDerivatives.modal_partials`
+    gives them (the direct walk reads them from its record of explicit
+    partials). One factorization serves all parameters (the matrix does not
+    depend on the design variables). A parameter without dM and dK leaves
+    the eigenpair unchanged: its derivatives are zero and need no solve.
     """
     n = model.n
     phi, omega = master.phi, master.omega
-    dphi = np.zeros((params.count, n))
-    domega = np.zeros(params.count)
-    dense = list(params.matrix_params)
-    if not dense:
+    dphi = np.zeros((count, n))
+    domega = np.zeros(count)
+    if not modal:
         return dphi, domega
+    dense = [p for p, _, _ in modal]
     Mphi = model.M @ phi
     rhs = np.empty((n, len(dense)))
     border = np.empty(len(dense))
-    for k, (_, modal_phi, dMphi) in enumerate(params.modal_partials(model, omega, phi)):
+    for k, (_, modal_phi, dMphi) in enumerate(modal):
         rhs[:, k] = -modal_phi
         border[k] = omega * (phi @ dMphi)
     lu = mode_factorization(
@@ -283,7 +288,7 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tupl
     ctx = _Chain(model, exp)
     record = exp.partials(params)
 
-    dphi_all, domega_all = eig_derivatives(model, exp.master, params)
+    dphi_all, domega_all = eig_derivatives(model, exp.master, params.count, record.eig)
     dMphi = {p: v for p, _, v in record.eig}
     passes = [_Pass(ctx, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)]
 
