@@ -274,14 +274,13 @@ class SymTensor:
 
     @cached_property
     def scatter_pattern(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(proj, keys, depth): the (slot, key) entries of the pullback laid
-        out by receiving bin. Bin slot * n + p holds the keys whose column
-        in that slot is p, in ascending order. The bins form the columns
-        and a bin's keys the rows of a (depth, arity * n) grid, depth the
-        longest bin. A cell holds its entry's projection column (from
-        `projections`) and key number. A cell past a bin's end holds
-        column 0 and key number len(keys), which `PairSums.pullback`
-        weights by zero. Built on first use, like `key_pattern`.
+        """(proj, keys, depth): the (slot, key) entries of `PairSums.pullback`
+        on a flattened (depth, arity * n) grid. Column slot * n + p is the
+        bin of the keys whose column in that slot is p, in ascending order,
+        one per row; depth is the longest bin. A cell holds its entry's
+        projection column (`projections`) and key number, and a cell past
+        its bin's end holds column 0 and key number len(keys), which the
+        pullback weights by zero. Built on first use, like `key_pattern`.
         """
         key_cols, _ = self.key_pattern
         n_keys = key_cols.shape[1]
@@ -296,6 +295,7 @@ class SymTensor:
         proj[row, bins] = self.projections[1].ravel()[by_bin]
         keys[row, bins] = np.tile(np.arange(n_keys), self.arity)[by_bin]
         return proj.ravel(), keys.ravel(), depth
+
 
 class PairSums:
     """A force tensor's sums over the lower parts of every decomposition, for
@@ -318,12 +318,12 @@ class PairSums:
     linearization: for slot s, the decompositions with d_s = u are the
     decompositions of m - u into the other slots, in `decomps` order and
     multiplied lower slot first, which is how the table adds them. Its
-    reverse, `pullback(m, v)`, reads the same table rows and adds in the
-    same order, so it is bitwise the decomposition loop's pullback too
-    (`tests/oracles.py`, `reference_pullback`). `force(m)` adds T2's products in the order of the sum over every decomposition, and
-    groups T3's triples by their first part. Against an extended-precision
-    triple sum that grouping is no less accurate than the triple loop (on
-    vk_beam40 at O9, 2.5e-11 against 9.9e-11 worst normwise).
+    reverse, `pullback(m, v)`, reads the same rows and adds in the same
+    order. `force(m)` adds T2's products in the order of the sum over every
+    decomposition, and groups T3's triples by their first part. Against an
+    extended-precision triple sum that grouping is no less accurate than the
+    triple loop (on vk_beam40 at O9, 2.5e-11 against 9.9e-11 worst
+    normwise).
 
     A table grows one order at a time (`extend`): each order appends the
     vectors it reads and its own rows, and no row is rebuilt. The expansion
@@ -395,12 +395,13 @@ class PairSums:
 
         v is reduced onto the trailing keys once. The table rows P_{m-u} of
         every part u are gathered at the tensor's `scatter_pattern` in one
-        take and weighted by the reduced adjoint. Summing over the grid's
-        depth then adds each (slot, receiving DOF) bin's keys in ascending
-        order, as a scatter would. numpy reduces an axis that is not the
-        last one in order, one row after another. Adding each part's slots
-        in the order the decompositions first read them gives
-        `linearize(m)`'s reverse bit for bit, with no loop over (u, slot).
+        take and weighted by the reduced adjoint. numpy reduces an axis that
+        is not the last one row after row, so the sum over the grid's depth
+        adds each (slot, receiving DOF) bin's keys in ascending order, as a
+        scatter of each (u, slot) coefficient in turn would. Each part's
+        slots are then added in the order the decompositions first read
+        them: the result is bitwise the decomposition loop's
+        (`tests/oracles.py`, `reference_pullback`).
         """
         T = self.tensor
         if T.nnz == 0:

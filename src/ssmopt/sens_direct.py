@@ -26,13 +26,12 @@ the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, whose reverse the adjoint sweep
 applies as `PairSums.pullback`), the lower-order coupling terms, M V_m,
 (C + 2 Lam_m M) w_m and, where the couplings read it, the `Pencil`'s
-velocity(Lam_m). A pass's step
-at the index then applies the linearizations to its own lower-order
-derivatives, adds its explicit partials (no dense term without dM and dK:
-see `ParamDerivatives.matrix_params`) and solves its own right-hand side
-with the factorization the index's record keeps, which also holds its
-resonant denominator. Every operator is applied
-in the primal's association. Parameters are never batched into one solve: a
+velocity(Lam_m). A pass's step at the index then applies the
+linearizations to its own lower-order derivatives, adds its explicit
+partials (no dense term without dM and dK: see
+`ParamDerivatives.matrix_params`) and solves its own right-hand side with
+the factorization the index's record keeps, which also holds its resonant
+denominator. Every operator is applied in the primal's association. Parameters are never batched into one solve: a
 coefficient's derivative needs the same parameter's lower-order derivatives,
 so each pass keeps its own table of the derivatives later indices read, and
 the cost stays linear in the number of design variables.
