@@ -105,7 +105,8 @@ def cmd_backbone(cfg: dict, outdir: Path) -> int:
 
     curve = sample_backbone(exp, dof, block["x_targets"])
     _write(outdir, "backbone.csv", backbone_to_csv(curve))
-    _write(outdir, "expansion.json", _json_dumps(dump_expansion(exp)))
+    # compact: with an indent, json falls back to its pure-Python encoder
+    _write(outdir, "expansion.json", json.dumps(dump_expansion(exp), sort_keys=True) + "\n")
     _write(
         outdir,
         "error_report.json",

@@ -42,7 +42,8 @@ every part of m at the tensor's `scatter_pattern` in one take, and sums each
 scattering the coefficients one (index, slot) at a time.
 `SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` is also where tensor entries from a JSON descriptor
-are validated.
+are validated; it and the beam assembly put entries in canonical form with
+`SymTensor.canonical`.
 """
 
 from __future__ import annotations
@@ -216,18 +217,43 @@ class SymTensor:
             raise ModelError(f"{name} indices must be integers")
         if ids.min() < 0 or ids.max() >= n:
             raise ModelError(f"{name} index out of range for n = {n}")
-        ids = ids.astype(np.intp)
-        vals = arr[:, -1]
-        idx = np.column_stack([ids[:, 0], np.sort(ids[:, 1:], axis=1)])
-        key_order = np.lexsort(idx.T[::-1])
-        idx = idx[key_order]
-        vals = vals[key_order]
-        newgrp = np.ones(len(idx), dtype=bool)
-        newgrp[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+        return cls.canonical(n, ids.astype(np.intp).T, arr[:, -1])
+
+    @classmethod
+    def canonical(cls, n: int, ids, vals: np.ndarray) -> "SymTensor":
+        """Tensor from unvalidated entries: `ids` holds the receiving index
+        column and then the trailing ones, integers in [0, n), and `vals`
+        one value per entry.
+
+        The trailing indices are sorted by a min/max network, and each entry
+        is packed into one int64 key (i, sorted trailing) in base n. A
+        stable sort of the keys gives the order a lexsort of the columns
+        gives, so equal keys are summed (`reduceat`) in input order and zero
+        sums are dropped.
+        """
+        lead, *trailing = (np.asarray(c, np.intp) for c in ids)
+        arity = len(trailing)
+        if len(vals) == 0:
+            return cls.empty(n, arity)
+        if n ** (arity + 1) >= 2**63:
+            raise ModelError(f"T{arity} keys of n = {n} do not fit in 64 bits")
+        for a, b in {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}[arity]:
+            lo = np.minimum(trailing[a], trailing[b])
+            trailing[b] = np.maximum(trailing[a], trailing[b])
+            trailing[a] = lo
+        key = lead.astype(np.int64)
+        for c in trailing:
+            key = key * n + c
+        key_order = np.argsort(key, kind="stable")
+        key = key[key_order]
+        newgrp = np.ones(len(key), dtype=bool)
+        newgrp[1:] = key[1:] != key[:-1]
         starts = np.nonzero(newgrp)[0]
-        summed = np.add.reduceat(vals, starts)
+        summed = np.add.reduceat(np.asarray(vals, float)[key_order], starts)
         keep = summed != 0.0
-        return cls(n, idx[starts][keep], summed[keep])
+        first = key_order[starts[keep]]
+        idx = np.column_stack([lead[first], *(c[first] for c in trailing)])
+        return cls(n, idx, summed[keep])
 
     @classmethod
     def empty(cls, n: int, arity: int) -> "SymTensor":
@@ -475,11 +501,25 @@ class Linearization:
 class Pencil:
     """M, C and K and, each in one association, the operators at(s) = K + s C +
     s^2 M, velocity(s) = s M + C, modal(omega) = K - omega^2 M, and scale(s),
-    the size of at(s)'s terms (which may cancel to zero at resonance)."""
+    the size of at(s)'s terms (which may cancel to zero at resonance).
+
+    `Mc` and `Cc` are complex copies of M and C, made on first use and kept:
+    the sensitivity passes apply M and C to complex vectors, and numpy
+    copies a real matrix to complex in each such product. The products with
+    the copies are bitwise those with M and C.
+    """
 
     M: np.ndarray
     C: np.ndarray
     K: np.ndarray
+
+    @cached_property
+    def Mc(self) -> np.ndarray:
+        return self.M.astype(complex)
+
+    @cached_property
+    def Cc(self) -> np.ndarray:
+        return self.C.astype(complex)
 
     def at(self, s) -> np.ndarray:
         return self.K + s * self.C + s**2 * self.M

@@ -319,8 +319,7 @@ def _assemble_vk(spec: VkBeamSpec):
 
 def _sym_tensor(n: int, arity: int, codes: np.ndarray, vals: np.ndarray) -> SymTensor:
     """SymTensor from raveled full keys and their values, rows in the given order."""
-    ids = np.unravel_index(codes, (n,) * (arity + 1))
-    return SymTensor.from_entries(n, arity, np.column_stack([*ids, vals]))
+    return SymTensor.canonical(n, np.unravel_index(codes, (n,) * (arity + 1)), vals)
 
 
 def build_vk_beam(

@@ -36,9 +36,14 @@ parameter's derivative pencil.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
-and every target reads it: the contraction reads the record of the
-residuals' explicit parameter partials per `ParamDerivatives`
-(`SsmExpansion.partials`), the same record the direct walk reads.
+and every target reads it. The sweep reads the operator products of the
+primal vectors (`SsmExpansion.products`: per index M w_m,
+(C + 2 Lam_m M) w_m and M V_m, and M phi) and the factorization of the
+bordered mode-shape system, so a target after the first pays for its
+seeds' sweep only; the bars reach M and C as the `Pencil`'s complex
+copies. The contraction reads the record of the residuals' explicit
+parameter partials per `ParamDerivatives` (`SsmExpansion.partials`), the
+same record the direct walk reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -55,8 +60,8 @@ from .backbone import PointWeights, point_weights
 from .errors import assert_real, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, order, symmetric
-from .sens_direct import lambda_derivative, mode_factorization
-from .ssm import SsmExpansion, v_decomps
+from .sens_direct import lambda_derivative
+from .ssm import Factorization, IndexProducts, SsmExpansion, v_decomps
 
 
 @dataclass
@@ -152,13 +157,19 @@ def _add_lam_bar(bars: _Bars, m, value: complex):
     bars.lam[1] += m[1] * value
 
 
-def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
+def _backprop_index(
+    model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, prod: IndexProducts, Mphi
+):
+    """Reverse of the cohomological step at m for the adjoint pair (lam_m,
+    nu_m). prod holds the step's operator products (`ssm.index_products`)
+    and Mphi is M phi; every other product applies the pencil's complex
+    copies of M and C to a bar."""
     master = exp.master
     phi = master.phi
-    pen, M = model.pencil, model.M
+    Mc, Cc = model.pencil.Mc, model.pencil.Cc
 
     # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
-    _add_lam_bar(bars, m, lam_m @ (pen.C @ rec.w + 2.0 * rec.Lam * (M @ rec.w)))
+    _add_lam_bar(bars, m, lam_m @ prod.Lw)
     bar_h = -lam_m
 
     # h = C + D R_m[slot]
@@ -168,14 +179,14 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         bars.rbar(m)[j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
         # the pencil's velocity(Lam + lambda_j) applied to bar_d, not formed
-        bars.phi -= (rec.Lam + master.lambda_pair[j]) * (M @ bar_d) + pen.C @ bar_d
-        sc = -(bar_d @ (M @ phi))
+        bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
+        sc = -(bar_d @ Mphi)
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
 
     # orthogonality constraint of the bordered solve
     if nu_m != 0.0:
-        bars.phi += nu_m * (M @ rec.w)
+        bars.phi += nu_m * prod.Mw
 
     # R_m = phi^T C_m / den
     if rec.slot is not None:
@@ -192,11 +203,11 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
             bars.omega += t * 2.0 * model.beta_r * master.omega
 
     # C = -M Vdot - (Lam M + C) V - f; M bar_c serves both bars
-    M_bar_c = M @ bar_c
+    M_bar_c = Mc @ bar_c
     bar_vdot = -M_bar_c
-    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M_bar_c + pen.C @ bar_c)
+    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M_bar_c + Cc @ bar_c)
     bar_f = -bar_c
-    _add_lam_bar(bars, m, -(bar_c @ (M @ rec.V)))
+    _add_lam_bar(bars, m, -(bar_c @ prod.MV))
 
     # V, Vdot sums over lower-order coefficients
     for u, j, k in v_decomps(m, exp.r_orders()):
@@ -215,20 +226,14 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
                 bars.vec(bars.w, u)[:] += bar_u
 
 
-def solve_adjoint_phi_omega(model: MechModel, exp: SsmExpansion, bars: _Bars):
-    """Coupled bordered solve for the mode-shape and frequency adjoints."""
-    master = exp.master
+def solve_adjoint_phi_omega(model: MechModel, master, bars: _Bars, mode_lu: Factorization):
+    """Coupled bordered solve for the mode-shape and frequency adjoints, with
+    the factorization of their system (`ssm.Products.mode_lu`)."""
     _, dlam_domega = lambda_derivative(master, model.alpha_r, model.beta_r, 1.0)
     bars.omega += bars.lam[0] * dlam_domega + bars.lam[1] * np.conj(dlam_domega)
     g_phi = assert_real(bars.phi, "mode-shape adjoint source")
     g_omega = assert_real(bars.omega, "frequency adjoint source")
-
-    Mphi = model.M @ master.phi
-    lu = mode_factorization(
-        model, master.omega, 2.0 * Mphi, -2.0 * master.omega * Mphi,
-        "bordered mode-shape adjoint system",
-    )
-    lambda_phi, lambda_omega = lu.solve(-g_phi, -g_omega)
+    lambda_phi, lambda_omega = mode_lu.solve(-g_phi, -g_omega)
     return lambda_phi, float(lambda_omega)
 
 
@@ -243,9 +248,12 @@ def solve_adjoint(
     One reverse sweep over the canonical indices, highest order first; each
     index folds in its mirror's bars, solves with its own factorization and
     reverses its step. The folded mode-shape and frequency bars then feed
-    the coupled bordered solve.
+    the coupled bordered solve. The operator products that no target changes
+    and that solve's factorization are read from the expansion's memo
+    (`SsmExpansion.products`).
     """
     exp.check_model(model)
+    products = exp.products()
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
@@ -265,13 +273,15 @@ def solve_adjoint(
                 nu_m[m] = nu
                 # the swapped R pair is this one conjugated, slots exchanged
                 bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
+            _backprop_index(
+                model, exp, bars, m, rec, wt * lam, wt * nu, products.index[m], products.Mphi
+            )
 
     # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
     bars.phi += np.conj(bars.phi)
     bars.lam += np.conj(bars.lam[::-1])
     bars.omega += np.conj(bars.omega)
-    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
+    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp.master, bars, products.mode_lu)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 

@@ -6,12 +6,14 @@ ascending order. The walk knows nothing of the target: only the final
 projection reads it, through the backbone point's weights
 (`backbone.point_weights`), which give the reduced-amplitude derivative at
 fixed physical amplitude and the response frequency's. So the walk runs
-once per expansion order and `ParamDerivatives`: its record (`_Tangent`
-per parameter: dlam, and dR of the resonant indices and dw of every index,
-the canonical half, which the projection conjugates for the swapped one) is
-kept in the expansion's memo (`SsmExpansion.memo`), and every target, at
-any DOF, costs one projection. It serves as the cross-check oracle for the
-adjoint.
+once per expansion order and `ParamDerivatives`: its record (`_Record`:
+every parameter's dlam pair, dR of the resonant indices and dw of every
+index, the canonical half, stacked in arrays that the passes write in
+place) is kept in the expansion's memo (`SsmExpansion.memo`), and every
+target, at any DOF, costs one projection: a few array operations per
+weight for all parameters at once, each product rounded as the scalar
+product of a per-parameter loop rounds it. It serves as the cross-check
+oracle for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together: the walk visits each canonical index once and runs every pass's
@@ -24,9 +26,12 @@ dM phi of the master.
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, whose reverse the adjoint sweep
-applies as `PairSums.pullback`), the lower-order coupling terms, M V_m,
-(C + 2 Lam_m M) w_m and, where the couplings read it, the `Pencil`'s
-velocity(Lam_m). A pass's step at the index then applies the
+applies as `PairSums.pullback`), the lower-order coupling terms and, where
+the couplings read it, the `Pencil`'s velocity(Lam_m). With matrix
+parameters a step also reads M V_m and (C + 2 Lam_m M) w_m, which the
+adjoint sweep reads too: they are the expansion's (`SsmExpansion.products`).
+M and C reach complex vectors as the `Pencil`'s complex copies. A pass's
+step at the index then applies the
 linearizations to its own lower-order derivatives, adds its explicit
 partials (no dense term without dM and dK: see
 `ParamDerivatives.matrix_params`) and solves its own right-hand side with
@@ -37,7 +42,7 @@ so each pass keeps its own table of the derivatives later indices read, and
 the cost stays linear in the number of design variables.
 Only the eigenpair derivatives take all parameters at once, as one block
 solve with the bordered factorization of K - omega^2 M
-(`mode_factorization`).
+(`ssm.mode_factorization`).
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import point_weights
-from .errors import DegenerateModeError, assert_real_each
+from .errors import assert_real_each
 from .mechmodel import MechModel, ParamDerivatives
-from .multiindex import symmetric
-from .ssm import Factorization, IndexCoeffs, SsmExpansion, factorize, v_decomps
+from .multiindex import order, symmetric
+from .ssm import IndexCoeffs, SsmExpansion, mode_factorization, v_decomps
 
 
 @dataclass
@@ -60,20 +65,6 @@ class DirectDerivatives:
     names: tuple[str, ...]
     d_omega: np.ndarray  # dOmega/dmu at fixed target amplitude
     d_rho: np.ndarray
-
-
-def mode_factorization(
-    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, what: str
-) -> Factorization:
-    """Factorization of [[K - omega^2 M, b], [c^T, 0]], the borders scaled to
-    the size of K and omega^2 M. Raises DegenerateModeError when the system
-    is singular (a repeated frequency)."""
-    scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
-
-    def singular(rcond):
-        return DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
-
-    return factorize(model.pencil.modal(omega), singular, b, c, scale)
 
 
 def eig_derivatives(
@@ -125,24 +116,30 @@ class _Pass:
 
     Holds the parameter's own constants and, of its coefficient derivatives,
     what a later index or the projection reads: dw, dwdot of the indices
-    the R couplings read, and dR; the walk keeps its `tangent`. A parameter
-    without dM and dK (see `ParamDerivatives.matrix_params`) has a zero
-    mode-shape and eigenvalue derivative and no dense matrix term: the
-    record of explicit partials (`SsmExpansion.partials`) holds no dense
-    entry for it and no dM phi.
+    the R couplings read, and dR of the resonant indices. The canonical
+    dw, the canonical dR and the dlam pair are written in place into the
+    parameter's rows of the walk's `_Record`; the swapped indices' conjugates
+    and dwdot live only as long as the pass. A parameter without dM and dK
+    (see `ParamDerivatives.matrix_params`) has a zero mode-shape and
+    eigenvalue derivative and no dense matrix term: the record of explicit
+    partials (`SsmExpansion.partials`) holds no dense entry for it and no
+    dM phi.
     """
 
-    def __init__(self, ctx: "_Chain", dphi: np.ndarray, domega: float, dMphi):
-        model, master = ctx.model, ctx.exp.master
+    def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float, dMphi):
+        model, master, record = ctx.model, ctx.exp.master, ctx.record
         self.ctx = ctx
         self.domega = domega
         _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
-        self.dlam_pair = np.array([dlam, np.conj(dlam)])
-        self.dphi = dphi.astype(complex)
+        self.dlam_pair = record.dlam[p]
+        self.dlam_pair[:] = (dlam, np.conj(dlam))
+        self.dw_rows, self.dR_rows = record.dw[p], record.dR[p]
+        self.dphi = self.dw_rows[record.rows[(1, 0)]]
+        self.dphi[:] = dphi
         # d(M phi): the derivative of a resonant solve's border row
         self.dMphi = ctx.zero
         if dMphi is not None:
-            self.dMphi = dMphi + ctx.Mc @ self.dphi
+            self.dMphi = dMphi + model.pencil.Mc @ self.dphi
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
@@ -168,7 +165,7 @@ class _Pass:
                 dRkj = self.dR[k][j]
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
-            dC = dC - ctx.Mc @ dVdot - ix.velocity @ dV
+            dC = dC - model.pencil.Mc @ dVdot - ix.velocity @ dV
         if pC is not None:
             dC = dC + pC
 
@@ -176,6 +173,7 @@ class _Pass:
         dh = dC
         if rec.slot is not None:
             j = rec.slot
+            dR = self.dR_rows[ctx.record.resonant[m]]
             lj = Lam + ctx.lam_pair[j]
             dlj = dLam + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * ctx.omega * self.domega
@@ -191,77 +189,88 @@ class _Pass:
             dLw = dLw + Aw
         # border row: d(phi^T M w_m) = 0; a plain record ignores it
         dw, _ = rec.lu.solve(dh - dLw, -(self.dMphi @ rec.w))
+        row = self.dw[m] = self.dw_rows[ctx.record.rows[m]]
+        row[:] = dw
 
         dwdot = None
         if ix.keep_wdot:
-            dwdot = (
+            dwdot = self.dwdot[m] = (
                 dLam * rec.w
                 + Lam * dw
                 + dV
                 + (dR[0] + dR[1]) * phi
                 + (rec.R[0] + rec.R[1]) * self.dphi
             )
-        self._keep(m, dw, dwdot, dR)
+        if rec.slot is not None:
+            self.dR[m] = dR
         if m[0] != m[1]:
             # the swapped index's coefficients are the conjugate ones
-            self._keep(
-                symmetric(m),
-                np.conj(dw),
-                None if dwdot is None else np.conj(dwdot),
-                np.conj(dR[::-1]),
-            )
-
-    def _keep(self, m, dw, dwdot, dR):
-        self.dw[m] = dw
-        self.dR[m] = dR
-        if dwdot is not None:
-            self.dwdot[m] = dwdot
-
-    def tangent(self) -> "_Tangent":
-        """What the projection reads of this pass, canonical indices only;
-        dwdot is dropped."""
-        data = self.ctx.exp.data
-        dR = {m: dR for m, dR in self.dR.items() if data[m].slot is not None and m[0] >= m[1]}
-        dw = {m: dw for m, dw in self.dw.items() if m[0] >= m[1]}
-        return _Tangent(self.dlam_pair, dR, dw)
+            ms = symmetric(m)
+            self.dw[ms] = np.conj(dw)
+            if dwdot is not None:
+                self.dwdot[ms] = np.conj(dwdot)
+            if rec.slot is not None:
+                self.dR[ms] = np.conj(dR[::-1])
 
 
 @dataclass(eq=False)
-class _Tangent:
-    """One parameter's walk record: what the projection reads. It keeps the
-    canonical half (m1 >= m2); a swapped index's derivatives are the
-    conjugates of its partner's, with the two R slots exchanged. It holds no
-    reference to the model, the expansion or the params, so the expansion's
-    memo that keeps it makes no cycle back to the expansion."""
+class _Record:
+    """The walk's record: what the projection reads, every parameter's rows
+    stacked. It keeps the canonical half (m1 >= m2); a swapped index's
+    derivatives are the conjugates of its partner's, with the two R slots
+    exchanged. It holds no reference to the model, the expansion or the
+    params, so the expansion's memo that keeps it makes no cycle back to the
+    expansion."""
 
-    dlam_pair: np.ndarray  # (dlam, conj(dlam))
-    dR: dict  # dR_m of the canonical resonant indices
-    dw: dict  # dw_m of every canonical index of the expansion
+    rows: dict  # canonical index -> its row of dw
+    resonant: dict  # canonical resonant index of order >= 2 -> its row of dR
+    dw: np.ndarray  # (P, rows, n): dw_m of every canonical index
+    dR: np.ndarray  # (P, resonant, 2): dR_m of the canonical resonant indices
+    dlam: np.ndarray  # (P, 2): (dlam, conj(dlam))
 
-    def dw_at(self, m, dof_index: int) -> complex:
-        if m[0] >= m[1]:
-            return self.dw[m][dof_index]
-        return np.conj(self.dw[symmetric(m)][dof_index])
+    @classmethod
+    def empty(cls, exp: SsmExpansion, count: int) -> "_Record":
+        rows = [m for m in exp.data if m[0] >= m[1]]
+        resonant = [m for m in rows if order(m) > 1 and exp.data[m].slot is not None]
+        return cls(
+            {m: i for i, m in enumerate(rows)},
+            {m: i for i, m in enumerate(resonant)},
+            np.zeros((count, len(rows), exp.model.n), complex),
+            np.zeros((count, len(resonant), 2), complex),
+            np.zeros((count, 2), complex),
+        )
 
-    def dR_at(self, m, slot: int) -> complex:
-        if m[0] >= m[1]:
-            return self.dR[m][slot]
-        return np.conj(self.dR[symmetric(m)][1 - slot])
+    def dw_at(self, indices, dof_index: int) -> np.ndarray:
+        """(indices, P): dw_m[dof_index] of every parameter, per index."""
+        at = [self.rows[m if m[0] >= m[1] else symmetric(m)] for m in indices]
+        X = self.dw[:, at, dof_index].T
+        swapped = [k for k, m in enumerate(indices) if m[0] < m[1]]
+        X[swapped] = np.conj(X[swapped])
+        return X
+
+    def dR_at(self, pairs) -> np.ndarray:
+        """(pairs, P): dR_m[slot] of every parameter, per (m, slot) pair."""
+        X = np.empty((len(pairs), len(self.dR)), complex)
+        for k, (m, slot) in enumerate(pairs):
+            if m[0] >= m[1]:
+                X[k] = self.dR[:, self.resonant[m], slot]
+            else:
+                X[k] = np.conj(self.dR[:, self.resonant[symmetric(m)], 1 - slot])
+        return X
 
 
 @dataclass
 class _Chain:
-    """What every pass shares: the model and the expansion."""
+    """What every pass shares: the model, the expansion and the record the
+    passes write."""
 
     model: MechModel
     exp: SsmExpansion
+    record: _Record
 
     def __post_init__(self):
         model, master = self.model, self.exp.master
         self.lam_pair, self.omega = master.lambda_pair, master.omega
-        # a complex copy: a real matrix times a complex vector would copy
-        # the matrix to complex in every product
-        self.Mc = model.M.astype(complex)
         self.Mphi = model.M @ master.phi
         self.zero = np.zeros(model.n, dtype=complex)
 
@@ -280,26 +289,28 @@ class _Index:
     keep_wdot: bool  # a later coupling reads dwdot_m
 
 
-def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tuple:
-    """Every parameter's forward pass through the expansion: one `_Tangent`
-    per parameter. Nothing here reads the amplitude target."""
+def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Record:
+    """Every parameter's forward pass through the expansion, written into
+    one `_Record`. Nothing here reads the amplitude target."""
     exp.check_model(model)
-    ctx = _Chain(model, exp)
+    ctx = _Chain(model, exp, _Record.empty(exp, params.count))
     record = exp.partials(params)
 
     dphi_all, domega_all = eig_derivatives(model, exp.master, params.count, record.eig)
     dMphi = {p: v for p, _, v in record.eig}
-    passes = [_Pass(ctx, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)]
+    passes = [
+        _Pass(ctx, p, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)
+    ]
+    # read only times dLam, which is zero for a parameter without dM and dK
+    products = exp.products().index if params.matrix_params else None
 
     r_orders = exp.r_orders()
     wdot_read = {u for m, _, _ in record.indices for u, _, _ in v_decomps(m, r_orders)}
     for m, pf, dense in record.indices:
         rec = exp.coeffs(m)
-        # read only times dLam, which is zero for a parameter without dM and dK
         MV = Lw = 0.0
-        if params.matrix_params:
-            MV = ctx.Mc @ rec.V
-            Lw = model.pencil.C @ rec.w + 2.0 * rec.Lam * (ctx.Mc @ rec.w)
+        if products is not None:
+            MV, Lw = products[m].MV, products[m].Lw
         v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
         ix = _Index(
             m,
@@ -314,7 +325,19 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> tupl
         for p, ps in enumerate(passes):
             ps.step(ix, pf[p], dense.get(p))
         del ix  # one index's linearizations at a time
-    return tuple(ps.tangent() for ps in passes)
+    return ctx.record
+
+
+def _times(a: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """a[k] * X[k] entry by entry, rounded as numpy's product of two complex
+    scalars rounds it, (ar xr - ai xi) + i (ar xi + ai xr): numpy's array
+    product may round differently (it is not even symmetric in its
+    operands), and the projection keeps the scalar loop's numbers."""
+    ar, ai = a.real[:, None], a.imag[:, None]
+    out = np.empty(X.shape, complex)
+    out.real = ar * X.real - ai * X.imag
+    out.imag = ar * X.imag + ai * X.real
+    return out
 
 
 def chain_derivatives(
@@ -342,16 +365,13 @@ def chain_derivatives(
     pw = point_weights(exp, dof_index, rho)
     walk = exp.memo("direct walk", lambda: _walk(model, exp, params), owner=params)
 
-    amp = list(pw.amplitude(-1.0 / pw.dx_drho).items())
-    P = params.count
-    drho = np.empty(P, dtype=complex)
-    dOm = np.empty(P, dtype=complex)
-    for p, t in enumerate(walk):
-        drho[p] = sum(a * t.dw_at(m, dof_index) for m, a in amp)
-        d = pw.lam[0] * t.dlam_pair[0] + pw.lam[1] * t.dlam_pair[1]
-        for (m, slot), wt in pw.R:
-            d += wt * t.dR_at(m, slot)
-        dOm[p] = d
+    # every parameter at once, each sum over the weights in their order
+    amp = pw.amplitude(-1.0 / pw.dx_drho)
+    terms = _times(np.array(list(amp.values())), walk.dw_at(list(amp), dof_index))
+    drho = np.add.accumulate(np.vstack([np.zeros(params.count), terms]))[-1]
+    weights = np.array([*pw.lam, *(wt for _, wt in pw.R)])
+    values = np.vstack([walk.dlam.T, walk.dR_at([at for at, _ in pw.R])])
+    dOm = np.add.accumulate(_times(weights, values))[-1]
     d_rho = assert_real_each(drho, "drho", params.names)
     d_omega = assert_real_each(dOm, "dOmega", params.names) + pw.domega_drho * d_rho
     return DirectDerivatives(names=params.names, d_omega=d_omega, d_rho=d_rho)

@@ -28,6 +28,9 @@ contraction) walk the canonical indices too and mirror the swapped ones by
 conjugation. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
 design variables at every index (`Partials`, kept by `SsmExpansion.partials`).
+The adjoint sweep, and the direct walk with matrix parameters, read the
+model's operators applied to the expansion's vectors once per expansion
+(`Products`, kept by `SsmExpansion.products`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -42,11 +46,12 @@ from scipy.linalg import lapack
 
 from .errors import (
     AmplitudeUnreachableError,
+    DegenerateModeError,
     DegenerateParametrizationError,
     OuterResonanceError,
     SsmError,
 )
-from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .mechmodel import MechModel, PairSums, ParamDerivatives, Pencil
 from .multiindex import (
     E1,
     E2,
@@ -131,6 +136,20 @@ def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Facto
     return Factorization(lu, anorm, gb, gc)
 
 
+def mode_factorization(
+    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, what: str
+) -> Factorization:
+    """Factorization of [[K - omega^2 M, b], [c^T, 0]], the borders scaled to
+    the size of K and omega^2 M. Raises DegenerateModeError when the system
+    is singular (a repeated frequency)."""
+    scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
+
+    def singular(rcond):
+        return DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
+
+    return factorize(model.pencil.modal(omega), singular, b, c, scale)
+
+
 @dataclass
 class IndexCoeffs:
     """Coefficients and cached solver data for one multi-index."""
@@ -176,7 +195,8 @@ class SsmExpansion:
     `PairSums` tables (`tables`, T2's and T3's) grow with the expansion, and
     the recursion and every sensitivity pass read them. The memo (`memo`)
     keeps what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
+    polynomials and validity caps, and the operator products the
+    sensitivity passes read (`products`). Per `ParamDerivatives`, in one slot each
     that another `ParamDerivatives` replaces, it keeps the record of the
     residuals' explicit parameter partials (`partials`), which both
     sensitivity methods read, and the direct method's walk record. It holds
@@ -267,6 +287,62 @@ class SsmExpansion:
         (`Partials`), built on first use for each `ParamDerivatives`. The
         gradient contraction and the direct walk both read them."""
         return self.memo("partials", lambda: _build_partials(self, params), owner=params)
+
+    def products(self) -> "Products":
+        """The model's operators applied to the expansion's vectors
+        (`Products`), built on first use. The adjoint sweep reads them for
+        every target, and the direct walk with matrix parameters reads them
+        too."""
+        return self.memo("products", lambda: _build_products(self))
+
+
+class IndexProducts(NamedTuple):
+    """The operator products at one index m that no target or parameter
+    changes (`index_products`)."""
+
+    Mw: np.ndarray  # M w_m
+    Lw: np.ndarray  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
+    MV: np.ndarray  # M V_m
+
+
+def index_products(pencil: Pencil, rec: IndexCoeffs) -> IndexProducts:
+    """M w_m, (C + 2 Lam_m M) w_m and M V_m of the record, with the pencil's
+    complex copies of M and C."""
+    Mw = pencil.Mc @ rec.w
+    return IndexProducts(Mw, pencil.Cc @ rec.w + 2.0 * rec.Lam * Mw, pencil.Mc @ rec.V)
+
+
+@dataclass(eq=False)
+class Products:
+    """What the sensitivity passes read of the model's operators applied to
+    the expansion, which depends on the expansion alone
+    (`SsmExpansion.products`): `index` holds `index_products` per canonical
+    index of order >= 2, `Mphi` is M phi, and `mode_lu` factors the
+    adjoint's bordered mode-shape system
+
+        [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]].
+
+    Arrays only: the memo that keeps it makes no cycle back to the
+    expansion."""
+
+    index: dict
+    Mphi: np.ndarray
+    mode_lu: Factorization
+
+
+def _build_products(exp: SsmExpansion) -> Products:
+    model, master = exp.model, exp.master
+    index = {
+        m: index_products(model.pencil, exp.coeffs(m))
+        for q in range(2, exp.order + 1)
+        for m in canonical_indices(q)
+    }
+    Mphi = model.M @ master.phi
+    mode_lu = mode_factorization(
+        model, master.omega, 2.0 * Mphi, -2.0 * master.omega * Mphi,
+        "bordered mode-shape adjoint system",
+    )
+    return Products(index, Mphi, mode_lu)
 
 
 @dataclass(eq=False)

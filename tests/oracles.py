@@ -29,6 +29,14 @@
   rows at a per-tensor scatter pattern and sums each receiving bin in key
   order; this loop forms the same sums in the same order, so the two must
   agree bit for bit.
+* `reference_canonical`: a tensor's entries put in canonical form by a
+  lexsort of the index columns. `SymTensor.canonical` packs each entry into
+  one integer key and sorts the keys stably instead; the two must give the
+  same entries and sums bit for bit.
+* `reference_projection`: the direct method's projection of its walk record
+  as one loop per parameter, one scalar product at a time.
+  `sens_direct.chain_derivatives` projects every parameter at once and must
+  give the loop's numbers bit for bit.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
@@ -54,7 +62,7 @@ from ssmopt.sens_adjoint import (
     _seed_bars,
     solve_adjoint_phi_omega,
 )
-from ssmopt.ssm import SsmExpansion, order_step
+from ssmopt.ssm import SsmExpansion, index_products, order_step
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -243,8 +251,11 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     cohomological steps; a swapped index is solved with the conjugated
     factorization of its canonical partner (its operator is the conjugate
     one). Every bar is read where it was pushed, so nothing is folded and the
-    objective's seeds count at full weight. The dicts cover every index.
+    objective's seeds count at full weight. The dicts cover every index. Each
+    index's operator products are formed from its own record; M phi and the
+    mode-shape factorization are the expansion's (`SsmExpansion.products`).
     """
+    products = exp.products()
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
     # `_seed_bars` seeds half of each bar for the fold; doubling is exact
@@ -274,11 +285,64 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
                 nu_m[m] = nu
         for m in idx_q:
             rec = exp.coeffs(m)
-            _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
+            prod = index_products(model.pencil, rec)
+            _backprop_index(
+                model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), prod, products.Mphi
+            )
 
-    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp, bars)
+    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp.master, bars, products.mode_lu)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
+
+
+def reference_canonical(n: int, arity: int, entries) -> SymTensor:
+    """SymTensor from validated [i, j, k(, l), v] rows: the trailing indices
+    sorted per row, the rows ordered by a lexsort of the index columns,
+    duplicates summed in that order and zero sums dropped."""
+    arr = np.asarray(entries, float)
+    ids = arr[:, :-1].astype(np.intp)
+    vals = arr[:, -1]
+    idx = np.column_stack([ids[:, 0], np.sort(ids[:, 1:], axis=1)])
+    key_order = np.lexsort(idx.T[::-1])
+    idx = idx[key_order]
+    vals = vals[key_order]
+    newgrp = np.ones(len(idx), dtype=bool)
+    newgrp[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+    starts = np.nonzero(newgrp)[0]
+    summed = np.add.reduceat(vals, starts)
+    keep = summed != 0.0
+    return SymTensor(n, idx[starts][keep], summed[keep])
+
+
+def reference_projection(record, pw, dof_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drho, dOmega) of every parameter from the direct walk's record
+    (`sens_direct._Record`) and the backbone point's weights, before the
+    realness check: per parameter, drho sums a * dw_m[dof_index] over the
+    amplitude weights and dOmega sums the eigenvalue pair's and R's
+    weighted derivatives, each in the order of the weights. A swapped
+    index's derivatives are the conjugates of its canonical partner's."""
+
+    def dw_at(p, m):
+        if m[0] >= m[1]:
+            return record.dw[p, record.rows[m], dof_index]
+        return np.conj(record.dw[p, record.rows[symmetric(m)], dof_index])
+
+    def dR_at(p, m, slot):
+        if m[0] >= m[1]:
+            return record.dR[p, record.resonant[m], slot]
+        return np.conj(record.dR[p, record.resonant[symmetric(m)], 1 - slot])
+
+    amp = list(pw.amplitude(-1.0 / pw.dx_drho).items())
+    P = len(record.dlam)
+    drho = np.empty(P, dtype=complex)
+    dOm = np.empty(P, dtype=complex)
+    for p in range(P):
+        drho[p] = sum(a * dw_at(p, m) for m, a in amp)
+        d = pw.lam[0] * record.dlam[p, 0] + pw.lam[1] * record.dlam[p, 1]
+        for (m, slot), wt in pw.R:
+            d += wt * dR_at(p, m, slot)
+        dOm[p] = d
+    return drho, dOm
 
 
 def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion:

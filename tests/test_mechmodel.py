@@ -7,10 +7,17 @@ from scipy.integrate import solve_ivp
 from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
 from ssmopt.errors import ModelError
 from ssmopt.mechmodel import PairSums, Pencil, _accum
-from ssmopt.models import VkBeamSpec, build_vk_beam
+from ssmopt import models
+from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, chain_per_spring_k3
 from ssmopt.multiindex import all_indices, canonical_indices, decomps
 
-from oracles import contract_sum, first_order_operators, reference_linearize, reference_pullback
+from oracles import (
+    contract_sum,
+    first_order_operators,
+    reference_canonical,
+    reference_linearize,
+    reference_pullback,
+)
 
 
 def one_dof(k2=0.0, k3=0.0, alpha_r=0.0, beta_r=0.0):
@@ -402,6 +409,86 @@ class TestPairSums:
                         err = float(np.linalg.norm(diff) / np.linalg.norm(want))
                         worst[kernel] = max(worst[kernel], err)
             assert worst["table"] <= worst["loop"], (T.arity, worst)
+
+
+def _same_entries(got: SymTensor, want: SymTensor) -> bool:
+    """Bitwise equal index arrays (dtype included) and values."""
+    return (
+        got.idx.dtype == want.idx.dtype
+        and np.array_equal(got.idx, want.idx)
+        and got.vals.tobytes() == want.vals.tobytes()
+    )
+
+
+class TestCanonical:
+    """`SymTensor.canonical` sorts packed keys where the lexsort of the index
+    columns (`oracles.reference_canonical`) sorted the columns; entries and
+    sums must come out bit for bit the same: the beam's FD-of-assembly
+    derivatives turn a one-ulp change into a visible gradient change."""
+
+    def test_chain_tensors(self, monkeypatch):
+        seen = []
+        validated = SymTensor.from_entries
+
+        def recorded(cls, n, arity, entries):
+            got = validated(n, arity, entries)
+            seen.append((n, arity, entries, got))
+            return got
+
+        monkeypatch.setattr(SymTensor, "from_entries", classmethod(recorded))
+        spec = ChainSpec(n_masses=11)
+        build_chain(spec)
+        chain_per_spring_k3(spec, 11)
+        assert len(seen) == 4 + 11
+        for n, arity, entries, got in seen:
+            if len(entries):
+                assert _same_entries(got, reference_canonical(n, arity, entries))
+
+    @pytest.mark.parametrize(
+        "spec", [VkBeamSpec(n_elements=40, a1=0.002, a2=0.001), VkBeamSpec()], ids=["curved40", "flat10"]
+    )
+    def test_beam_tensors_nominal_and_every_derivative(self, spec, monkeypatch):
+        seen = []
+        direct = models._sym_tensor
+
+        def recorded(n, arity, codes, vals):
+            got = direct(n, arity, codes, vals)
+            seen.append((n, arity, codes, vals, got))
+            return got
+
+        monkeypatch.setattr(models, "_sym_tensor", recorded)
+        _, params = build_vk_beam(spec)
+        assert len(seen) == 2 + 2 * params.count
+        for n, arity, codes, vals, got in seen:
+            ids = np.unravel_index(codes, (n,) * (arity + 1))
+            want = reference_canonical(n, arity, np.column_stack([*ids, vals]))
+            assert _same_entries(got, want)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_random_entries_with_duplicates_and_cancellations(self, arity):
+        rng = np.random.default_rng(70 + arity)
+        n = 6
+        ids = rng.integers(0, n, size=(300, arity + 1))
+        vals = rng.normal(size=300) * 10.0 ** rng.integers(-6, 6, size=300)
+        # each of the first 40 entries again with its trailing indices
+        # permuted and its value negated: those keys may sum to exactly zero
+        twin = ids[:40].copy()
+        twin[:, 1:] = rng.permuted(twin[:, 1:], axis=1)
+        ids = np.vstack([ids, twin, ids[40:60]])
+        vals = np.concatenate([vals, -vals[:40], vals[40:60]])
+        entries = [(*map(int, r), v) for r, v in zip(ids, vals)]
+        got = SymTensor.from_entries(n, arity, entries)
+        assert _same_entries(got, reference_canonical(n, arity, entries))
+        # some of the negated twins cancelled their key to an exact zero
+        kept = set(map(tuple, got.idx.tolist()))
+        assert any((r[0], *sorted(r[1:])) not in kept for r in ids[:40].tolist())
+        shuffled = rng.permutation(len(entries))
+        again = SymTensor.canonical(n, ids[shuffled].T, vals[shuffled])
+        assert _same_entries(again, reference_canonical(n, arity, [entries[k] for k in shuffled]))
+
+    def test_keys_past_64_bits_are_rejected(self):
+        with pytest.raises(ModelError, match="do not fit in 64 bits"):
+            SymTensor.canonical(2**21, [[0], [1], [2], [3]], np.ones(1))
 
 
 class TestAccum:

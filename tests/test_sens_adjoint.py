@@ -11,7 +11,7 @@ from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x
 from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
 from ssmopt.mechmodel import ParamDerivatives
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
-from ssmopt.multiindex import symmetric
+from ssmopt.multiindex import canonical_indices, symmetric
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
@@ -354,6 +354,47 @@ class TestExpansionStore:
         assert [b is params for b in builds] == [True]
         want = _fresh_gradients(model, master, 9, params, dof, x)[:2]
         _assert_bitwise((got["adjoint"], got["direct"]), want)
+
+    def test_targets_share_the_sweep_products(self, monkeypatch):
+        # four targets at three DOFs on one expansion: the mode-shape
+        # factorization and each index's operator products are built once,
+        # and every adjoint state is bitwise that of a fresh expansion
+        model, params, master, dof, (x1, x2) = _curved_beam10_o9()
+        exp = compute_ssm(model, master, 9)
+        calls = {"mode": 0, "index": 0}
+        factor, products = ssm.mode_factorization, ssm.index_products
+
+        def counted_factor(*args):
+            calls["mode"] += 1
+            return factor(*args)
+
+        def counted_products(*args):
+            calls["index"] += 1
+            return products(*args)
+
+        monkeypatch.setattr(ssm, "mode_factorization", counted_factor)
+        monkeypatch.setattr(ssm, "index_products", counted_products)
+        n_index = sum(len(canonical_indices(q)) for q in range(2, 10))
+        targets = [(dof, x1), (dof, x2), (dof - 3, 0.001), (dof + 3, 0.001)]
+        states = []
+        for d, x in targets:
+            rho = rho_of_x(exp, d, x)
+            states.append((d, rho, solve_adjoint(model, exp, d, rho)))
+            assert calls == {"mode": 1, "index": n_index}
+        for d, rho, got in states:
+            fresh = compute_ssm(model, master, 9)
+            want = solve_adjoint(model, fresh, d, rho)
+            for field in ("lambda_m", "nu_m", "r_bar"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.keys() == b.keys()
+                for m in a:
+                    assert np.asarray(a[m]).tobytes() == np.asarray(b[m]).tobytes(), (field, m)
+            assert got.lambda_phi.tobytes() == want.lambda_phi.tobytes()
+            assert got.lambda_omega == want.lambda_omega
+            _assert_bitwise(
+                [contract_gradient(model, exp, got, params).d_omega],
+                [contract_gradient(model, fresh, want, params).d_omega],
+            )
 
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ssmopt import MechModel, compute_ssm, rho_of_x, solve_master, track_mode
-from ssmopt.errors import DegenerateModeError
+from ssmopt import MechModel, compute_ssm, rho_of_x, sens_direct, solve_master, ssm, track_mode
+from ssmopt.backbone import point_weights
+from ssmopt.errors import DegenerateModeError, assert_real_each
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.models import (
@@ -17,11 +18,11 @@ from ssmopt.models import (
     chain_per_spring_k3,
     vk_center_dof,
 )
-from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_adjoint_phi_omega
+from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
 
-from oracles import fd_gradient_richardson
+from oracles import fd_gradient_richardson, reference_projection
 
 
 def _eig_derivatives(model, master, params):
@@ -67,11 +68,12 @@ class TestSingularBorderedSystems:
 
     @pytest.mark.parametrize("split", [0.0, 1e-14])
     def test_mode_shape_adjoint_system(self, split):
+        # the sweep factors the system when it builds the expansion's
+        # products (`SsmExpansion.products`); a stand-in of order 1 has no
+        # index products to form
         model, master = self._pair(split)
-        bars = _Bars(2)
-        bars.phi[:] = 1.0
         with pytest.raises(DegenerateModeError, match="adjoint system is singular"):
-            solve_adjoint_phi_omega(model, SimpleNamespace(master=master), bars)
+            ssm._build_products(SimpleNamespace(model=model, master=master, order=1))
 
 
 class TestEigDerivatives:
@@ -283,3 +285,39 @@ class TestChainDerivatives:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+class TestProjection:
+    """`chain_derivatives` projects the walk's stacked record for every
+    parameter at once; it must give the per-parameter loop's numbers
+    (`oracles.reference_projection`) bit for bit."""
+
+    @staticmethod
+    def _chain101():
+        spec = ChainSpec(n_masses=101, alpha_r=0.0, beta_r=0.02)
+        model, _ = build_chain(spec)
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        return model, chain_per_spring_k3(spec, 100), exp, ((100, 0.01), (100, 0.15), (60, 0.05))
+
+    @staticmethod
+    def _vk_beam10():
+        spec = VkBeamSpec(a1=0.002, a2=0.001)
+        model, params = build_vk_beam(spec)
+        exp = compute_ssm(model, solve_master(model, 0), 9)
+        dof = vk_center_dof(spec)
+        return model, params, exp, ((dof, 0.002), (dof, 0.004), (dof - 3, 0.001))
+
+    @pytest.mark.parametrize("case", ["_chain101", "_vk_beam10"])
+    def test_stacked_projection_is_the_per_parameter_loop(self, case):
+        model, params, exp, targets = getattr(self, case)()
+        record = sens_direct._walk(model, exp, params)
+        assert record.dw.shape[0] == params.count
+        for dof, x in targets:
+            rho = rho_of_x(exp, dof, x)
+            got = chain_derivatives(model, exp, params, dof, rho)
+            pw = point_weights(exp, dof, rho)
+            drho, dOm = reference_projection(record, pw, dof)
+            d_rho = assert_real_each(drho, "drho", params.names)
+            d_omega = assert_real_each(dOm, "dOmega", params.names) + pw.domega_drho * d_rho
+            assert got.d_rho.tobytes() == d_rho.tobytes()
+            assert got.d_omega.tobytes() == d_omega.tobytes()
