@@ -504,9 +504,10 @@ class Pencil:
     the size of at(s)'s terms (which may cancel to zero at resonance).
 
     `Mc` and `Cc` are complex copies of M and C, made on first use and kept:
-    the sensitivity passes apply M and C to complex vectors, and numpy
-    copies a real matrix to complex in each such product. The products with
-    the copies are bitwise those with M and C.
+    the recursion (for the products each expansion record keeps) and the
+    sensitivity passes apply M and C to complex vectors, and numpy copies a
+    real matrix to complex in each such product. The products with the
+    copies are bitwise those with M and C.
     """
 
     M: np.ndarray

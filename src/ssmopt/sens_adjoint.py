@@ -35,15 +35,15 @@ the convolution reads. Operators come from the model's `Pencil` and each
 parameter's derivative pencil.
 
 Only the seeds depend on the amplitude target. What depends on the
-expansion alone is built once and kept in its memo (`SsmExpansion.memo`),
-and every target reads it. The sweep reads the operator products of the
-primal vectors (`SsmExpansion.products`: per index M w_m,
-(C + 2 Lam_m M) w_m and M V_m, and M phi) and the factorization of the
-bordered mode-shape system, so a target after the first pays for its
-seeds' sweep only; the bars reach M and C as the `Pencil`'s complex
-copies. The contraction reads the record of the residuals' explicit
-parameter partials per `ParamDerivatives` (`SsmExpansion.partials`), the
-same record the direct walk reads.
+expansion alone is built once, and every target reads it. The sweep reads
+the operator products of the primal vectors that each index's record keeps
+(M w_m, (C + 2 Lam_m M) w_m and M V_m), the expansion's M phi and its
+factorization of the bordered mode-shape system (`SsmExpansion.mode_lu`,
+which the direct eigenpair derivatives share), so a target after the first
+pays for its seeds' sweep only; the bars reach M and C as the `Pencil`'s
+complex copies. The contraction reads the record of the residuals' explicit
+parameter partials per `ParamDerivatives` (`SsmExpansion.partials`, kept in
+the expansion's memo), the same record the direct walk reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -61,7 +61,7 @@ from .errors import assert_real, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import canonical_indices, order, symmetric
 from .sens_direct import lambda_derivative
-from .ssm import Factorization, IndexProducts, SsmExpansion, v_decomps
+from .ssm import SsmExpansion, v_decomps
 
 
 @dataclass
@@ -157,19 +157,17 @@ def _add_lam_bar(bars: _Bars, m, value: complex):
     bars.lam[1] += m[1] * value
 
 
-def _backprop_index(
-    model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, prod: IndexProducts, Mphi
-):
+def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     """Reverse of the cohomological step at m for the adjoint pair (lam_m,
-    nu_m). prod holds the step's operator products (`ssm.index_products`)
-    and Mphi is M phi; every other product applies the pencil's complex
-    copies of M and C to a bar."""
+    nu_m). The step's operator products are the record's (rec.Mw, rec.Lw,
+    rec.MV) and M phi is the expansion's; every other product applies the
+    pencil's complex copies of M and C to a bar."""
     master = exp.master
     phi = master.phi
     Mc, Cc = model.pencil.Mc, model.pencil.Cc
 
     # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
-    _add_lam_bar(bars, m, lam_m @ prod.Lw)
+    _add_lam_bar(bars, m, lam_m @ rec.Lw)
     bar_h = -lam_m
 
     # h = C + D R_m[slot]
@@ -180,13 +178,13 @@ def _backprop_index(
         bar_d = rec.R[j] * bar_h
         # the pencil's velocity(Lam + lambda_j) applied to bar_d, not formed
         bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
-        sc = -(bar_d @ Mphi)
+        sc = -(bar_d @ exp.Mphi)
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
 
     # orthogonality constraint of the bordered solve
     if nu_m != 0.0:
-        bars.phi += nu_m * prod.Mw
+        bars.phi += nu_m * rec.Mw
 
     # R_m = phi^T C_m / den
     if rec.slot is not None:
@@ -207,7 +205,7 @@ def _backprop_index(
     bar_vdot = -M_bar_c
     bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M_bar_c + Cc @ bar_c)
     bar_f = -bar_c
-    _add_lam_bar(bars, m, -(bar_c @ prod.MV))
+    _add_lam_bar(bars, m, -(bar_c @ rec.MV))
 
     # V, Vdot sums over lower-order coefficients
     for u, j, k in v_decomps(m, exp.r_orders()):
@@ -226,14 +224,15 @@ def _backprop_index(
                 bars.vec(bars.w, u)[:] += bar_u
 
 
-def solve_adjoint_phi_omega(model: MechModel, master, bars: _Bars, mode_lu: Factorization):
+def solve_adjoint_phi_omega(exp: SsmExpansion, bars: _Bars):
     """Coupled bordered solve for the mode-shape and frequency adjoints, with
-    the factorization of their system (`ssm.Products.mode_lu`)."""
-    _, dlam_domega = lambda_derivative(master, model.alpha_r, model.beta_r, 1.0)
+    the expansion's factorization of their system (`SsmExpansion.mode_lu`)."""
+    model = exp.model
+    _, dlam_domega = lambda_derivative(exp.master, model.alpha_r, model.beta_r, 1.0)
     bars.omega += bars.lam[0] * dlam_domega + bars.lam[1] * np.conj(dlam_domega)
     g_phi = assert_real(bars.phi, "mode-shape adjoint source")
     g_omega = assert_real(bars.omega, "frequency adjoint source")
-    lambda_phi, lambda_omega = mode_lu.solve(-g_phi, -g_omega)
+    lambda_phi, lambda_omega = exp.mode_lu.solve(-g_phi, -g_omega)
     return lambda_phi, float(lambda_omega)
 
 
@@ -249,11 +248,10 @@ def solve_adjoint(
     index folds in its mirror's bars, solves with its own factorization and
     reverses its step. The folded mode-shape and frequency bars then feed
     the coupled bordered solve. The operator products that no target changes
-    and that solve's factorization are read from the expansion's memo
-    (`SsmExpansion.products`).
+    are read from the records, and that solve's factorization from the
+    expansion (`SsmExpansion.mode_lu`).
     """
     exp.check_model(model)
-    products = exp.products()
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
@@ -273,15 +271,13 @@ def solve_adjoint(
                 nu_m[m] = nu
                 # the swapped R pair is this one conjugated, slots exchanged
                 bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(
-                model, exp, bars, m, rec, wt * lam, wt * nu, products.index[m], products.Mphi
-            )
+            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
 
     # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
     bars.phi += np.conj(bars.phi)
     bars.lam += np.conj(bars.lam[::-1])
     bars.omega += np.conj(bars.omega)
-    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp.master, bars, products.mode_lu)
+    lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 

@@ -24,25 +24,26 @@ per index the partial forces of all parameter tensors over the primal
 vectors and each derivative pencil applied to the primal vectors, and
 dM phi of the master.
 What depends on the index alone is built once per index and dropped before
-the next: each force tensor's key-space linearization in the lower-order
-coefficients (`PairSums.linearize`, whose reverse the adjoint sweep
-applies as `PairSums.pullback`), the lower-order coupling terms and, where
-the couplings read it, the `Pencil`'s velocity(Lam_m). With matrix
-parameters a step also reads M V_m and (C + 2 Lam_m M) w_m, which the
-adjoint sweep reads too: they are the expansion's (`SsmExpansion.products`).
-M and C reach complex vectors as the `Pencil`'s complex copies. A pass's
-step at the index then applies the
-linearizations to its own lower-order derivatives, adds its explicit
-partials (no dense term without dM and dK: see
-`ParamDerivatives.matrix_params`) and solves its own right-hand side with
-the factorization the index's record keeps, which also holds its resonant
-denominator. Every operator is applied in the primal's association. Parameters are never batched into one solve: a
-coefficient's derivative needs the same parameter's lower-order derivatives,
-so each pass keeps its own table of the derivatives later indices read, and
-the cost stays linear in the number of design variables.
+the next (`_Index`): each force tensor's key-space linearization in the
+lower-order coefficients (`PairSums.linearize`, whose reverse the adjoint
+sweep applies as `PairSums.pullback`), the lower-order coupling terms and
+the `Pencil`'s velocity operators the steps apply: at Lam_m where the
+couplings read it, and with matrix parameters at Lam_m + lambda_j of a
+resonant index. A matrix parameter's step also reads M V_m and
+(C + 2 Lam_m M) w_m, which the index's record keeps for the adjoint sweep
+too. M and C reach complex vectors as the `Pencil`'s complex copies. A
+pass's step at the index then applies the linearizations to its own
+lower-order derivatives, adds its explicit partials (no dense term without
+dM and dK: see `ParamDerivatives.matrix_params`) and solves its own
+right-hand side with the factorization the index's record keeps, which also
+holds its resonant denominator. Every operator is applied in the primal's
+association. Parameters are never batched into one solve: a coefficient's
+derivative needs the same parameter's lower-order derivatives, so each pass
+keeps its own table of the derivatives later indices read, and the cost
+stays linear in the number of design variables.
 Only the eigenpair derivatives take all parameters at once, as one block
-solve with the bordered factorization of K - omega^2 M
-(`ssm.mode_factorization`).
+solve with the expansion's factorization of the bordered mode-shape system
+(`SsmExpansion.mode_lu`, which the adjoint's mode-shape solve shares).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .backbone import point_weights
 from .errors import assert_real_each
 from .mechmodel import MechModel, ParamDerivatives
 from .multiindex import order, symmetric
-from .ssm import IndexCoeffs, SsmExpansion, mode_factorization, v_decomps
+from .ssm import IndexCoeffs, SsmExpansion, v_decomps
 
 
 @dataclass
@@ -68,37 +69,36 @@ class DirectDerivatives:
 
 
 def eig_derivatives(
-    model: MechModel, master, count: int, modal: list
+    exp: SsmExpansion, count: int, modal: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-shape and frequency derivatives of `count` parameters from the
-    bordered eigenpair system.
+    """Mode-shape and frequency derivatives of `count` parameters at the
+    expansion's master pair.
 
     `modal` holds the master's explicit partials (p, dP.modal(omega) phi,
     dP.M phi) of the matrix parameters, as `ParamDerivatives.modal_partials`
     gives them (the direct walk reads them from its record of explicit
-    partials). One factorization serves all parameters (the matrix does not
-    depend on the design variables). A parameter without dM and dK leaves
-    the eigenpair unchanged: its derivatives are zero and need no solve.
+    partials). The derivatives solve
+    (K - omega^2 M) dphi - 2 omega domega M phi = -dP.modal(omega) phi and
+    -2 omega (M phi)^T dphi = omega phi^T dM phi, the bordered mode-shape
+    system (`SsmExpansion.mode_lu`) in the unknowns (dphi, -omega domega):
+    one factorization serves all parameters and the adjoint too. A
+    parameter without dM and dK leaves the eigenpair unchanged: its
+    derivatives are zero and need no solve.
     """
-    n = model.n
-    phi, omega = master.phi, master.omega
+    n, phi, omega = exp.model.n, exp.master.phi, exp.master.omega
     dphi = np.zeros((count, n))
     domega = np.zeros(count)
     if not modal:
         return dphi, domega
     dense = [p for p, _, _ in modal]
-    Mphi = model.M @ phi
     rhs = np.empty((n, len(dense)))
     border = np.empty(len(dense))
     for k, (_, modal_phi, dMphi) in enumerate(modal):
         rhs[:, k] = -modal_phi
         border[k] = omega * (phi @ dMphi)
-    lu = mode_factorization(
-        model, omega, -2.0 * omega * Mphi, -2.0 * omega * Mphi, "bordered eigenpair system"
-    )
-    sol, dom = lu.solve(rhs, border)
+    sol, s = exp.mode_lu.solve(rhs, border)
     dphi[dense] = sol.T
-    domega[dense] = dom
+    domega[dense] = s / -omega
     return dphi, domega
 
 
@@ -123,22 +123,23 @@ class _Pass:
     (see `ParamDerivatives.matrix_params`) has a zero mode-shape and
     eigenvalue derivative and no dense matrix term: the record of explicit
     partials (`SsmExpansion.partials`) holds no dense entry for it and no
-    dM phi.
+    dM phi, and its step skips the products that its zero dLam_m scales.
     """
 
-    def __init__(self, ctx: "_Chain", p: int, dphi: np.ndarray, domega: float, dMphi):
-        model, master, record = ctx.model, ctx.exp.master, ctx.record
-        self.ctx = ctx
+    def __init__(self, exp: SsmExpansion, record: "_Record", p: int, dphi, domega, dMphi):
+        model = exp.model
+        self.exp, self.record = exp, record
         self.domega = domega
-        _, dlam = lambda_derivative(master, model.alpha_r, model.beta_r, domega)
+        _, dlam = lambda_derivative(exp.master, model.alpha_r, model.beta_r, domega)
         self.dlam_pair = record.dlam[p]
         self.dlam_pair[:] = (dlam, np.conj(dlam))
         self.dw_rows, self.dR_rows = record.dw[p], record.dR[p]
         self.dphi = self.dw_rows[record.rows[(1, 0)]]
         self.dphi[:] = dphi
         # d(M phi): the derivative of a resonant solve's border row
-        self.dMphi = ctx.zero
-        if dMphi is not None:
+        self.matrix = dMphi is not None
+        self.dMphi = np.zeros(model.n, dtype=complex)
+        if self.matrix:
             self.dMphi = dMphi + model.pencil.Mc @ self.dphi
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
@@ -148,18 +149,19 @@ class _Pass:
         """The derivative of index ix.m's coefficients: its own right-hand
         side and its own solve with the factorization the record keeps. pf and
         dense are the parameter's explicit partials at the index (`Partials`)."""
-        ctx, m, rec = self.ctx, ix.m, ix.rec
-        exp, model, phi = ctx.exp, ctx.model, ctx.exp.master.phi
+        m, rec, exp = ix.m, ix.rec, self.exp
+        model, master, phi = exp.model, exp.master, exp.master.phi
         pC, Aw, Vphi, _ = dense or (None,) * 4
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
         dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
+        MV, Lw = (rec.MV, rec.Lw) if self.matrix else (0.0, 0.0)
 
         # dT over the primal vectors (pf), T linearized in the lower orders
         df = pf + sum(lin.forward(self.dw.__getitem__) for lin in ix.lins)
 
         dV = dVdot = 0.0
-        dC = -df - dLam * ix.MV
+        dC = -df - dLam * MV
         if ix.v_terms:
             for u, j, k, uj, Rkj in ix.v_terms:
                 dRkj = self.dR[k][j]
@@ -173,23 +175,22 @@ class _Pass:
         dh = dC
         if rec.slot is not None:
             j = rec.slot
-            dR = self.dR_rows[ctx.record.resonant[m]]
-            lj = Lam + ctx.lam_pair[j]
+            dR = self.dR_rows[self.record.resonant[m]]
             dlj = dLam + dlam_pair[j]
-            dden = dlj + 2.0 * model.beta_r * ctx.omega * self.domega
+            dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
             dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
-            # D = -velocity(lj) @ phi
-            dD = -dlj * ctx.Mphi
+            # D = -velocity(Lam + lambda_j) @ phi
+            dD = -dlj * exp.Mphi
             if Vphi is not None:
-                dD = dD - model.pencil.velocity(lj) @ self.dphi - Vphi
+                dD = dD - ix.velocity_j @ self.dphi - Vphi
             dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
-        dLw = dLam * ix.Lw
+        dLw = dLam * Lw
         if Aw is not None:
             dLw = dLw + Aw
         # border row: d(phi^T M w_m) = 0; a plain record ignores it
         dw, _ = rec.lu.solve(dh - dLw, -(self.dMphi @ rec.w))
-        row = self.dw[m] = self.dw_rows[ctx.record.rows[m]]
+        row = self.dw[m] = self.dw_rows[self.record.rows[m]]
         row[:] = dw
 
         dwdot = None
@@ -260,22 +261,6 @@ class _Record:
 
 
 @dataclass
-class _Chain:
-    """What every pass shares: the model, the expansion and the record the
-    passes write."""
-
-    model: MechModel
-    exp: SsmExpansion
-    record: _Record
-
-    def __post_init__(self):
-        model, master = self.model, self.exp.master
-        self.lam_pair, self.omega = master.lambda_pair, master.omega
-        self.Mphi = model.M @ master.phi
-        self.zero = np.zeros(model.n, dtype=complex)
-
-
-@dataclass
 class _Index:
     """One canonical index's terms that no parameter changes."""
 
@@ -283,9 +268,9 @@ class _Index:
     rec: IndexCoeffs
     lins: list  # one key-space linearization per tensor
     v_terms: list  # (u, j, k, u[j], R_k[j]) of the lower-order coupling
-    MV: np.ndarray | float  # M V_m
-    Lw: np.ndarray | float  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
     velocity: np.ndarray | None  # the pencil's velocity(Lam_m), read with v_terms only
+    # velocity(Lam_m + lambda_j) at a resonant index, read by matrix parameters only
+    velocity_j: np.ndarray | None
     keep_wdot: bool  # a later coupling reads dwdot_m
 
 
@@ -293,39 +278,36 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
     """Every parameter's forward pass through the expansion, written into
     one `_Record`. Nothing here reads the amplitude target."""
     exp.check_model(model)
-    ctx = _Chain(model, exp, _Record.empty(exp, params.count))
+    walk = _Record.empty(exp, params.count)
     record = exp.partials(params)
 
-    dphi_all, domega_all = eig_derivatives(model, exp.master, params.count, record.eig)
+    dphi_all, domega_all = eig_derivatives(exp, params.count, record.eig)
     dMphi = {p: v for p, _, v in record.eig}
     passes = [
-        _Pass(ctx, p, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)
+        _Pass(exp, walk, p, dphi_all[p], domega_all[p], dMphi.get(p))
+        for p in range(params.count)
     ]
-    # read only times dLam, which is zero for a parameter without dM and dK
-    products = exp.products().index if params.matrix_params else None
 
+    pen, lam_pair = model.pencil, exp.master.lambda_pair
     r_orders = exp.r_orders()
     wdot_read = {u for m, _, _ in record.indices for u, _, _ in v_decomps(m, r_orders)}
     for m, pf, dense in record.indices:
         rec = exp.coeffs(m)
-        MV = Lw = 0.0
-        if products is not None:
-            MV, Lw = products[m].MV, products[m].Lw
         v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
+        resonant = rec.slot is not None and params.matrix_params
         ix = _Index(
             m,
             rec,
             [table.linearize(m) for table in exp.tables],
             v_terms,
-            MV,
-            Lw,
-            model.pencil.velocity(rec.Lam) if v_terms else None,
+            pen.velocity(rec.Lam) if v_terms else None,
+            pen.velocity(rec.Lam + lam_pair[rec.slot]) if resonant else None,
             m in wdot_read or symmetric(m) in wdot_read,
         )
         for p, ps in enumerate(passes):
             ps.step(ix, pf[p], dense.get(p))
         del ix  # one index's linearizations at a time
-    return ctx.record
+    return walk
 
 
 def _times(a: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -28,17 +28,18 @@ contraction) walk the canonical indices too and mirror the swapped ones by
 conjugation. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
 design variables at every index (`Partials`, kept by `SsmExpansion.partials`).
-The adjoint sweep, and the direct walk with matrix parameters, read the
-model's operators applied to the expansion's vectors once per expansion
-(`Products`, kept by `SsmExpansion.products`).
+A canonical record also keeps the model's operators applied to its vectors
+(M w_m, (C + 2 Lam_m M) w_m and M V_m), which the adjoint sweep and the direct
+walk read; the expansion keeps M phi and the one factorization of the bordered
+mode-shape system (`SsmExpansion.mode_lu`) that the adjoint's mode-shape solve
+and the direct eigenpair derivatives share.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +52,7 @@ from .errors import (
     OuterResonanceError,
     SsmError,
 )
-from .mechmodel import MechModel, PairSums, ParamDerivatives, Pencil
+from .mechmodel import MechModel, PairSums, ParamDerivatives
 from .multiindex import (
     E1,
     E2,
@@ -136,20 +137,6 @@ def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Facto
     return Factorization(lu, anorm, gb, gc)
 
 
-def mode_factorization(
-    model: MechModel, omega: float, b: np.ndarray, c: np.ndarray, what: str
-) -> Factorization:
-    """Factorization of [[K - omega^2 M, b], [c^T, 0]], the borders scaled to
-    the size of K and omega^2 M. Raises DegenerateModeError when the system
-    is singular (a repeated frequency)."""
-    scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
-
-    def singular(rcond):
-        return DegenerateModeError(f"{what} is singular (rcond={rcond:.2e}; repeated frequency)")
-
-    return factorize(model.pencil.modal(omega), singular, b, c, scale)
-
-
 @dataclass
 class IndexCoeffs:
     """Coefficients and cached solver data for one multi-index."""
@@ -166,6 +153,11 @@ class IndexCoeffs:
     slot: int | None  # resonant slot (0 or 1) or None
     den: complex | None = None  # denominator of R_m[slot], resonant only
     lu: Factorization | None = None  # L_m, bordered when resonant; canonical only
+    # the operators applied to the vectors, canonical only: M w_m,
+    # (C + 2 Lam_m M) w_m (dL_m/dLam applied to w_m) and M V_m
+    Mw: np.ndarray | None = None
+    Lw: np.ndarray | None = None
+    MV: np.ndarray | None = None
 
 
 def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
@@ -191,12 +183,14 @@ class SsmExpansion:
     """SSM coefficients up to a given odd order, and what the later passes
     read from them at every amplitude target.
 
-    Each index's record keeps its factorization. The model tensors'
+    Each canonical index's record keeps its factorization and the model's
+    operators applied to its vectors. The expansion keeps M phi (`Mphi`) and,
+    built on first read, the factorization of the bordered mode-shape system
+    (`mode_lu`); neither depends on the order. The model tensors'
     `PairSums` tables (`tables`, T2's and T3's) grow with the expansion, and
     the recursion and every sensitivity pass read them. The memo (`memo`)
     keeps what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps, and the operator products the
-    sensitivity passes read (`products`). Per `ParamDerivatives`, in one slot each
+    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
     that another `ParamDerivatives` replaces, it keeps the record of the
     residuals' explicit parameter partials (`partials`), which both
     sensitivity methods read, and the direct method's walk record. It holds
@@ -213,6 +207,7 @@ class SsmExpansion:
         self.n_solves = 0
         self._memo: dict = {}
         self._memo_order = self.order
+        self.Mphi = model.M @ master.phi
         self._init_leading()
         self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3))
 
@@ -288,61 +283,26 @@ class SsmExpansion:
         gradient contraction and the direct walk both read them."""
         return self.memo("partials", lambda: _build_partials(self, params), owner=params)
 
-    def products(self) -> "Products":
-        """The model's operators applied to the expansion's vectors
-        (`Products`), built on first use. The adjoint sweep reads them for
-        every target, and the direct walk with matrix parameters reads them
-        too."""
-        return self.memo("products", lambda: _build_products(self))
+    @cached_property
+    def mode_lu(self) -> Factorization:
+        """Factorization of the bordered mode-shape system
 
+            [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]],
 
-class IndexProducts(NamedTuple):
-    """The operator products at one index m that no target or parameter
-    changes (`index_products`)."""
+        the borders scaled to the size of K and omega^2 M. The adjoint's
+        mode-shape solve and the direct eigenpair derivatives both solve with
+        it. Raises DegenerateModeError when the system is singular (a
+        repeated frequency)."""
+        model, omega, Mphi = self.model, self.master.omega, self.Mphi
+        scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
 
-    Mw: np.ndarray  # M w_m
-    Lw: np.ndarray  # (C + 2 Lam_m M) w_m: dL_m/dLam applied to w_m
-    MV: np.ndarray  # M V_m
+        def singular(rcond):
+            return DegenerateModeError(
+                f"bordered mode-shape system is singular (rcond={rcond:.2e}; repeated frequency)"
+            )
 
-
-def index_products(pencil: Pencil, rec: IndexCoeffs) -> IndexProducts:
-    """M w_m, (C + 2 Lam_m M) w_m and M V_m of the record, with the pencil's
-    complex copies of M and C."""
-    Mw = pencil.Mc @ rec.w
-    return IndexProducts(Mw, pencil.Cc @ rec.w + 2.0 * rec.Lam * Mw, pencil.Mc @ rec.V)
-
-
-@dataclass(eq=False)
-class Products:
-    """What the sensitivity passes read of the model's operators applied to
-    the expansion, which depends on the expansion alone
-    (`SsmExpansion.products`): `index` holds `index_products` per canonical
-    index of order >= 2, `Mphi` is M phi, and `mode_lu` factors the
-    adjoint's bordered mode-shape system
-
-        [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]].
-
-    Arrays only: the memo that keeps it makes no cycle back to the
-    expansion."""
-
-    index: dict
-    Mphi: np.ndarray
-    mode_lu: Factorization
-
-
-def _build_products(exp: SsmExpansion) -> Products:
-    model, master = exp.model, exp.master
-    index = {
-        m: index_products(model.pencil, exp.coeffs(m))
-        for q in range(2, exp.order + 1)
-        for m in canonical_indices(q)
-    }
-    Mphi = model.M @ master.phi
-    mode_lu = mode_factorization(
-        model, master.omega, 2.0 * Mphi, -2.0 * master.omega * Mphi,
-        "bordered mode-shape adjoint system",
-    )
-    return Products(index, Mphi, mode_lu)
+        b, c = 2.0 * Mphi, -2.0 * omega * Mphi
+        return factorize(model.pencil.modal(omega), singular, b, c, scale)
 
 
 @dataclass(eq=False)
@@ -451,8 +411,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         # projection from h, so the solution with phi^T M w = 0 is the
         # regular limit; for xi > 0 it equals the plain solve. The border
         # stays on the scale of L's terms.
-        Mphi = M @ phi
-        lu = factorize(L, singular, Mphi, Mphi, pen.scale(Lam))
+        lu = factorize(L, singular, exp.Mphi, exp.Mphi, pen.scale(Lam))
     if not np.all(np.isfinite(h)):
         raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
     w, _ = lu.solve(h)
@@ -488,8 +447,10 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
             arr.imag = 0.0
 
     wdot = Lam * w + (R[0] + R[1]) * phi + V
+    Mw = pen.Mc @ w
+    Lw = pen.Cc @ w + 2.0 * Lam * Mw
     exp.n_solves += 1
-    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu)
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu, Mw, Lw, pen.Mc @ V)
 
 
 def compute_ssm(

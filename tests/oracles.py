@@ -62,7 +62,7 @@ from ssmopt.sens_adjoint import (
     _seed_bars,
     solve_adjoint_phi_omega,
 )
-from ssmopt.ssm import SsmExpansion, index_products, order_step
+from ssmopt.ssm import SsmExpansion, order_step
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -252,10 +252,11 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     factorization of its canonical partner (its operator is the conjugate
     one). Every bar is read where it was pushed, so nothing is folded and the
     objective's seeds count at full weight. The dicts cover every index. Each
-    index's operator products are formed from its own record; M phi and the
-    mode-shape factorization are the expansion's (`SsmExpansion.products`).
+    index's operator products are formed here from its own record (the
+    expansion keeps them for the canonical records only); M phi and the
+    mode-shape factorization are the expansion's (`SsmExpansion.mode_lu`).
     """
-    products = exp.products()
+    pen = model.pencil
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
     # `_seed_bars` seeds half of each bar for the fold; doubling is exact
@@ -285,12 +286,11 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
                 nu_m[m] = nu
         for m in idx_q:
             rec = exp.coeffs(m)
-            prod = index_products(model.pencil, rec)
-            _backprop_index(
-                model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), prod, products.Mphi
-            )
+            Mw = pen.M @ rec.w
+            rec = replace(rec, Mw=Mw, Lw=pen.C @ rec.w + 2.0 * rec.Lam * Mw, MV=pen.M @ rec.V)
+            _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
 
-    lambda_phi, lambda_omega = solve_adjoint_phi_omega(model, exp.master, bars, products.mode_lu)
+    lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 

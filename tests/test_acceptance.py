@@ -285,29 +285,32 @@ def test_criterion_8_adjoint_scaling():
         exp = compute_ssm(model, master, 5)
         return exp, chain_per_spring_k3(spec, count), rho_of_x(exp, dof, 0.05)
 
-    def time_direct(count):
-        best = np.inf
-        for _ in range(5):
-            exp, params, rho = cold(count)
-            t0 = time.perf_counter()
-            chain_derivatives(model, exp, params, dof, rho)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(call, count):
+        exp, params, rho = cold(count)
+        t0 = time.perf_counter()
+        call(exp, params, rho)
+        return time.perf_counter() - t0
 
-    def time_adjoint(count):
-        best = np.inf
+    def scaling(call):
+        """Min of five timed calls at P = 1 and at P = 100. The two sides
+        alternate within each repetition, so that a drift of the host's
+        speed hits both alike."""
+        best = {1: np.inf, 100: np.inf}
         for _ in range(5):
-            exp, params, rho = cold(count)
-            t0 = time.perf_counter()
-            adj = solve_adjoint(model, exp, dof, rho)
-            contract_gradient(model, exp, adj, params)
-            best = min(best, time.perf_counter() - t0)
-        return best
+            for count in best:
+                best[count] = min(best[count], timed(call, count))
+        return best[1], best[100]
 
-    time_direct(1)  # warmup
-    time_adjoint(1)
-    d1, d100 = time_direct(1), time_direct(100)
-    a1, a100 = time_adjoint(1), time_adjoint(100)
+    def direct(exp, params, rho):
+        chain_derivatives(model, exp, params, dof, rho)
+
+    def adjoint(exp, params, rho):
+        contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params)
+
+    timed(direct, 1)  # warmup
+    timed(adjoint, 1)
+    d1, d100 = scaling(direct)
+    a1, a100 = scaling(adjoint)
     speedup = d100 / a100
     ok = (d100 >= 20.0 * d1) and (a100 <= 2.0 * a1) and (speedup >= 5.0)
     report(

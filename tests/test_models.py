@@ -140,10 +140,11 @@ class TestVkBeam:
 
     def test_fd_of_assembly_matches_eig_derivative_fd(self, beam, beam_spec, beam_master):
         from ssmopt.sens_direct import eig_derivatives
+        from ssmopt.ssm import SsmExpansion
 
         model, params = beam
         modal = params.modal_partials(model, beam_master.omega, beam_master.phi)
-        _, domega = eig_derivatives(model, beam_master, params.count, modal)
+        _, domega = eig_derivatives(SsmExpansion(model, beam_master), params.count, modal)
 
         def omega_at(mu):
             spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])

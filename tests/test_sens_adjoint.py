@@ -9,7 +9,7 @@ import pytest
 from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
 from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
-from ssmopt.mechmodel import ParamDerivatives
+from ssmopt.mechmodel import ParamDerivatives, Pencil
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import canonical_indices, symmetric
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
@@ -355,33 +355,39 @@ class TestExpansionStore:
         want = _fresh_gradients(model, master, 9, params, dof, x)[:2]
         _assert_bitwise((got["adjoint"], got["direct"]), want)
 
-    def test_targets_share_the_sweep_products(self, monkeypatch):
-        # four targets at three DOFs on one expansion: the mode-shape
-        # factorization and each index's operator products are built once,
-        # and every adjoint state is bitwise that of a fresh expansion
+    def test_one_mode_shape_factorization_per_expansion(self, monkeypatch):
+        # the bordered mode-shape system is factored once per expansion, on
+        # first read: a backbone read does not build it, an O7 -> O9
+        # extension keeps it, and neither four targets' sweeps at three DOFs
+        # nor the direct eigenpair derivatives factor anything. Every
+        # adjoint state and gradient is bitwise that of a fresh expansion.
         model, params, master, dof, (x1, x2) = _curved_beam10_o9()
-        exp = compute_ssm(model, master, 9)
-        calls = {"mode": 0, "index": 0}
-        factor, products = ssm.mode_factorization, ssm.index_products
+        calls = []
+        factorize = ssm.factorize
 
-        def counted_factor(*args):
-            calls["mode"] += 1
-            return factor(*args)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return factorize(*args, **kwargs)
 
-        def counted_products(*args):
-            calls["index"] += 1
-            return products(*args)
+        monkeypatch.setattr(ssm, "factorize", counted)
+        exp = compute_ssm(model, master, 7)
+        omega_of_rho(exp, rho_of_x(exp, dof, x1))
+        assert "mode_lu" not in vars(exp)
+        lu = exp.mode_lu
+        compute_ssm(model, master, 9, from_expansion=exp)
+        n_factored = sum(len(canonical_indices(q)) for q in range(2, 10)) + 1
+        assert len(calls) == n_factored and exp.mode_lu is lu
 
-        monkeypatch.setattr(ssm, "mode_factorization", counted_factor)
-        monkeypatch.setattr(ssm, "index_products", counted_products)
-        n_index = sum(len(canonical_indices(q)) for q in range(2, 10))
         targets = [(dof, x1), (dof, x2), (dof - 3, 0.001), (dof + 3, 0.001)]
         states = []
         for d, x in targets:
             rho = rho_of_x(exp, d, x)
-            states.append((d, rho, solve_adjoint(model, exp, d, rho)))
-            assert calls == {"mode": 1, "index": n_index}
-        for d, rho, got in states:
+            states.append((d, x, rho, solve_adjoint(model, exp, d, rho)))
+            assert len(calls) == n_factored
+        direct = chain_derivatives(model, exp, params, dof, rho_of_x(exp, dof, x1))
+        assert len(calls) == n_factored and exp.mode_lu is lu
+
+        for d, x, rho, got in states:
             fresh = compute_ssm(model, master, 9)
             want = solve_adjoint(model, fresh, d, rho)
             for field in ("lambda_m", "nu_m", "r_bar"):
@@ -395,6 +401,34 @@ class TestExpansionStore:
                 [contract_gradient(model, exp, got, params).d_omega],
                 [contract_gradient(model, fresh, want, params).d_omega],
             )
+        _assert_bitwise(
+            [direct.d_omega, direct.d_rho],
+            _fresh_gradients(model, master, 9, params, dof, x1)[1:],
+        )
+
+    def test_walk_forms_each_velocity_once_per_index(self, monkeypatch):
+        # the walk forms the model pencil's velocity operators in its
+        # per-index terms, once per index whatever the number of parameters
+        model, params, master, dof, (x, _) = _curved_beam10_o9()
+        formed = []
+        velocity = Pencil.velocity
+
+        def counted(pen, s):
+            if pen is model.pencil:
+                formed.append(s)
+            return velocity(pen, s)
+
+        monkeypatch.setattr(Pencil, "velocity", counted)
+        counts = []
+        for count in (1, 2, 4):
+            sub = _first(params, count)
+            assert len(sub.matrix_params) == count
+            exp = compute_ssm(model, master, 9)
+            rho = rho_of_x(exp, dof, x)
+            formed.clear()
+            chain_derivatives(model, exp, sub, dof, rho)
+            counts.append(len(formed))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the

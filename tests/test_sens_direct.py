@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from ssmopt.models import (
     chain_per_spring_k3,
     vk_center_dof,
 )
-from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
+from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_adjoint_phi_omega
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
 
@@ -26,10 +25,10 @@ from oracles import fd_gradient_richardson, reference_projection
 
 
 def _eig_derivatives(model, master, params):
-    """`eig_derivatives` with the master's explicit partials as the direct
-    walk's record holds them."""
+    """`eig_derivatives` on a new expansion of the master pair, with the
+    master's explicit partials as the direct walk's record holds them."""
     modal = params.modal_partials(model, master.omega, master.phi)
-    return eig_derivatives(model, master, params.count, modal)
+    return eig_derivatives(ssm.SsmExpansion(model, master), params.count, modal)
 
 
 def null_params(n):
@@ -63,17 +62,18 @@ class TestSingularBorderedSystems:
         model, master = self._pair(split)
         params = ParamDerivatives(("k",), (np.zeros((2, 2)),), (np.eye(2),),
                                   (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
-        with pytest.raises(DegenerateModeError, match="eigenpair system is singular"):
+        # the eigenpair derivatives solve with the expansion's factorization
+        # of the bordered mode-shape system (`SsmExpansion.mode_lu`)
+        with pytest.raises(DegenerateModeError, match="mode-shape system is singular"):
             _eig_derivatives(model, master, params)
 
     @pytest.mark.parametrize("split", [0.0, 1e-14])
     def test_mode_shape_adjoint_system(self, split):
-        # the sweep factors the system when it builds the expansion's
-        # products (`SsmExpansion.products`); a stand-in of order 1 has no
-        # index products to form
+        # the adjoint's mode-shape solve reads the same factorization
         model, master = self._pair(split)
-        with pytest.raises(DegenerateModeError, match="adjoint system is singular"):
-            ssm._build_products(SimpleNamespace(model=model, master=master, order=1))
+        exp = ssm.SsmExpansion(model, master)
+        with pytest.raises(DegenerateModeError, match="mode-shape system is singular"):
+            solve_adjoint_phi_omega(exp, _Bars(model.n))
 
 
 class TestEigDerivatives:

@@ -1,10 +1,12 @@
 """No module of the package imports a name it never uses, no function binds
-a local it never reads, and no module-level private function or class goes
-unreferenced in the package.
+a local it never reads, no module-level private function or class goes
+unreferenced in the package, and no field of a private dataclass or
+NamedTuple goes unread.
 
-A deletion that leaves its imports, its inputs or its private helpers behind
-fails here; a helper that only tests call counts as left behind. The names
-that `ssmopt/__init__.py` lists in `__all__` are re-exports, not leftovers.
+A deletion that leaves its imports, its inputs, its private helpers or the
+fields that carried its data behind fails here; a helper that only tests
+call counts as left behind. The names that `ssmopt/__init__.py` lists in
+`__all__` are re-exports, not leftovers.
 """
 
 import ast
@@ -114,6 +116,101 @@ def unreferenced_privates(trees: dict):
     return out
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _bare_name(node):
+    """The name of a decorator, base class or callee: `dataclass`,
+    `dataclass(...)`, `typing.NamedTuple`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _annotated_names(annotation):
+    """The bare names an annotation mentions: `X`, `"X"`, `X | None`."""
+    if annotation is None:
+        return set()
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    return {_bare_name(node) for node in ast.walk(annotation)} - {None}
+
+
+def private_records(trees: dict):
+    """{class: {field: (module, line)}} of the annotated fields of every
+    module-level private dataclass or NamedTuple."""
+    out = {}
+    for mod, tree in trees.items():
+        private = private_definitions(tree)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in private):
+                continue
+            if any(_bare_name(d) == "dataclass" for d in cls.decorator_list) or any(
+                _bare_name(b) == "NamedTuple" for b in cls.bases
+            ):
+                out[cls.name] = {
+                    stmt.target.id: (mod, stmt.lineno)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+    return out
+
+
+def unread_fields(trees: dict):
+    """{(module, class, field): line} of the private record fields that no
+    function of `trees` reads from an instance of their own class. A read is
+    an attribute load on an instance the function holds: an argument
+    annotated with the class, `self` in the class's own methods, or a name
+    assigned (or annotated) from a call that makes one (the class, one of
+    its class methods, a function annotated to return it), or that call
+    itself. A field of the same name on another class does not count."""
+    records = private_records(trees)
+    functions = [f for t in trees.values() for f in ast.walk(t) if isinstance(f, _FUNCTIONS)]
+    makers = {cls: {cls} for cls in records}
+    for f in functions:
+        for cls in _annotated_names(f.returns) & records.keys():
+            makers[cls].add(f.name)
+    owner = {
+        id(f): cls.name
+        for t in trees.values()
+        for cls in t.body
+        if isinstance(cls, ast.ClassDef) and cls.name in records
+        for f in cls.body
+        if isinstance(f, _FUNCTIONS)
+    }
+
+    def makes(node, cls):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == cls:
+            return True
+        return _bare_name(func) in makers[cls]
+
+    read = {cls: set() for cls in records}
+    for f in functions:
+        args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+        for cls in records:
+            held = {a.arg for a in args if cls in _annotated_names(a.annotation)}
+            if owner.get(id(f)) == cls and args:
+                held.add(args[0].arg)
+            for node in ast.walk(f):
+                if isinstance(node, ast.Assign) and makes(node.value, cls):
+                    held.update(t.id for t in node.targets if isinstance(t, ast.Name))
+                elif isinstance(node, ast.AnnAssign) and cls in _annotated_names(node.annotation):
+                    held.add(getattr(node.target, "id", None))
+            for node in ast.walk(f):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    if getattr(node.value, "id", None) in held or makes(node.value, cls):
+                        read[cls].add(node.attr)
+    return {
+        (mod, cls, name): line
+        for cls, fields in records.items()
+        for name, (mod, line) in fields.items()
+        if name not in read[cls]
+    }
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "sens_adjoint.py", "optimizer.py"}
 
@@ -169,3 +266,43 @@ def test_private_definition_guard_sees_other_modules_and_self_reference():
         "b.py": ast.parse("from a import _used\n"),
     }
     assert unreferenced_privates(trees) == {("a.py", "_self"): 2, ("a.py", "_Lonely"): 4}
+
+
+def test_no_unread_private_field():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    unread = unread_fields(trees)
+    assert not unread, f"private record fields that nothing in the package reads: {unread}"
+
+
+def test_unread_field_guard_follows_instances():
+    trees = {
+        "a.py": ast.parse(
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n"
+            "@dataclass\n"
+            "class _Index:\n"
+            "    m: tuple\n"
+            "    MV: object\n"
+            "    lins: list\n"
+            "@dataclass\n"
+            "class _Rec:\n"
+            "    MV: object\n"
+            "    w: object\n"
+            "    def norm(self):\n"
+            "        return self.w\n"
+            "class _Pair(NamedTuple):\n"
+            "    a: int\n"
+            "    b: int\n"
+            "def pair() -> '_Pair':\n"
+            "    return _Pair(1, 2)\n"
+            "def step(ix: '_Index', rec):\n"
+            "    ix.MV = rec.MV\n"
+            "    return ix.m\n"
+            "def walk(rec: _Rec):\n"
+            "    ix = _Index((), rec.MV, [])\n"
+            "    return ix.lins, pair().a\n"
+        ),
+        "b.py": ast.parse("from a import pair\ndef f():\n    p = pair()\n    return p.b\n"),
+    }
+    # _Index.MV is only assigned, and the reads of `MV` are _Rec's
+    assert unread_fields(trees) == {("a.py", "_Index", "MV"): 6}
