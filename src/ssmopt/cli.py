@@ -4,6 +4,9 @@ Subcommands: backbone, sens, verify, optimize, bench. Everything but paths
 and small overrides lives in a JSON config for reproducible runs. Exit codes:
 0 success, 1 config/schema error, 2 model error, 3 expansion/sensitivity
 error, 4 verification or convergence failure.
+
+`sens`, `bench` and `--method` take the gradient methods from
+`optimizer.GRADIENTS`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import ConfigError, ModelError, SsmError, SsmOptError
 from .fdcheck import backbone_response, fd_gradient
 from .models import ChainSpec, build_chain, chain_per_spring_k3
 from .optimizer import (
+    GRADIENTS,
     BackboneTarget,
     EigfreqTarget,
     OptProblem,
@@ -37,8 +41,6 @@ from .optimizer import (
     solve,
     trace_to_csv,
 )
-from .sens_adjoint import contract_gradient, solve_adjoint
-from .sens_direct import chain_derivatives
 from .spectral import mac, solve_master
 from .ssm import (
     RESIDUAL_THETA_SAMPLES,
@@ -140,11 +142,7 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
     results = {}
     for method in block["methods"]:
         t0 = time.perf_counter()
-        if method == "adjoint":
-            adj = solve_adjoint(model, exp, dof, rho)
-            grads = contract_gradient(model, exp, adj, params).d_omega
-        else:
-            grads = chain_derivatives(model, exp, params, dof, rho).d_omega
+        grads = GRADIENTS[method](model, exp, params, dof, rho)
         dt = time.perf_counter() - t0
         report = {
             "method": method,
@@ -280,11 +278,7 @@ def cmd_bench(cfg: dict, outdir: Path) -> int:
                     params = chain_per_spring_k3(spec, count)
                     rho = rho_of_x(exp, n_masses - 1, x0)
                     t0 = time.perf_counter()
-                    if method == "direct":
-                        chain_derivatives(model, exp, params, n_masses - 1, rho)
-                    else:
-                        adj = solve_adjoint(model, exp, n_masses - 1, rho)
-                        contract_gradient(model, exp, adj, params)
+                    GRADIENTS[method](model, exp, params, n_masses - 1, rho)
                     best[method] = min(best[method], time.perf_counter() - t0)
             for method in best:
                 rows.append(f"{method},{order},{count},{best[method]:.6e}")
@@ -374,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--order", help="expansion order (odd integer or 'auto')")
             sp.add_argument("--eps-tol", type=float, help="residual tolerance for 'auto'")
         if name == "optimize":
-            sp.add_argument("--method", choices=["adjoint", "direct"])
+            sp.add_argument("--method", choices=list(GRADIENTS))
     return p
 
 

@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 from .errors import ConfigError
 from .mechmodel import ParamDerivatives, model_from_json
 from .models import FAMILIES, ModelFamily
-from .optimizer import OBJECTIVE_REFS
+from .optimizer import GRADIENTS, OBJECTIVE_REFS
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
@@ -111,7 +111,7 @@ _SENS_BLOCK = {
         "x0": _POSITIVE,
         "methods": {
             "type": "array",
-            "items": {"enum": ["adjoint", "direct"]},
+            "items": {"enum": list(GRADIENTS)},
             "minItems": 1,
         },
         "order": _ODD_ORDER,
@@ -179,7 +179,7 @@ _OPT_BLOCK = {
             },
             "additionalProperties": False,
         },
-        "method": {"enum": ["adjoint", "direct"]},
+        "method": {"enum": list(GRADIENTS)},
         "mode": _INDEX,
     },
     "required": ["objective", "constraints", "bounds"],

@@ -23,13 +23,13 @@ expansion and for every sensitivity pass: a `PairSums` table holds, for T3,
 the pair sums P_s = sum over u + v = s of w_u w_v at the key columns, and for
 T2 the vectors themselves, so the convolution at m is one sum over its first
 part u with P_{m-u} instead of one over every ordered triple. The expansion
-owns its model tensors' tables and grows them by one order before it solves
-each order (`SsmExpansion.tables`); the adjoint sweep and the direct walk
-read the same tables. The stacked parameter tensors' tables are built once
-per `ParamDerivatives` and order, for the partial forces in the record of
-explicit parameter partials that both sensitivity methods read
-(`SsmExpansion.partials`); `ParamDerivatives.modal_partials` gives that
-record's eigenproblem terms.
+owns the tables of its model tensors with entries and grows them by one
+order before it solves each order (`SsmExpansion.tables`); the adjoint sweep
+and the direct walk read the same tables. The stacked parameter tensors'
+tables are built once per `ParamDerivatives` and order, for the partial
+forces in the record of explicit parameter partials that both sensitivity
+methods read (`SsmExpansion.partials`); `ParamDerivatives.modal_partials`
+gives that record's eigenproblem terms.
 A table's `force(m)` is the convolution at m, and its `linearize(m)`
 linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
@@ -325,7 +325,8 @@ class SymTensor:
 
 class PairSums:
     """A force tensor's sums over the lower parts of every decomposition, for
-    one expansion's vectors `w` up to a top order.
+    one expansion's vectors `w` up to a top order. The tensor has entries; a
+    tensor without any has no table, and the force sums leave it out.
 
     For a tensor of arity k and each index s of orders k - 1 .. order - 1,
     the table holds
@@ -353,11 +354,11 @@ class PairSums:
 
     A table grows one order at a time (`extend`): each order appends the
     vectors it reads and its own rows, and no row is rebuilt. The expansion
-    keeps its model tensors' tables (`SsmExpansion.tables`) and extends them
-    before it solves each order; a table built at once is the same loop
-    started from an empty table. It keeps copies of the vectors it reads,
-    not the expansion, so the expansion's own tables make no reference
-    cycle.
+    keeps the tables of its model tensors with entries (`SsmExpansion.tables`)
+    and extends them before it solves each order; a table built at once is
+    the same loop started from an empty table. It keeps copies of the vectors
+    it reads, not the expansion, so the expansion's own tables make no
+    reference cycle.
     """
 
     def __init__(self, tensor: SymTensor, w, order_: int):
@@ -367,11 +368,10 @@ class PairSums:
         # the highest order whose convolutions the table serves; below
         # tensor.arity there are none
         self.top = tensor.arity - 1
-        if tensor.nnz:
-            cols, self.proj = tensor.projections
-            # one row per vector; a stacked tensor's n is not the vectors' length
-            self.W = np.empty((0, len(w((1, 0)))), complex)
-            self.table = np.empty((0, cols.shape[1]), complex)
+        cols, self.proj = tensor.projections
+        # one row per vector; a stacked tensor's n is not the vectors' length
+        self.W = np.empty((0, len(w((1, 0)))), complex)
+        self.table = np.empty((0, cols.shape[1]), complex)
         self.extend(w, order_)
 
     def extend(self, w, order_: int):
@@ -386,8 +386,6 @@ class PairSums:
         lo = T.arity - 1
         for top in range(self.top + 1, order_ + 1):
             self.top = top
-            if T.nnz == 0:
-                continue
             cols = T.projections[0]
             new = np.array([w(v) for v in all_indices(top - lo)])
             self.W = W = np.concatenate([self.W, new])
@@ -410,8 +408,6 @@ class PairSums:
         indices it reads: row (u, slot) is P_{m-u} at the slot's projection,
         all rows in one gather."""
         T = self.tensor
-        if T.nnz == 0:
-            return Linearization(T, (), np.zeros((0, 0), dtype=complex))
         rows, at, slots = _linear_plan(m, T.arity)
         return Linearization(T, rows, self.table[at[:, None], self.proj[slots]])
 
@@ -430,8 +426,6 @@ class PairSums:
         (`tests/oracles.py`, `reference_pullback`).
         """
         T = self.tensor
-        if T.nnz == 0:
-            return {}
         parts, at, rows = _pull_plan(m, T.arity)
         if not parts:
             return {}
@@ -450,8 +444,6 @@ class PairSums:
         """The force convolution at m: the sum over the first part u of
         w(u) at the first key column times P_{m-u} at the other columns."""
         T = self.tensor
-        if T.nnz == 0:
-            return np.zeros(T.n, dtype=complex)
         key_cols, key_of = T.key_pattern
         parts, at = _force_plan(m, T.arity)
         G = np.zeros(len(key_cols[0]), dtype=complex)

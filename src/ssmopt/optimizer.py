@@ -22,6 +22,9 @@ stalls short of feasibility it probes interior values of each variable, and
 a Gauss-Newton restoration on the constraints alone polishes the end point.
 Each accepted iterate (a line-search step, a restoration probe or the
 polished end point) is recorded in the trace and re-decides the order.
+
+The backbone constraints' gradients come from `GRADIENTS`, the one table of
+gradient methods (adjoint and direct), which the CLI and the config read too.
 """
 
 from __future__ import annotations
@@ -104,6 +107,21 @@ class OptProblem:
 
 # objective type -> the key naming the design variables it reads
 OBJECTIVE_REFS = {"constant": None, "variable": "name", "linear": "coeffs", "product": "vars"}
+
+
+def _adjoint_gradient(model, exp, params, dof_index, rho):
+    adj = solve_adjoint(model, exp, dof_index, rho)
+    return contract_gradient(model, exp, adj, params).d_omega
+
+
+def _direct_gradient(model, exp, params, dof_index, rho):
+    return chain_derivatives(model, exp, params, dof_index, rho).d_omega
+
+
+# gradient method -> (model, exp, params, dof_index, rho) -> dOmega/dmu at the
+# backbone point. The entries look the sensitivity functions up by name at
+# each call, so a wrapper installed over those names sees every call.
+GRADIENTS = {"adjoint": _adjoint_gradient, "direct": _direct_gradient}
 
 
 def check_objective(spec: dict, names: tuple[str, ...]) -> None:
@@ -311,11 +329,7 @@ def evaluate(
                 omega = omega_of_rho(exp, rho) + slope * (tgt.x - err.x_max)
             rho_max = max(rho_max, rho)
             cons.append((omega - tgt.omega) / omega_scale)
-            if method == "adjoint":
-                adj = solve_adjoint(model, exp, tgt.dof_index, rho)
-                grad = contract_gradient(model, exp, adj, params).d_omega
-            else:
-                grad = chain_derivatives(model, exp, params, tgt.dof_index, rho).d_omega
+            grad = GRADIENTS[method](model, exp, params, tgt.dof_index, rho)
             jac.append(grad / omega_scale)
         epsilon = invariance_residual(model, exp, rho_max).epsilon
 

@@ -52,7 +52,8 @@ contribution enters the mode-shape equation and the mass-matrix contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,32 +84,20 @@ class AdjointState:
     lambda_omega: float
 
 
-@dataclass
 class _Bars:
-    """Reverse-mode accumulators over the expansion graph."""
+    """Reverse-mode accumulators over the expansion graph. The per-index
+    stores (bars of w_m, wdot_m and the R_m pair) read zero where nothing has
+    pushed yet. V_m's bar is not stored: the wdot step at m makes it and the
+    index step at m, its one reader, takes it as an argument."""
 
-    n: int
-    w: dict = field(default_factory=dict)
-    wdot: dict = field(default_factory=dict)
-    R: dict = field(default_factory=dict)
-    V: dict = field(default_factory=dict)
-    phi: np.ndarray | None = None
-    lam: np.ndarray | None = None  # (2,) bars of the eigenvalue pair
-    omega: complex = 0.0
-
-    def __post_init__(self):
-        self.phi = np.zeros(self.n, dtype=complex)
-        self.lam = np.zeros(2, dtype=complex)
-
-    def vec(self, store: dict, m) -> np.ndarray:
-        if m not in store:
-            store[m] = np.zeros(self.n, dtype=complex)
-        return store[m]
-
-    def rbar(self, m) -> np.ndarray:
-        if m not in self.R:
-            self.R[m] = np.zeros(2, dtype=complex)
-        return self.R[m]
+    def __init__(self, n: int):
+        self.n = n
+        self.w = defaultdict(lambda: np.zeros(n, dtype=complex))
+        self.wdot = defaultdict(lambda: np.zeros(n, dtype=complex))
+        self.R = defaultdict(lambda: np.zeros(2, dtype=complex))
+        self.phi = np.zeros(n, dtype=complex)
+        self.lam = np.zeros(2, dtype=complex)  # bars of the eigenvalue pair
+        self.omega = 0.0
 
     def fold(self, store: dict, m) -> np.ndarray:
         """Pop the total bar of canonical m from store.
@@ -134,20 +123,20 @@ def _seed_bars(bars: _Bars, pw: PointWeights, dof_index: int):
     bars.lam[0] += 0.5 * pw.lam[0]
     bars.lam[1] += 0.5 * pw.lam[1]
     for (a, slot), wt in pw.R:
-        bars.rbar(a)[slot] += 0.5 * wt
+        bars.R[a][slot] += 0.5 * wt
     for m, coef in pw.amplitude(0.5 * solve_adjoint_rho(pw)).items():
         if order(m) == 1:
             bars.phi[dof_index] += coef
         else:
-            bars.vec(bars.w, m)[dof_index] += coef
+            bars.w[m][dof_index] += coef
 
 
 def _backprop_wdot(exp, bars: _Bars, m, rec, b):
-    """Reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the bar b."""
-    bars.vec(bars.w, m)[:] += rec.Lam * b
+    """Reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the bar
+    b but its V_m term: b is V_m's bar, which the index step at m takes."""
+    bars.w[m] += rec.Lam * b
     if rec.slot is not None:
-        bars.rbar(m)[rec.slot] += b @ exp.master.phi
-    bars.vec(bars.V, m)[:] += b
+        bars.R[m][rec.slot] += b @ exp.master.phi
     bars.phi += (rec.R[0] + rec.R[1]) * b
     _add_lam_bar(bars, m, b @ rec.w)
 
@@ -157,11 +146,12 @@ def _add_lam_bar(bars: _Bars, m, value: complex):
     bars.lam[1] += m[1] * value
 
 
-def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
+def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vbar):
     """Reverse of the cohomological step at m for the adjoint pair (lam_m,
-    nu_m). The step's operator products are the record's (rec.Mw, rec.Lw,
-    rec.MV) and M phi is the expansion's; every other product applies the
-    pencil's complex copies of M and C to a bar."""
+    nu_m) and the bar vbar of V_m that the wdot step at m left. The step's
+    operator products are the record's (rec.Mw, rec.Lw, rec.MV) and M phi is
+    the expansion's; every other product applies the pencil's complex copies
+    of M and C to a bar."""
     master = exp.master
     phi = master.phi
     Mc, Cc = model.pencil.Mc, model.pencil.Cc
@@ -174,7 +164,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     bar_c = bar_h.copy()
     if rec.slot is not None:
         j = rec.slot
-        bars.rbar(m)[j] += bar_h @ rec.D
+        bars.R[m][j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
         # the pencil's velocity(Lam + lambda_j) applied to bar_d, not formed
         bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
@@ -191,7 +181,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
         j = rec.slot
         # final here: every reader of R_m lies above m's order or at m
         # itself; solve_adjoint keeps it as r_bar for the contraction
-        g = bars.rbar(m)[j]
+        g = bars.R[m][j]
         if g != 0.0:
             bar_c += (g / rec.den) * phi
             bars.phi += (g / rec.den) * rec.C
@@ -203,17 +193,17 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
     # C = -M Vdot - (Lam M + C) V - f; M bar_c serves both bars
     M_bar_c = Mc @ bar_c
     bar_vdot = -M_bar_c
-    bar_v = bars.V.pop(m, np.zeros(model.n, complex)) - (rec.Lam * M_bar_c + Cc @ bar_c)
+    bar_v = vbar - (rec.Lam * M_bar_c + Cc @ bar_c)
     bar_f = -bar_c
     _add_lam_bar(bars, m, -(bar_c @ rec.MV))
 
     # V, Vdot sums over lower-order coefficients
     for u, j, k in v_decomps(m, exp.r_orders()):
         Rkj = exp.R(k)[j]
-        bars.vec(bars.w, u)[:] += u[j] * Rkj * bar_v
-        bars.rbar(k)[j] += u[j] * (bar_v @ exp.w(u))
-        bars.vec(bars.wdot, u)[:] += u[j] * Rkj * bar_vdot
-        bars.rbar(k)[j] += u[j] * (bar_vdot @ exp.wdot(u))
+        bars.w[u] += u[j] * Rkj * bar_v
+        bars.R[k][j] += u[j] * (bar_v @ exp.w(u))
+        bars.wdot[u] += u[j] * Rkj * bar_vdot
+        bars.R[k][j] += u[j] * (bar_vdot @ exp.wdot(u))
 
     # nonlinear force convolution: one pullback per tensor's table
     for table in exp.tables:
@@ -221,7 +211,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m):
             if order(u) == 1:
                 bars.phi += bar_u
             else:
-                bars.vec(bars.w, u)[:] += bar_u
+                bars.w[u] += bar_u
 
 
 def solve_adjoint_phi_omega(exp: SsmExpansion, bars: _Bars):
@@ -264,14 +254,15 @@ def solve_adjoint(
             # it pushes, so it pushes at half weight, and its w_m is folded
             # only after its own wdot step has pushed to it
             wt = 0.5 if m[0] == m[1] else 1.0
-            _backprop_wdot(exp, bars, m, rec, wt * bars.fold(bars.wdot, m))
+            vbar = wt * bars.fold(bars.wdot, m)
+            _backprop_wdot(exp, bars, m, rec, vbar)
             lam, nu = rec.lu.solve(-bars.fold(bars.w, m))
             lambda_m[m] = lam
             if rec.slot is not None:
                 nu_m[m] = nu
                 # the swapped R pair is this one conjugated, slots exchanged
-                bars.rbar(m)[:] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu)
+                bars.R[m] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
+            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu, vbar)
 
     # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
     bars.phi += np.conj(bars.phi)

@@ -10,9 +10,9 @@ exactly-singular undamped case is handled by the same path as the lightly
 damped one (for which the bordered and plain solutions coincide).
 
 The force convolution at each index reads the expansion's own `PairSums`
-tables of T2 and T3 (`SsmExpansion.tables`), which `compute_ssm` grows by one
-order before it solves that order's indices; the sensitivity passes read the
-same tables.
+tables of T2 and T3, of each one that has entries (`SsmExpansion.tables`),
+which `compute_ssm` grows by one order before it solves that order's indices;
+the sensitivity passes read the same tables.
 
 Each operator is factored once, by `factorize`, into a rcond-checked
 `Factorization` that the record keeps; the sensitivity passes solve with
@@ -186,17 +186,16 @@ class SsmExpansion:
     Each canonical index's record keeps its factorization and the model's
     operators applied to its vectors. The expansion keeps M phi (`Mphi`) and,
     built on first read, the factorization of the bordered mode-shape system
-    (`mode_lu`); neither depends on the order. The model tensors'
-    `PairSums` tables (`tables`, T2's and T3's) grow with the expansion, and
-    the recursion and every sensitivity pass read them. The memo (`memo`)
-    keeps what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
-    that another `ParamDerivatives` replaces, it keeps the record of the
-    residuals' explicit parameter partials (`partials`), which both
+    (`mode_lu`); neither depends on the order. The `PairSums` tables of the
+    model tensors that have entries (`tables`, T2's and T3's) grow with the
+    expansion, and the recursion and every sensitivity pass read them. The
+    memo (`memo`) keeps what depends on the expansion alone: the backbone's
+    amplitude polynomials and validity caps. Per `ParamDerivatives`, in one
+    slot each that another `ParamDerivatives` replaces, it keeps the record
+    of the residuals' explicit parameter partials (`partials`), which both
     sensitivity methods read, and the direct method's walk record. It holds
-    the current order's entries only:
-    `compute_ssm` with from_expansion extends an expansion in place, and the
-    first read after that drops what the lower order built.
+    the current order's entries only: `compute_ssm` with from_expansion,
+    which extends an expansion in place, clears it.
     """
 
     def __init__(self, model: MechModel, master: MasterPair):
@@ -206,10 +205,9 @@ class SsmExpansion:
         self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.n_solves = 0
         self._memo: dict = {}
-        self._memo_order = self.order
         self.Mphi = model.M @ master.phi
         self._init_leading()
-        self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3))
+        self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3) if T.nnz)
 
     def _init_leading(self):
         phi = self.master.phi.astype(complex)
@@ -257,15 +255,12 @@ class SsmExpansion:
     # -- memo ----------------------------------------------------------------
 
     def memo(self, key, build, owner=None):
-        """build(), kept under key until the expansion's order changes.
+        """build(), kept under key until `compute_ssm` extends the expansion.
 
         An entry belongs to its owner: a read for another owner (compared
         by identity, against the reference the entry keeps) rebuilds the
         entry and replaces it, so a key holds one owner's value at a time.
         """
-        if self._memo_order != self.order:
-            self._memo.clear()
-            self._memo_order = self.order
         held = self._memo.get(key)
         if held is None or held[0] is not owner:
             held = self._memo[key] = (owner, build())
@@ -376,9 +371,10 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
     # an overflowed force is reported below as a non-finite right-hand side
+    f = np.zeros(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        f2, f3 = (table.force(m) for table in exp.tables)
-        f = f2 + f3
+        for table in exp.tables:
+            f += table.force(m)
 
     V = np.zeros(n, dtype=complex)
     Vdot = np.zeros(n, dtype=complex)
@@ -462,7 +458,8 @@ def compute_ssm(
     """Expansion up to the given odd order >= 3.
 
     Passing a lower-order expansion extends it: the recursion is lower
-    triangular in order, so existing coefficients are reused unchanged.
+    triangular in order, so existing coefficients are reused unchanged; its
+    memo, built for the lower order, is cleared.
     """
     if order_ < 3 or order_ % 2 == 0:
         raise ValueError(f"expansion order must be odd and >= 3, got {order_}")
@@ -473,6 +470,7 @@ def compute_ssm(
         exp = from_expansion
         if exp.order >= order_:
             return exp
+        exp._memo.clear()
     for q in range(exp.order + 1, order_ + 1):
         # an overflowed vector is reported as a non-finite right-hand side
         with np.errstate(over="ignore", invalid="ignore"):

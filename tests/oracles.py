@@ -2,6 +2,12 @@
 
 * `fd_gradient_richardson`: central differences at two steps and their
   Richardson combination, a self-consistency check for the FD oracle.
+* `ridders_gradient`: Ridders' polynomial extrapolation of central
+  differences, an independent gradient reference; on the chains it is about
+  three orders of magnitude closer to the analytic gradient than one
+  central difference. Both sensitivity methods read the same record of
+  explicit partials, so comparing them with each other cannot see a fault
+  in that record; this reference differentiates only the primal.
 * `reference_vk_beam`: the per-element, dict-accumulating von Karman beam
   assembly with central-FD parameter derivatives. `models.build_vk_beam`
   assembles all elements of a design in one batched pass; this is the
@@ -77,6 +83,47 @@ def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
     denom = np.maximum(np.abs(g2 - extrap), 1e-300)
     ratio = np.abs(g1 - extrap) / denom
     return extrap, ratio
+
+
+def ridders_derivative(f, h: float, con: float = 1.4, ntab: int = 10, safe: float = 2.0):
+    """(f'(0), error estimate) by Ridders' extrapolation of central differences
+    (Ridders, Adv. Eng. Software 4, 1982; Press et al., Numerical Recipes,
+    3rd ed., section 5.7, `dfridr`).
+
+    The central difference at steps h, h/con, h/con^2, ... is extrapolated to
+    zero step in a Neville tableau. The answer is the tableau entry whose
+    change against its two parents is smallest, and that change is the error
+    estimate. The walk stops when the diagonal grows past safe times that
+    estimate: roundoff has taken over.
+    """
+    a = np.empty((ntab, ntab))
+    a[0, 0] = (f(h) - f(-h)) / (2.0 * h)
+    ans, err = a[0, 0], np.inf
+    for i in range(1, ntab):
+        h /= con
+        a[0, i] = (f(h) - f(-h)) / (2.0 * h)
+        fac = con * con
+        for j in range(1, i + 1):
+            a[j, i] = (a[j - 1, i] * fac - a[j - 1, i - 1]) / (fac - 1.0)
+            fac *= con * con
+            errt = max(abs(a[j, i] - a[j - 1, i]), abs(a[j, i] - a[j - 1, i - 1]))
+            if errt <= err:
+                ans, err = a[j, i], errt
+        if abs(a[i, i] - a[i - 1, i - 1]) >= safe * err:
+            break
+    return ans, err
+
+
+def ridders_gradient(fun, mu0, rel_step: float = 1e-2):
+    """(gradient, error estimate per component) of fun at mu0, one
+    `ridders_derivative` per component with first step rel_step*(1+|mu_i|)."""
+    mu0 = np.asarray(mu0, dtype=float)
+    out = np.empty((2, len(mu0)))
+    for i in range(len(mu0)):
+        e = np.zeros(len(mu0))
+        e[i] = 1.0
+        out[:, i] = ridders_derivative(lambda t: fun(mu0 + t * e), rel_step * (1.0 + abs(mu0[i])))
+    return out[0], out[1]
 
 
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -270,9 +317,10 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     nu_m: dict = {}
     for q in range(exp.order, 1, -1):
         idx_q = all_indices(q)
+        # each index's wdot bar is also its V bar, read by its index step
+        vbar = {m: bars.wdot.pop(m, np.zeros(model.n, complex)) for m in idx_q}
         for m in idx_q:
-            b = bars.wdot.pop(m, np.zeros(model.n, complex))
-            _backprop_wdot(exp, bars, m, exp.coeffs(m), b)
+            _backprop_wdot(exp, bars, m, exp.coeffs(m), vbar[m])
         for m in idx_q:
             rhs = -bars.w.pop(m, np.zeros(model.n, complex))
             rec = exp.coeffs(m)
@@ -288,7 +336,7 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
             rec = exp.coeffs(m)
             Mw = pen.M @ rec.w
             rec = replace(rec, Mw=Mw, Lw=pen.C @ rec.w + 2.0 * rec.Lam * Mw, MV=pen.M @ rec.V)
-            _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0))
+            _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), vbar[m])
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
     r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}

@@ -9,9 +9,10 @@ from scipy.integrate import solve_ivp
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
 from ssmopt.backbone import _validity_cap, rho_of_x
 from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError, SsmError
-from ssmopt.mechmodel import PairSums, model_from_json
+from ssmopt.mechmodel import PairSums, SymTensor, model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
+from ssmopt.optimizer import GRADIENTS
 from ssmopt.ssm import adapt_order, factorize
 
 from oracles import first_order_operators, reference_full_set_ssm
@@ -23,9 +24,8 @@ def assert_tables_built_at_once(exp):
     for table in exp.tables:
         once = PairSums(table.tensor, exp.w, exp.order)
         assert table.top == once.top == exp.order
-        if table.tensor.nnz:
-            assert np.array_equal(table.W, once.W)
-            assert np.array_equal(table.table, once.table)
+        assert np.array_equal(table.W, once.W)
+        assert np.array_equal(table.table, once.table)
 
 
 def make_duffing_exp(duffing, duffing_master, O=5):
@@ -114,6 +114,26 @@ class TestComputeSsm:
         exp = compute_ssm(model, master, 9)
         assert [t.tensor for t in exp.tables] == [model.T2, model.T3]
         assert_tables_built_at_once(exp)
+
+    def test_a_tensor_without_entries_has_no_table(self, duffing, duffing_master):
+        # Duffing's T2 has no entries, so its expansion keeps T3's table
+        # only. A T2 with one zero entry has a table whose forces are +0, so
+        # the expansion and both gradients must be bitwise those without it.
+        model, params = duffing
+        exp = compute_ssm(model, duffing_master, 9)
+        assert [t.tensor for t in exp.tables] == [model.T3]
+        padded = dataclasses.replace(model, T2=SymTensor(1, np.zeros((1, 3), np.intp), np.zeros(1)))
+        exp0 = compute_ssm(padded, solve_master(padded, 0), 9)
+        assert len(exp0.tables) == 2
+        for m, rec in exp.data.items():
+            rec0 = exp0.coeffs(m)
+            for name in ("w", "wdot", "R", "V", "Vdot", "C"):
+                assert getattr(rec, name).tobytes() == getattr(rec0, name).tobytes(), (m, name)
+        rho = rho_of_x(exp, 0, 0.3)
+        assert rho_of_x(exp0, 0, 0.3) == rho
+        for grad in GRADIENTS.values():
+            want = grad(model, exp, params, 0, rho)
+            assert grad(padded, exp0, params, 0, rho).tobytes() == want.tobytes()
 
     def test_full_set_matches_canonical_conjugation(self):
         # independent full-index recomputation against the conjugate shortcut

@@ -1,11 +1,12 @@
 """No module of the package imports a name it never uses, no function binds
 a local it never reads, no module-level private function or class goes
-unreferenced in the package, and no field of a private dataclass or
-NamedTuple goes unread.
+unreferenced in the package, no module-level public one goes unreferenced in
+the package and in the benchmark (`perfbench/`) unless the package exports
+it, and no field of a private dataclass or NamedTuple goes unread.
 
-A deletion that leaves its imports, its inputs, its private helpers or the
-fields that carried its data behind fails here; a helper that only tests
-call counts as left behind. The names that `ssmopt/__init__.py` lists in
+A deletion that leaves its imports, its inputs, its helpers or the fields
+that carried its data behind fails here; a helper that only tests call
+counts as left behind. The names that `ssmopt/__init__.py` lists in
 `__all__` are re-exports, not leftovers.
 """
 
@@ -18,6 +19,7 @@ import ssmopt
 
 PACKAGE = Path(ssmopt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -84,36 +86,50 @@ def private_definitions(tree):
     }
 
 
-def referenced_names(tree, skip=()):
-    """Every name a module reads, as a bare name, an attribute or an import,
-    outside the top-level definitions named in `skip`: a definition's own
-    body does not reference it."""
+def public_definitions(tree):
+    """{name: line} of every module-level function or class whose name does
+    not start with an underscore."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def names_read(node):
+    """Every name a node (a module or a statement) reads, as a bare name, an
+    attribute or an import."""
     out = set()
-    for top in tree.body:
-        if getattr(top, "name", None) in skip:
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                out.update(alias.name for alias in node.names)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
     return out
 
 
-def unreferenced_privates(trees: dict):
-    """{(module, name): line} of the module-level private functions and
-    classes that no module of `trees` references outside their own body."""
-    out = {}
-    for mod, tree in trees.items():
-        for name, line in private_definitions(tree).items():
-            if not any(
-                name in referenced_names(other, skip=(name,) if other is tree else ())
-                for other in trees.values()
-            ):
-                out[(mod, name)] = line
-    return out
+def unreferenced_definitions(trees: dict, defined, used_elsewhere=frozenset()):
+    """{(module, name): line} of the module-level definitions that
+    `defined(tree)` lists, that no module of `trees` references outside
+    their own body (a definition's own body does not reference it) and that
+    `used_elsewhere` does not hold."""
+    reads = [
+        (mod, getattr(top, "name", None), names_read(top))
+        for mod, tree in trees.items()
+        for top in tree.body
+    ]
+    return {
+        (mod, name): line
+        for mod, tree in trees.items()
+        for name, line in defined(tree).items()
+        if name not in used_elsewhere
+        and not any(
+            name in names for other, top, names in reads if (other, top) != (mod, name)
+        )
+    }
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -250,7 +266,7 @@ def test_unused_local_guard_sees_tuple_targets_and_closures():
 
 def test_no_unreferenced_private_definition():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
-    unused = unreferenced_privates(trees)
+    unused = unreferenced_definitions(trees, private_definitions)
     assert not unused, f"private definitions that nothing in the package uses: {unused}"
 
 
@@ -265,7 +281,40 @@ def test_private_definition_guard_sees_other_modules_and_self_reference():
         ),
         "b.py": ast.parse("from a import _used\n"),
     }
-    assert unreferenced_privates(trees) == {("a.py", "_self"): 2, ("a.py", "_Lonely"): 4}
+    assert unreferenced_definitions(trees, private_definitions) == {
+        ("a.py", "_self"): 2,
+        ("a.py", "_Lonely"): 4,
+    }
+
+
+def test_no_unreferenced_public_definition():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    used = set(ssmopt.__all__).union(*(names_read(ast.parse(p.read_text())) for p in BENCHMARK))
+    unused = unreferenced_definitions(trees, public_definitions, used)
+    assert not unused, (
+        f"public definitions that neither the package nor perfbench uses, "
+        f"and that ssmopt.__all__ does not export: {unused}"
+    )
+
+
+def test_public_definition_guard_sees_the_benchmark_and_the_exports():
+    trees = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def benched(): pass\n"
+            "def exported(): pass\n"
+            "def helper(n):\n"
+            "    return helper(n - 1)\n"
+            "class Orphan: pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": ast.parse("from a import used\n"),
+    }
+    used = names_read(ast.parse("import a\na.benched()\n")) | {"exported"}
+    assert unreferenced_definitions(trees, public_definitions, used) == {
+        ("a.py", "helper"): 4,
+        ("a.py", "Orphan"): 6,
+    }
 
 
 def test_no_unread_private_field():
