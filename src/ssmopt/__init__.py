@@ -16,6 +16,7 @@ from .ssm import (
     compute_ssm,
     invariance_residual,
 )
+from .blas import one_blas_thread
 from .backbone import (
     BackboneCurve,
     omega_of_rho,
@@ -43,6 +44,7 @@ __all__ = [
     "rho_of_x",
     "sample_backbone",
     "x_rms",
+    "one_blas_thread",
 ]
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .errors import (
     IMAG_RESIDUE_RTOL,
     AmplitudeUnreachableError,
     ConjugacyError,
+    SsmError,
     TurningPointError,
     assert_real,
 )
@@ -112,16 +113,23 @@ def _build_amplitude_map(exp: SsmExpansion, dof_index: int, top: int) -> _Amplit
             )
         c[m[0] - m[1] + O, q] = w
     # sum_d |c_d(rho)|^2 = sum_{q, q'} Re G[q, q'] rho^(q + q'); q + q' is
-    # even wherever G is nonzero, since q = d = q' mod 2
-    G = (c.conj().T @ c).real
-    p2 = np.zeros(2 * O + 1)
-    for q in range(O + 1):
-        p2[q : q + O + 1] += G[q]
-    p = p2[::2]
-    k = np.arange(len(p))
-    return _AmplitudeMap(
-        c, tuple(p[::-1].tolist()), tuple((2.0 * k * p)[:0:-1].tolist())
-    )
+    # even wherever G is nonzero, since q = d = q' mod 2. Finite coefficients
+    # may still square past the float range: that is reported below, not
+    # left to turn every amplitude into NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (c.conj().T @ c).real
+        p2 = np.zeros(2 * O + 1)
+        for q in range(O + 1):
+            p2[q : q + O + 1] += G[q]
+        p = p2[::2]
+        dp = 2.0 * np.arange(len(p)) * p
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
+        raise SsmError(
+            f"the amplitude polynomial of DOF {dof_index} at order {top} "
+            f"overflows: its coefficients square past the float range "
+            f"(max |w| {np.abs(c).max():.3g})"
+        )
+    return _AmplitudeMap(c, tuple(p[::-1].tolist()), tuple(dp[:0:-1].tolist()))
 
 
 def _amplitude_map(

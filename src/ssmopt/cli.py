@@ -6,7 +6,8 @@ and small overrides lives in a JSON config for reproducible runs. Exit codes:
 error, 4 verification or convergence failure.
 
 `sens`, `bench` and `--method` take the gradient methods from
-`optimizer.GRADIENTS`.
+`optimizer.GRADIENTS`. `main` first sets one BLAS thread
+(`blas.one_blas_thread`), so a command writes the same numbers on every host.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .backbone import (
     x_rms,
     x_theta_samples,
 )
+from .blas import one_blas_thread
 from .config import load_config, resolve_design, resolve_model
 from .errors import ConfigError, ModelError, SsmError, SsmOptError
 from .fdcheck import backbone_response, fd_gradient
@@ -394,6 +396,7 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
+    one_blas_thread()  # the same numbers on every host
     args = build_parser().parse_args(argv)
     outdir = Path(args.out)
     try:

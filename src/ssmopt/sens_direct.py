@@ -24,19 +24,19 @@ per index the partial forces of all parameter tensors over the primal
 vectors and each derivative pencil applied to the primal vectors, and
 dM phi of the master.
 What depends on the index alone is built once per index and dropped before
-the next (`_Index`): each force tensor's key-space linearization in the
-lower-order coefficients (`PairSums.linearize`, whose reverse the adjoint
-sweep applies as `PairSums.pullback`), the lower-order coupling terms and
-the `Pencil`'s velocity operators the steps apply: at Lam_m where the
-couplings read it, and with matrix parameters at Lam_m + lambda_j of a
-resonant index. A matrix parameter's step also reads M V_m and
-(C + 2 Lam_m M) w_m, which the index's record keeps for the adjoint sweep
-too. M and C reach complex vectors as the `Pencil`'s complex copies. A
-pass's step at the index then applies the linearizations to its own
-lower-order derivatives, adds its explicit partials (no dense term without
-dM and dK: see `ParamDerivatives.matrix_params`) and solves its own
-right-hand side with the factorization the index's record keeps, which also
-holds its resonant denominator. Every operator is applied in the primal's
+the next: each force tensor's key-space linearization in the lower-order
+coefficients (`PairSums.linearize`, whose reverse the adjoint sweep applies
+as `PairSums.pullback`) and the lower-order coupling terms. A matrix
+parameter's step also reads M V_m and (C + 2 Lam_m M) w_m, which the
+index's record keeps for the adjoint sweep too. A pass's step at the index
+then applies the linearizations to its own lower-order derivatives, adds
+its explicit partials (no dense term without dM and dK: see
+`ParamDerivatives.matrix_params`) and solves its own right-hand side with
+the factorization the index's record keeps, which also holds its resonant
+denominator. The walk applies the model pencil as the adjoint sweep does:
+the velocity s M + C reaches a derivative vector as s (Mc v) + Cc v, with
+the `Pencil`'s complex copies of M and C, and no operator is formed to be
+applied to one vector. Every other operator is applied in the primal's
 association. Parameters are never batched into one solve: a coefficient's
 derivative needs the same parameter's lower-order derivatives, so each pass
 keeps its own table of the derivatives later indices read, and the cost
@@ -145,12 +145,16 @@ class _Pass:
         self.dwdot: dict = {}
         self.dR: dict = {}
 
-    def step(self, ix: "_Index", pf: np.ndarray, dense: tuple | None):
-        """The derivative of index ix.m's coefficients: its own right-hand
-        side and its own solve with the factorization the record keeps. pf and
-        dense are the parameter's explicit partials at the index (`Partials`)."""
-        m, rec, exp = ix.m, ix.rec, self.exp
+    def step(self, rec: IndexCoeffs, lins, v_terms, keep_wdot: bool, pf, dense):
+        """The derivative of index rec.m's coefficients: its own right-hand
+        side and its own solve with the factorization the record keeps. lins
+        holds one linearization per force tensor, v_terms the lower-order
+        coupling terms (u, j, k, u[j], R_k[j]), keep_wdot whether a later
+        coupling reads dwdot_m; pf and dense are the parameter's explicit
+        partials at the index (`Partials`)."""
+        m, exp = rec.m, self.exp
         model, master, phi = exp.model, exp.master, exp.master.phi
+        Mc, Cc = model.pencil.Mc, model.pencil.Cc
         pC, Aw, Vphi, _ = dense or (None,) * 4
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
@@ -158,16 +162,17 @@ class _Pass:
         MV, Lw = (rec.MV, rec.Lw) if self.matrix else (0.0, 0.0)
 
         # dT over the primal vectors (pf), T linearized in the lower orders
-        df = pf + sum(lin.forward(self.dw.__getitem__) for lin in ix.lins)
+        df = pf + sum(lin.forward(self.dw.__getitem__) for lin in lins)
 
         dV = dVdot = 0.0
         dC = -df - dLam * MV
-        if ix.v_terms:
-            for u, j, k, uj, Rkj in ix.v_terms:
+        if v_terms:
+            for u, j, k, uj, Rkj in v_terms:
                 dRkj = self.dR[k][j]
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
-            dC = dC - model.pencil.Mc @ dVdot - ix.velocity @ dV
+            # the pencil's velocity(Lam) applied to dV, not formed
+            dC = dC - Mc @ dVdot - (Lam * (Mc @ dV) + Cc @ dV)
         if pC is not None:
             dC = dC + pC
 
@@ -179,10 +184,11 @@ class _Pass:
             dlj = dLam + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
             dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
-            # D = -velocity(Lam + lambda_j) @ phi
+            # D = -velocity(lj) phi with lj = Lam + lambda_j, applied not formed
             dD = -dlj * exp.Mphi
             if Vphi is not None:
-                dD = dD - ix.velocity_j @ self.dphi - Vphi
+                lj = Lam + master.lambda_pair[j]
+                dD = dD - (lj * (Mc @ self.dphi) + Cc @ self.dphi) - Vphi
             dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
         dLw = dLam * Lw
@@ -194,7 +200,7 @@ class _Pass:
         row[:] = dw
 
         dwdot = None
-        if ix.keep_wdot:
+        if keep_wdot:
             dwdot = self.dwdot[m] = (
                 dLam * rec.w
                 + Lam * dw
@@ -260,20 +266,6 @@ class _Record:
         return X
 
 
-@dataclass
-class _Index:
-    """One canonical index's terms that no parameter changes."""
-
-    m: tuple
-    rec: IndexCoeffs
-    lins: list  # one key-space linearization per tensor
-    v_terms: list  # (u, j, k, u[j], R_k[j]) of the lower-order coupling
-    velocity: np.ndarray | None  # the pencil's velocity(Lam_m), read with v_terms only
-    # velocity(Lam_m + lambda_j) at a resonant index, read by matrix parameters only
-    velocity_j: np.ndarray | None
-    keep_wdot: bool  # a later coupling reads dwdot_m
-
-
 def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Record:
     """Every parameter's forward pass through the expansion, written into
     one `_Record`. Nothing here reads the amplitude target."""
@@ -288,25 +280,17 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
         for p in range(params.count)
     ]
 
-    pen, lam_pair = model.pencil, exp.master.lambda_pair
     r_orders = exp.r_orders()
-    wdot_read = {u for m, _, _ in record.indices for u, _, _ in v_decomps(m, r_orders)}
+    couplings = {m: v_decomps(m, r_orders) for m, _, _ in record.indices}
+    wdot_read = {u for terms in couplings.values() for u, _, _ in terms}
     for m, pf, dense in record.indices:
         rec = exp.coeffs(m)
-        v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
-        resonant = rec.slot is not None and params.matrix_params
-        ix = _Index(
-            m,
-            rec,
-            [table.linearize(m) for table in exp.tables],
-            v_terms,
-            pen.velocity(rec.Lam) if v_terms else None,
-            pen.velocity(rec.Lam + lam_pair[rec.slot]) if resonant else None,
-            m in wdot_read or symmetric(m) in wdot_read,
-        )
+        lins = [table.linearize(m) for table in exp.tables]
+        v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in couplings[m]]
+        keep_wdot = m in wdot_read or symmetric(m) in wdot_read
         for p, ps in enumerate(passes):
-            ps.step(ix, pf[p], dense.get(p))
-        del ix  # one index's linearizations at a time
+            ps.step(rec, lins, v_terms, keep_wdot, pf[p], dense.get(p))
+        del lins  # one index's linearizations at a time
     return walk
 
 

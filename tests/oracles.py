@@ -7,7 +7,13 @@
   three orders of magnitude closer to the analytic gradient than one
   central difference. Both sensitivity methods read the same record of
   explicit partials, so comparing them with each other cannot see a fault
-  in that record; this reference differentiates only the primal.
+  in that record; this reference differentiates only the primal, through
+  `reference_response`.
+* `reference_response`: the backbone frequency at a fixed amplitude, as
+  `fdcheck.backbone_response` gives it, with the reduced amplitude polished
+  to roundoff. `rho_of_x` stops at `RHO_X_RTOL`, and where it stops moves
+  with the design; a difference quotient magnifies that jitter past the
+  gradient's roundoff.
 * `reference_vk_beam`: the per-element, dict-accumulating von Karman beam
   assembly with central-FD parameter derivatives. `models.build_vk_beam`
   assembles all elements of a design in one batched pass; this is the
@@ -54,7 +60,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssmopt.backbone import point_weights
+from ssmopt.backbone import dx_drho, omega_of_rho, point_weights, rho_of_x, x_rms
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import Linearization, MechModel, ParamDerivatives, SymTensor, _accum
@@ -68,7 +74,8 @@ from ssmopt.sens_adjoint import (
     _seed_bars,
     solve_adjoint_phi_omega,
 )
-from ssmopt.ssm import SsmExpansion, order_step
+from ssmopt.spectral import track_mode
+from ssmopt.ssm import SsmExpansion, compute_ssm, order_step
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -124,6 +131,18 @@ def ridders_gradient(fun, mu0, rel_step: float = 1e-2):
         e[i] = 1.0
         out[:, i] = ridders_derivative(lambda t: fun(mu0 + t * e), rel_step * (1.0 + abs(mu0[i])))
     return out[0], out[1]
+
+
+def reference_response(builder, mu, *, x0: float, dof_index: int, order: int, reference) -> float:
+    """Omega at fixed target amplitude for the model built at mu, as
+    `fdcheck.backbone_response`, with two Newton steps on x_rms(rho) = x0
+    past `rho_of_x`: these take rho from `RHO_X_RTOL` (1e-10) to roundoff."""
+    model = builder(np.asarray(mu, dtype=float))
+    exp = compute_ssm(model, track_mode(model, reference), order)
+    rho = rho_of_x(exp, dof_index, x0)
+    for _ in range(2):
+        rho -= (x_rms(exp, dof_index, rho) - x0) / dx_drho(exp, dof_index, rho)
+    return omega_of_rho(exp, rho)
 
 
 _GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(5)

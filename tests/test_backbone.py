@@ -12,7 +12,7 @@ from ssmopt.backbone import (
     x_harmonics,
     x_theta_samples,
 )
-from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, assert_real
+from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, SsmError, assert_real
 from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import order
 
@@ -53,6 +53,17 @@ class TestXrms:
         rho, h = 0.25, 1e-6
         fd = (x_rms(chain2_exp5, 1, rho + h) - x_rms(chain2_exp5, 1, rho - h)) / (2 * h)
         assert dx_drho(chain2_exp5, 1, rho) == pytest.approx(fd, rel=1e-8)
+
+    def test_overflowing_polynomial_raises(self):
+        # finite order-5 coefficients whose squares pass the float range: an
+        # error naming the DOF and the order, not a NaN amplitude
+        from ssmopt.models import ChainSpec, build_chain
+
+        model, _ = build_chain(ChainSpec(n_masses=2, k3=1e100))
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        assert all(np.isfinite(rec.w).all() for rec in exp.data.values())
+        with pytest.raises(SsmError, match="DOF 1 at order 5 overflows"):
+            x_rms(exp, 1, 1e-60)
 
 
 class TestRhoOfX:

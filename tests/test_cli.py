@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,18 @@ class TestBackboneCommand:
         assert rc == 3
         assert "Traceback" not in err
         assert "computation error: cohomological right-hand side at index (5, 0)" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_amplitude_polynomial_exit_code(self, tmp_path, capsys):
+        # the order-5 coefficients are finite (max |w| about 6e198), but the
+        # Parseval sum of their squares is not: reported, not inverted as NaN
+        model = {"type": "chain", "n_masses": 2, "k3": 1e100}
+        cfg = {"model": model, "backbone": {"dof": 1, "x_targets": [1e-60], "order": 5}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err and "Warning" not in err
+        assert "computation error: the amplitude polynomial of DOF 1 at order 5 overflows" in err
 
     @pytest.mark.parametrize(
         "field, fields",
@@ -500,6 +516,33 @@ def test_defaults_are_schema_properties():
         assert set(defaults) <= set(props)
         for key, value in defaults.items():
             assert config.ConfigValidator(props[key]).is_valid(value), key
+
+
+def test_files_do_not_depend_on_blas_threads(tmp_path):
+    """`ssmopt backbone` on vk_beam40 at order 5 writes the same bytes with
+    OpenBLAS's default thread count as with OPENBLAS_NUM_THREADS=1, because
+    `cli.main` sets one thread itself (`blas.one_blas_thread`). Without that
+    call the default run differs in the last digits of all three files. On a
+    1-CPU host OpenBLAS runs one thread either way, and the test cannot tell
+    the two apart."""
+    model = {"type": "vk_beam", "n_elements": 40, "a1": 0.002, "a2": 0.001}
+    cfg = {"model": model, "backbone": {"dof": 58, "x_targets": [0.002], "order": 5}}
+    path = write_config(tmp_path, cfg)
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {"default": env, "one": env | {"OPENBLAS_NUM_THREADS": "1"}}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "ssmopt.cli", "backbone", "--config", path, "--out", str(tmp_path / name)],
+            env=run_env,
+            stdout=subprocess.DEVNULL,
+        )
+        for name, run_env in runs.items()
+    ]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    for name in ("backbone.csv", "expansion.json", "error_report.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
 
 class TestBenchCommand:

@@ -406,9 +406,10 @@ class TestExpansionStore:
             _fresh_gradients(model, master, 9, params, dof, x1)[1:],
         )
 
-    def test_walk_forms_each_velocity_once_per_index(self, monkeypatch):
-        # the walk forms the model pencil's velocity operators in its
-        # per-index terms, once per index whatever the number of parameters
+    def test_walk_forms_no_pencil_velocity(self, monkeypatch):
+        # the walk applies the model pencil's velocity to its vectors as
+        # s (Mc v) + Cc v, as the adjoint sweep does, and forms no operator
+        # for any number of parameters
         model, params, master, dof, (x, _) = _curved_beam10_o9()
         formed = []
         velocity = Pencil.velocity
@@ -419,7 +420,6 @@ class TestExpansionStore:
             return velocity(pen, s)
 
         monkeypatch.setattr(Pencil, "velocity", counted)
-        counts = []
         for count in (1, 2, 4):
             sub = _first(params, count)
             assert len(sub.matrix_params) == count
@@ -427,8 +427,7 @@ class TestExpansionStore:
             rho = rho_of_x(exp, dof, x)
             formed.clear()
             chain_derivatives(model, exp, sub, dof, rho)
-            counts.append(len(formed))
-        assert counts[0] > 0 and counts == [counts[0]] * 3
+            assert formed == [], count
 
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the
