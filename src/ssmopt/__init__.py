@@ -10,20 +10,9 @@ from .mechmodel import (
     model_from_json,
 )
 from .spectral import MasterPair, mac, solve_master, track_mode
-from .ssm import (
-    SsmExpansion,
-    adapt_order,
-    compute_ssm,
-    invariance_residual,
-)
+from .ssm import SsmExpansion, adapt_order, compute_ssm, invariance_residual
 from .blas import one_blas_thread
-from .backbone import (
-    BackboneCurve,
-    omega_of_rho,
-    rho_of_x,
-    sample_backbone,
-    x_rms,
-)
+from .backbone import BackboneCurve, omega_of_rho, rho_of_x, sample_backbone, x_rms
 
 __all__ = [
     "MechModel",

@@ -44,12 +44,7 @@ from .optimizer import (
     trace_to_csv,
 )
 from .spectral import mac, solve_master
-from .ssm import (
-    RESIDUAL_THETA_SAMPLES,
-    adapt_order,
-    compute_ssm,
-    dump_expansion,
-)
+from .ssm import RESIDUAL_THETA_SAMPLES, adapt_order, compute_ssm, dump_expansion
 
 EXIT_CONFIG = 1
 EXIT_MODEL = 2
@@ -163,7 +158,7 @@ def cmd_sens(cfg: dict, outdir: Path, verify_fd: bool) -> int:
     if verify_fd:
         fd = fd_gradient(
             lambda mu: backbone_response(
-                lambda m: builder(m)[0],
+                lambda m: builder(m, ())[0],
                 mu,
                 x0=x0,
                 dof_index=dof,

@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 from .errors import ConfigError
 from .mechmodel import ParamDerivatives, model_from_json
 from .models import FAMILIES, ModelFamily
-from .optimizer import GRADIENTS, OBJECTIVE_REFS
+from .optimizer import GRADIENTS, OBJECTIVE_KEYS
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
@@ -127,7 +127,7 @@ _OPT_BLOCK = {
         "objective": {
             "type": "object",
             "properties": {
-                "type": {"enum": list(OBJECTIVE_REFS)},
+                "type": {"enum": list(OBJECTIVE_KEYS)},
                 "value": _FINITE,
                 "name": {"type": "string"},
                 "coeffs": {"type": "object", "additionalProperties": _FINITE},
@@ -268,20 +268,21 @@ def resolve_design(block: dict):
     """(names, mu0, builder) of a model block.
 
     names are the declared (or default) design parameters, mu0 their values
-    in the block, and builder(mu) returns (MechModel, ParamDerivatives) at the
-    design mu with the derivatives of names; for a vk_beam each name costs two
-    extra assemblies. A matrix model has no design parameters.
+    in the block, and builder(mu, derivatives=names) returns (MechModel,
+    ParamDerivatives) at the design mu with the derivatives of the names in
+    `derivatives`; for a vk_beam each costs two extra assemblies. A matrix
+    model has no design parameters.
     """
     if block["type"] == "matrix":
         no_params = ParamDerivatives(names=(), dM=(), dK=(), dT2=(), dT3=())
-        return (), np.zeros(0), lambda mu: (model_from_json(block), no_params)
+        return (), np.zeros(0), lambda mu, derivatives=(): (model_from_json(block), no_params)
     family = FAMILIES[block["type"]]
     names = tuple(block.get("params", family.params))
     spec = family.spec(**{k: v for k, v in block.items() if k not in ("type", "params")})
     mu0 = np.array([getattr(spec, family.params[p]) for p in names], dtype=float)
 
-    def builder(mu):
+    def builder(mu, derivatives=names):
         values = {family.params[p]: float(v) for p, v in zip(names, mu)}
-        return family.build(replace(spec, **values), names)
+        return family.build(replace(spec, **values), derivatives)
 
     return names, mu0, builder

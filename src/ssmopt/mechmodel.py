@@ -592,10 +592,8 @@ class MechModel:
 
 @dataclass(frozen=True)
 class ParamDerivatives:
-    """Per-design-variable derivatives of all system operators.
-
-    The damping derivative is implied: `pencil` forms alpha_r dM + beta_r dK.
-    """
+    """Per-design-variable derivatives of all system operators. The damping
+    derivative alpha_r dM + beta_r dK is implied."""
 
     names: tuple[str, ...]
     dM: tuple[np.ndarray, ...]
@@ -650,16 +648,15 @@ class ParamDerivatives:
             p for p in range(self.count) if nonzero[id(self.dM[p])] or nonzero[id(self.dK[p])]
         )
 
-    def pencil(self, p: int, model: MechModel) -> Pencil:
-        """Parameter p's derivative of `model.pencil`."""
-        dM, dK = self.dM[p], self.dK[p]
-        return Pencil(dM, model.alpha_r * dM + model.beta_r * dK, dK)
-
-    def modal_partials(self, model: MechModel, omega: float, phi: np.ndarray) -> list:
-        """(p, dP.modal(omega) phi, dP.M phi) per matrix parameter, dP its
-        derivative pencil: the eigenproblem's explicit partials at (omega, phi)."""
-        dpens = ((p, self.pencil(p, model)) for p in self.matrix_params)
-        return [(p, dP.modal(omega) @ phi, dP.M @ phi) for p, dP in dpens]
+    def modal_partials(self, omega: float, phi: np.ndarray) -> list:
+        """(p, (dK - omega^2 dM) phi, dM phi) per matrix parameter: the
+        eigenproblem's explicit partials at (omega, phi). dK - omega^2 dM is
+        formed: dK phi - omega^2 dM phi rounds otherwise, by more than the
+        golden gradients allow."""
+        return [
+            (p, (self.dK[p] - omega**2 * self.dM[p]) @ phi, self.dM[p] @ phi)
+            for p in self.matrix_params
+        ]
 
 
 @dataclass(frozen=True)

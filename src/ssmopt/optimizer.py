@@ -105,8 +105,13 @@ class OptProblem:
             raise ConfigError("problem needs at least one constraint or a nontrivial objective")
 
 
-# objective type -> the key naming the design variables it reads
-OBJECTIVE_REFS = {"constant": None, "variable": "name", "linear": "coeffs", "product": "vars"}
+# objective type -> its keys, first the one naming the design variables it reads
+OBJECTIVE_KEYS = {
+    "constant": (None, "value"),
+    "variable": ("name",),
+    "linear": ("coeffs", "offset"),
+    "product": ("vars",),
+}
 
 
 def _adjoint_gradient(model, exp, params, dof_index, rho):
@@ -125,12 +130,15 @@ GRADIENTS = {"adjoint": _adjoint_gradient, "direct": _direct_gradient}
 
 
 def check_objective(spec: dict, names: tuple[str, ...]) -> None:
-    """Reject an objective whose type is unknown, whose variable key is
-    missing, or which reads a name that is not a design parameter."""
+    """Reject an objective whose type is unknown, with a key of another type
+    or without its variable key, or which reads a non-parameter name."""
     kind = spec.get("type")
-    if kind not in OBJECTIVE_REFS:
-        raise ConfigError(f"objective.type must be one of {list(OBJECTIVE_REFS)}, got {kind!r}")
-    key = OBJECTIVE_REFS[kind]
+    if kind not in OBJECTIVE_KEYS:
+        raise ConfigError(f"objective.type must be one of {list(OBJECTIVE_KEYS)}, got {kind!r}")
+    key, *_ = keys = OBJECTIVE_KEYS[kind]
+    stray = [f"objective.{k}" for k in spec if k != "type" and k not in keys]
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: not keys of a {kind!r} objective")
     if key is None:
         return
     if key not in spec:
@@ -341,7 +349,7 @@ def evaluate(
             cons.append((w - tgt.omega) / omega_scale)
             # zero for a parameter without dM and dK
             grad = np.zeros(params.count)
-            for p, modal_phi, _ in params.modal_partials(model, w, phi):
+            for p, modal_phi, _ in params.modal_partials(w, phi):
                 grad[p] = phi @ modal_phi / (2.0 * w)
             jac.append(grad / omega_scale)
 

@@ -31,8 +31,8 @@ s M + C reaches a bar as s (M b) + C b. The force convolution at each index
 is pulled back once per tensor (`PairSums.pullback`): one gather from the
 expansion's own tables (`SsmExpansion.tables`), the ones its recursion
 summed the forces with, returns the summed bar of every lower-order index
-the convolution reads. Operators come from the model's `Pencil` and each
-parameter's derivative pencil.
+the convolution reads. Operators come from the model's `Pencil`; the
+parameters' dM, dC and dK reach only the record of explicit partials.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once, and every target reads it. The sweep reads
@@ -290,16 +290,17 @@ def contract_gradient(
     The reverse sweep has already carried every cross-order coupling, so each
     index adds only its local explicit operator derivatives, weighted by
     lambda_m, nu_m and the R bar. With bar_C = -lambda_m + (r_bar_m/den) phi,
-    the total bar of C_m (its second term only at a resonant index), and dP
-    the parameter's derivative pencil (dM, dC, dK), the index's term is
+    the total bar of C_m (its second term only at a resonant index), and
+    dM, dC = alpha_r dM + beta_r dK and dK the parameter's operator
+    derivatives, the index's term is
 
-        bar_C . (-df_m - dM Vdot_m - dP.velocity(Lam_m) V_m)
-        + lambda_m . dP.at(Lam_m) w_m
-        + R_m[j] lambda_m . dP.velocity(Lam_m + lambda_j) phi + nu_m phi^T dM w_m.
+        bar_C . (-df_m - dM Vdot_m - (Lam_m dM + dC) V_m)
+        + lambda_m . (dK + Lam_m dC + Lam_m^2 dM) w_m
+        + R_m[j] lambda_m . ((Lam_m + lambda_j) dM + dC) phi + nu_m phi^T dM w_m.
 
     Only the adjoint variables depend on the amplitude target. Everything
     they are contracted with (the partial forces df_m of all parameters, the
-    derivative pencils applied to the primal vectors, and the eigenproblem
+    operator derivatives applied to the primal vectors, and the eigenproblem
     terms) is the expansion's record of explicit parameter partials
     (`SsmExpansion.partials`), built on the first call of either method for
     this `ParamDerivatives` and read by the direct walk too. A call

@@ -21,7 +21,7 @@ step there. It reads the expansion's own `PairSums` tables
 (`SsmExpansion.tables`) and the record of the residuals' explicit parameter
 partials (`SsmExpansion.partials`, the one the gradient contraction reads):
 per index the partial forces of all parameter tensors over the primal
-vectors and each derivative pencil applied to the primal vectors, and
+vectors and each parameter's dM, dC and dK applied to the primal vectors, and
 dM phi of the master.
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
@@ -74,11 +74,11 @@ def eig_derivatives(
     """Mode-shape and frequency derivatives of `count` parameters at the
     expansion's master pair.
 
-    `modal` holds the master's explicit partials (p, dP.modal(omega) phi,
-    dP.M phi) of the matrix parameters, as `ParamDerivatives.modal_partials`
+    `modal` holds the master's explicit partials (p, (dK - omega^2 dM) phi,
+    dM phi) of the matrix parameters, as `ParamDerivatives.modal_partials`
     gives them (the direct walk reads them from its record of explicit
     partials). The derivatives solve
-    (K - omega^2 M) dphi - 2 omega domega M phi = -dP.modal(omega) phi and
+    (K - omega^2 M) dphi - 2 omega domega M phi = -(dK - omega^2 dM) phi and
     -2 omega (M phi)^T dphi = omega phi^T dM phi, the bordered mode-shape
     system (`SsmExpansion.mode_lu`) in the unknowns (dphi, -omega domega):
     one factorization serves all parameters and the adjoint too. A

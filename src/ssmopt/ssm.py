@@ -307,11 +307,12 @@ class Partials:
     index m of order >= 2, ascending: pf the (P, n) partial forces dT of all
     parameters over the expansion's vectors, one `PairSums.force` per
     stacked tensor, and dense {p: (pC, Aw, Vphi, phiMw)} per matrix
-    parameter, dP its derivative pencil: pC = -dM Vdot_m - dP.velocity(Lam_m)
-    V_m, Aw = dP.at(Lam_m) w_m and, at a resonant index only (else None),
-    Vphi = dP.velocity(Lam_m + lambda_j) phi and phiMw = phi . dM w_m. `eig`
-    is the master's `ParamDerivatives.modal_partials`. Arrays only: the memo
-    that keeps the record makes no cycle back to the expansion."""
+    parameter, with dC = alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM
+    + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index
+    only (else None), Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw =
+    phi . dM w_m. `eig` is the master's `ParamDerivatives.modal_partials`.
+    Arrays only: the memo that keeps the record makes no cycle back to the
+    expansion."""
 
     indices: list
     eig: list
@@ -319,28 +320,34 @@ class Partials:
 
 def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     model, master, phi = exp.model, exp.master, exp.master.phi
-    dpens = [(p, params.pencil(p, model)) for p in params.matrix_params]
     tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
     P, n = params.count, model.n
+    recs = [exp.coeffs(m) for q in range(2, exp.order + 1) for m in canonical_indices(q)]
+
+    # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
+    # the columns of one real block (real parts, then imaginary parts) that
+    # dM and dK each multiply once per matrix parameter
+    dense = [{} for _ in recs]
+    if params.matrix_params:
+        cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
+        X, k = np.hstack([cols.real, cols.imag]), cols.shape[1]
+        for p in params.matrix_params:
+            dMX, dKX = (Y[:, :k] + 1j * Y[:, k:] for Y in (params.dM[p] @ X, params.dK[p] @ X))
+            dCX = model.alpha_r * dMX + model.beta_r * dKX
+            for i, rec in enumerate(recs):
+                Lam, Vdot, V, w = rec.Lam, 3 * i, 3 * i + 1, 3 * i + 2  # its columns
+                pC = -dMX[:, Vdot] - (Lam * dMX[:, V] + dCX[:, V])
+                Aw = dKX[:, w] + Lam * dCX[:, w] + Lam**2 * dMX[:, w]
+                dense[i][p] = (pC, Aw, None, None)
+                if rec.slot is not None:
+                    Vphi = (Lam + master.lambda_pair[rec.slot]) * dMX[:, -1] + dCX[:, -1]
+                    dense[i][p] = (pC, Aw, Vphi, phi @ dMX[:, w])
 
     indices = []
-    for q in range(2, exp.order + 1):
-        for m in canonical_indices(q):
-            rec = exp.coeffs(m)
-            j = rec.slot
-            pf = np.zeros(P * n, dtype=complex)
-            for table in tables:
-                pf += table.force(m)
-            dense = {}
-            for p, dP in dpens:
-                pC = -dP.M @ rec.Vdot - dP.velocity(rec.Lam) @ rec.V
-                Vphi = phiMw = None
-                if j is not None:
-                    Vphi = dP.velocity(rec.Lam + master.lambda_pair[j]) @ phi
-                    phiMw = phi @ (dP.M @ rec.w)
-                dense[p] = (pC, dP.at(rec.Lam) @ rec.w, Vphi, phiMw)
-            indices.append((m, pf.reshape(P, n), dense))
-    return Partials(indices, params.modal_partials(model, master.omega, phi))
+    for rec, entries in zip(recs, dense):
+        pf = sum((table.force(rec.m) for table in tables), np.zeros(P * n, dtype=complex))
+        indices.append((rec.m, pf.reshape(P, n), entries))
+    return Partials(indices, params.modal_partials(master.omega, phi))
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:

@@ -49,6 +49,12 @@
   as one loop per parameter, one scalar product at a time.
   `sens_direct.chain_derivatives` projects every parameter at once and must
   give the loop's numbers bit for bit.
+* `reference_partials`: the record of explicit parameter partials with
+  every derivative operator formed (dC = alpha_r dM + beta_r dK, then
+  Lam dM + dC and dK + Lam dC + Lam^2 dM per index) and applied to one
+  vector at a time. `ssm._build_partials` forms no operator: it multiplies
+  one block of all the indices' vectors by dM and by dK and combines the
+  columns, so the two agree to roundoff.
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
@@ -491,6 +497,39 @@ def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:
         r = _accum(key_cols[slot], s * g, T.n)
         out[u] = out[u] + r if u in out else r
     return out
+
+
+def reference_partials(exp: SsmExpansion, params: ParamDerivatives) -> tuple[dict, list]:
+    """({(m, p): (pC, Aw, Vphi, phiMw)}, eig) of the record of explicit
+    partials (`ssm.Partials`) over the canonical indices of order >= 2 and
+    the matrix parameters, each operator formed, then applied: pC = -dM
+    Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM) w_m and,
+    at a resonant index only, Vphi = ((Lam_m + lambda_j) dM + dC) phi and
+    phiMw = phi . dM w_m; eig holds (p, (dK - omega^2 dM) phi, dM phi)."""
+    model, master, phi = exp.model, exp.master, exp.master.phi
+    dense = {}
+    for m, rec in exp.data.items():
+        if m[0] + m[1] < 2 or m[0] < m[1]:
+            continue
+        for p in params.matrix_params:
+            dM, dK = params.dM[p], params.dK[p]
+            dC = model.alpha_r * dM + model.beta_r * dK
+            Vphi = phiMw = None
+            if rec.slot is not None:
+                Vphi = ((rec.Lam + master.lambda_pair[rec.slot]) * dM + dC) @ phi
+                phiMw = phi @ (dM @ rec.w)
+            dense[m, p] = (
+                -dM @ rec.Vdot - (rec.Lam * dM + dC) @ rec.V,
+                (dK + rec.Lam * dC + rec.Lam**2 * dM) @ rec.w,
+                Vphi,
+                phiMw,
+            )
+    omega = master.omega
+    eig = [
+        (p, (params.dK[p] - omega**2 * params.dM[p]) @ phi, params.dM[p] @ phi)
+        for p in params.matrix_params
+    ]
+    return dense, eig
 
 
 def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:

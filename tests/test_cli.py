@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssmopt import cli, config, optimizer, sens_direct, ssm
+from ssmopt import cli, config, models, optimizer, sens_direct, ssm
 from ssmopt.cli import main
 
 CHAIN_MODEL = {
@@ -365,6 +365,26 @@ class TestSensCommand:
         assert blk["max_rel_err_adjoint"] <= 1e-5
         assert blk["max_rel_err_direct"] <= 1e-5
 
+    def test_verify_fd_builds_models_only(self, tmp_path, monkeypatch):
+        # the design's assembly and two per parameter for its derivatives,
+        # then one per FD point: the FD points' derivatives would be unread
+        assembled = []
+        assemble = models._assemble_vk
+
+        def counted(spec):
+            assembled.append(spec)
+            return assemble(spec)
+
+        monkeypatch.setattr(models, "_assemble_vk", counted)
+        cfg = {
+            "model": {"type": "vk_beam", "n_elements": 4, "a1": 0.001, "params": ["a1", "a2", "h", "L"]},
+            "sens": {"dof": 4, "x0": 0.002, "methods": ["adjoint"], "order": 3},
+        }
+        out = tmp_path / "fd"
+        rc = main(["sens", "--config", write_config(tmp_path, cfg), "--out", str(out), "--verify-fd"])
+        assert rc == 0
+        assert len(assembled) == 1 + 2 * 4 + 2 * 4
+
     @pytest.mark.parametrize(
         "field, fields",
         [
@@ -432,6 +452,16 @@ OPT_BLOCK = {
 }
 
 
+# a variable objective with keys of the linear and product types
+STRAY_KEYS_OBJECTIVE = {
+    "type": "variable",
+    "name": "k3",
+    "coeffs": {"k3": 5},
+    "vars": ["nope"],
+    "offset": 3,
+}
+
+
 def opt_case(model=None, constraint=None, tolerances=None, **fields):
     block = dict(OPT_BLOCK, **fields)
     if constraint is not None:
@@ -481,6 +511,11 @@ class TestOptimizeInputs:
             ),
             ("mu0", opt_case(mu0=[float("nan")])),
             ("mu0", opt_case(mu0=[5.0])),  # outside the bounds [-1, 1]
+            (
+                "objective.coeffs, objective.vars, objective.offset",
+                opt_case(objective=STRAY_KEYS_OBJECTIVE),
+            ),
+            ("objective.offset", opt_case(objective={"type": "constant", "offset": 3})),
         ],
     )
     def test_bad_optimize_input_exit_code(self, tmp_path, capsys, field, cfg):

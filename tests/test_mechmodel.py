@@ -68,13 +68,6 @@ class TestDamping:
         norm = [np.abs(A).sum(axis=0).max() for A in (M, C, K)]
         assert pen.scale(s) == pytest.approx(norm[2] + abs(s) * norm[1] + abs(s) ** 2 * norm[0])
 
-    def test_parameter_pencil_is_the_derivative_of_the_model_pencil(self):
-        spec = VkBeamSpec(n_elements=4, a1=0.001, alpha_r=1.0, beta_r=1e-5)
-        model, params = build_vk_beam(spec, ("h",))
-        dpen = params.pencil(0, model)
-        assert dpen.M is params.dM[0] and dpen.K is params.dK[0]
-        assert np.array_equal(dpen.C, 1.0 * params.dM[0] + 1e-5 * params.dK[0])
-
 
 class TestNonlinearForce:
     def test_zero_displacement(self, chain2):

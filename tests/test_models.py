@@ -143,7 +143,7 @@ class TestVkBeam:
         from ssmopt.ssm import SsmExpansion
 
         model, params = beam
-        modal = params.modal_partials(model, beam_master.omega, beam_master.phi)
+        modal = params.modal_partials(beam_master.omega, beam_master.phi)
         _, domega = eig_derivatives(SsmExpansion(model, beam_master), params.count, modal)
 
         def omega_at(mu):

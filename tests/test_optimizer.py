@@ -86,6 +86,18 @@ class TestObjectiveRegistry:
         with pytest.raises(ConfigError):
             objective_value_grad({"type": "magic"}, self.names, np.ones(3))
 
+    def test_problem_rejects_keys_of_another_type(self):
+        objective = {"type": "variable", "name": "a", "coeffs": {"a": 5}, "vars": ["x"], "offset": 3}
+        with pytest.raises(ConfigError, match="objective.coeffs, objective.vars, objective.offset"):
+            OptProblem(
+                builder=None,
+                names=self.names,
+                mu0=np.zeros(3),
+                lower=-np.ones(3),
+                upper=np.ones(3),
+                objective=objective,
+            )
+
 
 class TestOrderPolicy:
     def test_unchanged_when_within_tolerance(self):
@@ -164,7 +176,7 @@ class TestEvaluate:
         omegas, Phi = solve_modes(model)
         w, phi = float(omegas[0]), Phi[:, 0]
         dense = np.array(
-            [phi @ (params.pencil(p, model).modal(w) @ phi) / (2.0 * w) for p in range(count)]
+            [phi @ ((params.dK[p] - w**2 * params.dM[p]) @ phi) / (2.0 * w) for p in range(count)]
         )
         assert np.array_equal(res.con_jac[0], dense / master.omega)
         assert np.all(res.con_jac[0, [1, 4]] != 0.0)

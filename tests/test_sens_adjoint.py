@@ -16,7 +16,8 @@ from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import reference_adjoint
+from oracles import reference_adjoint, reference_partials
+from test_properties import random_case
 
 
 class TestAdjointRho:
@@ -408,26 +409,71 @@ class TestExpansionStore:
 
     def test_walk_forms_no_pencil_velocity(self, monkeypatch):
         # the walk applies the model pencil's velocity to its vectors as
-        # s (Mc v) + Cc v, as the adjoint sweep does, and forms no operator
-        # for any number of parameters
+        # s (Mc v) + Cc v, as the adjoint sweep does, and the record of
+        # explicit partials applies dM, dC and dK to a block of vectors: a
+        # cold pass of either method forms no pencil operator, for any
+        # number of parameters
         model, params, master, dof, (x, _) = _curved_beam10_o9()
         formed = []
-        velocity = Pencil.velocity
 
-        def counted(pen, s):
-            if pen is model.pencil:
-                formed.append(s)
-            return velocity(pen, s)
+        def counting(name):
+            method = getattr(Pencil, name)
 
-        monkeypatch.setattr(Pencil, "velocity", counted)
+            def counted(pen, s):
+                formed.append((name, s))
+                return method(pen, s)
+
+            return counted
+
+        for name in ("velocity", "at"):
+            monkeypatch.setattr(Pencil, name, counting(name))
         for count in (1, 2, 4):
             sub = _first(params, count)
             assert len(sub.matrix_params) == count
-            exp = compute_ssm(model, master, 9)
-            rho = rho_of_x(exp, dof, x)
-            formed.clear()
-            chain_derivatives(model, exp, sub, dof, rho)
-            assert formed == [], count
+            for method in ("adjoint", "direct"):
+                exp = compute_ssm(model, master, 9)
+                rho = rho_of_x(exp, dof, x)
+                formed.clear()
+                if method == "adjoint":
+                    contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), sub)
+                else:
+                    chain_derivatives(model, exp, sub, dof, rho)
+                assert formed == [], (count, method)
+
+    def test_partials_record_matches_the_formed_operators(self):
+        # the record applies dM, dC = alpha_r dM + beta_r dK and dK to the
+        # primal vectors without forming an operator; the oracle forms each
+        # one. Both models are damped, so every dC term is there
+        spec = VkBeamSpec(a1=0.002, a2=0.001, alpha_r=1.0, beta_r=1e-5)
+        for model, params, order in ((*build_vk_beam(spec), 9), random_case(0)):
+            assert model.alpha_r > 0.0 and model.beta_r > 0.0
+            exp = compute_ssm(model, solve_master(model, 0), order)
+            record = exp.partials(params)
+            dense, eig = reference_partials(exp, params)
+            assert len(dense) == len(record.indices) * len(params.matrix_params)
+            for m, _, entries in record.indices:
+                assert tuple(entries) == params.matrix_params
+                for p, (*vectors, phiMw) in entries.items():
+                    *want, want_phiMw = dense[m, p]
+                    for got, ref in zip(vectors, want):
+                        if ref is None:
+                            assert got is None
+                        else:
+                            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+                    if want_phiMw is None:
+                        assert phiMw is None
+                        continue
+                    # relative to the size of its terms: phi . dM w_m can
+                    # cancel to roundoff (dM of h is 2 M / h up to its
+                    # difference quotient's error, and phi^T M w_m = 0 at a
+                    # resonant index), and then no two sums agree to a digit
+                    terms = np.abs(exp.master.phi) @ np.abs(params.dM[p]) @ np.abs(exp.w(m))
+                    assert abs(phiMw - want_phiMw) <= 1e-13 * terms
+            assert len(record.eig) == len(eig)
+            for (p, modal_phi, dMphi), (q, want_modal, want_dMphi) in zip(record.eig, eig):
+                assert p == q
+                assert np.array_equal(modal_phi, want_modal)
+                assert np.array_equal(dMphi, want_dMphi)
 
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the

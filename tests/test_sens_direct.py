@@ -27,7 +27,7 @@ from oracles import fd_gradient_richardson, reference_projection
 def _eig_derivatives(model, master, params):
     """`eig_derivatives` on a new expansion of the master pair, with the
     master's explicit partials as the direct walk's record holds them."""
-    modal = params.modal_partials(model, master.omega, master.phi)
+    modal = params.modal_partials(master.omega, master.phi)
     return eig_derivatives(ssm.SsmExpansion(model, master), params.count, modal)
 
 
