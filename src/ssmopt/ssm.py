@@ -345,7 +345,9 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
 
     indices = []
     for rec, entries in zip(recs, dense):
-        pf = sum((table.force(rec.m) for table in tables), np.zeros(P * n, dtype=complex))
+        pf = np.zeros(P * n, dtype=complex)
+        for table in tables:
+            pf += table.force(rec.m)  # in place: no (P*n) temporary per table
         indices.append((rec.m, pf.reshape(P, n), entries))
     return Partials(indices, params.modal_partials(master.omega, phi))
 
