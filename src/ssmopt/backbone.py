@@ -194,15 +194,23 @@ def _validity_cap(exp: SsmExpansion, dof_index: int) -> float:
 
 
 def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
-    lower = max(exp.order - 2, 1)
-    rho = _linear_rho_scale(exp, dof_index)
-    for _ in range(200):
-        xf = x_rms(exp, dof_index, rho)
-        xl = x_rms(exp, dof_index, rho, max_order=lower)
-        if xf == 0.0 or abs(xf - xl) > VALIDITY_DIVERGENCE * xf:
-            return rho
-        rho *= 1.25
-    return rho
+    """The first rho of the grid rho_k = rho_0 1.25^k, k = 0 .. 200, at which
+    the full amplitude is zero or the truncation two orders lower misses it
+    by more than VALIDITY_DIVERGENCE; rho_200 if none.
+
+    The whole grid is evaluated in one pass, bitwise as one `x_rms` call per
+    point: the grid is the running product rho *= 1.25, and `np.polyval`
+    adds Horner's terms in `_horner`'s order. Far points may overflow; an
+    infinite or NaN amplitude is no hit, as in the scalar comparison.
+    """
+    rho = np.full(201, 1.25)
+    rho[0] = _linear_rho_scale(exp, dof_index)
+    rho = np.multiply.accumulate(rho)
+    maps = (_amplitude_map(exp, dof_index), _amplitude_map(exp, dof_index, max(exp.order - 2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xf, xl = (np.sqrt(np.maximum(np.polyval(m.p, rho * rho), 0.0)) for m in maps)
+        hit = (xf == 0.0) | (np.abs(xf - xl) > VALIDITY_DIVERGENCE * xf)
+    return float(rho[np.argmax(hit)] if hit.any() else rho[-1])
 
 
 def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:

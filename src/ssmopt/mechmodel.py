@@ -8,7 +8,10 @@ and K and builds every operator the passes apply from them.
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
 sorted trailing indices and pre-symmetrized values, so the contraction order
-of the trailing arguments is irrelevant by construction.
+of the trailing arguments is irrelevant by construction. Each entry is
+stored once: the index table is column-major and the kernels read its
+columns as views. A `ParamDerivatives` keeps its tensor derivatives the same
+way, as one stacked tensor per arity and no per-parameter copies.
 
 Many entries share a trailing key (j, k[, l]) and differ only in the
 receiving row i: a beam's T3 has about six entries per key. The kernels that
@@ -25,8 +28,9 @@ T2 the vectors themselves, so the convolution at m is one sum over its first
 part u with P_{m-u} instead of one over every ordered triple. The expansion
 owns the tables of its model tensors with entries and grows them by one
 order before it solves each order (`SsmExpansion.tables`); the adjoint sweep
-and the direct walk read the same tables. The stacked parameter tensors'
-tables are built once per `ParamDerivatives` and order, for the partial
+and the direct walk read the same tables. The tables of the stacked
+parameter tensors with entries (`ParamDerivatives.dT2` and `dT3`) are built
+once per `ParamDerivatives` and order, for the partial
 forces in the record of explicit parameter partials that both sensitivity
 methods read (`SsmExpansion.partials`); `ParamDerivatives.modal_partials`
 gives that record's eigenproblem terms.
@@ -179,18 +183,21 @@ class SymTensor:
     stored once per canonical key with sorted trailing indices; the value
     carries the permutation multiplicity, so ``force(x) = sum v*x[j]*x[k]``
     (times ``x[l]`` for arity 3).
+
+    `idx` is kept column-major (Fortran order), and `cols` holds its columns
+    as contiguous views of it, not copies.
     """
 
     n: int
     idx: np.ndarray = field(repr=False)  # (nnz, 1 + arity) int
     vals: np.ndarray = field(repr=False)  # (nnz,) float
-    cols: tuple = field(init=False, repr=False, compare=False)
+    cols: tuple = field(init=False, repr=False, compare=False)  # views of idx
 
     def __post_init__(self):
-        # index columns as contiguous arrays, gathered once per tensor
-        object.__setattr__(
-            self, "cols", tuple(np.ascontiguousarray(c) for c in self.idx.T)
-        )
+        # column-major, so each index column is one contiguous view of idx
+        idx = np.asfortranarray(self.idx)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "cols", tuple(idx.T))
 
     @classmethod
     def from_entries(cls, n: int, arity: int, entries) -> "SymTensor":
@@ -252,7 +259,7 @@ class SymTensor:
         summed = np.add.reduceat(np.asarray(vals, float)[key_order], starts)
         keep = summed != 0.0
         first = key_order[starts[keep]]
-        idx = np.column_stack([lead[first], *(c[first] for c in trailing)])
+        idx = np.stack([lead[first], *(c[first] for c in trailing)]).T
         return cls(n, idx, summed[keep])
 
     @classmethod
@@ -593,44 +600,64 @@ class MechModel:
 @dataclass(frozen=True)
 class ParamDerivatives:
     """Per-design-variable derivatives of all system operators. The damping
-    derivative alpha_r dM + beta_r dK is implied."""
+    derivative alpha_r dM + beta_r dK is implied.
+
+    dM and dK hold one matrix per parameter. dT2 and dT3 are each one
+    stacked tensor whose row p*n + i is row i of parameter p's derivative
+    (`stack`), so one `PairSums.force` yields the partial forces of all
+    parameters at once, as a flat (P*n) vector. Only the stacked tensors
+    are kept; builders pass per-parameter tensors to `stack`.
+    """
 
     names: tuple[str, ...]
     dM: tuple[np.ndarray, ...]
     dK: tuple[np.ndarray, ...]
-    dT2: tuple[SymTensor, ...]
-    dT3: tuple[SymTensor, ...]
+    dT2: SymTensor
+    dT3: SymTensor
 
     def __post_init__(self):
         p = len(self.names)
-        if not (len(self.dM) == len(self.dK) == len(self.dT2) == len(self.dT3) == p):
+        if not (len(self.dM) == len(self.dK) == p):
             raise ModelError("parameter derivative lists must have equal length")
+        rows = p * len(self.dM[0]) if p else 0
+        for arity, T in ((2, self.dT2), (3, self.dT3)):
+            if not isinstance(T, SymTensor) or T.arity != arity or T.n != rows:
+                raise ModelError(
+                    f"dT{arity} must be one stacked tensor of arity {arity} with {rows} rows"
+                )
+
+    @classmethod
+    def stack(cls, names, dM, dK, dT2, dT3) -> "ParamDerivatives":
+        """Derivatives from one tensor per parameter in dT2 and in dT3.
+
+        Each list is stacked into one tensor of P*n rows: the entries of the
+        parameters in order, each tensor's entries in its own order, the
+        receiving index of parameter p's entries offset by p*n. A tensor
+        without entries adds none.
+        """
+        n = len(dM[0]) if len(names) else 0
+
+        def stacked(arity: int, tensors) -> SymTensor:
+            parts = [(p, T) for p, T in enumerate(tensors) if T.nnz]
+            if any(T.n != n or T.arity != arity for _, T in parts):
+                raise ModelError(f"dT{arity} must hold tensors of arity {arity} and dimension {n}")
+            if not parts:
+                return SymTensor.empty(len(tensors) * n, arity)
+            idx = np.empty((arity + 1, sum(T.nnz for _, T in parts)), np.intp)
+            for k, col in enumerate(idx):
+                np.concatenate([T.cols[k] for _, T in parts], out=col)
+            start = 0
+            for p, T in parts:
+                idx[0, start : start + T.nnz] += p * n
+                start += T.nnz
+            vals = np.concatenate([T.vals for _, T in parts])
+            return SymTensor(len(tensors) * n, idx.T, vals)
+
+        return cls(tuple(names), tuple(dM), tuple(dK), stacked(2, dT2), stacked(3, dT3))
 
     @property
     def count(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def stacked(self) -> tuple[SymTensor, ...]:
-        """dT2 and dT3 each as one tensor whose rows are p*n + i.
-
-        One `PairSums.force` of a stacked tensor yields the partial forces of
-        all parameters at once, as a flat (P*n) vector. Tensors that are empty
-        for every parameter are left out. Built once per instance, so the
-        key pattern of each stacked tensor is derived once too.
-        """
-        out = []
-        for tensors in (self.dT2, self.dT3):
-            parts = [(p, t) for p, t in enumerate(tensors) if t.nnz]
-            if not parts:
-                continue
-            n = parts[0][1].n
-            pid = np.concatenate([np.full(t.nnz, p) for p, t in parts])
-            idx = np.vstack([t.idx for _, t in parts])
-            idx[:, 0] += pid * n
-            vals = np.concatenate([t.vals for _, t in parts])
-            out.append(SymTensor(len(tensors) * n, idx, vals))
-        return tuple(out)
 
     @cached_property
     def matrix_params(self) -> tuple[int, ...]:

@@ -121,12 +121,12 @@ def build_chain(
     unknown = [p for p in params if p not in table]
     if unknown:
         raise ConfigError(f"unknown chain parameters: {unknown}")
-    derivs = ParamDerivatives(
+    derivs = ParamDerivatives.stack(
         names=tuple(params),
         dM=tuple(table[p][0] for p in params),
         dK=tuple(table[p][1] for p in params),
-        dT2=tuple(table[p][2] for p in params),
-        dT3=tuple(table[p][3] for p in params),
+        dT2=[table[p][2] for p in params],
+        dT3=[table[p][3] for p in params],
     )
     return model, derivs
 
@@ -144,12 +144,12 @@ def chain_per_spring_k3(spec: ChainSpec, count: int) -> ParamDerivatives:
         for i, o in _spring_ends(left, right):
             t3 += _spring_entries(i, o, 3, 1.0)
         dT3.append(SymTensor.from_entries(n, 3, t3))
-    return ParamDerivatives(
+    return ParamDerivatives.stack(
         names=tuple(f"k3_{s}" for s in range(count)),
         dM=tuple(zeros for _ in range(count)),
         dK=tuple(zeros for _ in range(count)),
-        dT2=tuple(SymTensor.empty(n, 2) for _ in range(count)),
-        dT3=tuple(dT3),
+        dT2=[SymTensor.empty(n, 2)] * count,
+        dT3=dT3,
     )
 
 
@@ -359,9 +359,7 @@ def build_vk_beam(
             a[at[: len(cp)]] = vp
             b[at[len(cp) :]] = vm
             dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
-    derivs = ParamDerivatives(
-        names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT[2]), dT3=tuple(dT[3])
-    )
+    derivs = ParamDerivatives.stack(params, dM, dK, dT[2], dT[3])
     return model, derivs
 
 

@@ -37,9 +37,8 @@ and the direct eigenpair derivatives share.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -72,6 +71,13 @@ SOLVE_BACKWARD_ERROR = 1e3
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
 
 
+@lru_cache(maxsize=None)
+def _lapack(dtype: np.dtype) -> tuple:
+    """(getrf, gecon, getrs) for arrays of `dtype`, looked up once per dtype:
+    scipy's lookup costs more than a small factorization."""
+    return tuple(lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype))
+
+
 @dataclass(frozen=True)
 class Factorization:
     """LU factors of a dense system A, or of A bordered by one column b and
@@ -97,16 +103,16 @@ class Factorization:
 
         LAPACK's getrs is called directly: `scipy.linalg.lu_solve` spends
         more time in its wrappers than getrs spends solving. The routine is
-        chosen by the factors' and rhs's types, as lu_solve chooses it, so a
-        real factor solves a complex rhs in complex arithmetic. A non-finite
-        rhs raises lu_solve's ValueError.
+        chosen by the common type of the factors and the rhs, as lu_solve
+        chooses it, so a real factor solves a complex rhs in complex
+        arithmetic. A non-finite rhs raises lu_solve's ValueError.
         """
         if self.gb is not None:
             last = self.gc * np.broadcast_to(border, rhs.shape[1:])
             rhs = np.concatenate([rhs, last[None]])
         rhs = np.asarray_chkfinite(rhs)
         lu, piv = self.lu
-        (getrs,) = lapack.get_lapack_funcs(("getrs",), (lu, rhs))
+        getrs = _lapack(np.result_type(lu, rhs))[2]
         sol, _ = getrs(lu, piv, rhs)  # info < 0 flags an argument these shapes rule out
         if self.gb is None:
             return sol, 0.0
@@ -116,25 +122,26 @@ class Factorization:
 def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Factorization:
     """Factorization of A, or of A bordered by b and c scaled to `scale`.
 
-    LAPACK's condition estimate of the factored matrix is checked: below
-    RCOND_SINGULAR, `error(rcond)` is raised (scipy's lu_factor only warns on
-    a singular matrix). A failed or non-finite estimate reads as rcond 0.
+    LAPACK's getrf and gecon are called directly, as `scipy.linalg.lu_factor`
+    calls getrf. The condition estimate of the factored matrix is checked:
+    below RCOND_SINGULAR, `error(rcond)` is raised (lu_factor only warns on
+    a singular matrix). A failed or non-finite estimate reads as rcond 0. A
+    non-finite A raises lu_factor's ValueError.
     """
     gb = gc = None
     if b is not None:
         gb, gc = (max(scale, 1e-300) / max(np.linalg.norm(v, 1), 1e-300) for v in (b, c))
         A = np.block([[A, gb * b[:, None]], [gc * c, 0.0]])
+    A = np.asarray_chkfinite(A)
     anorm = np.linalg.norm(A, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(A)
-    (gecon,) = lapack.get_lapack_funcs(("gecon",), (lu[0],))
-    rcond, info = gecon(lu[0], anorm)
+    getrf, gecon, _ = _lapack(A.dtype)
+    lu, piv, _ = getrf(A)  # an exact zero pivot (info > 0) is left to the rcond check
+    rcond, info = gecon(lu, anorm)
     if info != 0 or not np.isfinite(rcond):
         rcond = 0.0
     if rcond < RCOND_SINGULAR:
         raise error(float(rcond))
-    return Factorization(lu, anorm, gb, gc)
+    return Factorization((lu, piv), anorm, gb, gc)
 
 
 @dataclass
@@ -306,13 +313,13 @@ class Partials:
     (`SsmExpansion.partials`). `indices` holds (m, pf, dense) per canonical
     index m of order >= 2, ascending: pf the (P, n) partial forces dT of all
     parameters over the expansion's vectors, one `PairSums.force` per
-    stacked tensor, and dense {p: (pC, Aw, Vphi, phiMw)} per matrix
-    parameter, with dC = alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM
-    + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index
-    only (else None), Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw =
-    phi . dM w_m. `eig` is the master's `ParamDerivatives.modal_partials`.
-    Arrays only: the memo that keeps the record makes no cycle back to the
-    expansion."""
+    stacked tensor with entries (`ParamDerivatives.dT2` and `dT3`), and
+    dense {p: (pC, Aw, Vphi, phiMw)} per matrix parameter, with dC =
+    alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK
+    + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index only (else None),
+    Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw = phi . dM w_m. `eig`
+    is the master's `ParamDerivatives.modal_partials`. Arrays only: the memo
+    that keeps the record makes no cycle back to the expansion."""
 
     indices: list
     eig: list
@@ -320,7 +327,7 @@ class Partials:
 
 def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     model, master, phi = exp.model, exp.master, exp.master.phi
-    tables = [PairSums(T, exp.w, exp.order) for T in params.stacked]
+    tables = [PairSums(T, exp.w, exp.order) for T in (params.dT2, params.dT3) if T.nnz]
     P, n = params.count, model.n
     recs = [exp.coeffs(m) for q in range(2, exp.order + 1) for m in canonical_indices(q)]
 

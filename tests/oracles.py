@@ -58,6 +58,19 @@
 * `first_order_operators`: the matrices of the equivalent first-order form.
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
+* `reference_stack`: per-parameter tensors stacked as rows p*n + i by one
+  vstack of their index tables, the stacking the parameter tensors had
+  before `ParamDerivatives.stack` wrote the columns in place. The two must
+  give the same entries in the same order bit for bit. `beam_param_tensors`
+  differences the beam's per-parameter tensors as `models.build_vk_beam`
+  does, before it stacks them.
+* `param_tensors` and `pick_params`: the per-parameter tensors sliced back
+  out of a `ParamDerivatives`' stacked ones, and a `ParamDerivatives` of
+  chosen parameters of others, stacked again. Tests that build or read
+  one tensor per parameter go through them.
+* `reference_validity_cap`: the validity-cap scan as one pair of `x_rms`
+  calls per grid point. `backbone._scan_validity_cap` evaluates the whole
+  grid in one pass and must give the same cap bit for bit.
 """
 
 from __future__ import annotations
@@ -66,10 +79,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssmopt.backbone import dx_drho, omega_of_rho, point_weights, rho_of_x, x_rms
+from ssmopt.backbone import (
+    VALIDITY_DIVERGENCE,
+    _linear_rho_scale,
+    dx_drho,
+    omega_of_rho,
+    point_weights,
+    rho_of_x,
+    x_rms,
+)
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import Linearization, MechModel, ParamDerivatives, SymTensor, _accum
+from ssmopt import models
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
 from ssmopt.multiindex import all_indices, symmetric
 from ssmopt.sens_adjoint import (
@@ -311,9 +333,91 @@ def reference_vk_beam(
             }
             dT[arity].append(_tensor_from_dict(n, arity, diff))
     derivs = ParamDerivatives(
-        names=tuple(params), dM=tuple(dM), dK=tuple(dK), dT2=tuple(dT[2]), dT3=tuple(dT[3])
+        tuple(params), tuple(dM), tuple(dK), *(reference_stack(n, a, dT[a]) for a in (2, 3))
     )
     return model, derivs
+
+
+def beam_param_tensors(spec: VkBeamSpec, params: tuple[str, ...]) -> dict:
+    """{arity: [dT_p]}: the beam's per-parameter tensor derivatives,
+    differenced per full key over the union of both designs' keys as
+    `models.build_vk_beam` differences them before it stacks them."""
+    fields = FAMILIES["vk_beam"].params
+    n = models._assemble_vk(spec)[0].shape[0]
+    dT = {2: [], 3: []}
+    for p in params:
+        fld = fields[p]
+        mu = getattr(spec, fld)
+        h = FD_ASSEMBLY_RELSTEP * (1.0 + abs(mu))
+        plus = models._assemble_vk(replace(spec, **{fld: mu + h}))
+        minus = models._assemble_vk(replace(spec, **{fld: mu - h}))
+        for arity, (cp, vp), (cm, vm) in zip((2, 3), plus[2], minus[2]):
+            codes, at = np.unique(np.concatenate([cp, cm]), return_inverse=True)
+            a, b = np.zeros(len(codes)), np.zeros(len(codes))
+            a[at[: len(cp)]] = vp
+            b[at[len(cp) :]] = vm
+            dT[arity].append(models._sym_tensor(n, arity, codes, (a - b) / (2 * h)))
+    return dT
+
+
+def reference_stack(n: int, arity: int, tensors) -> SymTensor:
+    """The per-parameter tensors of dimension n as one tensor whose row
+    p*n + i is row i of tensors[p]: their index tables stacked by one
+    vstack, each receiving index offset by its parameter's p*n. Tensors
+    without entries add none."""
+    parts = [(p, t) for p, t in enumerate(tensors) if t.nnz]
+    if not parts:
+        return SymTensor.empty(len(tensors) * n, arity)
+    pid = np.concatenate([np.full(t.nnz, p) for p, t in parts])
+    idx = np.vstack([t.idx for _, t in parts])
+    idx[:, 0] += pid * n
+    vals = np.concatenate([t.vals for _, t in parts])
+    return SymTensor(len(tensors) * n, idx, vals)
+
+
+def param_tensors(params: ParamDerivatives, arity: int) -> list[SymTensor]:
+    """Each parameter's tensor of the stacked dT2 (arity 2) or dT3 (arity
+    3): the entries of rows p*n .. p*n + n - 1 in stacked order, their
+    receiving index less p*n."""
+    T = params.dT2 if arity == 2 else params.dT3
+    n = T.n // max(params.count, 1)
+    out = []
+    for p in range(params.count):
+        at = T.cols[0] // n == p
+        idx = T.idx[at]
+        idx[:, 0] -= p * n
+        out.append(SymTensor(n, idx, T.vals[at]))
+    return out
+
+
+def pick_params(chosen) -> ParamDerivatives:
+    """The parameters (source, p) in `chosen`, in that order, as one
+    `ParamDerivatives`: each one's matrices and sliced tensors
+    (`param_tensors`) taken from its source and stacked again."""
+    sliced = {id(src): {a: param_tensors(src, a) for a in (2, 3)} for src, _ in chosen}
+    return ParamDerivatives.stack(
+        names=[src.names[p] for src, p in chosen],
+        dM=[src.dM[p] for src, p in chosen],
+        dK=[src.dK[p] for src, p in chosen],
+        dT2=[sliced[id(src)][2][p] for src, p in chosen],
+        dT3=[sliced[id(src)][3][p] for src, p in chosen],
+    )
+
+
+def reference_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
+    """The validity-cap scan one grid point at a time: rho grows by a factor
+    1.25 per step, at most 200 times, until the full amplitude is zero or
+    the truncation two orders lower misses it by more than
+    VALIDITY_DIVERGENCE."""
+    lower = max(exp.order - 2, 1)
+    rho = _linear_rho_scale(exp, dof_index)
+    for _ in range(200):
+        xf = x_rms(exp, dof_index, rho)
+        xl = x_rms(exp, dof_index, rho, max_order=lower)
+        if xf == 0.0 or abs(xf - xl) > VALIDITY_DIVERGENCE * xf:
+            return rho
+        rho *= 1.25
+    return rho
 
 
 def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> AdjointState:

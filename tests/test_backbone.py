@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, omega_of_rho, rho_of_x, sample_backbone, solve_master, x_rms
 from ssmopt.backbone import (
     _linear_rho_scale,
+    _scan_validity_cap,
     _validity_cap,
     backbone_to_csv,
     domega_drho,
@@ -15,6 +18,8 @@ from ssmopt.backbone import (
 from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, SsmError, assert_real
 from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import order
+
+from oracles import reference_validity_cap
 
 
 class TestOmegaOfRho:
@@ -266,6 +271,24 @@ class TestClosedFormAmplitude:
                 exp = compute_ssm(model, solve_master(model, 0), O, from_expansion=exp)
                 for dof in dofs:
                     assert _validity_cap(exp, dof) == grid_validity_cap(exp, dof)
+
+
+@pytest.mark.parametrize("name", ["chain2", "duffing", "vk_beam10"])
+def test_validity_cap_scan_is_the_scalar_loop(chain2, duffing, curved_beam_model, name):
+    # the one-pass scan over the whole grid, overflowing far points
+    # included, gives the loop's cap bit for bit and warns of nothing
+    model = {"chain2": chain2[0], "duffing": duffing[0], "vk_beam10": curved_beam_model}[name]
+    master = solve_master(model, 0)
+    exp = None
+    for O in (3, 5, 7, 9):
+        exp = compute_ssm(model, master, O, from_expansion=exp)
+        for dof in range(model.n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _scan_validity_cap(exp, dof)
+            want = reference_validity_cap(exp, dof)
+            assert type(got) is float
+            assert got == want, (O, dof)
 
 
 class TestPointWeights:

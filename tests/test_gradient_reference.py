@@ -36,7 +36,7 @@ from ssmopt.optimizer import GRADIENTS
 from ssmopt.spectral import solve_master
 from ssmopt.ssm import compute_ssm
 
-from oracles import reference_response, ridders_gradient
+from oracles import param_tensors, reference_response, ridders_gradient
 from test_properties import N_MODELS, random_case
 
 BOUND = 1e-11
@@ -99,8 +99,8 @@ def random_model(request):
             K=model.K + sum(m * dK for m, dK in zip(mu, params.dK)),
             alpha_r=model.alpha_r,
             beta_r=model.beta_r,
-            T2=_plus(model.T2, params.dT2, mu),
-            T3=_plus(model.T3, params.dT3, mu),
+            T2=_plus(model.T2, param_tensors(params, 2), mu),
+            T3=_plus(model.T3, param_tensors(params, 3), mu),
         )
 
     master = solve_master(model, 0)

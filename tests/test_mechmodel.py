@@ -330,8 +330,8 @@ class TestPairSums:
     def test_stacked_parameter_forces_on_a_beam(self):
         model, params = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001))
         exp = compute_ssm(model, solve_master(model, 0), 9)
-        assert [T.arity for T in params.stacked] == [2, 3]
-        for tensor in params.stacked:
+        assert params.dT2.nnz and params.dT3.nnz
+        for tensor in (params.dT2, params.dT3):
             table = PairSums(tensor, exp.w, exp.order)
             for m in exp.data:
                 if m[0] + m[1] >= 2:

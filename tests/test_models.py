@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, omega_of_rho, solve_master, track_mode
+from ssmopt.config import resolve_design
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
+from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.multiindex import order
+from ssmopt import models
 from ssmopt.models import (
     FAMILIES,
     ChainSpec,
@@ -17,7 +20,7 @@ from ssmopt.models import (
     vk_center_dof,
 )
 
-from oracles import fd_gradient_richardson
+from oracles import beam_param_tensors, fd_gradient_richardson, param_tensors, reference_stack
 
 
 class TestChain:
@@ -77,8 +80,8 @@ class TestChain:
         shared = build_chain(spec, params=("k3",))[1]
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
-        total = sum(t.force(x) for t in full.dT3)
-        assert np.allclose(total, shared.dT3[0].force(x), atol=1e-12)
+        total = sum(t.force(x) for t in param_tensors(full, 3))
+        assert np.allclose(total, shared.dT3.force(x), atol=1e-12)
 
 
 class TestVkBeam:
@@ -164,6 +167,111 @@ class TestVkBeam:
     def test_center_dof_requires_even_elements(self):
         with pytest.raises(ConfigError):
             vk_center_dof(VkBeamSpec(n_elements=9))
+
+
+def _chain_param_tensors(spec: ChainSpec) -> dict:
+    """{arity: [dT_p]} of `build_chain`'s four parameters, one tensor each."""
+    n = spec.n_masses
+    _, T2u, T3u = models._chain_operators(spec, 1.0, 1.0, 1.0)
+    E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
+    return {2: [E2, E2, T2u, E2], 3: [E3, E3, E3, T3u]}
+
+
+def _spring_param_tensors(spec: ChainSpec, count: int) -> dict:
+    """{arity: [dT_p]} of `chain_per_spring_k3`: spring s's cubic pattern."""
+    n = spec.n_masses
+    dT3 = []
+    for ends in models._chain_springs(n)[:count]:
+        entries = [
+            e for i, o in models._spring_ends(*ends) for e in models._spring_entries(i, o, 3, 1.0)
+        ]
+        dT3.append(SymTensor.from_entries(n, 3, entries))
+    return {2: [SymTensor.empty(n, 2)] * count, 3: dT3}
+
+
+CURVED_BEAM10 = VkBeamSpec(a1=0.002, a2=0.001)
+CHAIN5 = ChainSpec(n_masses=5)
+BUILDS = {
+    "chain2": (lambda: build_chain(ChainSpec()), lambda: _chain_param_tensors(ChainSpec())),
+    "chain5 per spring": (
+        lambda: (build_chain(CHAIN5)[0], chain_per_spring_k3(CHAIN5, 4)),
+        lambda: _spring_param_tensors(CHAIN5, 4),
+    ),
+    "vk_beam10 curved": (
+        lambda: build_vk_beam(CURVED_BEAM10),
+        lambda: beam_param_tensors(CURVED_BEAM10, tuple(FAMILIES["vk_beam"].params)),
+    ),
+}
+
+
+class TestStackedStorage:
+    """Each tensor entry is stored once: a tensor's index columns are views
+    of its one index table, and a `ParamDerivatives` keeps one stacked
+    tensor per arity, which the builders make."""
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_index_columns_are_views(self, name):
+        model, params = BUILDS[name][0]()
+        tensors = [model.T2, model.T3, params.dT2, params.dT3]
+        assert all(T.nnz for T in (model.T2, model.T3))
+        for T in tensors:
+            assert T.idx.flags.f_contiguous
+            assert len(T.cols) == T.arity + 1
+            for k, c in enumerate(T.cols):
+                assert c.flags.c_contiguous and np.array_equal(c, T.idx[:, k])
+                if T.nnz:
+                    assert np.shares_memory(c, T.idx)
+
+    def test_matrix_model_columns_are_views(self):
+        block = {
+            "type": "matrix",
+            "n": 2,
+            "M": [[1.0, 0.0], [0.0, 1.0]],
+            "K": [[2.0, -1.0], [-1.0, 1.0]],
+            "T2": [[0, 1, 1, 0.5]],
+            "T3": [[1, 0, 1, 1, 0.2], [0, 0, 0, 0, 0.1]],
+        }
+        names, _, builder = resolve_design(block)
+        model, params = builder(np.zeros(0))
+        assert names == () and params.count == 0
+        assert (params.dT2.n, params.dT2.arity, params.dT3.n, params.dT3.arity) == (0, 2, 0, 3)
+        for T in (model.T2, model.T3):
+            assert all(np.shares_memory(c, T.idx) for c in T.cols)
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_stacked_tensors_equal_the_vstack_reference(self, name):
+        _, params = BUILDS[name][0]()
+        per_param = BUILDS[name][1]()
+        n = len(params.dM[0])
+        for arity, got in ((2, params.dT2), (3, params.dT3)):
+            want = reference_stack(n, arity, per_param[arity])
+            assert (got.n, got.arity, got.idx.dtype) == (want.n, want.arity, want.idx.dtype)
+            assert np.array_equal(got.idx, want.idx)
+            assert got.vals.tobytes() == want.vals.tobytes()
+        assert params.dT3.nnz
+
+    def test_slices_restack_to_the_same_tensors(self):
+        _, params = build_vk_beam(CURVED_BEAM10)
+        again = ParamDerivatives.stack(
+            params.names, params.dM, params.dK, param_tensors(params, 2), param_tensors(params, 3)
+        )
+        for got, want in ((again.dT2, params.dT2), (again.dT3, params.dT3)):
+            assert np.array_equal(got.idx, want.idx)
+            assert got.vals.tobytes() == want.vals.tobytes()
+
+    def test_shape_is_checked(self):
+        n = 3
+        zeros = np.zeros((n, n))
+        E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
+        with pytest.raises(ModelError, match="dT2 must be one stacked tensor of arity 2 with 6"):
+            ParamDerivatives(("a", "b"), (zeros,) * 2, (zeros,) * 2, E2, SymTensor.empty(2 * n, 3))
+        with pytest.raises(ModelError, match="dT3 must be one stacked tensor"):
+            ParamDerivatives(("a",), (zeros,), (zeros,), E2, SymTensor.empty(n, 2))
+        with pytest.raises(ModelError, match="dT2 must be one stacked tensor"):
+            ParamDerivatives(("a",), (zeros,), (zeros,), (E2,), E3)
+        with pytest.raises(ModelError, match="dT3 must hold tensors of arity 3 and dimension 3"):
+            T = SymTensor.from_entries(n + 1, 3, [[0, 1, 2, 3, 1.0]])
+            ParamDerivatives.stack(("a",), (zeros,), (zeros,), (E2,), (T,))
 
 
 class TestCatalog:

@@ -8,7 +8,6 @@ from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
 from ssmopt.spectral import solve_modes
 from ssmopt.backbone import domega_drho, dx_drho
 from ssmopt.errors import AmplitudeUnreachableError, ConfigError, ModelError, OuterResonanceError
-from ssmopt.mechmodel import ParamDerivatives
 from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
 from ssmopt.optimizer import (
     BackboneTarget,
@@ -21,6 +20,8 @@ from ssmopt.optimizer import (
     solve,
     trace_to_csv,
 )
+
+from oracles import pick_params
 
 
 def chain_builder(mu):
@@ -154,12 +155,7 @@ class TestEvaluate:
         model, family = build_chain(spec, params=("k", "mass"))
         springs = chain_per_spring_k3(spec, 4)
         chosen = [(springs, 0), (family, 0), (springs, 1), (springs, 2), (family, 1), (springs, 3)]
-        params = ParamDerivatives(
-            *(
-                tuple(getattr(src, field)[p] for src, p in chosen)
-                for field in ("names", "dM", "dK", "dT2", "dT3")
-            )
-        )
+        params = pick_params(chosen)
         assert params.matrix_params == (1, 4)
         master = solve_master(model, 0)
         count = params.count

@@ -24,7 +24,7 @@ from ssmopt.ssm import invariance_residual
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import reference_full_set_ssm
+from oracles import param_tensors, reference_full_set_ssm
 
 N_MODELS = 16
 N_PARAMS = 3
@@ -57,7 +57,7 @@ def random_case(seed):
         T2=tensor(rng, n, 2, 2 * n, 0.5),
         T3=tensor(rng, n, 3, 3 * n, 0.5),
     )
-    params = ParamDerivatives(
+    params = ParamDerivatives.stack(
         names=tuple(f"p{k}" for k in range(N_PARAMS)),
         dM=tuple(sym(rng, n) for _ in range(N_PARAMS)),
         dK=tuple(sym(rng, n) for _ in range(N_PARAMS)),
@@ -218,12 +218,12 @@ def test_dof_permutation_invariance():
             T2=permuted_tensor(model.T2, inv),
             T3=permuted_tensor(model.T3, inv),
         )
-        params_p = ParamDerivatives(
+        params_p = ParamDerivatives.stack(
             names=params.names,
             dM=tuple(d[grid] for d in params.dM),
             dK=tuple(d[grid] for d in params.dK),
-            dT2=tuple(permuted_tensor(t, inv) for t in params.dT2),
-            dT3=tuple(permuted_tensor(t, inv) for t in params.dT3),
+            dT2=[permuted_tensor(t, inv) for t in param_tensors(params, 2)],
+            dT3=[permuted_tensor(t, inv) for t in param_tensors(params, 3)],
         )
         return model_p, params_p, inv
 

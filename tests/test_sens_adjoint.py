@@ -16,7 +16,7 @@ from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import reference_adjoint, reference_partials
+from oracles import pick_params, reference_adjoint, reference_partials
 from test_properties import random_case
 
 
@@ -220,8 +220,7 @@ def _curved_beam10_o9():
 
 def _first(params: ParamDerivatives, count: int) -> ParamDerivatives:
     """A new ParamDerivatives holding the first `count` parameters."""
-    fields = ("names", "dM", "dK", "dT2", "dT3")
-    return ParamDerivatives(*(getattr(params, f)[:count] for f in fields))
+    return pick_params([(params, p) for p in range(count)])
 
 
 def _gradients(model, exp, params, dof, x):
@@ -499,8 +498,9 @@ class TestExpansionStore:
         adj = solve_adjoint(model, exp, dof, rho)
         # the stacked tensors and their key layouts are cached on params,
         # not in the record
-        for T in params.stacked:
-            T.key_pattern, T.projections
+        for T in (params.dT2, params.dT3):
+            if T.nnz:
+                T.key_pattern, T.projections
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -21,7 +21,7 @@ from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_a
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
 
-from oracles import fd_gradient_richardson, reference_projection
+from oracles import fd_gradient_richardson, pick_params, reference_projection
 
 
 def _eig_derivatives(model, master, params):
@@ -33,7 +33,7 @@ def _eig_derivatives(model, master, params):
 
 def null_params(n):
     zeros = np.zeros((n, n))
-    return ParamDerivatives(
+    return ParamDerivatives.stack(
         names=("null",),
         dM=(zeros,),
         dK=(zeros,),
@@ -60,8 +60,8 @@ class TestSingularBorderedSystems:
     @pytest.mark.parametrize("split", [0.0, 1e-14])
     def test_eigenpair_system(self, split):
         model, master = self._pair(split)
-        params = ParamDerivatives(("k",), (np.zeros((2, 2)),), (np.eye(2),),
-                                  (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
+        params = ParamDerivatives.stack(("k",), (np.zeros((2, 2)),), (np.eye(2),),
+                                        (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
         # the eigenpair derivatives solve with the expansion's factorization
         # of the bordered mode-shape system (`SsmExpansion.mode_lu`)
         with pytest.raises(DegenerateModeError, match="mode-shape system is singular"):
@@ -191,21 +191,16 @@ class TestChainDerivatives:
 
         model, params = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.1)
-        one = ParamDerivatives(
-            names=params.names[:1],
-            dM=params.dM[:1],
-            dK=params.dK[:1],
-            dT2=params.dT2[:1],
-            dT3=params.dT3[:1],
-        )
+        one = pick_params([(params, 0)])
         # a new ParamDerivatives per call: the expansion keeps the walk of
         # the last one, and each timed call must walk. Their stacked tensors
         # and key layouts are built outside the timer
         ones = [replace(one) for _ in range(3)]
         fours = [replace(params) for _ in range(3)]
         for p in ones + fours:
-            for T in p.stacked:
-                T.key_pattern, T.projections
+            for T in (p.dT2, p.dT3):
+                if T.nnz:
+                    T.key_pattern, T.projections
         t0 = time.perf_counter()
         for p in ones:
             chain_derivatives(model, chain2_exp5, p, 1, rho)
@@ -246,12 +241,7 @@ class TestChainDerivatives:
         springs = chain_per_spring_k3(spec, 20)
         chosen = [(springs, p) for p in range(10)] + [(family, 0)]
         chosen += [(springs, p) for p in range(10, 20)] + [(family, 1)]
-        params = ParamDerivatives(
-            *(
-                tuple(getattr(src, field)[p] for src, p in chosen)
-                for field in ("names", "dM", "dK", "dT2", "dT3")
-            )
-        )
+        params = pick_params(chosen)
         assert params.matrix_params == (10, 21)
         exp = compute_ssm(model, solve_master(model, 0), order)
         for x in (0.01, 0.05, 0.15):
@@ -276,8 +266,9 @@ class TestChainDerivatives:
         # a new ParamDerivatives walks again; its stacked tensors and their
         # key layouts are built outside the trace
         fresh = replace(params)
-        for T in fresh.stacked:
-            T.key_pattern, T.projections
+        for T in (fresh.dT2, fresh.dT3):
+            if T.nnz:
+                T.key_pattern, T.projections
         tracemalloc.start()
         try:
             chain_derivatives(model, exp, fresh, dof, rho)

@@ -14,7 +14,7 @@ import pytest
 from ssmopt.errors import ModelError
 from ssmopt.models import VkBeamSpec, build_vk_beam
 
-from oracles import reference_vk_beam
+from oracles import param_tensors, reference_vk_beam
 
 SPECS = {
     "vk_beam40 curved": VkBeamSpec(n_elements=40, a1=0.002, a2=0.001),
@@ -45,7 +45,8 @@ def test_batched_assembly_matches_reference(spec):
     for p in range(derivs.count):
         assert np.array_equal(derivs.dM[p], ref_derivs.dM[p])
         assert np.array_equal(derivs.dK[p], ref_derivs.dK[p])
-        for dT, ref in ((derivs.dT2[p], ref_derivs.dT2[p]), (derivs.dT3[p], ref_derivs.dT3[p])):
+    for arity in (2, 3):
+        for dT, ref in zip(param_tensors(derivs, arity), param_tensors(ref_derivs, arity)):
             assert np.array_equal(dT.idx, ref.idx)
             scale = np.abs(ref.vals).max(initial=0.0)
             assert np.abs(dT.vals - ref.vals).max(initial=0.0) <= 1e-15 * scale
