@@ -28,9 +28,8 @@ T2 the vectors themselves, so the convolution at m is one sum over its first
 part u with P_{m-u} instead of one over every ordered triple. The expansion
 owns the tables of its model tensors with entries and grows them by one
 order before it solves each order (`SsmExpansion.tables`); the adjoint sweep
-and the direct walk read the same tables. The tables of the stacked
-parameter tensors with entries (`ParamDerivatives.dT2` and `dT3`) are built
-once per `ParamDerivatives` and order, for the partial
+and the direct walk read the same tables. The stacked parameter tensors'
+tables are built once per `ParamDerivatives` and order, for the partial
 forces in the record of explicit parameter partials that both sensitivity
 methods read (`SsmExpansion.partials`); `ParamDerivatives.modal_partials`
 gives that record's eigenproblem terms.
@@ -191,10 +190,9 @@ class SymTensor:
     n: int
     idx: np.ndarray = field(repr=False)  # (nnz, 1 + arity) int
     vals: np.ndarray = field(repr=False)  # (nnz,) float
-    cols: tuple = field(init=False, repr=False, compare=False)  # views of idx
+    cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # column-major, so each index column is one contiguous view of idx
         idx = np.asfortranarray(self.idx)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "cols", tuple(idx.T))
@@ -647,7 +645,7 @@ class ParamDerivatives:
             for k, col in enumerate(idx):
                 np.concatenate([T.cols[k] for _, T in parts], out=col)
             start = 0
-            for p, T in parts:
+            for p, T in parts:  # in place: no index temporary as long as idx
                 idx[0, start : start + T.nnz] += p * n
                 start += T.nnz
             vals = np.concatenate([T.vals for _, T in parts])

@@ -313,13 +313,13 @@ class Partials:
     (`SsmExpansion.partials`). `indices` holds (m, pf, dense) per canonical
     index m of order >= 2, ascending: pf the (P, n) partial forces dT of all
     parameters over the expansion's vectors, one `PairSums.force` per
-    stacked tensor with entries (`ParamDerivatives.dT2` and `dT3`), and
-    dense {p: (pC, Aw, Vphi, phiMw)} per matrix parameter, with dC =
-    alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK
-    + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index only (else None),
-    Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw = phi . dM w_m. `eig`
-    is the master's `ParamDerivatives.modal_partials`. Arrays only: the memo
-    that keeps the record makes no cycle back to the expansion."""
+    stacked tensor, and dense {p: (pC, Aw, Vphi, phiMw)} per matrix
+    parameter, with dC = alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM
+    + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index
+    only (else None), Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw =
+    phi . dM w_m. `eig` is the master's `ParamDerivatives.modal_partials`.
+    Arrays only: the memo that keeps the record makes no cycle back to the
+    expansion."""
 
     indices: list
     eig: list

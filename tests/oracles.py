@@ -59,9 +59,9 @@
   `ssm.invariance_residual` works in the second-order form; the first-order
   one is the independent reference its tests compare with.
 * `reference_stack`: per-parameter tensors stacked as rows p*n + i by one
-  vstack of their index tables, the stacking the parameter tensors had
-  before `ParamDerivatives.stack` wrote the columns in place. The two must
-  give the same entries in the same order bit for bit. `beam_param_tensors`
+  vstack of their index tables. `ParamDerivatives.stack` writes each index
+  column in place instead; the two must give the same entries in the same
+  order bit for bit. `beam_param_tensors`
   differences the beam's per-parameter tensors as `models.build_vk_beam`
   does, before it stacks them.
 * `param_tensors` and `pick_params`: the per-parameter tensors sliced back
