@@ -260,8 +260,8 @@ def load_config(path: str, command: str | None = None, overrides: dict | None = 
 
 def resolve_model(block: dict):
     """The model of a model block, without parameter derivatives."""
-    _, mu0, builder = resolve_design(dict(block, params=[]))
-    return builder(mu0)[0]
+    _, mu0, builder = resolve_design(block)
+    return builder(mu0, ())[0]
 
 
 def resolve_design(block: dict):

@@ -44,9 +44,9 @@ every part of m at the tensor's `scatter_pattern` in one take, and sums each
 (slot, receiving DOF) bin in key order. Its bars are bitwise those of
 scattering the coefficients one (index, slot) at a time.
 `SymTensor.force`, the force at one displacement, stays entrywise.
-`SymTensor.from_entries` is also where tensor entries from a JSON descriptor
-are validated; it and the beam assembly put entries in canonical form with
-`SymTensor.canonical`.
+`SymTensor.from_entries` validates the tensor rows of a JSON descriptor
+(`model_from_json`); it and the built-in families put entries in canonical
+form with `SymTensor.canonical`.
 """
 
 from __future__ import annotations
@@ -663,9 +663,9 @@ class ParamDerivatives:
         force tensors (one k3 per spring, for one), so every dense matrix
         term of theirs vanishes and the sensitivity passes skip it.
 
-        Each distinct matrix is scanned once: `chain_per_spring_k3` hands
-        every parameter the same zero matrix, and 200 scans of it were most
-        of a cold gradient contraction at P = 100.
+        Each distinct matrix object is scanned once: the chain builders hand
+        their tensor-only parameters one shared zero matrix, and 200 scans
+        of it were most of a cold gradient contraction at P = 100.
         """
         distinct = {id(a): a for a in (*self.dM, *self.dK)}
         nonzero = {key: np.any(a) for key, a in distinct.items()}

@@ -5,7 +5,10 @@ Two families:
 * Grounded oscillator chains with per-spring quadratic/cubic forces. Each
   mass i feels, from every attached spring, the force
   ``k*d + k2*d**2 + k3*d**3`` with ``d = x_i - x_neighbor`` (ground
-  displacement zero). Parameter derivatives are analytic.
+  displacement zero). One table of spring terms per power, each term
+  labelled with its spring, builds K (power 1), T2 and T3. The analytic
+  derivatives are the operators at unit coefficient, the nominal ones the
+  coefficient times them, and each per-spring k3 takes its spring's terms.
 
 * Clamped-clamped geometrically nonlinear beam assembled from 2-node
   elements with linear axial and cubic Hermite transverse interpolation and
@@ -56,38 +59,23 @@ class ChainSpec:
     beta_r: float = 0.1
 
 
-def _chain_springs(n: int) -> list[tuple[int | None, int]]:
-    """(left, right) mass indices per spring; None is the ground."""
-    return [(None, 0)] + [(i, i + 1) for i in range(n - 1)]
-
-
-def _spring_ends(left: int | None, right: int):
-    """(mass, other end) for each mass a spring acts on; None is the ground."""
-    return [(i, right if i == left else left) for i in (left, right) if i is not None]
-
-
-def _spring_entries(i: int, o: int | None, power: int, coef: float) -> list:
-    """Tensor entries of coef*(x_i - x_o)**power acting on mass i."""
-    if o is None:
-        return [(i,) * (power + 1) + (coef,)]
-    return [
-        (i,) * (power + 1 - a) + (o,) * a + (coef * comb(power, a) * (-1) ** a,)
-        for a in range(power + 1)
-    ]
-
-
-def _chain_operators(spec: ChainSpec, k: float, k2: float, k3: float):
-    n = spec.n_masses
-    K = np.zeros((n, n))
-    entries: dict[int, list] = {2: [], 3: []}
-    for left, right in _chain_springs(n):
-        for i, o in _spring_ends(left, right):
-            K[i, i] += k
-            if o is not None:
-                K[i, o] -= k
-            for power, coef in ((2, k2), (3, k3)):
-                entries[power] += _spring_entries(i, o, power, coef)
-    return K, *(SymTensor.from_entries(n, a, entries[a]) for a in (2, 3))
+def _spring_terms(n: int, power: int):
+    """(spring, ids, vals): every spring's terms of (x_i - x_o)**power on each
+    mass i it acts on, at unit coefficient. Spring 0 joins mass 0 to the
+    ground (x_o = 0, term a = 0 only); spring s > 0 joins masses s - 1 and s.
+    Term a holds i power + 1 - a times, then o a times, and the weight
+    comb(power, a) * (-1)**a; ids holds one index column per row."""
+    s = np.arange(1, n)
+    spring = np.concatenate([[0], s, s])
+    mass = np.concatenate([[0], s - 1, s])
+    other = np.concatenate([[0], s, s - 1])
+    a = np.arange(power + 1)
+    kept = (spring[:, None] > 0) | (a == 0)
+    column = np.arange(power + 1)[:, None, None]  # then end, then term
+    ids = np.where(column <= power - a, mass[:, None], other[:, None])
+    weights = np.array([comb(power, b) * (-1) ** b for b in a], float)
+    spring = np.broadcast_to(spring[:, None], kept.shape)
+    return spring[kept], ids[:, kept], np.broadcast_to(weights, kept.shape)[kept]
 
 
 def build_chain(
@@ -98,9 +86,21 @@ def build_chain(
     if params is None:
         params = tuple(FAMILIES["chain"].params)
     n = spec.n_masses
+    for name in ("mass", "k", "k2", "k3"):
+        if not np.isfinite(getattr(spec, name)):
+            raise ModelError(f"{name} must be a finite number, got {getattr(spec, name)}")
     if n < 1 or spec.mass <= 0:
         raise ModelError("chain needs at least one mass with positive mass value")
-    K, T2, T3 = _chain_operators(spec, spec.k, spec.k2, spec.k3)
+    _, ids, unit = _spring_terms(n, 1)
+    K, K1 = np.zeros((n, n)), np.zeros((n, n))
+    np.add.at(K, tuple(ids), spec.k * unit)
+    np.add.at(K1, tuple(ids), unit)
+    T2u, T3u = (SymTensor.canonical(n, *_spring_terms(n, p)[1:]) for p in (2, 3))
+    # each unit value is a nonzero integer: only a zero coefficient zeroes one
+    T2, T3 = (
+        SymTensor(n, T.idx, coef * T.vals) if coef else SymTensor.empty(n, T.arity)
+        for T, coef in ((T2u, spec.k2), (T3u, spec.k3))
+    )
     model = MechModel(
         M=spec.mass * np.eye(n),
         K=K,
@@ -109,7 +109,6 @@ def build_chain(
         T2=T2,
         T3=T3,
     )
-    K1, T2u, T3u = _chain_operators(spec, 1.0, 1.0, 1.0)
     zeros = np.zeros((n, n))
     E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
     table = {
@@ -134,22 +133,16 @@ def build_chain(
 def chain_per_spring_k3(spec: ChainSpec, count: int) -> ParamDerivatives:
     """One design variable per spring: its cubic coefficient (first `count` springs)."""
     n = spec.n_masses
-    springs = _chain_springs(n)
-    if count > len(springs):
-        raise ConfigError(f"chain has only {len(springs)} springs, requested {count}")
+    if not 0 <= count <= n:
+        raise ConfigError(f"chain has {n} springs, requested a count of {count}")
+    spring, ids, unit = _spring_terms(n, 3)
     zeros = np.zeros((n, n))
-    dT3 = []
-    for left, right in springs[:count]:
-        t3 = []
-        for i, o in _spring_ends(left, right):
-            t3 += _spring_entries(i, o, 3, 1.0)
-        dT3.append(SymTensor.from_entries(n, 3, t3))
     return ParamDerivatives.stack(
         names=tuple(f"k3_{s}" for s in range(count)),
-        dM=tuple(zeros for _ in range(count)),
-        dK=tuple(zeros for _ in range(count)),
+        dM=(zeros,) * count,
+        dK=(zeros,) * count,
         dT2=[SymTensor.empty(n, 2)] * count,
-        dT3=dT3,
+        dT3=[SymTensor.canonical(n, ids[:, spring == s], unit[spring == s]) for s in range(count)],
     )
 
 

@@ -130,8 +130,9 @@ GRADIENTS = {"adjoint": _adjoint_gradient, "direct": _direct_gradient}
 
 
 def check_objective(spec: dict, names: tuple[str, ...]) -> None:
-    """Reject an objective whose type is unknown, with a key of another type
-    or without its variable key, or which reads a non-parameter name."""
+    """Reject an objective whose type is unknown, with a key of another type,
+    a non-finite number or without its variable key, or which reads a
+    non-parameter name."""
     kind = spec.get("type")
     if kind not in OBJECTIVE_KEYS:
         raise ConfigError(f"objective.type must be one of {list(OBJECTIVE_KEYS)}, got {kind!r}")
@@ -139,6 +140,11 @@ def check_objective(spec: dict, names: tuple[str, ...]) -> None:
     stray = [f"objective.{k}" for k in spec if k != "type" and k not in keys]
     if stray:
         raise ConfigError(f"{', '.join(stray)}: not keys of a {kind!r} objective")
+    numbers = {f"objective.{k}": spec[k] for k in ("value", "offset") if k in spec}
+    numbers |= {f"objective.coeffs.{nm}": c for nm, c in spec.get("coeffs", {}).items()}
+    for name, value in numbers.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
     if key is None:
         return
     if key not in spec:

@@ -242,6 +242,19 @@ class TestBackboneCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("k2", float("nan")), ("k3", float("nan")), ("mass", float("inf")), ("k", float("inf"))],
+    )
+    def test_non_finite_chain_coefficient_exit_code(self, tmp_path, capsys, field, value):
+        # json writes these as NaN and Infinity, which json.load reads back
+        cfg = {"model": dict(CHAIN_MODEL, **{field: value}), "backbone": {"dof": 1, "x_targets": [0.1]}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: {field} must be a finite number, got {value}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "field, fields, argv",
         [
             ("x_targets", {"x_targets": [0.1, -0.2]}, []),  # negative target

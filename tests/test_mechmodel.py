@@ -421,21 +421,21 @@ class TestCanonical:
 
     def test_chain_tensors(self, monkeypatch):
         seen = []
-        validated = SymTensor.from_entries
+        direct = SymTensor.canonical
 
-        def recorded(cls, n, arity, entries):
-            got = validated(n, arity, entries)
-            seen.append((n, arity, entries, got))
+        def recorded(cls, n, ids, vals):
+            got = direct(n, ids, vals)
+            seen.append((n, ids, vals, got))
             return got
 
-        monkeypatch.setattr(SymTensor, "from_entries", classmethod(recorded))
+        monkeypatch.setattr(SymTensor, "canonical", classmethod(recorded))
         spec = ChainSpec(n_masses=11)
         build_chain(spec)
         chain_per_spring_k3(spec, 11)
-        assert len(seen) == 4 + 11
-        for n, arity, entries, got in seen:
-            if len(entries):
-                assert _same_entries(got, reference_canonical(n, arity, entries))
+        assert len(seen) == 2 + 11
+        for n, ids, vals, got in seen:
+            entries = np.column_stack([*ids, vals])
+            assert _same_entries(got, reference_canonical(n, len(ids) - 1, entries))
 
     @pytest.mark.parametrize(
         "spec", [VkBeamSpec(n_elements=40, a1=0.002, a2=0.001), VkBeamSpec()], ids=["curved40", "flat10"]

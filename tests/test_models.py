@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import fields, replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
 from ssmopt.multiindex import order
-from ssmopt import models
 from ssmopt.models import (
     FAMILIES,
     ChainSpec,
@@ -82,6 +83,51 @@ class TestChain:
         x = rng.normal(size=5)
         total = sum(t.force(x) for t in param_tensors(full, 3))
         assert np.allclose(total, shared.dT3.force(x), atol=1e-12)
+
+    @pytest.mark.parametrize("count", [-1, 6])
+    def test_per_spring_count_out_of_range(self, count):
+        with pytest.raises(ConfigError, match=f"requested a count of {count}$"):
+            chain_per_spring_k3(ChainSpec(n_masses=5), count)
+
+    def test_matrix_free_parameters_share_one_zero_matrix(self):
+        # ParamDerivatives.matrix_params scans each distinct matrix once
+        _, params = build_chain(ChainSpec(n_masses=4))
+        zeros = {id(a) for a in (*params.dM[1:], params.dK[0], *params.dK[2:])}
+        assert len(zeros) == 1 and params.matrix_params == (0, 1)
+        springs = chain_per_spring_k3(ChainSpec(n_masses=4), 4)
+        assert len({id(a) for a in (*springs.dM, *springs.dK)}) == 1
+        assert springs.matrix_params == ()
+
+    @pytest.mark.parametrize("field", ["mass", "k", "k2", "k3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_is_named(self, field, value):
+        with pytest.raises(ModelError, match=f"^{field} must be a finite number, got"):
+            build_chain(ChainSpec(**{field: value}))
+
+    def test_operators_are_pinned_bytewise(self):
+        """SHA-256 of the bytes of M, K, T2 and T3 (index table and values)
+        and of the four stacked derivatives of the two-mass chain and of a
+        101-mass one, then of the per-spring k3 derivatives of the latter at
+        count 100. Recorded before the chain builders were rewritten around
+        one table of spring terms; the golden numerics compare to 1e-13
+        only, so they cannot see a one-ulp change."""
+        digest = hashlib.sha256()
+
+        def add(*arrays):
+            for a in arrays:
+                digest.update(np.ascontiguousarray(a).tobytes())
+
+        big = ChainSpec(n_masses=101, beta_r=0.02)
+        for spec in (ChainSpec(), big):
+            model, params = build_chain(spec)
+            add(model.M, model.K, model.T2.idx, model.T2.vals, model.T3.idx, model.T3.vals)
+            add(*params.dM, *params.dK)
+            add(params.dT2.idx, params.dT2.vals, params.dT3.idx, params.dT3.vals)
+        springs = chain_per_spring_k3(big, 100)
+        add(springs.dT3.idx, springs.dT3.vals)
+        assert digest.hexdigest() == (
+            "796e0451373a0579e2124214524633c483413cbf22dabfe92bc695be98b9d532"
+        )
 
 
 class TestVkBeam:
@@ -169,10 +215,22 @@ class TestVkBeam:
             vk_center_dof(VkBeamSpec(n_elements=9))
 
 
+def _spring_tensor(n: int, power: int, springs) -> SymTensor:
+    """The unit-coefficient force (x_i - x_o)**power of the given springs on
+    each mass they act on, written out term by term as [i, j, k(, l), v]
+    rows: spring 0 joins mass 0 to the ground, spring s > 0 masses s - 1 and s."""
+    rows = []
+    for s in springs:
+        for i, o in [(0, None)] if s == 0 else [(s - 1, s), (s, s - 1)]:
+            for a in range(power + 1 if o is not None else 1):
+                rows.append((i,) * (power + 1 - a) + (o,) * a + (comb(power, a) * (-1) ** a,))
+    return SymTensor.from_entries(n, power, rows)
+
+
 def _chain_param_tensors(spec: ChainSpec) -> dict:
     """{arity: [dT_p]} of `build_chain`'s four parameters, one tensor each."""
     n = spec.n_masses
-    _, T2u, T3u = models._chain_operators(spec, 1.0, 1.0, 1.0)
+    T2u, T3u = (_spring_tensor(n, power, range(n)) for power in (2, 3))
     E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
     return {2: [E2, E2, T2u, E2], 3: [E3, E3, E3, T3u]}
 
@@ -180,12 +238,7 @@ def _chain_param_tensors(spec: ChainSpec) -> dict:
 def _spring_param_tensors(spec: ChainSpec, count: int) -> dict:
     """{arity: [dT_p]} of `chain_per_spring_k3`: spring s's cubic pattern."""
     n = spec.n_masses
-    dT3 = []
-    for ends in models._chain_springs(n)[:count]:
-        entries = [
-            e for i, o in models._spring_ends(*ends) for e in models._spring_entries(i, o, 3, 1.0)
-        ]
-        dT3.append(SymTensor.from_entries(n, 3, entries))
+    dT3 = [_spring_tensor(n, 3, [s]) for s in range(count)]
     return {2: [SymTensor.empty(n, 2)] * count, 3: dT3}
 
 

@@ -99,6 +99,22 @@ class TestObjectiveRegistry:
                 objective=objective,
             )
 
+    @pytest.mark.parametrize(
+        "objective, field",
+        [
+            ({"type": "linear", "coeffs": {"k3": float("nan")}}, "objective.coeffs.k3"),
+            ({"type": "linear", "coeffs": {"k3": 1.0}, "offset": -np.inf}, "objective.offset"),
+            ({"type": "constant", "value": np.inf}, "objective.value"),
+        ],
+    )
+    def test_problem_rejects_non_finite_numbers(self, chain_target, objective, field):
+        # without the check, solve() stalls at the feasible start and reports
+        # converged=True with a nan or inf objective
+        x0, nominal = chain_target
+        problem = chain_problem(nominal, x0)
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+            replace(problem, objective=objective)
+
 
 class TestOrderPolicy:
     def test_unchanged_when_within_tolerance(self):
