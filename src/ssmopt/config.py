@@ -274,7 +274,7 @@ def resolve_design(block: dict):
     model has no design parameters.
     """
     if block["type"] == "matrix":
-        no_params = ParamDerivatives.stack(names=(), dM=(), dK=(), dT2=(), dT3=())
+        no_params = ParamDerivatives.stack(names=(), matrices={}, dT2=(), dT3=())
         return (), np.zeros(0), lambda mu, derivatives=(): (model_from_json(block), no_params)
     family = FAMILIES[block["type"]]
     names = tuple(block.get("params", family.params))

@@ -600,24 +600,30 @@ class ParamDerivatives:
     """Per-design-variable derivatives of all system operators. The damping
     derivative alpha_r dM + beta_r dK is implied.
 
-    dM and dK hold one matrix per parameter. dT2 and dT3 are each one
-    stacked tensor whose row p*n + i is row i of parameter p's derivative
-    (`stack`), so one `PairSums.force` yields the partial forces of all
-    parameters at once, as a flat (P*n) vector. Only the stacked tensors
-    are kept; builders pass per-parameter tensors to `stack`.
+    `matrix_params` lists, ascending, the parameters whose dM and dK the
+    builder declares; the others (one k3 per spring, for one) move only the
+    force tensors and have no dense term. dM and dK are (len(matrix_params),
+    n, n) stacks whose slice k belongs to parameter matrix_params[k]. dT2
+    and dT3 are each one stacked tensor whose row p*n + i is row i of
+    parameter p's derivative (`stack`), so one `PairSums.force` yields the
+    partial forces of all parameters at once, as a flat (P*n) vector.
     """
 
     names: tuple[str, ...]
-    dM: tuple[np.ndarray, ...]
-    dK: tuple[np.ndarray, ...]
+    matrix_params: tuple[int, ...]
+    dM: np.ndarray = field(repr=False)  # (len(matrix_params), n, n)
+    dK: np.ndarray = field(repr=False)
     dT2: SymTensor
     dT3: SymTensor
 
     def __post_init__(self):
-        p = len(self.names)
-        if not (len(self.dM) == len(self.dK) == p):
-            raise ModelError("parameter derivative lists must have equal length")
-        rows = p * len(self.dM[0]) if p else 0
+        p, mp = len(self.names), self.matrix_params
+        if list(mp) != sorted(set(mp)) or not all(0 <= q < p for q in mp):
+            raise ModelError(f"matrix_params must be ascending, distinct and below {p}, got {mp}")
+        n = self.dM.shape[-1] if self.dM.ndim == 3 else -1
+        if self.dM.shape != (len(mp), n, n) or self.dK.shape != self.dM.shape:
+            raise ModelError(f"dM and dK must be equal stacks of {len(mp)} square matrices")
+        rows = p * n
         for arity, T in ((2, self.dT2), (3, self.dT3)):
             if not isinstance(T, SymTensor) or T.arity != arity or T.n != rows:
                 raise ModelError(
@@ -625,15 +631,17 @@ class ParamDerivatives:
                 )
 
     @classmethod
-    def stack(cls, names, dM, dK, dT2, dT3) -> "ParamDerivatives":
-        """Derivatives from one tensor per parameter in dT2 and in dT3.
+    def stack(cls, names, matrices: dict, dT2, dT3) -> "ParamDerivatives":
+        """Derivatives from {p: (dM_p, dK_p)} of the matrix parameters, p a
+        parameter's number, and one tensor per parameter in dT2 and in dT3.
 
-        Each list is stacked into one tensor of P*n rows: the entries of the
-        parameters in order, each tensor's entries in its own order, the
-        receiving index of parameter p's entries offset by p*n. A tensor
-        without entries adds none.
+        The matrices are stacked in ascending p. Each tensor list is stacked
+        into one tensor of P*n rows: the entries of the parameters in order,
+        each tensor's entries in its own order, the receiving index of
+        parameter p's entries offset by p*n. A tensor without entries adds
+        none.
         """
-        n = len(dM[0]) if len(names) else 0
+        n = dT2[0].n if len(names) else 0
 
         def stacked(arity: int, tensors) -> SymTensor:
             parts = [(p, T) for p, T in enumerate(tensors) if T.nnz]
@@ -651,37 +659,23 @@ class ParamDerivatives:
             vals = np.concatenate([T.vals for _, T in parts])
             return SymTensor(len(tensors) * n, idx.T, vals)
 
-        return cls(tuple(names), tuple(dM), tuple(dK), stacked(2, dT2), stacked(3, dT3))
+        mp = tuple(sorted(matrices))
+        dM, dK = (
+            np.array([matrices[p][i] for p in mp], float) if mp else np.zeros((0, n, n))
+            for i in (0, 1)
+        )
+        return cls(tuple(names), mp, dM, dK, stacked(2, dT2), stacked(3, dT3))
 
     @property
     def count(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def matrix_params(self) -> tuple[int, ...]:
-        """The parameters with a nonzero dM or dK. The others change only the
-        force tensors (one k3 per spring, for one), so every dense matrix
-        term of theirs vanishes and the sensitivity passes skip it.
-
-        Each distinct matrix object is scanned once: the chain builders hand
-        their tensor-only parameters one shared zero matrix, and 200 scans
-        of it were most of a cold gradient contraction at P = 100.
-        """
-        distinct = {id(a): a for a in (*self.dM, *self.dK)}
-        nonzero = {key: np.any(a) for key, a in distinct.items()}
-        return tuple(
-            p for p in range(self.count) if nonzero[id(self.dM[p])] or nonzero[id(self.dK[p])]
-        )
 
     def modal_partials(self, omega: float, phi: np.ndarray) -> list:
         """(p, (dK - omega^2 dM) phi, dM phi) per matrix parameter: the
         eigenproblem's explicit partials at (omega, phi). dK - omega^2 dM is
         formed: dK phi - omega^2 dM phi rounds otherwise, by more than the
         golden gradients allow."""
-        return [
-            (p, (self.dK[p] - omega**2 * self.dM[p]) @ phi, self.dM[p] @ phi)
-            for p in self.matrix_params
-        ]
+        return list(zip(self.matrix_params, (self.dK - omega**2 * self.dM) @ phi, self.dM @ phi))
 
 
 @dataclass(frozen=True)

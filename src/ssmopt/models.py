@@ -32,7 +32,7 @@ parameters (name -> spec field) and its builder.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import comb
 
 import numpy as np
@@ -41,6 +41,15 @@ from .errors import ConfigError, ModelError
 from .mechmodel import MechModel, ParamDerivatives, SymTensor
 
 FD_ASSEMBLY_RELSTEP = 1e-6
+
+
+def _check_finite(spec):
+    """ModelError naming the first numeric field of a family spec that is not
+    finite (NaN and Infinity pass a JSON reader); a width of None is allowed."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None and not np.isfinite(value):
+            raise ModelError(f"{f.name} must be a finite number, got {value}")
 
 
 # -- oscillator chains -------------------------------------------------------
@@ -85,10 +94,8 @@ def build_chain(
     (default: every parameter of the chain family)."""
     if params is None:
         params = tuple(FAMILIES["chain"].params)
+    _check_finite(spec)
     n = spec.n_masses
-    for name in ("mass", "k", "k2", "k3"):
-        if not np.isfinite(getattr(spec, name)):
-            raise ModelError(f"{name} must be a finite number, got {getattr(spec, name)}")
     if n < 1 or spec.mass <= 0:
         raise ModelError("chain needs at least one mass with positive mass value")
     _, ids, unit = _spring_terms(n, 1)
@@ -109,23 +116,18 @@ def build_chain(
         T2=T2,
         T3=T3,
     )
-    zeros = np.zeros((n, n))
     E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
-    table = {
-        "mass": (np.eye(n), zeros, E2, E3),
-        "k": (zeros, K1, E2, E3),
-        "k2": (zeros, zeros, T2u, E3),
-        "k3": (zeros, zeros, E2, T3u),
-    }
-    unknown = [p for p in params if p not in table]
+    # (dM, dK) of the matrix parameters; k2 and k3 move only the tensors
+    matrices = {"mass": (np.eye(n), np.zeros((n, n))), "k": (np.zeros((n, n)), K1)}
+    tensors = {"mass": (E2, E3), "k": (E2, E3), "k2": (T2u, E3), "k3": (E2, T3u)}
+    unknown = [p for p in params if p not in tensors]
     if unknown:
         raise ConfigError(f"unknown chain parameters: {unknown}")
     derivs = ParamDerivatives.stack(
         names=tuple(params),
-        dM=tuple(table[p][0] for p in params),
-        dK=tuple(table[p][1] for p in params),
-        dT2=[table[p][2] for p in params],
-        dT3=[table[p][3] for p in params],
+        matrices={i: matrices[p] for i, p in enumerate(params) if p in matrices},
+        dT2=[tensors[p][0] for p in params],
+        dT3=[tensors[p][1] for p in params],
     )
     return model, derivs
 
@@ -136,11 +138,9 @@ def chain_per_spring_k3(spec: ChainSpec, count: int) -> ParamDerivatives:
     if not 0 <= count <= n:
         raise ConfigError(f"chain has {n} springs, requested a count of {count}")
     spring, ids, unit = _spring_terms(n, 3)
-    zeros = np.zeros((n, n))
     return ParamDerivatives.stack(
         names=tuple(f"k3_{s}" for s in range(count)),
-        dM=(zeros,) * count,
-        dK=(zeros,) * count,
+        matrices={},
         dT2=[SymTensor.empty(n, 2)] * count,
         dT3=[SymTensor.canonical(n, ids[:, spring == s], unit[spring == s]) for s in range(count)],
     )
@@ -322,9 +322,10 @@ def build_vk_beam(
     (default: every parameter of the vk_beam family). Tensor derivatives are
     differenced per full key, over the union of both designs' keys, before
     symmetrization."""
-    fields = FAMILIES["vk_beam"].params
+    field_of = FAMILIES["vk_beam"].params
     if params is None:
-        params = tuple(fields)
+        params = tuple(field_of)
+    _check_finite(spec)
     M, K, tensors = _assemble_vk(spec)
     n = M.shape[0]
     model = MechModel(
@@ -335,24 +336,24 @@ def build_vk_beam(
         T2=_sym_tensor(n, 2, *tensors[0]),
         T3=_sym_tensor(n, 3, *tensors[1]),
     )
-    dM, dK, dT = [], [], {2: [], 3: []}
-    for p in params:
-        if p not in fields:
+    matrices, dT = {}, {2: [], 3: []}
+    for i, p in enumerate(params):
+        if p not in field_of:
             raise ConfigError(f"unknown beam parameter {p!r}")
-        fld = fields[p]
+        fld = field_of[p]
         mu = getattr(spec, fld)
         h = FD_ASSEMBLY_RELSTEP * (1.0 + abs(mu))
         plus = _assemble_vk(replace(spec, **{fld: mu + h}))
         minus = _assemble_vk(replace(spec, **{fld: mu - h}))
-        dM.append((plus[0] - minus[0]) / (2 * h))
-        dK.append((plus[1] - minus[1]) / (2 * h))
+        # every beam parameter moves M and K, the flat beam's included
+        matrices[i] = ((plus[0] - minus[0]) / (2 * h), (plus[1] - minus[1]) / (2 * h))
         for arity, (cp, vp), (cm, vm) in zip((2, 3), plus[2], minus[2]):
             codes, at = np.unique(np.concatenate([cp, cm]), return_inverse=True)
             a, b = np.zeros(len(codes)), np.zeros(len(codes))
             a[at[: len(cp)]] = vp
             b[at[len(cp) :]] = vm
             dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
-    derivs = ParamDerivatives.stack(params, dM, dK, dT[2], dT[3])
+    derivs = ParamDerivatives.stack(params, matrices, dT[2], dT[3])
     return model, derivs
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -114,6 +115,26 @@ OBJECTIVE_KEYS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+# objective key -> (what it must hold, its test); the config schema states the same
+_OBJECTIVE_FORMS = {
+    "value": ("a number", _is_number),
+    "offset": ("a number", _is_number),
+    "name": ("a parameter name", lambda v: isinstance(v, str)),
+    "vars": (
+        "a list of parameter names",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(r, str) for r in v),
+    ),
+    "coeffs": (
+        "a map from parameter names to numbers",
+        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    ),
+}
+
+
 def _adjoint_gradient(model, exp, params, dof_index, rho):
     adj = solve_adjoint(model, exp, dof_index, rho)
     return contract_gradient(model, exp, adj, params).d_omega
@@ -130,9 +151,9 @@ GRADIENTS = {"adjoint": _adjoint_gradient, "direct": _direct_gradient}
 
 
 def check_objective(spec: dict, names: tuple[str, ...]) -> None:
-    """Reject an objective whose type is unknown, with a key of another type,
-    a non-finite number or without its variable key, or which reads a
-    non-parameter name."""
+    """Reject an objective whose type is unknown, with a key of another type
+    or of the wrong form, a non-finite number or without its variable key,
+    or which reads a non-parameter name."""
     kind = spec.get("type")
     if kind not in OBJECTIVE_KEYS:
         raise ConfigError(f"objective.type must be one of {list(OBJECTIVE_KEYS)}, got {kind!r}")
@@ -140,6 +161,9 @@ def check_objective(spec: dict, names: tuple[str, ...]) -> None:
     stray = [f"objective.{k}" for k in spec if k != "type" and k not in keys]
     if stray:
         raise ConfigError(f"{', '.join(stray)}: not keys of a {kind!r} objective")
+    for k in keys:
+        if k in spec and not _OBJECTIVE_FORMS[k][1](spec[k]):
+            raise ConfigError(f"objective.{k} must be {_OBJECTIVE_FORMS[k][0]}, got {spec[k]!r}")
     numbers = {f"objective.{k}": spec[k] for k in ("value", "offset") if k in spec}
     numbers |= {f"objective.coeffs.{nm}": c for nm, c in spec.get("coeffs", {}).items()}
     for name, value in numbers.items():
@@ -149,7 +173,7 @@ def check_objective(spec: dict, names: tuple[str, ...]) -> None:
         return
     if key not in spec:
         raise ConfigError(f"objective.{key} is required by a {kind!r} objective")
-    refs = [spec[key]] if isinstance(spec[key], str) else list(spec[key])
+    refs = [spec[key]] if kind == "variable" else list(spec[key])
     unknown = [r for r in refs if r not in names]
     if unknown:
         raise ConfigError(
@@ -231,6 +255,17 @@ class _Session:
         self.problem = problem
         self.method = method
         model0, _ = problem.builder(problem.mu0)
+        # a model of n DOFs has n modes; a negative index would read from the end
+        indices = {"mode_index": problem.mode_index}
+        for i, t in enumerate(problem.backbone_targets):
+            indices[f"backbone_targets[{i}].dof_index"] = t.dof_index
+        for i, t in enumerate(problem.eigfreq_targets):
+            indices[f"eigfreq_targets[{i}].mode_index"] = t.mode_index
+        for name, value in indices.items():
+            if not 0 <= value < model0.n:
+                raise ConfigError(
+                    f"{name} = {value} is out of range for a model with {model0.n} DOFs"
+                )
         omegas, Phi = solve_modes(model0)
         self.reference = Phi[:, problem.mode_index].copy()
         self.omega_ref = float(omegas[problem.mode_index])
@@ -353,7 +388,7 @@ def evaluate(
             w = float(omegas[tgt.mode_index])
             phi = Phi[:, tgt.mode_index]
             cons.append((w - tgt.omega) / omega_scale)
-            # zero for a parameter without dM and dK
+            # zero for a tensor-only parameter (not in matrix_params)
             grad = np.zeros(params.count)
             for p, modal_phi, _ in params.modal_partials(w, phi):
                 grad[p] = phi @ modal_phi / (2.0 * w)

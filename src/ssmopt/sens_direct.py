@@ -30,10 +30,10 @@ as `PairSums.pullback`) and the lower-order coupling terms. A matrix
 parameter's step also reads M V_m and (C + 2 Lam_m M) w_m, which the
 index's record keeps for the adjoint sweep too. A pass's step at the index
 then applies the linearizations to its own lower-order derivatives, adds
-its explicit partials (no dense term without dM and dK: see
-`ParamDerivatives.matrix_params`) and solves its own right-hand side with
-the factorization the index's record keeps, which also holds its resonant
-denominator. The walk applies the model pencil as the adjoint sweep does:
+its explicit partials (a dense term only for the matrix parameters that
+the builder declares, `ParamDerivatives.matrix_params`) and solves its own
+right-hand side with the factorization the index's record keeps, which
+also holds its resonant denominator. The walk applies the model pencil as the adjoint sweep does:
 the velocity s M + C reaches a derivative vector as s (Mc v) + Cc v, with
 the `Pencil`'s complex copies of M and C, and no operator is formed to be
 applied to one vector. Every other operator is applied in the primal's
@@ -82,8 +82,8 @@ def eig_derivatives(
     -2 omega (M phi)^T dphi = omega phi^T dM phi, the bordered mode-shape
     system (`SsmExpansion.mode_lu`) in the unknowns (dphi, -omega domega):
     one factorization serves all parameters and the adjoint too. A
-    parameter without dM and dK leaves the eigenpair unchanged: its
-    derivatives are zero and need no solve.
+    tensor-only parameter (not in `matrix_params`) leaves the eigenpair
+    unchanged: its derivatives are zero and need no solve.
     """
     n, phi, omega = exp.model.n, exp.master.phi, exp.master.omega
     dphi = np.zeros((count, n))
@@ -119,11 +119,12 @@ class _Pass:
     the R couplings read, and dR of the resonant indices. The canonical
     dw, the canonical dR and the dlam pair are written in place into the
     parameter's rows of the walk's `_Record`; the swapped indices' conjugates
-    and dwdot live only as long as the pass. A parameter without dM and dK
-    (see `ParamDerivatives.matrix_params`) has a zero mode-shape and
-    eigenvalue derivative and no dense matrix term: the record of explicit
-    partials (`SsmExpansion.partials`) holds no dense entry for it and no
-    dM phi, and its step skips the products that its zero dLam_m scales.
+    and dwdot live only as long as the pass. A tensor-only parameter (one
+    that `ParamDerivatives.matrix_params` does not declare) has a zero
+    mode-shape and eigenvalue derivative and no dense matrix term: the
+    record of explicit partials (`SsmExpansion.partials`) holds no dense
+    entry for it and no dM phi, and its step skips the products that its
+    zero dLam_m scales.
     """
 
     def __init__(self, exp: SsmExpansion, record: "_Record", p: int, dphi, domega, dMphi):

@@ -333,14 +333,14 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
 
     # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
     # the columns of one real block (real parts, then imaginary parts) that
-    # dM and dK each multiply once per matrix parameter
+    # the dM and dK stacks each multiply once
     dense = [{} for _ in recs]
     if params.matrix_params:
         cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
         X, k = np.hstack([cols.real, cols.imag]), cols.shape[1]
-        for p in params.matrix_params:
-            dMX, dKX = (Y[:, :k] + 1j * Y[:, k:] for Y in (params.dM[p] @ X, params.dK[p] @ X))
-            dCX = model.alpha_r * dMX + model.beta_r * dKX
+        dMXs, dKXs = (Y[..., :k] + 1j * Y[..., k:] for Y in (params.dM @ X, params.dK @ X))
+        dCXs = model.alpha_r * dMXs + model.beta_r * dKXs
+        for p, dMX, dKX, dCX in zip(params.matrix_params, dMXs, dKXs, dCXs):
             for i, rec in enumerate(recs):
                 Lam, Vdot, V, w = rec.Lam, 3 * i, 3 * i + 1, 3 * i + 2  # its columns
                 pC = -dMX[:, Vdot] - (Lam * dMX[:, V] + dCX[:, V])

@@ -64,10 +64,12 @@
   order bit for bit. `beam_param_tensors`
   differences the beam's per-parameter tensors as `models.build_vk_beam`
   does, before it stacks them.
-* `param_tensors` and `pick_params`: the per-parameter tensors sliced back
-  out of a `ParamDerivatives`' stacked ones, and a `ParamDerivatives` of
-  chosen parameters of others, stacked again. Tests that build or read
-  one tensor per parameter go through them.
+* `param_tensors`, `param_matrices` and `pick_params`: the per-parameter
+  tensors sliced back out of a `ParamDerivatives`' stacked ones, every
+  parameter's dM and dK (zero for a parameter that is not a matrix
+  parameter), and a `ParamDerivatives` of chosen parameters of others,
+  stacked again. Tests that build or read one operator per parameter go
+  through them.
 * `reference_validity_cap`: the validity-cap scan as one pair of `x_rms`
   calls per grid point. `backbone._scan_validity_cap` evaluates the whole
   grid in one pass and must give the same cap bit for bit.
@@ -333,7 +335,11 @@ def reference_vk_beam(
             }
             dT[arity].append(_tensor_from_dict(n, arity, diff))
     derivs = ParamDerivatives(
-        tuple(params), tuple(dM), tuple(dK), *(reference_stack(n, a, dT[a]) for a in (2, 3))
+        tuple(params),
+        tuple(range(len(params))),
+        np.array(dM).reshape(-1, n, n),
+        np.array(dK).reshape(-1, n, n),
+        *(reference_stack(n, a, dT[a]) for a in (2, 3)),
     )
     return model, derivs
 
@@ -390,15 +396,28 @@ def param_tensors(params: ParamDerivatives, arity: int) -> list[SymTensor]:
     return out
 
 
+def param_matrices(params: ParamDerivatives) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(dM_p, dK_p) of every parameter p: its slices of the dM and dK stacks
+    when `matrix_params` declares it, else zero matrices."""
+    n = params.dM.shape[1]
+    slot = {p: k for k, p in enumerate(params.matrix_params)}
+    return [
+        (params.dM[slot[p]], params.dK[slot[p]]) if p in slot else (np.zeros((n, n)),) * 2
+        for p in range(params.count)
+    ]
+
+
 def pick_params(chosen) -> ParamDerivatives:
     """The parameters (source, p) in `chosen`, in that order, as one
-    `ParamDerivatives`: each one's matrices and sliced tensors
-    (`param_tensors`) taken from its source and stacked again."""
+    `ParamDerivatives`: each one's matrices (when its source declares it a
+    matrix parameter) and sliced tensors (`param_tensors`) taken from its
+    source and stacked again."""
     sliced = {id(src): {a: param_tensors(src, a) for a in (2, 3)} for src, _ in chosen}
     return ParamDerivatives.stack(
         names=[src.names[p] for src, p in chosen],
-        dM=[src.dM[p] for src, p in chosen],
-        dK=[src.dK[p] for src, p in chosen],
+        matrices={
+            i: param_matrices(src)[p] for i, (src, p) in enumerate(chosen) if p in src.matrix_params
+        },
         dT2=[sliced[id(src)][2][p] for src, p in chosen],
         dT3=[sliced[id(src)][3][p] for src, p in chosen],
     )
@@ -615,8 +634,7 @@ def reference_partials(exp: SsmExpansion, params: ParamDerivatives) -> tuple[dic
     for m, rec in exp.data.items():
         if m[0] + m[1] < 2 or m[0] < m[1]:
             continue
-        for p in params.matrix_params:
-            dM, dK = params.dM[p], params.dK[p]
+        for p, dM, dK in zip(params.matrix_params, params.dM, params.dK):
             dC = model.alpha_r * dM + model.beta_r * dK
             Vphi = phiMw = None
             if rec.slot is not None:
@@ -630,8 +648,8 @@ def reference_partials(exp: SsmExpansion, params: ParamDerivatives) -> tuple[dic
             )
     omega = master.omega
     eig = [
-        (p, (params.dK[p] - omega**2 * params.dM[p]) @ phi, params.dM[p] @ phi)
-        for p in params.matrix_params
+        (p, (dK - omega**2 * dM) @ phi, dM @ phi)
+        for p, dM, dK in zip(params.matrix_params, params.dM, params.dK)
     ]
     return dense, eig
 

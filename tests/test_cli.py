@@ -254,6 +254,21 @@ class TestBackboneCommand:
         assert err.startswith(f"model error: {field} must be a finite number, got {value}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["a1", "thickness", "length", "width", "density", "youngs"])
+    def test_non_finite_vk_beam_field_exit_code(self, tmp_path, capsys, field, value):
+        # checked before assembly, which would otherwise fill M or K with
+        # NaN under numpy warnings and blame the matrix
+        cfg = {
+            "model": {"type": "vk_beam", field: value},
+            "backbone": {"dof": 13, "x_targets": [0.001], "order": 3},
+        }
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: {field} must be a finite number, got {value}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, fields, argv",
         [

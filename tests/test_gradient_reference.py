@@ -36,7 +36,7 @@ from ssmopt.optimizer import GRADIENTS
 from ssmopt.spectral import solve_master
 from ssmopt.ssm import compute_ssm
 
-from oracles import param_tensors, reference_response, ridders_gradient
+from oracles import param_matrices, param_tensors, reference_response, ridders_gradient
 from test_properties import N_MODELS, random_case
 
 BOUND = 1e-11
@@ -95,8 +95,8 @@ def random_model(request):
 
     def build(mu):
         return MechModel(
-            M=model.M + sum(m * dM for m, dM in zip(mu, params.dM)),
-            K=model.K + sum(m * dK for m, dK in zip(mu, params.dK)),
+            M=model.M + sum(m * dM for m, (dM, _) in zip(mu, param_matrices(params))),
+            K=model.K + sum(m * dK for m, (_, dK) in zip(mu, param_matrices(params))),
             alpha_r=model.alpha_r,
             beta_r=model.beta_r,
             T2=_plus(model.T2, param_tensors(params, 2), mu),

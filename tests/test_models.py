@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import fields, replace
 from math import comb
 
@@ -21,7 +22,13 @@ from ssmopt.models import (
     vk_center_dof,
 )
 
-from oracles import beam_param_tensors, fd_gradient_richardson, param_tensors, reference_stack
+from oracles import (
+    beam_param_tensors,
+    fd_gradient_richardson,
+    param_matrices,
+    param_tensors,
+    reference_stack,
+)
 
 
 class TestChain:
@@ -89,15 +96,6 @@ class TestChain:
         with pytest.raises(ConfigError, match=f"requested a count of {count}$"):
             chain_per_spring_k3(ChainSpec(n_masses=5), count)
 
-    def test_matrix_free_parameters_share_one_zero_matrix(self):
-        # ParamDerivatives.matrix_params scans each distinct matrix once
-        _, params = build_chain(ChainSpec(n_masses=4))
-        zeros = {id(a) for a in (*params.dM[1:], params.dK[0], *params.dK[2:])}
-        assert len(zeros) == 1 and params.matrix_params == (0, 1)
-        springs = chain_per_spring_k3(ChainSpec(n_masses=4), 4)
-        assert len({id(a) for a in (*springs.dM, *springs.dK)}) == 1
-        assert springs.matrix_params == ()
-
     @pytest.mark.parametrize("field", ["mass", "k", "k2", "k3"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_is_named(self, field, value):
@@ -109,8 +107,9 @@ class TestChain:
         and of the four stacked derivatives of the two-mass chain and of a
         101-mass one, then of the per-spring k3 derivatives of the latter at
         count 100. Recorded before the chain builders were rewritten around
-        one table of spring terms; the golden numerics compare to 1e-13
-        only, so they cannot see a one-ulp change."""
+        one table of spring terms, when every parameter held a dM and a dK;
+        the golden numerics compare to 1e-13 only, so they cannot see a
+        one-ulp change."""
         digest = hashlib.sha256()
 
         def add(*arrays):
@@ -121,7 +120,9 @@ class TestChain:
         for spec in (ChainSpec(), big):
             model, params = build_chain(spec)
             add(model.M, model.K, model.T2.idx, model.T2.vals, model.T3.idx, model.T3.vals)
-            add(*params.dM, *params.dK)
+            # each parameter's matrices, zeros for one that is not a matrix parameter
+            matrices = param_matrices(params)
+            add(*(dM for dM, _ in matrices), *(dK for _, dK in matrices))
             add(params.dT2.idx, params.dT2.vals, params.dT3.idx, params.dT3.vals)
         springs = chain_per_spring_k3(big, 100)
         add(springs.dT3.idx, springs.dT3.vals)
@@ -295,7 +296,7 @@ class TestStackedStorage:
     def test_stacked_tensors_equal_the_vstack_reference(self, name):
         _, params = BUILDS[name][0]()
         per_param = BUILDS[name][1]()
-        n = len(params.dM[0])
+        n = params.dT2.n // params.count
         for arity, got in ((2, params.dT2), (3, params.dT3)):
             want = reference_stack(n, arity, per_param[arity])
             assert (got.n, got.arity, got.idx.dtype) == (want.n, want.arity, want.idx.dtype)
@@ -305,8 +306,9 @@ class TestStackedStorage:
 
     def test_slices_restack_to_the_same_tensors(self):
         _, params = build_vk_beam(CURVED_BEAM10)
+        matrices = dict(zip(params.matrix_params, zip(params.dM, params.dK)))
         again = ParamDerivatives.stack(
-            params.names, params.dM, params.dK, param_tensors(params, 2), param_tensors(params, 3)
+            params.names, matrices, param_tensors(params, 2), param_tensors(params, 3)
         )
         for got, want in ((again.dT2, params.dT2), (again.dT3, params.dT3)):
             assert np.array_equal(got.idx, want.idx)
@@ -314,17 +316,114 @@ class TestStackedStorage:
 
     def test_shape_is_checked(self):
         n = 3
-        zeros = np.zeros((n, n))
+        zeros = np.zeros((0, n, n))
         E2, E3 = SymTensor.empty(n, 2), SymTensor.empty(n, 3)
         with pytest.raises(ModelError, match="dT2 must be one stacked tensor of arity 2 with 6"):
-            ParamDerivatives(("a", "b"), (zeros,) * 2, (zeros,) * 2, E2, SymTensor.empty(2 * n, 3))
+            ParamDerivatives(("a", "b"), (), zeros, zeros, E2, SymTensor.empty(2 * n, 3))
         with pytest.raises(ModelError, match="dT3 must be one stacked tensor"):
-            ParamDerivatives(("a",), (zeros,), (zeros,), E2, SymTensor.empty(n, 2))
+            ParamDerivatives(("a",), (), zeros, zeros, E2, SymTensor.empty(n, 2))
         with pytest.raises(ModelError, match="dT2 must be one stacked tensor"):
-            ParamDerivatives(("a",), (zeros,), (zeros,), (E2,), E3)
+            ParamDerivatives(("a",), (), zeros, zeros, (E2,), E3)
         with pytest.raises(ModelError, match="dT3 must hold tensors of arity 3 and dimension 3"):
             T = SymTensor.from_entries(n + 1, 3, [[0, 1, 2, 3, 1.0]])
-            ParamDerivatives.stack(("a",), (zeros,), (zeros,), (E2,), (T,))
+            ParamDerivatives.stack(("a",), {}, (E2,), (T,))
+
+    @pytest.mark.parametrize("matrix_params", [(1, 0), (0, 0), (2,), (-1,)])
+    def test_matrix_params_are_checked(self, matrix_params):
+        # ascending, distinct and below the parameter count
+        n, k = 3, len(matrix_params)
+        stack = np.zeros((k, n, n))
+        E2, E3 = SymTensor.empty(2 * n, 2), SymTensor.empty(2 * n, 3)
+        with pytest.raises(ModelError, match="matrix_params must be ascending, distinct and below 2"):
+            ParamDerivatives(("a", "b"), matrix_params, stack, stack, E2, E3)
+
+    @pytest.mark.parametrize(
+        "dM, dK",
+        [
+            (np.zeros((2, 3, 3)), np.zeros((2, 3, 3))),  # a slice for a tensor-only parameter
+            (np.zeros((1, 3, 3)), np.zeros((1, 2, 2))),  # dK not the shape of dM
+            (np.zeros((1, 3, 2)), np.zeros((1, 3, 2))),  # not square
+            (np.zeros((3, 3)), np.zeros((3, 3))),  # not a stack
+        ],
+    )
+    def test_matrix_stacks_are_checked(self, dM, dK):
+        E2, E3 = SymTensor.empty(6, 2), SymTensor.empty(6, 3)
+        with pytest.raises(ModelError, match="dM and dK must be equal stacks of 1 square matrices"):
+            ParamDerivatives(("a", "b"), (1,), dM, dK, E2, E3)
+
+
+def _moves_matrices(rebuild, mu: float) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(changed, dM, dK): whether the models rebuilt at mu - h and mu + h differ
+    from the one at mu in M or K, and the central differences of M and K."""
+    h = 1e-6 * (1.0 + abs(mu))
+    lo, mid, hi = (rebuild(v) for v in (mu - h, mu, mu + h))
+    changed = any(
+        not np.array_equal(m.M, mid.M) or not np.array_equal(m.K, mid.K) for m in (lo, hi)
+    )
+    return changed, (hi.M - lo.M) / (2 * h), (hi.K - lo.K) / (2 * h)
+
+
+class TestMatrixParams:
+    """The builders declare the matrix parameters (`ParamDerivatives.
+    matrix_params`): a parameter is one exactly when rebuilding the model at
+    mu_p +/- h changes M or K, its slices of the dM and dK stacks are those
+    changes' rates, and a tensor-only parameter holds no slice."""
+
+    @staticmethod
+    def check(params, field_of, spec, build):
+        """field_of maps each of params' names to its spec field, and
+        build(spec) returns the model."""
+        want, rates = [], []
+        for p, name in enumerate(params.names):
+            fld = field_of[name]
+            changed, dM, dK = _moves_matrices(
+                lambda v: build(replace(spec, **{fld: v})), getattr(spec, fld)
+            )
+            if changed:
+                want.append(p)
+                rates.append((dM, dK))
+        assert params.matrix_params == tuple(want)
+        n = params.dT2.n // params.count
+        assert params.dM.shape == params.dK.shape == (len(want), n, n)
+        for got, rate in zip(zip(params.dM, params.dK), rates):
+            for g, r in zip(got, rate):
+                assert np.allclose(g, r, rtol=1e-6, atol=1e-6 * np.abs(g).max(initial=1.0))
+
+    @pytest.mark.parametrize(
+        "names",
+        [c for r in range(1, 5) for c in itertools.permutations(("mass", "k", "k2", "k3"), r)],
+    )
+    def test_chain(self, names):
+        spec = ChainSpec(n_masses=3, beta_r=0.02)
+        _, params = build_chain(spec, names)
+        self.check(params, {p: p for p in names}, spec, lambda s: build_chain(s, ())[0])
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_vk_beam(self, curved):
+        spec = CURVED_BEAM10 if curved else VkBeamSpec()
+        field_of = FAMILIES["vk_beam"].params
+        for names in (tuple(field_of), ("L", "a1")):
+            _, params = build_vk_beam(spec, names)
+            self.check(params, field_of, spec, lambda s: build_vk_beam(s, ())[0])
+            # each of the four moves M and K, on the flat beam too
+            assert params.matrix_params == tuple(range(len(names)))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_chain_per_spring_k3(self, count):
+        # one spring's k3 is a part of the shared k3, which moves only T3
+        spec = ChainSpec(n_masses=5)
+        springs = chain_per_spring_k3(spec, count)
+        assert springs.matrix_params == () and springs.dM.shape[0] == springs.dK.shape[0] == 0
+        changed, _, _ = _moves_matrices(lambda v: build_chain(replace(spec, k3=v), ())[0], spec.k3)
+        assert not changed
+        if count:
+            assert springs.dM.shape == (0, 5, 5)
+
+    def test_matrix_block_has_none(self):
+        block = {"type": "matrix", "n": 2, "M": np.eye(2).tolist(), "K": np.eye(2).tolist()}
+        names, _, builder = resolve_design(block)
+        _, params = builder(np.zeros(0))
+        assert names == () and params.matrix_params == () and params.dM.shape[0] == 0
 
 
 class TestCatalog:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from ssmopt.optimizer import (
     trace_to_csv,
 )
 
-from oracles import pick_params
+from oracles import param_matrices, pick_params
 
 
 def chain_builder(mu):
@@ -115,6 +116,25 @@ class TestObjectiveRegistry:
         with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
             replace(problem, objective=objective)
 
+    @pytest.mark.parametrize(
+        "objective, field",
+        [
+            ({"type": "product", "vars": "k3"}, "objective.vars"),
+            ({"type": "variable", "name": ["k3"]}, "objective.name"),
+            ({"type": "linear", "coeffs": ["k3"]}, "objective.coeffs"),
+            ({"type": "linear", "coeffs": {"k3": "1"}}, "objective.coeffs"),
+            ({"type": "constant", "value": "2"}, "objective.value"),
+            ({"type": "linear", "coeffs": {"k3": 1.0}, "offset": True}, "objective.offset"),
+        ],
+    )
+    def test_problem_rejects_malformed_keys(self, chain_target, objective, field):
+        # the config schema types these keys; a library caller's malformed
+        # objective otherwise fails later with a KeyError or a TypeError
+        x0, nominal = chain_target
+        problem = chain_problem(nominal, x0)
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            replace(problem, objective=objective)
+
 
 class TestOrderPolicy:
     def test_unchanged_when_within_tolerance(self):
@@ -188,7 +208,7 @@ class TestEvaluate:
         omegas, Phi = solve_modes(model)
         w, phi = float(omegas[0]), Phi[:, 0]
         dense = np.array(
-            [phi @ ((params.dK[p] - w**2 * params.dM[p]) @ phi) / (2.0 * w) for p in range(count)]
+            [phi @ ((dK - w**2 * dM) @ phi) / (2.0 * w) for dM, dK in param_matrices(params)]
         )
         assert np.array_equal(res.con_jac[0], dense / master.omega)
         assert np.all(res.con_jac[0, [1, 4]] != 0.0)
@@ -490,3 +510,32 @@ class TestProblemValidation:
                 upper=np.array([1.0]),
                 objective={"type": "constant"},
             )
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (
+                {"backbone_targets": (BackboneTarget(5, 0.35, 0.6),)},
+                "backbone_targets[0].dof_index",
+            ),
+            (
+                {"backbone_targets": (BackboneTarget(-1, 0.35, 0.6),)},
+                "backbone_targets[0].dof_index",
+            ),
+            (
+                {"backbone_targets": (), "eigfreq_targets": (EigfreqTarget(7, 0.6),)},
+                "eigfreq_targets[0].mode_index",
+            ),
+            (
+                {"eigfreq_targets": (EigfreqTarget(0, 0.6), EigfreqTarget(-2, 0.6))},
+                "eigfreq_targets[1].mode_index",
+            ),
+            ({"mode_index": 4}, "mode_index"),
+        ],
+    )
+    def test_target_outside_the_model_is_named(self, change, field):
+        # chain2 has two DOFs and two modes; a negative index would read
+        # from the end, a large one end the solve with an IndexError
+        problem = replace(chain_problem(0.6), **change)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} = -?\d+ is out of range"):
+            solve(problem)

@@ -57,10 +57,11 @@ def random_case(seed):
         T2=tensor(rng, n, 2, 2 * n, 0.5),
         T3=tensor(rng, n, 3, 3 * n, 0.5),
     )
+    dM = [sym(rng, n) for _ in range(N_PARAMS)]
+    dK = [sym(rng, n) for _ in range(N_PARAMS)]
     params = ParamDerivatives.stack(
         names=tuple(f"p{k}" for k in range(N_PARAMS)),
-        dM=tuple(sym(rng, n) for _ in range(N_PARAMS)),
-        dK=tuple(sym(rng, n) for _ in range(N_PARAMS)),
+        matrices=dict(enumerate(zip(dM, dK))),
         dT2=tuple(tensor(rng, n, 2, n, 1.0) for _ in range(N_PARAMS)),
         dT3=tuple(tensor(rng, n, 3, n, 1.0) for _ in range(N_PARAMS)),
     )
@@ -220,8 +221,10 @@ def test_dof_permutation_invariance():
         )
         params_p = ParamDerivatives.stack(
             names=params.names,
-            dM=tuple(d[grid] for d in params.dM),
-            dK=tuple(d[grid] for d in params.dK),
+            matrices={
+                p: (dM[grid], dK[grid])
+                for p, dM, dK in zip(params.matrix_params, params.dM, params.dK)
+            },
             dT2=[permuted_tensor(t, inv) for t in param_tensors(params, 2)],
             dT3=[permuted_tensor(t, inv) for t in param_tensors(params, 3)],
         )

@@ -32,11 +32,9 @@ def _eig_derivatives(model, master, params):
 
 
 def null_params(n):
-    zeros = np.zeros((n, n))
     return ParamDerivatives.stack(
         names=("null",),
-        dM=(zeros,),
-        dK=(zeros,),
+        matrices={},
         dT2=(SymTensor.empty(n, 2),),
         dT3=(SymTensor.empty(n, 3),),
     )
@@ -60,7 +58,7 @@ class TestSingularBorderedSystems:
     @pytest.mark.parametrize("split", [0.0, 1e-14])
     def test_eigenpair_system(self, split):
         model, master = self._pair(split)
-        params = ParamDerivatives.stack(("k",), (np.zeros((2, 2)),), (np.eye(2),),
+        params = ParamDerivatives.stack(("k",), {0: (np.zeros((2, 2)), np.eye(2))},
                                         (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
         # the eigenpair derivatives solve with the expansion's factorization
         # of the bordered mode-shape system (`SsmExpansion.mode_lu`)

@@ -42,9 +42,9 @@ def test_batched_assembly_matches_reference(spec):
     assert same_tensor(model.T2, ref_model.T2)
     assert same_tensor(model.T3, ref_model.T3)
     assert derivs.names == ref_derivs.names
-    for p in range(derivs.count):
-        assert np.array_equal(derivs.dM[p], ref_derivs.dM[p])
-        assert np.array_equal(derivs.dK[p], ref_derivs.dK[p])
+    assert derivs.matrix_params == ref_derivs.matrix_params
+    assert np.array_equal(derivs.dM, ref_derivs.dM)
+    assert np.array_equal(derivs.dK, ref_derivs.dK)
     for arity in (2, 3):
         for dT, ref in zip(param_tensors(derivs, arity), param_tensors(ref_derivs, arity)):
             assert np.array_equal(dT.idx, ref.idx)
