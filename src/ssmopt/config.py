@@ -274,8 +274,10 @@ def resolve_design(block: dict):
     model has no design parameters.
     """
     if block["type"] == "matrix":
-        no_params = ParamDerivatives.stack(names=(), matrices={}, dT2=(), dT3=())
-        return (), np.zeros(0), lambda mu, derivatives=(): (model_from_json(block), no_params)
+        def matrix_builder(mu, derivatives=()):
+            model = model_from_json(block)
+            return model, ParamDerivatives.stack(model.n, (), {}, (), ())
+        return (), np.zeros(0), matrix_builder
     family = FAMILIES[block["type"]]
     names = tuple(block.get("params", family.params))
     spec = family.spec(**{k: v for k, v in block.items() if k not in ("type", "params")})

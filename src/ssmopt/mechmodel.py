@@ -504,7 +504,8 @@ class Pencil:
     the recursion (for the products each expansion record keeps) and the
     sensitivity passes apply M and C to complex vectors, and numpy copies a
     real matrix to complex in each such product. The products with the
-    copies are bitwise those with M and C.
+    copies are bitwise those with M and C. `K_lu`, the invariance
+    residual's factors of the regularized K, is kept the same way.
     """
 
     M: np.ndarray
@@ -518,6 +519,13 @@ class Pencil:
     @cached_property
     def Cc(self) -> np.ndarray:
         return self.C.astype(complex)
+
+    @cached_property
+    def K_lu(self) -> tuple:
+        """`scipy.linalg.lu_factor` of K + 1e-14 ||K||_1 I, without an rcond
+        check: a free-free stiffness (a rigid-body mode) is valid input."""
+        K = self.K
+        return scipy.linalg.lu_factor(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(len(K)))
 
     def at(self, s) -> np.ndarray:
         return self.K + s * self.C + s**2 * self.M
@@ -602,8 +610,8 @@ class ParamDerivatives:
 
     `matrix_params` lists, ascending, the parameters whose dM and dK the
     builder declares; the others (one k3 per spring, for one) move only the
-    force tensors and have no dense term. dM and dK are (len(matrix_params),
-    n, n) stacks whose slice k belongs to parameter matrix_params[k]. dT2
+    force tensors and have no dense term. dM and dK are (P_M, n, n) stacks,
+    P_M = len(matrix_params), slice k for parameter matrix_params[k]. dT2
     and dT3 are each one stacked tensor whose row p*n + i is row i of
     parameter p's derivative (`stack`), so one `PairSums.force` yields the
     partial forces of all parameters at once, as a flat (P*n) vector.
@@ -611,7 +619,7 @@ class ParamDerivatives:
 
     names: tuple[str, ...]
     matrix_params: tuple[int, ...]
-    dM: np.ndarray = field(repr=False)  # (len(matrix_params), n, n)
+    dM: np.ndarray = field(repr=False)  # (P_M, n, n)
     dK: np.ndarray = field(repr=False)
     dT2: SymTensor
     dT3: SymTensor
@@ -631,17 +639,15 @@ class ParamDerivatives:
                 )
 
     @classmethod
-    def stack(cls, names, matrices: dict, dT2, dT3) -> "ParamDerivatives":
-        """Derivatives from {p: (dM_p, dK_p)} of the matrix parameters, p a
-        parameter's number, and one tensor per parameter in dT2 and in dT3.
-
-        The matrices are stacked in ascending p. Each tensor list is stacked
-        into one tensor of P*n rows: the entries of the parameters in order,
-        each tensor's entries in its own order, the receiving index of
-        parameter p's entries offset by p*n. A tensor without entries adds
-        none.
+    def stack(cls, n: int, names, matrices: dict, dT2, dT3) -> "ParamDerivatives":
+        """Derivatives of an n-DOF model from {p: (dM_p, dK_p)} of the matrix
+        parameters, p a parameter's number, and one tensor per parameter in
+        dT2 and in dT3. The matrices are stacked in ascending p ((0, n, n)
+        for none). Each tensor list is stacked into one tensor of P*n rows:
+        the entries of the parameters in order, each tensor's entries in its
+        own order, the receiving index of parameter p's entries offset by
+        p*n. A tensor without entries adds none.
         """
-        n = dT2[0].n if len(names) else 0
 
         def stacked(arity: int, tensors) -> SymTensor:
             parts = [(p, T) for p, T in enumerate(tensors) if T.nnz]
@@ -670,12 +676,12 @@ class ParamDerivatives:
     def count(self) -> int:
         return len(self.names)
 
-    def modal_partials(self, omega: float, phi: np.ndarray) -> list:
-        """(p, (dK - omega^2 dM) phi, dM phi) per matrix parameter: the
-        eigenproblem's explicit partials at (omega, phi). dK - omega^2 dM is
-        formed: dK phi - omega^2 dM phi rounds otherwise, by more than the
-        golden gradients allow."""
-        return list(zip(self.matrix_params, (self.dK - omega**2 * self.dM) @ phi, self.dM @ phi))
+    def modal_partials(self, omega: float, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """((dK - omega^2 dM) phi, dM phi), the eigenproblem's explicit
+        partials at (omega, phi): (P_M, n) stacks like dM and dK. dK -
+        omega^2 dM is formed: dK phi - omega^2 dM phi rounds otherwise, by
+        more than the golden gradients allow."""
+        return (self.dK - omega**2 * self.dM) @ phi, self.dM @ phi
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,7 @@ def build_chain(
     if unknown:
         raise ConfigError(f"unknown chain parameters: {unknown}")
     derivs = ParamDerivatives.stack(
+        n,
         names=tuple(params),
         matrices={i: matrices[p] for i, p in enumerate(params) if p in matrices},
         dT2=[tensors[p][0] for p in params],
@@ -139,6 +140,7 @@ def chain_per_spring_k3(spec: ChainSpec, count: int) -> ParamDerivatives:
         raise ConfigError(f"chain has {n} springs, requested a count of {count}")
     spring, ids, unit = _spring_terms(n, 3)
     return ParamDerivatives.stack(
+        n,
         names=tuple(f"k3_{s}" for s in range(count)),
         matrices={},
         dT2=[SymTensor.empty(n, 2)] * count,
@@ -353,7 +355,7 @@ def build_vk_beam(
             a[at[: len(cp)]] = vp
             b[at[len(cp) :]] = vm
             dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
-    derivs = ParamDerivatives.stack(params, matrices, dT[2], dT[3])
+    derivs = ParamDerivatives.stack(n, params, matrices, dT[2], dT[3])
     return model, derivs
 
 

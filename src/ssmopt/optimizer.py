@@ -89,6 +89,8 @@ class OptProblem:
         self.mu0 = np.asarray(self.mu0, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        if not self.names:
+            raise ConfigError("problem needs design parameters: names is empty")
         if not (len(self.mu0) == len(self.lower) == len(self.upper) == len(self.names)):
             raise ConfigError("mu0, bounds and names must have equal length")
         if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
@@ -201,8 +203,9 @@ def objective_value_grad(spec: dict, names: tuple[str, ...], mu: np.ndarray):
         ids = [idx[nm] for nm in spec["vars"]]
         val = float(np.prod(mu[ids]))
         g = np.zeros_like(mu)
-        for i in ids:
-            others = [j for j in ids if j != i]
+        for k, i in enumerate(ids):
+            # every factor but this position's: a repeated name is a power
+            others = ids[:k] + ids[k + 1 :]
             g[i] += float(np.prod(mu[others])) if others else 1.0
         return val, g
     raise ConfigError(f"unknown objective type {spec.get('type')!r}")
@@ -246,6 +249,20 @@ class OptResult:
     seconds: float
 
 
+def _check_indices(problem: OptProblem, n: int) -> None:
+    """ConfigError naming the field unless `mode_index` and every target's
+    DOF or mode index lie in a model of n DOFs, which has n modes: a
+    negative index would read from the end."""
+    indices = {"mode_index": problem.mode_index}
+    for i, t in enumerate(problem.backbone_targets):
+        indices[f"backbone_targets[{i}].dof_index"] = t.dof_index
+    for i, t in enumerate(problem.eigfreq_targets):
+        indices[f"eigfreq_targets[{i}].mode_index"] = t.mode_index
+    for name, value in indices.items():
+        if not 0 <= value < n:
+            raise ConfigError(f"{name} = {value} is out of range for a model with {n} DOFs")
+
+
 class _Session:
     """Evaluation state of one run: the tracking shape, the evaluation cache,
     the trace of accepted iterates and the expansion order, which only this
@@ -255,17 +272,7 @@ class _Session:
         self.problem = problem
         self.method = method
         model0, _ = problem.builder(problem.mu0)
-        # a model of n DOFs has n modes; a negative index would read from the end
-        indices = {"mode_index": problem.mode_index}
-        for i, t in enumerate(problem.backbone_targets):
-            indices[f"backbone_targets[{i}].dof_index"] = t.dof_index
-        for i, t in enumerate(problem.eigfreq_targets):
-            indices[f"eigfreq_targets[{i}].mode_index"] = t.mode_index
-        for name, value in indices.items():
-            if not 0 <= value < model0.n:
-                raise ConfigError(
-                    f"{name} = {value} is out of range for a model with {model0.n} DOFs"
-                )
+        _check_indices(problem, model0.n)
         omegas, Phi = solve_modes(model0)
         self.reference = Phi[:, problem.mode_index].copy()
         self.omega_ref = float(omegas[problem.mode_index])
@@ -353,6 +360,7 @@ def evaluate(
 ) -> EvalResult:
     """Objective, scaled constraints and their gradients at one design point."""
     model, params = problem.builder(mu)
+    _check_indices(problem, model.n)
     master = track_mode(model, reference)
     obj, obj_grad = objective_value_grad(problem.objective, problem.names, mu)
 
@@ -390,8 +398,8 @@ def evaluate(
             cons.append((w - tgt.omega) / omega_scale)
             # zero for a tensor-only parameter (not in matrix_params)
             grad = np.zeros(params.count)
-            for p, modal_phi, _ in params.modal_partials(w, phi):
-                grad[p] = phi @ modal_phi / (2.0 * w)
+            for p, v in zip(params.matrix_params, params.modal_partials(w, phi)[0]):
+                grad[p] = phi @ v / (2.0 * w)
             jac.append(grad / omega_scale)
 
     return EvalResult(

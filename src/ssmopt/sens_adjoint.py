@@ -43,7 +43,8 @@ which the direct eigenpair derivatives share), so a target after the first
 pays for its seeds' sweep only; the bars reach M and C as the `Pencil`'s
 complex copies. The contraction reads the record of the residuals' explicit
 parameter partials per `ParamDerivatives` (`SsmExpansion.partials`, kept in
-the expansion's memo), the same record the direct walk reads.
+the expansion's memo, the matrix parameters' terms stacked one row each),
+the same record the direct walk reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -303,20 +304,19 @@ def contract_gradient(
     operator derivatives applied to the primal vectors, and the eigenproblem
     terms) is the expansion's record of explicit parameter partials
     (`SsmExpansion.partials`), built on the first call of either method for
-    this `ParamDerivatives` and read by the direct walk too. A call
-    is then one (P, n) mat-vec and a few dot products per index, and one
-    realness check of all P sums; no linear solves appear. The pass
-    walks the canonical indices and adds each term's conjugate for the
-    swapped index, so a full-set expansion gives the same gradient as the
-    canonical one.
+    this `ParamDerivatives` and read by the direct walk too. A call is then
+    one (P, n) mat-vec and a few dot products per index and matrix parameter
+    (its row of the record's stacks), and one realness check of all P sums;
+    no linear solves appear. The pass walks the canonical indices and adds
+    each term's conjugate for the swapped index, so a full-set expansion
+    gives the same gradient as the canonical one.
     """
     exp.check_model(model)
     record = exp.partials(params)
     phi = exp.master.phi
-    P = params.count
 
-    accum = np.zeros(P, dtype=complex)
-    for m, pf, dense in record.indices:
+    accum = np.zeros(params.count, dtype=complex)
+    for m, pf, (pC, Aw, Vphi, phiMw) in record.indices:
         rec = exp.coeffs(m)
         lam = adjoint.lambda_m[m]
         j = rec.slot
@@ -325,16 +325,17 @@ def contract_gradient(
             bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
 
         term = -(pf @ bar_c)
-        for p, (pC, Aw, Vphi, phiMw) in dense.items():
-            term[p] += bar_c @ pC + lam @ Aw
+        # row k, one dot and one sum at a time: stacking them rounds otherwise
+        for k, p in enumerate(params.matrix_params):
+            term[p] += bar_c @ pC[k] + lam @ Aw[k]
             if j is not None:
-                term[p] += rec.R[j] * (lam @ Vphi)
-                term[p] += adjoint.nu_m[m] * phiMw
+                term[p] += rec.R[j] * (lam @ Vphi[k])
+                term[p] += adjoint.nu_m[m] * phiMw[k]
         accum += term
         if m[0] != m[1]:
             accum += np.conj(term)
 
-    for p, modal_phi, dMphi in record.eig:
+    for p, modal_phi, dMphi in zip(params.matrix_params, *record.eig):
         accum[p] += adjoint.lambda_phi @ modal_phi
         accum[p] += adjoint.lambda_omega * (phi @ dMphi)
     d_omega = assert_real_each(accum, "gradient", params.names)

@@ -21,8 +21,8 @@ step there. It reads the expansion's own `PairSums` tables
 (`SsmExpansion.tables`) and the record of the residuals' explicit parameter
 partials (`SsmExpansion.partials`, the one the gradient contraction reads):
 per index the partial forces of all parameter tensors over the primal
-vectors and each parameter's dM, dC and dK applied to the primal vectors, and
-dM phi of the master.
+vectors and, one row per matrix parameter, dM, dC and dK applied to the
+primal vectors; and dM phi of the master, whose stack a pass reads by row.
 What depends on the index alone is built once per index and dropped before
 the next: each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, whose reverse the adjoint sweep applies
@@ -69,15 +69,15 @@ class DirectDerivatives:
 
 
 def eig_derivatives(
-    exp: SsmExpansion, count: int, modal: list
+    exp: SsmExpansion, params: ParamDerivatives, modal: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-shape and frequency derivatives of `count` parameters at the
+    """Mode-shape and frequency derivatives of every parameter at the
     expansion's master pair.
 
-    `modal` holds the master's explicit partials (p, (dK - omega^2 dM) phi,
-    dM phi) of the matrix parameters, as `ParamDerivatives.modal_partials`
-    gives them (the direct walk reads them from its record of explicit
-    partials). The derivatives solve
+    `modal` is the master's explicit partials ((dK - omega^2 dM) phi, dM
+    phi), two (len(matrix_params), n) stacks as
+    `ParamDerivatives.modal_partials` gives them (the direct walk reads them
+    from its record of explicit partials). The derivatives solve
     (K - omega^2 M) dphi - 2 omega domega M phi = -(dK - omega^2 dM) phi and
     -2 omega (M phi)^T dphi = omega phi^T dM phi, the bordered mode-shape
     system (`SsmExpansion.mode_lu`) in the unknowns (dphi, -omega domega):
@@ -86,17 +86,13 @@ def eig_derivatives(
     unchanged: its derivatives are zero and need no solve.
     """
     n, phi, omega = exp.model.n, exp.master.phi, exp.master.omega
-    dphi = np.zeros((count, n))
-    domega = np.zeros(count)
-    if not modal:
+    dphi = np.zeros((params.count, n))
+    domega = np.zeros(params.count)
+    if not params.matrix_params:
         return dphi, domega
-    dense = [p for p, _, _ in modal]
-    rhs = np.empty((n, len(dense)))
-    border = np.empty(len(dense))
-    for k, (_, modal_phi, dMphi) in enumerate(modal):
-        rhs[:, k] = -modal_phi
-        border[k] = omega * (phi @ dMphi)
-    sol, s = exp.mode_lu.solve(rhs, border)
+    border = np.array([omega * (phi @ dMphi) for dMphi in modal[1]])
+    sol, s = exp.mode_lu.solve(-modal[0].T, border)
+    dense = list(params.matrix_params)
     dphi[dense] = sol.T
     domega[dense] = s / -omega
     return dphi, domega
@@ -122,9 +118,9 @@ class _Pass:
     and dwdot live only as long as the pass. A tensor-only parameter (one
     that `ParamDerivatives.matrix_params` does not declare) has a zero
     mode-shape and eigenvalue derivative and no dense matrix term: the
-    record of explicit partials (`SsmExpansion.partials`) holds no dense
-    entry for it and no dM phi, and its step skips the products that its
-    zero dLam_m scales.
+    record of explicit partials (`SsmExpansion.partials`) holds no row of
+    its matrix-parameter stacks for it, and its step skips the products that
+    its zero dLam_m scales.
     """
 
     def __init__(self, exp: SsmExpansion, record: "_Record", p: int, dphi, domega, dMphi):
@@ -151,12 +147,12 @@ class _Pass:
         side and its own solve with the factorization the record keeps. lins
         holds one linearization per force tensor, v_terms the lower-order
         coupling terms (u, j, k, u[j], R_k[j]), keep_wdot whether a later
-        coupling reads dwdot_m; pf and dense are the parameter's explicit
-        partials at the index (`Partials`)."""
+        coupling reads dwdot_m; pf and dense (pC, Aw, Vphi, None for a
+        tensor-only parameter) are its explicit partials (`Partials`)."""
         m, exp = rec.m, self.exp
         model, master, phi = exp.model, exp.master, exp.master.phi
         Mc, Cc = model.pencil.Mc, model.pencil.Cc
-        pC, Aw, Vphi, _ = dense or (None,) * 4
+        pC, Aw, Vphi = dense or (None,) * 3
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
         dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
@@ -274,8 +270,9 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
     walk = _Record.empty(exp, params.count)
     record = exp.partials(params)
 
-    dphi_all, domega_all = eig_derivatives(exp, params.count, record.eig)
-    dMphi = {p: v for p, _, v in record.eig}
+    dphi_all, domega_all = eig_derivatives(exp, params, record.eig)
+    rows = {p: k for k, p in enumerate(params.matrix_params)}  # of the record's stacks
+    dMphi = dict(zip(params.matrix_params, record.eig[1]))
     passes = [
         _Pass(exp, walk, p, dphi_all[p], domega_all[p], dMphi.get(p))
         for p in range(params.count)
@@ -284,13 +281,15 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
     r_orders = exp.r_orders()
     couplings = {m: v_decomps(m, r_orders) for m, _, _ in record.indices}
     wdot_read = {u for terms in couplings.values() for u, _, _ in terms}
-    for m, pf, dense in record.indices:
+    for m, pf, (pC, Aw, Vphi, _) in record.indices:
         rec = exp.coeffs(m)
         lins = [table.linearize(m) for table in exp.tables]
         v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in couplings[m]]
         keep_wdot = m in wdot_read or symmetric(m) in wdot_read
         for p, ps in enumerate(passes):
-            ps.step(rec, lins, v_terms, keep_wdot, pf[p], dense.get(p))
+            k = rows.get(p)
+            dense = None if k is None else (pC[k], Aw[k], None if Vphi is None else Vphi[k])
+            ps.step(rec, lins, v_terms, keep_wdot, pf[p], dense)
         del lins  # one index's linearizations at a time
     return walk
 

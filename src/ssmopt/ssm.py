@@ -27,7 +27,8 @@ written by conjugation. The sensitivity passes (direct, adjoint sweep,
 contraction) walk the canonical indices too and mirror the swapped ones by
 conjugation. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
-design variables at every index (`Partials`, kept by `SsmExpansion.partials`).
+design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
+the matrix parameters' terms stacked as their dM and dK are, one row each.
 A canonical record also keeps the model's operators applied to its vectors
 (M w_m, (C + 2 Lam_m M) w_m and M V_m), which the adjoint sweep and the direct
 walk read; the expansion keeps M phi and the one factorization of the bordered
@@ -310,19 +311,19 @@ class SsmExpansion:
 @dataclass(eq=False)
 class Partials:
     """The residuals' explicit partial derivatives for one `ParamDerivatives`
-    (`SsmExpansion.partials`). `indices` holds (m, pf, dense) per canonical
-    index m of order >= 2, ascending: pf the (P, n) partial forces dT of all
-    parameters over the expansion's vectors, one `PairSums.force` per
-    stacked tensor, and dense {p: (pC, Aw, Vphi, phiMw)} per matrix
-    parameter, with dC = alpha_r dM + beta_r dK: pC = -dM Vdot_m - (Lam_m dM
-    + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM) w_m and, at a resonant index
-    only (else None), Vphi = ((Lam_m + lambda_j) dM + dC) phi and phiMw =
-    phi . dM w_m. `eig` is the master's `ParamDerivatives.modal_partials`.
-    Arrays only: the memo that keeps the record makes no cycle back to the
-    expansion."""
+    (`SsmExpansion.partials`). `indices` holds (m, pf, (pC, Aw, Vphi,
+    phiMw)) per canonical index m of order >= 2, ascending: pf the (P, n)
+    partial forces dT of all parameters over the expansion's vectors, one
+    `PairSums.force` per stacked tensor, and (P_M, n) stacks like dM and dK,
+    row k for parameter matrix_params[k], with dC = alpha_r dM + beta_r dK:
+    pC = -dM Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM)
+    w_m and, at a resonant index only (else None), Vphi = ((Lam_m +
+    lambda_j) dM + dC) phi and the (P_M,) phiMw = phi . dM w_m. `eig` is the
+    master's `ParamDerivatives.modal_partials`. Arrays only: the memo that
+    keeps the record makes no cycle back to the expansion."""
 
     indices: list
-    eig: list
+    eig: tuple
 
 
 def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
@@ -334,28 +335,24 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
     # the columns of one real block (real parts, then imaginary parts) that
     # the dM and dK stacks each multiply once
-    dense = [{} for _ in recs]
-    if params.matrix_params:
-        cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
-        X, k = np.hstack([cols.real, cols.imag]), cols.shape[1]
-        dMXs, dKXs = (Y[..., :k] + 1j * Y[..., k:] for Y in (params.dM @ X, params.dK @ X))
-        dCXs = model.alpha_r * dMXs + model.beta_r * dKXs
-        for p, dMX, dKX, dCX in zip(params.matrix_params, dMXs, dKXs, dCXs):
-            for i, rec in enumerate(recs):
-                Lam, Vdot, V, w = rec.Lam, 3 * i, 3 * i + 1, 3 * i + 2  # its columns
-                pC = -dMX[:, Vdot] - (Lam * dMX[:, V] + dCX[:, V])
-                Aw = dKX[:, w] + Lam * dCX[:, w] + Lam**2 * dMX[:, w]
-                dense[i][p] = (pC, Aw, None, None)
-                if rec.slot is not None:
-                    Vphi = (Lam + master.lambda_pair[rec.slot]) * dMX[:, -1] + dCX[:, -1]
-                    dense[i][p] = (pC, Aw, Vphi, phi @ dMX[:, w])
+    cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
+    X, k = np.hstack([cols.real, cols.imag]), cols.shape[1]
+    dMX, dKX = (Y[..., :k] + 1j * Y[..., k:] for Y in (params.dM @ X, params.dK @ X))
+    dCX = model.alpha_r * dMX + model.beta_r * dKX
 
     indices = []
-    for rec, entries in zip(recs, dense):
+    for i, rec in enumerate(recs):
+        Lam, Vdot, V, w = rec.Lam, 3 * i, 3 * i + 1, 3 * i + 2  # its columns
+        pC = -dMX[..., Vdot] - (Lam * dMX[..., V] + dCX[..., V])
+        Aw = dKX[..., w] + Lam * dCX[..., w] + Lam**2 * dMX[..., w]
+        Vphi = phiMw = None
+        if rec.slot is not None:
+            Vphi = (Lam + master.lambda_pair[rec.slot]) * dMX[..., -1] + dCX[..., -1]
+            phiMw = np.array([phi @ v for v in dMX[..., w]])  # stacked rounds otherwise
         pf = np.zeros(P * n, dtype=complex)
         for table in tables:
             pf += table.force(rec.m)  # in place: no (P*n) temporary per table
-        indices.append((rec.m, pf.reshape(P, n), entries))
+        indices.append((rec.m, pf.reshape(P, n), (pC, Aw, Vphi, phiMw)))
     return Partials(indices, params.modal_partials(master.omega, phi))
 
 
@@ -531,9 +528,10 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     DOFs) whose defect has no bearing on the master dynamics; the weighted
     measure tracks the accuracy of the predicted response itself.
 
-    K is regularized by 1e-14 ||K||_1 and factored without the rcond check:
-    a free-free stiffness (a rigid-body mode beside the master) is valid
-    input, and its regularized factorization has rcond near 1e-14.
+    K is regularized by 1e-14 ||K||_1 and factored without the rcond check,
+    once per model (`Pencil.K_lu`): a free-free stiffness (a rigid-body mode
+    beside the master) is valid input, and its regularized factorization
+    has rcond near 1e-14.
 
     All grid points are evaluated at once. At p = (rho e^{i theta},
     rho e^{-i theta}) the power p^m is rho^|m| e^{i (m1 - m2) theta}, so
@@ -546,7 +544,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
         raise ValueError("rho must be positive")
     n = model.n
     K = model.K
-    luK = scipy.linalg.lu_factor(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(n))
+    luK = model.pencil.K_lu
     omega = exp.master.omega
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:

@@ -411,9 +411,10 @@ def pick_params(chosen) -> ParamDerivatives:
     """The parameters (source, p) in `chosen`, in that order, as one
     `ParamDerivatives`: each one's matrices (when its source declares it a
     matrix parameter) and sliced tensors (`param_tensors`) taken from its
-    source and stacked again."""
+    source and stacked again. The sources share one model size."""
     sliced = {id(src): {a: param_tensors(src, a) for a in (2, 3)} for src, _ in chosen}
     return ParamDerivatives.stack(
+        chosen[0][0].dM.shape[1],
         names=[src.names[p] for src, p in chosen],
         matrices={
             i: param_matrices(src)[p] for i, (src, p) in enumerate(chosen) if p in src.matrix_params

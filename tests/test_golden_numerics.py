@@ -20,8 +20,16 @@ with
 
 Named cases are regenerated and the stored text of the others is kept; with
 no names every case is regenerated.
+
+To check that a change keeps every golden quantity byte for byte, run
+
+    PYTHONPATH=src python tests/test_golden_numerics.py --fingerprint
+
+before and after it on the same host: it prints one SHA-256 over the exact
+float64 bytes of every quantity of every case, and writes nothing.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -93,6 +101,26 @@ def golden_numerics(case: str) -> dict:
     }
 
 
+def _numbers(value):
+    """The numbers of a golden_numerics value, depth first, in order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    else:
+        yield value
+
+
+def fingerprint() -> str:
+    """SHA-256 over the float64 bytes of every case's golden quantities."""
+    digest = hashlib.sha256()
+    for case in CASES:
+        digest.update(case.encode())
+        digest.update(np.array(list(_numbers(golden_numerics(case))), np.float64).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -115,6 +143,9 @@ def test_matches_stored_references(golden, case):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--fingerprint"]:
+        print(fingerprint())
+        sys.exit()
     names = sys.argv[1:] or list(CASES)
     unknown = set(names) - set(CASES)
     if unknown:

@@ -194,7 +194,7 @@ class TestVkBeam:
 
         model, params = beam
         modal = params.modal_partials(beam_master.omega, beam_master.phi)
-        _, domega = eig_derivatives(SsmExpansion(model, beam_master), params.count, modal)
+        _, domega = eig_derivatives(SsmExpansion(model, beam_master), params, modal)
 
         def omega_at(mu):
             spec = replace(beam_spec, a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3])
@@ -308,7 +308,7 @@ class TestStackedStorage:
         _, params = build_vk_beam(CURVED_BEAM10)
         matrices = dict(zip(params.matrix_params, zip(params.dM, params.dK)))
         again = ParamDerivatives.stack(
-            params.names, matrices, param_tensors(params, 2), param_tensors(params, 3)
+            params.dM.shape[1], params.names, matrices, param_tensors(params, 2), param_tensors(params, 3)
         )
         for got, want in ((again.dT2, params.dT2), (again.dT3, params.dT3)):
             assert np.array_equal(got.idx, want.idx)
@@ -326,7 +326,7 @@ class TestStackedStorage:
             ParamDerivatives(("a",), (), zeros, zeros, (E2,), E3)
         with pytest.raises(ModelError, match="dT3 must hold tensors of arity 3 and dimension 3"):
             T = SymTensor.from_entries(n + 1, 3, [[0, 1, 2, 3, 1.0]])
-            ParamDerivatives.stack(("a",), {}, (E2,), (T,))
+            ParamDerivatives.stack(n, ("a",), {}, (E2,), (T,))
 
     @pytest.mark.parametrize("matrix_params", [(1, 0), (0, 0), (2,), (-1,)])
     def test_matrix_params_are_checked(self, matrix_params):

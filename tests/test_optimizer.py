@@ -84,6 +84,28 @@ class TestObjectiveRegistry:
         )
         assert v == 8.0 and np.array_equal(g, [4.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "vars_, want",
+        [(["a", "a"], [0.6, 0.0, 0.0]), (["a", "b", "a"], [1.2, 0.09, 0.0]), (["c", "a", "c"], None)],
+        ids=["aa", "aba", "cac"],
+    )
+    def test_product_with_a_repeated_name(self, vars_, want):
+        # a repeated name is a power: each factor leaves out its own
+        # position only, and the gradient matches central differences
+        spec = {"type": "product", "vars": vars_}
+        mu = np.array([0.3, 2.0, -1.5])
+        v, g = objective_value_grad(spec, self.names, mu)
+        assert v == pytest.approx(np.prod([mu[self.names.index(nm)] for nm in vars_]), rel=1e-15)
+        h = 1e-6
+        fd = [
+            (objective_value_grad(spec, self.names, mu + h * e)[0]
+             - objective_value_grad(spec, self.names, mu - h * e)[0]) / (2 * h)
+            for e in np.eye(3)
+        ]
+        np.testing.assert_allclose(g, fd, rtol=1e-8, atol=1e-10)
+        if want is not None:
+            np.testing.assert_allclose(g, want, rtol=1e-15, atol=0)
+
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             objective_value_grad({"type": "magic"}, self.names, np.ones(3))
@@ -487,6 +509,22 @@ class TestSolve:
         assert len(lines) == len(res.trace) + 1
 
 
+# (problem change, the field its ConfigError names) for an index outside chain2
+OUTSIDE_THE_MODEL = [
+    ({"backbone_targets": (BackboneTarget(5, 0.35, 0.6),)}, "backbone_targets[0].dof_index"),
+    ({"backbone_targets": (BackboneTarget(-1, 0.35, 0.6),)}, "backbone_targets[0].dof_index"),
+    (
+        {"backbone_targets": (), "eigfreq_targets": (EigfreqTarget(7, 0.6),)},
+        "eigfreq_targets[0].mode_index",
+    ),
+    (
+        {"eigfreq_targets": (EigfreqTarget(0, 0.6), EigfreqTarget(-2, 0.6))},
+        "eigfreq_targets[1].mode_index",
+    ),
+    ({"mode_index": 4}, "mode_index"),
+]
+
+
 class TestProblemValidation:
     def test_bounds_must_be_finite(self):
         with pytest.raises(ConfigError):
@@ -511,31 +549,31 @@ class TestProblemValidation:
                 objective={"type": "constant"},
             )
 
-    @pytest.mark.parametrize(
-        "change, field",
-        [
-            (
-                {"backbone_targets": (BackboneTarget(5, 0.35, 0.6),)},
-                "backbone_targets[0].dof_index",
-            ),
-            (
-                {"backbone_targets": (BackboneTarget(-1, 0.35, 0.6),)},
-                "backbone_targets[0].dof_index",
-            ),
-            (
-                {"backbone_targets": (), "eigfreq_targets": (EigfreqTarget(7, 0.6),)},
-                "eigfreq_targets[0].mode_index",
-            ),
-            (
-                {"eigfreq_targets": (EigfreqTarget(0, 0.6), EigfreqTarget(-2, 0.6))},
-                "eigfreq_targets[1].mode_index",
-            ),
-            ({"mode_index": 4}, "mode_index"),
-        ],
-    )
+    @pytest.mark.parametrize("change, field", OUTSIDE_THE_MODEL)
     def test_target_outside_the_model_is_named(self, change, field):
         # chain2 has two DOFs and two modes; a negative index would read
         # from the end, a large one end the solve with an IndexError
         problem = replace(chain_problem(0.6), **change)
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} = -?\d+ is out of range"):
             solve(problem)
+
+    @pytest.mark.parametrize("change, field", OUTSIDE_THE_MODEL)
+    def test_evaluate_names_a_target_outside_the_model(self, change, field):
+        # the library entry point checks the same indices as solve
+        problem = replace(chain_problem(0.6), **change)
+        reference = solve_master(chain_builder(problem.mu0)[0], 0).phi
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} = -?\d+ is out of range"):
+            evaluate(problem, problem.mu0, order=5, reference=reference, omega_scale=1.0)
+
+    def test_problem_needs_design_parameters(self):
+        # without names solve would end in a numpy error
+        with pytest.raises(ConfigError, match="needs design parameters"):
+            OptProblem(
+                builder=chain_builder,
+                names=(),
+                mu0=np.zeros(0),
+                lower=np.zeros(0),
+                upper=np.zeros(0),
+                objective={"type": "constant"},
+                eigfreq_targets=(EigfreqTarget(0, 0.6),),
+            )

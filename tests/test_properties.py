@@ -60,6 +60,7 @@ def random_case(seed):
     dM = [sym(rng, n) for _ in range(N_PARAMS)]
     dK = [sym(rng, n) for _ in range(N_PARAMS)]
     params = ParamDerivatives.stack(
+        n,
         names=tuple(f"p{k}" for k in range(N_PARAMS)),
         matrices=dict(enumerate(zip(dM, dK))),
         dT2=tuple(tensor(rng, n, 2, n, 1.0) for _ in range(N_PARAMS)),
@@ -220,6 +221,7 @@ def test_dof_permutation_invariance():
             T3=permuted_tensor(model.T3, inv),
         )
         params_p = ParamDerivatives.stack(
+            model.n,
             names=params.names,
             matrices={
                 p: (dM[grid], dK[grid])

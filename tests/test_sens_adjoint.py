@@ -450,31 +450,39 @@ class TestExpansionStore:
             exp = compute_ssm(model, solve_master(model, 0), order)
             record = exp.partials(params)
             dense, eig = reference_partials(exp, params)
-            assert len(dense) == len(record.indices) * len(params.matrix_params)
-            for m, _, entries in record.indices:
-                assert tuple(entries) == params.matrix_params
-                for p, (*vectors, phiMw) in entries.items():
+            mp = params.matrix_params
+            stack_shape = (len(mp), model.n)
+            assert len(dense) == len(record.indices) * len(mp)
+            for m, _, (pC, Aw, Vphi, phiMw) in record.indices:
+                # row k of each stack belongs to parameter matrix_params[k]
+                assert pC.shape == Aw.shape == stack_shape
+                resonant = exp.coeffs(m).slot is not None
+                assert (Vphi is not None) == (phiMw is not None) == resonant
+                for k, p in enumerate(mp):
                     *want, want_phiMw = dense[m, p]
+                    vectors = (pC[k], Aw[k], Vphi[k] if resonant else None)
                     for got, ref in zip(vectors, want):
                         if ref is None:
                             assert got is None
                         else:
                             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-                    if want_phiMw is None:
-                        assert phiMw is None
+                    if not resonant:
                         continue
+                    assert Vphi.shape == stack_shape and phiMw.shape == (len(mp),)
                     # relative to the size of its terms: phi . dM w_m can
                     # cancel to roundoff (dM of h is 2 M / h up to its
                     # difference quotient's error, and phi^T M w_m = 0 at a
                     # resonant index), and then no two sums agree to a digit
                     dM = param_matrices(params)[p][0]
                     terms = np.abs(exp.master.phi) @ np.abs(dM) @ np.abs(exp.w(m))
-                    assert abs(phiMw - want_phiMw) <= 1e-13 * terms
-            assert len(record.eig) == len(eig)
-            for (p, modal_phi, dMphi), (q, want_modal, want_dMphi) in zip(record.eig, eig):
-                assert p == q
-                assert np.array_equal(modal_phi, want_modal)
-                assert np.array_equal(dMphi, want_dMphi)
+                    assert abs(phiMw[k] - want_phiMw) <= 1e-13 * terms
+            modal_phi, dMphi = record.eig
+            assert modal_phi.shape == dMphi.shape == stack_shape
+            assert len(eig) == len(mp)
+            for k, (q, want_modal, want_dMphi) in enumerate(eig):
+                assert q == mp[k]
+                assert np.array_equal(modal_phi[k], want_modal)
+                assert np.array_equal(dMphi[k], want_dMphi)
 
     def test_memo_makes_no_reference_cycle(self):
         # every record the memo keeps holds no reference back to the

@@ -6,6 +6,7 @@ import pytest
 
 from ssmopt import MechModel, compute_ssm, rho_of_x, sens_direct, solve_master, ssm, track_mode
 from ssmopt.backbone import point_weights
+from ssmopt.config import resolve_design
 from ssmopt.errors import DegenerateModeError, assert_real_each
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
@@ -28,11 +29,12 @@ def _eig_derivatives(model, master, params):
     """`eig_derivatives` on a new expansion of the master pair, with the
     master's explicit partials as the direct walk's record holds them."""
     modal = params.modal_partials(master.omega, master.phi)
-    return eig_derivatives(ssm.SsmExpansion(model, master), params.count, modal)
+    return eig_derivatives(ssm.SsmExpansion(model, master), params, modal)
 
 
 def null_params(n):
     return ParamDerivatives.stack(
+        n,
         names=("null",),
         matrices={},
         dT2=(SymTensor.empty(n, 2),),
@@ -58,7 +60,7 @@ class TestSingularBorderedSystems:
     @pytest.mark.parametrize("split", [0.0, 1e-14])
     def test_eigenpair_system(self, split):
         model, master = self._pair(split)
-        params = ParamDerivatives.stack(("k",), {0: (np.zeros((2, 2)), np.eye(2))},
+        params = ParamDerivatives.stack(2, ("k",), {0: (np.zeros((2, 2)), np.eye(2))},
                                         (SymTensor.empty(2, 2),), (SymTensor.empty(2, 3),))
         # the eigenpair derivatives solve with the expansion's factorization
         # of the bordered mode-shape system (`SsmExpansion.mode_lu`)
@@ -115,6 +117,40 @@ class TestEigDerivatives:
 
         fd = (phi_of(1.0 + h) - phi_of(1.0 - h)) / (2 * h)
         assert np.allclose(dphi[0], fd, rtol=1e-5, atol=1e-9)
+
+
+# a builder with no parameters -> (model, params, dof, x)
+EMPTY_BEAM = VkBeamSpec(a1=0.002, a2=0.001)
+MATRIX_BLOCK = {
+    "type": "matrix",
+    "n": 2,
+    "M": [[1.0, 0.0], [0.0, 1.0]],
+    "K": [[2.0, -1.0], [-1.0, 2.0]],
+    "beta_r": 0.01,
+    "T3": [[0, 0, 0, 0, 0.5]],
+}
+EMPTY_PARAMETER_SETS = {
+    "build_chain": lambda: (*build_chain(ChainSpec(), ()), 1, 0.2),
+    "build_vk_beam": lambda: (*build_vk_beam(EMPTY_BEAM, ()), vk_center_dof(EMPTY_BEAM), 0.002),
+    "resolve_design": lambda: (*resolve_design(MATRIX_BLOCK)[2](np.zeros(0)), 0, 0.1),
+    "chain_per_spring_k3": lambda: (
+        build_chain(ChainSpec(), ())[0], chain_per_spring_k3(ChainSpec(), 0), 1, 0.2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_PARAMETER_SETS)
+def test_empty_parameter_set(name):
+    # the matrix stacks keep the model's size, and both methods return no
+    # component instead of failing in the eigenproblem terms
+    model, params, dof, x = EMPTY_PARAMETER_SETS[name]()
+    assert params.count == 0 and params.matrix_params == ()
+    assert params.dM.shape == params.dK.shape == (0, model.n, model.n)
+    exp = compute_ssm(model, solve_master(model, 0), 5)
+    rho = rho_of_x(exp, dof, x)
+    adjoint = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params)
+    direct = chain_derivatives(model, exp, params, dof, rho)
+    assert adjoint.d_omega.shape == direct.d_omega.shape == direct.d_rho.shape == (0,)
 
 
 class TestChainDerivatives:

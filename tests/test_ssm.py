@@ -442,6 +442,41 @@ class TestAdaptOrder:
         assert orders == sorted(orders)
         assert orders[-1] > orders[0]
 
+    def test_residual_factors_the_stiffness_once_per_model(
+        self, beam, beam_master, beam_center_dof, monkeypatch
+    ):
+        # every order's residual reads the factors the model's pencil keeps;
+        # each epsilon equals the one a fresh model, factored anew, gives
+        model = dataclasses.replace(beam[0])  # a pencil not factored yet
+        factored, seen = [], []
+        lu_factor, residual = scipy.linalg.lu_factor, ssm.invariance_residual
+
+        def counted_lu_factor(a, *args, **kwargs):
+            factored.append(a.shape)
+            return lu_factor(a, *args, **kwargs)
+
+        def recorded_residual(m, exp, rho):
+            err = residual(m, exp, rho)
+            seen.append((exp.order, rho, err.epsilon))
+            return err
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted_lu_factor)
+        monkeypatch.setattr(ssm, "invariance_residual", recorded_residual)
+        res = adapt_order(
+            model,
+            beam_master,
+            tol=1e-300,
+            rho_at=lambda e: rho_of_x(e, beam_center_dof, 0.002),
+            order_range=(3, 9),
+        )
+        monkeypatch.undo()
+        assert res.warned and [O for O, _, _ in seen] == [3, 5, 7, 9]
+        assert factored == [(model.n, model.n)]
+        for O, rho, epsilon in seen:
+            fresh = dataclasses.replace(model)
+            exp = compute_ssm(fresh, beam_master, O)
+            assert invariance_residual(fresh, exp, rho).epsilon == epsilon, O
+
     @staticmethod
     def reachable_from(first_order, rho):
         """rho_at that misses below first_order, at a cap of 0.3."""
