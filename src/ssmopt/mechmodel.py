@@ -2,8 +2,8 @@
 
 The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 ``C = alpha_r M + beta_r K`` and a polynomial internal force
-``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``. One `Pencil` holds M, C
-and K and builds every operator the passes apply from them.
+``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``. The `MechModel` holds M,
+C and K and builds every operator the passes apply from them.
 
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
@@ -494,53 +494,6 @@ class Linearization:
         return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
 
 
-@dataclass(frozen=True)
-class Pencil:
-    """M, C and K and, each in one association, the operators at(s) = K + s C +
-    s^2 M, velocity(s) = s M + C, modal(omega) = K - omega^2 M, and scale(s),
-    the size of at(s)'s terms (which may cancel to zero at resonance).
-
-    `Mc` and `Cc` are complex copies of M and C, made on first use and kept:
-    the recursion (for the products each expansion record keeps) and the
-    sensitivity passes apply M and C to complex vectors, and numpy copies a
-    real matrix to complex in each such product. The products with the
-    copies are bitwise those with M and C. `K_lu`, the invariance
-    residual's factors of the regularized K, is kept the same way.
-    """
-
-    M: np.ndarray
-    C: np.ndarray
-    K: np.ndarray
-
-    @cached_property
-    def Mc(self) -> np.ndarray:
-        return self.M.astype(complex)
-
-    @cached_property
-    def Cc(self) -> np.ndarray:
-        return self.C.astype(complex)
-
-    @cached_property
-    def K_lu(self) -> tuple:
-        """`scipy.linalg.lu_factor` of K + 1e-14 ||K||_1 I, without an rcond
-        check: a free-free stiffness (a rigid-body mode) is valid input."""
-        K = self.K
-        return scipy.linalg.lu_factor(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(len(K)))
-
-    def at(self, s) -> np.ndarray:
-        return self.K + s * self.C + s**2 * self.M
-
-    def velocity(self, s) -> np.ndarray:
-        return s * self.M + self.C
-
-    def modal(self, omega: float) -> np.ndarray:
-        return self.K - omega**2 * self.M
-
-    def scale(self, s) -> float:
-        norm = partial(np.linalg.norm, ord=1)
-        return norm(self.K) + abs(s) * norm(self.C) + abs(s) ** 2 * norm(self.M)
-
-
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > tol * scale:
@@ -549,7 +502,18 @@ def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class MechModel:
-    """Immutable mechanical system; safe for concurrent read-only use."""
+    """Immutable mechanical system; safe for concurrent read-only use.
+
+    It builds, each in one association, the operators the recursion forms:
+    at(s) = K + s C + s^2 M, velocity(s) = s M + C, modal(omega) = K -
+    omega^2 M, and scale(s), the size of at(s)'s terms (which may cancel to
+    zero at resonance). The damping `C` and the complex copies `Mc` and `Cc`
+    of M and C are made on first use and kept: the recursion (for the
+    products each expansion record keeps) and the sensitivity passes apply M
+    and C to complex vectors, and numpy copies a real matrix to complex in
+    each such product. The products with the copies are bitwise those with M
+    and C.
+    """
 
     M: np.ndarray
     K: np.ndarray
@@ -594,9 +558,30 @@ class MechModel:
         return self.M.shape[0]
 
     @cached_property
-    def pencil(self) -> Pencil:
-        """M, the Rayleigh damping alpha_r M + beta_r K, and K."""
-        return Pencil(self.M, self.alpha_r * self.M + self.beta_r * self.K, self.K)
+    def C(self) -> np.ndarray:
+        """The Rayleigh damping alpha_r M + beta_r K."""
+        return self.alpha_r * self.M + self.beta_r * self.K
+
+    @cached_property
+    def Mc(self) -> np.ndarray:
+        return self.M.astype(complex)
+
+    @cached_property
+    def Cc(self) -> np.ndarray:
+        return self.C.astype(complex)
+
+    def at(self, s) -> np.ndarray:
+        return self.K + s * self.C + s**2 * self.M
+
+    def velocity(self, s) -> np.ndarray:
+        return s * self.M + self.C
+
+    def modal(self, omega: float) -> np.ndarray:
+        return self.K - omega**2 * self.M
+
+    def scale(self, s) -> float:
+        norm = partial(np.linalg.norm, ord=1)
+        return norm(self.K) + abs(s) * norm(self.C) + abs(s) ** 2 * norm(self.M)
 
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""

@@ -26,12 +26,12 @@ pair to bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized, and no
-operator is formed to be applied to one vector: the pencil's velocity
+operator is formed to be applied to one vector: the model's velocity
 s M + C reaches a bar as s (M b) + C b. The force convolution at each index
 is pulled back once per tensor (`PairSums.pullback`): one gather from the
 expansion's own tables (`SsmExpansion.tables`), the ones its recursion
 summed the forces with, returns the summed bar of every lower-order index
-the convolution reads. Operators come from the model's `Pencil`; the
+the convolution reads. Operators come from the `MechModel`; the
 parameters' dM, dC and dK reach only the record of explicit partials.
 
 Only the seeds depend on the amplitude target. What depends on the
@@ -40,11 +40,12 @@ the operator products of the primal vectors that each index's record keeps
 (M w_m, (C + 2 Lam_m M) w_m and M V_m), the expansion's M phi and its
 factorization of the bordered mode-shape system (`SsmExpansion.mode_lu`,
 which the direct eigenpair derivatives share), so a target after the first
-pays for its seeds' sweep only; the bars reach M and C as the `Pencil`'s
-complex copies. The contraction reads the record of the residuals' explicit
-parameter partials per `ParamDerivatives` (`SsmExpansion.partials`, kept in
-the expansion's memo, the matrix parameters' terms stacked one row each),
-the same record the direct walk reads.
+pays for its seeds' sweep only; the bars reach M and C as the model's
+complex copies (`MechModel.Mc`, `Cc`). The contraction reads the record of
+the residuals' explicit parameter partials per `ParamDerivatives`
+(`SsmExpansion.partials`, kept in the expansion's memo, the matrix
+parameters' terms stacked one row each), the same record the direct walk
+reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -151,11 +152,11 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
     """Reverse of the cohomological step at m for the adjoint pair (lam_m,
     nu_m) and the bar vbar of V_m that the wdot step at m left. The step's
     operator products are the record's (rec.Mw, rec.Lw, rec.MV) and M phi is
-    the expansion's; every other product applies the pencil's complex copies
+    the expansion's; every other product applies the model's complex copies
     of M and C to a bar."""
     master = exp.master
     phi = master.phi
-    Mc, Cc = model.pencil.Mc, model.pencil.Cc
+    Mc, Cc = model.Mc, model.Cc
 
     # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
     _add_lam_bar(bars, m, lam_m @ rec.Lw)
@@ -167,7 +168,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
         j = rec.slot
         bars.R[m][j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
-        # the pencil's velocity(Lam + lambda_j) applied to bar_d, not formed
+        # the model's velocity(Lam + lambda_j) applied to bar_d, not formed
         bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
         sc = -(bar_d @ exp.Mphi)
         _add_lam_bar(bars, m, sc)

@@ -33,11 +33,11 @@ then applies the linearizations to its own lower-order derivatives, adds
 its explicit partials (a dense term only for the matrix parameters that
 the builder declares, `ParamDerivatives.matrix_params`) and solves its own
 right-hand side with the factorization the index's record keeps, which
-also holds its resonant denominator. The walk applies the model pencil as the adjoint sweep does:
-the velocity s M + C reaches a derivative vector as s (Mc v) + Cc v, with
-the `Pencil`'s complex copies of M and C, and no operator is formed to be
-applied to one vector. Every other operator is applied in the primal's
-association. Parameters are never batched into one solve: a coefficient's
+also holds its resonant denominator. The walk applies the model's
+operators as the adjoint sweep does: the velocity s M + C reaches a
+derivative vector as s (Mc v) + Cc v, with the model's complex copies of M
+and C (`MechModel.Mc`, `Cc`), and no operator is formed to be applied to one
+vector. Every other operator is applied in the primal's association. Parameters are never batched into one solve: a coefficient's
 derivative needs the same parameter's lower-order derivatives, so each pass
 keeps its own table of the derivatives later indices read, and the cost
 stays linear in the number of design variables.
@@ -137,7 +137,7 @@ class _Pass:
         self.matrix = dMphi is not None
         self.dMphi = np.zeros(model.n, dtype=complex)
         if self.matrix:
-            self.dMphi = dMphi + model.pencil.Mc @ self.dphi
+            self.dMphi = dMphi + model.Mc @ self.dphi
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
@@ -151,7 +151,7 @@ class _Pass:
         tensor-only parameter) are its explicit partials (`Partials`)."""
         m, exp = rec.m, self.exp
         model, master, phi = exp.model, exp.master, exp.master.phi
-        Mc, Cc = model.pencil.Mc, model.pencil.Cc
+        Mc, Cc = model.Mc, model.Cc
         pC, Aw, Vphi = dense or (None,) * 3
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
@@ -168,7 +168,7 @@ class _Pass:
                 dRkj = self.dR[k][j]
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
-            # the pencil's velocity(Lam) applied to dV, not formed
+            # the model's velocity(Lam) applied to dV, not formed
             dC = dC - Mc @ dVdot - (Lam * (Mc @ dV) + Cc @ dV)
         if pC is not None:
             dC = dC + pC

@@ -1,13 +1,13 @@
 """Two-dimensional autonomous SSM expansion via per-index cohomological solves.
 
 For each multi-index m (order >= 2) the displacement coefficient w_m solves
-``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M``, the model's
-`Pencil` at Lam_m. Near-resonant
-indices (|m1 - m2| = 1, odd order) carry a reduced-dynamics coefficient R_m
-chosen to project the right-hand side out of the master direction; their
-operator is solved in bordered form with the constraint phi^T M w_m = 0 so the
-exactly-singular undamped case is handled by the same path as the lightly
-damped one (for which the bordered and plain solutions coincide).
+``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M`` (`MechModel.at`).
+Near-resonant indices (|m1 - m2| = 1, odd order) carry a reduced-dynamics
+coefficient R_m chosen to project the right-hand side out of the master
+direction; their operator is solved in bordered form with the constraint
+phi^T M w_m = 0 so the exactly-singular undamped case is handled by the same
+path as the lightly damped one (for which the bordered and plain solutions
+coincide).
 
 The force convolution at each index reads the expansion's own `PairSums`
 tables of T2 and T3, of each one that has entries (`SsmExpansion.tables`),
@@ -16,8 +16,12 @@ the sensitivity passes read the same tables.
 
 Each operator is factored once, by `factorize`, into a rcond-checked
 `Factorization` that the record keeps; the sensitivity passes solve with
-it and do not factor again. Each solve's normwise backward error is checked,
-and an overflowed right-hand side is reported before the solve. A resonant
+it and do not factor again. Every factorization the passes use is made by
+`factorize` and kept on the expansion: one per canonical index, the
+mode-shape system's (`SsmExpansion.mode_lu`) and the invariance residual's
+regularized stiffness (`SsmExpansion.K_lu`), the one left unchecked. Each
+solve's normwise backward error is checked, and an overflowed right-hand
+side is reported before the solve. A resonant
 record also keeps the denominator of its R_m and the force D that R_m exerts
 on the right-hand side, so no pass rebuilds them.
 
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import (
@@ -102,11 +105,11 @@ class Factorization:
         (x, 0.0) solving A x = rhs. rhs is one column or an (n, K) block with
         one border value per column.
 
-        LAPACK's getrs is called directly: `scipy.linalg.lu_solve` spends
-        more time in its wrappers than getrs spends solving. The routine is
-        chosen by the common type of the factors and the rhs, as lu_solve
+        LAPACK's getrs is called directly: scipy's LU solve spends more
+        time in its wrappers than getrs spends solving. The routine is
+        chosen by the common type of the factors and the rhs, as scipy
         chooses it, so a real factor solves a complex rhs in complex
-        arithmetic. A non-finite rhs raises lu_solve's ValueError.
+        arithmetic. A non-finite rhs raises scipy's ValueError.
         """
         if self.gb is not None:
             last = self.gc * np.broadcast_to(border, rhs.shape[1:])
@@ -123,11 +126,12 @@ class Factorization:
 def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Factorization:
     """Factorization of A, or of A bordered by b and c scaled to `scale`.
 
-    LAPACK's getrf and gecon are called directly, as `scipy.linalg.lu_factor`
-    calls getrf. The condition estimate of the factored matrix is checked:
-    below RCOND_SINGULAR, `error(rcond)` is raised (lu_factor only warns on
-    a singular matrix). A failed or non-finite estimate reads as rcond 0. A
-    non-finite A raises lu_factor's ValueError.
+    LAPACK's getrf and gecon are called directly, as scipy's LU
+    factorization calls getrf. The condition estimate of the factored matrix
+    is checked: below RCOND_SINGULAR, `error(rcond)` is raised (scipy only
+    warns on a singular matrix); `error` None skips the check. A failed or
+    non-finite estimate reads as rcond 0. A non-finite A raises scipy's
+    ValueError.
     """
     gb = gc = None
     if b is not None:
@@ -140,7 +144,7 @@ def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Facto
     rcond, info = gecon(lu, anorm)
     if info != 0 or not np.isfinite(rcond):
         rcond = 0.0
-    if rcond < RCOND_SINGULAR:
+    if error is not None and rcond < RCOND_SINGULAR:
         raise error(float(rcond))
     return Factorization((lu, piv), anorm, gb, gc)
 
@@ -193,17 +197,18 @@ class SsmExpansion:
 
     Each canonical index's record keeps its factorization and the model's
     operators applied to its vectors. The expansion keeps M phi (`Mphi`) and,
-    built on first read, the factorization of the bordered mode-shape system
-    (`mode_lu`); neither depends on the order. The `PairSums` tables of the
-    model tensors that have entries (`tables`, T2's and T3's) grow with the
-    expansion, and the recursion and every sensitivity pass read them. The
-    memo (`memo`) keeps what depends on the expansion alone: the backbone's
-    amplitude polynomials and validity caps. Per `ParamDerivatives`, in one
-    slot each that another `ParamDerivatives` replaces, it keeps the record
-    of the residuals' explicit parameter partials (`partials`), which both
-    sensitivity methods read, and the direct method's walk record. It holds
-    the current order's entries only: `compute_ssm` with from_expansion,
-    which extends an expansion in place, clears it.
+    built on first read, the factorizations of the bordered mode-shape system
+    (`mode_lu`) and of the regularized stiffness (`K_lu`); none depends on
+    the order. The `PairSums` tables of the model tensors that have entries
+    (`tables`, T2's and T3's) grow with the expansion, and the recursion and
+    every sensitivity pass read them. The memo (`memo`) keeps what depends on
+    the expansion alone: the backbone's amplitude polynomials and validity
+    caps. Per `ParamDerivatives`, in one slot each that another
+    `ParamDerivatives` replaces, it keeps the record of the residuals'
+    explicit parameter partials (`partials`), which both sensitivity methods
+    read, and the direct method's walk record. It holds the current order's
+    entries only: `compute_ssm` with from_expansion, which extends an
+    expansion in place, clears it.
     """
 
     def __init__(self, model: MechModel, master: MasterPair):
@@ -305,7 +310,17 @@ class SsmExpansion:
             )
 
         b, c = 2.0 * Mphi, -2.0 * omega * Mphi
-        return factorize(model.pencil.modal(omega), singular, b, c, scale)
+        return factorize(model.modal(omega), singular, b, c, scale)
+
+    @cached_property
+    def K_lu(self) -> Factorization:
+        """Factorization of the regularized stiffness K + 1e-14 ||K||_1 I, the
+        invariance residual's preconditioner, without the rcond check: a
+        free-free stiffness (a rigid-body mode beside the master) is valid
+        input, and its regularized factorization has rcond near 1e-14. It
+        does not depend on the order, so `adapt_order` factors it once."""
+        K = self.model.K
+        return factorize(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(len(K)), None)
 
 
 @dataclass(eq=False)
@@ -379,7 +394,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     master = exp.master
     phi = master.phi
     lam_pair = master.lambda_pair
-    pen, M, n = model.pencil, model.M, model.n
+    M, n = model.M, model.n
 
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
@@ -396,13 +411,13 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         V += coef * exp.w(u)
         Vdot += coef * exp.wdot(u)
 
-    C_m = -M @ Vdot - pen.velocity(Lam) @ V - f
+    C_m = -M @ Vdot - model.velocity(Lam) @ V - f
 
     slot = resonant_slot(m)
     R = np.zeros(2, dtype=complex)
     D = den = None
     h = C_m
-    L = pen.at(Lam)
+    L = model.at(Lam)
     singular = partial(OuterResonanceError, m)
     if slot is None:
         lu = factorize(L, singular)
@@ -414,13 +429,13 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
                 f"near-resonant denominator {abs(den):.2e} at index {m}"
             )
         R[slot] = (phi @ C_m) / den
-        D = -pen.velocity(Lam + lam_j) @ phi.astype(complex)
+        D = -model.velocity(Lam + lam_j) @ phi.astype(complex)
         h = C_m + D * R[slot]
         # Bordered operator: the reduced coefficient removed the master
         # projection from h, so the solution with phi^T M w = 0 is the
         # regular limit; for xi > 0 it equals the plain solve. The border
         # stays on the scale of L's terms.
-        lu = factorize(L, singular, exp.Mphi, exp.Mphi, pen.scale(Lam))
+        lu = factorize(L, singular, exp.Mphi, exp.Mphi, model.scale(Lam))
     if not np.all(np.isfinite(h)):
         raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
     w, _ = lu.solve(h)
@@ -456,10 +471,10 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
             arr.imag = 0.0
 
     wdot = Lam * w + (R[0] + R[1]) * phi + V
-    Mw = pen.Mc @ w
-    Lw = pen.Cc @ w + 2.0 * Lam * Mw
+    Mw = model.Mc @ w
+    Lw = model.Cc @ w + 2.0 * Lam * Mw
     exp.n_solves += 1
-    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu, Mw, Lw, pen.Mc @ V)
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu, Mw, Lw, model.Mc @ V)
 
 
 def compute_ssm(
@@ -528,10 +543,8 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     DOFs) whose defect has no bearing on the master dynamics; the weighted
     measure tracks the accuracy of the predicted response itself.
 
-    K is regularized by 1e-14 ||K||_1 and factored without the rcond check,
-    once per model (`Pencil.K_lu`): a free-free stiffness (a rigid-body mode
-    beside the master) is valid input, and its regularized factorization
-    has rcond near 1e-14.
+    The preconditioner is the expansion's factorization of the regularized
+    stiffness (`SsmExpansion.K_lu`), made without the rcond check.
 
     All grid points are evaluated at once. At p = (rho e^{i theta},
     rho e^{-i theta}) the power p^m is rho^|m| e^{i (m1 - m2) theta}, so
@@ -544,12 +557,11 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
         raise ValueError("rho must be positive")
     n = model.n
     K = model.K
-    luK = model.pencil.K_lu
     omega = exp.master.omega
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Weighted norm at each grid point of the (theta x n) blocks."""
-        s1 = scipy.linalg.lu_solve(luK, force.T)
+        s1, _ = exp.K_lu.solve(force.T)
         s2 = velocity / omega
         return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=1))
 
@@ -573,7 +585,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     x, v = W[:, :n], W[:, n:]
     dx, dv = dW[:, :n], dW[:, n:]
     ref = x @ K.T + np.array([model.nonlinear_force(xk) for xk in x])
-    defect = dx @ model.pencil.C.T + dv @ model.M.T + ref
+    defect = dx @ model.C.T + dv @ model.M.T + ref
     den = state_norms(ref, v)
     if np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")

@@ -452,7 +452,6 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
     expansion keeps them for the canonical records only); M phi and the
     mode-shape factorization are the expansion's (`SsmExpansion.mode_lu`).
     """
-    pen = model.pencil
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
     # `_seed_bars` seeds half of each bar for the fold; doubling is exact
@@ -483,8 +482,8 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
                 nu_m[m] = nu
         for m in idx_q:
             rec = exp.coeffs(m)
-            Mw = pen.M @ rec.w
-            rec = replace(rec, Mw=Mw, Lw=pen.C @ rec.w + 2.0 * rec.Lam * Mw, MV=pen.M @ rec.V)
+            Mw = model.M @ rec.w
+            rec = replace(rec, Mw=Mw, Lw=model.C @ rec.w + 2.0 * rec.Lam * Mw, MV=model.M @ rec.V)
             _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), vbar[m])
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
@@ -660,7 +659,7 @@ def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:
     z = (x, v), F = (-f(x), 0)."""
     n = model.n
     B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = model.pencil.C
+    B[:n, :n] = model.C
     B[:n, n:] = model.M
     B[n:, :n] = model.M
     A = np.zeros((2 * n, 2 * n))

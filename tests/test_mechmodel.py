@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
 from ssmopt.errors import ModelError
-from ssmopt.mechmodel import PairSums, Pencil, _accum
+from ssmopt.mechmodel import PairSums, _accum
 from ssmopt import models
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, chain_per_spring_k3
 from ssmopt.multiindex import all_indices, canonical_indices, decomps
@@ -35,32 +35,35 @@ class TestDamping:
     def test_zero_coefficients_give_zero_matrix(self, chain2):
         model, _ = chain2
         undamped = MechModel(model.M, model.K, 0.0, 0.0, model.T2, model.T3)
-        assert np.all(undamped.pencil.C == 0.0)
+        assert np.all(undamped.C == 0.0)
 
     def test_reference_chain_damping_follows_stiffness_pattern(self, chain2):
         # beta_r = 0.1 on the unit-stiffness chain puts c = 0.1 on K's pattern
         model, _ = chain2
-        assert np.allclose(model.pencil.C, 0.1 * model.K, rtol=0, atol=1e-15)
+        assert np.allclose(model.C, 0.1 * model.K, rtol=0, atol=1e-15)
 
     def test_mass_scaling_identity(self):
         m = MechModel(np.eye(3), 2 * np.eye(3), 1.0, 0.0,
                       SymTensor.empty(3, 2), SymTensor.empty(3, 3))
-        assert np.allclose(m.pencil.C, np.eye(3))
+        assert np.allclose(m.C, np.eye(3))
 
     def test_elementwise_combination(self, chain2):
         model, _ = chain2
         expected = model.alpha_r * model.M + model.beta_r * model.K
-        assert np.array_equal(model.pencil.C, expected)
+        assert np.array_equal(model.C, expected)
 
     def test_pencil_is_formed_once_per_model(self, chain2):
+        # the damping and the complex copies of M and C are made once and kept
         model, _ = chain2
-        assert model.pencil is model.pencil
-        assert model.pencil.M is model.M and model.pencil.K is model.K
+        assert model.C is model.C and model.Mc is model.Mc and model.Cc is model.Cc
+        assert np.array_equal(model.Mc, model.M) and np.array_equal(model.Cc, model.C)
 
     def test_pencil_operators(self):
         rng = np.random.default_rng(5)
-        M, C, K = (rng.normal(size=(3, 3)) for _ in range(3))
-        pen = Pencil(M, C, K)
+        A, B = (rng.normal(size=(3, 3)) for _ in range(2))
+        M, K = A @ A.T + 3.0 * np.eye(3), B @ B.T
+        pen = MechModel(M, K, 0.7, 0.2, SymTensor.empty(3, 2), SymTensor.empty(3, 3))
+        M, C, K = pen.M, pen.C, pen.K
         s = 0.3 - 1.7j
         assert np.allclose(pen.at(s), K + s * C + s * s * M, rtol=1e-15, atol=0)
         assert np.allclose(pen.velocity(s), s * M + C, rtol=1e-15, atol=0)
@@ -545,7 +548,7 @@ class TestFirstOrderForm:
         # first-order operators reproduce the same dynamics pointwise
         model, _ = chain2
         n = model.n
-        C = model.pencil.C
+        C = model.C
         Minv = np.linalg.inv(model.M)
 
         def rhs(_t, z):

@@ -9,7 +9,7 @@ import pytest
 from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
 from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
-from ssmopt.mechmodel import ParamDerivatives, Pencil
+from ssmopt.mechmodel import MechModel, ParamDerivatives
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import canonical_indices, symmetric
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
@@ -417,7 +417,7 @@ class TestExpansionStore:
         formed = []
 
         def counting(name):
-            method = getattr(Pencil, name)
+            method = getattr(MechModel, name)
 
             def counted(pen, s):
                 formed.append((name, s))
@@ -426,7 +426,7 @@ class TestExpansionStore:
             return counted
 
         for name in ("velocity", "at"):
-            monkeypatch.setattr(Pencil, name, counting(name))
+            monkeypatch.setattr(MechModel, name, counting(name))
         for count in (1, 2, 4):
             sub = _first(params, count)
             assert len(sub.matrix_params) == count

@@ -70,7 +70,7 @@ class TestOrderStep:
 
     def test_cohomological_residual_per_index(self, chain2, chain2_exp5):
         model, _ = chain2
-        Cmat = model.pencil.C
+        Cmat = model.C
         for m, rec in chain2_exp5.data.items():
             if order(m) < 2:
                 continue
@@ -445,22 +445,23 @@ class TestAdaptOrder:
     def test_residual_factors_the_stiffness_once_per_model(
         self, beam, beam_master, beam_center_dof, monkeypatch
     ):
-        # every order's residual reads the factors the model's pencil keeps;
-        # each epsilon equals the one a fresh model, factored anew, gives
-        model = dataclasses.replace(beam[0])  # a pencil not factored yet
+        # every order's residual reads the stiffness factors the expansion
+        # keeps; each epsilon equals the one a fresh model, factored anew, gives
+        model = dataclasses.replace(beam[0])
         factored, seen = [], []
-        lu_factor, residual = scipy.linalg.lu_factor, ssm.invariance_residual
+        factorize, residual = ssm.factorize, ssm.invariance_residual
 
-        def counted_lu_factor(a, *args, **kwargs):
-            factored.append(a.shape)
-            return lu_factor(a, *args, **kwargs)
+        def counted_factorize(a, error, *args, **kwargs):
+            if error is None:
+                factored.append(a.shape)
+            return factorize(a, error, *args, **kwargs)
 
         def recorded_residual(m, exp, rho):
             err = residual(m, exp, rho)
             seen.append((exp.order, rho, err.epsilon))
             return err
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counted_lu_factor)
+        monkeypatch.setattr(ssm, "factorize", counted_factorize)
         monkeypatch.setattr(ssm, "invariance_residual", recorded_residual)
         res = adapt_order(
             model,
