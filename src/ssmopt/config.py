@@ -3,8 +3,10 @@
 Configs are validated (unknown keys rejected) before any computation; schema
 errors carry the JSON path of the offending key. The schema holds every rule
 of the run blocks that does not depend on the model: positive and finite
-amplitudes, frequencies and tolerances, odd orders, finite numbers. Only the
-DOF and mode bounds, which need the model's size, are checked in code.
+amplitudes, frequencies and tolerances, odd orders, finite numbers. The DOF
+and mode bounds, which need the model's size, are checked in code, and so is
+the optimize objective (`optimizer.check_objective`, which `OptProblem` runs
+before any model is built).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 from .errors import ConfigError
 from .mechmodel import ParamDerivatives, model_from_json
 from .models import FAMILIES, ModelFamily
-from .optimizer import GRADIENTS, OBJECTIVE_KEYS
+from .optimizer import GRADIENTS
 
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
@@ -124,19 +126,7 @@ _SENS_BLOCK = {
 _OPT_BLOCK = {
     "type": "object",
     "properties": {
-        "objective": {
-            "type": "object",
-            "properties": {
-                "type": {"enum": list(OBJECTIVE_KEYS)},
-                "value": _FINITE,
-                "name": {"type": "string"},
-                "coeffs": {"type": "object", "additionalProperties": _FINITE},
-                "offset": _FINITE,
-                "vars": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["type"],
-            "additionalProperties": False,
-        },
+        "objective": {"type": "object"},
         "constraints": {
             "type": "array",
             "items": _select_by_type(

@@ -39,7 +39,7 @@ from .backbone import domega_drho, dx_drho, omega_of_rho, rho_of_x
 from .errors import AmplitudeUnreachableError, ConfigError, SsmOptError
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
-from .spectral import solve_modes, track_mode
+from .spectral import solve_master, solve_modes, track_mode
 from .ssm import adapt_order, compute_ssm, invariance_residual
 
 
@@ -95,17 +95,40 @@ class OptProblem:
             raise ConfigError("mu0, bounds and names must have equal length")
         if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
             raise ConfigError("bounds must be finite")
+        if not np.all(np.isfinite(self.mu0)):
+            raise ConfigError(f"mu0 = {self.mu0.tolist()} must be finite")
         if not np.all(self.lower < self.upper):
             raise ConfigError("lower bounds must be strictly below upper bounds")
         if np.any((self.mu0 < self.lower) | (self.mu0 > self.upper)):
             raise ConfigError(f"mu0 = {self.mu0.tolist()} lies outside the bounds [lower, upper]")
         check_objective(self.objective, self.names)
+        _check_targets_and_tolerances(self)
         if (
             not self.backbone_targets
             and not self.eigfreq_targets
             and self.objective.get("type") == "constant"
         ):
             raise ConfigError("problem needs at least one constraint or a nontrivial objective")
+
+
+def _check_targets_and_tolerances(problem: OptProblem) -> None:
+    """ConfigError naming the field unless every target amplitude and
+    frequency and both tolerances are positive and finite, `max_order` is
+    odd and at least 3, and `max_iter` at least 1: the rules the config
+    schema states for a CLI run."""
+    tol = problem.tolerances
+    positive = {f"tolerances.{k}": getattr(tol, k) for k in ("constraint_tol", "eps_tol")}
+    for i, t in enumerate(problem.backbone_targets):
+        positive |= {f"backbone_targets[{i}].x": t.x, f"backbone_targets[{i}].omega": t.omega}
+    for i, t in enumerate(problem.eigfreq_targets):
+        positive[f"eigfreq_targets[{i}].omega"] = t.omega
+    for name, value in positive.items():
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{name} must be a positive finite number, got {value}")
+    if tol.max_order < 3 or tol.max_order % 2 != 1:
+        raise ConfigError(f"tolerances.max_order must be an odd integer >= 3, got {tol.max_order}")
+    if tol.max_iter < 1:
+        raise ConfigError(f"tolerances.max_iter must be at least 1, got {tol.max_iter}")
 
 
 # objective type -> its keys, first the one naming the design variables it reads
@@ -121,7 +144,7 @@ def _is_number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
-# objective key -> (what it must hold, its test); the config schema states the same
+# objective key -> (what it must hold, its test)
 _OBJECTIVE_FORMS = {
     "value": ("a number", _is_number),
     "offset": ("a number", _is_number),
@@ -273,9 +296,9 @@ class _Session:
         self.method = method
         model0, _ = problem.builder(problem.mu0)
         _check_indices(problem, model0.n)
-        omegas, Phi = solve_modes(model0)
-        self.reference = Phi[:, problem.mode_index].copy()
-        self.omega_ref = float(omegas[problem.mode_index])
+        master0 = solve_master(model0, problem.mode_index)
+        self.reference = master0.phi
+        self.omega_ref = master0.omega
         self.order = problem.start_order
         self.cache: dict[bytes, EvalResult] = {}
         self.trace: list[IterRecord] = []
@@ -284,7 +307,7 @@ class _Session:
             # the lowest order at which the start design passes the rule
             self.order = adapt_order(
                 model0,
-                track_mode(model0, self.reference),
+                master0,
                 problem.tolerances.eps_tol,
                 rho_at=lambda e: max(rho_of_x(e, t.dof_index, t.x) for t in targets),
                 order_range=(self.order, max(self.order, problem.tolerances.max_order)),

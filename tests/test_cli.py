@@ -516,8 +516,8 @@ class TestOptimizeInputs:
             ("objective.name", opt_case(objective={"type": "variable", "name": "foo"})),
             ("objective.coeffs", opt_case(objective={"type": "linear"})),
             ("objective.vars", opt_case(objective={"type": "product", "vars": ["k3", "k"]})),
-            ("objective/type", opt_case(objective={"type": "quadratic"})),
-            ("'scale' was unexpected", opt_case(objective={"type": "constant", "scale": 2})),
+            ("objective.type", opt_case(objective={"type": "quadratic"})),
+            ("objective.scale", opt_case(objective={"type": "constant", "scale": 2})),
             (
                 "model/params/0': 'foo' is not one of",
                 opt_case(model={"type": "vk_beam", "n_elements": 2, "params": ["foo"]}),

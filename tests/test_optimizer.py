@@ -549,6 +549,31 @@ class TestProblemValidation:
                 objective={"type": "constant"},
             )
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"mu0": np.array([np.nan])}, "mu0"),
+            ({"backbone_targets": (BackboneTarget(1, -0.1, 0.6),)}, "backbone_targets[0].x"),
+            ({"backbone_targets": (BackboneTarget(1, np.nan, 0.6),)}, "backbone_targets[0].x"),
+            ({"backbone_targets": (BackboneTarget(1, 0.35, np.nan),)}, "backbone_targets[0].omega"),
+            ({"backbone_targets": (BackboneTarget(1, 0.35, np.inf),)}, "backbone_targets[0].omega"),
+            ({"eigfreq_targets": (EigfreqTarget(0, np.nan),)}, "eigfreq_targets[0].omega"),
+            ({"eigfreq_targets": (EigfreqTarget(0, 0.0),)}, "eigfreq_targets[0].omega"),
+            ({"tolerances": OptTolerances(eps_tol=-1.0)}, "tolerances.eps_tol"),
+            ({"tolerances": OptTolerances(constraint_tol=np.nan)}, "tolerances.constraint_tol"),
+            ({"tolerances": OptTolerances(max_order=4)}, "tolerances.max_order"),
+            ({"tolerances": OptTolerances(max_order=1)}, "tolerances.max_order"),
+            ({"tolerances": OptTolerances(max_iter=0)}, "tolerances.max_iter"),
+        ],
+    )
+    def test_problem_rejects_what_solve_cannot_run(self, change, field):
+        # the config schema rejects each of these for a CLI run; a library
+        # problem otherwise reached solve, which failed with a bare
+        # ValueError, a ModelError in the builder, a TurningPointError after
+        # 200 Newton steps or a stalled line search
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} "):
+            replace(chain_problem(0.6), **change)
+
     @pytest.mark.parametrize("change, field", OUTSIDE_THE_MODEL)
     def test_target_outside_the_model_is_named(self, change, field):
         # chain2 has two DOFs and two modes; a negative index would read
