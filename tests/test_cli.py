@@ -58,6 +58,18 @@ class TestBackboneCommand:
         assert report["order"] > 3
         assert report["epsilon"] <= 1e-6
 
+    def test_order_auto_option_overrides_a_fixed_order(self, tmp_path):
+        # the config fixes O3; --order auto adapts past it, as in the
+        # config's own "auto"
+        cfg = {
+            "model": CHAIN_MODEL,
+            "backbone": {"dof": 1, "x_targets": [0.2], "order": 3, "eps_tol": 1e-6},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["backbone", "--config", path, "--out", str(tmp_path / "o"), "--order", "auto"]) == 0
+        report = json.loads((tmp_path / "o" / "error_report.json").read_text())
+        assert report["order"] > 3 and report["epsilon"] <= 1e-6
+
     def test_numbers_round_trip_losslessly(self, tmp_path):
         cfg = {
             "model": CHAIN_MODEL,
@@ -74,6 +86,24 @@ class TestBackboneCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "backbone" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config"), ("{\"model\": ", "config is not valid JSON")],
+    )
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text, message):
+        # None: the path names a directory, which cannot be read as a file
+        path = tmp_path / "cfg.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        rc = main(["backbone", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
         cfg = {"model": CHAIN_MODEL, "backbone": {"dof": 1, "x_targets": [0.1]}, "extra": {}}

@@ -529,6 +529,19 @@ class TestLightDamping:
         v = check_light_damping(1.0, 0.0, 0.3)
         assert not v.valid and v.omega_interval[0] == pytest.approx(0.5)
 
+    def test_rayleigh_interval_ends_are_the_roots(self):
+        # both coefficients positive, alpha beta < 1: the condition holds
+        # strictly between the two roots of alpha - 2 omega + beta omega^2
+        alpha, beta = 0.3, 0.5
+        lo, hi = check_light_damping(alpha, beta, 1.0).omega_interval
+        assert 0.0 < lo < hi
+        for root in (lo, hi):
+            assert alpha - 2.0 * root + beta * root**2 == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(sorted(np.roots([beta, -2.0, alpha])), (lo, hi), rtol=1e-14, atol=0)
+        for omega, valid in ((0.5 * lo, False), (0.5 * (lo + hi), True), (1.5 * hi, False)):
+            v = check_light_damping(alpha, beta, omega)
+            assert v.valid == valid and not v.never_satisfied
+
 
 class TestFirstOrderForm:
     def test_scalar_blocks(self):

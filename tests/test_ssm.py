@@ -104,6 +104,24 @@ class TestComputeSsm:
             assert np.array_equal(e7.w(m), w)
         assert_tables_built_at_once(e7)
 
+    @pytest.mark.parametrize("order_", [3, 5])
+    def test_extension_to_an_order_it_has_returns_it_unchanged(
+        self, chain2, chain2_master, order_
+    ):
+        # no order is solved and the memo, built for the expansion's own
+        # order, is kept
+        model, _ = chain2
+        e5 = compute_ssm(model, chain2_master, 5)
+        kept = e5.memo("key", object)
+        snapshot = {m: rec.w.copy() for m, rec in e5.data.items()}
+        solves = e5.n_solves
+        assert compute_ssm(model, chain2_master, order_, from_expansion=e5) is e5
+        assert (e5.order, e5.n_solves) == (5, solves)
+        assert e5.memo("key", object) is kept
+        assert snapshot.keys() == e5.data.keys()
+        for m, w in snapshot.items():
+            assert np.array_equal(e5.w(m), w)
+
     @pytest.mark.parametrize("case", ["chain2", "vk_beam10"])
     def test_force_tables_grow_to_the_one_shot_build(self, case, chain2, chain2_master):
         if case == "chain2":
