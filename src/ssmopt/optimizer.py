@@ -102,7 +102,7 @@ class OptProblem:
         if np.any((self.mu0 < self.lower) | (self.mu0 > self.upper)):
             raise ConfigError(f"mu0 = {self.mu0.tolist()} lies outside the bounds [lower, upper]")
         check_objective(self.objective, self.names)
-        _check_targets_and_tolerances(self)
+        _check_numbers(self)
         if (
             not self.backbone_targets
             and not self.eigfreq_targets
@@ -111,11 +111,11 @@ class OptProblem:
             raise ConfigError("problem needs at least one constraint or a nontrivial objective")
 
 
-def _check_targets_and_tolerances(problem: OptProblem) -> None:
+def _check_numbers(problem: OptProblem) -> None:
     """ConfigError naming the field unless every target amplitude and
-    frequency and both tolerances are positive and finite, `max_order` is
-    odd and at least 3, and `max_iter` at least 1: the rules the config
-    schema states for a CLI run."""
+    frequency and both tolerances are positive and finite, `max_order` and
+    `start_order` are odd and at least 3, and `max_iter` is at least 1: the
+    rules the config schema states for a CLI run."""
     tol = problem.tolerances
     positive = {f"tolerances.{k}": getattr(tol, k) for k in ("constraint_tol", "eps_tol")}
     for i, t in enumerate(problem.backbone_targets):
@@ -125,8 +125,10 @@ def _check_targets_and_tolerances(problem: OptProblem) -> None:
     for name, value in positive.items():
         if not 0 < value < np.inf:
             raise ConfigError(f"{name} must be a positive finite number, got {value}")
-    if tol.max_order < 3 or tol.max_order % 2 != 1:
-        raise ConfigError(f"tolerances.max_order must be an odd integer >= 3, got {tol.max_order}")
+    orders = {"tolerances.max_order": tol.max_order, "start_order": problem.start_order}
+    for name, value in orders.items():
+        if value < 3 or value % 2 != 1:
+            raise ConfigError(f"{name} must be an odd integer >= 3, got {value}")
     if tol.max_iter < 1:
         raise ConfigError(f"tolerances.max_iter must be at least 1, got {tol.max_iter}")
 

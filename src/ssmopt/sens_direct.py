@@ -37,10 +37,11 @@ also holds its resonant denominator. The walk applies the model's
 operators as the adjoint sweep does: the velocity s M + C reaches a
 derivative vector as s (Mc v) + Cc v, with the model's complex copies of M
 and C (`MechModel.Mc`, `Cc`), and no operator is formed to be applied to one
-vector. Every other operator is applied in the primal's association. Parameters are never batched into one solve: a coefficient's
-derivative needs the same parameter's lower-order derivatives, so each pass
-keeps its own table of the derivatives later indices read, and the cost
-stays linear in the number of design variables.
+vector. Every other operator is applied in the primal's association.
+Parameters are never batched into one solve: a coefficient's derivative
+needs the same parameter's lower-order derivatives, so each pass keeps its
+own table of the derivatives later indices read, and the cost stays linear
+in the number of design variables.
 Only the eigenpair derivatives take all parameters at once, as one block
 solve with the expansion's factorization of the bordered mode-shape system
 (`SsmExpansion.mode_lu`, which the adjoint's mode-shape solve shares).

@@ -65,8 +65,8 @@ class TestBackboneCommand:
             "model": CHAIN_MODEL,
             "backbone": {"dof": 1, "x_targets": [0.2], "order": 3, "eps_tol": 1e-6},
         }
-        path = write_config(tmp_path, cfg)
-        assert main(["backbone", "--config", path, "--out", str(tmp_path / "o"), "--order", "auto"]) == 0
+        argv = ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        assert main(["backbone", *argv, "--order", "auto"]) == 0
         report = json.loads((tmp_path / "o" / "error_report.json").read_text())
         assert report["order"] > 3 and report["epsilon"] <= 1e-6
 

@@ -564,6 +564,7 @@ class TestProblemValidation:
             ({"tolerances": OptTolerances(max_order=4)}, "tolerances.max_order"),
             ({"tolerances": OptTolerances(max_order=1)}, "tolerances.max_order"),
             ({"tolerances": OptTolerances(max_iter=0)}, "tolerances.max_iter"),
+            ({"start_order": 4}, "start_order"),
         ],
     )
     def test_problem_rejects_what_solve_cannot_run(self, change, field):
