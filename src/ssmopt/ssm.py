@@ -544,7 +544,8 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     measure tracks the accuracy of the predicted response itself.
 
     The preconditioner is the expansion's factorization of the regularized
-    stiffness (`SsmExpansion.K_lu`), made without the rcond check.
+    stiffness (`SsmExpansion.K_lu`), made without the rcond check, so
+    `model` must be the expansion's.
 
     All grid points are evaluated at once. At p = (rho e^{i theta},
     rho e^{-i theta}) the power p^m is rho^|m| e^{i (m1 - m2) theta}, so
@@ -555,6 +556,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    exp.check_model(model)
     n = model.n
     K = model.K
     omega = exp.master.omega

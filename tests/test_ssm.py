@@ -369,6 +369,12 @@ class TestInvarianceResidual:
         with pytest.raises(ValueError):
             invariance_residual(model, chain2_exp5, 0.0)
 
+    def test_another_model_is_rejected(self, chain2, chain2_exp5):
+        # the stiffness factor is the expansion's, so the operators must be
+        twin = dataclasses.replace(chain2[0])  # equal values, another object
+        with pytest.raises(ValueError, match="another model"):
+            invariance_residual(twin, chain2_exp5, 0.1)
+
     @pytest.mark.parametrize("name", ["chain2", "vk_beam10"])
     def test_matches_pointwise_loop(self, chain2, name):
         if name == "chain2":
