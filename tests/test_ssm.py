@@ -370,7 +370,7 @@ class TestInvarianceResidual:
             invariance_residual(model, chain2_exp5, 0.0)
 
     def test_another_model_is_rejected(self, chain2, chain2_exp5):
-        # the stiffness factor is the expansion's, so the operators must be
+        # the stiffness factor is the expansion's, so the model must be too
         twin = dataclasses.replace(chain2[0])  # equal values, another object
         with pytest.raises(ValueError, match="another model"):
             invariance_residual(twin, chain2_exp5, 0.1)
@@ -473,12 +473,12 @@ class TestAdaptOrder:
         # keeps; each epsilon equals the one a fresh model, factored anew, gives
         model = dataclasses.replace(beam[0])
         factored, seen = [], []
-        factorize, residual = ssm.factorize, ssm.invariance_residual
+        unpatched, residual = ssm.factorize, ssm.invariance_residual
 
         def counted_factorize(a, error, *args, **kwargs):
             if error is None:
                 factored.append(a.shape)
-            return factorize(a, error, *args, **kwargs)
+            return unpatched(a, error, *args, **kwargs)
 
         def recorded_residual(m, exp, rho):
             err = residual(m, exp, rho)
