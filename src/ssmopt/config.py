@@ -7,6 +7,13 @@ amplitudes, frequencies and tolerances, odd orders, finite numbers. The DOF
 and mode bounds, which need the model's size, are checked in code, and so is
 the optimize objective (`optimizer.check_objective`, which `OptProblem` runs
 before any model is built).
+
+`CONFIG_SCHEMA` is a JSON Schema (Draft 2020-12) plus one keyword, `finite`.
+A small walker in this module checks it: it knows only the keywords the
+schema uses and raises on any other, and it reports the errors in
+jsonschema's order and words. jsonschema is not imported at run time (its
+import cost every process about 45 ms and 3.7 MB); the test suite uses it
+as the reference that the walker must agree with.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError, validators
 
 from .errors import ConfigError
 from .mechmodel import ParamDerivatives, model_from_json
@@ -27,21 +33,89 @@ from .optimizer import GRADIENTS
 _NUM = {"type": "number"}
 _POSINT = {"type": "integer", "minimum": 1}
 _INDEX = {"type": "integer", "minimum": 0}
-# the run blocks' numbers; the model blocks keep _NUM, their builders check them
+# the run blocks' numbers; the model blocks keep _NUM, their builders check them.
+# `finite` is this schema's own keyword: the comparison keywords let NaN
+# through (every comparison with NaN is false), and inf passes every lower bound
 _FINITE = {"type": "number", "finite": True}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0, "finite": True}
 _ODD_ORDER = {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}}
 
+# JSON Schema's types: a bool is not a number, and 9.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (
+        isinstance(x, float) and x.is_integer()
+        or isinstance(x, int) and not isinstance(x, bool)
+    ),
+}
 
-def _finite(validator, finite, instance, schema):
-    """The `finite` keyword. jsonschema's comparison keywords let NaN through
-    (every comparison with NaN is false), and inf passes every lower bound."""
-    number = validator.is_type(instance, "number")
-    if finite and number and not abs(instance) <= sys.float_info.max:
-        yield ValidationError(f"{instance!r} is not a finite number")
 
-
-ConfigValidator = validators.extend(Draft202012Validator, {"finite": _finite})
+def _schema_errors(schema, x, path=()):
+    """(path, message) of each rule of schema that the JSON value x breaks,
+    in jsonschema's order and words. Only the keywords the config schema uses
+    are known (its enums and consts are strings); any other raises."""
+    if schema is True:
+        return
+    number = _TYPES["number"](x)
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](x):
+                yield path, f"{x!r} is not of type {value!r}"
+        elif key == "enum":
+            if x not in value:
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "const":
+            if x != value:
+                yield path, f"{value!r} was expected"
+        elif key == "properties":
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x:
+                        yield from _schema_errors(sub, x[name], (*path, name))
+        elif key == "required":
+            for name in value if isinstance(x, dict) else ():
+                if name not in x:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and value is False:
+            extras = sorted(set(x) - set(schema.get("properties", ()))) if isinstance(x, dict) else ()
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _schema_errors(value, item, (*path, i))
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < value:
+                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "minimum":
+            if number and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum":
+            if number and x <= value:
+                yield path, f"{x!r} is less than or equal to the minimum of {value!r}"
+        elif key == "multipleOf" and isinstance(value, int):
+            if number and x % value:
+                yield path, f"{x!r} is not a multiple of {value}"
+        elif key == "finite":
+            if value and number and not abs(x) <= sys.float_info.max:
+                yield path, f"{x!r} is not a finite number"
+        elif key == "not":
+            if not any(_schema_errors(value, x)):
+                yield path, f"{x!r} should not be valid under {value!r}"
+        elif key == "if":
+            branch = "else" if any(_schema_errors(value, x)) else "then"
+            if branch in schema:
+                yield from _schema_errors(schema[branch], x, path)
+        elif key == "allOf":
+            for sub in value:
+                yield from _schema_errors(sub, x, path)
+        elif key not in ("then", "else"):
+            raise ValueError(f"the config schema walker does not support {key!r}: {value!r}")
 
 
 def _family_schema(family: ModelFamily) -> dict:
@@ -209,13 +283,13 @@ def _field(path) -> str:
 
 
 def validate_config(cfg: dict, command: str | None = None) -> dict:
-    errors = sorted(ConfigValidator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: list(e.path))
+    errors = sorted(_schema_errors(CONFIG_SCHEMA, cfg), key=lambda e: e[0])
     if errors:
-        e = errors[0]
-        path = "/".join(str(p) for p in e.path) or "<root>"
-        field = _field(e.path)
+        at, message = errors[0]
+        path = "/".join(str(p) for p in at) or "<root>"
+        field = _field(at)
         named = "" if field in (path, "") else f" (field {field})"
-        raise ConfigError(f"invalid config at '{path}': {e.message}{named}")
+        raise ConfigError(f"invalid config at '{path}': {message}{named}")
     declared = cfg.get("command")
     if command is not None and declared is not None and declared != command:
         raise ConfigError(

@@ -22,6 +22,13 @@ from ssmopt.multiindex import order
 from oracles import reference_validity_cap
 
 
+@pytest.mark.parametrize("amplitude", [omega_of_rho, lambda exp, rho: x_rms(exp, 1, rho)])
+def test_negative_rho_raises(chain2_exp5, amplitude):
+    with pytest.raises(ValueError) as err:
+        amplitude(chain2_exp5, -0.1)
+    assert type(err.value) is ValueError and str(err.value) == "rho must be nonnegative"
+
+
 class TestOmegaOfRho:
     def test_zero_amplitude_gives_damped_frequency(self, chain2_exp5, chain2_master):
         assert omega_of_rho(chain2_exp5, 0.0) == chain2_master.omega_d

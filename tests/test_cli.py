@@ -608,7 +608,7 @@ def test_defaults_are_schema_properties():
     ):
         assert set(defaults) <= set(props)
         for key, value in defaults.items():
-            assert config.ConfigValidator(props[key]).is_valid(value), key
+            assert not any(config._schema_errors(props[key], value)), key
 
 
 def test_files_do_not_depend_on_blas_threads(tmp_path):

@@ -512,6 +512,12 @@ class TestAccum:
 
 
 class TestLightDamping:
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_nonpositive_frequency_raises(self, omega):
+        with pytest.raises(ValueError) as err:
+            check_light_damping(0.0, 0.1, omega)
+        assert type(err.value) is ValueError and str(err.value) == "omega must be positive"
+
     def test_stiffness_proportional_interval(self):
         v = check_light_damping(0.0, 0.1, 0.618)
         assert v.valid and not v.never_satisfied
@@ -629,6 +635,33 @@ class TestValidation:
     def test_rejects_bad_array_entries(self, arity, table):
         with pytest.raises(ModelError, match=f"^T{arity} "):
             SymTensor.from_entries(2, arity, table(arity + 2))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"M": [[1.0, 0.0], [0.0]]}, "M must be a matrix of numbers (equal-length rows)"),
+            ({"K": [[1.0, np.nan], [np.nan, 1.0]]}, "K holds a non-finite number"),
+            ({"M": np.ones((2, 3))}, "M and K must be square matrices of equal size"),
+            ({"K": np.eye(3)}, "M and K must be square matrices of equal size"),
+            ({"M": [[1.0, 0.5], [0.0, 1.0]]}, "mass matrix is not symmetric"),
+            ({"K": [[1.0, 0.5], [0.0, 1.0]]}, "stiffness matrix is not symmetric"),
+            ({"M": np.diag([1.0, 0.0])}, "mass matrix is not positive definite"),
+            ({"K": np.diag([1.0, -1.0])}, "stiffness matrix is not positive semidefinite"),
+            ({"alpha_r": np.nan}, "alpha_r must be a finite number"),
+            ({"beta_r": -0.1}, "Rayleigh coefficients must be nonnegative"),
+            ({"T2": SymTensor.empty(3, 2)}, "tensor dimension does not match matrix size"),
+            ({"T3": SymTensor.empty(3, 3)}, "tensor dimension does not match matrix size"),
+            ({"T2": SymTensor.empty(2, 3)}, "T2 must be a quadratic and T3 a cubic tensor"),
+            ({"T3": SymTensor.empty(2, 2)}, "T2 must be a quadratic and T3 a cubic tensor"),
+        ],
+    )
+    def test_each_check_names_its_input(self, change, message):
+        fields = dict(M=np.eye(2), K=np.eye(2), alpha_r=0.0, beta_r=0.0,
+                      T2=SymTensor.empty(2, 2), T3=SymTensor.empty(2, 3))
+        MechModel(**fields)
+        with pytest.raises(ModelError) as err:
+            MechModel(**(fields | change))
+        assert type(err.value) is ModelError and str(err.value) == message
 
     def test_rejects_asymmetric_stiffness(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])

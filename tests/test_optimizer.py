@@ -591,6 +591,21 @@ class TestProblemValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} = -?\d+ is out of range"):
             evaluate(problem, problem.mu0, order=5, reference=reference, omega_scale=1.0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mu0": np.array([0.2, 0.3])}, "mu0, bounds and names must have equal length"),
+            ({"lower": np.array([-1.0, 0.0])}, "mu0, bounds and names must have equal length"),
+            ({"names": ("k3", "k")}, "mu0, bounds and names must have equal length"),
+            ({"lower": np.array([1.0])}, "lower bounds must be strictly below upper bounds"),
+            ({"upper": np.array([-1.0])}, "lower bounds must be strictly below upper bounds"),
+        ],
+    )
+    def test_problem_rejects_inconsistent_bounds(self, change, message):
+        with pytest.raises(ConfigError) as err:
+            replace(chain_problem(0.6), **change)
+        assert type(err.value) is ConfigError and str(err.value) == message
+
     def test_problem_needs_design_parameters(self):
         # without names solve would end in a numpy error
         with pytest.raises(ConfigError, match="needs design parameters"):

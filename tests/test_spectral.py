@@ -52,6 +52,13 @@ class TestSolveMaster:
         mp = solve_master(model, 0)
         assert mp.phi[np.argmax(np.abs(mp.phi))] > 0
 
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_mode_index_out_of_range_raises(self, chain2, index):
+        with pytest.raises(ValueError) as err:
+            solve_master(chain2[0], index)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"mode index {index} out of range for 2 modes"
+
     def test_overdamped_raises(self):
         with pytest.raises(LightDampingError):
             solve_master(bare(np.eye(1), np.eye(1), alpha_r=3.0), 0)

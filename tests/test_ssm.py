@@ -433,6 +433,22 @@ def loop_residual(model, exp, rho, theta_samples=32):
 
 
 class TestAdaptOrder:
+    @pytest.mark.parametrize(
+        "tol, order_range, message",
+        [
+            (0.0, (3, 13), "tolerance must be positive"),
+            (-1e-3, (3, 13), "tolerance must be positive"),
+            (1e-3, (4, 9), "order range must be odd bounds with 3 <= lo <= hi, got (4, 9)"),
+            (1e-3, (3, 8), "order range must be odd bounds with 3 <= lo <= hi, got (3, 8)"),
+            (1e-3, (1, 5), "order range must be odd bounds with 3 <= lo <= hi, got (1, 5)"),
+            (1e-3, (7, 5), "order range must be odd bounds with 3 <= lo <= hi, got (7, 5)"),
+        ],
+    )
+    def test_bad_arguments_raise(self, chain2, chain2_master, tol, order_range, message):
+        with pytest.raises(ValueError) as err:
+            adapt_order(chain2[0], chain2_master, tol, lambda e: 0.2, order_range)
+        assert type(err.value) is ValueError and str(err.value) == message
+
     def test_linear_model_stops_at_three(self, linear_chain):
         model, _ = linear_chain
         res = adapt_order(model, solve_master(model, 0), tol=1e-8, rho_at=lambda e: 0.5)
