@@ -39,7 +39,7 @@ RHO_X_RTOL = 1e-10
 def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
     """Backbone frequency at reduced amplitude rho: the damped frequency plus
     Im(R1) of each active odd order times rho**(q - 1)."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     total = exp.master.omega_d
     for q, a in exp.r1_terms():
@@ -164,7 +164,7 @@ def x_rms(
     building its coefficients checks the conjugate pairing of the
     coefficients (ConjugacyError).
     """
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0.0:
         return 0.0
@@ -222,7 +222,7 @@ def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
 
 def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
     """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded Newton."""
-    if x0 <= 0:
+    if not x0 > 0:
         raise ValueError("target amplitude must be positive")
     cap = _validity_cap(exp, dof_index)
 

@@ -45,14 +45,15 @@ class TrackingLostError(ModelError):
 
 
 class OuterResonanceError(SsmError):
-    """A cohomological operator is numerically singular at a non-master index."""
+    """A cohomological operator is numerically singular: mode j resonates."""
 
-    def __init__(self, m, rcond: float):
+    def __init__(self, m, mode: int, ratio: float):
         self.m = m
-        self.rcond = rcond
+        self.mode = mode
+        self.ratio = ratio
         super().__init__(
             f"cohomological operator at index {m} is numerically singular "
-            f"(rcond={rcond:.2e}); a non-master mode resonates with the master pair"
+            f"(mode {mode}, |d_j|/scale {ratio:.2e}); mode {mode} resonates with the master pair"
         )
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -505,14 +505,14 @@ class MechModel:
     """Immutable mechanical system; safe for concurrent read-only use.
 
     It builds, each in one association, the operators the recursion forms:
-    at(s) = K + s C + s^2 M, velocity(s) = s M + C, modal(omega) = K -
-    omega^2 M, and scale(s), the size of at(s)'s terms (which may cancel to
-    zero at resonance). The damping `C` and the complex copies `Mc` and `Cc`
-    of M and C are made on first use and kept: the recursion (for the
-    products each expansion record keeps) and the sensitivity passes apply M
-    and C to complex vectors, and numpy copies a real matrix to complex in
-    each such product. The products with the copies are bitwise those with M
-    and C.
+    at(s) = K + s C + s^2 M and velocity(s) = s M + C. Its undamped modes
+    (`modes`) are computed on first read and kept: Rayleigh damping makes
+    every at(s) diagonal in them. The damping `C` and the complex copies `Mc`
+    and `Cc` of M and C are made on first use and kept: the recursion (for
+    the products each expansion record keeps) and the sensitivity passes
+    apply M and C to complex vectors, and numpy copies a real matrix to
+    complex in each such product. The products with the copies are bitwise
+    those with M and C.
     """
 
     M: np.ndarray
@@ -563,6 +563,29 @@ class MechModel:
         return self.alpha_r * self.M + self.beta_r * self.K
 
     @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, Phi): every undamped mode, ascending frequency,
+        mass-normalized, from one generalized eigendecomposition of (K, M),
+        made on first read and kept (read-only). Every master pair, the
+        eigenfrequency targets and the SSM's modal solves read it.
+
+        The sign of each shape is fixed so its largest-magnitude entry is
+        positive, making downstream coefficients deterministic across runs.
+        """
+        w2, Phi = scipy.linalg.eigh(self.K, self.M)
+        w2 = np.maximum(w2, 0.0)
+        omegas = np.sqrt(w2)
+        for i in range(Phi.shape[1]):
+            phi = Phi[:, i]
+            norm = phi @ self.M @ phi
+            phi = phi / np.sqrt(norm)
+            if phi[np.argmax(np.abs(phi))] < 0:
+                phi = -phi
+            Phi[:, i] = phi
+        omegas.flags.writeable = Phi.flags.writeable = False
+        return omegas, Phi
+
+    @cached_property
     def Mc(self) -> np.ndarray:
         return self.M.astype(complex)
 
@@ -575,13 +598,6 @@ class MechModel:
 
     def velocity(self, s) -> np.ndarray:
         return s * self.M + self.C
-
-    def modal(self, omega: float) -> np.ndarray:
-        return self.K - omega**2 * self.M
-
-    def scale(self, s) -> float:
-        norm = partial(np.linalg.norm, ord=1)
-        return norm(self.K) + abs(s) * norm(self.C) + abs(s) ** 2 * norm(self.M)
 
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""
@@ -685,7 +701,7 @@ def check_light_damping(alpha_r: float, beta_r: float, omega: float) -> LightDam
     product alpha_r*beta_r reaches 1 the condition cannot hold at any
     frequency.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     if beta_r == 0.0 and alpha_r == 0.0:
         interval, never = (0.0, np.inf), False

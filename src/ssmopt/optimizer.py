@@ -39,7 +39,7 @@ from .backbone import domega_drho, dx_drho, omega_of_rho, rho_of_x
 from .errors import AmplitudeUnreachableError, ConfigError, SsmOptError
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
-from .spectral import solve_master, solve_modes, track_mode
+from .spectral import solve_master, track_mode
 from .ssm import adapt_order, compute_ssm, invariance_residual
 
 
@@ -416,7 +416,7 @@ def evaluate(
         epsilon = invariance_residual(model, exp, rho_max).epsilon
 
     if problem.eigfreq_targets:
-        omegas, Phi = solve_modes(model)
+        omegas, Phi = model.modes  # the eigendecomposition track_mode read
         for tgt in problem.eigfreq_targets:
             w = float(omegas[tgt.mode_index])
             phi = Phi[:, tgt.mode_index]

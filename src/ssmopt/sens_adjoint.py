@@ -5,7 +5,7 @@ cohomological equations, the eigenproblem and the mass normalization. Adjoint
 variables are obtained by one reverse sweep, seeded with the backbone point's
 weights (`backbone.point_weights`, the amplitude weights scaled by the
 amplitude adjoint): the per-index vectors from the highest order downward
-(reusing the primal factorizations; the operators are complex symmetric),
+(each with its primal's modal solve; the operators are complex symmetric),
 finally a coupled bordered real system for the mode-shape/frequency pair.
 The sweep carries every cross-order coupling backward, including the total
 bar of each resonant reduced coefficient R_m, which it keeps. The gradient
@@ -37,9 +37,8 @@ parameters' dM, dC and dK reach only the record of explicit partials.
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once, and every target reads it. The sweep reads
 the operator products of the primal vectors that each index's record keeps
-(M w_m, (C + 2 Lam_m M) w_m and M V_m), the expansion's M phi and its
-factorization of the bordered mode-shape system (`SsmExpansion.mode_lu`,
-which the direct eigenpair derivatives share), so a target after the first
+(M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonal d that the
+solves divide by) and the expansion's M phi, so a target after the first
 pays for its seeds' sweep only; the bars reach M and C as the model's
 complex copies (`MechModel.Mc`, `Cc`). The contraction reads the record of
 the residuals' explicit parameter partials per `ParamDerivatives`
@@ -217,14 +216,14 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
 
 
 def solve_adjoint_phi_omega(exp: SsmExpansion, bars: _Bars):
-    """Coupled bordered solve for the mode-shape and frequency adjoints, with
-    the expansion's factorization of their system (`SsmExpansion.mode_lu`)."""
+    """Coupled bordered solve for the mode-shape and frequency adjoints, the
+    expansion's mode-shape solve (`SsmExpansion.mode_solve`)."""
     model = exp.model
     _, dlam_domega = lambda_derivative(exp.master, model.alpha_r, model.beta_r, 1.0)
     bars.omega += bars.lam[0] * dlam_domega + bars.lam[1] * np.conj(dlam_domega)
     g_phi = assert_real(bars.phi, "mode-shape adjoint source")
     g_omega = assert_real(bars.omega, "frequency adjoint source")
-    lambda_phi, lambda_omega = exp.mode_lu.solve(-g_phi, -g_omega)
+    lambda_phi, lambda_omega = exp.mode_solve(-g_phi, -g_omega)
     return lambda_phi, float(lambda_omega)
 
 
@@ -237,11 +236,10 @@ def solve_adjoint(
     """All adjoint variables for Omega at the given reduced amplitude.
 
     One reverse sweep over the canonical indices, highest order first; each
-    index folds in its mirror's bars, solves with its own factorization and
-    reverses its step. The folded mode-shape and frequency bars then feed
-    the coupled bordered solve. The operator products that no target changes
-    are read from the records, and that solve's factorization from the
-    expansion (`SsmExpansion.mode_lu`).
+    index folds in its mirror's bars, solves with its own operator
+    (`SsmExpansion.solve`) and reverses its step. The folded mode-shape and
+    frequency bars then feed the coupled bordered solve. The operator
+    products that no target changes are read from the records.
     """
     exp.check_model(model)
     bars = _Bars(model.n)
@@ -258,7 +256,7 @@ def solve_adjoint(
             wt = 0.5 if m[0] == m[1] else 1.0
             vbar = wt * bars.fold(bars.wdot, m)
             _backprop_wdot(exp, bars, m, rec, vbar)
-            lam, nu = rec.lu.solve(-bars.fold(bars.w, m))
+            lam, nu = exp.solve(rec.d, rec.slot, -bars.fold(bars.w, m))
             lambda_m[m] = lam
             if rec.slot is not None:
                 nu_m[m] = nu

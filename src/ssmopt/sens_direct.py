@@ -32,8 +32,8 @@ index's record keeps for the adjoint sweep too. A pass's step at the index
 then applies the linearizations to its own lower-order derivatives, adds
 its explicit partials (a dense term only for the matrix parameters that
 the builder declares, `ParamDerivatives.matrix_params`) and solves its own
-right-hand side with the factorization the index's record keeps, which
-also holds its resonant denominator. The walk applies the model's
+right-hand side with the modal diagonal and the resonant denominator that
+the index's record keeps. The walk applies the model's
 operators as the adjoint sweep does: the velocity s M + C reaches a
 derivative vector as s (Mc v) + Cc v, with the model's complex copies of M
 and C (`MechModel.Mc`, `Cc`), and no operator is formed to be applied to one
@@ -43,8 +43,8 @@ needs the same parameter's lower-order derivatives, so each pass keeps its
 own table of the derivatives later indices read, and the cost stays linear
 in the number of design variables.
 Only the eigenpair derivatives take all parameters at once, as one block
-solve with the expansion's factorization of the bordered mode-shape system
-(`SsmExpansion.mode_lu`, which the adjoint's mode-shape solve shares).
+solve of the bordered mode-shape system (`SsmExpansion.mode_solve`, which
+the adjoint's mode-shape solve shares).
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def eig_derivatives(
     from its record of explicit partials). The derivatives solve
     (K - omega^2 M) dphi - 2 omega domega M phi = -(dK - omega^2 dM) phi and
     -2 omega (M phi)^T dphi = omega phi^T dM phi, the bordered mode-shape
-    system (`SsmExpansion.mode_lu`) in the unknowns (dphi, -omega domega):
-    one factorization serves all parameters and the adjoint too. A
+    system (`SsmExpansion.mode_solve`) in the unknowns (dphi, -omega domega):
+    one block solve serves all parameters. A
     tensor-only parameter (not in `matrix_params`) leaves the eigenpair
     unchanged: its derivatives are zero and need no solve.
     """
@@ -92,7 +92,7 @@ def eig_derivatives(
     if not params.matrix_params:
         return dphi, domega
     border = np.array([omega * (phi @ dMphi) for dMphi in modal[1]])
-    sol, s = exp.mode_lu.solve(-modal[0].T, border)
+    sol, s = exp.mode_solve(-modal[0].T, border)
     dense = list(params.matrix_params)
     dphi[dense] = sol.T
     domega[dense] = s / -omega
@@ -145,7 +145,7 @@ class _Pass:
 
     def step(self, rec: IndexCoeffs, lins, v_terms, keep_wdot: bool, pf, dense):
         """The derivative of index rec.m's coefficients: its own right-hand
-        side and its own solve with the factorization the record keeps. lins
+        side and its own solve with the diagonal the record keeps. lins
         holds one linearization per force tensor, v_terms the lower-order
         coupling terms (u, j, k, u[j], R_k[j]), keep_wdot whether a later
         coupling reads dwdot_m; pf and dense (pC, Aw, Vphi, None for a
@@ -193,7 +193,7 @@ class _Pass:
         if Aw is not None:
             dLw = dLw + Aw
         # border row: d(phi^T M w_m) = 0; a plain record ignores it
-        dw, _ = rec.lu.solve(dh - dLw, -(self.dMphi @ rec.w))
+        dw, _ = exp.solve(rec.d, rec.slot, dh - dLw, -(self.dMphi @ rec.w))
         row = self.dw[m] = self.dw_rows[self.record.rows[m]]
         row[:] = dw
 

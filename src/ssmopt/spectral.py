@@ -1,11 +1,11 @@
-"""Undamped modal analysis, master-pair construction and MAC mode tracking."""
+"""Master-pair construction and MAC mode tracking, from the undamped modes
+that the model computes once (`MechModel.modes`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateModeError, LightDampingError, TrackingLostError
 from .mechmodel import MechModel, check_light_damping
@@ -44,22 +44,9 @@ class MasterPair:
 
 
 def solve_modes(model: MechModel) -> tuple[np.ndarray, np.ndarray]:
-    """All undamped modes, ascending frequency, mass-normalized.
-
-    The sign of each shape is fixed so its largest-magnitude entry is
-    positive, making downstream coefficients deterministic across runs.
-    """
-    w2, Phi = scipy.linalg.eigh(model.K, model.M)
-    w2 = np.maximum(w2, 0.0)
-    omegas = np.sqrt(w2)
-    for i in range(Phi.shape[1]):
-        phi = Phi[:, i]
-        norm = phi @ model.M @ phi
-        phi = phi / np.sqrt(norm)
-        if phi[np.argmax(np.abs(phi))] < 0:
-            phi = -phi
-        Phi[:, i] = phi
-    return omegas, Phi
+    """All undamped modes, ascending frequency, mass-normalized: the model's
+    (`MechModel.modes`)."""
+    return model.modes
 
 
 def mac(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
@@ -104,7 +91,7 @@ def _master_from_mode(
 def solve_master(model: MechModel, mode_index: int | None = None) -> MasterPair:
     """Master pair of the given mode index (default 0); `track_mode` selects
     one by a reference shape instead."""
-    omegas, Phi = solve_modes(model)
+    omegas, Phi = model.modes
     i = 0 if mode_index is None else int(mode_index)
     if not 0 <= i < len(omegas):
         raise ValueError(f"mode index {i} out of range for {len(omegas)} modes")
@@ -118,7 +105,7 @@ def track_mode(model: MechModel, reference: np.ndarray) -> MasterPair:
     falling back to an index, since swapped or distorted modes derail the
     optimization.
     """
-    omegas, Phi = solve_modes(model)
+    omegas, Phi = model.modes
     macs = np.array([mac(Phi[:, i], reference) for i in range(Phi.shape[1])])
     best = int(np.argmax(macs))
     if macs[best] < MAC_TRACKING_THRESHOLD:

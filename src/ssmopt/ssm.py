@@ -14,16 +14,20 @@ tables of T2 and T3, of each one that has entries (`SsmExpansion.tables`),
 which `compute_ssm` grows by one order before it solves that order's indices;
 the sensitivity passes read the same tables.
 
-Each operator is factored once, by `factorize`, into a rcond-checked
-`Factorization` that the record keeps; the sensitivity passes solve with
-it and do not factor again. Every factorization the passes use is made by
-`factorize` and kept on the expansion: one per canonical index, the
-mode-shape system's (`SsmExpansion.mode_lu`) and the invariance residual's
-regularized stiffness (`SsmExpansion.K_lu`), the one left unchecked. Each
-solve's normwise backward error is checked, and an overflowed right-hand
-side is reported before the solve. A resonant
-record also keeps the denominator of its R_m and the force D that R_m exerts
-on the right-hand side, so no pass rebuilds them.
+Every operator is solved in the model's undamped, mass-normalized modes
+(`MechModel.modes`): Rayleigh damping keeps them classical normal modes
+(Caughey & O'Kelly, J. Appl. Mech. 1965), so Phi^T L_m Phi = diag(d) with
+d_j = (Lam_m - lambda_j)(Lam_m - conj(lambda_j)), the nonresonance
+conditions of SSM theory (Haller & Ponsioen, Nonlinear Dyn. 2016). A
+canonical record keeps its d, and `SsmExpansion.solve` divides by it; a d_j
+that vanishes against the size of L_m's terms (the master's own left out at
+a resonant index) is an outer resonance of mode j. The same basis solves the
+mode-shape system (`SsmExpansion.mode_solve`) and the invariance residual's
+regularized stiffness K + eps M: nothing is factored. Each cohomological
+solve's normwise backward error is checked against the formed L_m, and an
+overflowed right-hand side is reported before the solve. A resonant record
+also keeps the denominator of its R_m and the force D that R_m exerts on
+the right-hand side, so no pass rebuilds them.
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
@@ -35,18 +39,16 @@ design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
 the matrix parameters' terms stacked as their dM and dK are, one row each.
 A canonical record also keeps the model's operators applied to its vectors
 (M w_m, (C + 2 Lam_m M) w_m and M V_m), which the adjoint sweep and the direct
-walk read; the expansion keeps M phi and the one factorization of the bordered
-mode-shape system (`SsmExpansion.mode_lu`) that the adjoint's mode-shape solve
-and the direct eigenpair derivatives share.
+walk read; the expansion keeps M phi, and its mode-shape solve serves both the
+adjoint's mode-shape system and the direct eigenpair derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     AmplitudeUnreachableError,
@@ -68,85 +70,33 @@ from .multiindex import (
 )
 from .spectral import MasterPair
 
-RCOND_SINGULAR = 1e-12
+SINGULAR_RATIO = 1e-12
 DENOMINATOR_TOL = 1e-10
 # bound on a solve's normwise backward error, in units of machine epsilon
 SOLVE_BACKWARD_ERROR = 1e3
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
 
 
-@lru_cache(maxsize=None)
-def _lapack(dtype: np.dtype) -> tuple:
-    """(getrf, gecon, getrs) for arrays of `dtype`, looked up once per dtype:
-    scipy's lookup costs more than a small factorization."""
-    return tuple(lapack.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype))
+def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a real matrix A and a complex column or (n, K) block x, as
+    one real product with x's real and imaginary parts side by side: numpy
+    copies A to complex for A @ x."""
+    x = np.ascontiguousarray(x, complex)
+    y = A @ x.view(float).reshape(len(x), -1)
+    return y.view(complex).reshape(A.shape[:1] + x.shape[1:])
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """LU factors of a dense system A, or of A bordered by one column b and
-    one row c^T:
-
-        [[A, gb b], [gc c^T, 0]],  gb = scale/||b||_1,  gc = scale/||c||_1.
-
-    Scaling both borders to `scale`, the size of A's terms, makes the rcond
-    check see how close the system is to singular, not the units of the
-    border. `solve` takes the unscaled border value and returns the unscaled
-    border unknown.
-    """
-
-    lu: tuple
-    anorm: float  # 1-norm of the factored (bordered) matrix
-    gb: float | None = None  # None: A is not bordered
-    gc: float | None = None
-
-    def solve(self, rhs: np.ndarray, border=0.0):
-        """(x, s) solving A x + b s = rhs, c^T x = border (bordered), or
-        (x, 0.0) solving A x = rhs. rhs is one column or an (n, K) block with
-        one border value per column.
-
-        LAPACK's getrs is called directly: scipy's LU solve spends more
-        time in its wrappers than getrs spends solving. The routine is
-        chosen by the common type of the factors and the rhs, as scipy
-        chooses it, so a real factor solves a complex rhs in complex
-        arithmetic. A non-finite rhs raises scipy's ValueError.
-        """
-        if self.gb is not None:
-            last = self.gc * np.broadcast_to(border, rhs.shape[1:])
-            rhs = np.concatenate([rhs, last[None]])
-        rhs = np.asarray_chkfinite(rhs)
-        lu, piv = self.lu
-        getrs = _lapack(np.result_type(lu, rhs))[2]
-        sol, _ = getrs(lu, piv, rhs)  # info < 0 flags an argument these shapes rule out
-        if self.gb is None:
-            return sol, 0.0
-        return sol[:-1], self.gb * sol[-1]
-
-
-def factorize(A: np.ndarray, error, b=None, c=None, scale: float = 0.0) -> Factorization:
-    """Factorization of A, or of A bordered by b and c scaled to `scale`.
-
-    LAPACK's getrf and gecon are called directly, as scipy's LU
-    factorization calls getrf. The condition estimate of the factored matrix
-    is checked: below RCOND_SINGULAR, `error(rcond)` is raised (scipy only
-    warns on a singular matrix); `error` None skips the check. A failed or
-    non-finite estimate reads as rcond 0. A non-finite A raises scipy's
-    ValueError.
-    """
-    gb = gc = None
-    if b is not None:
-        gb, gc = (max(scale, 1e-300) / max(np.linalg.norm(v, 1), 1e-300) for v in (b, c))
-        A = np.block([[A, gb * b[:, None]], [gc * c, 0.0]])
-    A = np.asarray_chkfinite(A)
-    anorm = np.linalg.norm(A, 1)
-    getrf, gecon, _ = _lapack(A.dtype)
-    lu, piv, _ = getrf(A)  # an exact zero pivot (info > 0) is left to the rcond check
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond):
-        rcond = 0.0
-    if error is not None and rcond < RCOND_SINGULAR:
-        raise error(float(rcond))
-    return Factorization((lu, piv), anorm, gb, gc)
+def _check_diagonal(d: np.ndarray, size: float, skip, error):
+    """Raise error(j, |d_j| / size) when the diagonal operator d is
+    numerically singular: its entry j smallest in magnitude, entry `skip`
+    (None: none) left out, is below SINGULAR_RATIO times `size`, the size of
+    the operator's terms, or is not a number."""
+    a = np.abs(d)
+    if skip is not None:
+        a[skip] = np.inf
+    j = int(np.argmin(a))
+    if not a[j] >= SINGULAR_RATIO * size:
+        raise error(j, float(a[j] / size))
 
 
 @dataclass
@@ -164,7 +114,7 @@ class IndexCoeffs:
     D: np.ndarray | None  # force of R_m[slot] on the right-hand side, resonant only
     slot: int | None  # resonant slot (0 or 1) or None
     den: complex | None = None  # denominator of R_m[slot], resonant only
-    lu: Factorization | None = None  # L_m, bordered when resonant; canonical only
+    d: np.ndarray | None = None  # the diagonal Phi^T L_m Phi; canonical only
     # the operators applied to the vectors, canonical only: M w_m,
     # (C + 2 Lam_m M) w_m (dL_m/dLam applied to w_m) and M V_m
     Mw: np.ndarray | None = None
@@ -195,11 +145,12 @@ class SsmExpansion:
     """SSM coefficients up to a given odd order, and what the later passes
     read from them at every amplitude target.
 
-    Each canonical index's record keeps its factorization and the model's
-    operators applied to its vectors. The expansion keeps M phi (`Mphi`) and,
-    built on first read, the factorizations of the bordered mode-shape system
-    (`mode_lu`) and of the regularized stiffness (`K_lu`); none depends on
-    the order. The `PairSums` tables of the model tensors that have entries
+    Each canonical index's record keeps the diagonal of its operator in the
+    model's modes, which its solves (`solve`) divide by, and the model's
+    operators applied to its vectors. The expansion keeps M phi (`Mphi`);
+    the master must be the model's mode `mode_index` itself, of either sign
+    (`master_row`), so that phi^T M picks that mode's component in the modal
+    basis. The `PairSums` tables of the model tensors that have entries
     (`tables`, T2's and T3's) grow with the expansion, and the recursion and
     every sensitivity pass read them. The memo (`memo`) keeps what depends on
     the expansion alone: the backbone's amplitude polynomials and validity
@@ -218,6 +169,12 @@ class SsmExpansion:
         self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.n_solves = 0
         self._memo: dict = {}
+        i = master.mode_index
+        col = model.modes[1][:, i] if 0 <= i < model.n else np.nan
+        sign = 1.0 if np.array_equal(master.phi, col) else -1.0
+        if not np.array_equal(master.phi, sign * col):
+            raise ValueError(f"the master pair is not the model's mode {i}")
+        self.master_row = (i, sign)  # phi = sign * Phi[:, i]
         self.Mphi = model.M @ master.phi
         self._init_leading()
         self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3) if T.nnz)
@@ -291,36 +248,55 @@ class SsmExpansion:
         gradient contraction and the direct walk both read them."""
         return self.memo("partials", lambda: _build_partials(self, params), owner=params)
 
-    @cached_property
-    def mode_lu(self) -> Factorization:
-        """Factorization of the bordered mode-shape system
+    def solve(self, d: np.ndarray, slot: int | None, rhs: np.ndarray, border=0.0):
+        """(x, s) solving L_m x + M phi s = rhs, phi^T M x = border at a
+        resonant index (slot not None), or (x, 0.0) solving L_m x = rhs, for
+        the L_m whose modal diagonal is d; rhs is one column or an (n, K)
+        block, one border value per column. With x = Phi y and q = Phi^T rhs,
+        d_j y_j = q_j; at a resonant index the master's y_j0 is the border
+        value and s = q_j0 - d_j0 y_j0 (each signed by `master_row`). The
+        bordered operator is complex symmetric, so the adjoint solves with
+        it too. A non-finite rhs or border raises numpy's ValueError."""
+        Phi = self.model.modes[1]
+        q = _real_times(Phi.T, np.asarray_chkfinite(rhs))
+        d = d.reshape(d.shape + (1,) * (q.ndim - 1))
+        s = 0.0
+        if slot is not None:
+            j0, sign = self.master_row
+            border = sign * np.asarray_chkfinite(np.broadcast_to(border, q.shape[1:]))
+            s = sign * (q[j0] - d[j0] * border)
+            d = d.copy()
+            d[j0] = 1.0
+            q[j0] = border
+        return _real_times(Phi, q / d), s
 
-            [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]],
+    def mode_solve(self, rhs: np.ndarray, border):
+        """(x, s) solving the bordered mode-shape system
 
-        the borders scaled to the size of K and omega^2 M. The adjoint's
-        mode-shape solve and the direct eigenpair derivatives both solve with
-        it. Raises DegenerateModeError when the system is singular (a
-        repeated frequency)."""
-        model, omega, Mphi = self.model, self.master.omega, self.Mphi
-        scale = np.linalg.norm(model.K, 1) + omega**2 * np.linalg.norm(model.M, 1)
+            [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]] [x; s] = [rhs; border]
 
-        def singular(rcond):
+        for a real rhs, one column or an (n, K) block. With x = Phi y and
+        q = Phi^T rhs, y_j = q_j / (omega_j^2 - omega^2) off the master's j0,
+        y_j0 = -border / (2 omega) and s = q_j0 / 2 (the last two signed by
+        `master_row`). The adjoint and the direct eigenpair derivatives both
+        solve it. A repeated frequency raises DegenerateModeError."""
+        omegas, Phi = self.model.modes
+        (j0, sign), omega = self.master_row, self.master.omega
+        den = omegas**2 - omega**2
+
+        def singular(j, ratio):
             return DegenerateModeError(
-                f"bordered mode-shape system is singular (rcond={rcond:.2e}; repeated frequency)"
+                f"bordered mode-shape system is singular (mode {j}, ratio {ratio:.2e}; "
+                "repeated frequency)"
             )
 
-        b, c = 2.0 * Mphi, -2.0 * omega * Mphi
-        return factorize(model.modal(omega), singular, b, c, scale)
-
-    @cached_property
-    def K_lu(self) -> Factorization:
-        """Factorization of the regularized stiffness K + 1e-14 ||K||_1 I, the
-        invariance residual's preconditioner, without the rcond check: a
-        free-free stiffness (a rigid-body mode beside the master) is valid
-        input, and its regularized factorization has rcond near 1e-14. It
-        does not depend on the order, so `adapt_order` factors it once."""
-        K = self.model.K
-        return factorize(K + 1e-14 * np.linalg.norm(K, 1) * np.eye(len(K)), None)
+        _check_diagonal(den, omegas[-1] ** 2 + omega**2, j0, singular)
+        q = Phi.T @ np.asarray_chkfinite(rhs)
+        s = sign * 0.5 * q[j0]
+        den[j0] = 1.0
+        q /= den.reshape(den.shape + (1,) * (q.ndim - 1))
+        q[j0] = sign * np.asarray(border) / (-2.0 * omega)
+        return Phi @ q, s
 
 
 @dataclass(eq=False)
@@ -413,15 +389,20 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
 
     C_m = -M @ Vdot - model.velocity(Lam) @ V - f
 
+    # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
+    # modes, and size bounds the terms of every d_j; at a resonant index the
+    # master's own d_j0 is the resonance that the border takes
     slot = resonant_slot(m)
+    w2 = model.modes[0] ** 2
+    d = (1.0 + model.beta_r * Lam) * w2 + Lam * (Lam + model.alpha_r)
+    size = (1.0 + model.beta_r * abs(Lam)) * w2[-1] + abs(Lam) * (abs(Lam) + model.alpha_r)
+    skip = None if slot is None else master.mode_index
+    _check_diagonal(d, size, skip, partial(OuterResonanceError, m))
+
     R = np.zeros(2, dtype=complex)
     D = den = None
     h = C_m
-    L = model.at(Lam)
-    singular = partial(OuterResonanceError, m)
-    if slot is None:
-        lu = factorize(L, singular)
-    else:
+    if slot is not None:
         lam_j = lam_pair[slot]
         den = Lam + lam_j + model.alpha_r + model.beta_r * master.omega**2
         if abs(den) < DENOMINATOR_TOL:
@@ -433,12 +414,10 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         h = C_m + D * R[slot]
         # Bordered operator: the reduced coefficient removed the master
         # projection from h, so the solution with phi^T M w = 0 is the
-        # regular limit; for xi > 0 it equals the plain solve. The border
-        # stays on the scale of L's terms.
-        lu = factorize(L, singular, exp.Mphi, exp.Mphi, model.scale(Lam))
+        # regular limit; for xi > 0 it equals the plain solve.
     if not np.all(np.isfinite(h)):
         raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
-    w, _ = lu.solve(h)
+    w, _ = exp.solve(d, slot, h)
 
     # w must solve a nearby system: its normwise backward error
     # ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a round-off-
@@ -453,8 +432,9 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     cancel_scale = np.linalg.norm(sc * C_m)
     if slot is not None:
         cancel_scale += abs(sc * R[slot]) * np.linalg.norm(D)
+    L = model.at(Lam)
     resid = np.linalg.norm(L @ (sc * w) - sc * h)
-    scale = lu.anorm * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
+    scale = np.linalg.norm(L, 1) * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
     tol = eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
     if not (np.isfinite(tol) and resid <= tol):
         raise SsmError(
@@ -474,7 +454,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     Mw = model.Mc @ w
     Lw = model.Cc @ w + 2.0 * Lam * Mw
     exp.n_solves += 1
-    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, lu, Mw, Lw, model.Mc @ V)
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, d, Mw, Lw, model.Mc @ V)
 
 
 def compute_ssm(
@@ -543,27 +523,30 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     DOFs) whose defect has no bearing on the master dynamics; the weighted
     measure tracks the accuracy of the predicted response itself.
 
-    The preconditioner is the expansion's factorization of the regularized
-    stiffness (`SsmExpansion.K_lu`), made without the rcond check, so
-    `model` must be the expansion's.
+    The preconditioner is the regularized stiffness (K + eps M)^-1 =
+    Phi diag(1 / (omega^2 + eps)) Phi^T in the model's modes, eps = 1e-14
+    ||K||_1: a free-free stiffness (a rigid-body mode beside the master) is
+    valid input. `model` must be the expansion's (`check_model`).
 
     All grid points are evaluated at once. At p = (rho e^{i theta},
     rho e^{-i theta}) the power p^m is rho^|m| e^{i (m1 - m2) theta}, so
     W, R(p) and the partials dW/dp1, dW/dp2 are each one (theta x index)
     matrix of powers times the stacked coefficients [w; wdot] or R; the
-    stiffness preconditioner takes one LU solve with all grid points as
-    right-hand sides. Only the internal force is evaluated point by point.
+    stiffness preconditioner applies Phi^T and then Phi to all grid points
+    at once. Only the internal force is evaluated point by point.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     exp.check_model(model)
     n = model.n
     K = model.K
     omega = exp.master.omega
+    omegas, modes = model.modes
+    reg = (omegas**2 + 1e-14 * np.linalg.norm(K, 1))[:, None]
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Weighted norm at each grid point of the (theta x n) blocks."""
-        s1, _ = exp.K_lu.solve(force.T)
+        s1 = _real_times(modes, _real_times(modes.T, force.T) / reg)
         s2 = velocity / omega
         return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=1))
 
@@ -608,7 +591,7 @@ def adapt_order(
     misses, with residual inf at the validity cap. Returns the highest order
     with warned=True when none qualifies.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     lo, hi = order_range
     # a bound may come from JSON as an integral float such as 9.0

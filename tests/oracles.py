@@ -21,7 +21,11 @@
 * `reference_adjoint`: the all-index reverse sweep. `sens_adjoint.solve_adjoint`
   walks only the canonical indices and folds each swapped index's bars into
   its canonical partner; this sweep reverses every index on its own, the form
-  the fold must reproduce to roundoff.
+  the fold must reproduce to roundoff. It solves with `formed_solve`.
+* `formed_solve`: a dense solve of an index's formed operator L_m, bordered
+  by M phi at a resonant index. `SsmExpansion.solve` divides by the
+  operator's diagonal in the model's modes instead; the two agree to the
+  operator's conditioning.
 * `reference_full_set_ssm`: the expansion with every index solved on its
   own. `ssm.compute_ssm` solves only the canonical indices and writes the
   swapped ones by conjugation; this is the form the conjugation must
@@ -440,17 +444,33 @@ def reference_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     return rho
 
 
-def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> AdjointState:
+def formed_solve(model: MechModel, exp, rec, rhs: np.ndarray, border=0.0):
+    """(x, s) from `np.linalg.solve` with the formed operator L_m =
+    model.at(rec.Lam) of any index's record, bordered at a resonant index:
+    [[L_m, M phi], [(M phi)^T, 0]] [x; s] = [rhs; border]. s is 0.0 at a
+    plain index."""
+    A = model.at(rec.Lam)
+    if rec.slot is None:
+        return np.linalg.solve(A, rhs), 0.0
+    Mphi = exp.Mphi[:, None]
+    A = np.block([[A, Mphi], [Mphi.T, np.zeros((1, 1))]])
+    x = np.linalg.solve(A, np.append(rhs, border))
+    return x[:-1], x[-1]
+
+
+def reference_adjoint(
+    model: MechModel, exp, dof_index: int, rho: float, solve=formed_solve
+) -> AdjointState:
     """Adjoint variables from a reverse sweep over every index.
 
     Each index, swapped ones included, reverses its own wdot and
-    cohomological steps; a swapped index is solved with the conjugated
-    factorization of its canonical partner (its operator is the conjugate
-    one). Every bar is read where it was pushed, so nothing is folded and the
+    cohomological steps; each is solved with its own formed operator
+    (`formed_solve`), not the modal diagonal the canonical records keep,
+    unless `solve` (same arguments) says otherwise. Every bar is read where it was pushed, so nothing is folded and the
     objective's seeds count at full weight. The dicts cover every index. Each
     index's operator products are formed here from its own record (the
     expansion keeps them for the canonical records only); M phi and the
-    mode-shape factorization are the expansion's (`SsmExpansion.mode_lu`).
+    mode-shape solve are the expansion's (`SsmExpansion.mode_solve`).
     """
     bars = _Bars(model.n)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
@@ -472,11 +492,7 @@ def reference_adjoint(model: MechModel, exp, dof_index: int, rho: float) -> Adjo
         for m in idx_q:
             rhs = -bars.w.pop(m, np.zeros(model.n, complex))
             rec = exp.coeffs(m)
-            if rec.lu is not None:
-                lam, nu = rec.lu.solve(rhs)
-            else:
-                lam, nu = exp.coeffs(symmetric(m)).lu.solve(np.conj(rhs))
-                lam, nu = np.conj(lam), np.conj(nu)
+            lam, nu = solve(model, exp, rec, rhs)
             lambda_m[m] = lam
             if rec.slot is not None:
                 nu_m[m] = nu

@@ -24,9 +24,11 @@ from oracles import reference_validity_cap
 
 @pytest.mark.parametrize("amplitude", [omega_of_rho, lambda exp, rho: x_rms(exp, 1, rho)])
 def test_negative_rho_raises(chain2_exp5, amplitude):
-    with pytest.raises(ValueError) as err:
-        amplitude(chain2_exp5, -0.1)
-    assert type(err.value) is ValueError and str(err.value) == "rho must be nonnegative"
+    # NaN fails the check too: it compares as not nonnegative
+    for rho in (-0.1, np.nan):
+        with pytest.raises(ValueError) as err:
+            amplitude(chain2_exp5, rho)
+        assert type(err.value) is ValueError and str(err.value) == "rho must be nonnegative"
 
 
 class TestOmegaOfRho:
@@ -79,6 +81,13 @@ class TestXrms:
 
 
 class TestRhoOfX:
+    @pytest.mark.parametrize("x0", [0.0, -0.1, np.nan])
+    def test_nonpositive_target_raises(self, chain2_exp5, x0):
+        with pytest.raises(ValueError) as err:
+            rho_of_x(chain2_exp5, 1, x0)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "target amplitude must be positive"
+
     def test_leading_order_inversion(self):
         from ssmopt.models import ChainSpec, build_chain
 

@@ -212,6 +212,7 @@ class TestBackboneCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "cohomological operator at index (3, 0) is numerically singular" in err
+        assert "mode 1 resonates with the master pair" in err
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

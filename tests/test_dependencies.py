@@ -5,7 +5,7 @@ The third-party packages that `src/ssmopt/*.py` import, anywhere in a module
 that pyproject's `[project].dependencies` names, so a stale or a missing
 runtime dependency fails here. jsonschema, the reference that the config
 walker is tested against, is a test dependency only: importing the CLI must
-not load it.
+not load it. Of the package's modules, only `mechmodel` imports scipy.
 """
 
 import ast
@@ -47,6 +47,14 @@ def test_imports_match_declared_dependencies():
     assert len(MODULES) > 10
     imported = third_party_imports(p.read_text() for p in MODULES)
     assert imported == declared_dependencies()
+
+
+def test_scipy_is_imported_by_the_model_alone():
+    # scipy.linalg computes the model's modes (eigh) and checks its stiffness
+    # (eigvalsh); every solve of the SSM divides in those modes, so no other
+    # module needs scipy
+    importing = {p.stem for p in MODULES if "scipy" in third_party_imports([p.read_text()])}
+    assert importing == {"mechmodel"}
 
 
 def test_import_guard_sees_lazy_imports_and_skips_stdlib_and_relative():

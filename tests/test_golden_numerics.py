@@ -26,7 +26,13 @@ To check that a change keeps every golden quantity byte for byte, run
     PYTHONPATH=src python tests/test_golden_numerics.py --fingerprint
 
 before and after it on the same host: it prints one SHA-256 over the exact
-float64 bytes of every quantity of every case, and writes nothing.
+float64 bytes of every quantity of every case, and writes nothing. To see how
+far a change moves the numbers, run
+
+    PYTHONPATH=src python tests/test_golden_numerics.py --compare
+
+which prints, per case and quantity, the largest relative move of the
+recomputed values against the stored references, and writes nothing.
 """
 
 import hashlib
@@ -121,6 +127,34 @@ def fingerprint() -> str:
     return digest.hexdigest()
 
 
+def _quantities(data: dict) -> dict:
+    """{name: complex array} of a case's golden quantities: R as one complex
+    array, each point quantity across the points."""
+    out = {
+        "w_norm": np.array(data["w_norm"]),
+        "R": np.array(data["R_re"]) + 1j * np.array(data["R_im"]),
+    }
+    for key in ("omega", "d_omega_direct", "d_omega_adjoint", "epsilon"):
+        out[key] = np.array([p[key] for p in data["points"]])
+    return out
+
+
+def compare() -> list[str]:
+    """One line per case and quantity: the largest relative move of the
+    recomputed values against the stored ones, |got - want| / |want| (a
+    stored zero that stays zero moves by 0)."""
+    stored = json.loads(GOLDEN_PATH.read_text())
+    lines = []
+    for case in CASES:
+        got, want = _quantities(golden_numerics(case)), _quantities(stored[case])
+        for key, w in want.items():
+            diff = np.abs(got[key] - w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(diff == 0.0, 0.0, diff / np.abs(w))
+            lines.append(f"{case:18s} {key:16s} {rel.max():.2e}")
+    return lines
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -145,6 +179,9 @@ def test_matches_stored_references(golden, case):
 if __name__ == "__main__":
     if sys.argv[1:] == ["--fingerprint"]:
         print(fingerprint())
+        sys.exit()
+    if sys.argv[1:] == ["--compare"]:
+        print("\n".join(compare()))
         sys.exit()
     names = sys.argv[1:] or list(CASES)
     unknown = set(names) - set(CASES)

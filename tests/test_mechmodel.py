@@ -67,9 +67,6 @@ class TestDamping:
         s = 0.3 - 1.7j
         assert np.allclose(pen.at(s), K + s * C + s * s * M, rtol=1e-15, atol=0)
         assert np.allclose(pen.velocity(s), s * M + C, rtol=1e-15, atol=0)
-        assert np.allclose(pen.modal(2.0), K - 4.0 * M, rtol=1e-15, atol=0)
-        norm = [np.abs(A).sum(axis=0).max() for A in (M, C, K)]
-        assert pen.scale(s) == pytest.approx(norm[2] + abs(s) * norm[1] + abs(s) ** 2 * norm[0])
 
 
 class TestNonlinearForce:
@@ -512,7 +509,7 @@ class TestAccum:
 
 
 class TestLightDamping:
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan])
     def test_nonpositive_frequency_raises(self, omega):
         with pytest.raises(ValueError) as err:
             check_light_damping(0.0, 0.1, omega)

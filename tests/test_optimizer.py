@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
@@ -205,6 +206,28 @@ class TestEvaluate:
         assert abs(res.constraints[0]) <= 1e-12
         assert res.con_jac[0, 0] == 0.0  # k3 does not move the linear spectrum
 
+    def test_one_eigendecomposition_per_model(self, chain_target, monkeypatch):
+        # a backbone target and an eigenfrequency target read the one set of
+        # modes the model keeps (`MechModel.modes`): eigh runs once for the
+        # one model that evaluate builds, not once per target kind
+        x0, nominal = chain_target
+        model, _ = chain_builder([0.2])
+        master = solve_master(model, 0)
+        prob = replace(
+            chain_problem(nominal, x0), eigfreq_targets=(EigfreqTarget(0, master.omega),)
+        )
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted(K, *args, **kwargs):
+            calls.append(K)
+            return eigh(K, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        res = evaluate(prob, prob.mu0, order=5, reference=master.phi, omega_scale=nominal)
+        assert len(res.constraints) == 2 and abs(res.constraints[1]) <= 1e-12
+        assert len(calls) == 1
+
     def test_eigfreq_gradient_skips_tensor_only_parameters(self):
         # per-spring k3 parameters interleaved with the chain's k and mass:
         # the Jacobian row skips the k3 ones and equals the dense formula
@@ -345,7 +368,7 @@ class TestSolve:
 
         def no_order_7(problem, mu, order, **kwargs):
             if order >= 7:
-                raise OuterResonanceError((order, 0), 0.0)
+                raise OuterResonanceError((order, 0), 1, 0.0)
             return evaluate(problem, mu, order, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate", no_order_7)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
 from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
@@ -16,7 +17,7 @@ from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import param_matrices, pick_params, reference_adjoint, reference_partials
+from oracles import formed_solve, param_matrices, pick_params, reference_adjoint, reference_partials
 from test_properties import random_case
 
 
@@ -92,7 +93,7 @@ class TestAdjointW:
         bar[1] += coef
         # wdot of (3,2) is consumed by nothing at order 5 (top order)
         rhs = -bar
-        lam, _ = rec.lu.solve(rhs)
+        lam, _ = formed_solve(model, chain2_exp5, rec, rhs)
         assert np.allclose(lam, lam_m[m], rtol=1e-12)
 
     def test_conjugacy_of_adjoint_vectors(self, chain2, chain2_exp5):
@@ -107,13 +108,21 @@ class TestAdjointW:
             assert np.allclose(np.conj(lam), ref[symmetric(m)], atol=1e-14)
 
     def test_canonical_shortcut_equals_full_solve(self):
+        # the fold against the all-index sweep, both solving in the model's
+        # modes (a swapped index with its canonical partner's conjugate
+        # diagonal), so that only the fold differs: a dense solve differs
+        # from the modal one by the operator's conditioning
         def close(a, b):
             return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        def modal_solve(model, exp, rec, rhs):
+            d = rec.d if rec.d is not None else np.conj(exp.coeffs(symmetric(rec.m)).d)
+            return exp.solve(d, rec.slot, rhs)
 
         for case in (_chain3_o7, _damped_curved_beam_o7):
             model, exp, dof, rho = case()
             short = solve_adjoint(model, exp, dof, rho)
-            full = reference_adjoint(model, exp, dof, rho)
+            full = reference_adjoint(model, exp, dof, rho, solve=modal_solve)
             assert set(short.r_bar) == set(short.nu_m) and short.r_bar
             for field in ("lambda_m", "nu_m", "r_bar"):
                 for m, value in getattr(short, field).items():
@@ -356,37 +365,35 @@ class TestExpansionStore:
         want = _fresh_gradients(model, master, 9, params, dof, x)[:2]
         _assert_bitwise((got["adjoint"], got["direct"]), want)
 
-    def test_one_mode_shape_factorization_per_expansion(self, monkeypatch):
-        # the bordered mode-shape system is factored once per expansion, on
-        # first read: a backbone read does not build it, an O7 -> O9
-        # extension keeps it, and neither four targets' sweeps at three DOFs
-        # nor the direct eigenpair derivatives factor anything. Every
-        # adjoint state and gradient is bitwise that of a fresh expansion.
+    def test_one_eigendecomposition_per_model(self, monkeypatch):
+        # every solve reads the modes the model computed for its master
+        # (`MechModel.modes`): the expansion, an O7 -> O9 extension, a
+        # backbone read, four targets' sweeps at three DOFs, each with its
+        # mode-shape solve, and the direct eigenpair derivatives decompose
+        # nothing again. Every adjoint state and gradient is bitwise that of
+        # a fresh expansion.
         model, params, master, dof, (x1, x2) = _curved_beam10_o9()
+        modes = model.modes
         calls = []
-        factorize = ssm.factorize
+        eigh = scipy.linalg.eigh
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return factorize(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(ssm, "factorize", counted)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
         exp = compute_ssm(model, master, 7)
         omega_of_rho(exp, rho_of_x(exp, dof, x1))
-        assert "mode_lu" not in vars(exp)
-        lu = exp.mode_lu
         compute_ssm(model, master, 9, from_expansion=exp)
-        n_factored = sum(len(canonical_indices(q)) for q in range(2, 10)) + 1
-        assert len(calls) == n_factored and exp.mode_lu is lu
+        assert calls == [] and model.modes is modes
 
         targets = [(dof, x1), (dof, x2), (dof - 3, 0.001), (dof + 3, 0.001)]
         states = []
         for d, x in targets:
             rho = rho_of_x(exp, d, x)
             states.append((d, x, rho, solve_adjoint(model, exp, d, rho)))
-            assert len(calls) == n_factored
         direct = chain_derivatives(model, exp, params, dof, rho_of_x(exp, dof, x1))
-        assert len(calls) == n_factored and exp.mode_lu is lu
+        assert calls == [] and model.modes is modes
 
         for d, x, rho, got in states:
             fresh = compute_ssm(model, master, 9)

@@ -13,9 +13,9 @@ from ssmopt.mechmodel import PairSums, SymTensor, model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
 from ssmopt.optimizer import GRADIENTS
-from ssmopt.ssm import adapt_order, factorize
+from ssmopt.ssm import adapt_order
 
-from oracles import first_order_operators, reference_full_set_ssm
+from oracles import first_order_operators, formed_solve, reference_full_set_ssm
 
 
 def assert_tables_built_at_once(exp):
@@ -185,17 +185,44 @@ def two_dof_matrix_model(K, beta_r=0.0):
 
 
 class TestFactorization:
+    """The solves in the model's modes: L_m^-1 = Phi diag(1 / d) Phi^T."""
+
     def test_outer_resonance_raises_at_the_index(self):
         # omega_2 = 3 omega_1: L at (3, 0) is K - 9 M = diag(-8, 0)
         model = two_dof_matrix_model([[1.0, 0.0], [0.0, 9.0]])
         with pytest.raises(OuterResonanceError) as info:
             compute_ssm(model, solve_master(model, 0), 3)
-        assert info.value.m == (3, 0)
-        assert info.value.rcond < 1e-12
+        assert info.value.m == (3, 0) and info.value.mode == 1
+        assert info.value.ratio < 1e-12
+
+    def test_chain_near_one_to_three_names_the_index_and_mode(self):
+        # an undamped grounded two-mass chain whose coupling spring puts
+        # omega_2 within about 1e-13 of 3 omega_1, not at it: d_1 at (3, 0),
+        # omega_2^2 - 9 omega_1^2, is nonzero but below 1e-12 of the size of
+        # L's terms
+        k = (64.0 - np.sqrt(2800.0)) / 72.0 * (1.0 + 1e-13)  # 36 k^2 - 64 k + 9 = 0: 1:3
+        model = model_from_json({
+            "type": "matrix", "n": 2, "M": [[1.0, 0.0], [0.0, 1.0]],
+            "K": [[1.0 + k, -k], [-k, k]], "T3": [[0, 0, 0, 0, 1.0]],
+        })
+        omegas = model.modes[0]
+        assert 0.0 < abs(omegas[1] - 3.0 * omegas[0]) < 1e-11
+        with pytest.raises(OuterResonanceError, match=r"index \(3, 0\).*mode 1") as info:
+            compute_ssm(model, solve_master(model, 0), 5)
+        assert info.value.m == (3, 0) and info.value.mode == 1
+        assert 0.0 < info.value.ratio < 1e-12
+
+    def test_master_must_be_a_mode_of_the_model(self, chain2):
+        # the solves set and read the master's component in the model's
+        # modes, so a master that is not one of them is rejected: here the
+        # first mode of the chain with twice the mass
+        heavier, _ = build_chain(ChainSpec(mass=2.0))
+        with pytest.raises(ValueError, match="not the model's mode 0"):
+            SsmExpansion(chain2[0], solve_master(heavier, 0))
 
     def test_free_free_stiffness_expands(self):
         # a rigid-body mode beside the master is valid input: the residual
-        # factors a regularized K without the rcond check
+        # regularizes K by 1e-14 ||K||_1 M, and no check rejects it
         model = two_dof_matrix_model([[1.0, -1.0], [-1.0, 1.0]], beta_r=0.01)
         master = solve_master(model, 1)
         eps = []
@@ -210,47 +237,52 @@ class TestFactorization:
         # plain (4, 1) and resonant (3, 2) records: an (n, K) block with one
         # border value per column is K one-column solves
         model, _ = build_chain(ChainSpec(n_masses=3))
-        rec = compute_ssm(model, solve_master(model, 0), 5).coeffs(m)
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        rec = exp.coeffs(m)
         assert (rec.slot is None) == (m == (4, 1))
         rng = np.random.default_rng(3)
         rhs = rng.normal(size=(model.n, 4)) + 1j * rng.normal(size=(model.n, 4))
         border = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x, s = rec.lu.solve(rhs, border)
+        x, s = exp.solve(rec.d, rec.slot, rhs, border)
         for k in range(4):
-            xk, sk = rec.lu.solve(rhs[:, k], border[k])
+            xk, sk = exp.solve(rec.d, rec.slot, rhs[:, k], border[k])
             assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
             if rec.slot is not None:
                 assert abs(s[k] - sk) <= 1e-14 * abs(sk)
 
-    def test_solve_is_bitwise_scipy_lu_solve(self):
-        # a real and a complex factor, each with a real and a complex
-        # right-hand side, one column and a block
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(5, 5))
-        for fac in (factorize(A, ValueError), factorize(A + 1j * rng.normal(size=(5, 5)), ValueError)):
-            for shape in ((5,), (5, 3)):
-                for rhs in (rng.normal(size=shape), rng.normal(size=shape) * (1 + 1j)):
-                    x, s = fac.solve(rhs)
-                    assert s == 0.0
-                    assert np.array_equal(x, scipy.linalg.lu_solve(fac.lu, rhs))
+    @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
+    def test_solve_matches_the_formed_operator(self, m):
+        # plain (4, 1) and resonant (3, 2): the modal solve against a dense
+        # solve of L_m, bordered at the resonant index by M phi
+        model, _ = build_chain(ChainSpec(n_masses=3))
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        rec = exp.coeffs(m)
+        rng = np.random.default_rng(4)
+        rhs = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
+        border = 0.3 - 0.2j
+        x, s = exp.solve(rec.d, rec.slot, rhs, border)
+        want, s_want = formed_solve(model, exp, rec, rhs, border)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert abs(s - s_want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_right_hand_side_raises(self, m, bad):
         # plain (4, 1) and bordered (3, 2): a non-finite entry of the rhs,
-        # or a non-finite border value, raises scipy.linalg.lu_solve's
-        # ValueError before LAPACK sees it
+        # or a non-finite border value, raises numpy's ValueError before
+        # any product reads it
         model, _ = build_chain(ChainSpec(n_masses=3))
-        rec = compute_ssm(model, solve_master(model, 0), 5).coeffs(m)
+        exp = compute_ssm(model, solve_master(model, 0), 5)
+        rec = exp.coeffs(m)
         rhs = np.ones(model.n, complex)
         rhs[1] = bad
         with pytest.raises(ValueError) as want:
-            scipy.linalg.lu_solve((np.eye(model.n), np.arange(model.n)), rhs)
+            np.asarray_chkfinite(rhs)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            rec.lu.solve(rhs)
+            exp.solve(rec.d, rec.slot, rhs)
         if rec.slot is not None:
             with pytest.raises(ValueError, match=re.escape(str(want.value))):
-                rec.lu.solve(np.ones(model.n, complex), bad)
+                exp.solve(rec.d, rec.slot, np.ones(model.n, complex), bad)
 
 
 class TestSolveCheck:
@@ -264,27 +296,26 @@ class TestSolveCheck:
         exp = compute_ssm(model, solve_master(model, 0), 5)
         assert exp.n_solves == 10
 
-    def test_corrupted_factor_raises(self, chain2, chain2_master, monkeypatch):
-        self._corrupt(monkeypatch)
+    def test_corrupted_factor_raises(self, chain2, chain2_master):
+        model = self._corrupted(chain2[0])
         with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 0\) failed"):
-            compute_ssm(chain2[0], chain2_master, 3)
+            compute_ssm(model, chain2_master, 3)
 
     @staticmethod
-    def _corrupt(monkeypatch):
-        def corrupted(*args, **kwargs):
-            fac = factorize(*args, **kwargs)
-            lu, piv = fac.lu
-            lu = lu.copy()
-            np.fill_diagonal(lu, 2.0 * np.diag(lu))
-            return dataclasses.replace(fac, lu=(lu, piv))
-
-        monkeypatch.setattr(ssm, "factorize", corrupted)
+    def _corrupted(model):
+        """A copy of the model whose modes have their frequencies doubled:
+        the master is still a column of the modal basis, but every diagonal
+        d that the solves divide by is off."""
+        twin = dataclasses.replace(model)
+        omegas, Phi = model.modes
+        twin.__dict__["modes"] = (2.0 * omegas, Phi)
+        return twin
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_check_holds_past_squared_overflow(self, monkeypatch):
+    def test_check_holds_past_squared_overflow(self):
         # with T3 entries 1e300 the order-3 coefficients reach about 4e298:
         # their squares overflow, so unscaled norms read inf and any residual
-        # would pass; the scaled test still sees a corrupted factor
+        # would pass; the scaled test still sees a corrupted modal basis
         model = model_from_json({
             "type": "matrix", "n": 2, "M": [[1, 0], [0, 1]], "K": [[2, -1], [-1, 2]],
             "beta_r": 0.01, "T3": [[0, 0, 0, 0, 1e300], [1, 1, 1, 1, 1e300]],
@@ -292,17 +323,19 @@ class TestSolveCheck:
         master = solve_master(model, 0)
         exp = compute_ssm(model, master, 3)
         assert np.abs(exp.w((3, 0))).max() > 1e200
-        self._corrupt(monkeypatch)
         with pytest.raises(SsmError, match=r"cohomological solve at index \(3, 0\) failed"):
-            compute_ssm(model, master, 3)
+            compute_ssm(self._corrupted(model), master, 3)
 
     def test_wrong_border_raises(self, chain2, chain2_master, monkeypatch):
-        # the border row of a resonant solve is phi^T M; any other row
-        # moves w off the solution of L w = h
-        def wrong_border(A, error, b=None, c=None, scale=0.0):
-            return factorize(A, error, b, None if c is None else np.ones_like(c), scale)
+        # a resonant solve sets the master's modal component to the border
+        # value, phi^T M w = 0 in the recursion; any other value moves w off
+        # the solution of L w = h
+        solve = ssm.SsmExpansion.solve
 
-        monkeypatch.setattr(ssm, "factorize", wrong_border)
+        def wrong_border(self, d, slot, rhs, border=0.0):
+            return solve(self, d, slot, rhs, border + 1.0)
+
+        monkeypatch.setattr(ssm.SsmExpansion, "solve", wrong_border)
         with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 1\) failed"):
             compute_ssm(chain2[0], chain2_master, 3)
 
@@ -366,8 +399,9 @@ class TestInvarianceResidual:
 
     def test_rejects_zero_amplitude(self, chain2, chain2_exp5):
         model, _ = chain2
-        with pytest.raises(ValueError):
-            invariance_residual(model, chain2_exp5, 0.0)
+        for rho in (0.0, np.nan):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                invariance_residual(model, chain2_exp5, rho)
 
     def test_another_model_is_rejected(self, chain2, chain2_exp5):
         # the stiffness factor is the expansion's, so the model must be too
@@ -399,7 +433,7 @@ def loop_residual(model, exp, rho, theta_samples=32):
     from the first-order form with the velocity block weighted by M^-1."""
     B, A = first_order_operators(model)
     n = model.n
-    Kreg = model.K + 1e-14 * np.linalg.norm(model.K, 1) * np.eye(n)
+    Kreg = model.K + 1e-14 * np.linalg.norm(model.K, 1) * model.M
     Minv = np.linalg.inv(model.M)
 
     def state_norm(vec):
@@ -442,6 +476,7 @@ class TestAdaptOrder:
             (1e-3, (3, 8), "order range must be odd bounds with 3 <= lo <= hi, got (3, 8)"),
             (1e-3, (1, 5), "order range must be odd bounds with 3 <= lo <= hi, got (1, 5)"),
             (1e-3, (7, 5), "order range must be odd bounds with 3 <= lo <= hi, got (7, 5)"),
+            (np.nan, (3, 13), "tolerance must be positive"),
         ],
     )
     def test_bad_arguments_raise(self, chain2, chain2_master, tol, order_range, message):
@@ -485,23 +520,24 @@ class TestAdaptOrder:
     def test_residual_factors_the_stiffness_once_per_model(
         self, beam, beam_master, beam_center_dof, monkeypatch
     ):
-        # every order's residual reads the stiffness factors the expansion
-        # keeps; each epsilon equals the one a fresh model, factored anew, gives
+        # every order's residual reads the stiffness's factors in the modes
+        # the model keeps: one eigendecomposition for the expansion and every
+        # residual; each epsilon equals the one a fresh model, factored anew,
+        # gives
         model = dataclasses.replace(beam[0])
         factored, seen = [], []
-        unpatched, residual = ssm.factorize, ssm.invariance_residual
+        eigh, residual = scipy.linalg.eigh, ssm.invariance_residual
 
-        def counted_factorize(a, error, *args, **kwargs):
-            if error is None:
-                factored.append(a.shape)
-            return unpatched(a, error, *args, **kwargs)
+        def counted_eigh(K, *args, **kwargs):
+            factored.append(K)
+            return eigh(K, *args, **kwargs)
 
         def recorded_residual(m, exp, rho):
             err = residual(m, exp, rho)
             seen.append((exp.order, rho, err.epsilon))
             return err
 
-        monkeypatch.setattr(ssm, "factorize", counted_factorize)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(ssm, "invariance_residual", recorded_residual)
         res = adapt_order(
             model,
@@ -512,7 +548,7 @@ class TestAdaptOrder:
         )
         monkeypatch.undo()
         assert res.warned and [O for O, _, _ in seen] == [3, 5, 7, 9]
-        assert factored == [(model.n, model.n)]
+        assert len(factored) == 1 and factored[0] is model.K
         for O, rho, epsilon in seen:
             fresh = dataclasses.replace(model)
             exp = compute_ssm(fresh, beam_master, O)
