@@ -466,8 +466,9 @@ def reference_adjoint(
     Each index, swapped ones included, reverses its own wdot and
     cohomological steps; each is solved with its own formed operator
     (`formed_solve`), not the modal diagonal the canonical records keep,
-    unless `solve` (same arguments) says otherwise. Every bar is read where it was pushed, so nothing is folded and the
-    objective's seeds count at full weight. The dicts cover every index. Each
+    unless `solve` (same arguments) says otherwise. Every bar is read where
+    it was pushed, so nothing is folded and the objective's seeds count at
+    full weight. The dicts cover every index. Each
     index's operator products are formed here from its own record (the
     expansion keeps them for the canonical records only); M phi and the
     mode-shape solve are the expansion's (`SsmExpansion.mode_solve`).
