@@ -504,8 +504,8 @@ def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
 class MechModel:
     """Immutable mechanical system; safe for concurrent read-only use.
 
-    It builds, each in one association, the operators the recursion forms:
-    at(s) = K + s C + s^2 M and velocity(s) = s M + C. Its undamped modes
+    It builds the one operator the recursion forms, at(s) = K + s C + s^2 M,
+    for the backward-error check of each solve. Its undamped modes
     (`modes`) are computed on first read and kept: Rayleigh damping makes
     every at(s) diagonal in them. The damping `C` and the complex copies `Mc`
     and `Cc` of M and C are made on first use and kept: the recursion (for
@@ -595,9 +595,6 @@ class MechModel:
 
     def at(self, s) -> np.ndarray:
         return self.K + s * self.C + s**2 * self.M
-
-    def velocity(self, s) -> np.ndarray:
-        return s * self.M + self.C
 
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""

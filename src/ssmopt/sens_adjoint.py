@@ -26,8 +26,8 @@ pair to bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized, and no
-operator is formed to be applied to one vector: the model's velocity
-s M + C reaches a bar as s (M b) + C b. The force convolution at each index
+operator is formed to be applied to one vector: the velocity s M + C
+reaches a bar as s (M b) + C b. The force convolution at each index
 is pulled back once per tensor (`PairSums.pullback`): one gather from the
 expansion's own tables (`SsmExpansion.tables`), the ones its recursion
 summed the forces with, returns the summed bar of every lower-order index
@@ -167,7 +167,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
         j = rec.slot
         bars.R[m][j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
-        # the model's velocity(Lam + lambda_j) applied to bar_d, not formed
+        # the velocity (Lam + lambda_j) M + C applied to bar_d, not formed
         bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
         sc = -(bar_d @ exp.Mphi)
         _add_lam_bar(bars, m, sc)

@@ -169,7 +169,7 @@ class _Pass:
                 dRkj = self.dR[k][j]
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
-            # the model's velocity(Lam) applied to dV, not formed
+            # the velocity Lam M + C applied to dV, not formed
             dC = dC - Mc @ dVdot - (Lam * (Mc @ dV) + Cc @ dV)
         if pC is not None:
             dC = dC + pC
@@ -182,7 +182,7 @@ class _Pass:
             dlj = dLam + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
             dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
-            # D = -velocity(lj) phi with lj = Lam + lambda_j, applied not formed
+            # D = -(lj M + C) phi with lj = Lam + lambda_j, applied not formed
             dD = -dlj * exp.Mphi
             if Vphi is not None:
                 lj = Lam + master.lambda_pair[j]

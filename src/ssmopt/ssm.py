@@ -147,8 +147,8 @@ class SsmExpansion:
 
     Each canonical index's record keeps the diagonal of its operator in the
     model's modes, which its solves (`solve`) divide by, and the model's
-    operators applied to its vectors. The expansion keeps M phi (`Mphi`);
-    the master must be the model's mode `mode_index` itself, of either sign
+    operators applied to its vectors. The expansion keeps M phi and C phi
+    (`Mphi`, `Cphi`); the master must be the model's mode `mode_index` itself, of either sign
     (`master_row`), so that phi^T M picks that mode's component in the modal
     basis. The `PairSums` tables of the model tensors that have entries
     (`tables`, T2's and T3's) grow with the expansion, and the recursion and
@@ -176,6 +176,7 @@ class SsmExpansion:
             raise ValueError(f"the master pair is not the model's mode {i}")
         self.master_row = (i, sign)  # phi = sign * Phi[:, i]
         self.Mphi = model.M @ master.phi
+        self.Cphi = model.C @ master.phi
         self._init_leading()
         self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3) if T.nnz)
 
@@ -387,7 +388,9 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         V += coef * exp.w(u)
         Vdot += coef * exp.wdot(u)
 
-    C_m = -M @ Vdot - model.velocity(Lam) @ V - f
+    # the velocity Lam M + C applied to V, not formed; M V_m is the record's
+    MV = model.Mc @ V
+    C_m = -M @ Vdot - (Lam * MV + model.Cc @ V) - f
 
     # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
     # modes, and size bounds the terms of every d_j; at a resonant index the
@@ -410,7 +413,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
                 f"near-resonant denominator {abs(den):.2e} at index {m}"
             )
         R[slot] = (phi @ C_m) / den
-        D = -model.velocity(Lam + lam_j) @ phi.astype(complex)
+        D = -((Lam + lam_j) * exp.Mphi + exp.Cphi)
         h = C_m + D * R[slot]
         # Bordered operator: the reduced coefficient removed the master
         # projection from h, so the solution with phi^T M w = 0 is the
@@ -447,14 +450,14 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         # dropping the roundoff imaginary part makes the conjugacy invariant
         # hold by construction
         w = w.real.astype(complex)
-        for arr in (V, Vdot, C_m):
+        for arr in (V, Vdot, C_m, MV):
             arr.imag = 0.0
 
     wdot = Lam * w + (R[0] + R[1]) * phi + V
     Mw = model.Mc @ w
     Lw = model.Cc @ w + 2.0 * Lam * Mw
     exp.n_solves += 1
-    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, d, Mw, Lw, model.Mc @ V)
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, d, Mw, Lw, MV)
 
 
 def compute_ssm(
