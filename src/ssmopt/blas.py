@@ -3,10 +3,10 @@
 OpenBLAS splits a product or a solve over its threads, and the split changes
 the order of its sums: the same run gives other last digits on a host with
 another CPU count, or under another `OPENBLAS_NUM_THREADS`. `one_blas_thread`
-sets every OpenBLAS library loaded in the process (numpy and scipy each ship
-their own) to one thread through the library's own setter, so a run's numbers
-do not depend on the host. `cli.main` calls it before anything else; library
-users call it themselves, after importing ssmopt, which loads both libraries.
+sets every OpenBLAS library loaded in the process to one thread through the
+library's own setter, so a run's numbers do not depend on the host. ssmopt
+computes with numpy's alone. `cli.main` calls it before anything else;
+library users call it themselves, after importing ssmopt, which loads numpy.
 """
 
 import ctypes

@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelError
 from .multiindex import all_indices, decomps, order
@@ -540,7 +539,7 @@ class MechModel:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ModelError("mass matrix is not positive definite") from None
-        kmin = float(scipy.linalg.eigvalsh(K, subset_by_index=[0, 0])[0])
+        kmin = float(np.linalg.eigvalsh(K)[0])
         if kmin < -1e-10 * max(1.0, float(np.abs(K).max())):
             raise ModelError("stiffness matrix is not positive semidefinite")
         for name in ("alpha_r", "beta_r"):
@@ -565,23 +564,28 @@ class MechModel:
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega, Phi): every undamped mode, ascending frequency,
-        mass-normalized, from one generalized eigendecomposition of (K, M),
-        made on first read and kept (read-only). Every master pair, the
-        eigenfrequency targets and the SSM's modal solves read it.
+        mass-normalized, made on first read and kept (read-only). Every
+        master pair, the eigenfrequency targets and the SSM's modal solves
+        read it.
+
+        The symmetric-definite problem K phi = omega^2 M phi is reduced to a
+        standard one with the Cholesky factor M = L L^T (Golub & Van Loan,
+        Matrix Computations, 4th ed., 8.7): A = L^-1 K L^-T is formed by two
+        solves with L, with no inverse formed, and Phi = L^-T Y from A's
+        eigenvectors Y. Y is orthonormal, so Phi^T M Phi = Y^T Y = I to
+        roundoff and no column is normalized afterwards. A is symmetric only
+        to roundoff; eigh reads its upper triangle.
 
         The sign of each shape is fixed so its largest-magnitude entry is
         positive, making downstream coefficients deterministic across runs.
         """
-        w2, Phi = scipy.linalg.eigh(self.K, self.M)
-        w2 = np.maximum(w2, 0.0)
-        omegas = np.sqrt(w2)
-        for i in range(Phi.shape[1]):
-            phi = Phi[:, i]
-            norm = phi @ self.M @ phi
-            phi = phi / np.sqrt(norm)
-            if phi[np.argmax(np.abs(phi))] < 0:
-                phi = -phi
-            Phi[:, i] = phi
+        L = np.linalg.cholesky(self.M)
+        A = np.linalg.solve(L, np.linalg.solve(L, self.K).T)
+        w2, Y = np.linalg.eigh(A, UPLO="U")
+        Phi = np.linalg.solve(L.T, Y)
+        omegas = np.sqrt(np.maximum(w2, 0.0))
+        peak = np.take_along_axis(Phi, np.abs(Phi).argmax(axis=0)[None], axis=0)[0]
+        Phi[:, peak < 0] *= -1.0
         omegas.flags.writeable = Phi.flags.writeable = False
         return omegas, Phi
 

@@ -3,9 +3,10 @@
 The third-party packages that `src/ssmopt/*.py` import, anywhere in a module
 (a lazy import inside a function counts), must be exactly the distributions
 that pyproject's `[project].dependencies` names, so a stale or a missing
-runtime dependency fails here. jsonschema, the reference that the config
-walker is tested against, is a test dependency only: importing the CLI must
-not load it. Of the package's modules, only `mechmodel` imports scipy.
+runtime dependency fails here. That is numpy alone. jsonschema and scipy,
+the references that the config walker and the modes (`MechModel.modes`) are
+tested against, are test dependencies only: no module of the package imports
+scipy, and importing the CLI loads neither.
 """
 
 import ast
@@ -46,15 +47,14 @@ def declared_dependencies():
 def test_imports_match_declared_dependencies():
     assert len(MODULES) > 10
     imported = third_party_imports(p.read_text() for p in MODULES)
-    assert imported == declared_dependencies()
+    assert imported == declared_dependencies() == {"numpy"}
 
 
-def test_scipy_is_imported_by_the_model_alone():
-    # scipy.linalg computes the model's modes (eigh) and checks its stiffness
-    # (eigvalsh); every solve of the SSM divides in those modes, so no other
-    # module needs scipy
+def test_no_module_imports_scipy():
+    # numpy.linalg computes the model's modes and checks its stiffness, and
+    # every solve of the SSM divides in those modes
     importing = {p.stem for p in MODULES if "scipy" in third_party_imports([p.read_text()])}
-    assert importing == {"mechmodel"}
+    assert importing == set()
 
 
 def test_import_guard_sees_lazy_imports_and_skips_stdlib_and_relative():
@@ -70,10 +70,13 @@ def test_import_guard_sees_lazy_imports_and_skips_stdlib_and_relative():
     assert third_party_imports([source]) == {"numpy", "scipy", "jsonschema"}
 
 
-def test_cli_import_leaves_jsonschema_out():
+def test_cli_import_loads_neither_jsonschema_nor_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import ssmopt.cli, sys; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    code = (
+        "import ssmopt.cli, sys; print(sorted(m for m in sys.modules"
+        " if 'jsonschema' in m or 'scipy' in m))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

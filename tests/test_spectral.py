@@ -1,15 +1,68 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ssmopt import MechModel, SymTensor, mac, solve_master, track_mode
 from ssmopt.errors import DegenerateModeError, LightDampingError, TrackingLostError
-from ssmopt.models import ChainSpec, build_chain
+from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.spectral import solve_modes
 
 
 def bare(M, K, alpha_r=0.0, beta_r=0.0):
     n = M.shape[0]
     return MechModel(M, K, alpha_r, beta_r, SymTensor.empty(n, 2), SymTensor.empty(n, 3))
+
+
+def free_free_chain(n):
+    """Unit springs between n masses 1, ..., n and no ground spring: K has a
+    rigid-body mode, whose eigenvalue comes out of eigh as +-roundoff."""
+    K = np.zeros((n, n))
+    for i in range(n - 1):
+        K[i : i + 2, i : i + 2] += [[1.0, -1.0], [-1.0, 1.0]]
+    return bare(np.diag(np.arange(1.0, n + 1)), K)
+
+
+def random_pencil(n, seed):
+    """Seeded random SPD M and PSD K of rank n - 1."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, n - 1))
+    return bare(A @ A.T + n * np.eye(n), B @ B.T)
+
+
+MODE_CASES = {
+    "chain2": lambda: build_chain(ChainSpec())[0],
+    "chain101": lambda: build_chain(ChainSpec(n_masses=101, alpha_r=0.0, beta_r=0.02))[0],
+    "vk_beam10": lambda: build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001))[0],
+    "vk_beam40": lambda: build_vk_beam(VkBeamSpec(n_elements=40, a1=0.002, a2=0.001))[0],
+    "free_free5": lambda: free_free_chain(5),
+    "random5": lambda: random_pencil(5, 1),
+    "random20": lambda: random_pencil(20, 2),
+    "random60": lambda: random_pencil(60, 3),
+}
+
+
+class TestModes:
+    @pytest.mark.parametrize("case", MODE_CASES)
+    def test_matches_the_generalized_eigh(self, case):
+        # oracle: scipy's generalized symmetric-definite eigh (LAPACK sygvd)
+        model = MODE_CASES[case]()
+        omegas, Phi = model.modes
+        w2 = np.maximum(scipy.linalg.eigh(model.K, model.M, eigvals_only=True), 0.0)
+        w2_max = omegas[-1] ** 2
+        assert np.all(omegas >= 0.0) and np.all(np.diff(omegas) >= 0.0)
+        assert np.abs(omegas**2 - w2).max() <= 1e-12 * w2_max
+        # mass-normalized without a normalization pass
+        assert np.abs(Phi.T @ model.M @ Phi - np.eye(model.n)).max() <= 1e-13
+        # normwise backward error of each pair of K phi = omega^2 M phi
+        resid = np.linalg.norm(model.K @ Phi - (model.M @ Phi) * omegas**2, axis=0)
+        scale = np.linalg.norm(model.K, 2) + omegas**2 * np.linalg.norm(model.M, 2)
+        eta = resid / (scale * np.linalg.norm(Phi, axis=0))
+        assert eta.max() <= 100 * np.finfo(float).eps
+        # the sign rule: each shape's largest-magnitude entry is positive
+        assert np.all(Phi[np.abs(Phi).argmax(axis=0), np.arange(model.n)] > 0.0)
+        for arr in (omegas, Phi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestSolveMaster:
