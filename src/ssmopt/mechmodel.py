@@ -564,20 +564,16 @@ class MechModel:
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega, Phi): every undamped mode, ascending frequency,
-        mass-normalized, made on first read and kept (read-only). Every
-        master pair, the eigenfrequency targets and the SSM's modal solves
-        read it.
+        mass-normalized, made on first read and kept (read-only); every
+        master pair, the eigenfrequency targets and the modal solves read it.
 
-        The symmetric-definite problem K phi = omega^2 M phi is reduced to a
-        standard one with the Cholesky factor M = L L^T (Golub & Van Loan,
-        Matrix Computations, 4th ed., 8.7): A = L^-1 K L^-T is formed by two
-        solves with L, with no inverse formed, and Phi = L^-T Y from A's
-        eigenvectors Y. Y is orthonormal, so Phi^T M Phi = Y^T Y = I to
-        roundoff and no column is normalized afterwards. A is symmetric only
-        to roundoff; eigh reads its upper triangle.
-
-        The sign of each shape is fixed so its largest-magnitude entry is
-        positive, making downstream coefficients deterministic across runs.
+        M = L L^T reduces K phi = omega^2 M phi to the standard eigenproblem
+        of A = L^-1 K L^-T, formed by two solves with L and no inverse (Golub
+        & Van Loan, Matrix Computations, 4th ed., 8.7). eigh reads A's upper
+        triangle (A is symmetric to roundoff). Its eigenvectors Y are
+        orthonormal, so Phi = L^-T Y is mass-normalized and no column is
+        normalized afterwards. Each shape's largest-magnitude entry is made
+        positive, so downstream coefficients are deterministic across runs.
         """
         L = np.linalg.cholesky(self.M)
         A = np.linalg.solve(L, np.linalg.solve(L, self.K).T)

@@ -148,18 +148,18 @@ class SsmExpansion:
     Each canonical index's record keeps the diagonal of its operator in the
     model's modes, which its solves (`solve`) divide by, and the model's
     operators applied to its vectors. The expansion keeps M phi and C phi
-    (`Mphi`, `Cphi`); the master must be the model's mode `mode_index` itself, of either sign
-    (`master_row`), so that phi^T M picks that mode's component in the modal
-    basis. The `PairSums` tables of the model tensors that have entries
-    (`tables`, T2's and T3's) grow with the expansion, and the recursion and
-    every sensitivity pass read them. The memo (`memo`) keeps what depends on
-    the expansion alone: the backbone's amplitude polynomials and validity
-    caps. Per `ParamDerivatives`, in one slot each that another
-    `ParamDerivatives` replaces, it keeps the record of the residuals'
-    explicit parameter partials (`partials`), which both sensitivity methods
-    read, and the direct method's walk record. It holds the current order's
-    entries only: `compute_ssm` with from_expansion, which extends an
-    expansion in place, clears it.
+    (`Mphi`, `Cphi`); the master must be the model's mode `mode_index`
+    itself, of either sign (`master_row`), so that phi^T M picks that mode's
+    component in the modal basis. The `PairSums` tables of the model tensors
+    that have entries (`tables`, T2's and T3's) grow with the expansion, and
+    the recursion and every sensitivity pass read them. The memo (`memo`)
+    keeps what depends on the expansion alone: the backbone's amplitude
+    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
+    that another `ParamDerivatives` replaces, it keeps the record of the
+    residuals' explicit parameter partials (`partials`), which both
+    sensitivity methods read, and the direct method's walk record. It holds
+    the current order's entries only: `compute_ssm` with from_expansion,
+    which extends an expansion in place, clears it.
     """
 
     def __init__(self, model: MechModel, master: MasterPair):
@@ -371,7 +371,7 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
     master = exp.master
     phi = master.phi
     lam_pair = master.lambda_pair
-    M, n = model.M, model.n
+    n = model.n
 
     Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
 
@@ -388,9 +388,8 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         V += coef * exp.w(u)
         Vdot += coef * exp.wdot(u)
 
-    # the velocity Lam M + C applied to V, not formed; M V_m is the record's
-    MV = model.Mc @ V
-    C_m = -M @ Vdot - (Lam * MV + model.Cc @ V) - f
+    MV = model.Mc @ V  # the record's M V_m: the velocity Lam M + C is not formed
+    C_m = -model.Mc @ Vdot - (Lam * MV + model.Cc @ V) - f
 
     # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
     # modes, and size bounds the terms of every d_j; at a resonant index the

@@ -3,7 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from ssmopt import compute_ssm, omega_of_rho, rho_of_x, sample_backbone, solve_master, x_rms
+from ssmopt import (
+    MechModel,
+    SymTensor,
+    compute_ssm,
+    omega_of_rho,
+    rho_of_x,
+    sample_backbone,
+    solve_master,
+    x_rms,
+)
 from ssmopt.backbone import (
     _linear_rho_scale,
     _scan_validity_cap,
@@ -111,6 +120,18 @@ class TestRhoOfX:
             window = 1e-10 * x0 / dx_drho(chain2_exp5, 1, rho)
             assert rho == pytest.approx(0.5 * (lo + hi), abs=2 * window + 1e-13)
             assert x_rms(chain2_exp5, 1, rho) == pytest.approx(x0, rel=1e-10)
+
+    def test_dof_outside_the_master_mode(self):
+        # the master has an exact zero at DOF 1, which a cubic force moves at
+        # third order: the bracket starts below the validity cap, and the
+        # cap's grid starts from the master's largest entry
+        T3 = SymTensor.from_entries(2, 3, [(0, 0, 0, 0, 0.1), (1, 0, 0, 0, 0.5)])
+        model = MechModel(np.eye(2), np.diag([1.0, 5.3]), 0.0, 0.0, SymTensor.empty(2, 2), T3)
+        master = solve_master(model, 0)
+        assert master.phi[1] == 0.0
+        exp = compute_ssm(model, master, 5)
+        for x0 in (1e-3, 1e-2):
+            assert x_rms(exp, 1, rho_of_x(exp, 1, x0)) == pytest.approx(x0, rel=1e-10)
 
     def test_zero_target_rejected(self, chain2_exp5):
         with pytest.raises(ValueError):
