@@ -580,7 +580,7 @@ class MechModel:
         w2, Y = np.linalg.eigh(A, UPLO="U")
         Phi = np.linalg.solve(L.T, Y)
         omegas = np.sqrt(np.maximum(w2, 0.0))
-        peak = np.take_along_axis(Phi, np.abs(Phi).argmax(axis=0)[None], axis=0)[0]
+        peak = Phi[np.abs(Phi).argmax(axis=0), np.arange(self.n)]
         Phi[:, peak < 0] *= -1.0
         omegas.flags.writeable = Phi.flags.writeable = False
         return omegas, Phi
