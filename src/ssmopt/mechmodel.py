@@ -493,6 +493,11 @@ class Linearization:
         return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
 
 
+# K is semidefinite unless the smallest reduced eigenvalue omega^2 falls below
+# this fraction of the largest in magnitude
+STIFFNESS_RTOL = 1e-10
+
+
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > tol * scale:
@@ -503,15 +508,11 @@ def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
 class MechModel:
     """Immutable mechanical system; safe for concurrent read-only use.
 
-    It builds the one operator the recursion forms, at(s) = K + s C + s^2 M,
-    for the backward-error check of each solve. Its undamped modes
-    (`modes`) are computed on first read and kept: Rayleigh damping makes
-    every at(s) diagonal in them. The damping `C` and the complex copies `Mc`
-    and `Cc` of M and C are made on first use and kept: the recursion (for
-    the products each expansion record keeps) and the sensitivity passes
-    apply M and C to complex vectors, and numpy copies a real matrix to
-    complex in each such product. The products with the copies are bitwise
-    those with M and C.
+    It is built whole: its damping `C` and its undamped modes (`modes`) are
+    computed with the checks, from one Cholesky factor of M, and kept. It
+    builds the one operator the recursion forms, at(s) = K + s C + s^2 M,
+    for the backward-error check of each solve; Rayleigh damping makes every
+    at(s) diagonal in the modes.
     """
 
     M: np.ndarray
@@ -520,8 +521,26 @@ class MechModel:
     beta_r: float
     T2: SymTensor
     T3: SymTensor
+    C: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check the operators and compute C and the modes.
+
+        modes is (omega, Phi): every undamped mode, ascending frequency,
+        mass-normalized and read-only; every master pair, the eigenfrequency
+        targets and the modal solves read it. M = L L^T (the factor that
+        also shows M positive definite) reduces K phi = omega^2 M phi to the
+        standard eigenproblem of A = L^-1 K L^-T, formed by two solves with L
+        and no inverse (Golub & Van Loan, Matrix Computations, 4th ed., 8.7).
+        eigh reads A's upper triangle (A is symmetric to roundoff). Its
+        eigenvalues are the omega^2, and A has K's inertia (Sylvester), so K
+        is semidefinite when the smallest is not below -STIFFNESS_RTOL times
+        the largest in magnitude. Its eigenvectors Y are orthonormal, so
+        Phi = L^-T Y is mass-normalized and no column is normalized
+        afterwards. Each shape's largest-magnitude entry is made positive, so
+        downstream coefficients are deterministic across runs.
+        """
         for name in ("M", "K"):
             arr = _number_table(getattr(self, name))
             if arr is None:
@@ -536,11 +555,12 @@ class MechModel:
         _check_symmetric("mass", M)
         _check_symmetric("stiffness", K)
         try:
-            np.linalg.cholesky(M)
+            L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ModelError("mass matrix is not positive definite") from None
-        kmin = float(np.linalg.eigvalsh(K)[0])
-        if kmin < -1e-10 * max(1.0, float(np.abs(K).max())):
+        A = np.linalg.solve(L, np.linalg.solve(L, K).T)
+        w2, Y = np.linalg.eigh(A, UPLO="U")
+        if w2[0] < -STIFFNESS_RTOL * np.abs(w2).max():
             raise ModelError("stiffness matrix is not positive semidefinite")
         for name in ("alpha_r", "beta_r"):
             if not np.isfinite(getattr(self, name)):
@@ -551,39 +571,17 @@ class MechModel:
             raise ModelError("tensor dimension does not match matrix size")
         if self.T2.arity != 2 or self.T3.arity != 3:
             raise ModelError("T2 must be a quadratic and T3 a cubic tensor")
+        Phi = np.linalg.solve(L.T, Y)
+        omegas = np.sqrt(np.maximum(w2, 0.0))
+        peak = Phi[np.abs(Phi).argmax(axis=0), np.arange(n)]
+        Phi[:, peak < 0] *= -1.0
+        omegas.flags.writeable = Phi.flags.writeable = False
+        object.__setattr__(self, "modes", (omegas, Phi))
+        object.__setattr__(self, "C", self.alpha_r * M + self.beta_r * K)
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
-
-    @cached_property
-    def C(self) -> np.ndarray:
-        """The Rayleigh damping alpha_r M + beta_r K."""
-        return self.alpha_r * self.M + self.beta_r * self.K
-
-    @cached_property
-    def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, Phi): every undamped mode, ascending frequency,
-        mass-normalized, made on first read and kept (read-only); every
-        master pair, the eigenfrequency targets and the modal solves read it.
-
-        M = L L^T reduces K phi = omega^2 M phi to the standard eigenproblem
-        of A = L^-1 K L^-T, formed by two solves with L and no inverse (Golub
-        & Van Loan, Matrix Computations, 4th ed., 8.7). eigh reads A's upper
-        triangle (A is symmetric to roundoff). Its eigenvectors Y are
-        orthonormal, so Phi = L^-T Y is mass-normalized and no column is
-        normalized afterwards. Each shape's largest-magnitude entry is made
-        positive, so downstream coefficients are deterministic across runs.
-        """
-        L = np.linalg.cholesky(self.M)
-        A = np.linalg.solve(L, np.linalg.solve(L, self.K).T)
-        w2, Y = np.linalg.eigh(A, UPLO="U")
-        Phi = np.linalg.solve(L.T, Y)
-        omegas = np.sqrt(np.maximum(w2, 0.0))
-        peak = Phi[np.abs(Phi).argmax(axis=0), np.arange(self.n)]
-        Phi[:, peak < 0] *= -1.0
-        omegas.flags.writeable = Phi.flags.writeable = False
-        return omegas, Phi
 
     @cached_property
     def Mc(self) -> np.ndarray:

@@ -664,3 +664,50 @@ class TestValidation:
         with pytest.raises(ModelError):
             MechModel(np.eye(2), K, 0.0, 0.0, SymTensor.empty(2, 2), SymTensor.empty(2, 3))
 
+
+
+class TestConstruction:
+    def test_building_factors_once(self, monkeypatch):
+        # one Cholesky of M serves the mass check and the modes, one eigh the
+        # stiffness check and the modes; reading the modes factors nothing
+        rng = np.random.default_rng(3)
+        A, B = (rng.normal(size=(5, 5)) for _ in range(2))
+        M, K = A @ A.T + 5.0 * np.eye(5), B @ B.T
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        model = MechModel(M, K, 0.1, 0.01, SymTensor.empty(5, 2), SymTensor.empty(5, 3))
+        solve_master(model, 1)
+        model.modes, model.C
+        monkeypatch.undo()
+        assert calls == ["cholesky", "eigh"]
+
+    @staticmethod
+    def reduced_model(w2, scale):
+        """A model whose reduced eigenvalues omega^2 are w2, with M and K
+        both scaled by `scale` (which leaves the omega^2 as they are)."""
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(len(w2), len(w2)))
+        M = A @ A.T + len(w2) * np.eye(len(w2))
+        L = np.linalg.cholesky(M)
+        Q = np.linalg.qr(rng.normal(size=M.shape))[0]
+        K = L @ Q @ np.diag(w2) @ Q.T @ L.T
+        n = len(w2)
+        return MechModel(
+            scale * M, scale * 0.5 * (K + K.T), 0.0, 0.0, SymTensor.empty(n, 2), SymTensor.empty(n, 3)
+        )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_stiffness_check_is_free_of_scale(self, scale):
+        # the check reads the reduced spectrum: a zero omega^2 passes and one
+        # of -1e-8 times the largest fails, at any scale of M and K alike
+        w2 = np.array([0.0, 1.0, 2.5, 4.0])
+        self.reduced_model(w2, scale)
+        w2[0] = -1e-8 * w2[-1]
+        with pytest.raises(ModelError, match="^stiffness matrix is not positive semidefinite$"):
+            self.reduced_model(w2, scale)

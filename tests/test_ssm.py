@@ -520,10 +520,10 @@ class TestAdaptOrder:
         self, beam, beam_master, beam_center_dof, monkeypatch
     ):
         # every order's residual reads the stiffness's factors in the modes
-        # the model keeps: one eigendecomposition for the expansion and every
-        # residual, the one that gives this model's frequencies; each epsilon
-        # equals the one a fresh model, factored anew, gives
-        model = dataclasses.replace(beam[0])
+        # the model keeps: one eigendecomposition, made when the model is
+        # built, for the expansion and every residual, the one that gives
+        # this model's frequencies; each epsilon equals the one a fresh
+        # model, factored anew, gives
         factored, seen = [], []
         eigh, residual = np.linalg.eigh, ssm.invariance_residual
 
@@ -539,6 +539,7 @@ class TestAdaptOrder:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(ssm, "invariance_residual", recorded_residual)
+        model = dataclasses.replace(beam[0])
         res = adapt_order(
             model,
             beam_master,
