@@ -3,7 +3,9 @@
 The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 ``C = alpha_r M + beta_r K`` and a polynomial internal force
 ``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``. The `MechModel` holds M,
-C and K and builds every operator the passes apply from them.
+C and K and its undamped modes, all computed when it is built, and builds
+every operator the passes apply from them. The passes apply the real
+operators and modes to complex vectors with one product, `real_times`.
 
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
@@ -70,6 +72,16 @@ def _accum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n, np.result_type(weights, float))
     np.add.at(out, idx, weights)
     return out
+
+
+def real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a real matrix, or (P, n, n) stack, A and a complex column or
+    (n, K) block x, as one real product with x's real and imaginary parts
+    side by side: numpy would copy A to complex for A @ x. Every product of
+    a model operator with complex data is this one."""
+    x = np.ascontiguousarray(x, complex)
+    y = A @ x.view(float).reshape(len(x), -1)
+    return y.view(complex).reshape(A.shape[:-1] + x.shape[1:])
 
 
 def _number_table(rows) -> np.ndarray | None:
@@ -582,14 +594,6 @@ class MechModel:
     @property
     def n(self) -> int:
         return self.M.shape[0]
-
-    @cached_property
-    def Mc(self) -> np.ndarray:
-        return self.M.astype(complex)
-
-    @cached_property
-    def Cc(self) -> np.ndarray:
-        return self.C.astype(complex)
 
     def at(self, s) -> np.ndarray:
         return self.K + s * self.C + s**2 * self.M

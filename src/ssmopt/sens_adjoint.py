@@ -39,8 +39,8 @@ expansion alone is built once, and every target reads it. The sweep reads
 the operator products of the primal vectors that each index's record keeps
 (M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonal d that the
 solves divide by) and the expansion's M phi, so a target after the first
-pays for its seeds' sweep only; the bars reach M and C as the model's
-complex copies (`MechModel.Mc`, `Cc`). The contraction reads the record of
+pays for its seeds' sweep only; M and C reach the bars through
+`mechmodel.real_times`, as in the primal. The contraction reads the record of
 the residuals' explicit parameter partials per `ParamDerivatives`
 (`SsmExpansion.partials`, kept in the expansion's memo, the matrix
 parameters' terms stacked one row each), the same record the direct walk
@@ -60,7 +60,7 @@ import numpy as np
 
 from .backbone import PointWeights, point_weights
 from .errors import assert_real, assert_real_each
-from .mechmodel import MechModel, ParamDerivatives
+from .mechmodel import MechModel, ParamDerivatives, real_times
 from .multiindex import canonical_indices, order, symmetric
 from .sens_direct import lambda_derivative
 from .ssm import SsmExpansion, v_decomps
@@ -151,11 +151,11 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
     """Reverse of the cohomological step at m for the adjoint pair (lam_m,
     nu_m) and the bar vbar of V_m that the wdot step at m left. The step's
     operator products are the record's (rec.Mw, rec.Lw, rec.MV) and M phi is
-    the expansion's; every other product applies the model's complex copies
-    of M and C to a bar."""
+    the expansion's; every other product applies M or C to a bar with
+    `real_times`."""
     master = exp.master
     phi = master.phi
-    Mc, Cc = model.Mc, model.Cc
+    M, C = model.M, model.C
 
     # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
     _add_lam_bar(bars, m, lam_m @ rec.Lw)
@@ -168,7 +168,7 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
         bars.R[m][j] += bar_h @ rec.D
         bar_d = rec.R[j] * bar_h
         # the velocity (Lam + lambda_j) M + C applied to bar_d, not formed
-        bars.phi -= (rec.Lam + master.lambda_pair[j]) * (Mc @ bar_d) + Cc @ bar_d
+        bars.phi -= (rec.Lam + master.lambda_pair[j]) * real_times(M, bar_d) + real_times(C, bar_d)
         sc = -(bar_d @ exp.Mphi)
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
@@ -192,9 +192,9 @@ def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vba
             bars.omega += t * 2.0 * model.beta_r * master.omega
 
     # C = -M Vdot - (Lam M + C) V - f; M bar_c serves both bars
-    M_bar_c = Mc @ bar_c
+    M_bar_c = real_times(M, bar_c)
     bar_vdot = -M_bar_c
-    bar_v = vbar - (rec.Lam * M_bar_c + Cc @ bar_c)
+    bar_v = vbar - (rec.Lam * M_bar_c + real_times(C, bar_c))
     bar_f = -bar_c
     _add_lam_bar(bars, m, -(bar_c @ rec.MV))
 

@@ -35,9 +35,9 @@ the builder declares, `ParamDerivatives.matrix_params`) and solves its own
 right-hand side with the modal diagonal and the resonant denominator that
 the index's record keeps. The walk applies the model's
 operators as the adjoint sweep does: the velocity s M + C reaches a
-derivative vector as s (Mc v) + Cc v, with the model's complex copies of M
-and C (`MechModel.Mc`, `Cc`), and no operator is formed to be applied to one
-vector. Every other operator is applied in the primal's association.
+derivative vector as s (M v) + C v, each product a `mechmodel.real_times`,
+and no operator is formed to be applied to one vector. Every other operator
+is applied in the primal's association.
 Parameters are never batched into one solve: a coefficient's derivative
 needs the same parameter's lower-order derivatives, so each pass keeps its
 own table of the derivatives later indices read, and the cost stays linear
@@ -55,7 +55,7 @@ import numpy as np
 
 from .backbone import point_weights
 from .errors import assert_real_each
-from .mechmodel import MechModel, ParamDerivatives
+from .mechmodel import MechModel, ParamDerivatives, real_times
 from .multiindex import order, symmetric
 from .ssm import IndexCoeffs, SsmExpansion, v_decomps
 
@@ -138,7 +138,7 @@ class _Pass:
         self.matrix = dMphi is not None
         self.dMphi = np.zeros(model.n, dtype=complex)
         if self.matrix:
-            self.dMphi = dMphi + model.Mc @ self.dphi
+            self.dMphi = dMphi + real_times(model.M, self.dphi)
         self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
         self.dwdot: dict = {}
         self.dR: dict = {}
@@ -152,7 +152,7 @@ class _Pass:
         tensor-only parameter) are its explicit partials (`Partials`)."""
         m, exp = rec.m, self.exp
         model, master, phi = exp.model, exp.master, exp.master.phi
-        Mc, Cc = model.Mc, model.Cc
+        M, C = model.M, model.C
         pC, Aw, Vphi = dense or (None,) * 3
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
@@ -170,7 +170,7 @@ class _Pass:
                 dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
                 dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
             # the velocity Lam M + C applied to dV, not formed
-            dC = dC - Mc @ dVdot - (Lam * (Mc @ dV) + Cc @ dV)
+            dC = dC - real_times(M, dVdot) - (Lam * real_times(M, dV) + real_times(C, dV))
         if pC is not None:
             dC = dC + pC
 
@@ -186,7 +186,7 @@ class _Pass:
             dD = -dlj * exp.Mphi
             if Vphi is not None:
                 lj = Lam + master.lambda_pair[j]
-                dD = dD - (lj * (Mc @ self.dphi) + Cc @ self.dphi) - Vphi
+                dD = dD - (lj * real_times(M, self.dphi) + real_times(C, self.dphi)) - Vphi
             dh = dC + dD * rec.R[j] + rec.D * dR[j]
 
         dLw = dLam * Lw

@@ -21,9 +21,11 @@ d_j = (Lam_m - lambda_j)(Lam_m - conj(lambda_j)), the nonresonance
 conditions of SSM theory (Haller & Ponsioen, Nonlinear Dyn. 2016). A
 canonical record keeps its d, and `SsmExpansion.solve` divides by it; a d_j
 that vanishes against the size of L_m's terms (the master's own left out at
-a resonant index) is an outer resonance of mode j. The same basis solves the
-mode-shape system (`SsmExpansion.mode_solve`) and the invariance residual's
-regularized stiffness K + eps M: nothing is factored. Each cohomological
+a resonant index) is an outer resonance of mode j. The same solve serves the
+bordered mode-shape system (`SsmExpansion.mode_solve`), and the same basis
+the invariance residual's regularized stiffness K + eps M: nothing is
+factored. Every product of M, C, K or the modes with complex data is one
+`mechmodel.real_times`. Each cohomological
 solve's normwise backward error is checked against the formed L_m, and an
 overflowed right-hand side is reported before the solve. A resonant record
 also keeps the denominator of its R_m and the force D that R_m exerts on
@@ -57,7 +59,7 @@ from .errors import (
     OuterResonanceError,
     SsmError,
 )
-from .mechmodel import MechModel, PairSums, ParamDerivatives
+from .mechmodel import MechModel, PairSums, ParamDerivatives, real_times
 from .multiindex import (
     E1,
     E2,
@@ -75,15 +77,6 @@ DENOMINATOR_TOL = 1e-10
 # bound on a solve's normwise backward error, in units of machine epsilon
 SOLVE_BACKWARD_ERROR = 1e3
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
-
-
-def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for a real matrix A and a complex column or (n, K) block x, as
-    one real product with x's real and imaginary parts side by side: numpy
-    copies A to complex for A @ x."""
-    x = np.ascontiguousarray(x, complex)
-    y = A @ x.view(float).reshape(len(x), -1)
-    return y.view(complex).reshape(A.shape[:1] + x.shape[1:])
 
 
 def _check_diagonal(d: np.ndarray, size: float, skip, error):
@@ -259,7 +252,7 @@ class SsmExpansion:
         bordered operator is complex symmetric, so the adjoint solves with
         it too. A non-finite rhs or border raises numpy's ValueError."""
         Phi = self.model.modes[1]
-        q = _real_times(Phi.T, np.asarray_chkfinite(rhs))
+        q = real_times(Phi.T, np.asarray_chkfinite(rhs))
         d = d.reshape(d.shape + (1,) * (q.ndim - 1))
         s = 0.0
         if slot is not None:
@@ -269,21 +262,19 @@ class SsmExpansion:
             d = d.copy()
             d[j0] = 1.0
             q[j0] = border
-        return _real_times(Phi, q / d), s
+        return real_times(Phi, q / d), s
 
     def mode_solve(self, rhs: np.ndarray, border):
         """(x, s) solving the bordered mode-shape system
 
             [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]] [x; s] = [rhs; border]
 
-        for a real rhs, one column or an (n, K) block. With x = Phi y and
-        q = Phi^T rhs, y_j = q_j / (omega_j^2 - omega^2) off the master's j0,
-        y_j0 = -border / (2 omega) and s = q_j0 / 2 (the last two signed by
-        `master_row`). The adjoint and the direct eigenpair derivatives both
+        for a real rhs, one column or an (n, K) block: `solve` with the
+        modal diagonal omega_j^2 - omega^2, the border scaled by -1/(2 omega)
+        and s halved. The adjoint and the direct eigenpair derivatives both
         solve it. A repeated frequency raises DegenerateModeError."""
-        omegas, Phi = self.model.modes
-        (j0, sign), omega = self.master_row, self.master.omega
-        den = omegas**2 - omega**2
+        omegas = self.model.modes[0]
+        j0, omega = self.master_row[0], self.master.omega
 
         def singular(j, ratio):
             return DegenerateModeError(
@@ -291,13 +282,11 @@ class SsmExpansion:
                 "repeated frequency)"
             )
 
-        _check_diagonal(den, omegas[-1] ** 2 + omega**2, j0, singular)
-        q = Phi.T @ np.asarray_chkfinite(rhs)
-        s = sign * 0.5 * q[j0]
-        den[j0] = 1.0
-        q /= den.reshape(den.shape + (1,) * (q.ndim - 1))
-        q[j0] = sign * np.asarray(border) / (-2.0 * omega)
-        return Phi @ q, s
+        # the master's own entry is exactly 0: omega is omegas[j0]
+        d = omegas**2 - omega**2
+        _check_diagonal(d, omegas[-1] ** 2 + omega**2, j0, singular)
+        x, s = self.solve(d, 0, rhs, np.asarray(border) / (-2.0 * omega))
+        return x.real, 0.5 * s.real
 
 
 @dataclass(eq=False)
@@ -325,11 +314,9 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     recs = [exp.coeffs(m) for q in range(2, exp.order + 1) for m in canonical_indices(q)]
 
     # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
-    # the columns of one real block (real parts, then imaginary parts) that
-    # the dM and dK stacks each multiply once
+    # the columns of one block that the dM and dK stacks each multiply once
     cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
-    X, k = np.hstack([cols.real, cols.imag]), cols.shape[1]
-    dMX, dKX = (Y[..., :k] + 1j * Y[..., k:] for Y in (params.dM @ X, params.dK @ X))
+    dMX, dKX = real_times(params.dM, cols), real_times(params.dK, cols)
     dCX = model.alpha_r * dMX + model.beta_r * dKX
 
     indices = []
@@ -388,8 +375,8 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
         V += coef * exp.w(u)
         Vdot += coef * exp.wdot(u)
 
-    MV = model.Mc @ V  # the record's M V_m: the velocity Lam M + C is not formed
-    C_m = -model.Mc @ Vdot - (Lam * MV + model.Cc @ V) - f
+    MV = real_times(model.M, V)  # the record's M V_m: the velocity Lam M + C is not formed
+    C_m = -real_times(model.M, Vdot) - (Lam * MV + real_times(model.C, V)) - f
 
     # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
     # modes, and size bounds the terms of every d_j; at a resonant index the
@@ -453,8 +440,8 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
             arr.imag = 0.0
 
     wdot = Lam * w + (R[0] + R[1]) * phi + V
-    Mw = model.Mc @ w
-    Lw = model.Cc @ w + 2.0 * Lam * Mw
+    Mw = real_times(model.M, w)
+    Lw = real_times(model.C, w) + 2.0 * Lam * Mw
     exp.n_solves += 1
     return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, d, Mw, Lw, MV)
 
@@ -548,7 +535,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Weighted norm at each grid point of the (theta x n) blocks."""
-        s1 = _real_times(modes, _real_times(modes.T, force.T) / reg)
+        s1 = real_times(modes, real_times(modes.T, force.T) / reg)
         s2 = velocity / omega
         return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=1))
 
@@ -571,8 +558,8 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     dW = (Phi1 @ Wm) * Rp[:, :1] + (Phi2 @ Wm) * Rp[:, 1:]
     x, v = W[:, :n], W[:, n:]
     dx, dv = dW[:, :n], dW[:, n:]
-    ref = x @ K.T + np.array([model.nonlinear_force(xk) for xk in x])
-    defect = dx @ model.C.T + dv @ model.M.T + ref
+    ref = real_times(K, x.T).T + np.array([model.nonlinear_force(xk) for xk in x])
+    defect = real_times(model.C, dx.T).T + real_times(model.M, dv.T).T + ref
     den = state_norms(ref, v)
     if np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
 from ssmopt.errors import ModelError
-from ssmopt.mechmodel import PairSums, _accum
+from ssmopt.mechmodel import PairSums, _accum, real_times
 from ssmopt import models
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, chain_per_spring_k3
 from ssmopt.multiindex import all_indices, canonical_indices, decomps
@@ -53,10 +53,9 @@ class TestDamping:
         assert np.array_equal(model.C, expected)
 
     def test_pencil_is_formed_once_per_model(self, chain2):
-        # the damping and the complex copies of M and C are made once and kept
+        # the damping is made once, when the model is built, and kept
         model, _ = chain2
-        assert model.C is model.C and model.Mc is model.Mc and model.Cc is model.Cc
-        assert np.array_equal(model.Mc, model.M) and np.array_equal(model.Cc, model.C)
+        assert model.C is model.C
 
     def test_pencil_operators(self):
         rng = np.random.default_rng(5)
@@ -711,3 +710,19 @@ class TestConstruction:
         w2[0] = -1e-8 * w2[-1]
         with pytest.raises(ModelError, match="^stiffness matrix is not positive semidefinite$"):
             self.reduced_model(w2, scale)
+
+
+class TestRealTimes:
+    @pytest.mark.parametrize(
+        "A_shape, x_shape", [((4, 5), (5,)), ((4, 5), (5, 3)), ((3, 5, 5), (5, 2))],
+        ids=["column", "block", "stack"],
+    )
+    def test_matches_the_complex_product(self, A_shape, x_shape):
+        # the real product of x's parts side by side is A's complex copy
+        # times x, to roundoff
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=A_shape)
+        x = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
+        got = real_times(A, x)
+        assert got.shape == A_shape[:-1] + x_shape[1:] and got.dtype == complex
+        np.testing.assert_allclose(got, A.astype(complex) @ x, rtol=1e-14, atol=1e-14)
