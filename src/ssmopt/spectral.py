@@ -12,6 +12,11 @@ from .mechmodel import MechModel, check_light_damping
 
 MAC_TRACKING_THRESHOLD = 0.6
 DEGENERACY_RTOL = 1e-8
+# a mode is rigid when its omega^2 is at most this many units of roundoff of
+# the largest omega^2: a rigid mode's omega^2 comes out of the reduction as
+# roundoff of either sign, and its square root is then 0 or about 1e-8 of
+# the largest omega
+RIGID_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ def _master_from_mode(
     model: MechModel, omegas: np.ndarray, Phi: np.ndarray, i: int, mac_value: float | None
 ) -> MasterPair:
     omega = float(omegas[i])
-    if omega <= 0.0:
+    if not omega**2 > RIGID_RATIO * np.finfo(float).eps * omegas[-1] ** 2:
         raise DegenerateModeError(f"mode {i} has zero frequency (rigid-body mode)")
     for j in range(len(omegas)):
         if j != i and abs(omegas[j] - omega) <= DEGENERACY_RTOL * omega:

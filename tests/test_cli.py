@@ -215,6 +215,24 @@ class TestBackboneCommand:
         assert "mode 1 resonates with the master pair" in err
         assert "Traceback" not in err
 
+    def test_rigid_body_master_exit_code(self, tmp_path, capsys):
+        # free-free three-mass chain: its mode 0 is rigid, and its computed
+        # omega^2 is roundoff, here of either sign depending on the masses
+        model = {
+            "type": "matrix",
+            "n": 3,
+            "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "K": [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
+            "beta_r": 0.01,
+            "T3": [[0, 0, 0, 0, 1.0]],
+        }
+        cfg = {"model": model, "backbone": {"dof": 0, "x_targets": [0.1], "order": 3, "mode": 0}}
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "mode 0 has zero frequency (rigid-body mode)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_expansion_exit_code_names_the_index(self, tmp_path, capsys):
         # every entry is finite, but the order-5 force products of the order-3

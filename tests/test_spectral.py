@@ -72,6 +72,29 @@ class TestSolveMaster:
         assert lam.real == pytest.approx(-0.0191, abs=5e-5)
         assert lam.imag == pytest.approx(0.6177, abs=5e-5)
 
+    @pytest.mark.parametrize(
+        "n, k", [(2, 1.0), (3, 1e-3), (3, 1.0), (5, 1e3), (8, 1.0), (21, 1e3)]
+    )
+    def test_rigid_body_master_is_rejected(self, n, k):
+        # a free-free chain's rigid mode has omega^2 of roundoff size, of
+        # either sign; its square root (0 or about 1e-8 of the largest
+        # omega) is rejected as a master whatever the sign
+        masses = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        model = free_free_chain(n)
+        model = bare(np.diag(masses), k * model.K, beta_r=0.01)
+        assert model.modes[0][0] ** 2 <= 1e-15 * model.modes[0][-1] ** 2
+        with pytest.raises(DegenerateModeError, match="^mode 0 has zero frequency"):
+            solve_master(model, 0)
+        assert solve_master(model, 1).omega > 0.0
+
+    def test_slender_beam_master_is_not_rigid(self):
+        # the lowest real ratio omega_1^2 / omega_max^2 among the beams, at
+        # n = 477, is far above the rigid-mode bound
+        model, _ = build_vk_beam(VkBeamSpec(n_elements=160, a1=0.002, a2=0.001), params=())
+        omegas = model.modes[0]
+        assert omegas[0] ** 2 / omegas[-1] ** 2 < 1e-9
+        assert solve_master(model, 0).omega == omegas[0]
+
     def test_unit_oscillator(self):
         mp = solve_master(bare(np.eye(1), np.eye(1)), 0)
         assert mp.omega == 1.0 and mp.xi == 0.0 and mp.lam == 1j
