@@ -118,6 +118,28 @@ def _schema_errors(schema, x, path=()):
             raise ValueError(f"the config schema walker does not support {key!r}: {value!r}")
 
 
+def _integers(schema, x):
+    """The valid JSON value x with every value that schema types "integer"
+    as an int: JSON Schema counts 9.0 as an integer, and the code indexes
+    and counts with these values. Follows the keywords that lead to a value
+    (properties, items, if/then/else, allOf)."""
+    if schema is True:
+        return x
+    if schema.get("type") == "integer":
+        return int(x)
+    if "properties" in schema and isinstance(x, dict):
+        props = schema["properties"]
+        x = {k: _integers(props[k], v) if k in props else v for k, v in x.items()}
+    if "items" in schema and isinstance(x, list):
+        x = [_integers(schema["items"], v) for v in x]
+    if "if" in schema:
+        branch = "else" if any(_schema_errors(schema["if"], x)) else "then"
+        x = _integers(schema.get(branch, True), x)
+    for sub in schema.get("allOf", ()):
+        x = _integers(sub, x)
+    return x
+
+
 def _family_schema(family: ModelFamily) -> dict:
     """One property per spec field (int -> positive integer, else number),
     and `params` drawn from the family's parameter names."""
@@ -303,7 +325,8 @@ def validate_config(cfg: dict, command: str | None = None) -> dict:
 
 
 def load_config(path: str, command: str | None = None, overrides: dict | None = None) -> dict:
-    """The validated config in the file at path.
+    """The validated config in the file at path, each value the schema types
+    "integer" an int (9.0 reads as 9).
 
     overrides ({block: {key: value}}, from command-line options) are written
     into the config's blocks before it is validated, so the schema checks
@@ -319,7 +342,7 @@ def load_config(path: str, command: str | None = None, overrides: dict | None = 
     for block, values in (overrides or {}).items():
         if isinstance(cfg, dict) and isinstance(cfg.get(block), dict):
             cfg[block].update(values)
-    return validate_config(cfg, command)
+    return _integers(CONFIG_SCHEMA, validate_config(cfg, command))
 
 
 def resolve_model(block: dict):

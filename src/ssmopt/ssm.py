@@ -583,11 +583,10 @@ def adapt_order(
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     lo, hi = order_range
-    # a bound may come from JSON as an integral float such as 9.0
     if lo % 2 != 1 or hi % 2 != 1 or lo < 3 or hi < lo:
         raise ValueError(f"order range must be odd bounds with 3 <= lo <= hi, got {order_range}")
     exp = None
-    for O in range(int(lo), int(hi) + 1, 2):
+    for O in range(lo, hi + 1, 2):
         exp = compute_ssm(model, master, O, from_expansion=exp)
         try:
             rho = rho_at(exp)

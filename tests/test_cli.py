@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -613,6 +614,63 @@ class TestOptimizeInputs:
         rc = main(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert rc in (0, 4)
         assert json.loads((tmp_path / "o" / "summary.json").read_text())["names"] == ["k3", "k2"]
+
+
+TOY_OPT = opt_case(tolerances={"max_iter": 40, "constraint_tol": 1e-7})
+# (command, config, path of the integer that the test writes as a float)
+INTEGER_FIELDS = {
+    "backbone.dof": (
+        "backbone",
+        {"model": CHAIN_MODEL, "backbone": {"dof": 1, "x_targets": [0.1], "order": 5}},
+        ("backbone", "dof"),
+    ),
+    "sens.order": (
+        "sens",
+        {
+            "model": CHAIN_MODEL,
+            "sens": {"dof": 1, "x0": 0.1, "methods": list(optimizer.GRADIENTS), "order": 5},
+        },
+        ("sens", "order"),
+    ),
+    "chain.n_masses": (
+        "backbone",
+        {"model": CHAIN_MODEL, "backbone": {"dof": 1, "x_targets": [0.1]}},
+        ("model", "n_masses"),
+    ),
+    "vk_beam.n_elements": (
+        "backbone",
+        {
+            "model": {"type": "vk_beam", "n_elements": 4, "a1": 0.002, "a2": 0.001},
+            "backbone": {"dof": 4, "x_targets": [0.002], "order": 5},
+        },
+        ("model", "n_elements"),
+    ),
+    "optimize.max_iter": ("optimize", TOY_OPT, ("optimize", "tolerances", "max_iter")),
+    "optimize.constraint_dof": ("optimize", TOY_OPT, ("optimize", "constraints", 0, "dof")),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_FIELDS)
+def test_integral_floats_run_as_integers(tmp_path, case):
+    """An integer written as an integral float (1.0), which the schema takes
+    as an integer, runs as that integer: the files match those of the same
+    config written with ints, apart from the measured seconds."""
+    command, cfg, path = INTEGER_FIELDS[case]
+    as_float = json.loads(json.dumps(cfg))
+    *parents, key = path
+    block = as_float
+    for p in parents:
+        block = block[p]
+    block[key] = float(block[key])
+    files = {}
+    for name, c in (("int", cfg), ("float", as_float)):
+        out = tmp_path / name
+        argv = ["--config", write_config(tmp_path, c, f"{name}.json"), "--out", str(out)]
+        assert main([command, *argv]) == 0
+        files[name] = {
+            f.name: re.sub(r'"seconds": [^,\n]*', '"seconds"', f.read_text()) for f in out.iterdir()
+        }
+    assert files["float"] == files["int"] and files["int"]
 
 
 def test_defaults_are_schema_properties():
