@@ -120,18 +120,16 @@ def _schema_errors(schema, x, path=()):
 
 def _integers(schema, x):
     """The valid JSON value x with every value that schema types "integer"
-    as an int: JSON Schema counts 9.0 as an integer, and the code indexes
-    and counts with these values. Follows the keywords that lead to a value
-    (properties, items, if/then/else, allOf)."""
+    as an int: JSON Schema counts 9.0 as an integer, but the code indexes
+    and counts with these values."""
     if schema is True:
         return x
     if schema.get("type") == "integer":
         return int(x)
-    if "properties" in schema and isinstance(x, dict):
-        props = schema["properties"]
-        x = {k: _integers(props[k], v) if k in props else v for k, v in x.items()}
-    if "items" in schema and isinstance(x, list):
-        x = [_integers(schema["items"], v) for v in x]
+    if isinstance(x, dict):
+        x = {k: _integers(schema.get("properties", {}).get(k, True), v) for k, v in x.items()}
+    if isinstance(x, list):
+        x = [_integers(schema.get("items", True), v) for v in x]
     if "if" in schema:
         branch = "else" if any(_schema_errors(schema["if"], x)) else "then"
         x = _integers(schema.get(branch, True), x)

@@ -3,9 +3,8 @@
 The model is ``M x'' + C x' + K x + f(x) = 0`` with Rayleigh damping
 ``C = alpha_r M + beta_r K`` and a polynomial internal force
 ``f_i = T2[i,j,k] x_j x_k + T3[i,j,k,l] x_j x_k x_l``. The `MechModel` holds M,
-C and K and its undamped modes, all computed when it is built, and builds
-every operator the passes apply from them. The passes apply the real
-operators and modes to complex vectors with one product, `real_times`.
+C, K and its modes, all made when it is built; `real_times` applies them to
+complex data.
 
 Both force tensors are one type, `SymTensor`, whose arity (2 for T2, 3 for
 T3) is the number of trailing index columns. It stores coordinate lists with
@@ -505,11 +504,6 @@ class Linearization:
         return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
 
 
-# K is semidefinite unless the smallest reduced eigenvalue omega^2 falls below
-# this fraction of the largest in magnitude
-STIFFNESS_RTOL = 1e-10
-
-
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > tol * scale:
@@ -537,20 +531,16 @@ class MechModel:
     modes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the operators and compute C and the modes.
+        """Check the operators; set C and modes = (omega, Phi), every
+        undamped mode, ascending, mass-normalized and read-only.
 
-        modes is (omega, Phi): every undamped mode, ascending frequency,
-        mass-normalized and read-only; every master pair, the eigenfrequency
-        targets and the modal solves read it. M = L L^T (the factor that
-        also shows M positive definite) reduces K phi = omega^2 M phi to the
-        standard eigenproblem of A = L^-1 K L^-T, formed by two solves with L
-        and no inverse (Golub & Van Loan, Matrix Computations, 4th ed., 8.7).
-        eigh reads A's upper triangle (A is symmetric to roundoff). Its
-        eigenvalues are the omega^2, and A has K's inertia (Sylvester), so K
-        is semidefinite when the smallest is not below -STIFFNESS_RTOL times
-        the largest in magnitude. Its eigenvectors Y are orthonormal, so
-        Phi = L^-T Y is mass-normalized and no column is normalized
-        afterwards. Each shape's largest-magnitude entry is made positive, so
+        M = L L^T (which shows M definite) reduces K phi = omega^2 M phi to
+        the eigenproblem of A = L^-1 K L^-T, formed by two solves with L
+        (Golub & Van Loan, Matrix Computations, 4th ed., 8.7); eigh reads
+        A's upper triangle. A has K's inertia (Sylvester), so K is
+        semidefinite unless its smallest omega^2 is below -1e-10 times the
+        largest in magnitude. Y is orthonormal, so Phi = L^-T Y is
+        mass-normalized. Each shape's largest entry is made positive, so
         downstream coefficients are deterministic across runs.
         """
         for name in ("M", "K"):
@@ -572,7 +562,7 @@ class MechModel:
             raise ModelError("mass matrix is not positive definite") from None
         A = np.linalg.solve(L, np.linalg.solve(L, K).T)
         w2, Y = np.linalg.eigh(A, UPLO="U")
-        if w2[0] < -STIFFNESS_RTOL * np.abs(w2).max():
+        if w2[0] < -1e-10 * np.abs(w2).max():
             raise ModelError("stiffness matrix is not positive semidefinite")
         for name in ("alpha_r", "beta_r"):
             if not np.isfinite(getattr(self, name)):

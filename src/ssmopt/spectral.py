@@ -12,10 +12,8 @@ from .mechmodel import MechModel, check_light_damping
 
 MAC_TRACKING_THRESHOLD = 0.6
 DEGENERACY_RTOL = 1e-8
-# a mode is rigid when its omega^2 is at most this many units of roundoff of
-# the largest omega^2: a rigid mode's omega^2 comes out of the reduction as
-# roundoff of either sign, and its square root is then 0 or about 1e-8 of
-# the largest omega
+# a mode is rigid when its omega^2, which the reduction gives as roundoff of
+# either sign, is at most this many epsilons of the largest omega^2
 RIGID_RATIO = 1e3
 
 

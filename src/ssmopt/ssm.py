@@ -273,8 +273,7 @@ class SsmExpansion:
         modal diagonal omega_j^2 - omega^2, the border scaled by -1/(2 omega)
         and s halved. The adjoint and the direct eigenpair derivatives both
         solve it. A repeated frequency raises DegenerateModeError."""
-        omegas = self.model.modes[0]
-        j0, omega = self.master_row[0], self.master.omega
+        omegas, omega = self.model.modes[0], self.master.omega
 
         def singular(j, ratio):
             return DegenerateModeError(
@@ -282,9 +281,8 @@ class SsmExpansion:
                 "repeated frequency)"
             )
 
-        # the master's own entry is exactly 0: omega is omegas[j0]
-        d = omegas**2 - omega**2
-        _check_diagonal(d, omegas[-1] ** 2 + omega**2, j0, singular)
+        d = omegas**2 - omega**2  # the master's entry is exactly 0
+        _check_diagonal(d, omegas[-1] ** 2 + omega**2, self.master_row[0], singular)
         x, s = self.solve(d, 0, rhs, np.asarray(border) / (-2.0 * omega))
         return x.real, 0.5 * s.real
 
@@ -528,10 +526,9 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
         raise ValueError("rho must be positive")
     exp.check_model(model)
     n = model.n
-    K = model.K
     omega = exp.master.omega
     omegas, modes = model.modes
-    reg = (omegas**2 + 1e-14 * np.linalg.norm(K, 1))[:, None]
+    reg = (omegas**2 + 1e-14 * np.linalg.norm(model.K, 1))[:, None]
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Weighted norm at each grid point of the (theta x n) blocks."""
@@ -558,7 +555,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     dW = (Phi1 @ Wm) * Rp[:, :1] + (Phi2 @ Wm) * Rp[:, 1:]
     x, v = W[:, :n], W[:, n:]
     dx, dv = dW[:, :n], dW[:, n:]
-    ref = real_times(K, x.T).T + np.array([model.nonlinear_force(xk) for xk in x])
+    ref = real_times(model.K, x.T).T + np.array([model.nonlinear_force(xk) for xk in x])
     defect = real_times(model.C, dx.T).T + real_times(model.M, dv.T).T + ref
     den = state_norms(ref, v)
     if np.any(den == 0.0):
