@@ -330,14 +330,6 @@ def build_vk_beam(
     _check_finite(spec)
     M, K, tensors = _assemble_vk(spec)
     n = M.shape[0]
-    model = MechModel(
-        M=M,
-        K=K,
-        alpha_r=spec.alpha_r,
-        beta_r=spec.beta_r,
-        T2=_sym_tensor(n, 2, *tensors[0]),
-        T3=_sym_tensor(n, 3, *tensors[1]),
-    )
     matrices, dT = {}, {2: [], 3: []}
     for i, p in enumerate(params):
         if p not in field_of:
@@ -356,6 +348,17 @@ def build_vk_beam(
             b[at[len(cp) :]] = vm
             dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
     derivs = ParamDerivatives.stack(n, params, matrices, dT[2], dT[3])
+    # built after the assemblies: freeing its eigh's workspace raises glibc's
+    # mmap threshold, which kept their temporaries on the heap (vk_beam40 at
+    # 4 parameters: 3 MB more peak RSS)
+    model = MechModel(
+        M=M,
+        K=K,
+        alpha_r=spec.alpha_r,
+        beta_r=spec.beta_r,
+        T2=_sym_tensor(n, 2, *tensors[0]),
+        T3=_sym_tensor(n, 3, *tensors[1]),
+    )
     return model, derivs
 
 
