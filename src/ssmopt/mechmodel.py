@@ -512,14 +512,9 @@ def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class MechModel:
-    """Immutable mechanical system; safe for concurrent read-only use.
-
-    It is built whole: its damping `C` and its undamped modes (`modes`) are
-    computed with the checks, from one Cholesky factor of M, and kept. It
-    builds the one operator the recursion forms, at(s) = K + s C + s^2 M,
-    for the backward-error check of each solve; Rayleigh damping makes every
-    at(s) diagonal in the modes.
-    """
+    """Immutable mechanical system, built whole (`__post_init__`); safe for
+    concurrent read-only use. at(s) = K + s C + s^2 M is the one operator
+    the recursion forms, for the backward-error check of each solve."""
 
     M: np.ndarray
     K: np.ndarray

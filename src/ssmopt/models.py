@@ -348,9 +348,8 @@ def build_vk_beam(
             b[at[len(cp) :]] = vm
             dT[arity].append(_sym_tensor(n, arity, codes, (a - b) / (2 * h)))
     derivs = ParamDerivatives.stack(n, params, matrices, dT[2], dT[3])
-    # built after the assemblies: freeing its eigh's workspace raises glibc's
-    # mmap threshold, which kept their temporaries on the heap (vk_beam40 at
-    # 4 parameters: 3 MB more peak RSS)
+    # built last: freeing its eigh's workspace raises glibc's mmap threshold,
+    # which kept the assemblies' temporaries on the heap (vk_beam40: +3 MB RSS)
     model = MechModel(
         M=M,
         K=K,
