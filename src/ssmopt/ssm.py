@@ -25,9 +25,9 @@ a resonant index) is an outer resonance of mode j. The same solve serves the
 bordered mode-shape system (`SsmExpansion.mode_solve`), and the same basis
 the invariance residual's regularized stiffness K + eps M: nothing is
 factored. Every product of M, C, K or the modes with complex data is one
-`mechmodel.real_times`. Each cohomological
-solve's normwise backward error is checked against the formed L_m, and an
-overflowed right-hand side is reported before the solve. A resonant record
+`mechmodel.real_times`. Each cohomological solve's normwise backward error
+is checked against the formed L_m, and an overflowed right-hand side is
+reported before the solve. A resonant record
 also keeps the denominator of its R_m and the force D that R_m exerts on
 the right-hand side, so no pass rebuilds them.
 
