@@ -34,6 +34,9 @@ from .ssm import SsmExpansion
 
 VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
 RHO_X_RTOL = 1e-10
+# a DOF is a node of the master mode when its entry, which roundoff may leave
+# nonzero, is at most this many epsilons of the mode's largest entry
+NODE_RATIO = 1e3
 
 
 def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
@@ -213,10 +216,15 @@ def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     return float(rho[np.argmax(hit)] if hit.any() else rho[-1])
 
 
+def _mode_entry(exp: SsmExpansion, dof_index: int) -> float:
+    """|phi[dof]| of the master mode, 0.0 at a node (NODE_RATIO)."""
+    phi = np.abs(exp.master.phi)
+    amp = float(phi[dof_index])
+    return amp if amp > NODE_RATIO * np.finfo(float).eps * phi.max() else 0.0
+
+
 def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
-    amp = abs(exp.master.phi[dof_index])
-    if amp == 0.0:
-        amp = float(np.abs(exp.master.phi).max())
+    amp = _mode_entry(exp, dof_index) or float(np.abs(exp.master.phi).max())
     return 1e-6 / (np.sqrt(2.0) * amp)
 
 
@@ -226,7 +234,7 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
         raise ValueError("target amplitude must be positive")
     cap = _validity_cap(exp, dof_index)
 
-    phi_i = abs(exp.master.phi[dof_index])
+    phi_i = _mode_entry(exp, dof_index)
     if phi_i > 0:
         rho_hi = min(x0 / (np.sqrt(2.0) * phi_i), cap)
     else:

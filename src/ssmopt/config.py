@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import replace
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .models import FAMILIES, ModelFamily
 from .optimizer import GRADIENTS
 
 _NUM = {"type": "number"}
+_OPTIONAL_NUM = {"type": ["number", "null"]}
 _POSINT = {"type": "integer", "minimum": 1}
 _INDEX = {"type": "integer", "minimum": 0}
 # the run blocks' numbers; the model blocks keep _NUM, their builders check them.
@@ -46,6 +47,7 @@ _TYPES = {
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "null": lambda x: x is None,
     "integer": lambda x: (
         isinstance(x, float) and x.is_integer()
         or isinstance(x, int) and not isinstance(x, bool)
@@ -62,8 +64,9 @@ def _schema_errors(schema, x, path=()):
     number = _TYPES["number"](x)
     for key, value in schema.items():
         if key == "type":
-            if not _TYPES[value](x):
-                yield path, f"{x!r} is not of type {value!r}"
+            kinds = [value] if isinstance(value, str) else value
+            if not any(_TYPES[kind](x) for kind in kinds):
+                yield path, f"{x!r} is not of type {', '.join(map(repr, kinds))}"
         elif key == "enum":
             if x not in value:
                 yield path, f"{x!r} is not one of {value!r}"
@@ -139,13 +142,18 @@ def _integers(schema, x):
 
 
 def _family_schema(family: ModelFamily) -> dict:
-    """One property per spec field (int -> positive integer, else number),
-    and `params` drawn from the family's parameter names."""
+    """One property per spec field (int -> positive integer, an optional
+    field -> number or null, else number), and `params` drawn from the
+    family's parameter names."""
     hints = get_type_hints(family.spec)
+    optional = {name for name, t in hints.items() if type(None) in get_args(t)}
     return {
         "properties": {
             "type": True,
-            **{name: _POSINT if t is int else _NUM for name, t in hints.items()},
+            **{
+                name: _POSINT if t is int else _OPTIONAL_NUM if name in optional else _NUM
+                for name, t in hints.items()
+            },
             "params": {"type": "array", "items": {"enum": list(family.params)}},
         },
         "additionalProperties": False,

@@ -9,7 +9,9 @@ frozen during the iteration. `_Session` alone decides the order, by one
 rule: an order fails while the invariance residual exceeds `eps_tol` or a
 target lies beyond the validity radius. At the start design `adapt_order`
 picks the lowest order that passes; every accepted iterate that fails
-raises it by two (never decreased within a run).
+raises it by two (never decreased within a run). A target past the radius
+cannot be evaluated (`AmplitudeUnreachableError`), so a start that no
+order up to `max_order` reaches fails at its first evaluation.
 
 The variables are normalized by their bounds and the constraints by the
 initial natural frequency. `solve` runs a dense SQP iteration of its own:
@@ -17,11 +19,12 @@ a damped-BFGS Lagrangian Hessian, a step split into a minimum-norm
 restoration part toward the linearized equality constraints and an
 objective part in their null space, bound clipping, a trust cap and an L1
 merit line search, in which a trial design that cannot be evaluated (a
-typed `SsmOptError`) counts as an infinite merit. When the line search
-stalls short of feasibility it probes interior values of each variable, and
-a Gauss-Newton restoration on the constraints alone polishes the end point.
-Each accepted iterate (a line-search step, a restoration probe or the
-polished end point) is recorded in the trace and re-decides the order.
+typed `SsmOptError`, a target past the radius among them) counts as an
+infinite merit. When the line search stalls short of feasibility it
+probes interior values of each variable, and a Gauss-Newton restoration
+on the constraints alone polishes the end point. Each accepted iterate (a
+line-search step, a restoration probe or the polished end point) is
+recorded in the trace and re-decides the order.
 
 The backbone constraints' gradients come from `GRADIENTS`, the one table of
 gradient methods (adjoint and direct), which the CLI and the config read too.
@@ -35,8 +38,8 @@ from numbers import Real
 
 import numpy as np
 
-from .backbone import domega_drho, dx_drho, omega_of_rho, rho_of_x
-from .errors import AmplitudeUnreachableError, ConfigError, SsmOptError
+from .backbone import omega_of_rho, rho_of_x
+from .errors import ConfigError, SsmOptError
 from .sens_adjoint import contract_gradient, solve_adjoint
 from .sens_direct import chain_derivatives
 from .spectral import solve_master, track_mode
@@ -246,7 +249,6 @@ class EvalResult:
     order: int
     mac: float
     phi: np.ndarray
-    extrapolated: bool = False  # a target exceeded the validity radius
 
 
 @dataclass
@@ -356,11 +358,8 @@ class _Session:
             )
         )
         self.reference = res.phi.copy()
-        # an evaluation beyond the validity radius fails the rule, whatever
-        # its residual
         tol = self.problem.tolerances
-        eps = np.inf if res.extrapolated else res.epsilon
-        self.order = order_policy(eps, tol.eps_tol, self.order, tol.max_order)
+        self.order = order_policy(res.epsilon, tol.eps_tol, self.order, tol.max_order)
         try:
             return self.evaluate(mu)
         except SsmOptError:
@@ -383,7 +382,8 @@ def evaluate(
     omega_scale: float,
     method: str = "adjoint",
 ) -> EvalResult:
-    """Objective, scaled constraints and their gradients at one design point."""
+    """Objective, scaled constraints and their gradients at one design point;
+    AmplitudeUnreachableError for a backbone target past the validity radius."""
     model, params = problem.builder(mu)
     _check_indices(problem, model.n)
     master = track_mode(model, reference)
@@ -392,25 +392,13 @@ def evaluate(
     cons: list[float] = []
     jac: list[np.ndarray] = []
     epsilon = 0.0
-    extrapolated = False
     if problem.backbone_targets:
         exp = compute_ssm(model, master, order)
         rho_max = 0.0
         for tgt in problem.backbone_targets:
-            # Exploratory SQP steps may leave the expansion's validity radius;
-            # continue the constraint linearly in amplitude past the cap so the
-            # line search sees finite, repelling values. An extrapolated
-            # iterate raises the order and never counts as converged.
-            try:
-                rho = rho_of_x(exp, tgt.dof_index, tgt.x)
-                omega = omega_of_rho(exp, rho)
-            except AmplitudeUnreachableError as err:
-                extrapolated = True
-                rho = err.rho_cap
-                slope = domega_drho(exp, rho) / dx_drho(exp, tgt.dof_index, rho)
-                omega = omega_of_rho(exp, rho) + slope * (tgt.x - err.x_max)
+            rho = rho_of_x(exp, tgt.dof_index, tgt.x)
             rho_max = max(rho_max, rho)
-            cons.append((omega - tgt.omega) / omega_scale)
+            cons.append((omega_of_rho(exp, rho) - tgt.omega) / omega_scale)
             grad = GRADIENTS[method](model, exp, params, tgt.dof_index, rho)
             jac.append(grad / omega_scale)
         epsilon = invariance_residual(model, exp, rho_max).epsilon
@@ -436,7 +424,6 @@ def evaluate(
         order=order if problem.backbone_targets else 0,
         mac=master.mac if master.mac is not None else 1.0,
         phi=master.phi,
-        extrapolated=extrapolated,
     )
 
 def _violation(c: np.ndarray) -> float:
@@ -522,11 +509,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             while alpha >= 2.0**-12:
                 z_try = np.clip(z_cur + alpha * d, 0.0, 1.0)
                 r = try_eval(z_try)
-                if (
-                    r is not None
-                    and not r.extrapolated
-                    and float(np.abs(r.constraints).sum()) <= (1 - 1e-4 * alpha) * base
-                ):
+                if r is not None and np.abs(r.constraints).sum() <= (1 - 1e-4 * alpha) * base:
                     improved = (z_try, r)
                     break
                 alpha *= 0.5
@@ -556,8 +539,6 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 if repaired is None:
                     continue
                 z_rep, r = repaired
-                if r.extrapolated:
-                    continue
                 val = float(np.abs(r.constraints).sum())
                 if val < 0.95 * base and (best_probe is None or val < best_probe[0]):
                     best_probe = (val, z_rep, r)
@@ -660,9 +641,9 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         z = z_new
         f, g, c, J = localize(ses.accept(unscale(z), res))
         viol = _violation(c)
-        if (viol, f) < best[:2] and not res.extrapolated:
+        if (viol, f) < best[:2]:
             best = (viol, f, z.copy())
-        if viol <= tol.constraint_tol and not res.extrapolated:
+        if viol <= tol.constraint_tol:
             if step <= 1e-9:
                 converged, message = True, "constraints and step within tolerance"
                 break
@@ -681,14 +662,11 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         if polished is not None:
             z, res = polished
             ses.accept(unscale(z), res)
-            if _violation(res.constraints) <= tol.constraint_tol and not res.extrapolated:
+            if _violation(res.constraints) <= tol.constraint_tol:
                 converged, message = True, "feasible after constraint polish"
     mu_star = unscale(z)
     final = ses.evaluate(mu_star)
-    converged = (
-        converged and _violation(final.constraints) <= tol.constraint_tol
-        and not final.extrapolated
-    )
+    converged = converged and _violation(final.constraints) <= tol.constraint_tol
     stationarity = _stationarity_residual(final, (mu_star - problem.lower) / span)
     return OptResult(
         mu_star=mu_star,

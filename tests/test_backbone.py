@@ -24,7 +24,13 @@ from ssmopt.backbone import (
     x_harmonics,
     x_theta_samples,
 )
-from ssmopt.errors import AmplitudeUnreachableError, ConjugacyError, SsmError, assert_real
+from ssmopt.errors import (
+    AmplitudeUnreachableError,
+    ConjugacyError,
+    SsmError,
+    TurningPointError,
+    assert_real,
+)
 from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import order
 
@@ -71,6 +77,10 @@ class TestXrms:
 
     def test_zero_amplitude(self, chain2_exp5):
         assert x_rms(chain2_exp5, 1, 0.0) == 0.0
+
+    def test_derivative_undefined_at_zero_amplitude(self, chain2_exp5):
+        with pytest.raises(TurningPointError, match="undefined at zero amplitude"):
+            dx_drho(chain2_exp5, 1, 0.0)
 
     def test_derivative_matches_finite_difference(self, chain2_exp5):
         rho, h = 0.25, 1e-6

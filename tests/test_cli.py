@@ -11,6 +11,7 @@ import pytest
 
 from ssmopt import cli, config, models, optimizer, sens_direct, ssm
 from ssmopt.cli import main
+from ssmopt.errors import SsmOptError
 
 CHAIN_MODEL = {
     "type": "chain",
@@ -21,6 +22,30 @@ CHAIN_MODEL = {
     "k3": 0.2,
     "alpha_r": 0.0,
     "beta_r": 0.1,
+}
+
+
+# name -> (model, backbone block without dof and mode, exit code): the
+# default flat two-element beam, and two curved ones from a random search
+NODE_CASES = {
+    "flat": ({"type": "vk_beam", "n_elements": 2}, {"x_targets": [0.001], "order": 5}, 3),
+    "curved_runs": (
+        {"type": "vk_beam", "n_elements": 2, "a1": -0.016566989417925795,
+         "a2": -0.005921777264207622, "thickness": 0.00855892718193769,
+         "length": 0.3375375429104786, "alpha_r": 1.788621511644578,
+         "beta_r": 0.00023756377879621734},
+        {"x_targets": [0.0002974252554316926, 0.0003716097376518507, 0.0007186212714375624],
+         "order": 15, "max_order": 9, "eps_tol": 1.845676196243789e-07},
+        0,
+    ),
+    "curved_unreachable": (
+        {"type": "vk_beam", "n_elements": 2, "a1": 0.0011963281926679406,
+         "a2": 0.006372223240229437, "thickness": 0.00481115487634845,
+         "length": 4.66743656166571, "alpha_r": 0.5075378986335566, "beta_r": 0.0},
+        {"x_targets": [0.2961145528881397, 0.37394090863492213, 0.4700578827427184],
+         "order": 15, "max_order": 3, "eps_tol": 3.384596100942822e-05},
+        3,
+    ),
 }
 
 
@@ -264,6 +289,44 @@ class TestBackboneCommand:
         assert rc == 3
         assert "Traceback" not in err and "Warning" not in err
         assert "computation error: the amplitude polynomial of DOF 1 at order 5 overflows" in err
+
+    def test_null_width_is_the_default_width(self, tmp_path):
+        model = {"type": "vk_beam", "n_elements": 4}
+        outs = []
+        for i, fields in enumerate(({}, {"width": None})):
+            cfg = {"model": dict(model, **fields), "backbone": {"dof": 4, "x_targets": [0.001]}}
+            outs.append(tmp_path / f"o{i}")
+            argv = ["--config", write_config(tmp_path, cfg, f"cfg{i}.json"), "--out", str(outs[-1])]
+            assert main(["backbone", *argv]) == 0
+        for name in ("backbone.csv", "expansion.json", "error_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    def test_roundoff_node_of_the_master_mode(self, tmp_path, capsys, case):
+        # DOF 1 of each two-element beam's mode 1 is a node that roundoff
+        # leaves at 6e-18 to 3e-16 of the mode's largest entry
+        model, block, code = NODE_CASES[case]
+        cfg = {"model": model, "backbone": dict(block, dof=1, mode=1)}
+        out = tmp_path / "o"
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code == 3:
+            x0 = block["x_targets"][0]
+            found = re.fullmatch(
+                rf"computation error: target amplitude {x0:.6g} unreachable; maximum "
+                r"attainable within the validity radius is (\S+)\n",
+                err,
+            )
+            assert found, err
+            if case == "flat":  # by symmetry the midspan does not move in this mode
+                assert float(found[1]) < 1e-15
+        else:
+            assert err == ""
+            x = [float(r.split(",")[2]) for r in (out / "backbone.csv").read_text().split()[1:]]
+            assert x == block["x_targets"]
+            assert json.loads((out / "error_report.json").read_text())["order_warning"]
 
     @pytest.mark.parametrize(
         "field, fields",
@@ -521,6 +584,26 @@ class TestOptimizeCommand:
         assert trace[0].startswith("iteration,")
         assert len(trace) >= 2
 
+    def test_start_past_every_validity_radius_exit_code(self, tmp_path, capsys):
+        # at the start design no order up to 7 expands dof 1 to x = 10: the
+        # first evaluation fails with the unreachable amplitude's own message
+        cfg = {
+            "model": dict(CHAIN_MODEL, params=["k3"]),
+            "optimize": {
+                "objective": {"type": "constant"},
+                "constraints": [{"type": "backbone", "dof": 1, "x": 10.0, "omega": 1.0}],
+                "bounds": {"lower": [-1.0], "upper": [1.0]},
+                "tolerances": {"max_order": 7},
+            },
+        }
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: target amplitude 10 unreachable; "
+                              "maximum attainable within the validity radius is 3.26856")
+        assert not out.exists()
+
 
 OPT_BLOCK = {
     "objective": {"type": "constant"},
@@ -671,6 +754,16 @@ def test_integral_floats_run_as_integers(tmp_path, case):
             f.name: re.sub(r'"seconds": [^,\n]*', '"seconds"', f.read_text()) for f in out.iterdir()
         }
     assert files["float"] == files["int"] and files["int"]
+
+
+def test_bare_library_error_exit_code(tmp_path, capsys, monkeypatch):
+    # an SsmOptError of none of the three typed families exits 4
+    def fail(cfg, outdir):
+        raise SsmOptError("no family")
+
+    monkeypatch.setattr(cli, "cmd_bench", fail)
+    assert main(["bench", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "error: no family\n"
 
 
 def test_defaults_are_schema_properties():

@@ -149,3 +149,15 @@ def test_walker_matches_jsonschema_on_mutated_configs(name):
 def test_walker_rejects_a_keyword_it_does_not_know(schema, value):
     with pytest.raises(ValueError, match="does not support"):
         list(config._schema_errors(schema, value))
+
+
+@pytest.mark.parametrize(
+    "width, message",
+    [(None, None), (0.02, None), ("a", "'a' is not of type 'number', 'null'")],
+)
+def test_walker_matches_jsonschema_on_an_optional_field(width, message):
+    # VkBeamSpec.width is float | None: a number or null, nothing else
+    cfg = copy.deepcopy(BASES["backbone"])
+    cfg["model"]["width"] = width
+    expected = [] if message is None else [(("model", "width"), message)]
+    assert reference_errors(cfg) == list(config._schema_errors(config.CONFIG_SCHEMA, cfg)) == expected

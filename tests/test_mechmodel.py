@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
 from ssmopt.errors import ModelError
-from ssmopt.mechmodel import PairSums, _accum, real_times
+from ssmopt.mechmodel import PairSums, _accum, model_from_json, real_times
 from ssmopt import models
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, chain_per_spring_k3
 from ssmopt.multiindex import all_indices, canonical_indices, decomps
@@ -657,6 +657,10 @@ class TestValidation:
         with pytest.raises(ModelError) as err:
             MechModel(**(fields | change))
         assert type(err.value) is ModelError and str(err.value) == message
+
+    def test_json_descriptor_must_be_a_matrix_form(self):
+        with pytest.raises(ModelError, match="expected a matrix-form descriptor, got type='chain'"):
+            model_from_json({"type": "chain", "n": 1, "M": [[1.0]], "K": [[1.0]]})
 
     def test_rejects_asymmetric_stiffness(self):
         K = np.array([[1.0, 0.5], [0.0, 1.0]])

@@ -96,6 +96,10 @@ class TestChain:
         with pytest.raises(ConfigError, match=f"requested a count of {count}$"):
             chain_per_spring_k3(ChainSpec(n_masses=5), count)
 
+    def test_unknown_parameter_is_named(self):
+        with pytest.raises(ConfigError, match=r"unknown chain parameters: \['k4'\]"):
+            build_chain(ChainSpec(), params=("k3", "k4"))
+
     @pytest.mark.parametrize("field", ["mass", "k", "k2", "k3"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_is_named(self, field, value):
@@ -210,6 +214,10 @@ class TestVkBeam:
             build_vk_beam(VkBeamSpec(thickness=0.0))
         with pytest.raises(ModelError):
             build_vk_beam(VkBeamSpec(length=-1.0))
+
+    def test_unknown_parameter_is_named(self):
+        with pytest.raises(ConfigError, match="unknown beam parameter 'width'"):
+            build_vk_beam(VkBeamSpec(n_elements=2), params=("a1", "width"))
 
     def test_center_dof_requires_even_elements(self):
         with pytest.raises(ConfigError):

@@ -45,6 +45,14 @@ class TestNearResonance:
     def test_second_slot_on_swapped(self):
         assert resonant_slot((1, 2)) == 1
 
+    def test_leading_order_is_not_classified(self):
+        with pytest.raises(ValueError, match="classified separately"):
+            resonant_slot((1, 0))
+
+    def test_even_order_has_no_active_index(self):
+        with pytest.raises(ValueError, match="no active reduced coefficient at order 4"):
+            r1_active_index(4)
+
     def test_tags_mirror_under_swap(self):
         for q in range(2, 10):
             for m in all_indices(q):

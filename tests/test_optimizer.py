@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
 from ssmopt.spectral import solve_modes
-from ssmopt.backbone import domega_drho, dx_drho
 from ssmopt.errors import AmplitudeUnreachableError, ConfigError, ModelError, OuterResonanceError
 from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
 from ssmopt.optimizer import (
@@ -260,36 +259,6 @@ class TestEvaluate:
         assert np.array_equal(res.con_jac[0], dense / master.omega)
         assert np.all(res.con_jac[0, [1, 4]] != 0.0)
 
-    def test_target_past_validity_cap_is_extrapolated(self):
-        # at order 3 the validity cap of chain2 is x_rms = 1.84 at dof 1: the
-        # constraint continues linearly in amplitude from the cap
-        model, _ = chain_builder([0.2])
-        master = solve_master(model, 0)
-        exp = compute_ssm(model, master, 3)
-        x = 2.0
-        with pytest.raises(AmplitudeUnreachableError) as info:
-            rho_of_x(exp, 1, x)
-        cap = info.value
-        slope = domega_drho(exp, cap.rho_cap) / dx_drho(exp, 1, cap.rho_cap)
-        want = (omega_of_rho(exp, cap.rho_cap) + slope * (x - cap.x_max) - master.omega) / master.omega
-        prob = OptProblem(
-            builder=chain_builder,
-            names=("k3",),
-            mu0=np.array([0.2]),
-            lower=np.array([-1.0]),
-            upper=np.array([1.0]),
-            objective={"type": "constant"},
-            backbone_targets=(BackboneTarget(1, x, master.omega),),
-        )
-        jac = {}
-        for method in ("adjoint", "direct"):
-            res = evaluate(prob, prob.mu0, order=3, reference=master.phi,
-                           omega_scale=master.omega, method=method)
-            assert res.extrapolated
-            assert res.constraints[0] == pytest.approx(want, rel=1e-12)
-            jac[method] = res.con_jac[0, 0]
-        assert jac["adjoint"] == pytest.approx(jac["direct"], rel=1e-8)
-
 
 class TestSolve:
     def test_feasible_start_converges_immediately(self, chain_target):
@@ -428,9 +397,8 @@ class TestSolve:
 
     def test_extrapolated_start_raises_the_order(self, monkeypatch):
         # the O3 validity cap of chain2 at dof 1 is x = 1.84, so a target at
-        # 1.9 is extrapolated at the start; its residual at the cap passes
-        # eps_tol, but the start follows the rule of every accepted iterate:
-        # an extrapolated evaluation asks for a higher order
+        # 1.9 cannot be evaluated at order 3; the start order passes the rule
+        # of every order, which a target past the validity radius fails
         model, _ = chain_builder([0.2])
         master = solve_master(model, 0)
         prob = OptProblem(
@@ -444,8 +412,8 @@ class TestSolve:
             tolerances=OptTolerances(eps_tol=1.0, max_order=5, max_iter=1),
             start_order=3,
         )
-        start = evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
-        assert start.extrapolated and start.epsilon <= 1.0
+        with pytest.raises(AmplitudeUnreachableError):
+            evaluate(prob, prob.mu0, order=3, reference=master.phi, omega_scale=master.omega)
         # the start order is decided before any evaluation, not by one
         orders = []
 
