@@ -15,16 +15,17 @@ order up to `max_order` reaches fails at its first evaluation.
 
 The variables are normalized by their bounds and the constraints by the
 initial natural frequency. `solve` runs a dense SQP iteration of its own:
-a damped-BFGS Lagrangian Hessian, a step split into a minimum-norm
-restoration part toward the linearized equality constraints and an
-objective part in their null space, bound clipping, a trust cap and an L1
-merit line search, in which a trial design that cannot be evaluated (a
-typed `SsmOptError`, a target past the radius among them) counts as an
-infinite merit. When the line search stalls short of feasibility it
-probes interior values of each variable, and a Gauss-Newton restoration
-on the constraints alone polishes the end point. Each accepted iterate (a
-line-search step, a restoration probe or the polished end point) is
-recorded in the trace and re-decides the order.
+a damped-BFGS Lagrangian Hessian, an active set for the bounds, a step in
+the free variables split into a minimum-norm restoration part toward the
+linearized equality constraints and an objective part in their null space,
+cut at the first bound it meets, a trust cap and an L1 merit line search,
+in which a trial design that cannot be evaluated (a typed `SsmOptError`, a
+target past the radius among them) counts as an infinite merit. One rule,
+`_free`, decides which variables the bounds hold, for the step and for the
+stationarity measure alike. When the iteration ends short of convergence,
+a Gauss-Newton restoration on the constraints alone polishes the last
+accepted iterate. Each accepted iterate (a line-search step or the polished
+end point) is recorded in the trace and re-decides the order.
 
 The backbone constraints' gradients come from `GRADIENTS`, the one table of
 gradient methods (adjoint and direct), which the CLI and the config read too.
@@ -433,7 +434,7 @@ def _violation(c: np.ndarray) -> float:
 
 def _capped(d: np.ndarray, radius: float) -> np.ndarray:
     """The step d, scaled down to max-norm `radius` when it is longer."""
-    nrm = float(np.abs(d).max())
+    nrm = float(np.abs(d).max(initial=0.0))
     return d * (radius / nrm) if nrm > radius else d
 
 
@@ -444,20 +445,68 @@ def _min_norm_step(J: np.ndarray, c: np.ndarray, reg: float) -> np.ndarray:
     return -J.T @ np.linalg.solve(JJt + reg * max(np.trace(JJt), 1.0) * np.eye(len(c)), c)
 
 
-def _multipliers(g: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Least-squares Lagrange multipliers: lam minimizing |g + J^T lam|."""
-    if J.size == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
-    return lam
+# a scaled variable within this distance of 0 or 1 lies on its bound
+BOUND_TOL = 1e-12
+
+
+def _free(z: np.ndarray, g: np.ndarray, J: np.ndarray):
+    """(free, lam): the variables the bounds leave free, and least-squares
+    Lagrange multipliers fitted on them (Nocedal & Wright §12.3). A variable
+    is held when it lies on a bound and the Lagrangian gradient g + J^T lam
+    points out of the box there; the rule is iterated to a fixed point."""
+    lo, hi = z <= BOUND_TOL, z >= 1.0 - BOUND_TOL
+    held = np.zeros(len(z), dtype=bool)
+    for _ in range(len(z) + 1):
+        free = ~held
+        lam = np.linalg.lstsq(J[:, free].T, -g[free], rcond=None)[0] if len(J) else np.zeros(0)
+        r = g + J.T @ lam
+        now = (lo & (r > 0)) | (hi & (r < 0))
+        if np.array_equal(now, held):
+            break
+        held = now
+    return free, lam
+
+
+def _sqp_step(g, c, J, B, trust):
+    """Trust-capped SQP step: a minimum-norm restoration part toward the
+    linearized constraints plus an objective part in their null space."""
+    P = len(g)
+    d_n = _capped(_min_norm_step(J, c, 1e-12) if len(c) else np.zeros(P), trust)
+    if len(c):
+        _, sv, Vt = np.linalg.svd(J)
+        rank = int(np.sum(sv > 1e-12 * max(sv.max(initial=0.0), 1e-300)))
+        Z = Vt[rank:].T
+    else:
+        Z = np.eye(P)
+    if not Z.shape[1]:
+        return d_n
+    H = Z.T @ B @ Z
+    H += 1e-10 * max(np.trace(H), 1.0) * np.eye(Z.shape[1])
+    return _capped(d_n + Z @ np.linalg.solve(H, -Z.T @ (g + B @ d_n)), trust)
+
+
+def _to_first_bound(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The step d, scaled to stop at the first bound of the unit box it
+    meets; the variables that meet it land on it exactly."""
+    room = np.where(d < 0, z, 1.0 - z)
+    moving = d != 0
+    reach = np.full(len(d), np.inf)
+    reach[moving] = room[moving] / np.abs(d[moving])
+    t = float(reach.min(initial=np.inf))
+    if t >= 1.0:
+        return d
+    hit = reach <= t
+    d = t * d
+    d[hit] = np.where(d[hit] < 0, -z[hit], 1.0 - z[hit])
+    return d
 
 
 def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
     """Dense SQP iteration: BFGS Lagrangian Hessian, linearized equality
-    constraints, bound clipping, trust-capped steps and an L1 merit line
-    search; a Gauss-Newton restoration phase polishes the constraints when
-    the merit iteration stalls short of feasibility. Returns the best iterate
-    either way."""
+    constraints, an active set for the bounds, trust-capped steps cut at the
+    first bound they meet and an L1 merit line search; a Gauss-Newton
+    restoration phase polishes the constraints when the merit iteration ends
+    short of convergence. Returns the last accepted iterate, polished."""
     t0 = time.perf_counter()
     tol = problem.tolerances
     ses = _Session(problem, method)
@@ -492,91 +541,29 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         except SsmOptError:
             return None
 
-    def gn_restore(z0, max_steps):
-        """Damped minimum-norm Newton steps on the constraints alone."""
-        res0 = try_eval(z0)
-        if res0 is None:
-            return None
-        z_cur, res_cur = z0, res0
-        for _ in range(max_steps):
-            c = res_cur.constraints
-            if _violation(c) <= tol.constraint_tol:
-                break
-            d = _capped(_min_norm_step(res_cur.con_jac * span[None, :], c, 1e-13), 0.25)
-            base = float(np.abs(c).sum())
-            improved = None
-            alpha = 1.0
-            while alpha >= 2.0**-12:
-                z_try = np.clip(z_cur + alpha * d, 0.0, 1.0)
-                r = try_eval(z_try)
-                if r is not None and np.abs(r.constraints).sum() <= (1 - 1e-4 * alpha) * base:
-                    improved = (z_try, r)
-                    break
-                alpha *= 0.5
-            if improved is None:
-                break
-            z_cur, res_cur = improved
-        return z_cur, res_cur
-
-    def restoration_probe(z, c):
-        """Escape for constraint-degenerate directions.
-
-        A variable whose violation influence vanishes by symmetry (flat-beam
-        curvature amplitudes) or whose benefit only appears after the other
-        variables re-adjust is invisible to the local subproblem. Probe a few
-        interior values and let a short restoration run repair the remaining
-        variables before judging the probe.
-        """
-        base = float(np.abs(c).sum())
-        best_probe = None
-        for i in range(P):
-            for t in (0.25, 0.5, 0.75):
-                if abs(z[i] - t) < 0.05:
-                    continue
-                z_try = z.copy()
-                z_try[i] = t
-                repaired = gn_restore(z_try, 4)
-                if repaired is None:
-                    continue
-                z_rep, r = repaired
-                val = float(np.abs(r.constraints).sum())
-                if val < 0.95 * base and (best_probe is None or val < best_probe[0]):
-                    best_probe = (val, z_rep, r)
-                    if val < 0.25 * base:
-                        return best_probe
-        return best_probe
-
     f, g, c, J = localize(ses.evaluate(unscale(z)))
     B = np.eye(P)
     trust = 0.25
     sigma = 10.0
     converged = False
     message = "maximum iterations reached"
-    best = (_violation(c), f, z.copy())
-    probes_left = 2
 
     for _ in range(tol.max_iter):
         viol = _violation(c)
-        lam = _multipliers(g, J)
+        free, lam = _free(z, g, J)
         sigma = max(sigma, 2.0 * float(np.abs(lam).max(initial=0.0)))
 
-        # restoration component toward the linearized constraints
-        d_n = _capped(_min_norm_step(J, c, 1e-12) if len(c) else np.zeros(P), trust)
-        # objective component in the null space of the constraint rows
-        if len(c):
-            _, sv, Vt = np.linalg.svd(J)
-            rank = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-            Z = Vt[rank:].T
-        else:
-            Z = np.eye(P)
-        if Z.shape[1]:
-            H = Z.T @ B @ Z
-            H += 1e-10 * max(np.trace(H), 1.0) * np.eye(Z.shape[1])
-            d_z = np.linalg.solve(H, -Z.T @ (g + B @ d_n))
-            d = d_n + Z @ d_z
-        else:
-            d = d_n
-        d = np.clip(z + _capped(d, trust), 0.0, 1.0) - z
+        # the step in the free variables; a variable on a bound that the
+        # step would move out of the box is held too
+        on_lo, on_hi = z <= BOUND_TOL, z >= 1.0 - BOUND_TOL
+        while True:
+            d = np.zeros(P)
+            d[free] = _sqp_step(g[free], c, J[:, free], B[np.ix_(free, free)], trust)
+            leaving = (on_lo & (d < 0)) | (on_hi & (d > 0))
+            if not leaving.any():
+                break
+            free &= ~leaving
+        d = _to_first_bound(z, d)
 
         pred = -float(g @ d)
         if len(c):
@@ -585,7 +572,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         alpha = 1.0
         accepted = None
         while alpha >= 2.0**-9:
-            z_try = np.clip(z + alpha * d, 0.0, 1.0)
+            z_try = z + alpha * d
             # a trial design that cannot be evaluated has an infinite merit
             res_try = try_eval(z_try)
             if res_try is not None:
@@ -595,31 +582,19 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                     break
             alpha *= 0.5
 
-        stalled = accepted is None or (
-            float(np.abs(accepted[0] - z).max()) <= 1e-6 and viol > tol.constraint_tol
-        )
-        if stalled:
-            if accepted is None and trust > 1e-2:
+        if accepted is None:
+            if trust > 1e-2:
                 trust = max(trust * 0.25, 1e-2)
                 continue
             if viol <= tol.constraint_tol:
                 converged, message = True, "merit stalled at a feasible point"
-                break
-            if probes_left > 0:
-                probes_left -= 1
-                hit = restoration_probe(z, c)
-                if hit is not None:
-                    _, z, res = hit
-                    f, g, c, J = localize(ses.accept(unscale(z), res))
-                    B = np.eye(P)
-                    trust = 0.25
-                    continue
-            message = "merit line search stalled"
+            else:
+                message = "merit line search stalled"
             break
 
         z_new, res, g_n, J_n = accepted
         step = float(np.abs(z_new - z).max())
-        lam_n = _multipliers(g_n, J_n)
+        _, lam_n = _free(z_new, g_n, J_n)
         s = z_new - z
         y = (g_n + J_n.T @ lam_n) - (g + J.T @ lam_n)
         sBs = float(s @ B @ s)
@@ -640,10 +615,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
 
         z = z_new
         f, g, c, J = localize(ses.accept(unscale(z), res))
-        viol = _violation(c)
-        if (viol, f) < best[:2]:
-            best = (viol, f, z.copy())
-        if viol <= tol.constraint_tol:
+        if _violation(c) <= tol.constraint_tol:
             if step <= 1e-9:
                 converged, message = True, "constraints and step within tolerance"
                 break
@@ -652,18 +624,31 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 break
 
     if not converged:
-        if best[0] < _violation(c):
-            z = best[2]
         # Feasibility polish: the merit iteration can stall with a small but
         # above-tolerance violation (curved constraint manifold, conservative
-        # Hessian model); minimum-norm Newton on the constraints alone
-        # converges quadratically once the manifold is near.
-        polished = gn_restore(z, 30)
-        if polished is not None:
-            z, res = polished
-            ses.accept(unscale(z), res)
-            if _violation(res.constraints) <= tol.constraint_tol:
-                converged, message = True, "feasible after constraint polish"
+        # Hessian model); damped minimum-norm Newton steps on the constraints
+        # alone converge quadratically once the manifold is near. The last
+        # accepted iterate (or the start) is in the evaluation cache.
+        res = ses.evaluate(unscale(z))
+        for _ in range(30):
+            c = res.constraints
+            if _violation(c) <= tol.constraint_tol:
+                break
+            d = _capped(_min_norm_step(res.con_jac * span[None, :], c, 1e-13), 0.25)
+            base = float(np.abs(c).sum())
+            alpha = 1.0
+            while alpha >= 2.0**-12:
+                z_try = np.clip(z + alpha * d, 0.0, 1.0)
+                r = try_eval(z_try)
+                if r is not None and np.abs(r.constraints).sum() <= (1 - 1e-4 * alpha) * base:
+                    z, res = z_try, r
+                    break
+                alpha *= 0.5
+            else:
+                break
+        ses.accept(unscale(z), res)
+        if _violation(res.constraints) <= tol.constraint_tol:
+            converged, message = True, "feasible after constraint polish"
     mu_star = unscale(z)
     final = ses.evaluate(mu_star)
     converged = converged and _violation(final.constraints) <= tol.constraint_tol
@@ -682,18 +667,12 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
 
 
 def _stationarity_residual(final: EvalResult, z: np.ndarray) -> float:
-    """Norm of the projected Lagrangian gradient with least-squares multipliers.
-
-    Active bounds are handled by projecting the residual onto the inactive
-    coordinates.
-    """
+    """Norm of the Lagrangian gradient over the free variables of `_free`,
+    relative to the objective gradient's norm (at least 1)."""
     g = final.obj_grad
-    scale = max(1.0, float(np.linalg.norm(g)))
-    r = g + final.con_jac.T @ _multipliers(g, final.con_jac)
-    active_lo = (z <= 1e-12) & (r > 0)
-    active_hi = (z >= 1.0 - 1e-12) & (r < 0)
-    r = np.where(active_lo | active_hi, 0.0, r)
-    return float(np.linalg.norm(r) / scale)
+    free, lam = _free(z, g, final.con_jac)
+    r = g + final.con_jac.T @ lam
+    return float(np.linalg.norm(r[free]) / max(1.0, float(np.linalg.norm(g))))
 
 
 def trace_to_csv(trace: list) -> str:
