@@ -371,14 +371,13 @@ class TestSolve:
             -0.4266600988915259,
         ),
         0.99: (
-            "constraints and step within tolerance",
+            "first-order optimality at a feasible point",
             [
                 (5, -0.12045698538804595, 7.071927303881065e-05, 0.001302111519552543),
                 (5, -0.11685218427431643, 9.145349810779635e-09, 0.001268936807214697),
-                (5, -0.11685171798426541, 6.661338147750939e-16, 0.0012689325348163277),
-                (5, -0.11685171798423144, 1.1102230246251565e-16, 0.0012689325348159961),
+                (5, -0.11685171798423744, 2.220446049250313e-16, 0.0012689325348161067),
             ],
-            -0.11685171798423144,
+            -0.11685171798423744,
         ),
     }
 
