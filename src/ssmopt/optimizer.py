@@ -453,7 +453,8 @@ def _free(z: np.ndarray, g: np.ndarray, J: np.ndarray):
     """(free, lam): the variables the bounds leave free, and least-squares
     Lagrange multipliers fitted on them (Nocedal & Wright §12.3). A variable
     is held when it lies on a bound and the Lagrangian gradient g + J^T lam
-    points out of the box there; the rule is iterated to a fixed point."""
+    points out of the box there; the rule is iterated to a fixed point, or
+    for at most P + 1 fits."""
     lo, hi = z <= BOUND_TOL, z >= 1.0 - BOUND_TOL
     held = np.zeros(len(z), dtype=bool)
     for _ in range(len(z) + 1):
@@ -549,7 +550,6 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
     message = "maximum iterations reached"
 
     for _ in range(tol.max_iter):
-        viol = _violation(c)
         free, lam = _free(z, g, J)
         sigma = max(sigma, 2.0 * float(np.abs(lam).max(initial=0.0)))
 
@@ -586,7 +586,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             if trust > 1e-2:
                 trust = max(trust * 0.25, 1e-2)
                 continue
-            if viol <= tol.constraint_tol:
+            if _violation(c) <= tol.constraint_tol:
                 converged, message = True, "merit stalled at a feasible point"
             else:
                 message = "merit line search stalled"
