@@ -37,13 +37,15 @@ gives that record's eigenproblem terms.
 A table's `force(m)` is the convolution at m, and its `linearize(m)`
 linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
-decomposition-by-decomposition form. The direct walk applies it to
-derivative vectors with `Linearization.forward`, in one accumulation. The
-adjoint sweep calls the reverse, `pullback(m, v)`, which forms no
-coefficients: it reduces v onto the keys once, gathers the table rows of
-every part of m at the tensor's `scatter_pattern` in one take, and sums each
-(slot, receiving DOF) bin in key order. Its bars are bitwise those of
-scattering the coefficients one (index, slot) at a time.
+decomposition-by-decomposition form. The direct walk applies it to a table
+of derivative vectors in the `multiindex.table_row` layout with
+`Linearization.gather`, one sum over the keys, and `SymTensor.spread`, one
+accumulation into the receiving rows. The adjoint sweep calls the reverse,
+`pullback(m, v)`, which forms no coefficients: it reduces v onto the keys
+once, gathers the table rows of every part of m at the tensor's
+`scatter_pattern` in one take, and sums each (slot, receiving DOF) bin in
+key order. Its bars are bitwise those of scattering the coefficients one
+(index, slot) at a time.
 `SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` validates the tensor rows of a JSON descriptor
 (`model_from_json`); it and the built-in families put entries in canonical
@@ -59,7 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ModelError
-from .multiindex import all_indices, decomps, order
+from .multiindex import all_indices, decomps, table_row
 
 
 def _accum(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -115,18 +117,20 @@ def _distinct(cols) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(rows, at, slots): the layout of `PairSums.linearize(m)`, which depends
-    on the index and the arity alone.
+def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, at, slots, parts): the layout of `PairSums.linearize(m)`, which
+    depends on the index and the arity alone.
 
     rows lists the (u, slot) pairs in the order the decompositions of m into
-    `arity` parts first read them; at[r] is the table row of m - u and
-    slots[r] the slot of rows[r].
+    `arity` parts first read them; at[r] is the table row of m - u, slots[r]
+    the slot of rows[r] and parts[r] the `table_row` row (orders 1 and up)
+    of its u.
     """
     rows = tuple(dict.fromkeys((u, slot) for d in decomps(m, arity) for slot, u in enumerate(d)))
-    at = np.fromiter((_table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u, _ in rows), np.intp)
+    at = np.fromiter((table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u, _ in rows), np.intp)
     slots = np.fromiter((slot for _, slot in rows), np.intp)
-    return rows, at, slots
+    parts = np.fromiter((table_row(u, 1) for u, _ in rows), np.intp)
+    return rows, at, slots, parts
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +148,7 @@ def _pull_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     parts = tuple(dict.fromkeys(u for u, _ in lin_rows))
     number = {u: k for k, u in enumerate(parts)}
     at = np.fromiter(
-        (_table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u in parts), np.intp, len(parts)
+        (table_row((m[0] - u[0], m[1] - u[1]), arity - 1) for u in parts), np.intp, len(parts)
     )
     # a stable sort keeps each part's slots in first-read order
     rows = sorted((number[u] * arity + slot for u, slot in lin_rows), key=lambda r: r // arity)
@@ -157,9 +161,9 @@ def _force_plan(m, arity: int) -> tuple[np.ndarray, np.ndarray]:
     of the decompositions of m into `arity` parts, in the order they first
     read it, parts holds u's row in the table of vectors and at the table
     row of m - u."""
-    rows, at, slots = _linear_plan(m, arity)
+    rows, at, slots, _ = _linear_plan(m, arity)
     first = np.flatnonzero(slots == 0)
-    return np.fromiter((_table_row(rows[r][0], 1) for r in first), np.intp), at[first]
+    return np.fromiter((table_row(rows[r][0], 1) for r in first), np.intp), at[first]
 
 
 @lru_cache(maxsize=None)
@@ -170,17 +174,10 @@ def _sum_plan(lo: int, q: int) -> tuple:
     the parts' rows in the table of vectors (orders 1 and up), and first
     marks a row's first term."""
     return tuple(
-        (r, tuple(_table_row(v, 1) for v in d), k == 0)
+        (r, tuple(table_row(v, 1) for v in d), k == 0)
         for r, s in enumerate(all_indices(q))
         for k, d in enumerate(decomps(s, lo))
     )
-
-
-def _table_row(s, lo: int) -> int:
-    """Row of index s in a table of the indices of orders lo and up, in
-    ascending order and each order's in `all_indices` order."""
-    q = order(s)
-    return (q * (q + 1) - lo * (lo + 1)) // 2 + s[1]
 
 
 @dataclass(frozen=True)
@@ -290,6 +287,13 @@ class SymTensor:
         for c in self.cols[1:]:
             prod = prod * x[c]
         return _accum(self.cols[0], prod, self.n)
+
+    def spread(self, G: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add vals[e] * G[key of e] into the n-vector `out` at entry e's
+        receiving row, entry after entry: on a zero `out`, bitwise
+        `_accum`'s sums. G is a value per trailing key (`key_pattern`)."""
+        np.add.at(out, self.cols[0], self.vals * G[self.key_pattern[1]])
+        return out
 
     @cached_property
     def key_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -423,8 +427,10 @@ class PairSums:
         indices it reads: row (u, slot) is P_{m-u} at the slot's projection,
         all rows in one gather."""
         T = self.tensor
-        rows, at, slots = _linear_plan(m, T.arity)
-        return Linearization(T, rows, self.table[at[:, None], self.proj[slots]])
+        rows, at, slots, parts = _linear_plan(m, T.arity)
+        key_cols, _ = T.key_pattern
+        coef = self.table[at[:, None], self.proj[slots]]
+        return Linearization(T, rows, coef, key_cols[slots] + (parts * T.n)[:, None])
 
     def pullback(self, m, v: np.ndarray) -> dict:
         """{u: r_u}, r_u[p] = sum_i v_i dF_i / dw(u)_p, for the force
@@ -474,34 +480,26 @@ class Linearization:
     Row r of `coef` is the coefficient of the vector of index u in slot
     `slot`, (u, slot) = rows[r], over the tensor's trailing keys; the rows
     follow the order in which the decompositions first read the pairs.
-    `forward` applies the linearization to derivative vectors; its reverse
-    is `PairSums.pullback`, which reads the table without forming `coef`.
+    `gather` applies the coefficients to derivative vectors; its reverse is
+    `PairSums.pullback`, which reads the table without forming `coef`.
     """
 
     tensor: SymTensor
     rows: tuple
     coef: np.ndarray = field(repr=False)  # (rows, keys)
+    # for each entry (r, k) of coef, the position in a flattened (indices, n)
+    # table in the `table_row` layout (orders 1 and up) of the vector entry it
+    # multiplies: the row of rows[r]'s index, k's key column of its slot
+    at: np.ndarray = field(repr=False)
 
-    @cached_property
-    def _flat(self) -> np.ndarray:
-        """For each coefficient entry (r, k), its position in the flattened
-        table whose row r is the vector of rows[r]'s index: k's key column
-        of the row's slot. Built on the first forward product."""
-        T = self.tensor
-        key_cols, _ = T.key_pattern
-        slots = np.fromiter((slot for _, slot in self.rows), np.intp, len(self.rows))
-        return key_cols[slots] + (np.arange(len(self.rows)) * T.n)[:, None]
-
-    def forward(self, dw) -> np.ndarray:
-        """sum over (u, slot) of coef * dw(u) at the slot's key column,
-        expanded to the receiving rows in one accumulation; `dw` maps an
-        index to its vector."""
-        T = self.tensor
-        if not self.rows:
-            return np.zeros(T.n, dtype=complex)
-        table = np.array([dw(u) for u, _ in self.rows])
-        G = np.einsum("rk,rk->k", self.coef, table.ravel().take(self._flat))
-        return _accum(T.cols[0], T.vals * G[T.key_pattern[1]], T.n)
+    def gather(self, dW: np.ndarray) -> np.ndarray:
+        """(keys,): the sum over (u, slot) of coef times dW's row of u at the
+        slot's key column, added row after row, for a contiguous
+        (indices, n) table dW in the `table_row` layout. `SymTensor.spread`
+        expands it to the receiving rows; the two are the linearization
+        applied to dW."""
+        X = dW.ravel().take(self.at)
+        return np.add.reduce(np.multiply(self.coef, X, out=X), axis=0)
 
 
 def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):

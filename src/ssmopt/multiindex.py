@@ -54,6 +54,13 @@ def resonant_slot(m: MultiIndex) -> int | None:
     return None
 
 
+def table_row(s: MultiIndex, lo: int) -> int:
+    """Row of index s in a table of the indices of orders lo and up, in
+    ascending order and each order's in `all_indices` order."""
+    q = order(s)
+    return (q * (q + 1) - lo * (lo + 1)) // 2 + s[1]
+
+
 def r1_active_index(order_: int) -> MultiIndex:
     """The unique canonical index with an active first reduced coefficient."""
     if order_ < 3 or order_ % 2 == 0:

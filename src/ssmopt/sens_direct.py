@@ -8,7 +8,7 @@ projection reads it, through the backbone point's weights
 fixed physical amplitude and the response frequency's. So the walk runs
 once per expansion order and `ParamDerivatives`: its record (`_Record`:
 every parameter's dlam pair, dR of the resonant indices and dw of every
-index, the canonical half, stacked in arrays that the passes write in
+index, swapped ones included, stacked in arrays that the passes write in
 place) is kept in the expansion's memo (`SsmExpansion.memo`), and every
 target, at any DOF, costs one projection: a few array operations per
 weight for all parameters at once, each product rounded as the scalar
@@ -16,28 +16,38 @@ product of a per-parameter loop rounds it. It serves as the cross-check
 oracle for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
-together: the walk visits each canonical index once and runs every pass's
-step there. It reads the expansion's own `PairSums` tables
+together, one order at a time: the walk steps through the expansion's
+order plans (`SsmExpansion.order_plans`, built once per expansion and kept
+in its memo), and every pass's step takes the order's canonical indices at
+once, one column each of (n, k) blocks. The canonical indices of one order
+read only lower orders, so each stage runs once per order: the partial and
+linearized forces, the lower-order coupling sums, the M and C products, the
+modal solve with one diagonal per column and the resonant column bordered
+(`SsmExpansion.solve_order`), dwdot, and the conjugate mirrors that write
+the swapped indices. A pass's derivatives are its rows of the record, one
+row per index in the `multiindex.table_row` layout, so a pass gathers every
+lower-order vector it reads from one table.
+The walk reads the expansion's own `PairSums` tables
 (`SsmExpansion.tables`) and the record of the residuals' explicit parameter
 partials (`SsmExpansion.partials`, the one the gradient contraction reads):
 per index the partial forces of all parameter tensors over the primal
 vectors and, one row per matrix parameter, dM, dC and dK applied to the
 primal vectors; and dM phi of the master, whose stack a pass reads by row.
-What depends on the index alone is built once per index and dropped before
-the next: each force tensor's key-space linearization in the lower-order
+Each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, whose reverse the adjoint sweep applies
-as `PairSums.pullback`) and the lower-order coupling terms. A matrix
-parameter's step also reads M V_m and (C + 2 Lam_m M) w_m, which the
-index's record keeps for the adjoint sweep too. A pass's step at the index
-then applies the linearizations to its own lower-order derivatives, adds
-its explicit partials (a dense term only for the matrix parameters that
-the builder declares, `ParamDerivatives.matrix_params`) and solves its own
-right-hand side with the modal diagonal and the resonant denominator that
-the index's record keeps. The walk applies the model's
-operators as the adjoint sweep does: the velocity s M + C reaches a
-derivative vector as s (M v) + C v, each product a `mechmodel.real_times`,
-and no operator is formed to be applied to one vector. Every other operator
-is applied in the primal's association.
+as `PairSums.pullback`) is built when the walk reaches the index's order,
+applied by every pass (`Linearization.gather`, `SymTensor.spread`) and
+dropped before the next index's: the order's other stages need every
+pass's forces, and a whole order's linearizations would hold several
+indices' coefficients at once. A matrix parameter's step also reads
+M V_m and (C + 2 Lam_m M) w_m, which the plan stacks from the records the
+adjoint sweep reads too, adds its explicit partials (a dense term only for
+the matrix parameters that the builder declares,
+`ParamDerivatives.matrix_params`) and solves with the modal diagonals and
+the resonant denominator that the records keep. The walk applies the
+model's operators as the adjoint sweep does: the velocity s M + C reaches
+a block of derivative vectors as s (M v) + C v, each product a
+`mechmodel.real_times`, and no operator is formed to be applied to them.
 Parameters are never batched into one solve: a coefficient's derivative
 needs the same parameter's lower-order derivatives, so each pass keeps its
 own table of the derivatives later indices read, and the cost stays linear
@@ -56,8 +66,8 @@ import numpy as np
 from .backbone import point_weights
 from .errors import assert_real_each
 from .mechmodel import MechModel, ParamDerivatives, real_times
-from .multiindex import order, symmetric
-from .ssm import IndexCoeffs, SsmExpansion, v_decomps
+from .multiindex import order, table_row
+from .ssm import OrderPlan, SsmExpansion
 
 
 @dataclass
@@ -111,157 +121,150 @@ def lambda_derivative(master, alpha_r: float, beta_r: float, domega: float):
 class _Pass:
     """One parameter's forward pass through the expansion.
 
-    Holds the parameter's own constants and, of its coefficient derivatives,
-    what a later index or the projection reads: dw, dwdot of the indices
-    the R couplings read, and dR of the resonant indices. The canonical
-    dw, the canonical dR and the dlam pair are written in place into the
-    parameter's rows of the walk's `_Record`; the swapped indices' conjugates
-    and dwdot live only as long as the pass. A tensor-only parameter (one
-    that `ParamDerivatives.matrix_params` does not declare) has a zero
-    mode-shape and eigenvalue derivative and no dense matrix term: the
-    record of explicit partials (`SsmExpansion.partials`) holds no row of
-    its matrix-parameter stacks for it, and its step skips the products that
+    Its coefficient derivatives are its rows of the walk's `_Record`, in
+    the `table_row` layout: dw of every index, dR of the resonant ones, and
+    the dlam pair; the walk keeps dwdot of the indices that the couplings
+    read in a table of its own. A pass writes a swapped index's
+    derivatives, the conjugates of its partner's, when it writes the
+    partner's. A tensor-only parameter (one that
+    `ParamDerivatives.matrix_params` does not declare) has a zero mode-shape
+    and eigenvalue derivative and no dense matrix term: the record of
+    explicit partials (`SsmExpansion.partials`) holds no row of its
+    matrix-parameter stacks for it, and its step skips the products that
     its zero dLam_m scales.
     """
 
-    def __init__(self, exp: SsmExpansion, record: "_Record", p: int, dphi, domega, dMphi):
+    def __init__(self, exp: SsmExpansion, record: "_Record", dWdot, p: int, dphi, domega, dMphi):
         model = exp.model
-        self.exp, self.record = exp, record
+        self.exp = exp
         self.domega = domega
         _, dlam = lambda_derivative(exp.master, model.alpha_r, model.beta_r, domega)
         self.dlam_pair = record.dlam[p]
         self.dlam_pair[:] = (dlam, np.conj(dlam))
-        self.dw_rows, self.dR_rows = record.dw[p], record.dR[p]
-        self.dphi = self.dw_rows[record.rows[(1, 0)]]
-        self.dphi[:] = dphi
+        self.dW, self.dR, self.dWdot = record.dw[p], record.dR[p], dWdot[p]
+        self.dW[:2] = dphi  # the mode shape is w_(1,0) and w_(0,1)
+        self.dphi = self.dW[0]
         # d(M phi): the derivative of a resonant solve's border row
-        self.matrix = dMphi is not None
-        self.dMphi = np.zeros(model.n, dtype=complex)
-        if self.matrix:
-            self.dMphi = dMphi + real_times(model.M, self.dphi)
-        self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
-        self.dwdot: dict = {}
-        self.dR: dict = {}
+        if dMphi is not None:
+            self.Mdphi = real_times(model.M, self.dphi)
+            self.Cdphi = real_times(model.C, self.dphi)
+            self.dMphi = dMphi + self.Mdphi
 
-    def step(self, rec: IndexCoeffs, lins, v_terms, keep_wdot: bool, pf, dense):
-        """The derivative of index rec.m's coefficients: its own right-hand
-        side and its own solve with the diagonal the record keeps. lins
-        holds one linearization per force tensor, v_terms the lower-order
-        coupling terms (u, j, k, u[j], R_k[j]), keep_wdot whether a later
-        coupling reads dwdot_m; pf and dense (pC, Aw, Vphi, None for a
-        tensor-only parameter) are its explicit partials (`Partials`)."""
-        m, exp = rec.m, self.exp
+    def step(self, plan: OrderPlan, df: np.ndarray, dense, keep_wdot: bool):
+        """The derivatives of the coefficients of one order's canonical
+        indices, one column each: their right-hand sides and one solve with
+        the diagonals the plan keeps. df holds the (n, k) partial and
+        linearized forces, keep_wdot whether a later coupling reads dwdot
+        of this order; dense (pC, Aw, Vphi, None for a tensor-only
+        parameter) are its explicit partials (`Partials`), pC and Aw (n, k)
+        and Vphi the resonant index's."""
+        exp = self.exp
         model, master, phi = exp.model, exp.master, exp.master.phi
         M, C = model.M, model.C
         pC, Aw, Vphi = dense or (None,) * 3
         dlam_pair = self.dlam_pair
-        Lam = rec.Lam
-        dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
-        MV, Lw = (rec.MV, rec.Lw) if self.matrix else (0.0, 0.0)
+        dLam = plan.mm @ dlam_pair
 
-        # dT over the primal vectors (pf), T linearized in the lower orders
-        df = pf + sum(lin.forward(self.dw.__getitem__) for lin in lins)
-
-        dV = dVdot = 0.0
-        dC = -df - dLam * MV
-        if v_terms:
-            for u, j, k, uj, Rkj in v_terms:
-                dRkj = self.dR[k][j]
-                dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
-                dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
+        dC = -df
+        if dense:
+            dC -= plan.MV * dLam
+        dV = 0.0
+        if len(plan.u_rows):
+            # the lower-order coupling sums, every term of the order at once
+            SdR = plan.S * self.dR.ravel()[plan.R_at][:, None]
+            dV = self.dW[plan.u_rows].T @ plan.A + plan.Wu @ SdR
+            dVdot = self.dWdot[plan.u_rows].T @ plan.A + plan.Wdotu @ SdR
             # the velocity Lam M + C applied to dV, not formed
-            dC = dC - real_times(M, dVdot) - (Lam * real_times(M, dV) + real_times(C, dV))
-        if pC is not None:
-            dC = dC + pC
+            dC -= real_times(M, dVdot)
+            dC -= plan.Lam * real_times(M, dV) + real_times(C, dV)
+        if dense:
+            dC += pC
 
-        dR = np.zeros(2, dtype=complex)
-        dh = dC
-        if rec.slot is not None:
+        dRj = 0.0
+        border = 0.0
+        if plan.res is not None:
+            r, rec = plan.res, plan.res_rec
             j = rec.slot
-            dR = self.dR_rows[self.record.resonant[m]]
-            dlj = dLam + dlam_pair[j]
+            dlj = dLam[r] + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
-            dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
+            # the terms in dphi and dMphi vanish for a tensor-only parameter
+            dphi_C = self.dphi @ rec.C if dense else 0.0
+            dRj = (dphi_C + phi @ dC[:, r]) / rec.den - rec.R[j] * dden / rec.den
             # D = -(lj M + C) phi with lj = Lam + lambda_j, applied not formed
             dD = -dlj * exp.Mphi
-            if Vphi is not None:
-                lj = Lam + master.lambda_pair[j]
-                dD = dD - (lj * real_times(M, self.dphi) + real_times(C, self.dphi)) - Vphi
-            dh = dC + dD * rec.R[j] + rec.D * dR[j]
+            if dense:
+                lj = rec.Lam + master.lambda_pair[j]
+                dD = dD - (lj * self.Mdphi + self.Cdphi) - Vphi
+            dC[:, r] += dD * rec.R[j]
+            dC[:, r] += rec.D * dRj
+            self.dR[plan.rows[r], j] = dRj
+            # the swapped index's R pair is this one conjugated, slots exchanged
+            self.dR[plan.mirrors[r], 1 - j] = np.conj(dRj)
+            # border row: d(phi^T M w_m) = 0
+            if dense:
+                border = -(self.dMphi @ rec.w)
 
-        dLw = dLam * Lw
-        if Aw is not None:
-            dLw = dLw + Aw
-        # border row: d(phi^T M w_m) = 0; a plain record ignores it
-        dw, _ = exp.solve(rec.d, rec.slot, dh - dLw, -(self.dMphi @ rec.w))
-        row = self.dw[m] = self.dw_rows[self.record.rows[m]]
-        row[:] = dw
+        rhs = dC if not dense else dC - (plan.Lw * dLam + Aw)
+        dw, _ = exp.solve_order(plan, rhs, border)
+        self._write(self.dW, plan, dw)
 
-        dwdot = None
         if keep_wdot:
-            dwdot = self.dwdot[m] = (
-                dLam * rec.w
-                + Lam * dw
-                + dV
-                + (dR[0] + dR[1]) * phi
-                + (rec.R[0] + rec.R[1]) * self.dphi
-            )
-        if rec.slot is not None:
-            self.dR[m] = dR
-        if m[0] != m[1]:
-            # the swapped index's coefficients are the conjugate ones
-            ms = symmetric(m)
-            self.dw[ms] = np.conj(dw)
-            if dwdot is not None:
-                self.dwdot[ms] = np.conj(dwdot)
-            if rec.slot is not None:
-                self.dR[ms] = np.conj(dR[::-1])
+            dwdot = plan.w * dLam + plan.Lam * dw + dV
+            if plan.res is not None:
+                dwdot[:, plan.res] += dRj * phi
+            if dense:
+                dwdot += plan.Rsum * self.dphi[:, None]
+            self._write(self.dWdot, plan, dwdot)
+
+    @staticmethod
+    def _write(table: np.ndarray, plan: OrderPlan, X: np.ndarray):
+        """X's columns into the plan's rows of table, and their conjugates
+        into the swapped indices' rows."""
+        table[plan.rows] = X.T
+        table[plan.mirrors[plan.swapped]] = np.conj(X.T[plan.swapped])
 
 
 @dataclass(eq=False)
 class _Record:
     """The walk's record: what the projection reads, every parameter's rows
-    stacked. It keeps the canonical half (m1 >= m2); a swapped index's
-    derivatives are the conjugates of its partner's, with the two R slots
-    exchanged. It holds no reference to the model, the expansion or the
-    params, so the expansion's memo that keeps it makes no cycle back to the
-    expansion."""
+    stacked, one row per index of the expansion in the `table_row` layout
+    (orders 1 and up). A swapped index's derivatives are the conjugates of
+    its partner's, with the two R slots exchanged. It holds no reference to
+    the model, the expansion or the params, so the expansion's memo that
+    keeps it makes no cycle back to the expansion."""
 
-    rows: dict  # canonical index -> its row of dw
-    resonant: dict  # canonical resonant index of order >= 2 -> its row of dR
-    dw: np.ndarray  # (P, rows, n): dw_m of every canonical index
-    dR: np.ndarray  # (P, resonant, 2): dR_m of the canonical resonant indices
+    dw: np.ndarray  # (P, rows, n): dw_m of every index
+    dR: np.ndarray  # (P, rows, 2): dR_m, zero but at the resonant indices of order >= 3
     dlam: np.ndarray  # (P, 2): (dlam, conj(dlam))
 
     @classmethod
     def empty(cls, exp: SsmExpansion, count: int) -> "_Record":
-        rows = [m for m in exp.data if m[0] >= m[1]]
-        resonant = [m for m in rows if order(m) > 1 and exp.data[m].slot is not None]
+        rows = table_row((0, exp.order), 1) + 1
         return cls(
-            {m: i for i, m in enumerate(rows)},
-            {m: i for i, m in enumerate(resonant)},
-            np.zeros((count, len(rows), exp.model.n), complex),
-            np.zeros((count, len(resonant), 2), complex),
+            np.zeros((count, rows, exp.model.n), complex),
+            np.zeros((count, rows, 2), complex),
             np.zeros((count, 2), complex),
         )
 
     def dw_at(self, indices, dof_index: int) -> np.ndarray:
         """(indices, P): dw_m[dof_index] of every parameter, per index."""
-        at = [self.rows[m if m[0] >= m[1] else symmetric(m)] for m in indices]
-        X = self.dw[:, at, dof_index].T
-        swapped = [k for k, m in enumerate(indices) if m[0] < m[1]]
-        X[swapped] = np.conj(X[swapped])
-        return X
+        return self.dw[:, [table_row(m, 1) for m in indices], dof_index].T
 
     def dR_at(self, pairs) -> np.ndarray:
         """(pairs, P): dR_m[slot] of every parameter, per (m, slot) pair."""
-        X = np.empty((len(pairs), len(self.dR)), complex)
-        for k, (m, slot) in enumerate(pairs):
-            if m[0] >= m[1]:
-                X[k] = self.dR[:, self.resonant[m], slot]
-            else:
-                X[k] = np.conj(self.dR[:, self.resonant[symmetric(m)], 1 - slot])
-        return X
+        rows = [table_row(m, 1) for m, _ in pairs]
+        return self.dR[:, rows, [slot for _, slot in pairs]].T
+
+
+def _forces(lins, dW: np.ndarray, out: np.ndarray):
+    """out, zero on entry, += each linearization applied to the table dW:
+    the tensors' sums are formed apart and added in order."""
+    for i, lin in enumerate(lins):
+        G = lin.gather(dW)
+        if i == 0:
+            lin.tensor.spread(G, out)
+        else:
+            out += lin.tensor.spread(G, np.zeros_like(out))
 
 
 def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Record:
@@ -270,28 +273,39 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
     exp.check_model(model)
     walk = _Record.empty(exp, params.count)
     record = exp.partials(params)
+    n, P = model.n, params.count
 
     dphi_all, domega_all = eig_derivatives(exp, params, record.eig)
     rows = {p: k for k, p in enumerate(params.matrix_params)}  # of the record's stacks
     dMphi = dict(zip(params.matrix_params, record.eig[1]))
+    # dwdot of the indices that a coupling reads, orders up to order - 2
+    dWdot = np.zeros((P, table_row((0, max(exp.order - 2, 1)), 1) + 1, n), complex)
     passes = [
-        _Pass(exp, walk, p, dphi_all[p], domega_all[p], dMphi.get(p))
-        for p in range(params.count)
+        _Pass(exp, walk, dWdot, p, dphi_all[p], domega_all[p], dMphi.get(p))
+        for p in range(P)
     ]
 
-    r_orders = exp.r_orders()
-    couplings = {m: v_decomps(m, r_orders) for m, _, _ in record.indices}
-    wdot_read = {u for terms in couplings.values() for u, _, _ in terms}
-    for m, pf, (pC, Aw, Vphi, _) in record.indices:
-        rec = exp.coeffs(m)
-        lins = [table.linearize(m) for table in exp.tables]
-        v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in couplings[m]]
-        keep_wdot = m in wdot_read or symmetric(m) in wdot_read
+    done = 0
+    for plan in exp.order_plans():
+        k = len(plan.indices)
+        entries = record.indices[done : done + k]
+        done += k
+        # every pass's forces, the partial ones added last; one index's
+        # linearizations at a time
+        F = np.zeros((k, P, n), complex)
+        for t, m in enumerate(plan.indices):
+            lins = [lin for lin in (table.linearize(m) for table in exp.tables) if lin.rows]
+            for p in range(P):
+                _forces(lins, walk.dw[p], F[t, p])
+            del lins
+            F[t] += entries[t][1]
+        pC, Aw = (np.stack([e[2][i] for e in entries], axis=2) for i in (0, 1))
+        Vphi = None if plan.res is None else entries[plan.res][2][2]
+        keep_wdot = order(plan.indices[0]) <= exp.order - 2
         for p, ps in enumerate(passes):
-            k = rows.get(p)
-            dense = None if k is None else (pC[k], Aw[k], None if Vphi is None else Vphi[k])
-            ps.step(rec, lins, v_terms, keep_wdot, pf[p], dense)
-        del lins  # one index's linearizations at a time
+            kk = rows.get(p)
+            dense = None if kk is None else (pC[kk], Aw[kk], None if Vphi is None else Vphi[kk])
+            ps.step(plan, F[:, p].T, dense, keep_wdot)
     return walk
 
 
@@ -318,10 +332,10 @@ def chain_derivatives(
 
     The reported dOmega/dmu holds the observed RMS amplitude constant: the
     reduced-amplitude derivative comes from differentiating the amplitude
-    map at x = const. The walk visits the canonical indices once, and each
-    parameter's pass mirrors every derivative to the swapped index by
-    conjugation, so a full-set expansion gives the same derivatives as the
-    canonical one.
+    map at x = const. The walk steps through the orders, each order's
+    canonical indices at once, and each parameter's pass mirrors every
+    derivative to the swapped index by conjugation, so a full-set expansion
+    gives the same derivatives as the canonical one.
 
     The walk reads no target. It runs on the first call for this
     `ParamDerivatives` and its record is kept in the expansion's memo, in

@@ -34,8 +34,10 @@ the right-hand side, so no pass rebuilds them.
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
 written by conjugation. The sensitivity passes (direct, adjoint sweep,
-contraction) walk the canonical indices too and mirror the swapped ones by
-conjugation. The direct walk and the contraction read one record per
+contraction) read the canonical indices too and mirror the swapped ones by
+conjugation; the direct walk steps through whole orders (`OrderPlan`, kept
+by `SsmExpansion.order_plans`), each order's canonical indices one column
+of a block that `SsmExpansion.solve_order` solves at once. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
 design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
 the matrix parameters' terms stacked as their dM and dK are, one row each.
@@ -69,6 +71,7 @@ from .multiindex import (
     r1_active_index,
     resonant_slot,
     symmetric,
+    table_row,
 )
 from .spectral import MasterPair
 
@@ -147,10 +150,11 @@ class SsmExpansion:
     that have entries (`tables`, T2's and T3's) grow with the expansion, and
     the recursion and every sensitivity pass read them. The memo (`memo`)
     keeps what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
-    that another `ParamDerivatives` replaces, it keeps the record of the
-    residuals' explicit parameter partials (`partials`), which both
-    sensitivity methods read, and the direct method's walk record. It holds
+    polynomials and validity caps, and the order plans (`order_plans`).
+    Per `ParamDerivatives`, in one slot each that another `ParamDerivatives`
+    replaces, it keeps the record of the residuals' explicit parameter
+    partials (`partials`), which both sensitivity methods read, and the
+    direct method's walk record. It holds
     the current order's entries only: `compute_ssm` with from_expansion,
     which extends an expansion in place, clears it.
     """
@@ -242,6 +246,11 @@ class SsmExpansion:
         gradient contraction and the direct walk both read them."""
         return self.memo("partials", lambda: _build_partials(self, params), owner=params)
 
+    def order_plans(self) -> list["OrderPlan"]:
+        """One `OrderPlan` per order from 2 up, ascending, built on first use
+        and kept in the memo. The direct walk steps through them."""
+        return self.memo("order plans", lambda: _build_order_plans(self))
+
     def solve(self, d: np.ndarray, slot: int | None, rhs: np.ndarray, border=0.0):
         """(x, s) solving L_m x + M phi s = rhs, phi^T M x = border at a
         resonant index (slot not None), or (x, 0.0) solving L_m x = rhs, for
@@ -251,17 +260,31 @@ class SsmExpansion:
         value and s = q_j0 - d_j0 y_j0 (each signed by `master_row`). The
         bordered operator is complex symmetric, so the adjoint solves with
         it too. A non-finite rhs or border raises numpy's ValueError."""
+        return self._modal_solve(d, None if slot is None else ..., rhs, border)
+
+    def solve_order(self, plan: "OrderPlan", rhs: np.ndarray, border=0.0):
+        """(x, s): `solve` at every canonical index of one order at once.
+        rhs holds one column per index of `plan`, each solved with its own
+        modal diagonal; the resonant index's column is bordered with the
+        value `border`, and s is its multiplier (0.0 at an even order)."""
+        return self._modal_solve(plan.d, plan.res, rhs, border)
+
+    def _modal_solve(self, d: np.ndarray, bordered, rhs: np.ndarray, border):
+        """The solve of `solve` and `solve_order`: d is one diagonal for
+        every column, or (n, K) one per column; bordered selects the
+        bordered columns (None: none, Ellipsis: all, an integer: one)."""
         Phi = self.model.modes[1]
         q = real_times(Phi.T, np.asarray_chkfinite(rhs))
-        d = d.reshape(d.shape + (1,) * (q.ndim - 1))
+        d = d.reshape(d.shape + (1,) * (q.ndim - d.ndim))
         s = 0.0
-        if slot is not None:
+        if bordered is not None:
             j0, sign = self.master_row
-            border = sign * np.asarray_chkfinite(np.broadcast_to(border, q.shape[1:]))
-            s = sign * (q[j0] - d[j0] * border)
+            at = (j0, bordered)
+            border = sign * np.asarray_chkfinite(np.broadcast_to(border, q[at].shape))
+            s = sign * (q[at] - d[at] * border)
             d = d.copy()
-            d[j0] = 1.0
-            q[j0] = border
+            d[at] = 1.0
+            q[at] = border
         return real_times(Phi, q / d), s
 
     def mode_solve(self, rhs: np.ndarray, border):
@@ -331,6 +354,85 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
             pf += table.force(rec.m)  # in place: no (P*n) temporary per table
         indices.append((rec.m, pf.reshape(P, n), (pC, Aw, Vphi, phiMw)))
     return Partials(indices, params.modal_partials(master.omega, phi))
+
+
+@dataclass(eq=False)
+class OrderPlan:
+    """The canonical indices of one order as the sensitivity passes step
+    through them, one column each (`SsmExpansion.order_plans`).
+
+    Rows are those of the `table_row` layout (orders 1 and up), the layout
+    of the direct walk's record. The stacks are
+    the indices' records side by side, and the couplings are the terms
+    (u, j, k) of their lower-order sums (`v_decomps`), one row each. Arrays
+    and the resonant index's record only: the memo that keeps the plans
+    makes no cycle back to the expansion.
+    """
+
+    indices: tuple
+    rows: np.ndarray  # (k,) the indices' rows
+    mirrors: np.ndarray  # (k,) their swapped partners' rows; a self-symmetric index's own
+    swapped: np.ndarray  # the columns of the indices with a partner of their own
+    mm: np.ndarray  # (k, 2) complex: the indices' components
+    Lam: np.ndarray  # (k,)
+    Rsum: np.ndarray  # (k,) R_m[0] + R_m[1]
+    d: np.ndarray  # (n, k) the modal diagonals
+    w: np.ndarray  # (n, k) w_m
+    Lw: np.ndarray  # (n, k) (C + 2 Lam_m M) w_m
+    MV: np.ndarray  # (n, k) M V_m
+    res: int | None  # the resonant index's column, at an odd order
+    res_rec: IndexCoeffs | None  # its record
+    u_rows: np.ndarray  # (U,) the distinct rows of the couplings' u, ascending
+    R_at: np.ndarray  # (T,) 2 row(k) + j: each coupling's R_k[j] in a flattened (rows, 2) table
+    A: np.ndarray  # (U, k) sum of u[j] R_k[j] over the couplings of each u and index
+    S: np.ndarray  # (T, k) u[j] in the column of the coupling's index, else 0
+    Wu: np.ndarray  # (n, T) each coupling's w_u
+    Wdotu: np.ndarray  # (n, T) each coupling's wdot_u
+
+
+def _build_order_plans(exp: SsmExpansion) -> list[OrderPlan]:
+    r_orders = exp.r_orders()
+    plans = []
+    for q in range(2, exp.order + 1):
+        indices = tuple(canonical_indices(q))
+        recs = [exp.coeffs(m) for m in indices]
+        terms = [(t, u, j, k) for t, m in enumerate(indices) for u, j, k in v_decomps(m, r_orders)]
+        u_rows = sorted({table_row(u, 1) for _, u, _, _ in terms})
+        A = np.zeros((len(u_rows), len(indices)), complex)
+        S = np.zeros((len(terms), len(indices)))
+        for i, (t, u, j, k) in enumerate(terms):
+            A[u_rows.index(table_row(u, 1)), t] += u[j] * exp.R(k)[j]
+            S[i, t] = u[j]
+        res = next((t for t, rec in enumerate(recs) if rec.slot is not None), None)
+
+        def stack(vectors):
+            """(n, len(vectors)): the vectors as columns."""
+            return np.array(vectors, complex).reshape(-1, exp.model.n).T.copy()
+
+        plans.append(
+            OrderPlan(
+                indices,
+                np.array([table_row(m, 1) for m in indices]),
+                np.array([table_row(symmetric(m), 1) for m in indices]),
+                np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
+                np.array(indices, complex),
+                np.array([rec.Lam for rec in recs]),
+                np.array([rec.R[0] + rec.R[1] for rec in recs]),
+                stack([rec.d for rec in recs]),
+                stack([rec.w for rec in recs]),
+                stack([rec.Lw for rec in recs]),
+                stack([rec.MV for rec in recs]),
+                res,
+                None if res is None else recs[res],
+                np.array(u_rows, np.intp),
+                np.array([2 * table_row(k, 1) + j for _, _, j, k in terms], np.intp),
+                A,
+                S,
+                stack([exp.w(u) for _, u, _, _ in terms]),
+                stack([exp.wdot(u) for _, u, _, _ in terms]),
+            )
+        )
+    return plans
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:

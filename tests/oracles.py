@@ -22,6 +22,12 @@
   walks only the canonical indices and folds each swapped index's bars into
   its canonical partner; this sweep reverses every index on its own, the form
   the fold must reproduce to roundoff. It solves with `formed_solve`.
+* `reference_walk`: the direct walk one canonical index at a time, every
+  parameter's pass stepping at each index with its derivatives in dicts.
+  `sens_direct._walk` steps through whole orders, each order's indices one
+  column of a block, and must agree with it to roundoff. It applies each
+  linearization with `reference_forward`, which gathers the vectors of the
+  rows one by one; the walk gathers them from its record's table.
 * `formed_solve`: a dense solve of an index's formed operator L_m, bordered
   by M phi at a resonant index. `SsmExpansion.solve` divides by the
   operator's diagonal in the model's modes instead; the two agree to the
@@ -81,7 +87,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,10 +102,17 @@ from ssmopt.backbone import (
 )
 from ssmopt.errors import ConfigError, ModelError
 from ssmopt.fdcheck import fd_gradient
-from ssmopt.mechmodel import Linearization, MechModel, ParamDerivatives, SymTensor, _accum
+from ssmopt.mechmodel import (
+    Linearization,
+    MechModel,
+    ParamDerivatives,
+    SymTensor,
+    _accum,
+    real_times,
+)
 from ssmopt import models
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
-from ssmopt.multiindex import all_indices, symmetric
+from ssmopt.multiindex import all_indices, order, symmetric, table_row
 from ssmopt.sens_adjoint import (
     AdjointState,
     _backprop_index,
@@ -108,8 +121,9 @@ from ssmopt.sens_adjoint import (
     _seed_bars,
     solve_adjoint_phi_omega,
 )
+from ssmopt.sens_direct import eig_derivatives, lambda_derivative
 from ssmopt.spectral import track_mode
-from ssmopt.ssm import SsmExpansion, compute_ssm, order_step
+from ssmopt.ssm import IndexCoeffs, SsmExpansion, compute_ssm, order_step, v_decomps
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -508,6 +522,134 @@ def reference_adjoint(
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 
+def reference_forward(lin: Linearization, dw) -> np.ndarray:
+    """A one-index linearization (`PairSums.linearize`) applied to the
+    derivative vectors `dw(u)`: sum over (u, slot) of coef * dw(u) at the
+    slot's key column, expanded to the receiving rows in one accumulation."""
+    T = lin.tensor
+    if not lin.rows:
+        return np.zeros(T.n, dtype=complex)
+    key_cols, key_of = T.key_pattern
+    slots = np.fromiter((slot for _, slot in lin.rows), np.intp, len(lin.rows))
+    flat = key_cols[slots] + (np.arange(len(lin.rows)) * T.n)[:, None]
+    table = np.array([dw(u) for u, _ in lin.rows])
+    G = np.einsum("rk,rk->k", lin.coef, table.ravel().take(flat))
+    return _accum(T.cols[0], T.vals * G[key_of], T.n)
+
+
+class _IndexPass:
+    """One parameter's forward pass of `reference_walk`, one index at a
+    time: its derivatives by index in dicts, the swapped indices' as
+    conjugate copies."""
+
+    def __init__(self, exp: SsmExpansion, dphi, domega, dMphi):
+        model = exp.model
+        self.exp = exp
+        self.domega = domega
+        _, dlam = lambda_derivative(exp.master, model.alpha_r, model.beta_r, domega)
+        self.dlam_pair = np.array([dlam, np.conj(dlam)])
+        self.dphi = dphi.astype(complex)
+        self.matrix = dMphi is not None
+        self.dMphi = np.zeros(model.n, dtype=complex)
+        if self.matrix:
+            self.dMphi = dMphi + real_times(model.M, self.dphi)
+        self.dw = {(1, 0): self.dphi, (0, 1): self.dphi}
+        self.dwdot: dict = {}
+        self.dR: dict = {}
+
+    def step(self, rec: IndexCoeffs, lins, v_terms, pf, dense):
+        m, exp = rec.m, self.exp
+        model, master, phi = exp.model, exp.master, exp.master.phi
+        M, C = model.M, model.C
+        pC, Aw, Vphi = dense or (None,) * 3
+        dlam_pair = self.dlam_pair
+        Lam = rec.Lam
+        dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
+        MV, Lw = (rec.MV, rec.Lw) if self.matrix else (0.0, 0.0)
+
+        df = pf + sum(reference_forward(lin, self.dw.__getitem__) for lin in lins)
+        dV = dVdot = 0.0
+        dC = -df - dLam * MV
+        if v_terms:
+            for u, j, k, uj, Rkj in v_terms:
+                dRkj = self.dR[k][j]
+                dV = dV + uj * (self.dw[u] * Rkj + exp.w(u) * dRkj)
+                dVdot = dVdot + uj * (self.dwdot[u] * Rkj + exp.wdot(u) * dRkj)
+            dC = dC - real_times(M, dVdot) - (Lam * real_times(M, dV) + real_times(C, dV))
+        if pC is not None:
+            dC = dC + pC
+
+        dR = np.zeros(2, dtype=complex)
+        dh = dC
+        if rec.slot is not None:
+            j = rec.slot
+            dlj = dLam + dlam_pair[j]
+            dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
+            dR[j] = (self.dphi @ rec.C + phi @ dC) / rec.den - rec.R[j] * dden / rec.den
+            dD = -dlj * exp.Mphi
+            if Vphi is not None:
+                lj = Lam + master.lambda_pair[j]
+                dD = dD - (lj * real_times(M, self.dphi) + real_times(C, self.dphi)) - Vphi
+            dh = dC + dD * rec.R[j] + rec.D * dR[j]
+
+        dLw = dLam * Lw
+        if Aw is not None:
+            dLw = dLw + Aw
+        dw, _ = exp.solve(rec.d, rec.slot, dh - dLw, -(self.dMphi @ rec.w))
+        self.dw[m] = dw
+        self.dwdot[m] = (
+            dLam * rec.w + Lam * dw + dV + (dR[0] + dR[1]) * phi + (rec.R[0] + rec.R[1]) * self.dphi
+        )
+        if rec.slot is not None:
+            self.dR[m] = dR
+        if m[0] != m[1]:
+            ms = symmetric(m)
+            self.dw[ms] = np.conj(dw)
+            self.dwdot[ms] = np.conj(self.dwdot[m])
+            if rec.slot is not None:
+                self.dR[ms] = np.conj(dR[::-1])
+
+
+@dataclass
+class ReferenceWalk:
+    """`reference_walk`'s derivatives: dw {m: (P, n)} of every index, dR
+    {m: (P, 2)} of every resonant index of order >= 3 and dlam (P, 2)."""
+
+    dw: dict
+    dR: dict
+    dlam: np.ndarray
+
+
+def reference_walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> ReferenceWalk:
+    """The direct walk one canonical index at a time, every parameter's pass
+    stepping at each index in ascending order. `sens_direct._walk` steps
+    through whole orders, each order's indices one column of a block; this
+    is the per-index form it reassociates, with each index's linearizations
+    applied by `reference_forward`."""
+    record = exp.partials(params)
+    dphi_all, domega_all = eig_derivatives(exp, params, record.eig)
+    rows = {p: k for k, p in enumerate(params.matrix_params)}
+    dMphi = dict(zip(params.matrix_params, record.eig[1]))
+    passes = [
+        _IndexPass(exp, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)
+    ]
+    r_orders = exp.r_orders()
+    for m, pf, (pC, Aw, Vphi, _) in record.indices:
+        rec = exp.coeffs(m)
+        lins = [table.linearize(m) for table in exp.tables]
+        v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
+        for p, ps in enumerate(passes):
+            k = rows.get(p)
+            dense = None if k is None else (pC[k], Aw[k], None if Vphi is None else Vphi[k])
+            ps.step(rec, lins, v_terms, pf[p], dense)
+    resonant = [m for m in exp.data if order(m) > 1 and exp.coeffs(m).slot is not None]
+    return ReferenceWalk(
+        {m: np.array([ps.dw[m] for ps in passes]).reshape(-1, model.n) for m in exp.data},
+        {m: np.array([ps.dR[m] for ps in passes]).reshape(-1, 2) for m in resonant},
+        np.array([ps.dlam_pair for ps in passes]).reshape(-1, 2),
+    )
+
+
 def reference_canonical(n: int, arity: int, entries) -> SymTensor:
     """SymTensor from validated [i, j, k(, l), v] rows: the trailing indices
     sorted per row, the rows ordered by a lexsort of the index columns,
@@ -529,21 +671,17 @@ def reference_canonical(n: int, arity: int, entries) -> SymTensor:
 
 def reference_projection(record, pw, dof_index: int) -> tuple[np.ndarray, np.ndarray]:
     """(drho, dOmega) of every parameter from the direct walk's record
-    (`sens_direct._Record`) and the backbone point's weights, before the
-    realness check: per parameter, drho sums a * dw_m[dof_index] over the
-    amplitude weights and dOmega sums the eigenvalue pair's and R's
-    weighted derivatives, each in the order of the weights. A swapped
-    index's derivatives are the conjugates of its canonical partner's."""
+    (`sens_direct._Record`, one row per index in the `table_row` layout)
+    and the backbone point's weights, before the realness check: per
+    parameter, drho sums a * dw_m[dof_index] over the amplitude weights and
+    dOmega sums the eigenvalue pair's and R's weighted derivatives, each in
+    the order of the weights."""
 
     def dw_at(p, m):
-        if m[0] >= m[1]:
-            return record.dw[p, record.rows[m], dof_index]
-        return np.conj(record.dw[p, record.rows[symmetric(m)], dof_index])
+        return record.dw[p, table_row(m, 1), dof_index]
 
     def dR_at(p, m, slot):
-        if m[0] >= m[1]:
-            return record.dR[p, record.resonant[m], slot]
-        return np.conj(record.dR[p, record.resonant[symmetric(m)], 1 - slot])
+        return record.dR[p, table_row(m, 1), slot]
 
     amp = list(pw.amplitude(-1.0 / pw.dx_drho).items())
     P = len(record.dlam)
@@ -601,7 +739,7 @@ def reference_linearize(T: SymTensor, parts, w) -> Linearization:
     first read the (u, slot) pairs.
     """
     if T.nnz == 0 or not parts:
-        return Linearization(T, (), np.zeros((0, 0), dtype=complex))
+        return Linearization(T, (), np.zeros((0, 0), dtype=complex), np.zeros((0, 0), np.intp))
     key_cols, _ = T.key_pattern
     coef: dict = {}
     for d in parts:
@@ -611,7 +749,8 @@ def reference_linearize(T: SymTensor, parts, w) -> Linearization:
             for g in others[1:]:
                 term = term * g
             coef[u, slot] = coef[u, slot] + term if (u, slot) in coef else term
-    return Linearization(T, tuple(coef), np.array(list(coef.values())))
+    at = np.array([key_cols[slot] + table_row(u, 1) * T.n for u, slot in coef])
+    return Linearization(T, tuple(coef), np.array(list(coef.values())), at)
 
 
 def reference_pullback(T: SymTensor, v: np.ndarray, parts, w) -> dict:

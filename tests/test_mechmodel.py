@@ -220,6 +220,17 @@ def _linearization_cases(seed):
                 yield tensor, w, table, m
 
 
+def _applied(table, m, dw: dict) -> np.ndarray:
+    """The table's linearization at m applied to the vectors dw, as the
+    direct walk applies it: `Linearization.gather` over the vectors stacked
+    in the `table_row` layout, then `SymTensor.spread`."""
+    lin = table.linearize(m)
+    out = np.zeros(table.tensor.n, complex)
+    if lin.rows:
+        table.tensor.spread(lin.gather(np.array(list(dw.values()))), out)
+    return out
+
+
 def _assert_bitwise_pullback(tensor, table, m, v, w):
     """The table's linearization at m and its pullback are bitwise those of
     the decomposition-by-decomposition loops."""
@@ -228,6 +239,7 @@ def _assert_bitwise_pullback(tensor, table, m, v, w):
     assert lin.rows == ref_lin.rows
     if lin.rows:
         assert np.array_equal(lin.coef, ref_lin.coef)
+        assert np.array_equal(lin.at, ref_lin.at)
     got = table.pullback(m, v)
     ref = reference_pullback(tensor, v, parts, w)
     assert list(got) == list(ref)
@@ -245,7 +257,7 @@ class TestLinearization:
         for tensor, w, table, m in _linearization_cases(60):
             parts = decomps(m, tensor.arity)
             dw = _vectors(rng, tensor.n, TOP - 1)
-            got = table.linearize(m).forward(dw.__getitem__)
+            got = _applied(table, m, dw)
             want = contract_sum(
                 tensor,
                 [(*(w[t] for t in d[:s]), dw[u], *(w[t] for t in d[s + 1 :]))
@@ -265,7 +277,7 @@ class TestLinearization:
             dw = _vectors(rng, tensor.n, TOP - 1)
             v = rng.normal(size=tensor.n) + 1j * rng.normal(size=tensor.n)
             r = table.pullback(m, v)
-            lhs = v @ table.linearize(m).forward(dw.__getitem__)
+            lhs = v @ _applied(table, m, dw)
             rhs = sum(r[u] @ dw[u] for u in r)
             scale = sum(np.abs(r[u]) @ np.abs(dw[u]) for u in r)
             assert abs(lhs - rhs) <= 1e-14 * scale
@@ -297,7 +309,7 @@ class TestLinearization:
         tensor, _ = _random_tensor(np.random.default_rng(64), 4, 3)
         w = _vectors(np.random.default_rng(64), 4, 2)
         table = PairSums(tensor, w.__getitem__, 3)
-        assert np.all(table.linearize((1, 1)).forward(None) == 0.0)
+        assert table.linearize((1, 1)).rows == ()
         assert table.pullback((1, 1), np.ones(4)) == {}
 
 

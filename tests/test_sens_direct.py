@@ -10,6 +10,7 @@ from ssmopt.config import resolve_design
 from ssmopt.errors import DegenerateModeError, assert_real_each
 from ssmopt.fdcheck import backbone_response, fd_gradient
 from ssmopt.mechmodel import ParamDerivatives, SymTensor
+from ssmopt.multiindex import table_row
 from ssmopt.models import (
     ChainSpec,
     VkBeamSpec,
@@ -22,7 +23,7 @@ from ssmopt.sens_adjoint import _Bars, contract_gradient, solve_adjoint, solve_a
 from ssmopt.sens_direct import chain_derivatives, eig_derivatives
 from ssmopt.spectral import MasterPair
 
-from oracles import fd_gradient_richardson, pick_params, reference_projection
+from oracles import fd_gradient_richardson, pick_params, reference_projection, reference_walk
 
 
 def _eig_derivatives(model, master, params):
@@ -351,3 +352,40 @@ class TestProjection:
             d_omega = assert_real_each(dOm, "dOmega", params.names) + pw.domega_drho * d_rho
             assert got.d_rho.tobytes() == d_rho.tobytes()
             assert got.d_omega.tobytes() == d_omega.tobytes()
+
+
+class TestPerOrderWalk:
+    """`sens_direct._walk` steps through whole orders, each order's
+    canonical indices one column of a block; `oracles.reference_walk` steps
+    one index at a time. The two reassociate the same sums, so they agree
+    to roundoff, normwise over every index and parameter."""
+
+    @staticmethod
+    def _chain101():
+        spec = ChainSpec(n_masses=101, alpha_r=0.0, beta_r=0.02)
+        model, _ = build_chain(spec)
+        return model, chain_per_spring_k3(spec, 100), 5
+
+    @staticmethod
+    def _damped_curved_vk_beam10():
+        # four matrix parameters; resonant indices at every odd order and
+        # self-symmetric ones at every even order
+        model, params = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001, alpha_r=1.0, beta_r=1e-5))
+        return model, params, 9
+
+    @pytest.mark.parametrize("case", ["_chain101", "_damped_curved_vk_beam10"])
+    def test_matches_the_per_index_walk(self, case):
+        model, params, order = getattr(self, case)()
+        exp = compute_ssm(model, solve_master(model, 0), order)
+        got = sens_direct._walk(model, exp, params)
+        want = reference_walk(model, exp, params)
+        assert set(want.dw) == set(exp.data) and want.dR
+
+        def normwise(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        dw = np.array([got.dw[:, table_row(m, 1)] for m in want.dw])
+        assert normwise(dw, np.array(list(want.dw.values()))) <= 1e-12
+        dR = np.array([got.dR[:, table_row(m, 1)] for m in want.dR])
+        assert normwise(dR, np.array(list(want.dR.values()))) <= 1e-12
+        assert np.array_equal(got.dlam, want.dlam)
