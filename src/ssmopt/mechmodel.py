@@ -44,8 +44,8 @@ accumulation into the receiving rows. The adjoint sweep calls the reverse,
 `pullback(m, v)`, which forms no coefficients: it reduces v onto the keys
 once, gathers the table rows of every part of m at the tensor's
 `scatter_pattern` in one take, and sums each (slot, receiving DOF) bin in
-key order. Its bars are bitwise those of scattering the coefficients one
-(index, slot) at a time.
+key order. Its bars, returned with the parts' rows in the same layout, are
+bitwise those of scattering the coefficients one (index, slot) at a time.
 `SymTensor.force`, the force at one displacement, stays entrywise.
 `SymTensor.from_entries` validates the tensor rows of a JSON descriptor
 (`model_from_json`); it and the built-in families put entries in canonical
@@ -134,15 +134,15 @@ def _linear_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _pull_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _pull_plan(m, arity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(parts, at, rows): the layout of `PairSums.pullback(m, v)`.
 
-    parts lists the distinct parts u of the decompositions of m into
-    `arity` parts in the order they first read them, and at[k] is the table
-    row of m - parts[k]. `decomps` is closed under permutation, so every
-    part fills every slot: rows holds, part after part, the row
-    k * arity + slot of each of part k's slots, in the order the
-    decompositions first read (u, slot).
+    parts holds the `table_row` rows (orders 1 and up) of the distinct parts
+    u of the decompositions of m into `arity` parts, in the order they first
+    read them, and at[k] is the pair-sum table row of m - u for the k-th.
+    `decomps` is closed under permutation, so every part fills every slot:
+    rows holds, part after part, the row k * arity + slot of each of part
+    k's slots, in the order the decompositions first read (u, slot).
     """
     lin_rows = _linear_plan(m, arity)[0]
     parts = tuple(dict.fromkeys(u for u, _ in lin_rows))
@@ -152,7 +152,8 @@ def _pull_plan(m, arity: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     )
     # a stable sort keeps each part's slots in first-read order
     rows = sorted((number[u] * arity + slot for u, slot in lin_rows), key=lambda r: r // arity)
-    return parts, at, np.array(rows, np.intp)
+    part_rows = np.fromiter((table_row(u, 1) for u in parts), np.intp, len(parts))
+    return part_rows, at, np.array(rows, np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +433,10 @@ class PairSums:
         coef = self.table[at[:, None], self.proj[slots]]
         return Linearization(T, rows, coef, key_cols[slots] + (parts * T.n)[:, None])
 
-    def pullback(self, m, v: np.ndarray) -> dict:
-        """{u: r_u}, r_u[p] = sum_i v_i dF_i / dw(u)_p, for the force
-        convolution F at m.
+    def pullback(self, m, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(parts, r): r[k][p] = sum_i v_i dF_i / dw(u)_p for the force
+        convolution F at m and the k-th index u that it reads, whose row in
+        the `table_row` layout (orders 1 and up) is parts[k].
 
         v is reduced onto the trailing keys once. The table rows P_{m-u} of
         every part u are gathered at the tensor's `scatter_pattern` in one
@@ -448,8 +450,8 @@ class PairSums:
         """
         T = self.tensor
         parts, at, rows = _pull_plan(m, T.arity)
-        if not parts:
-            return {}
+        if not len(parts):
+            return parts, np.zeros((0, T.n), complex)
         key_cols, key_of = T.key_pattern
         proj, keys, depth = T.scatter_pattern
         # one entry past the last key stays zero: the weight of the padding
@@ -458,8 +460,7 @@ class PairSums:
         # s first: numpy's complex product is not symmetric in its operands
         np.multiply(s[keys], G, out=G)
         bins = G.reshape(len(parts), depth, -1).sum(axis=1)
-        r = bins.reshape(-1, T.n)[rows].reshape(len(parts), T.arity, T.n).sum(axis=1)
-        return dict(zip(parts, r))
+        return parts, bins.reshape(-1, T.n)[rows].reshape(len(parts), T.arity, T.n).sum(axis=1)
 
     def force(self, m) -> np.ndarray:
         """The force convolution at m: the sum over the first part u of

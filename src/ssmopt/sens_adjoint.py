@@ -16,13 +16,19 @@ parameter.
 
 The sweep is the reverse of the program the primal runs: one cohomological
 step per canonical index (m1 >= m2) and a conjugate copy for the swapped
-index. It walks the canonical indices only. The reverse of the copy is a
-fold: the bars pushed to the swapped index reach the canonical one
-conjugated (with the two R slots exchanged) before the canonical step is
-reversed. A self-symmetric index (m1 = m2) and the objective are their own
-mirrors, so their pushes enter at half weight and the fold restores them;
-the mode shape and the frequency fold to bar + conj(bar), the eigenvalue
-pair to bar_0 + conj(bar_1).
+index. It steps through the orders, highest first, and takes each order's
+canonical indices at once, one column each of (n, k) blocks, from the
+expansion's order plans (`SsmExpansion.order_plans`): no index of an order
+pushes to another of the same order, so every stage (the folds, the wdot
+reverse, the modal solve with the resonant column bordered,
+`SsmExpansion.solve_order`, the M and C products and the coupling sums) runs
+once per order. The bars are one row per index in the `multiindex.table_row`
+layout. The reverse of the copy is a fold: the bars pushed to the swapped
+index reach the canonical one conjugated (with the two R slots exchanged)
+before the canonical step is reversed. A self-symmetric index (m1 = m2) and
+the objective are their own mirrors, so their pushes enter at half weight
+and the fold restores them; the mode shape and the frequency fold to bar +
+conj(bar), the eigenvalue pair to bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized, and no
@@ -31,15 +37,16 @@ reaches a bar as s (M b) + C b. The force convolution at each index
 is pulled back once per tensor (`PairSums.pullback`): one gather from the
 expansion's own tables (`SsmExpansion.tables`), the ones its recursion
 summed the forces with, returns the summed bar of every lower-order index
-the convolution reads. Operators come from the `MechModel`; the
-parameters' dM, dC and dK reach only the record of explicit partials.
+the convolution reads, with the rows of those indices. Operators come from
+the `MechModel`; the parameters' dM, dC and dK reach only the record of
+explicit partials.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once, and every target reads it. The sweep reads
 the operator products of the primal vectors that each index's record keeps
 (M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonal d that the
-solves divide by) and the expansion's M phi, so a target after the first
-pays for its seeds' sweep only; M and C reach the bars through
+solves divide by, stacked per order in the plans) and the expansion's M phi,
+so a target after the first pays for its seeds' sweep only; M and C reach the bars through
 `mechmodel.real_times`, as in the primal. The contraction reads the record of
 the residuals' explicit parameter partials per `ParamDerivatives`
 (`SsmExpansion.partials`, kept in the expansion's memo, the matrix
@@ -53,7 +60,6 @@ contribution enters the mode-shape equation and the mass-matrix contraction.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +67,9 @@ import numpy as np
 from .backbone import PointWeights, point_weights
 from .errors import assert_real, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives, real_times
-from .multiindex import canonical_indices, order, symmetric
+from .multiindex import table_row
 from .sens_direct import lambda_derivative
-from .ssm import SsmExpansion, v_decomps
+from .ssm import OrderPlan, SsmExpansion
 
 
 @dataclass
@@ -86,31 +92,30 @@ class AdjointState:
 
 
 class _Bars:
-    """Reverse-mode accumulators over the expansion graph. The per-index
-    stores (bars of w_m, wdot_m and the R_m pair) read zero where nothing has
-    pushed yet. V_m's bar is not stored: the wdot step at m makes it and the
-    index step at m, its one reader, takes it as an argument."""
+    """Reverse-mode accumulators of one sweep. The bars of every index's w_m,
+    wdot_m and R_m pair are one row each in the `table_row` layout (orders 1
+    and up); a row reads zero until something pushes to it, and the two
+    order-1 rows collect the pushes to the mode shape through w_(1,0) and
+    w_(0,1). V_m's bar is not stored: the wdot step of m's order makes it
+    and the index step, its one reader, takes it as an argument."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.w = defaultdict(lambda: np.zeros(n, dtype=complex))
-        self.wdot = defaultdict(lambda: np.zeros(n, dtype=complex))
-        self.R = defaultdict(lambda: np.zeros(2, dtype=complex))
+    def __init__(self, n: int, rows: int = 2):
+        self.w = np.zeros((rows, n), complex)
+        self.wdot = np.zeros((rows, n), complex)
+        self.R = np.zeros((rows, 2), complex)
         self.phi = np.zeros(n, dtype=complex)
         self.lam = np.zeros(2, dtype=complex)  # bars of the eigenvalue pair
         self.omega = 0.0
 
-    def fold(self, store: dict, m) -> np.ndarray:
-        """Pop the total bar of canonical m from store.
+    @staticmethod
+    def fold(store: np.ndarray, plan: OrderPlan) -> np.ndarray:
+        """(n, k): the total bars of the plan's canonical indices in store.
 
         The swapped index's record is the conjugate copy of m's, so the bar
         pushed to it arrives conjugated. A self-symmetric index is its own
         copy: its total is bar + conj(bar).
         """
-        zero = np.zeros(self.n, dtype=complex)
-        own = store.pop(m, zero)
-        mirror = own if m[0] == m[1] else store.pop(symmetric(m), zero)
-        return own + np.conj(mirror)
+        return (store[plan.rows] + np.conj(store[plan.mirrors])).T
 
 
 def solve_adjoint_rho(pw: PointWeights) -> float:
@@ -124,95 +129,71 @@ def _seed_bars(bars: _Bars, pw: PointWeights, dof_index: int):
     bars.lam[0] += 0.5 * pw.lam[0]
     bars.lam[1] += 0.5 * pw.lam[1]
     for (a, slot), wt in pw.R:
-        bars.R[a][slot] += 0.5 * wt
-    for m, coef in pw.amplitude(0.5 * solve_adjoint_rho(pw)).items():
-        if order(m) == 1:
-            bars.phi[dof_index] += coef
-        else:
-            bars.w[m][dof_index] += coef
+        bars.R[table_row(a, 1), slot] += 0.5 * wt
+    amp = pw.amplitude(0.5 * solve_adjoint_rho(pw))
+    bars.w[[table_row(m, 1) for m in amp], dof_index] += list(amp.values())
 
 
-def _backprop_wdot(exp, bars: _Bars, m, rec, b):
-    """Reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the bar
-    b but its V_m term: b is V_m's bar, which the index step at m takes."""
-    bars.w[m] += rec.Lam * b
-    if rec.slot is not None:
-        bars.R[m][rec.slot] += b @ exp.master.phi
-    bars.phi += (rec.R[0] + rec.R[1]) * b
-    _add_lam_bar(bars, m, b @ rec.w)
-
-
-def _add_lam_bar(bars: _Bars, m, value: complex):
-    bars.lam[0] += m[0] * value
-    bars.lam[1] += m[1] * value
-
-
-def _backprop_index(model: MechModel, exp, bars: _Bars, m, rec, lam_m, nu_m, vbar):
-    """Reverse of the cohomological step at m for the adjoint pair (lam_m,
-    nu_m) and the bar vbar of V_m that the wdot step at m left. The step's
-    operator products are the record's (rec.Mw, rec.Lw, rec.MV) and M phi is
-    the expansion's; every other product applies M or C to a bar with
-    `real_times`."""
+def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu, vbar):
+    """Reverse of the cohomological steps of one order's canonical indices,
+    one column each, for the adjoint pairs (lam, nu), weighted as the sweep
+    pushes them, and the bars vbar of V_m that the wdot steps left. The
+    steps' operator products are the records' (w, Lw and MV in the plan,
+    the resonant record's Mw) and M phi is the expansion's; every other
+    product applies M or C to a bar with `real_times`."""
     master = exp.master
     phi = master.phi
     M, C = model.M, model.C
 
-    # lambda^T (L_m w_m - h_m): operator depends on omega through Lam_m
-    _add_lam_bar(bars, m, lam_m @ rec.Lw)
-    bar_h = -lam_m
-
-    # h = C + D R_m[slot]
-    bar_c = bar_h.copy()
-    if rec.slot is not None:
-        j = rec.slot
-        bars.R[m][j] += bar_h @ rec.D
-        bar_d = rec.R[j] * bar_h
+    # h = C + D R_m[slot], the second term at the resonant index
+    bar_c = -lam
+    if plan.res is not None:
+        r, rec = plan.res, plan.res_rec
+        j, row = rec.slot, plan.rows[plan.res]
+        bars.R[row, j] += bar_c[:, r] @ rec.D
+        bar_d = rec.R[j] * bar_c[:, r]
         # the velocity (Lam + lambda_j) M + C applied to bar_d, not formed
         bars.phi -= (rec.Lam + master.lambda_pair[j]) * real_times(M, bar_d) + real_times(C, bar_d)
         sc = -(bar_d @ exp.Mphi)
-        _add_lam_bar(bars, m, sc)
+        bars.lam += plan.mm[r] * sc
         bars.lam[j] += sc
 
-    # orthogonality constraint of the bordered solve
-    if nu_m != 0.0:
-        bars.phi += nu_m * rec.Mw
+        # orthogonality constraint of the bordered solve
+        if nu != 0.0:
+            bars.phi += nu * rec.Mw
 
-    # R_m = phi^T C_m / den
-    if rec.slot is not None:
-        j = rec.slot
-        # final here: every reader of R_m lies above m's order or at m
-        # itself; solve_adjoint keeps it as r_bar for the contraction
-        g = bars.R[m][j]
+        # R_m = phi^T C_m / den; final here: every reader of R_m lies above
+        # m's order or at m itself; solve_adjoint keeps it as r_bar for the
+        # contraction
+        g = bars.R[row, j]
         if g != 0.0:
-            bar_c += (g / rec.den) * phi
+            bar_c[:, r] += (g / rec.den) * phi
             bars.phi += (g / rec.den) * rec.C
             t = -g * rec.R[j] / rec.den
-            _add_lam_bar(bars, m, t)
+            bars.lam += plan.mm[r] * t
             bars.lam[j] += t
             bars.omega += t * 2.0 * model.beta_r * master.omega
 
     # C = -M Vdot - (Lam M + C) V - f; M bar_c serves both bars
     M_bar_c = real_times(M, bar_c)
     bar_vdot = -M_bar_c
-    bar_v = vbar - (rec.Lam * M_bar_c + real_times(C, bar_c))
-    bar_f = -bar_c
-    _add_lam_bar(bars, m, -(bar_c @ rec.MV))
+    bar_v = vbar - (plan.Lam * M_bar_c + real_times(C, bar_c))
+    # the eigenvalue pair through Lam_m: the wdot step's vbar . w_m, the
+    # operator's lambda . (dL_m/dLam) w_m and the force's -bar_c . M V_m
+    bars.lam += (vbar * plan.w + lam * plan.Lw - bar_c * plan.MV).sum(axis=0) @ plan.mm
 
-    # V, Vdot sums over lower-order coefficients
-    for u, j, k in v_decomps(m, exp.r_orders()):
-        Rkj = exp.R(k)[j]
-        bars.w[u] += u[j] * Rkj * bar_v
-        bars.R[k][j] += u[j] * (bar_v @ exp.w(u))
-        bars.wdot[u] += u[j] * Rkj * bar_vdot
-        bars.R[k][j] += u[j] * (bar_vdot @ exp.wdot(u))
+    # V, Vdot sums over lower-order coefficients, every term at once
+    if len(plan.u_rows):
+        bars.w[plan.u_rows] += plan.A @ bar_v.T
+        bars.wdot[plan.u_rows] += plan.A @ bar_vdot.T
+        dots = (bar_v.T @ plan.Wu).T + (bar_vdot.T @ plan.Wdotu).T
+        np.add.at(bars.R.ravel(), plan.R_at, (plan.S * dots).sum(axis=1))
 
-    # nonlinear force convolution: one pullback per tensor's table
-    for table in exp.tables:
-        for u, bar_u in table.pullback(m, bar_f).items():
-            if order(u) == 1:
-                bars.phi += bar_u
-            else:
-                bars.w[u] += bar_u
+    # nonlinear force convolution: one pullback per index and tensor's table
+    for t, m in enumerate(plan.indices):
+        for table in exp.tables:
+            parts, r = table.pullback(m, -bar_c[:, t])
+            bars.w[parts] += r
 
 
 def solve_adjoint_phi_omega(exp: SsmExpansion, bars: _Bars):
@@ -235,41 +216,51 @@ def solve_adjoint(
 ) -> AdjointState:
     """All adjoint variables for Omega at the given reduced amplitude.
 
-    One reverse sweep over the canonical indices, highest order first; each
-    index folds in its mirror's bars, solves with its own operator
-    (`SsmExpansion.solve`) and reverses its step. The folded mode-shape and
-    frequency bars then feed the coupled bordered solve. The operator
-    products that no target changes are read from the records.
+    One reverse sweep over the orders, highest first, each order's
+    canonical indices one column of a block (`SsmExpansion.order_plans`):
+    the order folds in its mirrors' bars, solves with its indices' own
+    operators at once (`SsmExpansion.solve_order`) and reverses its steps.
+    The folded mode-shape and frequency bars then feed the coupled bordered
+    solve. The operator products that no target changes are read from the
+    records.
     """
     exp.check_model(model)
-    bars = _Bars(model.n)
+    phi = exp.master.phi
+    plans = exp.order_plans()
+    bars = _Bars(model.n, table_row((0, exp.order), 1) + 1)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
     lambda_m: dict = {}
     nu_m: dict = {}
-    for q in range(exp.order, 1, -1):
-        for m in canonical_indices(q):
-            rec = exp.coeffs(m)
-            # a self-symmetric index is its own mirror: the folds double what
-            # it pushes, so it pushes at half weight, and its w_m is folded
-            # only after its own wdot step has pushed to it
-            wt = 0.5 if m[0] == m[1] else 1.0
-            vbar = wt * bars.fold(bars.wdot, m)
-            _backprop_wdot(exp, bars, m, rec, vbar)
-            lam, nu = exp.solve(rec.d, rec.slot, -bars.fold(bars.w, m))
-            lambda_m[m] = lam
-            if rec.slot is not None:
-                nu_m[m] = nu
-                # the swapped R pair is this one conjugated, slots exchanged
-                bars.R[m] += np.conj(bars.R.pop(symmetric(m), np.zeros(2))[::-1])
-            _backprop_index(model, exp, bars, m, rec, wt * lam, wt * nu, vbar)
+    for plan in reversed(plans):
+        # a self-symmetric index is its own mirror: the folds double what
+        # it pushes, so it pushes at half weight, and its w_m is folded
+        # only after its own wdot step has pushed to it
+        vbar = plan.wt * _Bars.fold(bars.wdot, plan)
+        # reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the
+        # bar vbar but its V_m term: vbar is V_m's bar, which the index step takes
+        bars.w[plan.rows] += (plan.Lam * vbar).T
+        bars.phi += vbar @ plan.Rsum
+        r = plan.res
+        if r is not None:
+            bars.R[plan.rows[r], plan.res_rec.slot] += vbar[:, r] @ phi
+        lam, nu = exp.solve_order(plan, -_Bars.fold(bars.w, plan))
+        lambda_m.update(zip(plan.indices, lam.T.copy()))
+        if r is not None:
+            # a resonant index is never self-symmetric: its weight is 1
+            nu_m[plan.indices[r]] = nu
+            # the swapped R pair is this one conjugated, slots exchanged
+            bars.R[plan.rows[r]] += np.conj(bars.R[plan.mirrors[r], ::-1])
+        _backprop_order(model, exp, bars, plan, plan.wt * lam, nu, vbar)
 
-    # phi and omega are their own mirrors; the eigenvalue pair's is the pair swapped
+    # the order-1 rows are the mode shape's; phi and omega are their own
+    # mirrors, and the eigenvalue pair's is the pair swapped
+    bars.phi += bars.w[0] + bars.w[1]
     bars.phi += np.conj(bars.phi)
     bars.lam += np.conj(bars.lam[::-1])
     bars.omega += np.conj(bars.omega)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
-    r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
+    r_bar = {m: bars.R[table_row(m, 1), exp.coeffs(m).slot] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 

@@ -35,9 +35,10 @@ All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
 written by conjugation. The sensitivity passes (direct, adjoint sweep,
 contraction) read the canonical indices too and mirror the swapped ones by
-conjugation; the direct walk steps through whole orders (`OrderPlan`, kept
-by `SsmExpansion.order_plans`), each order's canonical indices one column
-of a block that `SsmExpansion.solve_order` solves at once. The direct walk and the contraction read one record per
+conjugation; the direct walk and the adjoint sweep step through whole orders
+(`OrderPlan`, kept by `SsmExpansion.order_plans`), each order's canonical
+indices one column of a block that `SsmExpansion.solve_order` solves at
+once. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
 design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
 the matrix parameters' terms stacked as their dM and dK are, one row each.
@@ -248,7 +249,8 @@ class SsmExpansion:
 
     def order_plans(self) -> list["OrderPlan"]:
         """One `OrderPlan` per order from 2 up, ascending, built on first use
-        and kept in the memo. The direct walk steps through them."""
+        and kept in the memo. The direct walk and the adjoint sweep step
+        through them."""
         return self.memo("order plans", lambda: _build_order_plans(self))
 
     def solve(self, d: np.ndarray, slot: int | None, rhs: np.ndarray, border=0.0):
@@ -362,7 +364,7 @@ class OrderPlan:
     through them, one column each (`SsmExpansion.order_plans`).
 
     Rows are those of the `table_row` layout (orders 1 and up), the layout
-    of the direct walk's record. The stacks are
+    of the direct walk's record and of the adjoint's bars. The stacks are
     the indices' records side by side, and the couplings are the terms
     (u, j, k) of their lower-order sums (`v_decomps`), one row each. Arrays
     and the resonant index's record only: the memo that keeps the plans
@@ -373,6 +375,7 @@ class OrderPlan:
     rows: np.ndarray  # (k,) the indices' rows
     mirrors: np.ndarray  # (k,) their swapped partners' rows; a self-symmetric index's own
     swapped: np.ndarray  # the columns of the indices with a partner of their own
+    wt: np.ndarray  # (k,) 0.5 at a self-symmetric index, else 1.0
     mm: np.ndarray  # (k, 2) complex: the indices' components
     Lam: np.ndarray  # (k,)
     Rsum: np.ndarray  # (k,) R_m[0] + R_m[1]
@@ -415,6 +418,7 @@ def _build_order_plans(exp: SsmExpansion) -> list[OrderPlan]:
                 np.array([table_row(m, 1) for m in indices]),
                 np.array([table_row(symmetric(m), 1) for m in indices]),
                 np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
+                np.array([0.5 if m[0] == m[1] else 1.0 for m in indices]),
                 np.array(indices, complex),
                 np.array([rec.Lam for rec in recs]),
                 np.array([rec.R[0] + rec.R[1] for rec in recs]),

@@ -19,15 +19,17 @@
   assembles all elements of a design in one batched pass; this is the
   element-by-element form it must reproduce bit for bit.
 * `reference_adjoint`: the all-index reverse sweep. `sens_adjoint.solve_adjoint`
-  walks only the canonical indices and folds each swapped index's bars into
-  its canonical partner; this sweep reverses every index on its own, the form
-  the fold must reproduce to roundoff. It solves with `formed_solve`.
+  steps through whole orders of canonical indices and folds each swapped
+  index's bars into its canonical partner; this sweep reverses every index
+  on its own, one at a time with per-index bars in dicts, the form the fold
+  must reproduce to roundoff. It solves with `formed_solve`.
 * `reference_walk`: the direct walk one canonical index at a time, every
   parameter's pass stepping at each index with its derivatives in dicts.
   `sens_direct._walk` steps through whole orders, each order's indices one
   column of a block, and must agree with it to roundoff. It applies each
   linearization with `reference_forward`, which gathers the vectors of the
   rows one by one; the walk gathers them from its record's table.
+* `pulled`: `PairSums.pullback`'s rows read back as indices, {u: r_u}.
 * `formed_solve`: a dense solve of an index's formed operator L_m, bordered
   by M phi at a resonant index. `SsmExpansion.solve` divides by the
   operator's diagonal in the model's modes instead; the two agree to the
@@ -87,6 +89,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,6 +108,7 @@ from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import (
     Linearization,
     MechModel,
+    PairSums,
     ParamDerivatives,
     SymTensor,
     _accum,
@@ -113,14 +117,7 @@ from ssmopt.mechmodel import (
 from ssmopt import models
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
 from ssmopt.multiindex import all_indices, order, symmetric, table_row
-from ssmopt.sens_adjoint import (
-    AdjointState,
-    _backprop_index,
-    _backprop_wdot,
-    _Bars,
-    _seed_bars,
-    solve_adjoint_phi_omega,
-)
+from ssmopt.sens_adjoint import AdjointState, solve_adjoint_phi_omega, solve_adjoint_rho
 from ssmopt.sens_direct import eig_derivatives, lambda_derivative
 from ssmopt.spectral import track_mode
 from ssmopt.ssm import IndexCoeffs, SsmExpansion, compute_ssm, order_step, v_decomps
@@ -472,6 +469,95 @@ def formed_solve(model: MechModel, exp, rec, rhs: np.ndarray, border=0.0):
     return x[:-1], x[-1]
 
 
+class _IndexBars:
+    """The reference sweep's accumulators, one dict entry per index: the
+    bars of w_m, wdot_m and the R_m pair read zero where nothing has pushed
+    yet. V_m's bar is not stored: the wdot step at m makes it and the index
+    step at m, its one reader, takes it as an argument."""
+
+    def __init__(self, n: int):
+        self.w = defaultdict(lambda: np.zeros(n, dtype=complex))
+        self.wdot = defaultdict(lambda: np.zeros(n, dtype=complex))
+        self.R = defaultdict(lambda: np.zeros(2, dtype=complex))
+        self.phi = np.zeros(n, dtype=complex)
+        self.lam = np.zeros(2, dtype=complex)  # bars of the eigenvalue pair
+        self.omega = 0.0
+
+
+def _add_lam_bar(bars: _IndexBars, m, value: complex):
+    bars.lam[0] += m[0] * value
+    bars.lam[1] += m[1] * value
+
+
+def _backprop_wdot(exp, bars: _IndexBars, m, rec, b):
+    """Reverse of wdot_m = Lam_m w_m + (R_m[0] + R_m[1]) phi + V_m for the bar
+    b but its V_m term: b is V_m's bar, which the index step at m takes."""
+    bars.w[m] += rec.Lam * b
+    if rec.slot is not None:
+        bars.R[m][rec.slot] += b @ exp.master.phi
+    bars.phi += (rec.R[0] + rec.R[1]) * b
+    _add_lam_bar(bars, m, b @ rec.w)
+
+
+def pulled(table: PairSums, m, v: np.ndarray) -> dict:
+    """`PairSums.pullback(m, v)` as {u: r_u}: its parts' rows in the
+    `table_row` layout read back as indices."""
+    parts, r = table.pullback(m, v)
+    index = {table_row(u, 1): u for q in range(1, max(order(m), 2)) for u in all_indices(q)}
+    return {index[k]: x for k, x in zip(parts, r)}
+
+
+def _backprop_index(model: MechModel, exp, bars: _IndexBars, m, rec, lam_m, nu_m, vbar):
+    """Reverse of the cohomological step at m, one index at a time, for the
+    adjoint pair (lam_m, nu_m) and the bar vbar of V_m that the wdot step at
+    m left, with the operator products of the record rec."""
+    master = exp.master
+    phi = master.phi
+    M, C = model.M, model.C
+
+    _add_lam_bar(bars, m, lam_m @ rec.Lw)
+    bar_h = -lam_m
+    bar_c = bar_h.copy()
+    if rec.slot is not None:
+        j = rec.slot
+        bars.R[m][j] += bar_h @ rec.D
+        bar_d = rec.R[j] * bar_h
+        bars.phi -= (rec.Lam + master.lambda_pair[j]) * real_times(M, bar_d) + real_times(C, bar_d)
+        sc = -(bar_d @ exp.Mphi)
+        _add_lam_bar(bars, m, sc)
+        bars.lam[j] += sc
+    if nu_m != 0.0:
+        bars.phi += nu_m * rec.Mw
+    if rec.slot is not None:
+        j = rec.slot
+        g = bars.R[m][j]
+        if g != 0.0:
+            bar_c += (g / rec.den) * phi
+            bars.phi += (g / rec.den) * rec.C
+            t = -g * rec.R[j] / rec.den
+            _add_lam_bar(bars, m, t)
+            bars.lam[j] += t
+            bars.omega += t * 2.0 * model.beta_r * master.omega
+
+    M_bar_c = real_times(M, bar_c)
+    bar_vdot = -M_bar_c
+    bar_v = vbar - (rec.Lam * M_bar_c + real_times(C, bar_c))
+    bar_f = -bar_c
+    _add_lam_bar(bars, m, -(bar_c @ rec.MV))
+    for u, j, k in v_decomps(m, exp.r_orders()):
+        Rkj = exp.R(k)[j]
+        bars.w[u] += u[j] * Rkj * bar_v
+        bars.R[k][j] += u[j] * (bar_v @ exp.w(u))
+        bars.wdot[u] += u[j] * Rkj * bar_vdot
+        bars.R[k][j] += u[j] * (bar_vdot @ exp.wdot(u))
+    for table in exp.tables:
+        for u, bar_u in pulled(table, m, bar_f).items():
+            if order(u) == 1:
+                bars.phi += bar_u
+            else:
+                bars.w[u] += bar_u
+
+
 def reference_adjoint(
     model: MechModel, exp, dof_index: int, rho: float, solve=formed_solve
 ) -> AdjointState:
@@ -487,14 +573,17 @@ def reference_adjoint(
     expansion keeps them for the canonical records only); M phi and the
     mode-shape solve are the expansion's (`SsmExpansion.mode_solve`).
     """
-    bars = _Bars(model.n)
-    _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
-    # `_seed_bars` seeds half of each bar for the fold; doubling is exact
-    bars.lam *= 2.0
-    bars.phi *= 2.0
-    for store in (bars.w, bars.R):
-        for v in store.values():
-            v *= 2.0
+    bars = _IndexBars(model.n)
+    pw = point_weights(exp, dof_index, rho)
+    # the objective's seeds at full weight
+    bars.lam += pw.lam
+    for (a, slot), wt in pw.R:
+        bars.R[a][slot] += wt
+    for m, coef in pw.amplitude(solve_adjoint_rho(pw)).items():
+        if order(m) == 1:
+            bars.phi[dof_index] += coef
+        else:
+            bars.w[m][dof_index] += coef
 
     lambda_m: dict = {}
     nu_m: dict = {}
