@@ -564,6 +564,11 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 break
             free &= ~leaving
         d = _to_first_bound(z, d)
+        if not d.any() and _violation(c) > tol.constraint_tol:
+            # no step: the line search could only accept z itself, and
+            # every later iteration would repeat it
+            message = "merit line search stalled"
+            break
 
         pred = -float(g @ d)
         if len(c):

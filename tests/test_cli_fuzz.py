@@ -168,3 +168,22 @@ def test_unbuildable_line_search_trial_shortens_the_step(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mu_star"][0] > 0.0
+
+
+@pytest.mark.parametrize("seed", [34, 421])
+def test_infeasible_start_without_a_step_stops_at_once(tmp_path, capsys, seed):
+    # a two-element beam with one shape parameter and an eigenfrequency
+    # target far off: the constraint column and the objective gradient are
+    # zero, so the step is zero while the start is infeasible; the run ends
+    # at that step instead of repeating the start until max_iter
+    command, cfg, bad = random_config(seed)
+    assert command == "optimize" and bad is None
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(path), "--out", str(out)])
+    assert rc == 4, capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["message"] == "merit line search stalled"
+    assert summary["iterations"] == 1
+    assert len((out / "trace.csv").read_text().strip().split("\n")) == 2  # header, one row
