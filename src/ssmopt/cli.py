@@ -406,9 +406,8 @@ def main(argv=None) -> int:
             return cmd_optimize(cfg, outdir, args.method)
         if args.command == "bench":
             return cmd_bench(cfg or {}, outdir)
-        if args.command == "verify":
-            return cmd_verify(cfg, outdir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse's required subcommands admit no other command
+        return cmd_verify(cfg, outdir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

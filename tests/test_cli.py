@@ -382,6 +382,18 @@ class TestBackboneCommand:
         assert err.startswith(f"model error: {field} must be a finite number, got {value}")
         assert "Traceback" not in err
 
+    def test_degenerate_beam_geometry_exit_code(self, tmp_path, capsys):
+        # a positive length whose element lengths underflow to zero
+        cfg = {
+            "model": {"type": "vk_beam", "length": 5e-324},
+            "backbone": {"dof": 13, "x_targets": [0.001], "order": 3},
+        }
+        rc = main(["backbone", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: inverted or degenerate beam geometry")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, fields, argv",
         [

@@ -215,6 +215,11 @@ class TestVkBeam:
         with pytest.raises(ModelError):
             build_vk_beam(VkBeamSpec(length=-1.0))
 
+    def test_underflowing_element_length_rejected(self):
+        # a positive length whose element lengths underflow to zero
+        with pytest.raises(ModelError, match="inverted or degenerate beam geometry"):
+            build_vk_beam(VkBeamSpec(length=5e-324))
+
     def test_unknown_parameter_is_named(self):
         with pytest.raises(ConfigError, match="unknown beam parameter 'width'"):
             build_vk_beam(VkBeamSpec(n_elements=2), params=("a1", "width"))
