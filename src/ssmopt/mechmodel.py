@@ -429,9 +429,14 @@ class PairSums:
         all rows in one gather."""
         T = self.tensor
         rows, at, slots, parts = _linear_plan(m, T.arity)
-        key_cols, _ = T.key_pattern
-        coef = self.table[at[:, None], self.proj[slots]]
-        return Linearization(T, rows, coef, key_cols[slots] + (parts * T.n)[:, None])
+        # flat takes: a gather by two index arrays costs about three times as much
+        flat = self.proj.take(slots, axis=0)
+        flat += (at * self.table.shape[1])[:, None]
+        coef = self.table.ravel().take(flat)
+        # where the vector entries that coef multiplies lie in the walk's table
+        flat = T.key_pattern[0].take(slots, axis=0)
+        flat += (parts * T.n)[:, None]
+        return Linearization(T, rows, coef, flat)
 
     def pullback(self, m, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(parts, r): r[k][p] = sum_i v_i dF_i / dw(u)_p for the force
