@@ -99,7 +99,7 @@ class _Bars:
     w_(0,1). V_m's bar is not stored: the wdot step of m's order makes it
     and the index step, its one reader, takes it as an argument."""
 
-    def __init__(self, n: int, rows: int = 2):
+    def __init__(self, n: int, rows: int):
         self.w = np.zeros((rows, n), complex)
         self.wdot = np.zeros((rows, n), complex)
         self.R = np.zeros((rows, 2), complex)

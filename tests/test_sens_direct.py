@@ -74,7 +74,7 @@ class TestSingularBorderedSystems:
         model, master = self._pair(split)
         exp = ssm.SsmExpansion(model, master)
         with pytest.raises(DegenerateModeError, match="mode-shape system is singular"):
-            solve_adjoint_phi_omega(exp, _Bars(model.n))
+            solve_adjoint_phi_omega(exp, _Bars(model.n, 2))
 
 
 class TestEigDerivatives:
