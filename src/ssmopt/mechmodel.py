@@ -474,7 +474,8 @@ class PairSums:
         key_cols, key_of = T.key_pattern
         parts, at = _force_plan(m, T.arity)
         G = np.zeros(len(key_cols[0]), dtype=complex)
-        for w, P in zip(self.W[parts[:, None], key_cols[0]], self.table[at[:, None], self.proj[0]]):
+        Ws = self.W[parts].take(key_cols[0], axis=1)
+        for w, P in zip(Ws, self.table[at].take(self.proj[0], axis=1)):
             G += w * P
         return _accum(T.cols[0], T.vals * G[key_of], T.n)
 
