@@ -57,10 +57,6 @@ class OuterResonanceError(SsmError):
         )
 
 
-class DegenerateParametrizationError(SsmError):
-    """Near-resonant denominator vanished while computing a reduced-dynamics coefficient."""
-
-
 class AmplitudeUnreachableError(SsmError):
     """Requested physical amplitude lies beyond the validity radius of the expansion."""
 

@@ -15,14 +15,14 @@ eigenproblem terms. No linear solves and no cross-order sums appear per
 parameter.
 
 The sweep is the reverse of the program the primal runs: one cohomological
-step per canonical index (m1 >= m2) and a conjugate copy for the swapped
-index. It steps through the orders, highest first, and takes each order's
-canonical indices at once, one column each of (n, k) blocks, from the
-expansion's order plans (`SsmExpansion.order_plans`): no index of an order
-pushes to another of the same order, so every stage (the folds, the wdot
-reverse, the modal solve with the resonant column bordered,
-`SsmExpansion.solve_order`, the M and C products and the coupling sums) runs
-once per order. The bars are one row per index in the `multiindex.table_row`
+step per order, each canonical index (m1 >= m2) one column, and a conjugate
+copy for the swapped index. It steps through the orders, highest first, and
+takes each order's canonical indices at once, one column each of (n, k)
+blocks, from the order plans that the primal left (`SsmExpansion.plans`):
+no index of an order pushes to another of the same order, so every stage
+(the folds, the wdot reverse, the modal solve with the resonant column
+bordered, `SsmExpansion.solve_order`, the M and C products and the coupling
+sums) runs once per order. The bars are one row per index in the `multiindex.table_row`
 layout. The reverse of the copy is a fold: the bars pushed to the swapped
 index reach the canonical one conjugated (with the two R slots exchanged)
 before the canonical step is reversed. A self-symmetric index (m1 = m2) and
@@ -43,10 +43,10 @@ explicit partials.
 
 Only the seeds depend on the amplitude target. What depends on the
 expansion alone is built once, and every target reads it. The sweep reads
-the operator products of the primal vectors that each index's record keeps
-(M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonal d that the
-solves divide by, stacked per order in the plans) and the expansion's M phi,
-so a target after the first pays for its seeds' sweep only; M and C reach the bars through
+the operator products of the primal vectors that the plans stack per order
+(M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonals d that the
+solves divide by) and the expansion's M phi, so a target after the first
+pays for its seeds' sweep only; M and C reach the bars through
 `mechmodel.real_times`, as in the primal. The contraction reads the record of
 the residuals' explicit parameter partials per `ParamDerivatives`
 (`SsmExpansion.partials`, kept in the expansion's memo, the matrix
@@ -138,8 +138,8 @@ def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu
     """Reverse of the cohomological steps of one order's canonical indices,
     one column each, for the adjoint pairs (lam, nu), weighted as the sweep
     pushes them, and the bars vbar of V_m that the wdot steps left. The
-    steps' operator products are the records' (w, Lw and MV in the plan,
-    the resonant record's Mw) and M phi is the expansion's; every other
+    steps' operator products are the plan's (w, Mw, Lw and MV) and M phi is
+    the expansion's; every other
     product applies M or C to a bar with `real_times`."""
     master = exp.master
     phi = master.phi
@@ -160,7 +160,7 @@ def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu
 
         # orthogonality constraint of the bordered solve
         if nu != 0.0:
-            bars.phi += nu * rec.Mw
+            bars.phi += nu * plan.Mw[:, r]
 
         # R_m = phi^T C_m / den; final here: every reader of R_m lies above
         # m's order or at m itself; solve_adjoint keeps it as r_bar for the
@@ -217,22 +217,21 @@ def solve_adjoint(
     """All adjoint variables for Omega at the given reduced amplitude.
 
     One reverse sweep over the orders, highest first, each order's
-    canonical indices one column of a block (`SsmExpansion.order_plans`):
+    canonical indices one column of a block (`SsmExpansion.plans`):
     the order folds in its mirrors' bars, solves with its indices' own
     operators at once (`SsmExpansion.solve_order`) and reverses its steps.
     The folded mode-shape and frequency bars then feed the coupled bordered
     solve. The operator products that no target changes are read from the
-    records.
+    plans.
     """
     exp.check_model(model)
     phi = exp.master.phi
-    plans = exp.order_plans()
     bars = _Bars(model.n, table_row((0, exp.order), 1) + 1)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
     lambda_m: dict = {}
     nu_m: dict = {}
-    for plan in reversed(plans):
+    for plan in reversed(exp.plans):
         # a self-symmetric index is its own mirror: the folds double what
         # it pushes, so it pushes at half weight, and its w_m is folded
         # only after its own wdot step has pushed to it

@@ -17,8 +17,8 @@ oracle for the adjoint.
 
 Every parameter has its own forward pass (`_Pass`), and the passes advance
 together, one order at a time: the walk steps through the expansion's
-order plans (`SsmExpansion.order_plans`, built once per expansion and kept
-in its memo), and every pass's step takes the order's canonical indices at
+order plans (`SsmExpansion.plans`, which `compute_ssm` leaves as it solves
+each order), and every pass's step takes the order's canonical indices at
 once, one column each of (n, k) blocks. The canonical indices of one order
 read only lower orders, so each stage runs once per order: the partial and
 linearized forces, the lower-order coupling sums, the M and C products, the
@@ -40,11 +40,11 @@ applied by every pass (`Linearization.gather`, `SymTensor.spread`) and
 dropped before the next index's: the order's other stages need every
 pass's forces, and a whole order's linearizations would hold several
 indices' coefficients at once. A matrix parameter's step also reads
-M V_m and (C + 2 Lam_m M) w_m, which the plan stacks from the records the
-adjoint sweep reads too, adds its explicit partials (a dense term only for
-the matrix parameters that the builder declares,
-`ParamDerivatives.matrix_params`) and solves with the modal diagonals and
-the resonant denominator that the records keep. The walk applies the
+M V_m and (C + 2 Lam_m M) w_m, which the plan stacks and the adjoint sweep
+reads too, adds its explicit partials (a dense term only for the matrix
+parameters that the builder declares, `ParamDerivatives.matrix_params`) and
+solves with the plan's modal diagonals and the resonant record's
+denominator. The walk applies the
 model's operators as the adjoint sweep does: the velocity s M + C reaches
 a block of derivative vectors as s (M v) + C v, each product a
 `mechmodel.real_times`, and no operator is formed to be applied to them.
@@ -286,7 +286,7 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
     ]
 
     done = 0
-    for plan in exp.order_plans():
+    for plan in exp.plans:
         k = len(plan.indices)
         entries = record.indices[done : done + k]
         done += k

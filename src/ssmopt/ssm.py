@@ -1,4 +1,4 @@
-"""Two-dimensional autonomous SSM expansion via per-index cohomological solves.
+"""Two-dimensional autonomous SSM expansion, solved one order at a time.
 
 For each multi-index m (order >= 2) the displacement coefficient w_m solves
 ``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M`` (`MechModel.at`).
@@ -18,33 +18,36 @@ Every operator is solved in the model's undamped, mass-normalized modes
 (`MechModel.modes`): Rayleigh damping keeps them classical normal modes
 (Caughey & O'Kelly, J. Appl. Mech. 1965), so Phi^T L_m Phi = diag(d) with
 d_j = (Lam_m - lambda_j)(Lam_m - conj(lambda_j)), the nonresonance
-conditions of SSM theory (Haller & Ponsioen, Nonlinear Dyn. 2016). A
-canonical record keeps its d, and `SsmExpansion.solve` divides by it; a d_j
-that vanishes against the size of L_m's terms (the master's own left out at
-a resonant index) is an outer resonance of mode j. The same solve serves the
-bordered mode-shape system (`SsmExpansion.mode_solve`), and the same basis
-the invariance residual's regularized stiffness K + eps M: nothing is
-factored. Every product of M, C, K or the modes with complex data is one
-`mechmodel.real_times`. Each cohomological solve's normwise backward error
-is checked against the formed L_m, and an overflowed right-hand side is
-reported before the solve. A resonant record
-also keeps the denominator of its R_m and the force D that R_m exerts on
-the right-hand side, so no pass rebuilds them.
+conditions of SSM theory (Haller & Ponsioen, Nonlinear Dyn. 2016). A solve
+divides by d; a d_j that vanishes against the size of L_m's terms (the
+master's own left out at a resonant index) is an outer resonance of mode j.
+The same solve serves the bordered mode-shape system
+(`SsmExpansion.mode_solve`), and the same basis the invariance residual's
+regularized stiffness K + eps M: nothing is factored. Every product of M, C,
+K or the modes with complex data is one `mechmodel.real_times`. Each
+cohomological solve's normwise backward error is checked against the formed
+L_m, and an overflowed right-hand side is reported before the solve. A
+resonant record also keeps the denominator of its R_m and the force D that
+R_m exerts on the right-hand side, so no pass rebuilds them.
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
-written by conjugation. The sensitivity passes (direct, adjoint sweep,
+written by conjugation. The canonical indices of one order read only lower
+orders, so `compute_ssm` steps through the orders, each order's indices one
+column of (n, k) blocks: the forces, the lower-order coupling sums and the
+right-hand sides are formed at once, and one modal solve with one diagonal
+per column and the resonant column bordered (`SsmExpansion.solve_order`)
+solves the order. Each step leaves its order's `OrderPlan` in
+`SsmExpansion.plans`: the stacks of the modal diagonals and of the model's
+operators applied to the vectors (M w_m, (C + 2 Lam_m M) w_m and M V_m), and
+the lower-order couplings. The sensitivity passes (direct, adjoint sweep,
 contraction) read the canonical indices too and mirror the swapped ones by
-conjugation; the direct walk and the adjoint sweep step through whole orders
-(`OrderPlan`, kept by `SsmExpansion.order_plans`), each order's canonical
-indices one column of a block that `SsmExpansion.solve_order` solves at
-once. The direct walk and the contraction read one record per
+conjugation; the direct walk and the adjoint sweep step through the same
+plans. The direct walk and the contraction read one record per
 `ParamDerivatives` of the residuals' explicit partial derivatives in the
 design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
 the matrix parameters' terms stacked as their dM and dK are, one row each.
-A canonical record also keeps the model's operators applied to its vectors
-(M w_m, (C + 2 Lam_m M) w_m and M V_m), which the adjoint sweep and the direct
-walk read; the expansion keeps M phi, and its mode-shape solve serves both the
+The expansion keeps M phi, and its mode-shape solve serves both the
 adjoint's mode-shape system and the direct eigenpair derivatives.
 """
 
@@ -58,7 +61,6 @@ import numpy as np
 from .errors import (
     AmplitudeUnreachableError,
     DegenerateModeError,
-    DegenerateParametrizationError,
     OuterResonanceError,
     SsmError,
 )
@@ -77,7 +79,6 @@ from .multiindex import (
 from .spectral import MasterPair
 
 SINGULAR_RATIO = 1e-12
-DENOMINATOR_TOL = 1e-10
 # bound on a solve's normwise backward error, in units of machine epsilon
 SOLVE_BACKWARD_ERROR = 1e3
 RESIDUAL_THETA_SAMPLES = 32  # theta grid of the invariance residual
@@ -111,12 +112,6 @@ class IndexCoeffs:
     D: np.ndarray | None  # force of R_m[slot] on the right-hand side, resonant only
     slot: int | None  # resonant slot (0 or 1) or None
     den: complex | None = None  # denominator of R_m[slot], resonant only
-    d: np.ndarray | None = None  # the diagonal Phi^T L_m Phi; canonical only
-    # the operators applied to the vectors, canonical only: M w_m,
-    # (C + 2 Lam_m M) w_m (dL_m/dLam applied to w_m) and M V_m
-    Mw: np.ndarray | None = None
-    Lw: np.ndarray | None = None
-    MV: np.ndarray | None = None
 
 
 def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
@@ -142,20 +137,21 @@ class SsmExpansion:
     """SSM coefficients up to a given odd order, and what the later passes
     read from them at every amplitude target.
 
-    Each canonical index's record keeps the diagonal of its operator in the
-    model's modes, which its solves (`solve`) divide by, and the model's
-    operators applied to its vectors. The expansion keeps M phi and C phi
-    (`Mphi`, `Cphi`); the master must be the model's mode `mode_index`
-    itself, of either sign (`master_row`), so that phi^T M picks that mode's
-    component in the modal basis. The `PairSums` tables of the model tensors
-    that have entries (`tables`, T2's and T3's) grow with the expansion, and
-    the recursion and every sensitivity pass read them. The memo (`memo`)
-    keeps what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps, and the order plans (`order_plans`).
-    Per `ParamDerivatives`, in one slot each that another `ParamDerivatives`
-    replaces, it keeps the record of the residuals' explicit parameter
-    partials (`partials`), which both sensitivity methods read, and the
-    direct method's walk record. It holds
+    One `OrderPlan` per order from 2 up, ascending (`plans`), keeps the
+    diagonals of its indices' operators in the model's modes, which its
+    solves (`solve_order`) divide by, and the model's operators applied to
+    their vectors; extending the expansion appends plans and keeps the
+    others. The expansion keeps M phi and C phi (`Mphi`, `Cphi`); the master
+    must be the model's mode `mode_index` itself, of either sign
+    (`master_row`), so that phi^T M picks that mode's component in the
+    modal basis. The `PairSums` tables of the model tensors that have
+    entries (`tables`, T2's and T3's) grow with the expansion, and the
+    recursion and every sensitivity pass read them. The memo (`memo`) keeps
+    what depends on the expansion alone: the backbone's amplitude
+    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
+    that another `ParamDerivatives` replaces, it keeps the record of the
+    residuals' explicit parameter partials (`partials`), which both
+    sensitivity methods read, and the direct method's walk record. It holds
     the current order's entries only: `compute_ssm` with from_expansion,
     which extends an expansion in place, clears it.
     """
@@ -165,6 +161,7 @@ class SsmExpansion:
         self.master = master
         self.order = 1
         self.data: dict[MultiIndex, IndexCoeffs] = {}
+        self.plans: list[OrderPlan] = []
         self.n_solves = 0
         self._memo: dict = {}
         i = master.mode_index
@@ -247,34 +244,22 @@ class SsmExpansion:
         gradient contraction and the direct walk both read them."""
         return self.memo("partials", lambda: _build_partials(self, params), owner=params)
 
-    def order_plans(self) -> list["OrderPlan"]:
-        """One `OrderPlan` per order from 2 up, ascending, built on first use
-        and kept in the memo. The direct walk and the adjoint sweep step
-        through them."""
-        return self.memo("order plans", lambda: _build_order_plans(self))
-
-    def solve(self, d: np.ndarray, slot: int | None, rhs: np.ndarray, border=0.0):
-        """(x, s) solving L_m x + M phi s = rhs, phi^T M x = border at a
-        resonant index (slot not None), or (x, 0.0) solving L_m x = rhs, for
-        the L_m whose modal diagonal is d; rhs is one column or an (n, K)
-        block, one border value per column. With x = Phi y and q = Phi^T rhs,
-        d_j y_j = q_j; at a resonant index the master's y_j0 is the border
-        value and s = q_j0 - d_j0 y_j0 (each signed by `master_row`). The
-        bordered operator is complex symmetric, so the adjoint solves with
-        it too. A non-finite rhs or border raises numpy's ValueError."""
-        return self._modal_solve(d, None if slot is None else ..., rhs, border)
-
     def solve_order(self, plan: "OrderPlan", rhs: np.ndarray, border=0.0):
-        """(x, s): `solve` at every canonical index of one order at once.
-        rhs holds one column per index of `plan`, each solved with its own
-        modal diagonal; the resonant index's column is bordered with the
-        value `border`, and s is its multiplier (0.0 at an even order)."""
+        """(x, s) solving L_m x = rhs at every canonical index of one order
+        at once, one column of rhs per index of `plan`, and at the resonant
+        index L_m x + M phi s = rhs, phi^T M x = border (`_modal_solve`); s
+        is 0.0 at an even order. The bordered operator is complex
+        symmetric, so the adjoint solves with it too."""
         return self._modal_solve(plan.d, plan.res, rhs, border)
 
     def _modal_solve(self, d: np.ndarray, bordered, rhs: np.ndarray, border):
-        """The solve of `solve` and `solve_order`: d is one diagonal for
-        every column, or (n, K) one per column; bordered selects the
-        bordered columns (None: none, Ellipsis: all, an integer: one)."""
+        """(x, s) solving diag(d) y = Phi^T rhs for x = Phi y, d one diagonal
+        for every column of the (n, K) block rhs (or one column) or (n, K)
+        one per column. bordered selects the bordered columns (None: none,
+        Ellipsis: all, an integer: one): there the master's y_j0 is the
+        border value and s = q_j0 - d_j0 y_j0 with q = Phi^T rhs, each signed
+        by `master_row`. A non-finite rhs or border raises numpy's
+        ValueError."""
         Phi = self.model.modes[1]
         q = real_times(Phi.T, np.asarray_chkfinite(rhs))
         d = d.reshape(d.shape + (1,) * (q.ndim - d.ndim))
@@ -294,9 +279,9 @@ class SsmExpansion:
 
             [[K - omega^2 M, 2 M phi], [-2 omega (M phi)^T, 0]] [x; s] = [rhs; border]
 
-        for a real rhs, one column or an (n, K) block: `solve` with the
-        modal diagonal omega_j^2 - omega^2, the border scaled by -1/(2 omega)
-        and s halved. The adjoint and the direct eigenpair derivatives both
+        for a real rhs, one column or an (n, K) block: `_modal_solve` with
+        the modal diagonal omega_j^2 - omega^2, every column bordered, the
+        border scaled by -1/(2 omega) and s halved. The adjoint and the direct eigenpair derivatives both
         solve it. A repeated frequency raises DegenerateModeError."""
         omegas, omega = self.model.modes[0], self.master.omega
 
@@ -308,7 +293,7 @@ class SsmExpansion:
 
         d = omegas**2 - omega**2  # the master's entry is exactly 0
         _check_diagonal(d, omegas[-1] ** 2 + omega**2, self.master_row[0], singular)
-        x, s = self.solve(d, 0, rhs, np.asarray(border) / (-2.0 * omega))
+        x, s = self._modal_solve(d, ..., rhs, np.asarray(border) / (-2.0 * omega))
         return x.real, 0.5 * s.real
 
 
@@ -360,15 +345,16 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
 
 @dataclass(eq=False)
 class OrderPlan:
-    """The canonical indices of one order as the sensitivity passes step
-    through them, one column each (`SsmExpansion.order_plans`).
+    """The canonical indices of one order, one column each, as `compute_ssm`
+    solved them and the sensitivity passes step through them
+    (`SsmExpansion.plans`).
 
     Rows are those of the `table_row` layout (orders 1 and up), the layout
     of the direct walk's record and of the adjoint's bars. The stacks are
-    the indices' records side by side, and the couplings are the terms
-    (u, j, k) of their lower-order sums (`v_decomps`), one row each. Arrays
-    and the resonant index's record only: the memo that keeps the plans
-    makes no cycle back to the expansion.
+    the indices' vectors side by side (`w` is the records' own w, their
+    rows), and the couplings are the terms (u, j, k) of their lower-order
+    sums (`v_decomps`), one row each. Arrays and the resonant index's
+    record only: a plan makes no cycle back to the expansion.
     """
 
     indices: tuple
@@ -381,6 +367,7 @@ class OrderPlan:
     Rsum: np.ndarray  # (k,) R_m[0] + R_m[1]
     d: np.ndarray  # (n, k) the modal diagonals
     w: np.ndarray  # (n, k) w_m
+    Mw: np.ndarray  # (n, k) M w_m
     Lw: np.ndarray  # (n, k) (C + 2 Lam_m M) w_m
     MV: np.ndarray  # (n, k) M V_m
     res: int | None  # the resonant index's column, at an odd order
@@ -391,52 +378,6 @@ class OrderPlan:
     S: np.ndarray  # (T, k) u[j] in the column of the coupling's index, else 0
     Wu: np.ndarray  # (n, T) each coupling's w_u
     Wdotu: np.ndarray  # (n, T) each coupling's wdot_u
-
-
-def _build_order_plans(exp: SsmExpansion) -> list[OrderPlan]:
-    r_orders = exp.r_orders()
-    plans = []
-    for q in range(2, exp.order + 1):
-        indices = tuple(canonical_indices(q))
-        recs = [exp.coeffs(m) for m in indices]
-        terms = [(t, u, j, k) for t, m in enumerate(indices) for u, j, k in v_decomps(m, r_orders)]
-        u_rows = sorted({table_row(u, 1) for _, u, _, _ in terms})
-        A = np.zeros((len(u_rows), len(indices)), complex)
-        S = np.zeros((len(terms), len(indices)))
-        for i, (t, u, j, k) in enumerate(terms):
-            A[u_rows.index(table_row(u, 1)), t] += u[j] * exp.R(k)[j]
-            S[i, t] = u[j]
-        res = next((t for t, rec in enumerate(recs) if rec.slot is not None), None)
-
-        def stack(vectors):
-            """(n, len(vectors)): the vectors as columns."""
-            return np.array(vectors, complex).reshape(-1, exp.model.n).T.copy()
-
-        plans.append(
-            OrderPlan(
-                indices,
-                np.array([table_row(m, 1) for m in indices]),
-                np.array([table_row(symmetric(m), 1) for m in indices]),
-                np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
-                np.array([0.5 if m[0] == m[1] else 1.0 for m in indices]),
-                np.array(indices, complex),
-                np.array([rec.Lam for rec in recs]),
-                np.array([rec.R[0] + rec.R[1] for rec in recs]),
-                stack([rec.d for rec in recs]),
-                stack([rec.w for rec in recs]),
-                stack([rec.Lw for rec in recs]),
-                stack([rec.MV for rec in recs]),
-                res,
-                None if res is None else recs[res],
-                np.array(u_rows, np.intp),
-                np.array([2 * table_row(k, 1) + j for _, _, j, k in terms], np.intp),
-                A,
-                S,
-                stack([exp.w(u) for _, u, _, _ in terms]),
-                stack([exp.wdot(u) for _, u, _, _ in terms]),
-            )
-        )
-    return plans
 
 
 def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
@@ -457,74 +398,23 @@ def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
     )
 
 
-def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeffs:
-    """Compute the coefficients at one multi-index from all lower orders."""
-    master = exp.master
-    phi = master.phi
-    lam_pair = master.lambda_pair
-    n = model.n
-
-    Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
-
-    # an overflowed force is reported below as a non-finite right-hand side
-    f = np.zeros(n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for table in exp.tables:
-            f += table.force(m)
-
-    V = np.zeros(n, dtype=complex)
-    Vdot = np.zeros(n, dtype=complex)
-    for u, j, k in v_decomps(m, exp.r_orders()):
-        coef = u[j] * exp.R(k)[j]
-        V += coef * exp.w(u)
-        Vdot += coef * exp.wdot(u)
-
-    MV = real_times(model.M, V)  # the record's M V_m: the velocity Lam M + C is not formed
-    C_m = -real_times(model.M, Vdot) - (Lam * MV + real_times(model.C, V)) - f
-
-    # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
-    # modes, and size bounds the terms of every d_j; at a resonant index the
-    # master's own d_j0 is the resonance that the border takes
-    slot = resonant_slot(m)
-    w2 = model.modes[0] ** 2
-    d = (1.0 + model.beta_r * Lam) * w2 + Lam * (Lam + model.alpha_r)
-    size = (1.0 + model.beta_r * abs(Lam)) * w2[-1] + abs(Lam) * (abs(Lam) + model.alpha_r)
-    skip = None if slot is None else master.mode_index
-    _check_diagonal(d, size, skip, partial(OuterResonanceError, m))
-
-    R = np.zeros(2, dtype=complex)
-    D = den = None
-    h = C_m
-    if slot is not None:
-        lam_j = lam_pair[slot]
-        den = Lam + lam_j + model.alpha_r + model.beta_r * master.omega**2
-        if abs(den) < DENOMINATOR_TOL:
-            raise DegenerateParametrizationError(
-                f"near-resonant denominator {abs(den):.2e} at index {m}"
-            )
-        R[slot] = (phi @ C_m) / den
-        D = -((Lam + lam_j) * exp.Mphi + exp.Cphi)
-        h = C_m + D * R[slot]
-        # Bordered operator: the reduced coefficient removed the master
-        # projection from h, so the solution with phi^T M w = 0 is the
-        # regular limit; for xi > 0 it equals the plain solve.
-    if not np.all(np.isfinite(h)):
-        raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
-    w, _ = exp.solve(d, slot, h)
-
-    # w must solve a nearby system: its normwise backward error
-    # ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a round-off-
-    # level difference of large terms (e.g. a 1-DOF resonant index); residuals
-    # on that cancellation floor pass too. The test is scale-free, so it is
-    # taken on w, h, C_m and R[slot] divided by a power of two at their largest
-    # magnitude: exact, and no norm overflows while the entries are finite. A
-    # non-finite bound (an overflowed w) and NaN fail the test.
+def _check_solve(model: MechModel, m: MultiIndex, Lam, w, h, C_m, R, D):
+    """SsmError unless w solves a system near L_m w = h at m, L_m =
+    `model.at(Lam)` formed and h = C_m (+ D R_m[slot] at a resonant index,
+    where D is not None and R is the pair R_m): its normwise backward error
+    ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a
+    round-off-level difference of large terms (e.g. a 1-DOF resonant
+    index); residuals on that cancellation floor pass too. The test is
+    scale-free, so it is taken on w, h, C_m and R divided by a power of two
+    at their largest magnitude: exact, and no norm overflows while the
+    entries are finite. A non-finite bound (an overflowed w) and NaN fail
+    the test."""
     eps = np.finfo(float).eps
     big = max(np.abs(w).max(), np.abs(h).max(), np.abs(C_m).max(), np.abs(R).max())
     sc = np.ldexp(1.0, -max(int(np.frexp(big)[1]), 0))
     cancel_scale = np.linalg.norm(sc * C_m)
-    if slot is not None:
-        cancel_scale += abs(sc * R[slot]) * np.linalg.norm(D)
+    if D is not None:
+        cancel_scale += np.abs(sc * R).max() * np.linalg.norm(D)
     L = model.at(Lam)
     resid = np.linalg.norm(L @ (sc * w) - sc * h)
     scale = np.linalg.norm(L, 1) * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
@@ -535,19 +425,134 @@ def order_step(model: MechModel, exp: SsmExpansion, m: MultiIndex) -> IndexCoeff
             f"scaled residual {resid:.2e} above {tol:.2e}"
         )
 
-    if m[0] == m[1]:
-        # self-symmetric index: every quantity is real in exact arithmetic;
-        # dropping the roundoff imaginary part makes the conjugacy invariant
-        # hold by construction
-        w = w.real.astype(complex)
-        for arr in (V, Vdot, C_m, MV):
-            arr.imag = 0.0
 
-    wdot = Lam * w + (R[0] + R[1]) * phi + V
-    Mw = real_times(model.M, w)
+def step_order(exp: SsmExpansion):
+    """Extend the expansion by one order: grow its force tables, solve the
+    order's canonical indices at once, one column each, write their records
+    and the swapped indices' conjugates, and append the order's `OrderPlan`.
+
+    The couplings come first: they read lower orders only. The forces, V,
+    Vdot, C_m, the resonant column's R_m and h = C_m + D R_m and the modal
+    diagonals are then (n, k) blocks, solved by one modal solve. The checks
+    run per column, in the order of the indices: the outer resonance and
+    the non-finite right-hand side before the solve, the backward error
+    (`_check_solve`) after it.
+    """
+    model, master, phi = exp.model, exp.master, exp.master.phi
+    M, n, lam_pair = model.M, model.n, master.lambda_pair
+    q = exp.order + 1
+    indices = tuple(canonical_indices(q))
+    k = len(indices)
+    r_orders = exp.r_orders()
+    terms = [(t, u, j, kk) for t, m in enumerate(indices) for u, j, kk in v_decomps(m, r_orders)]
+    u_rows = sorted({table_row(u, 1) for _, u, _, _ in terms})
+    Rk = np.array([exp.R(kk)[j] for _, _, j, kk in terms], complex)  # each coupling's R_k[j]
+    A = np.zeros((len(u_rows), k), complex)
+    S = np.zeros((len(terms), k))
+    for i, (t, u, j, _) in enumerate(terms):
+        A[u_rows.index(table_row(u, 1)), t] += u[j] * Rk[i]
+        S[i, t] = u[j]
+
+    def stack(vectors):
+        """(n, len(vectors)): the vectors as columns."""
+        return np.array(vectors, complex).reshape(-1, n).T.copy()
+
+    Wu = stack([exp.w(u) for _, u, _, _ in terms])
+    Wdotu = stack([exp.wdot(u) for _, u, _, _ in terms])
+    Lam = np.array([m[0] * lam_pair[0] + m[1] * lam_pair[1] for m in indices])
+    res = next((t for t, m in enumerate(indices) if resonant_slot(m) is not None), None)
+    slot = None if res is None else resonant_slot(indices[res])
+
+    # an overflowed vector, force or product is reported below as a
+    # non-finite right-hand side
+    R = np.zeros((k, 2), complex)
+    D = den = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for table in exp.tables:
+            table.extend(exp.w, q)
+        F = np.zeros((k, n), complex)
+        for t, m in enumerate(indices):
+            for table in exp.tables:
+                F[t] += table.force(m)
+        SR = S * Rk[:, None]
+        V, Vdot = Wu @ SR, Wdotu @ SR
+        MV = real_times(M, V)  # the velocity Lam M + C is not formed
+        C_m = -real_times(M, Vdot) - (Lam * MV + real_times(model.C, V)) - F.T
+        h = C_m.copy()
+        if res is not None:
+            lj = Lam[res] + lam_pair[slot]
+            den = lj + model.alpha_r + model.beta_r * master.omega**2
+            R[res, slot] = (phi @ C_m[:, res]) / den
+            D = -(lj * exp.Mphi + exp.Cphi)
+            # Bordered operator: the reduced coefficient removed the master
+            # projection from h, so the solution with phi^T M w = 0 is the
+            # regular limit; for xi > 0 it equals the plain solve.
+            h[:, res] += D * R[res, slot]
+
+    # L_m = (1 + beta Lam) K + (Lam^2 + alpha Lam) M is diag(d) in the
+    # modes, and size bounds the terms of every d_j; at a resonant index the
+    # master's own d_j0 is the resonance that the border takes
+    w2 = model.modes[0] ** 2
+    d = (1.0 + model.beta_r * Lam) * w2[:, None] + Lam * (Lam + model.alpha_r)
+    a = np.abs(Lam)
+    size = (1.0 + model.beta_r * a) * w2[-1] + a * (a + model.alpha_r)
+    for t, m in enumerate(indices):
+        skip = master.mode_index if t == res else None
+        _check_diagonal(d[:, t], size[t], skip, partial(OuterResonanceError, m))
+        if not np.all(np.isfinite(h[:, t])):
+            raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
+    w, _ = exp._modal_solve(d, res, h, 0.0)
+    for t, m in enumerate(indices):
+        _check_solve(model, m, Lam[t], w[:, t], h[:, t], C_m[:, t], R[t], D if t == res else None)
+
+    # a self-symmetric index: every quantity is real in exact arithmetic;
+    # dropping the roundoff imaginary part makes the conjugacy invariant
+    # hold by construction
+    sym = [t for t, m in enumerate(indices) if m[0] == m[1]]
+    for X in (w, V, Vdot, C_m, MV):
+        X[:, sym] = X[:, sym].real
+
+    Rsum = R[:, 0] + R[:, 1]
+    wdot = Lam * w + Rsum * phi[:, None] + V
+    Mw = real_times(M, w)
     Lw = real_times(model.C, w) + 2.0 * Lam * Mw
-    exp.n_solves += 1
-    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den, d, Mw, Lw, MV)
+    # each record's vectors are rows of one (k, n) block per quantity; the
+    # plan's w is the records' block transposed, not a copy
+    w, wdot, V, Vdot, C_m = (X.T.copy() for X in (w, wdot, V, Vdot, C_m))
+    for t, m in enumerate(indices):
+        resonant = (D, slot, den) if t == res else (None, None, None)
+        rec = IndexCoeffs(m, w[t], wdot[t], R[t], Lam[t], V[t], Vdot[t], C_m[t], *resonant)
+        exp.data[m] = rec
+        if m[0] != m[1]:
+            exp.data[symmetric(m)] = _conjugate_record(rec)
+
+    exp.plans.append(
+        OrderPlan(
+            indices,
+            np.array([table_row(m, 1) for m in indices]),
+            np.array([table_row(symmetric(m), 1) for m in indices]),
+            np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
+            np.array([0.5 if m[0] == m[1] else 1.0 for m in indices]),
+            np.array(indices, complex),
+            Lam,
+            Rsum,
+            d,
+            w.T,
+            Mw,
+            Lw,
+            MV,
+            res,
+            None if res is None else exp.data[indices[res]],
+            np.array(u_rows, np.intp),
+            np.array([2 * table_row(kk, 1) + j for _, _, j, kk in terms], np.intp),
+            A,
+            S,
+            Wu,
+            Wdotu,
+        )
+    )
+    exp.n_solves += k
+    exp.order = q
 
 
 def compute_ssm(
@@ -556,11 +561,12 @@ def compute_ssm(
     order_: int,
     from_expansion: SsmExpansion | None = None,
 ) -> SsmExpansion:
-    """Expansion up to the given odd order >= 3.
+    """Expansion up to the given odd order >= 3, one order at a time
+    (`step_order`).
 
     Passing a lower-order expansion extends it: the recursion is lower
-    triangular in order, so existing coefficients are reused unchanged; its
-    memo, built for the lower order, is cleared.
+    triangular in order, so existing coefficients and plans are reused
+    unchanged; its memo, built for the lower order, is cleared.
     """
     if order_ < 3 or order_ % 2 == 0:
         raise ValueError(f"expansion order must be odd and >= 3, got {order_}")
@@ -572,17 +578,8 @@ def compute_ssm(
         if exp.order >= order_:
             return exp
         exp._memo.clear()
-    for q in range(exp.order + 1, order_ + 1):
-        # an overflowed vector is reported as a non-finite right-hand side
-        with np.errstate(over="ignore", invalid="ignore"):
-            for table in exp.tables:
-                table.extend(exp.w, q)
-        for m in canonical_indices(q):
-            rec = order_step(model, exp, m)
-            exp.data[m] = rec
-            if m[0] != m[1]:
-                exp.data[symmetric(m)] = _conjugate_record(rec)
-        exp.order = q
+    while exp.order < order_:
+        step_order(exp)
     return exp
 
 

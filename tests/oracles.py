@@ -31,13 +31,18 @@
   rows one by one; the walk gathers them from its record's table.
 * `pulled`: `PairSums.pullback`'s rows read back as indices, {u: r_u}.
 * `formed_solve`: a dense solve of an index's formed operator L_m, bordered
-  by M phi at a resonant index. `SsmExpansion.solve` divides by the
-  operator's diagonal in the model's modes instead; the two agree to the
-  operator's conditioning.
-* `reference_full_set_ssm`: the expansion with every index solved on its
-  own. `ssm.compute_ssm` solves only the canonical indices and writes the
-  swapped ones by conjugation; this is the form the conjugation must
-  reproduce to roundoff.
+  by M phi at a resonant index. `modal_solve` divides by the operator's
+  diagonal in the model's modes, the column of it that the order's plan
+  keeps, instead; the two agree to the operator's conditioning.
+* `reference_index_step` and `reference_ssm`: the recursion one canonical
+  index at a time, each index's force, coupling sums, right-hand side,
+  modal diagonal and solve on their own. `ssm.step_order` takes each
+  order's indices at once, one column of (n, k) blocks, and must agree
+  with it to roundoff.
+* `reference_full_set_ssm`: the expansion with every swapped index solved
+  on its own (`reference_index_step`). `ssm.compute_ssm` writes the swapped
+  ones by conjugation; this is the form the conjugation must reproduce to
+  roundoff.
 * `contract_sum`: the force convolution as one sum over every ordered tuple
   of lower indices, the products formed once per trailing key. `PairSums`
   sums each convolution over its first part only, the other parts taken
@@ -116,11 +121,19 @@ from ssmopt.mechmodel import (
 )
 from ssmopt import models
 from ssmopt.models import FAMILIES, FD_ASSEMBLY_RELSTEP, VkBeamSpec
-from ssmopt.multiindex import all_indices, order, symmetric, table_row
+from ssmopt.multiindex import (
+    all_indices,
+    canonical_indices,
+    order,
+    resonant_slot,
+    symmetric,
+    table_row,
+)
 from ssmopt.sens_adjoint import AdjointState, solve_adjoint_phi_omega, solve_adjoint_rho
 from ssmopt.sens_direct import eig_derivatives, lambda_derivative
 from ssmopt.spectral import track_mode
-from ssmopt.ssm import IndexCoeffs, SsmExpansion, compute_ssm, order_step, v_decomps
+from ssmopt import ssm
+from ssmopt.ssm import IndexCoeffs, SsmExpansion, compute_ssm, v_decomps
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -469,6 +482,22 @@ def formed_solve(model: MechModel, exp, rec, rhs: np.ndarray, border=0.0):
     return x[:-1], x[-1]
 
 
+def plan_column(exp: SsmExpansion, m):
+    """(plan, t): the `OrderPlan` of the canonical index m and m's column."""
+    plan = exp.plans[order(m) - 2]
+    return plan, plan.indices.index(m)
+
+
+def modal_solve(model: MechModel, exp: SsmExpansion, rec, rhs: np.ndarray, border=0.0):
+    """`formed_solve` in the model's modes: the modal diagonal of L_m is the
+    plan's column of the index or, at a swapped index, of its canonical
+    partner conjugated."""
+    m = rec.m
+    plan, t = plan_column(exp, max(m, symmetric(m)))
+    d = plan.d[:, t] if m[0] >= m[1] else np.conj(plan.d[:, t])
+    return exp._modal_solve(d, None if rec.slot is None else ..., rhs, border)
+
+
 class _IndexBars:
     """The reference sweep's accumulators, one dict entry per index: the
     bars of w_m, wdot_m and the R_m pair read zero where nothing has pushed
@@ -510,12 +539,13 @@ def pulled(table: PairSums, m, v: np.ndarray) -> dict:
 def _backprop_index(model: MechModel, exp, bars: _IndexBars, m, rec, lam_m, nu_m, vbar):
     """Reverse of the cohomological step at m, one index at a time, for the
     adjoint pair (lam_m, nu_m) and the bar vbar of V_m that the wdot step at
-    m left, with the operator products of the record rec."""
+    m left, with the operator products formed from the record rec."""
     master = exp.master
     phi = master.phi
     M, C = model.M, model.C
+    Mw = M @ rec.w
 
-    _add_lam_bar(bars, m, lam_m @ rec.Lw)
+    _add_lam_bar(bars, m, lam_m @ (C @ rec.w + 2.0 * rec.Lam * Mw))
     bar_h = -lam_m
     bar_c = bar_h.copy()
     if rec.slot is not None:
@@ -527,7 +557,7 @@ def _backprop_index(model: MechModel, exp, bars: _IndexBars, m, rec, lam_m, nu_m
         _add_lam_bar(bars, m, sc)
         bars.lam[j] += sc
     if nu_m != 0.0:
-        bars.phi += nu_m * rec.Mw
+        bars.phi += nu_m * Mw
     if rec.slot is not None:
         j = rec.slot
         g = bars.R[m][j]
@@ -543,7 +573,7 @@ def _backprop_index(model: MechModel, exp, bars: _IndexBars, m, rec, lam_m, nu_m
     bar_vdot = -M_bar_c
     bar_v = vbar - (rec.Lam * M_bar_c + real_times(C, bar_c))
     bar_f = -bar_c
-    _add_lam_bar(bars, m, -(bar_c @ rec.MV))
+    _add_lam_bar(bars, m, -(bar_c @ (M @ rec.V)))
     for u, j, k in v_decomps(m, exp.r_orders()):
         Rkj = exp.R(k)[j]
         bars.w[u] += u[j] * Rkj * bar_v
@@ -570,8 +600,8 @@ def reference_adjoint(
     it was pushed, so nothing is folded and the objective's seeds count at
     full weight. The dicts cover every index. Each
     index's operator products are formed here from its own record (the
-    expansion keeps them for the canonical records only); M phi and the
-    mode-shape solve are the expansion's (`SsmExpansion.mode_solve`).
+    expansion's plans keep them for the canonical indices only); M phi and
+    the mode-shape solve are the expansion's (`SsmExpansion.mode_solve`).
     """
     bars = _IndexBars(model.n)
     pw = point_weights(exp, dof_index, rho)
@@ -602,8 +632,6 @@ def reference_adjoint(
                 nu_m[m] = nu
         for m in idx_q:
             rec = exp.coeffs(m)
-            Mw = model.M @ rec.w
-            rec = replace(rec, Mw=Mw, Lw=model.C @ rec.w + 2.0 * rec.Lam * Mw, MV=model.M @ rec.V)
             _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), vbar[m])
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
@@ -654,7 +682,8 @@ class _IndexPass:
         dlam_pair = self.dlam_pair
         Lam = rec.Lam
         dLam = m[0] * dlam_pair[0] + m[1] * dlam_pair[1]
-        MV, Lw = (rec.MV, rec.Lw) if self.matrix else (0.0, 0.0)
+        plan, t = plan_column(exp, m)
+        MV, Lw = (plan.MV[:, t], plan.Lw[:, t]) if self.matrix else (0.0, 0.0)
 
         df = pf + sum(reference_forward(lin, self.dw.__getitem__) for lin in lins)
         dV = dVdot = 0.0
@@ -684,7 +713,7 @@ class _IndexPass:
         dLw = dLam * Lw
         if Aw is not None:
             dLw = dLw + Aw
-        dw, _ = exp.solve(rec.d, rec.slot, dh - dLw, -(self.dMphi @ rec.w))
+        dw, _ = modal_solve(model, exp, rec, dh - dLw, -(self.dMphi @ rec.w))
         self.dw[m] = dw
         self.dwdot[m] = (
             dLam * rec.w + Lam * dw + dV + (dR[0] + dR[1]) * phi + (rec.R[0] + rec.R[1]) * self.dphi
@@ -785,16 +814,75 @@ def reference_projection(record, pw, dof_index: int) -> tuple[np.ndarray, np.nda
     return drho, dOm
 
 
-def reference_full_set_ssm(model: MechModel, master, order: int) -> SsmExpansion:
-    """Expansion up to `order` that solves every index, the swapped ones
-    included, instead of conjugating the canonical records."""
+def reference_index_step(model: MechModel, exp: SsmExpansion, m) -> IndexCoeffs:
+    """The coefficients at one multi-index of any kind from all lower
+    orders, one index on its own: the force, the coupling sums V and Vdot
+    added term by term, C_m, at a resonant index R_m and h = C_m + D R_m,
+    and the modal diagonal d of L_m that the solve divides by. The
+    expansion's tables must reach m's order. No check runs."""
+    master, phi, lam_pair = exp.master, exp.master.phi, exp.master.lambda_pair
+    Lam = m[0] * lam_pair[0] + m[1] * lam_pair[1]
+    f = np.zeros(model.n, dtype=complex)
+    for table in exp.tables:
+        f += table.force(m)
+    V = np.zeros(model.n, dtype=complex)
+    Vdot = np.zeros(model.n, dtype=complex)
+    for u, j, k in v_decomps(m, exp.r_orders()):
+        coef = u[j] * exp.R(k)[j]
+        V += coef * exp.w(u)
+        Vdot += coef * exp.wdot(u)
+    MV = real_times(model.M, V)
+    C_m = -real_times(model.M, Vdot) - (Lam * MV + real_times(model.C, V)) - f
+
+    slot = resonant_slot(m)
+    w2 = model.modes[0] ** 2
+    d = (1.0 + model.beta_r * Lam) * w2 + Lam * (Lam + model.alpha_r)
+    R = np.zeros(2, dtype=complex)
+    D = den = None
+    h = C_m
+    if slot is not None:
+        lam_j = lam_pair[slot]
+        den = Lam + lam_j + model.alpha_r + model.beta_r * master.omega**2
+        R[slot] = (phi @ C_m) / den
+        D = -((Lam + lam_j) * exp.Mphi + exp.Cphi)
+        h = C_m + D * R[slot]
+    w, _ = exp._modal_solve(d, None if slot is None else ..., h, 0.0)
+    if m[0] == m[1]:
+        w = w.real.astype(complex)
+        for arr in (V, Vdot, C_m):
+            arr.imag = 0.0
+    wdot = Lam * w + (R[0] + R[1]) * phi + V
+    return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den)
+
+
+def reference_ssm(model: MechModel, master, order_: int) -> SsmExpansion:
+    """Expansion up to `order_` with every canonical index solved on its own
+    (`reference_index_step`), in ascending order, and the swapped ones
+    written by conjugation. It keeps no order plans."""
     exp = SsmExpansion(model, master)
-    for q in range(exp.order + 1, order + 1):
+    for q in range(exp.order + 1, order_ + 1):
         for table in exp.tables:
             table.extend(exp.w, q)
-        for m in all_indices(q):
-            exp.data[m] = order_step(model, exp, m)
+        for m in canonical_indices(q):
+            exp.data[m] = rec = reference_index_step(model, exp, m)
+            if m[0] != m[1]:
+                exp.data[symmetric(m)] = ssm._conjugate_record(rec)
         exp.order = q
+    return exp
+
+
+def reference_full_set_ssm(model: MechModel, master, order_: int) -> SsmExpansion:
+    """Expansion up to `order_` whose swapped indices are each solved on
+    their own (`reference_index_step`) instead of conjugated. Each order's
+    canonical indices, and the plans that the sensitivity passes read, are
+    the expansion's own step (`ssm.step_order`) on the lower orders of this
+    expansion."""
+    exp = SsmExpansion(model, master)
+    while exp.order < order_:
+        ssm.step_order(exp)
+        for m in all_indices(exp.order):
+            if m[0] < m[1]:
+                exp.data[m] = reference_index_step(model, exp, m)
     return exp
 
 

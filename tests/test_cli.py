@@ -181,13 +181,13 @@ class TestBackboneCommand:
         # one expansion grows from O3 to O9: one solve per canonical index of
         # orders 2-9, and no probe expansion beside it
         calls = []
-        step = ssm.order_step
+        step = ssm.step_order
 
-        def counted(model, exp, m):
-            calls.append(m)
-            return step(model, exp, m)
+        def counted(exp):
+            step(exp)
+            calls.extend(exp.plans[-1].indices)
 
-        monkeypatch.setattr(ssm, "order_step", counted)
+        monkeypatch.setattr(ssm, "step_order", counted)
         cfg = {
             "model": {"type": "vk_beam", "a1": 0.01},
             "backbone": {"dof": 13, "x_targets": [0.002, 0.005], "order": "auto", "max_order": 9},

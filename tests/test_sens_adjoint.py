@@ -16,7 +16,14 @@ from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import formed_solve, param_matrices, pick_params, reference_adjoint, reference_partials
+from oracles import (
+    formed_solve,
+    modal_solve,
+    param_matrices,
+    pick_params,
+    reference_adjoint,
+    reference_partials,
+)
 from test_properties import random_case
 
 
@@ -113,10 +120,6 @@ class TestAdjointW:
         # from the modal one by the operator's conditioning
         def close(a, b):
             return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-        def modal_solve(model, exp, rec, rhs):
-            d = rec.d if rec.d is not None else np.conj(exp.coeffs(symmetric(rec.m)).d)
-            return exp.solve(d, rec.slot, rhs)
 
         for case in (_chain3_o7, _damped_curved_beam_o7):
             model, exp, dof, rho = case()

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
-from ssmopt.backbone import _validity_cap, rho_of_x
+from ssmopt.backbone import _validity_cap, omega_of_rho, rho_of_x
 from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError, SsmError
 from ssmopt.mechmodel import PairSums, SymTensor, model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
@@ -14,7 +14,13 @@ from ssmopt.multiindex import order, symmetric
 from ssmopt.optimizer import GRADIENTS
 from ssmopt.ssm import adapt_order
 
-from oracles import first_order_operators, formed_solve, reference_full_set_ssm
+from oracles import (
+    first_order_operators,
+    formed_solve,
+    plan_column,
+    reference_full_set_ssm,
+    reference_ssm,
+)
 
 
 def assert_tables_built_at_once(exp):
@@ -102,6 +108,38 @@ class TestComputeSsm:
         for m, w in snapshot.items():
             assert np.array_equal(e7.w(m), w)
         assert_tables_built_at_once(e7)
+
+    def test_extension_keeps_the_lower_order_plans(self, chain2, chain2_master):
+        # the plans of orders 2-5 are the same objects after the extension,
+        # which appends those of orders 6 and 7
+        model, _ = chain2
+        e5 = compute_ssm(model, chain2_master, 5)
+        plans = list(e5.plans)
+        assert [order(p.indices[0]) for p in plans] == [2, 3, 4, 5]
+        e7 = compute_ssm(model, chain2_master, 7, from_expansion=e5)
+        assert len(e7.plans) == 6 and all(a is b for a, b in zip(e7.plans, plans))
+        assert [order(p.indices[0]) for p in e7.plans[4:]] == [6, 7]
+
+    @pytest.mark.parametrize("case", ["chain101", "damped_curved_vk_beam10"])
+    def test_per_order_step_matches_the_per_index_reference(self, case):
+        # each order's indices solved at once, one column each, against the
+        # recursion one index at a time: the two reassociate the same sums,
+        # so they agree to roundoff, normwise at every index
+        if case == "chain101":
+            model, _ = build_chain(ChainSpec(n_masses=101, alpha_r=0.0, beta_r=0.02))
+            O = 5
+        else:
+            spec = VkBeamSpec(a1=0.002, a2=0.001, alpha_r=1.0, beta_r=1e-5)
+            model, _ = build_vk_beam(spec, ())
+            O = 9
+        master = solve_master(model, 0)
+        got = compute_ssm(model, master, O)
+        want = reference_ssm(model, master, O)
+        assert got.data.keys() == want.data.keys()
+        for m, rec in want.data.items():
+            for name in ("w", "wdot", "R", "V", "Vdot", "C"):
+                a, b = getattr(got.data[m], name), getattr(rec, name)
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (m, name)
 
     @pytest.mark.parametrize("order_", [3, 5])
     def test_extension_to_an_order_it_has_returns_it_unchanged(
@@ -211,6 +249,26 @@ class TestFactorization:
         assert info.value.m == (3, 0) and info.value.mode == 1
         assert 0.0 < info.value.ratio < 1e-12
 
+    def test_stiffness_scale_does_not_move_the_backbone(self):
+        # K and T3 scaled by s scale omega by sqrt(s) and leave the backbone
+        # ratio Omega / omega unchanged: the resonant denominators, about
+        # 2 omega, shrink with s, and the recursion still expands down to
+        # omega = 1e-20
+        def ratio(s):
+            model = model_from_json({
+                "type": "matrix", "n": 2, "M": [[1, 0], [0, 1]],
+                "K": [[2 * s, -s], [-s, 2 * s]],
+                "T3": [[0, 0, 0, 0, 0.3 * s], [1, 1, 1, 1, 0.3 * s]],
+            })
+            master = solve_master(model, 0)
+            exp = compute_ssm(model, master, 5)
+            return omega_of_rho(exp, rho_of_x(exp, 0, 0.1)) / master.omega
+
+        want = ratio(1.0)
+        assert want == pytest.approx(1.0022478905466674, rel=1e-15)
+        for s in (1e-22, 1e-40):
+            assert abs(ratio(s) - want) <= np.spacing(want), s
+
     def test_master_must_be_a_mode_of_the_model(self, chain2):
         # the solves set and read the master's component in the model's
         # modes, so a master that is not one of them is rejected: here the
@@ -231,38 +289,47 @@ class TestFactorization:
         assert np.all(np.isfinite(eps))
         assert eps[1] < eps[0]
 
-    @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
-    def test_block_solve_equals_column_solves(self, m):
-        # plain (4, 1) and resonant (3, 2) records: an (n, K) block with one
-        # border value per column is K one-column solves
+    @staticmethod
+    def _order5_column(m):
+        """(model, exp, plan, t): a three-mass chain's O5 expansion, the
+        order-5 plan, (5, 0), (4, 1) and (3, 2) its columns, and m's column."""
         model, _ = build_chain(ChainSpec(n_masses=3))
         exp = compute_ssm(model, solve_master(model, 0), 5)
-        rec = exp.coeffs(m)
-        assert (rec.slot is None) == (m == (4, 1))
+        plan, t = plan_column(exp, m)
+        assert plan.indices == ((5, 0), (4, 1), (3, 2)) and plan.res == 2
+        return model, exp, plan, t
+
+    @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
+    def test_block_solve_equals_column_solves(self, m):
+        # plain (4, 1) and resonant (3, 2) columns: the order's block solve,
+        # each column with its own diagonal and the resonant one bordered,
+        # is its columns solved one at a time
+        model, exp, plan, t = self._order5_column(m)
         rng = np.random.default_rng(3)
-        rhs = rng.normal(size=(model.n, 4)) + 1j * rng.normal(size=(model.n, 4))
-        border = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x, s = exp.solve(rec.d, rec.slot, rhs, border)
-        for k in range(4):
-            xk, sk = exp.solve(rec.d, rec.slot, rhs[:, k], border[k])
-            assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
-            if rec.slot is not None:
-                assert abs(s[k] - sk) <= 1e-14 * abs(sk)
+        rhs = rng.normal(size=(model.n, 3)) + 1j * rng.normal(size=(model.n, 3))
+        border = rng.normal() + 1j * rng.normal()
+        x, s = exp.solve_order(plan, rhs, border)
+        res = 0 if t == plan.res else None
+        one = dataclasses.replace(plan, d=plan.d[:, [t]], res=res)
+        xt, st = exp.solve_order(one, rhs[:, [t]], border)
+        assert np.linalg.norm(x[:, t] - xt[:, 0]) <= 1e-14 * np.linalg.norm(xt)
+        if res is not None:
+            assert abs(s - st) <= 1e-14 * abs(st)
 
     @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
     def test_solve_matches_the_formed_operator(self, m):
         # plain (4, 1) and resonant (3, 2): the modal solve against a dense
         # solve of L_m, bordered at the resonant index by M phi
-        model, _ = build_chain(ChainSpec(n_masses=3))
-        exp = compute_ssm(model, solve_master(model, 0), 5)
+        model, exp, plan, t = self._order5_column(m)
         rec = exp.coeffs(m)
         rng = np.random.default_rng(4)
-        rhs = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
+        rhs = rng.normal(size=(model.n, 3)) + 1j * rng.normal(size=(model.n, 3))
         border = 0.3 - 0.2j
-        x, s = exp.solve(rec.d, rec.slot, rhs, border)
-        want, s_want = formed_solve(model, exp, rec, rhs, border)
-        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-        assert abs(s - s_want) <= 1e-13 * np.linalg.norm(want)
+        x, s = exp.solve_order(plan, rhs, border)
+        want, s_want = formed_solve(model, exp, rec, rhs[:, t], border)
+        assert np.linalg.norm(x[:, t] - want) <= 1e-13 * np.linalg.norm(want)
+        if rec.slot is not None:
+            assert abs(s - s_want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m", [(4, 1), (3, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -270,18 +337,16 @@ class TestFactorization:
         # plain (4, 1) and bordered (3, 2): a non-finite entry of the rhs,
         # or a non-finite border value, raises numpy's ValueError before
         # any product reads it
-        model, _ = build_chain(ChainSpec(n_masses=3))
-        exp = compute_ssm(model, solve_master(model, 0), 5)
-        rec = exp.coeffs(m)
-        rhs = np.ones(model.n, complex)
-        rhs[1] = bad
+        model, exp, plan, t = self._order5_column(m)
+        rhs = np.ones((model.n, 3), complex)
+        rhs[1, t] = bad
         with pytest.raises(ValueError) as want:
             np.asarray_chkfinite(rhs)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            exp.solve(rec.d, rec.slot, rhs)
-        if rec.slot is not None:
+            exp.solve_order(plan, rhs)
+        if t == plan.res:
             with pytest.raises(ValueError, match=re.escape(str(want.value))):
-                exp.solve(rec.d, rec.slot, np.ones(model.n, complex), bad)
+                exp.solve_order(plan, np.ones((model.n, 3), complex), bad)
 
 
 class TestSolveCheck:
@@ -329,12 +394,12 @@ class TestSolveCheck:
         # a resonant solve sets the master's modal component to the border
         # value, phi^T M w = 0 in the recursion; any other value moves w off
         # the solution of L w = h
-        solve = ssm.SsmExpansion.solve
+        solve = ssm.SsmExpansion._modal_solve
 
-        def wrong_border(self, d, slot, rhs, border=0.0):
-            return solve(self, d, slot, rhs, border + 1.0)
+        def wrong_border(self, d, bordered, rhs, border):
+            return solve(self, d, bordered, rhs, border + 1.0)
 
-        monkeypatch.setattr(ssm.SsmExpansion, "solve", wrong_border)
+        monkeypatch.setattr(ssm.SsmExpansion, "_modal_solve", wrong_border)
         with pytest.raises(SsmError, match=r"cohomological solve at index \(2, 1\) failed"):
             compute_ssm(chain2[0], chain2_master, 3)
 
@@ -597,8 +662,6 @@ class TestBackboneAgainstSimulation:
         model, _ = build_chain(spec)
         master = solve_master(model, 0)
         exp = compute_ssm(model, master, 7)
-        from ssmopt.backbone import omega_of_rho
-
         n = model.n
         Minv = np.linalg.inv(model.M)
 
