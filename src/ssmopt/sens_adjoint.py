@@ -22,13 +22,14 @@ blocks, from the order plans that the primal left (`SsmExpansion.plans`):
 no index of an order pushes to another of the same order, so every stage
 (the folds, the wdot reverse, the modal solve with the resonant column
 bordered, `SsmExpansion.solve_order`, the M and C products and the coupling
-sums) runs once per order. The bars are one row per index in the `multiindex.table_row`
-layout. The reverse of the copy is a fold: the bars pushed to the swapped
-index reach the canonical one conjugated (with the two R slots exchanged)
-before the canonical step is reversed. A self-symmetric index (m1 = m2) and
-the objective are their own mirrors, so their pushes enter at half weight
-and the fold restores them; the mode shape and the frequency fold to bar +
-conj(bar), the eigenvalue pair to bar_0 + conj(bar_1).
+sums) runs once per order. The bars are one row per index in the
+`multiindex.table_row` layout. The reverse of the copy is a fold: the bars
+pushed to the swapped index reach the canonical one conjugated (with the
+two R slots exchanged) before the canonical step is reversed. A
+self-symmetric index (m1 = m2) and the objective are their own mirrors, so
+their pushes enter at half weight and the fold restores them; the mode
+shape and the frequency fold to bar + conj(bar), the eigenvalue pair to
+bar_0 + conj(bar_1).
 
 All cross-order couplings are evaluated as vector-times-operator products;
 dense Jacobians between coefficient blocks are never materialized, and no
@@ -139,8 +140,8 @@ def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu
     one column each, for the adjoint pairs (lam, nu), weighted as the sweep
     pushes them, and the bars vbar of V_m that the wdot steps left. The
     steps' operator products are the plan's (w, Mw, Lw and MV) and M phi is
-    the expansion's; every other
-    product applies M or C to a bar with `real_times`."""
+    the expansion's; every other product applies M or C to a bar with
+    `real_times`."""
     master = exp.master
     phi = master.phi
     M, C = model.M, model.C

@@ -44,10 +44,10 @@ M V_m and (C + 2 Lam_m M) w_m, which the plan stacks and the adjoint sweep
 reads too, adds its explicit partials (a dense term only for the matrix
 parameters that the builder declares, `ParamDerivatives.matrix_params`) and
 solves with the plan's modal diagonals and the resonant record's
-denominator. The walk applies the
-model's operators as the adjoint sweep does: the velocity s M + C reaches
-a block of derivative vectors as s (M v) + C v, each product a
-`mechmodel.real_times`, and no operator is formed to be applied to them.
+denominator. The walk applies the model's operators as the adjoint sweep
+does: the velocity s M + C reaches a block of derivative vectors as
+s (M v) + C v, each product a `mechmodel.real_times`, and no operator is
+formed to be applied to them.
 Parameters are never batched into one solve: a coefficient's derivative
 needs the same parameter's lower-order derivatives, so each pass keeps its
 own table of the derivatives later indices read, and the cost stays linear

@@ -253,12 +253,12 @@ class SsmExpansion:
         return self._modal_solve(plan.d, plan.res, rhs, border)
 
     def _modal_solve(self, d: np.ndarray, bordered, rhs: np.ndarray, border):
-        """(x, s) solving diag(d) y = Phi^T rhs for x = Phi y, d one diagonal
-        for every column of the (n, K) block rhs (or one column) or (n, K)
-        one per column. bordered selects the bordered columns (None: none,
-        Ellipsis: all, an integer: one): there the master's y_j0 is the
-        border value and s = q_j0 - d_j0 y_j0 with q = Phi^T rhs, each signed
-        by `master_row`. A non-finite rhs or border raises numpy's
+        """(x, s) with x = Phi y and diag(d) y = q = Phi^T rhs, for rhs one
+        column or an (n, K) block and d one diagonal for every column or
+        (n, K), one per column. bordered selects the bordered columns (None:
+        none, Ellipsis: all, an integer: one): there the master's y_j0 is
+        the border value and s = q_j0 - d_j0 y_j0, each signed by
+        `master_row`. A non-finite rhs or border raises numpy's
         ValueError."""
         Phi = self.model.modes[1]
         q = real_times(Phi.T, np.asarray_chkfinite(rhs))
@@ -281,8 +281,9 @@ class SsmExpansion:
 
         for a real rhs, one column or an (n, K) block: `_modal_solve` with
         the modal diagonal omega_j^2 - omega^2, every column bordered, the
-        border scaled by -1/(2 omega) and s halved. The adjoint and the direct eigenpair derivatives both
-        solve it. A repeated frequency raises DegenerateModeError."""
+        border scaled by -1/(2 omega) and s halved. The adjoint and the
+        direct eigenpair derivatives both solve it. A repeated frequency
+        raises DegenerateModeError."""
         omegas, omega = self.model.modes[0], self.master.omega
 
         def singular(j, ratio):
