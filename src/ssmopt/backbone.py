@@ -76,11 +76,11 @@ def x_theta_samples(
     """
     thetas = _theta_grid(n_theta)
     x = np.zeros(n_theta, dtype=complex)
-    for m, rec in exp.data.items():
+    for m in exp.indices:
         q = order(m)
         if max_order is not None and q > max_order:
             continue
-        x += rec.w[dof_index] * rho**q * np.exp(1j * (m[0] - m[1]) * thetas)
+        x += exp.w(m)[dof_index] * rho**q * np.exp(1j * (m[0] - m[1]) * thetas)
     return assert_real(x, "theta samples")
 
 
@@ -101,14 +101,14 @@ class _AmplitudeMap:
 def _build_amplitude_map(exp: SsmExpansion, dof_index: int, top: int) -> _AmplitudeMap:
     O = exp.order
     c = np.zeros((2 * O + 1, O + 1), dtype=complex)
-    for m, rec in exp.data.items():
+    for m in exp.indices:
         q = order(m)
         if q > top:
             continue
-        w = rec.w[dof_index]
+        w = exp.w(m)[dof_index]
         # one index per (d, q), so the coefficientwise pairing is exactly the
         # condition for x(theta) to be real at every rho
-        residue = abs(exp.data[symmetric(m)].w[dof_index] - np.conj(w))
+        residue = abs(exp.w(symmetric(m))[dof_index] - np.conj(w))
         if residue > IMAG_RESIDUE_RTOL * max(1.0, abs(w)):
             raise ConjugacyError(
                 f"coefficients at {m} and {symmetric(m)} of DOF {dof_index} "
@@ -310,7 +310,7 @@ def point_weights(exp: SsmExpansion, dof_index: int, rho: float) -> PointWeights
         R += [((a, 0), -0.5j * rho ** (q - 1)), ((symmetric(a), 1), +0.5j * rho ** (q - 1))]
     x, c = x_rms(exp, dof_index, rho), x_harmonics(exp, dof_index, rho)
     return PointWeights(
-        (-0.5j, +0.5j), tuple(R), domega_drho(exp, rho), slope, x, rho, tuple(exp.data), c
+        (-0.5j, +0.5j), tuple(R), domega_drho(exp, rho), slope, x, rho, exp.indices, c
     )
 
 

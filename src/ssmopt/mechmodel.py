@@ -24,16 +24,18 @@ the entries in one accumulation.
 
 One kernel sums the force convolutions of the SSM recursion, for the
 expansion and for every sensitivity pass: a `PairSums` table holds, for T3,
-the pair sums P_s = sum over u + v = s of w_u w_v at the key columns, and for
-T2 the vectors themselves, so the convolution at m is one sum over its first
-part u with P_{m-u} instead of one over every ordered triple. The expansion
-owns the tables of its model tensors with entries and grows them by one
-order before it solves each order (`SsmExpansion.tables`); the adjoint sweep
-and the direct walk read the same tables. The stacked parameter tensors'
-tables are built once per `ParamDerivatives` and order, for the partial
-forces in the record of explicit parameter partials that both sensitivity
-methods read (`SsmExpansion.partials`); `ParamDerivatives.modal_partials`
-gives that record's eigenproblem terms.
+the pair sums P_s = sum over u + v = s of w_u w_v at the key columns; for T2
+it is the vectors themselves. The convolution at m is then one sum over its
+first part u with P_{m-u} instead of one over every ordered triple. No table
+copies the vectors: each reads the expansion's w table (`SsmExpansion.W`),
+and T2's table is that table. The expansion owns the tables of its model tensors with
+entries and grows them by one order before it solves each order
+(`SsmExpansion.tables`); the adjoint sweep and the direct walk read the same
+tables. The stacked parameter tensors' tables are built once per
+`ParamDerivatives` and order, for the partial forces in the record of
+explicit parameter partials that both sensitivity methods read
+(`SsmExpansion.partials`); `ParamDerivatives.modal_partials` gives that
+record's eigenproblem terms.
 A table's `force(m)` is the convolution at m, and its `linearize(m)`
 linearizes that convolution in the lower-order vectors, one coefficient over
 the keys per (index, slot) gathered from the table, bitwise the
@@ -345,7 +347,7 @@ class SymTensor:
 
 class PairSums:
     """A force tensor's sums over the lower parts of every decomposition, for
-    one expansion's vectors `w` up to a top order. The tensor has entries; a
+    one expansion's vectors up to a top order. The tensor has entries; a
     tensor without any has no table, and the force sums leave it out.
 
     For a tensor of arity k and each index s of orders k - 1 .. order - 1,
@@ -357,9 +359,9 @@ class PairSums:
     tensor's (k - 1)-slot key projections. For T3 these are pair sums over
     the (j, k), (j, l) and (k, l) columns (Haro et al., The Parameterization
     Method for Invariant Manifolds, 2016, ch. 2); for T2 they are the vectors
-    themselves at the key columns. A convolution at m is then one sum over
-    the first part u of its decompositions with P_{m-u}, instead of one over
-    every ordered triple.
+    themselves, so T2's table is the vector table, read at DOF columns. A
+    convolution at m is then one sum over the first part u of its
+    decompositions with P_{m-u}, instead of one over every ordered triple.
 
     `linearize(m)` is bitwise the decomposition-by-decomposition
     linearization: for slot s, the decompositions with d_s = u are the
@@ -372,44 +374,50 @@ class PairSums:
     triple loop (on vk_beam40 at O9, 2.5e-11 against 9.9e-11 worst
     normwise).
 
-    A table grows one order at a time (`extend`): each order appends the
-    vectors it reads and its own rows, and no row is rebuilt. The expansion
-    keeps the tables of its model tensors with entries (`SsmExpansion.tables`)
-    and extends them before it solves each order; a table built at once is
-    the same loop started from an empty table. It keeps copies of the vectors
-    it reads, not the expansion, so the expansion's own tables make no
-    reference cycle.
+    A table grows one order at a time (`extend`): each order appends its own
+    rows, and no row is rebuilt. It reads the vectors from the expansion's
+    own (rows, n) table of w in the `table_row` layout (orders 1 and up,
+    `SsmExpansion.W`, `vectors`), which it keeps no copy of; the expansion
+    keeps the tables of its model tensors with entries
+    (`SsmExpansion.tables`) and extends them over its grown w table before
+    it solves each order. A table built at once is the same loop started
+    from an empty table.
     """
 
-    def __init__(self, tensor: SymTensor, w, order_: int):
-        """The table of `tensor` over the vectors `w(index)` of an expansion
-        of order `order_`."""
+    def __init__(self, tensor: SymTensor, W: np.ndarray, order_: int):
+        """The table of `tensor` over the vectors W, the (rows, n) table of
+        an expansion of order `order_` in the `table_row` layout."""
         self.tensor = tensor
         # the highest order whose convolutions the table serves; below
         # tensor.arity there are none
         self.top = tensor.arity - 1
         cols, self.proj = tensor.projections
-        # one row per vector; a stacked tensor's n is not the vectors' length
-        self.W = np.empty((0, len(w((1, 0)))), complex)
+        if tensor.arity == 2:
+            # one-part sums: the table is the vectors, read at DOF columns
+            self.proj = cols[0][self.proj]
         self.table = np.empty((0, cols.shape[1]), complex)
-        self.extend(w, order_)
+        self.extend(W, order_)
 
-    def extend(self, w, order_: int):
+    def extend(self, W: np.ndarray, order_: int):
         """Grow the table to serve the convolutions at orders up to `order_`
-        over the vectors `w(index)`, which must reach order `order_` - 1.
+        over the vectors W, a (rows, n) table in the `table_row` layout that
+        must reach order `order_` - 1.
 
-        Serving order top needs the rows of the indices of order top - 1
-        and the vectors of orders up to top - lo, lo = arity - 1: each
-        order appends the vectors of its one new order and then its rows.
+        Serving order top needs the rows of the indices of order top - 1,
+        sums over the vectors of orders up to top - lo, lo = arity - 1: each
+        order appends its rows.
         """
         T = self.tensor
         lo = T.arity - 1
+        self.vectors = W
+        if lo == 1:
+            self.table = W
+            self.top = max(self.top, order_)
+            return
+        cols = T.projections[0]
         for top in range(self.top + 1, order_ + 1):
             self.top = top
-            cols = T.projections[0]
-            new = np.array([w(v) for v in all_indices(top - lo)])
-            self.W = W = np.concatenate([self.W, new])
-            gathered = [W[:, c] for c in cols]
+            gathered = [W[: table_row((0, top - lo), 1) + 1, c] for c in cols]
             rows = np.empty((top, cols.shape[1]), W.dtype)  # order top - 1 has top indices
             # every index of order >= lo has a decomposition into lo parts,
             # so each row gets its first term
@@ -422,6 +430,13 @@ class PairSums:
                 else:
                     rows[r] += term
             self.table = np.concatenate([self.table, rows])
+
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        """The table column of each cell of the tensor's `scatter_pattern`,
+        built on the first `pullback`."""
+        proj = self.tensor.scatter_pattern[0]
+        return self.tensor.projections[0][0][proj] if self.tensor.arity == 2 else proj
 
     def linearize(self, m) -> "Linearization":
         """The force convolution at m linearized in the vectors of the
@@ -458,10 +473,10 @@ class PairSums:
         if not len(parts):
             return parts, np.zeros((0, T.n), complex)
         key_cols, key_of = T.key_pattern
-        proj, keys, depth = T.scatter_pattern
+        _, keys, depth = T.scatter_pattern
         # one entry past the last key stays zero: the weight of the padding
         s = _accum(key_of, T.vals * v[T.cols[0]], key_cols.shape[1] + 1)
-        G = self.table[at].take(proj, axis=1)
+        G = self.table[at].take(self.scatter, axis=1)
         # s first: numpy's complex product is not symmetric in its operands
         np.multiply(s[keys], G, out=G)
         bins = G.reshape(len(parts), depth, -1).sum(axis=1)
@@ -474,7 +489,7 @@ class PairSums:
         key_cols, key_of = T.key_pattern
         parts, at = _force_plan(m, T.arity)
         G = np.zeros(len(key_cols[0]), dtype=complex)
-        Ws = self.W[parts].take(key_cols[0], axis=1)
+        Ws = self.vectors[parts].take(key_cols[0], axis=1)
         for w, P in zip(Ws, self.table[at].take(self.proj[0], axis=1)):
             G += w * P
         return _accum(T.cols[0], T.vals * G[key_of], T.n)

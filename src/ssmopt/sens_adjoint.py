@@ -68,7 +68,7 @@ import numpy as np
 from .backbone import PointWeights, point_weights
 from .errors import assert_real, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives, real_times
-from .multiindex import table_row
+from .multiindex import order, resonant_slot, table_row
 from .sens_direct import lambda_derivative
 from .ssm import OrderPlan, SsmExpansion
 
@@ -112,8 +112,8 @@ class _Bars:
     def fold(store: np.ndarray, plan: OrderPlan) -> np.ndarray:
         """(n, k): the total bars of the plan's canonical indices in store.
 
-        The swapped index's record is the conjugate copy of m's, so the bar
-        pushed to it arrives conjugated. A self-symmetric index is its own
+        The swapped index's coefficients are the conjugates of m's, so the
+        bar pushed to it arrives conjugated. A self-symmetric index is its own
         copy: its total is bar + conj(bar).
         """
         return (store[plan.rows] + np.conj(store[plan.mirrors])).T
@@ -149,12 +149,13 @@ def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu
     # h = C + D R_m[slot], the second term at the resonant index
     bar_c = -lam
     if plan.res is not None:
-        r, rec = plan.res, plan.res_rec
-        j, row = rec.slot, plan.rows[plan.res]
-        bars.R[row, j] += bar_c[:, r] @ rec.D
-        bar_d = rec.R[j] * bar_c[:, r]
-        # the velocity (Lam + lambda_j) M + C applied to bar_d, not formed
-        bars.phi -= (rec.Lam + master.lambda_pair[j]) * real_times(M, bar_d) + real_times(C, bar_d)
+        r, j, den = plan.res, plan.slot, plan.den
+        row = plan.rows[r]
+        Rj, lj = exp.Rpairs[row, j], plan.Lam[r] + master.lambda_pair[j]
+        bars.R[row, j] += bar_c[:, r] @ plan.D
+        bar_d = Rj * bar_c[:, r]
+        # the velocity lj M + C applied to bar_d, not formed
+        bars.phi -= lj * real_times(M, bar_d) + real_times(C, bar_d)
         sc = -(bar_d @ exp.Mphi)
         bars.lam += plan.mm[r] * sc
         bars.lam[j] += sc
@@ -168,9 +169,9 @@ def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu
         # contraction
         g = bars.R[row, j]
         if g != 0.0:
-            bar_c[:, r] += (g / rec.den) * phi
-            bars.phi += (g / rec.den) * rec.C
-            t = -g * rec.R[j] / rec.den
+            bar_c[:, r] += (g / den) * phi
+            bars.phi += (g / den) * plan.C[:, r]
+            t = -g * Rj / den
             bars.lam += plan.mm[r] * t
             bars.lam[j] += t
             bars.omega += t * 2.0 * model.beta_r * master.omega
@@ -243,7 +244,7 @@ def solve_adjoint(
         bars.phi += vbar @ plan.Rsum
         r = plan.res
         if r is not None:
-            bars.R[plan.rows[r], plan.res_rec.slot] += vbar[:, r] @ phi
+            bars.R[plan.rows[r], plan.slot] += vbar[:, r] @ phi
         lam, nu = exp.solve_order(plan, -_Bars.fold(bars.w, plan))
         lambda_m.update(zip(plan.indices, lam.T.copy()))
         if r is not None:
@@ -260,7 +261,7 @@ def solve_adjoint(
     bars.lam += np.conj(bars.lam[::-1])
     bars.omega += np.conj(bars.omega)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
-    r_bar = {m: bars.R[table_row(m, 1), exp.coeffs(m).slot] for m in nu_m}
+    r_bar = {m: bars.R[table_row(m, 1), resonant_slot(m)] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 
@@ -307,19 +308,18 @@ def contract_gradient(
 
     accum = np.zeros(params.count, dtype=complex)
     for m, pf, (pC, Aw, Vphi, phiMw) in record.indices:
-        rec = exp.coeffs(m)
         lam = adjoint.lambda_m[m]
-        j = rec.slot
+        j = resonant_slot(m)
         bar_c = -lam
         if j is not None:
-            bar_c = bar_c + (adjoint.r_bar[m] / rec.den) * phi
+            bar_c = bar_c + (adjoint.r_bar[m] / exp.plans[order(m) - 2].den) * phi
 
         term = -(pf @ bar_c)
         # row k, one dot and one sum at a time: stacking them rounds otherwise
         for k, p in enumerate(params.matrix_params):
             term[p] += bar_c @ pC[k] + lam @ Aw[k]
             if j is not None:
-                term[p] += rec.R[j] * (lam @ Vphi[k])
+                term[p] += exp.R(m)[j] * (lam @ Vphi[k])
                 term[p] += adjoint.nu_m[m] * phiMw[k]
         accum += term
         if m[0] != m[1]:

@@ -24,9 +24,10 @@ read only lower orders, so each stage runs once per order: the partial and
 linearized forces, the lower-order coupling sums, the M and C products, the
 modal solve with one diagonal per column and the resonant column bordered
 (`SsmExpansion.solve_order`), dwdot, and the conjugate mirrors that write
-the swapped indices. A pass's derivatives are its rows of the record, one
-row per index in the `multiindex.table_row` layout, so a pass gathers every
-lower-order vector it reads from one table.
+the swapped indices (`ssm.write_order`, the recursion's own write). A
+pass's derivatives are its rows of the record, one row per index in the
+`multiindex.table_row` layout, so a pass gathers every lower-order vector
+it reads from one table.
 The walk reads the expansion's own `PairSums` tables
 (`SsmExpansion.tables`) and the record of the residuals' explicit parameter
 partials (`SsmExpansion.partials`, the one the gradient contraction reads):
@@ -43,7 +44,7 @@ indices' coefficients at once. A matrix parameter's step also reads
 M V_m and (C + 2 Lam_m M) w_m, which the plan stacks and the adjoint sweep
 reads too, adds its explicit partials (a dense term only for the matrix
 parameters that the builder declares, `ParamDerivatives.matrix_params`) and
-solves with the plan's modal diagonals and the resonant record's
+solves with the plan's modal diagonals and its resonant column's
 denominator. The walk applies the model's operators as the adjoint sweep
 does: the velocity s M + C reaches a block of derivative vectors as
 s (M v) + C v, each product a `mechmodel.real_times`, and no operator is
@@ -67,7 +68,7 @@ from .backbone import point_weights
 from .errors import assert_real_each
 from .mechmodel import MechModel, ParamDerivatives, real_times
 from .multiindex import order, table_row
-from .ssm import OrderPlan, SsmExpansion
+from .ssm import OrderPlan, SsmExpansion, write_order
 
 
 @dataclass
@@ -183,30 +184,30 @@ class _Pass:
         dRj = 0.0
         border = 0.0
         if plan.res is not None:
-            r, rec = plan.res, plan.res_rec
-            j = rec.slot
+            r, j, den = plan.res, plan.slot, plan.den
+            Rj = exp.Rpairs[plan.rows[r], j]
             dlj = dLam[r] + dlam_pair[j]
             dden = dlj + 2.0 * model.beta_r * master.omega * self.domega
             # the terms in dphi and dMphi vanish for a tensor-only parameter
-            dphi_C = self.dphi @ rec.C if dense else 0.0
-            dRj = (dphi_C + phi @ dC[:, r]) / rec.den - rec.R[j] * dden / rec.den
+            dphi_C = self.dphi @ plan.C[:, r] if dense else 0.0
+            dRj = (dphi_C + phi @ dC[:, r]) / den - Rj * dden / den
             # D = -(lj M + C) phi with lj = Lam + lambda_j, applied not formed
             dD = -dlj * exp.Mphi
             if dense:
-                lj = rec.Lam + master.lambda_pair[j]
+                lj = plan.Lam[r] + master.lambda_pair[j]
                 dD = dD - (lj * self.Mdphi + self.Cdphi) - Vphi
-            dC[:, r] += dD * rec.R[j]
-            dC[:, r] += rec.D * dRj
+            dC[:, r] += dD * Rj
+            dC[:, r] += plan.D * dRj
             self.dR[plan.rows[r], j] = dRj
             # the swapped index's R pair is this one conjugated, slots exchanged
             self.dR[plan.mirrors[r], 1 - j] = np.conj(dRj)
             # border row: d(phi^T M w_m) = 0
             if dense:
-                border = -(self.dMphi @ rec.w)
+                border = -(self.dMphi @ plan.w[:, r])
 
         rhs = dC if not dense else dC - (plan.Lw * dLam + Aw)
         dw, _ = exp.solve_order(plan, rhs, border)
-        self._write(self.dW, plan, dw)
+        write_order(self.dW, plan, dw.T)
 
         if keep_wdot:
             dwdot = plan.w * dLam + plan.Lam * dw + dV
@@ -214,14 +215,7 @@ class _Pass:
                 dwdot[:, plan.res] += dRj * phi
             if dense:
                 dwdot += plan.Rsum * self.dphi[:, None]
-            self._write(self.dWdot, plan, dwdot)
-
-    @staticmethod
-    def _write(table: np.ndarray, plan: OrderPlan, X: np.ndarray):
-        """X's columns into the plan's rows of table, and their conjugates
-        into the swapped indices' rows."""
-        table[plan.rows] = X.T
-        table[plan.mirrors[plan.swapped]] = np.conj(X.T[plan.swapped])
+            write_order(self.dWdot, plan, dwdot.T)
 
 
 @dataclass(eq=False)

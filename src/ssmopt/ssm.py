@@ -9,10 +9,12 @@ phi^T M w_m = 0 so the exactly-singular undamped case is handled by the same
 path as the lightly damped one (for which the bordered and plain solutions
 coincide).
 
-The force convolution at each index reads the expansion's own `PairSums`
-tables of T2 and T3, of each one that has entries (`SsmExpansion.tables`),
-which `compute_ssm` grows by one order before it solves that order's indices;
-the sensitivity passes read the same tables.
+The coefficients w, wdot and R of every index are rows of three tables in
+the `multiindex.table_row` layout (`SsmExpansion.W`, `Wdot`, `Rpairs`). The
+force convolution at each index reads the `PairSums` tables of T2 and T3
+(`SsmExpansion.tables`), which read the w table itself and which
+`compute_ssm` grows by one order before it solves that order's indices; the
+sensitivity passes read the same tables.
 
 Every operator is solved in the model's undamped, mass-normalized modes
 (`MechModel.modes`): Rayleigh damping keeps them classical normal modes
@@ -26,9 +28,7 @@ The same solve serves the bordered mode-shape system
 regularized stiffness K + eps M: nothing is factored. Every product of M, C,
 K or the modes with complex data is one `mechmodel.real_times`. Each
 cohomological solve's normwise backward error is checked against the formed
-L_m, and an overflowed right-hand side is reported before the solve. A
-resonant record also keeps the denominator of its R_m and the force D that
-R_m exerts on the right-hand side, so no pass rebuilds them.
+L_m, and an overflowed right-hand side is reported before the solve.
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
@@ -37,18 +37,21 @@ orders, so `compute_ssm` steps through the orders, each order's indices one
 column of (n, k) blocks: the forces, the lower-order coupling sums and the
 right-hand sides are formed at once, and one modal solve with one diagonal
 per column and the resonant column bordered (`SsmExpansion.solve_order`)
-solves the order. Each step leaves its order's `OrderPlan` in
-`SsmExpansion.plans`: the stacks of the modal diagonals and of the model's
-operators applied to the vectors (M w_m, (C + 2 Lam_m M) w_m and M V_m), and
-the lower-order couplings. The sensitivity passes (direct, adjoint sweep,
-contraction) read the canonical indices too and mirror the swapped ones by
-conjugation; the direct walk and the adjoint sweep step through the same
-plans. The direct walk and the contraction read one record per
-`ParamDerivatives` of the residuals' explicit partial derivatives in the
-design variables at every index (`Partials`, kept by `SsmExpansion.partials`),
-the matrix parameters' terms stacked as their dM and dK are, one row each.
-The expansion keeps M phi, and its mode-shape solve serves both the
-adjoint's mode-shape system and the direct eigenpair derivatives.
+solves the order. Each step writes its order's rows and their conjugate
+mirrors into the tables (`write_order`) and leaves its order's `OrderPlan`
+in `SsmExpansion.plans`: what only the canonical indices need (V_m, Vdot_m,
+C_m, the resonant column's denominator of R_m and the force D of R_m on the
+right-hand side), the modal diagonals, the model's operators applied to the
+vectors (M w_m, (C + 2 Lam_m M) w_m and M V_m) and the couplings. The
+sensitivity passes (direct, adjoint sweep, contraction) read the canonical
+indices too and mirror the swapped ones by conjugation; the direct walk and
+the adjoint sweep step through the same plans. The direct walk and the
+contraction read one record per `ParamDerivatives` of the residuals'
+explicit partial derivatives in the design variables at every index
+(`Partials`, kept by `SsmExpansion.partials`), the matrix parameters' terms
+stacked as their dM and dK are, one row each. The expansion keeps M phi, and
+its mode-shape solve serves both the adjoint's mode-shape system and the
+direct eigenpair derivatives.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .multiindex import (
     MultiIndex,
     canonical_indices,
     order,
+    paired_indices,
     r1_active_index,
     resonant_slot,
     symmetric,
@@ -97,23 +101,6 @@ def _check_diagonal(d: np.ndarray, size: float, skip, error):
         raise error(j, float(a[j] / size))
 
 
-@dataclass
-class IndexCoeffs:
-    """Coefficients and cached solver data for one multi-index."""
-
-    m: MultiIndex
-    w: np.ndarray
-    wdot: np.ndarray
-    R: np.ndarray  # shape (2,), complex reduced-dynamics coefficients
-    Lam: complex
-    V: np.ndarray
-    Vdot: np.ndarray
-    C: np.ndarray
-    D: np.ndarray | None  # force of R_m[slot] on the right-hand side, resonant only
-    slot: int | None  # resonant slot (0 or 1) or None
-    den: complex | None = None  # denominator of R_m[slot], resonant only
-
-
 def v_decomps(m: MultiIndex, r_orders: tuple[int, ...]):
     """Terms (u, j, k) of the lower-order coupling sum for index m.
 
@@ -137,30 +124,33 @@ class SsmExpansion:
     """SSM coefficients up to a given odd order, and what the later passes
     read from them at every amplitude target.
 
-    One `OrderPlan` per order from 2 up, ascending (`plans`), keeps the
-    diagonals of its indices' operators in the model's modes, which its
-    solves (`solve_order`) divide by, and the model's operators applied to
-    their vectors; extending the expansion appends plans and keeps the
-    others. The expansion keeps M phi and C phi (`Mphi`, `Cphi`); the master
-    must be the model's mode `mode_index` itself, of either sign
-    (`master_row`), so that phi^T M picks that mode's component in the
-    modal basis. The `PairSums` tables of the model tensors that have
-    entries (`tables`, T2's and T3's) grow with the expansion, and the
-    recursion and every sensitivity pass read them. The memo (`memo`) keeps
-    what depends on the expansion alone: the backbone's amplitude
-    polynomials and validity caps. Per `ParamDerivatives`, in one slot each
-    that another `ParamDerivatives` replaces, it keeps the record of the
-    residuals' explicit parameter partials (`partials`), which both
-    sensitivity methods read, and the direct method's walk record. It holds
-    the current order's entries only: `compute_ssm` with from_expansion,
-    which extends an expansion in place, clears it.
+    The coefficients of every index, swapped ones included, are rows of
+    three tables in the `table_row` layout (orders 1 and up), each step
+    growing them by one order as new arrays: w (`W`) and wdot (`Wdot`),
+    (rows, n), and the R_m pairs (`Rpairs`, (rows, 2)); `w(m)`, `wdot(m)`
+    and `R(m)` are views of m's rows. One `OrderPlan` per order from 2 up,
+    ascending (`plans`), keeps what only its canonical indices need,
+    the modal diagonals that its solves (`solve_order`) divide by among
+    them; extending the expansion appends plans and keeps the others.
+    The expansion keeps M phi and C phi (`Mphi`, `Cphi`); the master must be
+    the model's mode `mode_index` itself, of either sign (`master_row`), so
+    that phi^T M picks that mode's component in the modal basis. The
+    `PairSums` tables of the model tensors that have entries (`tables`, T2's
+    and T3's) read the w table and grow with it, and the recursion and every
+    sensitivity pass read them. The memo (`memo`) keeps what depends on the
+    expansion alone: the backbone's amplitude polynomials and validity caps.
+    Per `ParamDerivatives`, in one slot each that another `ParamDerivatives`
+    replaces, it keeps the record of the residuals' explicit parameter
+    partials (`partials`), which both sensitivity methods read, and the
+    direct method's walk record. It holds the current order's entries only:
+    `compute_ssm` with from_expansion, which extends an expansion in place,
+    clears it.
     """
 
     def __init__(self, model: MechModel, master: MasterPair):
         self.model = model
         self.master = master
         self.order = 1
-        self.data: dict[MultiIndex, IndexCoeffs] = {}
         self.plans: list[OrderPlan] = []
         self.n_solves = 0
         self._memo: dict = {}
@@ -172,43 +162,38 @@ class SsmExpansion:
         self.master_row = (i, sign)  # phi = sign * Phi[:, i]
         self.Mphi = model.M @ master.phi
         self.Cphi = model.C @ master.phi
-        self._init_leading()
-        self.tables = tuple(PairSums(T, self.w, self.order) for T in (model.T2, model.T3) if T.nnz)
+        # order 1: the mode shape at (1, 0) and (0, 1), with R_m = Lam_m in
+        # the index's own slot
+        phi = master.phi.astype(complex)
+        lam, lam_bar = master.lam, np.conj(master.lam)
+        self.W = np.array([phi, phi])
+        self.Wdot = np.array([lam * phi, lam_bar * phi])
+        self.Rpairs = np.array([[lam, 0.0], [0.0, lam_bar]], complex)
+        self.tables = tuple(PairSums(T, self.W, self.order) for T in (model.T2, model.T3) if T.nnz)
 
-    def _init_leading(self):
-        phi = self.master.phi.astype(complex)
-        lam = self.master.lam
-        n = self.model.n
-        zero = np.zeros(n, dtype=complex)
-        for m, lam_j, slot in (((1, 0), lam, 0), ((0, 1), np.conj(lam), 1)):
-            R = np.zeros(2, dtype=complex)
-            R[slot] = lam_j
-            self.data[m] = IndexCoeffs(
-                m=m,
-                w=phi.copy(),
-                wdot=lam_j * phi,
-                R=R,
-                Lam=lam_j,
-                V=zero.copy(),
-                Vdot=zero.copy(),
-                C=zero.copy(),
-                D=None,
-                slot=slot,
-            )
+    def _grow(self, q: int):
+        """Append zero rows to the coefficient tables up to those of order q."""
+        extra = table_row((0, q), 1) + 1 - len(self.W)
+        self.W, self.Wdot, self.Rpairs = (
+            np.concatenate([X, np.zeros((extra, X.shape[1]), complex)])
+            for X in (self.W, self.Wdot, self.Rpairs)
+        )
 
     # -- accessors ---------------------------------------------------------
 
-    def coeffs(self, m: MultiIndex) -> IndexCoeffs:
-        return self.data[m]
+    @property
+    def indices(self) -> tuple[MultiIndex, ...]:
+        """Every index, in `multiindex.paired_indices` order."""
+        return paired_indices(self.order)
 
     def w(self, m: MultiIndex) -> np.ndarray:
-        return self.data[m].w
+        return self.W[table_row(m, 1)]
 
     def wdot(self, m: MultiIndex) -> np.ndarray:
-        return self.data[m].wdot
+        return self.Wdot[table_row(m, 1)]
 
     def R(self, m: MultiIndex) -> np.ndarray:
-        return self.data[m].R
+        return self.Rpairs[table_row(m, 1)]
 
     def r_orders(self) -> tuple[int, ...]:
         """Odd orders >= 3 carrying reduced-dynamics coefficients."""
@@ -318,29 +303,30 @@ class Partials:
 
 def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     model, master, phi = exp.model, exp.master, exp.master.phi
-    tables = [PairSums(T, exp.w, exp.order) for T in (params.dT2, params.dT3) if T.nnz]
+    tables = [PairSums(T, exp.W, exp.order) for T in (params.dT2, params.dT3) if T.nnz]
     P, n = params.count, model.n
-    recs = [exp.coeffs(m) for q in range(2, exp.order + 1) for m in canonical_indices(q)]
+    columns = [(plan, t) for plan in exp.plans for t in range(len(plan.indices))]
 
     # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
     # the columns of one block that the dM and dK stacks each multiply once
-    cols = np.column_stack([v for rec in recs for v in (rec.Vdot, rec.V, rec.w)] + [phi])
+    vectors = [X[:, t] for plan, t in columns for X in (plan.Vdot, plan.V, plan.w)]
+    cols = np.column_stack(vectors + [phi])
     dMX, dKX = real_times(params.dM, cols), real_times(params.dK, cols)
     dCX = model.alpha_r * dMX + model.beta_r * dKX
 
     indices = []
-    for i, rec in enumerate(recs):
-        Lam, Vdot, V, w = rec.Lam, 3 * i, 3 * i + 1, 3 * i + 2  # its columns
+    for i, (plan, t) in enumerate(columns):
+        m, Lam, Vdot, V, w = plan.indices[t], plan.Lam[t], 3 * i, 3 * i + 1, 3 * i + 2
         pC = -dMX[..., Vdot] - (Lam * dMX[..., V] + dCX[..., V])
         Aw = dKX[..., w] + Lam * dCX[..., w] + Lam**2 * dMX[..., w]
         Vphi = phiMw = None
-        if rec.slot is not None:
-            Vphi = (Lam + master.lambda_pair[rec.slot]) * dMX[..., -1] + dCX[..., -1]
+        if t == plan.res:
+            Vphi = (Lam + master.lambda_pair[plan.slot]) * dMX[..., -1] + dCX[..., -1]
             phiMw = np.array([phi @ v for v in dMX[..., w]])  # stacked rounds otherwise
         pf = np.zeros(P * n, dtype=complex)
         for table in tables:
-            pf += table.force(rec.m)  # in place: no (P*n) temporary per table
-        indices.append((rec.m, pf.reshape(P, n), (pC, Aw, Vphi, phiMw)))
+            pf += table.force(m)  # in place: no (P*n) temporary per table
+        indices.append((m, pf.reshape(P, n), (pC, Aw, Vphi, phiMw)))
     return Partials(indices, params.modal_partials(master.omega, phi))
 
 
@@ -351,11 +337,12 @@ class OrderPlan:
     (`SsmExpansion.plans`).
 
     Rows are those of the `table_row` layout (orders 1 and up), the layout
-    of the direct walk's record and of the adjoint's bars. The stacks are
-    the indices' vectors side by side (`w` is the records' own w, their
-    rows), and the couplings are the terms (u, j, k) of their lower-order
-    sums (`v_decomps`), one row each. Arrays and the resonant index's
-    record only: a plan makes no cycle back to the expansion.
+    of the expansion's coefficient tables, of the direct walk's record and
+    of the adjoint's bars. The stacks are the indices' vectors side by side,
+    w the expansion's canonical rows of this order, and the couplings are
+    the terms (u, j, k) of their lower-order sums (`v_decomps`), one row
+    each. Arrays and numbers only, no view of the expansion's tables: a plan
+    makes no cycle back to the expansion and keeps no old table alive.
     """
 
     indices: tuple
@@ -367,12 +354,17 @@ class OrderPlan:
     Lam: np.ndarray  # (k,)
     Rsum: np.ndarray  # (k,) R_m[0] + R_m[1]
     d: np.ndarray  # (n, k) the modal diagonals
-    w: np.ndarray  # (n, k) w_m
+    w: np.ndarray  # (n, k) w_m; it, V, Vdot and C with contiguous columns
+    V: np.ndarray  # (n, k) V_m
+    Vdot: np.ndarray  # (n, k) Vdot_m
+    C: np.ndarray  # (n, k) C_m
     Mw: np.ndarray  # (n, k) M w_m
     Lw: np.ndarray  # (n, k) (C + 2 Lam_m M) w_m
     MV: np.ndarray  # (n, k) M V_m
     res: int | None  # the resonant index's column, at an odd order
-    res_rec: IndexCoeffs | None  # its record
+    slot: int | None  # its slot, the force D of R_m[slot] on the rhs and R_m[slot]'s denominator
+    D: np.ndarray | None
+    den: complex | None
     u_rows: np.ndarray  # (U,) the distinct rows of the couplings' u, ascending
     R_at: np.ndarray  # (T,) 2 row(k) + j: each coupling's R_k[j] in a flattened (rows, 2) table
     A: np.ndarray  # (U, k) sum of u[j] R_k[j] over the couplings of each u and index
@@ -381,22 +373,13 @@ class OrderPlan:
     Wdotu: np.ndarray  # (n, T) each coupling's wdot_u
 
 
-def _conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
-    ms = symmetric(rec.m)
-    slot = None if rec.slot is None else 1 - rec.slot
-    return IndexCoeffs(
-        m=ms,
-        w=np.conj(rec.w),
-        wdot=np.conj(rec.wdot),
-        R=np.conj(rec.R[::-1]),
-        Lam=np.conj(rec.Lam),
-        V=np.conj(rec.V),
-        Vdot=np.conj(rec.Vdot),
-        C=np.conj(rec.C),
-        D=None if rec.D is None else np.conj(rec.D),
-        slot=slot,
-        den=None if rec.den is None else np.conj(rec.den),
-    )
+def write_order(table: np.ndarray, plan: OrderPlan, X: np.ndarray, pairs: bool = False):
+    """X's rows, one per canonical index of the plan, into the plan's rows
+    of a `table_row` table, and their conjugates into the swapped indices'
+    rows, with the two slots exchanged for R pairs (pairs=True)."""
+    table[plan.rows] = X
+    mirror = np.conj(X[plan.swapped])
+    table[plan.mirrors[plan.swapped]] = mirror[:, ::-1] if pairs else mirror
 
 
 def _check_solve(model: MechModel, m: MultiIndex, Lam, w, h, C_m, R, D):
@@ -428,9 +411,10 @@ def _check_solve(model: MechModel, m: MultiIndex, Lam, w, h, C_m, R, D):
 
 
 def step_order(exp: SsmExpansion):
-    """Extend the expansion by one order: grow its force tables, solve the
-    order's canonical indices at once, one column each, write their records
-    and the swapped indices' conjugates, and append the order's `OrderPlan`.
+    """Extend the expansion by one order: grow its coefficient and force
+    tables, solve the order's canonical indices at once, one column each,
+    write their rows and the swapped indices' conjugates (`write_order`),
+    and append the order's `OrderPlan`.
 
     The couplings come first: they read lower orders only. The forces, V,
     Vdot, C_m, the resonant column's R_m and h = C_m + D R_m and the modal
@@ -447,30 +431,27 @@ def step_order(exp: SsmExpansion):
     r_orders = exp.r_orders()
     terms = [(t, u, j, kk) for t, m in enumerate(indices) for u, j, kk in v_decomps(m, r_orders)]
     u_rows = sorted({table_row(u, 1) for _, u, _, _ in terms})
-    Rk = np.array([exp.R(kk)[j] for _, _, j, kk in terms], complex)  # each coupling's R_k[j]
+    R_at = np.array([2 * table_row(kk, 1) + j for _, _, j, kk in terms], np.intp)
+    Rk = exp.Rpairs.ravel().take(R_at)  # each coupling's R_k[j]
     A = np.zeros((len(u_rows), k), complex)
     S = np.zeros((len(terms), k))
     for i, (t, u, j, _) in enumerate(terms):
         A[u_rows.index(table_row(u, 1)), t] += u[j] * Rk[i]
         S[i, t] = u[j]
-
-    def stack(vectors):
-        """(n, len(vectors)): the vectors as columns."""
-        return np.array(vectors, complex).reshape(-1, n).T.copy()
-
-    Wu = stack([exp.w(u) for _, u, _, _ in terms])
-    Wdotu = stack([exp.wdot(u) for _, u, _, _ in terms])
+    at = np.array([table_row(u, 1) for _, u, _, _ in terms], np.intp)
+    Wu, Wdotu = (X[at].T.copy() for X in (exp.W, exp.Wdot))  # (n, T), C-contiguous
     Lam = np.array([m[0] * lam_pair[0] + m[1] * lam_pair[1] for m in indices])
     res = next((t for t, m in enumerate(indices) if resonant_slot(m) is not None), None)
     slot = None if res is None else resonant_slot(indices[res])
 
     # an overflowed vector, force or product is reported below as a
     # non-finite right-hand side
+    exp._grow(q)
     R = np.zeros((k, 2), complex)
     D = den = None
     with np.errstate(over="ignore", invalid="ignore"):
         for table in exp.tables:
-            table.extend(exp.w, q)
+            table.extend(exp.W, q)
         F = np.zeros((k, n), complex)
         for t, m in enumerate(indices):
             for table in exp.tables:
@@ -517,41 +498,35 @@ def step_order(exp: SsmExpansion):
     wdot = Lam * w + Rsum * phi[:, None] + V
     Mw = real_times(M, w)
     Lw = real_times(model.C, w) + 2.0 * Lam * Mw
-    # each record's vectors are rows of one (k, n) block per quantity; the
-    # plan's w is the records' block transposed, not a copy
-    w, wdot, V, Vdot, C_m = (X.T.copy() for X in (w, wdot, V, Vdot, C_m))
-    for t, m in enumerate(indices):
-        resonant = (D, slot, den) if t == res else (None, None, None)
-        rec = IndexCoeffs(m, w[t], wdot[t], R[t], Lam[t], V[t], Vdot[t], C_m[t], *resonant)
-        exp.data[m] = rec
-        if m[0] != m[1]:
-            exp.data[symmetric(m)] = _conjugate_record(rec)
-
-    exp.plans.append(
-        OrderPlan(
-            indices,
-            np.array([table_row(m, 1) for m in indices]),
-            np.array([table_row(symmetric(m), 1) for m in indices]),
-            np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
-            np.array([0.5 if m[0] == m[1] else 1.0 for m in indices]),
-            np.array(indices, complex),
-            Lam,
-            Rsum,
-            d,
-            w.T,
-            Mw,
-            Lw,
-            MV,
-            res,
-            None if res is None else exp.data[indices[res]],
-            np.array(u_rows, np.intp),
-            np.array([2 * table_row(kk, 1) + j for _, _, j, kk in terms], np.intp),
-            A,
-            S,
-            Wu,
-            Wdotu,
-        )
+    plan = OrderPlan(
+        indices,
+        np.array([table_row(m, 1) for m in indices]),
+        np.array([table_row(symmetric(m), 1) for m in indices]),
+        np.array([t for t, m in enumerate(indices) if m[0] != m[1]], np.intp),
+        np.array([0.5 if m[0] == m[1] else 1.0 for m in indices]),
+        np.array(indices, complex),
+        Lam,
+        Rsum,
+        d,
+        *(np.asfortranarray(X) for X in (w, V, Vdot, C_m)),
+        Mw,
+        Lw,
+        MV,
+        res,
+        slot,
+        D,
+        den,
+        np.array(u_rows, np.intp),
+        R_at,
+        A,
+        S,
+        Wu,
+        Wdotu,
     )
+    write_order(exp.W, plan, plan.w.T)
+    write_order(exp.Wdot, plan, wdot.T)
+    write_order(exp.Rpairs, plan, R, pairs=True)
+    exp.plans.append(plan)
     exp.n_solves += k
     exp.order = q
 
@@ -642,7 +617,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
 
     n_grid = RESIDUAL_THETA_SAMPLES
     thetas = 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
-    ms = np.array(list(exp.data))
+    ms = np.array(exp.indices)
     q = ms.sum(axis=1)
     d = ms[:, 0] - ms[:, 1]
     # powers p^m of W and of the two partials (m1 p^(m - e1), m2 p^(m - e2))
@@ -650,9 +625,9 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     Phi = np.exp(1j * np.outer(thetas, d)) * rho**q
     Phi1 = np.exp(1j * np.outer(thetas, d - 1)) * (ms[:, 0] * rho_q1)
     Phi2 = np.exp(1j * np.outer(thetas, d + 1)) * (ms[:, 1] * rho_q1)
-    recs = exp.data.values()
-    Wm = np.array([np.concatenate([rec.w, rec.wdot]) for rec in recs])
-    Rm = np.array([rec.R for rec in recs])
+    rows = [table_row(m, 1) for m in exp.indices]
+    Wm = np.hstack([exp.W[rows], exp.Wdot[rows]])
+    Rm = exp.Rpairs[rows]
 
     W = Phi @ Wm
     Rp = Phi @ Rm
@@ -703,20 +678,20 @@ def adapt_order(
 def dump_expansion(exp: SsmExpansion) -> dict:
     """JSON-ready dump of all coefficients (golden-file regression format)."""
     entries = []
-    for m in sorted(exp.data.keys(), key=lambda t: (order(t), -t[0])):
-        rec = exp.data[m]
+    for m in sorted(exp.indices, key=lambda t: (order(t), -t[0])):
+        w, wdot, R = exp.w(m), exp.wdot(m), exp.R(m)
         entries.append(
             {
                 "m1": m[0],
                 "m2": m[1],
-                "w_re": rec.w.real.tolist(),
-                "w_im": rec.w.imag.tolist(),
-                "wdot_re": rec.wdot.real.tolist(),
-                "wdot_im": rec.wdot.imag.tolist(),
-                "R1_re": rec.R[0].real,
-                "R1_im": rec.R[0].imag,
-                "R2_re": rec.R[1].real,
-                "R2_im": rec.R[1].imag,
+                "w_re": w.real.tolist(),
+                "w_im": w.imag.tolist(),
+                "wdot_re": wdot.real.tolist(),
+                "wdot_im": wdot.imag.tolist(),
+                "R1_re": R[0].real,
+                "R1_im": R[0].imag,
+                "R2_re": R[1].real,
+                "R2_im": R[1].imag,
             }
         )
     return {

@@ -34,9 +34,13 @@
   by M phi at a resonant index. `modal_solve` divides by the operator's
   diagonal in the model's modes, the column of it that the order's plan
   keeps, instead; the two agree to the operator's conditioning.
+* `IndexCoeffs`, `index_record`, `conjugate_record` and `write_record`:
+  one index's coefficients as one record. The expansion keeps them in
+  tables of every index and in per-order plans of the canonical ones;
+  `index_record` reads them back per index, conjugated at a swapped index.
 * `reference_index_step` and `reference_ssm`: the recursion one canonical
   index at a time, each index's force, coupling sums, right-hand side,
-  modal diagonal and solve on their own. `ssm.step_order` takes each
+  modal diagonal and solve on their own, in records. `ssm.step_order` takes each
   order's indices at once, one column of (n, k) blocks, and must agree
   with it to roundoff.
 * `reference_full_set_ssm`: the expansion with every swapped index solved
@@ -133,7 +137,7 @@ from ssmopt.sens_adjoint import AdjointState, solve_adjoint_phi_omega, solve_adj
 from ssmopt.sens_direct import eig_derivatives, lambda_derivative
 from ssmopt.spectral import track_mode
 from ssmopt import ssm
-from ssmopt.ssm import IndexCoeffs, SsmExpansion, compute_ssm, v_decomps
+from ssmopt.ssm import SsmExpansion, compute_ssm, v_decomps
 
 
 def fd_gradient_richardson(fun, mu0, rel_step: float = 1e-5):
@@ -468,6 +472,62 @@ def reference_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     return rho
 
 
+@dataclass
+class IndexCoeffs:
+    """Coefficients and solver data for one multi-index of order >= 2, the
+    per-index form of an expansion's tables and order plans."""
+
+    m: tuple
+    w: np.ndarray
+    wdot: np.ndarray
+    R: np.ndarray  # shape (2,), complex reduced-dynamics coefficients
+    Lam: complex
+    V: np.ndarray
+    Vdot: np.ndarray
+    C: np.ndarray
+    D: np.ndarray | None  # force of R_m[slot] on the right-hand side, resonant only
+    slot: int | None  # resonant slot (0 or 1) or None
+    den: complex | None = None  # denominator of R_m[slot], resonant only
+
+
+def conjugate_record(rec: IndexCoeffs) -> IndexCoeffs:
+    """The record of the swapped index: every field conjugated, the R pair's
+    slots exchanged."""
+    return IndexCoeffs(
+        m=symmetric(rec.m),
+        w=np.conj(rec.w),
+        wdot=np.conj(rec.wdot),
+        R=np.conj(rec.R[::-1]),
+        Lam=np.conj(rec.Lam),
+        V=np.conj(rec.V),
+        Vdot=np.conj(rec.Vdot),
+        C=np.conj(rec.C),
+        D=None if rec.D is None else np.conj(rec.D),
+        slot=None if rec.slot is None else 1 - rec.slot,
+        den=None if rec.den is None else np.conj(rec.den),
+    )
+
+
+def index_record(exp: SsmExpansion, m) -> IndexCoeffs:
+    """The record of any index m of order >= 2 of an expansion: w, wdot and
+    R are m's rows of its tables, and the rest the column of m's order plan
+    or, at a swapped index, the canonical partner's column conjugated."""
+    c = max(m, symmetric(m))
+    plan, t = plan_column(exp, c)
+    res = (plan.D, plan.slot, plan.den) if t == plan.res else (None, None, None)
+    vectors = (exp.w(c), exp.wdot(c), exp.R(c), plan.Lam[t], plan.V[:, t], plan.Vdot[:, t])
+    rec = IndexCoeffs(c, *vectors, plan.C[:, t], *res)
+    if c != m:
+        rec = conjugate_record(rec)
+    return replace(rec, w=exp.w(m), wdot=exp.wdot(m), R=exp.R(m))
+
+
+def write_record(exp: SsmExpansion, rec: IndexCoeffs):
+    """rec's w, wdot and R into its index's rows of the expansion's tables."""
+    row = table_row(rec.m, 1)
+    exp.W[row], exp.Wdot[row], exp.Rpairs[row] = rec.w, rec.wdot, rec.R
+
+
 def formed_solve(model: MechModel, exp, rec, rhs: np.ndarray, border=0.0):
     """(x, s) from `np.linalg.solve` with the formed operator L_m =
     model.at(rec.Lam) of any index's record, bordered at a resonant index:
@@ -622,20 +682,20 @@ def reference_adjoint(
         # each index's wdot bar is also its V bar, read by its index step
         vbar = {m: bars.wdot.pop(m, np.zeros(model.n, complex)) for m in idx_q}
         for m in idx_q:
-            _backprop_wdot(exp, bars, m, exp.coeffs(m), vbar[m])
+            _backprop_wdot(exp, bars, m, index_record(exp, m), vbar[m])
         for m in idx_q:
             rhs = -bars.w.pop(m, np.zeros(model.n, complex))
-            rec = exp.coeffs(m)
+            rec = index_record(exp, m)
             lam, nu = solve(model, exp, rec, rhs)
             lambda_m[m] = lam
             if rec.slot is not None:
                 nu_m[m] = nu
         for m in idx_q:
-            rec = exp.coeffs(m)
+            rec = index_record(exp, m)
             _backprop_index(model, exp, bars, m, rec, lambda_m[m], nu_m.get(m, 0.0), vbar[m])
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
-    r_bar = {m: bars.R[m][exp.coeffs(m).slot] for m in nu_m}
+    r_bar = {m: bars.R[m][resonant_slot(m)] for m in nu_m}
     return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 
@@ -753,16 +813,16 @@ def reference_walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives
     ]
     r_orders = exp.r_orders()
     for m, pf, (pC, Aw, Vphi, _) in record.indices:
-        rec = exp.coeffs(m)
+        rec = index_record(exp, m)
         lins = [table.linearize(m) for table in exp.tables]
         v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
         for p, ps in enumerate(passes):
             k = rows.get(p)
             dense = None if k is None else (pC[k], Aw[k], None if Vphi is None else Vphi[k])
             ps.step(rec, lins, v_terms, pf[p], dense)
-    resonant = [m for m in exp.data if order(m) > 1 and exp.coeffs(m).slot is not None]
+    resonant = [m for m in exp.indices if order(m) > 1 and resonant_slot(m) is not None]
     return ReferenceWalk(
-        {m: np.array([ps.dw[m] for ps in passes]).reshape(-1, model.n) for m in exp.data},
+        {m: np.array([ps.dw[m] for ps in passes]).reshape(-1, model.n) for m in exp.indices},
         {m: np.array([ps.dR[m] for ps in passes]).reshape(-1, 2) for m in resonant},
         np.array([ps.dlam_pair for ps in passes]).reshape(-1, 2),
     )
@@ -855,34 +915,40 @@ def reference_index_step(model: MechModel, exp: SsmExpansion, m) -> IndexCoeffs:
     return IndexCoeffs(m, w, wdot, R, Lam, V, Vdot, C_m, D, slot, den)
 
 
-def reference_ssm(model: MechModel, master, order_: int) -> SsmExpansion:
-    """Expansion up to `order_` with every canonical index solved on its own
-    (`reference_index_step`), in ascending order, and the swapped ones
-    written by conjugation. It keeps no order plans."""
+def reference_ssm(model: MechModel, master, order_: int) -> tuple[SsmExpansion, dict]:
+    """(exp, records): the expansion up to `order_` with every canonical
+    index solved on its own (`reference_index_step`), in ascending order,
+    and the swapped ones written by conjugation (`conjugate_record`), and
+    the record of every index of order >= 2. The expansion keeps no order
+    plans."""
     exp = SsmExpansion(model, master)
+    records = {}
     for q in range(exp.order + 1, order_ + 1):
+        exp._grow(q)
         for table in exp.tables:
-            table.extend(exp.w, q)
+            table.extend(exp.W, q)
         for m in canonical_indices(q):
-            exp.data[m] = rec = reference_index_step(model, exp, m)
-            if m[0] != m[1]:
-                exp.data[symmetric(m)] = ssm._conjugate_record(rec)
+            rec = reference_index_step(model, exp, m)
+            for r in (rec, conjugate_record(rec)) if m[0] != m[1] else (rec,):
+                records[r.m] = r
+                write_record(exp, r)
         exp.order = q
-    return exp
+    return exp, records
 
 
 def reference_full_set_ssm(model: MechModel, master, order_: int) -> SsmExpansion:
     """Expansion up to `order_` whose swapped indices are each solved on
-    their own (`reference_index_step`) instead of conjugated. Each order's
-    canonical indices, and the plans that the sensitivity passes read, are
-    the expansion's own step (`ssm.step_order`) on the lower orders of this
-    expansion."""
+    their own (`reference_index_step`) instead of conjugated, their w, wdot
+    and R written over the conjugates in the expansion's tables. Each
+    order's canonical indices, and the plans that the sensitivity passes
+    read, are the expansion's own step (`ssm.step_order`) on the lower
+    orders of this expansion."""
     exp = SsmExpansion(model, master)
     while exp.order < order_:
         ssm.step_order(exp)
         for m in all_indices(exp.order):
             if m[0] < m[1]:
-                exp.data[m] = reference_index_step(model, exp, m)
+                write_record(exp, reference_index_step(model, exp, m))
     return exp
 
 
@@ -964,9 +1030,10 @@ def reference_partials(exp: SsmExpansion, params: ParamDerivatives) -> tuple[dic
     phiMw = phi . dM w_m; eig holds (p, (dK - omega^2 dM) phi, dM phi)."""
     model, master, phi = exp.model, exp.master, exp.master.phi
     dense = {}
-    for m, rec in exp.data.items():
+    for m in exp.indices:
         if m[0] + m[1] < 2 or m[0] < m[1]:
             continue
+        rec = index_record(exp, m)
         for p, dM, dK in zip(params.matrix_params, params.dM, params.dK):
             dC = model.alpha_r * dM + model.beta_r * dK
             Vphi = phiMw = None

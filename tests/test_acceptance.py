@@ -223,7 +223,7 @@ def test_criterion_6_conjugate_symmetry_suite():
     canon = compute_ssm(model, master, 7)
     full = reference_full_set_ssm(model, master, 7)
     worst = 0.0
-    for m in canon.data:
+    for m in canon.indices:
         scale = max(np.abs(full.w(m)).max(), 1e-300)
         worst = max(worst, np.abs(canon.w(m) - full.w(m)).max() / scale)
         worst = max(worst, np.abs(canon.wdot(m) - full.wdot(m)).max() / max(np.abs(full.wdot(m)).max(), 1e-300))

@@ -146,7 +146,7 @@ def _check_kernels(tensor, dense, arity, rng, n):
     """The triple loop (`oracles.contract_sum`), the pair-sum force and the
     pair-sum pullback against the dense oracle for every order-4 index."""
     w = _vectors(rng, n, 3)
-    table = PairSums(tensor, w.__getitem__, 4)
+    table = PairSums(tensor, np.array(list(w.values())), 4)
     for m in all_indices(4):
         sets = decomps(m, arity)
         args = [tuple(w[u] for u in d) for d in sets]
@@ -215,7 +215,7 @@ def _linearization_cases(seed):
     for arity in (2, 3):
         tensor = _random_tensor(rng, n, arity)[0]
         w = _vectors(rng, n, TOP - 1)
-        table = PairSums(tensor, w.__getitem__, TOP)
+        table = PairSums(tensor, np.array(list(w.values())), TOP)
         for q in range(2, TOP + 1):
             for m in all_indices(q):
                 yield tensor, w, table, m
@@ -299,8 +299,8 @@ class TestLinearization:
         exp = compute_ssm(model, solve_master(model, 0), 9)
         rng = np.random.default_rng(65)
         for tensor in (model.T2, model.T3):
-            table = PairSums(tensor, exp.w, exp.order)
-            for m in exp.data:
+            table = PairSums(tensor, exp.W, exp.order)
+            for m in exp.indices:
                 if m[0] + m[1] >= 2:
                     v = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
                     _assert_bitwise_pullback(tensor, table, m, v, exp.w)
@@ -309,7 +309,7 @@ class TestLinearization:
         # no three indices of order >= 1 sum to an order-2 index
         tensor, _ = _random_tensor(np.random.default_rng(64), 4, 3)
         w = _vectors(np.random.default_rng(64), 4, 2)
-        table = PairSums(tensor, w.__getitem__, 3)
+        table = PairSums(tensor, np.array(list(w.values())), 3)
         assert table.linearize((1, 1)).rows == ()
         assert pulled(table, (1, 1), np.ones(4)) == {}
 
@@ -343,8 +343,8 @@ class TestPairSums:
         exp = compute_ssm(model, solve_master(model, 0), 9)
         assert params.dT2.nnz and params.dT3.nnz
         for tensor in (params.dT2, params.dT3):
-            table = PairSums(tensor, exp.w, exp.order)
-            for m in exp.data:
+            table = PairSums(tensor, exp.W, exp.order)
+            for m in exp.indices:
                 if m[0] + m[1] >= 2:
                     self._check_force(tensor, table, m, exp.w)
 
@@ -364,8 +364,8 @@ class TestPairSums:
         model, _ = build_vk_beam(spec, ())
         exp = compute_ssm(model, solve_master(model, 0), 9)
         T = model.T3
-        table = PairSums(T, exp.w, exp.order)
-        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.data}
+        table = PairSums(T, exp.W, exp.order)
+        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.indices}
         worst = {"pairs": 0.0, "triples": 0.0}
         for q in range(3, exp.order + 1):
             for m in canonical_indices(q):
@@ -391,7 +391,7 @@ class TestPairSums:
         spec = VkBeamSpec(n_elements=n_elements, a1=0.002, a2=0.001)
         model, _ = build_vk_beam(spec, ())
         exp = compute_ssm(model, solve_master(model, 0), 9)
-        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.data}
+        wide = {m: exp.w(m).astype(np.clongdouble) for m in exp.indices}
         rng = np.random.default_rng(67)
         for T, table in zip((model.T2, model.T3), exp.tables):
             worst = {"table": 0.0, "loop": 0.0}

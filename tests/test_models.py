@@ -42,7 +42,7 @@ class TestChain:
         model, _ = build_chain(ChainSpec(k2=0.0, k3=0.0))
         master = solve_master(model, 0)
         exp = compute_ssm(model, master, 5)
-        for m in exp.data:
+        for m in exp.indices:
             if order(m) >= 2:
                 assert np.abs(exp.w(m)).max() == 0.0
 

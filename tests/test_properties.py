@@ -187,10 +187,10 @@ def test_canonical_equals_full_set():
         master = solve_master(model, 0)
         canonical = compute_ssm(model, master, 5)
         full = reference_full_set_ssm(model, master, 5)
-        assert full.data.keys() == canonical.data.keys()
-        for m, rec in canonical.data.items():
+        assert full.indices == canonical.indices
+        for m in canonical.indices:
             for name in ("w", "wdot", "R"):
-                assert close(getattr(full.data[m], name), getattr(rec, name)), (seed, m, name)
+                assert close(getattr(full, name)(m), getattr(canonical, name)(m)), (seed, m, name)
         dof = model.n - 1
         rho = rho_of_x(canonical, dof, 0.5 * x_rms(canonical, dof, _validity_cap(canonical, dof)))
         want = gradients(model, params, canonical, dof, rho)

@@ -18,6 +18,7 @@ from ssmopt.sens_direct import chain_derivatives
 
 from oracles import (
     formed_solve,
+    index_record,
     modal_solve,
     param_matrices,
     pick_params,
@@ -89,7 +90,7 @@ class TestAdjointW:
         from ssmopt.backbone import x_theta_samples
 
         m = (3, 2)
-        rec = chain2_exp5.coeffs(m)
+        rec = index_record(chain2_exp5, m)
         n_theta = 128
         xk = x_theta_samples(chain2_exp5, 1, rho, n_theta)
         x = np.sqrt(np.mean(xk**2))
@@ -463,7 +464,7 @@ class TestExpansionStore:
             for m, _, (pC, Aw, Vphi, phiMw) in record.indices:
                 # row k of each stack belongs to parameter matrix_params[k]
                 assert pC.shape == Aw.shape == stack_shape
-                resonant = exp.coeffs(m).slot is not None
+                resonant = index_record(exp, m).slot is not None
                 assert (Vphi is not None) == (phiMw is not None) == resonant
                 for k, p in enumerate(mp):
                     *want, want_phiMw = dense[m, p]
