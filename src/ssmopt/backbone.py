@@ -28,6 +28,7 @@ from .errors import (
     SsmError,
     TurningPointError,
     assert_real,
+    check_argument,
 )
 from .multiindex import MultiIndex, order, symmetric
 from .ssm import SsmExpansion
@@ -42,8 +43,7 @@ NODE_RATIO = 1e3
 def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
     """Backbone frequency at reduced amplitude rho: the damped frequency plus
     Im(R1) of each active odd order times rho**(q - 1)."""
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
+    check_argument("rho", rho)
     total = exp.master.omega_d
     for q, a in exp.r1_terms():
         total += exp.R(a)[0].imag * rho ** (q - 1)
@@ -52,10 +52,18 @@ def omega_of_rho(exp: SsmExpansion, rho: float) -> float:
 
 def domega_drho(exp: SsmExpansion, rho: float) -> float:
     """d Omega / d rho."""
+    check_argument("rho", rho)
     total = 0.0
     for q, a in exp.r1_terms():
         total += exp.R(a)[0].imag * (q - 1) * rho ** (q - 2)
     return float(total)
+
+
+def _check_point(exp: SsmExpansion, dof_index: int, rho: float):
+    """ArgumentError unless dof_index is one of the model's DOFs and rho is
+    finite and nonnegative."""
+    check_argument("dof_index", dof_index, count=exp.model.n)
+    check_argument("rho", rho)
 
 
 def _theta_grid(n_theta: int) -> np.ndarray:
@@ -74,6 +82,7 @@ def x_theta_samples(
     The grid oracle for the closed-form amplitude map (`ssmopt verify` and
     the tests compare the two); the backbone path itself never samples.
     """
+    _check_point(exp, dof_index, rho)
     thetas = _theta_grid(n_theta)
     x = np.zeros(n_theta, dtype=complex)
     for m in exp.indices:
@@ -167,8 +176,7 @@ def x_rms(
     building its coefficients checks the conjugate pairing of the
     coefficients (ConjugacyError).
     """
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
+    _check_point(exp, dof_index, rho)
     if rho == 0.0:
         return 0.0
     p = _amplitude_map(exp, dof_index, max_order).p
@@ -177,6 +185,7 @@ def x_rms(
 
 def dx_drho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
     """d x_rms / d rho = P'(rho) / (2 x_rms), P = x_rms**2 the cached polynomial."""
+    _check_point(exp, dof_index, rho)
     amp = _amplitude_map(exp, dof_index)
     s = rho * rho
     x = math.sqrt(max(_horner(amp.p, s), 0.0))
@@ -230,8 +239,8 @@ def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
 
 def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
     """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded Newton."""
-    if not x0 > 0:
-        raise ValueError("target amplitude must be positive")
+    check_argument("dof_index", dof_index, count=exp.model.n)
+    check_argument("target amplitude", x0, positive=True)
     cap = _validity_cap(exp, dof_index)
 
     phi_i = _mode_entry(exp, dof_index)
@@ -302,6 +311,7 @@ class PointWeights:
 def point_weights(exp: SsmExpansion, dof_index: int, rho: float) -> PointWeights:
     """The weights at rho for the observed DOF; TurningPointError where dx/drho
     vanishes, since the amplitude then does not fix rho."""
+    _check_point(exp, dof_index, rho)
     slope = dx_drho(exp, dof_index, rho)
     if slope == 0.0:
         raise TurningPointError("dx/drho vanished; amplitude constraint is degenerate")

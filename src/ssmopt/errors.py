@@ -1,8 +1,12 @@
-"""Exception hierarchy, and the real-residue check behind ConjugacyError.
+"""Exception hierarchy, the library's argument check and the real-residue
+check behind ConjugacyError.
 
 Three top-level classes map onto the CLI exit codes: ConfigError -> 1,
-ModelError -> 2, SsmError -> 3.
+ModelError -> 2, SsmError -> 3. ArgumentError, a bad argument of a library
+call, is a ValueError too.
 """
+
+import math
 
 import numpy as np
 
@@ -23,6 +27,24 @@ class ModelError(SsmOptError):
 
 class SsmError(SsmOptError):
     pass
+
+
+class ArgumentError(SsmOptError, ValueError):
+    """A library function was called with a bad argument; the message names it."""
+
+
+def check_argument(name: str, value, *, positive: bool = False, count: int | None = None):
+    """ArgumentError naming `name` unless value is, given count, an integer
+    in [0, count), or else a finite number, > 0 when positive and >= 0
+    otherwise. NaN fails the sign test."""
+    if count is not None:
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and 0 <= value < count):
+            raise ArgumentError(f"{name} must be an integer in [0, {count}), got {value!r}")
+    elif not (value > 0 if positive else value >= 0):
+        raise ArgumentError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+    elif not math.isfinite(value):
+        raise ArgumentError(f"{name} must be finite, got {value}")
 
 
 class LightDampingError(ModelError):

@@ -26,6 +26,7 @@ from ssmopt.backbone import (
 )
 from ssmopt.errors import (
     AmplitudeUnreachableError,
+    ArgumentError,
     ConjugacyError,
     SsmError,
     TurningPointError,
@@ -43,7 +44,26 @@ def test_negative_rho_raises(chain2_exp5, amplitude):
     for rho in (-0.1, np.nan):
         with pytest.raises(ValueError) as err:
             amplitude(chain2_exp5, rho)
-        assert type(err.value) is ValueError and str(err.value) == "rho must be nonnegative"
+        assert type(err.value) is ArgumentError and str(err.value) == "rho must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda exp: rho_of_x(exp, -1, 0.1), "dof_index"),
+        (lambda exp: point_weights(exp, -2, 0.1), "dof_index"),
+        (lambda exp: rho_of_x(exp, 7, 0.1), "dof_index"),
+        (lambda exp: x_rms(exp, 0, np.inf), "rho"),
+        (lambda exp: omega_of_rho(exp, np.inf), "rho"),
+    ],
+    ids=["rho_of_x dof -1", "point_weights dof -2", "rho_of_x dof 7", "x_rms rho inf",
+         "omega_of_rho rho inf"],
+)
+def test_bad_argument_is_named(chain2_exp5, call, name):
+    # a negative DOF index used to wrap around to another DOF, one past the
+    # model to reach numpy as an IndexError, and rho = inf to return nan or -inf
+    with pytest.raises(ArgumentError, match=rf"^{name} "):
+        call(chain2_exp5)
 
 
 class TestOmegaOfRho:
@@ -104,7 +124,7 @@ class TestRhoOfX:
     def test_nonpositive_target_raises(self, chain2_exp5, x0):
         with pytest.raises(ValueError) as err:
             rho_of_x(chain2_exp5, 1, x0)
-        assert type(err.value) is ValueError
+        assert type(err.value) is ArgumentError
         assert str(err.value) == "target amplitude must be positive"
 
     def test_leading_order_inversion(self):
