@@ -434,6 +434,13 @@ class TestInvarianceResidual:
         model, _ = chain2
         assert invariance_residual(model, chain2_exp5, 1e-8).epsilon <= 1e-10
 
+    def test_degenerate_evaluation_point_raises(self, chain2, chain2_exp5):
+        # at rho = 1e-320 (subnormal) every state norm at the grid points
+        # reads zero, so the relative residual has no denominator
+        model, _ = chain2
+        with pytest.raises(SsmError, match="^degenerate evaluation point: zero invariance"):
+            invariance_residual(model, chain2_exp5, 1e-320)
+
     def test_unnormalized_defect_slope(self, chain2, chain2_master):
         # independent residual evaluation: with a nonzero quadratic
         # nonlinearity the absolute defect of the invariance equation scales
