@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +178,38 @@ class TestComputeSsm:
         exp = compute_ssm(model, master, 9)
         assert [t.tensor for t in exp.tables] == [model.T2, model.T3]
         assert_tables_built_at_once(exp)
+
+    def test_force_tables_read_the_one_vector_table(self, monkeypatch):
+        # curved vk_beam10 O9 with its four parameters: every force table,
+        # the expansion's and those the partials record sums with, reads
+        # the expansion's w table and holds no vector table of its own; each
+        # plan's w is the table's canonical rows of its order, and no plan
+        # keeps the table of a lower order alive
+        model, params = build_vk_beam(VkBeamSpec(a1=0.002, a2=0.001))
+        master = solve_master(model, 0)
+        assert params.count == 4
+        exp = compute_ssm(model, master, 7)
+        lower = weakref.ref(exp.W)
+        compute_ssm(model, master, 9, from_expansion=exp)
+        gc.collect()
+        assert lower() is None
+        built = []
+
+        def recording(*args):
+            built.append(PairSums(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ssm, "PairSums", recording)
+        exp.partials(params)
+        assert len(exp.tables) == len(built) == 2
+        for table in (*exp.tables, *built):
+            vectors = [
+                a for a in vars(table).values()
+                if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == model.n
+            ]
+            assert vectors and all(np.shares_memory(a, exp.W) for a in vectors), table.tensor
+        for plan in exp.plans:
+            assert np.array_equal(plan.w, exp.W[plan.rows].T)
 
     def test_a_tensor_without_entries_has_no_table(self, duffing, duffing_master):
         # Duffing's T2 has no entries, so its expansion keeps T3's table
