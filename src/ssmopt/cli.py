@@ -298,7 +298,8 @@ def cmd_verify(cfg: dict | None, outdir: Path) -> int:
     master = solve_master(model, 0)
     exp = compute_ssm(model, master, 7)
 
-    worst = max(float(np.abs(exp.R(m)).max()) for m in exp.indices if sum(m) % 2 == 0)
+    even = [m for m in exp.indices if sum(m) % 2 == 0]
+    worst = max(float(np.abs(exp.R(m)).max()) for m in even)
     check("even-order reduced coefficients identically zero", worst == 0.0, f"max |R| = {worst:.1e}")
 
     om0 = omega_of_rho(exp, 0.0)

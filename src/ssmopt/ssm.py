@@ -354,7 +354,7 @@ class OrderPlan:
     Lam: np.ndarray  # (k,)
     Rsum: np.ndarray  # (k,) R_m[0] + R_m[1]
     d: np.ndarray  # (n, k) the modal diagonals
-    w: np.ndarray  # (n, k) w_m; it, V, Vdot and C with contiguous columns
+    w: np.ndarray  # (n, k) w_m; it, V, Vdot and C keep contiguous columns for the dots
     V: np.ndarray  # (n, k) V_m
     Vdot: np.ndarray  # (n, k) Vdot_m
     C: np.ndarray  # (n, k) C_m
@@ -444,9 +444,9 @@ def step_order(exp: SsmExpansion):
     res = next((t for t, m in enumerate(indices) if resonant_slot(m) is not None), None)
     slot = None if res is None else resonant_slot(indices[res])
 
+    exp._grow(q)
     # an overflowed vector, force or product is reported below as a
     # non-finite right-hand side
-    exp._grow(q)
     R = np.zeros((k, 2), complex)
     D = den = None
     with np.errstate(over="ignore", invalid="ignore"):
