@@ -9,10 +9,9 @@ amplitude adjoint): the per-index vectors from the highest order downward
 finally a coupled bordered real system for the mode-shape/frequency pair.
 The sweep carries every cross-order coupling backward, including the total
 bar of each resonant reduced coefficient R_m, which it keeps. The gradient
-is then one local contraction per index: the explicit operator derivatives
-at that index, weighted by its lambda_m, nu_m and R bar, plus the
-eigenproblem terms. No linear solves and no cross-order sums appear per
-parameter.
+is then one local contraction: the explicit operator derivatives at each
+index, weighted by its lambda_m, nu_m and R bar, plus the eigenproblem
+terms. No linear solves and no cross-order sums appear per parameter.
 
 The sweep is the reverse of the program the primal runs: one cohomological
 step per order, each canonical index (m1 >= m2) one column, and a conjugate
@@ -48,11 +47,12 @@ the operator products of the primal vectors that the plans stack per order
 (M w_m, (C + 2 Lam_m M) w_m and M V_m, and the modal diagonals d that the
 solves divide by) and the expansion's M phi, so a target after the first
 pays for its seeds' sweep only; M and C reach the bars through
-`mechmodel.real_times`, as in the primal. The contraction reads the record of
-the residuals' explicit parameter partials per `ParamDerivatives`
-(`SsmExpansion.partials`, kept in the expansion's memo, the matrix
-parameters' terms stacked one row each), the same record the direct walk
-reads.
+`mechmodel.real_times`, as in the primal. The sweep hands over its adjoint
+variables per order (`AdjointState`), and the contraction steps through the
+plans, one batched product per term and order, reading the record of the
+residuals' explicit parameter partials per `ParamDerivatives`
+(`SsmExpansion.partials`, kept in the expansion's memo, one block per plan),
+the same record the direct walk reads.
 
 Resonant indices are solved in bordered form in the primal, so each carries
 one extra adjoint scalar for the accompanying orthogonality constraint; its
@@ -68,26 +68,24 @@ import numpy as np
 from .backbone import PointWeights, point_weights
 from .errors import assert_real, assert_real_each
 from .mechmodel import MechModel, ParamDerivatives, real_times
-from .multiindex import order, resonant_slot, table_row
+from .multiindex import table_row
 from .sens_direct import lambda_derivative
-from .ssm import OrderPlan, SsmExpansion
+from .ssm import OrderPlan, SsmExpansion, write_order
 
 
 @dataclass
 class AdjointState:
-    """Adjoint variables of the fixed-amplitude frequency response.
+    """Adjoint variables of the fixed-amplitude frequency response, per
+    order: lam holds lambda_m, adjoint to the cohomological equations, one
+    row per index in the bars' `table_row` layout, a swapped index's row its
+    partner's conjugate. nu and r_bar hold one entry per order plan, zero at
+    an even order: nu is adjoint to the resonant index's orthogonality
+    constraint, r_bar the total bar of its R_m[slot] that the reverse sweep
+    collected from every higher-order coupling and from the frequency seeds."""
 
-    All dicts hold the canonical half; the swapped index carries the
-    elementwise conjugate. lambda_m are adjoint to the cohomological
-    equations, nu_m to the orthogonality constraints of the bordered
-    (resonant) solves, and r_bar_m is the total bar of the resonant reduced
-    coefficient R_m[slot] that the reverse sweep collected from every
-    higher-order coupling and from the frequency seeds.
-    """
-
-    lambda_m: dict
-    nu_m: dict
-    r_bar: dict
+    lam: np.ndarray
+    nu: np.ndarray
+    r_bar: np.ndarray
     lambda_phi: np.ndarray
     lambda_omega: float
 
@@ -231,9 +229,9 @@ def solve_adjoint(
     bars = _Bars(model.n, table_row((0, exp.order), 1) + 1)
     _seed_bars(bars, point_weights(exp, dof_index, rho), dof_index)
 
-    lambda_m: dict = {}
-    nu_m: dict = {}
-    for plan in reversed(exp.plans):
+    lam_table = np.zeros_like(bars.w)
+    nu = np.zeros(len(exp.plans), complex)
+    for i, plan in reversed(list(enumerate(exp.plans))):
         # a self-symmetric index is its own mirror: the folds double what
         # it pushes, so it pushes at half weight, and its w_m is folded
         # only after its own wdot step has pushed to it
@@ -245,14 +243,13 @@ def solve_adjoint(
         r = plan.res
         if r is not None:
             bars.R[plan.rows[r], plan.slot] += vbar[:, r] @ phi
-        lam, nu = exp.solve_order(plan, -_Bars.fold(bars.w, plan))
-        lambda_m.update(zip(plan.indices, lam.T.copy()))
+        lam, nu[i] = exp.solve_order(plan, -_Bars.fold(bars.w, plan))
+        write_order(lam_table, plan, lam.T)
         if r is not None:
-            # a resonant index is never self-symmetric: its weight is 1
-            nu_m[plan.indices[r]] = nu
             # the swapped R pair is this one conjugated, slots exchanged
             bars.R[plan.rows[r]] += np.conj(bars.R[plan.mirrors[r], ::-1])
-        _backprop_order(model, exp, bars, plan, plan.wt * lam, nu, vbar)
+        # a resonant index is never self-symmetric: its weight is 1
+        _backprop_order(model, exp, bars, plan, plan.wt * lam, nu[i], vbar)
 
     # the order-1 rows are the mode shape's; phi and omega are their own
     # mirrors, and the eigenvalue pair's is the pair swapped
@@ -261,8 +258,8 @@ def solve_adjoint(
     bars.lam += np.conj(bars.lam[::-1])
     bars.omega += np.conj(bars.omega)
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
-    r_bar = {m: bars.R[table_row(m, 1), resonant_slot(m)] for m in nu_m}
-    return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
+    r_bar = np.array([0 if p.res is None else bars.R[p.rows[p.res], p.slot] for p in exp.plans])
+    return AdjointState(lam_table, nu, r_bar, lambda_phi, lambda_omega)
 
 
 @dataclass
@@ -295,38 +292,36 @@ def contract_gradient(
     operator derivatives applied to the primal vectors, and the eigenproblem
     terms) is the expansion's record of explicit parameter partials
     (`SsmExpansion.partials`), built on the first call of either method for
-    this `ParamDerivatives` and read by the direct walk too. A call is then
-    one (P, n) mat-vec and a few dot products per index and matrix parameter
-    (its row of the record's stacks), and one realness check of all P sums;
-    no linear solves appear. The pass walks the canonical indices and adds
-    each term's conjugate for the swapped index, so a full-set expansion
-    gives the same gradient as the canonical one.
+    this `ParamDerivatives` and read by the direct walk too. A call steps
+    through the plans, each order at once: one batched (P, n) mat-vec per
+    index, one product and sum over the (P_M, k, n) stacks and each swapped
+    index's conjugate term, so a full-set expansion gives the canonical
+    one's gradient; then one realness check of all P sums. No linear solves
+    appear.
     """
     exp.check_model(model)
     record = exp.partials(params)
     phi = exp.master.phi
+    mp = list(params.matrix_params)
 
     accum = np.zeros(params.count, dtype=complex)
-    for m, pf, (pC, Aw, Vphi, phiMw) in record.indices:
-        lam = adjoint.lambda_m[m]
-        j = resonant_slot(m)
+    for i, (plan, (pf, pC, Aw, Vphi, phiMw)) in enumerate(zip(exp.plans, record.orders)):
+        lam = adjoint.lam[plan.rows]
         bar_c = -lam
-        if j is not None:
-            bar_c = bar_c + (adjoint.r_bar[m] / exp.plans[order(m) - 2].den) * phi
+        r = plan.res
+        if r is not None:
+            bar_c[r] += (adjoint.r_bar[i] / plan.den) * phi
+        term = -(pf @ bar_c[:, :, None])[:, :, 0]  # (k, P)
+        if mp:
+            dense = (pC * bar_c + Aw * lam).sum(axis=2)  # (P_M, k)
+            if r is not None:
+                # the resonant column's R pair is R_m[slot] and a zero
+                dense[:, r] += plan.Rsum[r] * (Vphi @ lam[r]) + adjoint.nu[i] * phiMw
+            term[:, mp] += dense.T
+        # each swapped index adds its partner's term conjugated
+        accum += term.sum(axis=0) + np.conj(term[plan.swapped].sum(axis=0))
 
-        term = -(pf @ bar_c)
-        # row k, one dot and one sum at a time: stacking them rounds otherwise
-        for k, p in enumerate(params.matrix_params):
-            term[p] += bar_c @ pC[k] + lam @ Aw[k]
-            if j is not None:
-                term[p] += exp.R(m)[j] * (lam @ Vphi[k])
-                term[p] += adjoint.nu_m[m] * phiMw[k]
-        accum += term
-        if m[0] != m[1]:
-            accum += np.conj(term)
-
-    for p, modal_phi, dMphi in zip(params.matrix_params, *record.eig):
-        accum[p] += adjoint.lambda_phi @ modal_phi
-        accum[p] += adjoint.lambda_omega * (phi @ dMphi)
+    modal_phi, dMphi = record.eig
+    accum[mp] += modal_phi @ adjoint.lambda_phi + adjoint.lambda_omega * (dMphi @ phi)
     d_omega = assert_real_each(accum, "gradient", params.names)
     return AdjointReport(names=params.names, d_omega=d_omega)

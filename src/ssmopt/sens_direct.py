@@ -30,10 +30,11 @@ pass's derivatives are its rows of the record, one row per index in the
 it reads from one table.
 The walk reads the expansion's own `PairSums` tables
 (`SsmExpansion.tables`) and the record of the residuals' explicit parameter
-partials (`SsmExpansion.partials`, the one the gradient contraction reads):
-per index the partial forces of all parameter tensors over the primal
-vectors and, one row per matrix parameter, dM, dC and dK applied to the
-primal vectors; and dM phi of the master, whose stack a pass reads by row.
+partials (`SsmExpansion.partials`, the one the gradient contraction reads),
+one block per plan: the partial forces of all parameter tensors over the
+order's primal vectors, added to the order's forces at once, and, one row
+per matrix parameter, dM, dC and dK applied to those vectors; and dM phi of
+the master, whose stack a pass reads by row.
 Each force tensor's key-space linearization in the lower-order
 coefficients (`PairSums.linearize`, whose reverse the adjoint sweep applies
 as `PairSums.pullback`) is built when the walk reaches the index's order,
@@ -279,26 +280,20 @@ def _walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives) -> _Rec
         for p in range(P)
     ]
 
-    done = 0
-    for plan in exp.plans:
-        k = len(plan.indices)
-        entries = record.indices[done : done + k]
-        done += k
+    for plan, (pf, pC, Aw, Vphi, _) in zip(exp.plans, record.orders):
         # every pass's forces, the partial ones added last; one index's
         # linearizations at a time
-        F = np.zeros((k, P, n), complex)
+        F = np.zeros(pf.shape, complex)
         for t, m in enumerate(plan.indices):
             lins = [lin for lin in (table.linearize(m) for table in exp.tables) if lin.rows]
             for p in range(P):
                 _forces(lins, walk.dw[p], F[t, p])
             del lins
-            F[t] += entries[t][1]
-        pC, Aw = (np.stack([e[2][i] for e in entries], axis=2) for i in (0, 1))
-        Vphi = None if plan.res is None else entries[plan.res][2][2]
+        F += pf
         keep_wdot = order(plan.indices[0]) <= exp.order - 2
         for p, ps in enumerate(passes):
-            kk = rows.get(p)
-            dense = None if kk is None else (pC[kk], Aw[kk], None if Vphi is None else Vphi[kk])
+            q = rows.get(p)
+            dense = None if q is None else (pC[q].T, Aw[q].T, None if Vphi is None else Vphi[q])
             ps.step(plan, F[:, p].T, dense, keep_wdot)
     return walk
 

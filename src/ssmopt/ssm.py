@@ -47,8 +47,8 @@ sensitivity passes (direct, adjoint sweep, contraction) read the canonical
 indices too and mirror the swapped ones by conjugation; the direct walk and
 the adjoint sweep step through the same plans. The direct walk and the
 contraction read one record per `ParamDerivatives` of the residuals'
-explicit partial derivatives in the design variables at every index
-(`Partials`, kept by `SsmExpansion.partials`), the matrix parameters' terms
+explicit partial derivatives in the design variables (`Partials`, kept by
+`SsmExpansion.partials`), one block per plan, the matrix parameters' terms
 stacked as their dM and dK are, one row each. The expansion keeps M phi, and
 its mode-shape solve serves both the adjoint's mode-shape system and the
 direct eigenpair derivatives.
@@ -286,18 +286,17 @@ class SsmExpansion:
 @dataclass(eq=False)
 class Partials:
     """The residuals' explicit partial derivatives for one `ParamDerivatives`
-    (`SsmExpansion.partials`). `indices` holds (m, pf, (pC, Aw, Vphi,
-    phiMw)) per canonical index m of order >= 2, ascending: pf the (P, n)
-    partial forces dT of all parameters over the expansion's vectors, one
-    `PairSums.force` per stacked tensor, and (P_M, n) stacks like dM and dK,
-    row k for parameter matrix_params[k], with dC = alpha_r dM + beta_r dK:
-    pC = -dM Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK + Lam_m dC + Lam_m^2 dM)
-    w_m and, at a resonant index only (else None), Vphi = ((Lam_m +
-    lambda_j) dM + dC) phi and the (P_M,) phiMw = phi . dM w_m. `eig` is the
-    master's `ParamDerivatives.modal_partials`. Arrays only: the memo that
-    keeps the record makes no cycle back to the expansion."""
+    (`SsmExpansion.partials`), one block tuple (pf, pC, Aw, Vphi, phiMw) per
+    `OrderPlan` in `orders`, columns as the plan's: pf the (k, P, n) partial
+    forces dT of all parameters, one `PairSums.force` per stacked tensor;
+    (P_M, k, n) stacks, row q for matrix_params[q], with dC = alpha_r dM +
+    beta_r dK: pC = -dM Vdot_m - (Lam_m dM + dC) V_m, Aw = (dK + Lam_m dC +
+    Lam_m^2 dM) w_m; and the resonant column's (P_M, n) Vphi = ((Lam_m +
+    lambda_j) dM + dC) phi and (P_M,) phiMw = phi . dM w_m, None at an even
+    order. `eig` is the master's `ParamDerivatives.modal_partials`. Arrays
+    only: the memo that keeps the record makes no cycle back to the expansion."""
 
-    indices: list
+    orders: list
     eig: tuple
 
 
@@ -305,29 +304,37 @@ def _build_partials(exp: SsmExpansion, params: ParamDerivatives) -> Partials:
     model, master, phi = exp.model, exp.master, exp.master.phi
     tables = [PairSums(T, exp.W, exp.order) for T in (params.dT2, params.dT3) if T.nnz]
     P, n = params.count, model.n
-    columns = [(plan, t) for plan in exp.plans for t in range(len(plan.indices))]
 
     # no operator is formed: each index's [Vdot_m, V_m, w_m], then phi, are
-    # the columns of one block that the dM and dK stacks each multiply once
-    vectors = [X[:, t] for plan, t in columns for X in (plan.Vdot, plan.V, plan.w)]
-    cols = np.column_stack(vectors + [phi])
-    dMX, dKX = real_times(params.dM, cols), real_times(params.dK, cols)
+    # the columns of one block that the dM and dK stacks each multiply once;
+    # an order's vectors of one kind are every third of its columns
+    cols = np.column_stack(
+        [X[:, t] for p in exp.plans for t in range(len(p.indices)) for X in (p.Vdot, p.V, p.w)]
+        + [phi]
+    )
+    dMX, dKX = (real_times(D, cols).transpose(0, 2, 1) for D in (params.dM, params.dK))
     dCX = model.alpha_r * dMX + model.beta_r * dKX
 
-    indices = []
-    for i, (plan, t) in enumerate(columns):
-        m, Lam, Vdot, V, w = plan.indices[t], plan.Lam[t], 3 * i, 3 * i + 1, 3 * i + 2
-        pC = -dMX[..., Vdot] - (Lam * dMX[..., V] + dCX[..., V])
-        Aw = dKX[..., w] + Lam * dCX[..., w] + Lam**2 * dMX[..., w]
+    orders = []
+    start = 0
+    for plan in exp.plans:
+        k = len(plan.indices)
+        Vdot, V, w = (slice(start + i, start + 3 * k, 3) for i in range(3))
+        start += 3 * k
+        Lam = plan.Lam[:, None]
+        pC = -dMX[:, Vdot] - (Lam * dMX[:, V] + dCX[:, V])
+        Aw = dKX[:, w] + Lam * dCX[:, w] + Lam**2 * dMX[:, w]
         Vphi = phiMw = None
-        if t == plan.res:
-            Vphi = (Lam + master.lambda_pair[plan.slot]) * dMX[..., -1] + dCX[..., -1]
-            phiMw = np.array([phi @ v for v in dMX[..., w]])  # stacked rounds otherwise
-        pf = np.zeros(P * n, dtype=complex)
-        for table in tables:
-            pf += table.force(m)  # in place: no (P*n) temporary per table
-        indices.append((m, pf.reshape(P, n), (pC, Aw, Vphi, phiMw)))
-    return Partials(indices, params.modal_partials(master.omega, phi))
+        if plan.res is not None:
+            Vphi = (plan.Lam[plan.res] + master.lambda_pair[plan.slot]) * dMX[:, -1] + dCX[:, -1]
+            # one dot per row: stacked rounds otherwise
+            phiMw = np.array([phi @ v for v in dMX[:, w][:, plan.res]])
+        pf = np.zeros((k, P * n), dtype=complex)
+        for t, m in enumerate(plan.indices):
+            for table in tables:
+                pf[t] += table.force(m)  # in place: no (P*n) temporary per table
+        orders.append((pf.reshape(k, P, n), pC, Aw, Vphi, phiMw))
+    return Partials(orders, params.modal_partials(master.omega, phi))
 
 
 @dataclass(eq=False)

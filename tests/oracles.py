@@ -22,7 +22,14 @@
   steps through whole orders of canonical indices and folds each swapped
   index's bars into its canonical partner; this sweep reverses every index
   on its own, one at a time with per-index bars in dicts, the form the fold
-  must reproduce to roundoff. It solves with `formed_solve`.
+  must reproduce to roundoff. It solves with `formed_solve`, and returns
+  its adjoint variables by index (`ReferenceAdjoint`); `adjoint_by_index`
+  reads a `sens_adjoint.AdjointState`'s per-order tables back the same way.
+* `reference_contraction`: the gradient contraction one canonical index at
+  a time, one dot per matrix parameter. `sens_adjoint.contract_gradient`
+  takes each order's indices at once, one batched product per term, and
+  must agree with it to roundoff. It reads the record of explicit partials
+  by index (`partials_by_index`), as `reference_walk` does.
 * `reference_walk`: the direct walk one canonical index at a time, every
   parameter's pass stepping at each index with its derivatives in dicts.
   `sens_direct._walk` steps through whole orders, each order's indices one
@@ -112,7 +119,7 @@ from ssmopt.backbone import (
     rho_of_x,
     x_rms,
 )
-from ssmopt.errors import ConfigError, ModelError
+from ssmopt.errors import ConfigError, ModelError, assert_real_each
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import (
     Linearization,
@@ -648,9 +655,36 @@ def _backprop_index(model: MechModel, exp, bars: _IndexBars, m, rec, lam_m, nu_m
                 bars.w[u] += bar_u
 
 
+@dataclass
+class ReferenceAdjoint:
+    """Adjoint variables by index: lambda_m {m: (n,)}, nu_m and r_bar {m:
+    scalar} of the resonant indices, and the mode-shape and frequency
+    adjoints. `reference_adjoint` fills the dicts at every index,
+    `adjoint_by_index` at the canonical ones."""
+
+    lambda_m: dict
+    nu_m: dict
+    r_bar: dict
+    lambda_phi: np.ndarray
+    lambda_omega: float
+
+
+def adjoint_by_index(exp: SsmExpansion, state: AdjointState) -> ReferenceAdjoint:
+    """`sens_adjoint.AdjointState` read back by canonical index of order
+    >= 2: lambda_m m's row of the lambda table, nu_m and r_bar the entries
+    of the resonant index's order plan."""
+    lambda_m, nu_m, r_bar = {}, {}, {}
+    for plan, nu, rb in zip(exp.plans, state.nu, state.r_bar):
+        lambda_m.update(zip(plan.indices, state.lam[plan.rows]))
+        if plan.res is not None:
+            m = plan.indices[plan.res]
+            nu_m[m], r_bar[m] = nu, rb
+    return ReferenceAdjoint(lambda_m, nu_m, r_bar, state.lambda_phi, state.lambda_omega)
+
+
 def reference_adjoint(
     model: MechModel, exp, dof_index: int, rho: float, solve=formed_solve
-) -> AdjointState:
+) -> ReferenceAdjoint:
     """Adjoint variables from a reverse sweep over every index.
 
     Each index, swapped ones included, reverses its own wdot and
@@ -696,7 +730,7 @@ def reference_adjoint(
 
     lambda_phi, lambda_omega = solve_adjoint_phi_omega(exp, bars)
     r_bar = {m: bars.R[m][resonant_slot(m)] for m in nu_m}
-    return AdjointState(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
+    return ReferenceAdjoint(lambda_m, nu_m, r_bar, lambda_phi, lambda_omega)
 
 
 def reference_forward(lin: Linearization, dw) -> np.ndarray:
@@ -812,7 +846,7 @@ def reference_walk(model: MechModel, exp: SsmExpansion, params: ParamDerivatives
         _IndexPass(exp, dphi_all[p], domega_all[p], dMphi.get(p)) for p in range(params.count)
     ]
     r_orders = exp.r_orders()
-    for m, pf, (pC, Aw, Vphi, _) in record.indices:
+    for m, pf, (pC, Aw, Vphi, _) in partials_by_index(exp, record):
         rec = index_record(exp, m)
         lins = [table.linearize(m) for table in exp.tables]
         v_terms = [(u, j, k, u[j], exp.R(k)[j]) for u, j, k in v_decomps(m, r_orders)]
@@ -1052,6 +1086,55 @@ def reference_partials(exp: SsmExpansion, params: ParamDerivatives) -> tuple[dic
         for p, dM, dK in zip(params.matrix_params, params.dM, params.dK)
     ]
     return dense, eig
+
+
+def partials_by_index(exp: SsmExpansion, record: ssm.Partials) -> list:
+    """The record of explicit partials (`ssm.Partials`) read back by
+    canonical index of order >= 2, ascending: (m, pf, (pC, Aw, Vphi,
+    phiMw)) with pf (P, n), pC and Aw (P_M, n), and Vphi and phiMw the
+    order's at its resonant index, else None."""
+    out = []
+    for plan, (pf, pC, Aw, Vphi, phiMw) in zip(exp.plans, record.orders):
+        for t, m in enumerate(plan.indices):
+            res = (Vphi, phiMw) if t == plan.res else (None, None)
+            out.append((m, pf[t], (pC[:, t], Aw[:, t], *res)))
+    return out
+
+
+def reference_contraction(
+    model: MechModel, exp: SsmExpansion, adjoint: AdjointState, params: ParamDerivatives
+) -> np.ndarray:
+    """dOmega/dmu of `sens_adjoint.contract_gradient`, one canonical index
+    at a time: each index's term from its own adjoint variables
+    (`adjoint_by_index`) and record entries (`partials_by_index`), one dot
+    per matrix parameter, and its conjugate added for the swapped index."""
+    exp.check_model(model)
+    record = exp.partials(params)
+    phi = exp.master.phi
+    by_index = adjoint_by_index(exp, adjoint)
+
+    accum = np.zeros(params.count, dtype=complex)
+    for m, pf, (pC, Aw, Vphi, phiMw) in partials_by_index(exp, record):
+        lam = by_index.lambda_m[m]
+        j = resonant_slot(m)
+        bar_c = -lam
+        if j is not None:
+            bar_c = bar_c + (by_index.r_bar[m] / exp.plans[order(m) - 2].den) * phi
+
+        term = -(pf @ bar_c)
+        for k, p in enumerate(params.matrix_params):
+            term[p] += bar_c @ pC[k] + lam @ Aw[k]
+            if j is not None:
+                term[p] += exp.R(m)[j] * (lam @ Vphi[k])
+                term[p] += by_index.nu_m[m] * phiMw[k]
+        accum += term
+        if m[0] != m[1]:
+            accum += np.conj(term)
+
+    for p, modal_phi, dMphi in zip(params.matrix_params, *record.eig):
+        accum[p] += adjoint.lambda_phi @ modal_phi
+        accum[p] += adjoint.lambda_omega * (phi @ dMphi)
+    return assert_real_each(accum, "gradient", params.names)
 
 
 def first_order_operators(model: MechModel) -> tuple[np.ndarray, np.ndarray]:

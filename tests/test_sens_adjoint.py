@@ -7,22 +7,39 @@ import numpy as np
 import pytest
 
 from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
-from ssmopt.backbone import domega_drho, dx_drho, omega_of_rho, point_weights, x_rms
+from ssmopt.backbone import (
+    _validity_cap,
+    domega_drho,
+    dx_drho,
+    omega_of_rho,
+    point_weights,
+    x_rms,
+)
 from ssmopt.errors import ConjugacyError, assert_real, assert_real_each
 from ssmopt.mechmodel import MechModel, ParamDerivatives
-from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, vk_center_dof
+from ssmopt.models import (
+    ChainSpec,
+    VkBeamSpec,
+    build_chain,
+    build_vk_beam,
+    chain_per_spring_k3,
+    vk_center_dof,
+)
 from ssmopt.multiindex import canonical_indices, symmetric
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint, solve_adjoint_rho
 from ssmopt.ssm import Partials
 from ssmopt.sens_direct import chain_derivatives
 
 from oracles import (
+    adjoint_by_index,
     formed_solve,
     index_record,
     modal_solve,
     param_matrices,
+    partials_by_index,
     pick_params,
     reference_adjoint,
+    reference_contraction,
     reference_partials,
 )
 from test_properties import random_case
@@ -75,7 +92,7 @@ class TestAdjointW:
         exp = compute_ssm(model, solve_master(model, 0), 5)
         # the linear model's amplitude adjoint is exactly zero
         assert solve_adjoint_rho(point_weights(exp, 1, 0.2)) == 0.0
-        lam_m = solve_adjoint(model, exp, 1, 0.2).lambda_m
+        lam_m = adjoint_by_index(exp, solve_adjoint(model, exp, 1, 0.2)).lambda_m
         for lam in lam_m.values():
             assert np.abs(lam).max() == 0.0
 
@@ -85,7 +102,7 @@ class TestAdjointW:
         model, _ = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.2)
         lam_rho = solve_adjoint_rho(point_weights(chain2_exp5, 1, rho))
-        lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
+        lam_m = adjoint_by_index(chain2_exp5, solve_adjoint(model, chain2_exp5, 1, rho)).lambda_m
         # independent mini-solve for one highest-order index
         from ssmopt.backbone import x_theta_samples
 
@@ -108,7 +125,7 @@ class TestAdjointW:
         # is the conjugate of the canonical sweep's vector
         model, _ = chain2
         rho = rho_of_x(chain2_exp5, 1, 0.2)
-        lam_m = solve_adjoint(model, chain2_exp5, 1, rho).lambda_m
+        lam_m = adjoint_by_index(chain2_exp5, solve_adjoint(model, chain2_exp5, 1, rho)).lambda_m
         ref = reference_adjoint(model, chain2_exp5, 1, rho).lambda_m
         assert set(ref) == set(lam_m) | {symmetric(m) for m in lam_m}
         for m, lam in lam_m.items():
@@ -124,7 +141,7 @@ class TestAdjointW:
 
         for case in (_chain3_o7, _damped_curved_beam_o7):
             model, exp, dof, rho = case()
-            short = solve_adjoint(model, exp, dof, rho)
+            short = adjoint_by_index(exp, solve_adjoint(model, exp, dof, rho))
             full = reference_adjoint(model, exp, dof, rho, solve=modal_solve)
             assert set(short.r_bar) == set(short.nu_m) and short.r_bar
             for field in ("lambda_m", "nu_m", "r_bar"):
@@ -196,6 +213,35 @@ class TestGradientEquivalence:
         # effect (parity), while the cubic one does
         assert rep.d_omega[2] == pytest.approx(0.0, abs=1e-12)
         assert rep.d_omega[3] != 0.0
+
+    def test_contraction_matches_the_per_index_loop(self):
+        # the contraction takes each order's canonical indices at once, one
+        # batched product per term; the oracle adds one index's terms at a
+        # time, one dot per matrix parameter. The cases: 100 tensor-only
+        # parameters, four matrix parameters with nu and r_bar at every
+        # resonant column, and a random model
+        chain = ChainSpec(n_masses=101, alpha_r=0.0, beta_r=0.02)
+        beam = VkBeamSpec(a1=0.002, a2=0.001, alpha_r=1.0, beta_r=1e-5)
+        model, params, order = random_case(0)
+        cases = {
+            "chain101": (build_chain(chain)[0], chain_per_spring_k3(chain, 100), 5, 100, 0.05),
+            "beam": (*build_vk_beam(beam), 9, vk_center_dof(beam), 0.002),
+            "random": (model, params, order, model.n - 1, None),
+        }
+        for name, (model, params, order, dof, x) in cases.items():
+            exp = compute_ssm(model, solve_master(model, 0), order)
+            if x is None:
+                x = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
+            adjoint = solve_adjoint(model, exp, dof, rho_of_x(exp, dof, x))
+            if name == "chain101":
+                assert params.count == 100 and not params.matrix_params
+            if name == "beam":
+                resonant = [i for i, plan in enumerate(exp.plans) if plan.res is not None]
+                assert len(params.matrix_params) == 4 and len(resonant) == 4
+                assert np.all(adjoint.nu[resonant] != 0) and np.all(adjoint.r_bar[resonant] != 0)
+            got = contract_gradient(model, exp, adjoint, params).d_omega
+            want = reference_contraction(model, exp, adjoint, params)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
 
 
 class TestGradientRealness:
@@ -405,7 +451,8 @@ class TestExpansionStore:
             fresh = compute_ssm(model, master, 9)
             want = solve_adjoint(model, fresh, d, rho)
             for field in ("lambda_m", "nu_m", "r_bar"):
-                a, b = getattr(got, field), getattr(want, field)
+                a = getattr(adjoint_by_index(exp, got), field)
+                b = getattr(adjoint_by_index(fresh, want), field)
                 assert a.keys() == b.keys()
                 for m in a:
                     assert np.asarray(a[m]).tobytes() == np.asarray(b[m]).tobytes(), (field, m)
@@ -460,8 +507,15 @@ class TestExpansionStore:
             dense, eig = reference_partials(exp, params)
             mp = params.matrix_params
             stack_shape = (len(mp), model.n)
-            assert len(dense) == len(record.indices) * len(mp)
-            for m, _, (pC, Aw, Vphi, phiMw) in record.indices:
+            # one block per order plan, its indices one row each
+            assert len(record.orders) == len(exp.plans)
+            for plan, (pf, pC, Aw, _, _) in zip(exp.plans, record.orders):
+                k = len(plan.indices)
+                assert pf.shape == (k, params.count, model.n)
+                assert pC.shape == Aw.shape == (len(mp), k, model.n)
+            entries = partials_by_index(exp, record)
+            assert len(dense) == len(entries) * len(mp)
+            for m, _, (pC, Aw, Vphi, phiMw) in entries:
                 # row k of each stack belongs to parameter matrix_params[k]
                 assert pC.shape == Aw.shape == stack_shape
                 resonant = index_record(exp, m).slot is not None
