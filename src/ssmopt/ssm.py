@@ -66,6 +66,7 @@ from .errors import (
     DegenerateModeError,
     OuterResonanceError,
     SsmError,
+    check_argument,
 )
 from .mechmodel import MechModel, PairSums, ParamDerivatives, real_times
 from .multiindex import (
@@ -608,8 +609,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     stiffness preconditioner applies Phi^T and then Phi to all grid points
     at once. Only the internal force is evaluated point by point.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    check_argument("rho", rho, positive=True)
     exp.check_model(model)
     n = model.n
     omega = exp.master.omega
@@ -663,8 +663,7 @@ def adapt_order(
     misses, with residual inf at the validity cap. Returns the highest order
     with warned=True when none qualifies.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    check_argument("tolerance", tol, positive=True)
     lo, hi = order_range
     if lo % 2 != 1 or hi % 2 != 1 or lo < 3 or hi < lo:
         raise ValueError(f"order range must be odd bounds with 3 <= lo <= hi, got {order_range}")

@@ -9,7 +9,12 @@ from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
 from ssmopt.backbone import _validity_cap, omega_of_rho, rho_of_x
-from ssmopt.errors import AmplitudeUnreachableError, OuterResonanceError, SsmError
+from ssmopt.errors import (
+    AmplitudeUnreachableError,
+    ArgumentError,
+    OuterResonanceError,
+    SsmError,
+)
 from ssmopt.mechmodel import PairSums, SymTensor, model_from_json
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.multiindex import order, symmetric
@@ -515,9 +520,14 @@ class TestInvarianceResidual:
 
     def test_rejects_zero_amplitude(self, chain2, chain2_exp5):
         model, _ = chain2
-        for rho in (0.0, np.nan):
-            with pytest.raises(ValueError, match="rho must be positive"):
+        for rho, message in (
+            (0.0, "rho must be positive"),
+            (np.nan, "rho must be positive"),
+            (np.inf, "rho must be finite, got inf"),
+        ):
+            with pytest.raises(ArgumentError) as err:
                 invariance_residual(model, chain2_exp5, rho)
+            assert str(err.value) == message
 
     def test_another_model_is_rejected(self, chain2, chain2_exp5):
         # the stiffness factor is the expansion's, so the model must be too
@@ -593,22 +603,20 @@ class TestAdaptOrder:
             (1e-3, (1, 5), "order range must be odd bounds with 3 <= lo <= hi, got (1, 5)"),
             (1e-3, (7, 5), "order range must be odd bounds with 3 <= lo <= hi, got (7, 5)"),
             (np.nan, (3, 13), "tolerance must be positive"),
+            (np.inf, (3, 13), "tolerance must be finite, got inf"),
         ],
     )
     def test_bad_arguments_raise(self, chain2, chain2_master, tol, order_range, message):
+        # a bad tolerance is an ArgumentError, a bad order range a plain ValueError
         with pytest.raises(ValueError) as err:
             adapt_order(chain2[0], chain2_master, tol, lambda e: 0.2, order_range)
-        assert type(err.value) is ValueError and str(err.value) == message
+        kind = ArgumentError if message.startswith("tolerance") else ValueError
+        assert type(err.value) is kind and str(err.value) == message
 
     def test_linear_model_stops_at_three(self, linear_chain):
         model, _ = linear_chain
         res = adapt_order(model, solve_master(model, 0), tol=1e-8, rho_at=lambda e: 0.5)
         assert res.expansion.order == 3 and not res.warned
-
-    def test_infinite_tolerance_returns_three(self, chain2, chain2_master):
-        model, _ = chain2
-        res = adapt_order(model, chain2_master, tol=np.inf, rho_at=lambda e: 0.2)
-        assert res.expansion.order == 3
 
     def test_warning_flag_when_range_exhausted(self, duffing, duffing_master):
         model, _ = duffing
