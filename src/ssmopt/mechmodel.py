@@ -248,8 +248,6 @@ class SymTensor:
         """
         lead, *trailing = (np.asarray(c, np.intp) for c in ids)
         arity = len(trailing)
-        if len(vals) == 0:
-            return cls.empty(n, arity)
         if n ** (arity + 1) >= 2**63:
             raise ModelError(f"T{arity} keys of n = {n} do not fit in 64 bits")
         for a, b in {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}[arity]:
