@@ -297,11 +297,12 @@ def test_criterion_8_adjoint_scaling():
         return time.perf_counter() - t0
 
     def scaling(call):
-        """Min of five timed calls at P = 1 and at P = 100. The two sides
+        """Min of nine timed calls at P = 1 and at P = 100. The two sides
         alternate within each repetition, so that a drift of the host's
-        speed hits both alike."""
+        speed hits both alike, and nine repetitions make it rare that a
+        slow spell of the host spans every call of one side."""
         best = {1: np.inf, 100: np.inf}
-        for _ in range(5):
+        for _ in range(9):
             for count in best:
                 best[count] = min(best[count], timed(call, count))
         return best[1], best[100]
