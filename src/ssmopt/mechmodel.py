@@ -531,8 +531,7 @@ def _check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10):
 @dataclass(frozen=True)
 class MechModel:
     """Immutable mechanical system, built whole (`__post_init__`); safe for
-    concurrent read-only use. at(s) = K + s C + s^2 M is the one operator
-    the recursion forms, for the backward-error check of each solve."""
+    concurrent read-only use."""
 
     M: np.ndarray
     K: np.ndarray
@@ -597,9 +596,6 @@ class MechModel:
     @property
     def n(self) -> int:
         return self.M.shape[0]
-
-    def at(self, s) -> np.ndarray:
-        return self.K + s * self.C + s**2 * self.M
 
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""

@@ -1,7 +1,7 @@
 """Two-dimensional autonomous SSM expansion, solved one order at a time.
 
 For each multi-index m (order >= 2) the displacement coefficient w_m solves
-``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M`` (`MechModel.at`).
+``L_m w_m = h_m`` with ``L_m = K + Lam_m*C + Lam_m**2*M``, never formed.
 Near-resonant indices (|m1 - m2| = 1, odd order) carry a reduced-dynamics
 coefficient R_m chosen to project the right-hand side out of the master
 direction; their operator is solved in bordered form with the constraint
@@ -25,10 +25,10 @@ divides by d; a d_j that vanishes against the size of L_m's terms (the
 master's own left out at a resonant index) is an outer resonance of mode j.
 The same solve serves the bordered mode-shape system
 (`SsmExpansion.mode_solve`), and the same basis the invariance residual's
-regularized stiffness K + eps M: nothing is factored. Every product of M, C,
-K or the modes with complex data is one `mechmodel.real_times`. Each
-cohomological solve's normwise backward error is checked against the formed
-L_m, and an overflowed right-hand side is reported before the solve.
+regularized stiffness K + eps M: nothing is factored, and no L_m is formed.
+Every product of M, C, K or the modes with complex data is one
+`mechmodel.real_times`, those of each order's backward-error check
+(`_check_solve`) too. An overflowed right-hand side is reported first.
 
 All coefficients at the swapped index (m2, m1) are elementwise conjugates of
 those at (m1, m2), so only canonical indices are solved and the rest are
@@ -38,12 +38,9 @@ column of (n, k) blocks: the forces, the lower-order coupling sums and the
 right-hand sides are formed at once, and one modal solve with one diagonal
 per column and the resonant column bordered (`SsmExpansion.solve_order`)
 solves the order. Each step writes its order's rows and their conjugate
-mirrors into the tables (`write_order`) and leaves its order's `OrderPlan`
-in `SsmExpansion.plans`: what only the canonical indices need (V_m, Vdot_m,
-C_m, the resonant column's denominator of R_m and the force D of R_m on the
-right-hand side), the modal diagonals, the model's operators applied to the
-vectors (M w_m, (C + 2 Lam_m M) w_m and M V_m) and the couplings. The
-sensitivity passes (direct, adjoint sweep, contraction) read the canonical
+mirrors into the tables (`write_order`) and leaves its order's `OrderPlan`,
+what the later passes read of its canonical indices, in
+`SsmExpansion.plans`. The sensitivity passes (direct, adjoint sweep, contraction) read the canonical
 indices too and mirror the swapped ones by conjugation; the direct walk and
 the adjoint sweep step through the same plans. The direct walk and the
 contraction read one record per `ParamDerivatives` of the residuals'
@@ -63,6 +60,7 @@ import numpy as np
 
 from .errors import (
     AmplitudeUnreachableError,
+    ArgumentError,
     DegenerateModeError,
     OuterResonanceError,
     SsmError,
@@ -159,7 +157,7 @@ class SsmExpansion:
         col = model.modes[1][:, i] if 0 <= i < model.n else np.nan
         sign = 1.0 if np.array_equal(master.phi, col) else -1.0
         if not np.array_equal(master.phi, sign * col):
-            raise ValueError(f"the master pair is not the model's mode {i}")
+            raise ArgumentError(f"the master pair is not the model's mode {i}")
         self.master_row = (i, sign)  # phi = sign * Phi[:, i]
         self.Mphi = model.M @ master.phi
         self.Cphi = model.C @ master.phi
@@ -219,10 +217,10 @@ class SsmExpansion:
         return held[1]
 
     def check_model(self, model: MechModel):
-        """ValueError unless `model` is the one the expansion was computed
+        """ArgumentError unless `model` is the one the expansion was computed
         for: its coefficients and its memo belong to that model."""
         if model is not self.model:
-            raise ValueError("the expansion was computed for another model")
+            raise ArgumentError("the expansion was computed for another model")
 
     def partials(self, params: ParamDerivatives) -> "Partials":
         """The residuals' explicit partial derivatives in the parameters
@@ -390,31 +388,36 @@ def write_order(table: np.ndarray, plan: OrderPlan, X: np.ndarray, pairs: bool =
     table[plan.mirrors[plan.swapped]] = mirror[:, ::-1] if pairs else mirror
 
 
-def _check_solve(model: MechModel, m: MultiIndex, Lam, w, h, C_m, R, D):
-    """SsmError unless w solves a system near L_m w = h at m, L_m =
-    `model.at(Lam)` formed and h = C_m (+ D R_m[slot] at a resonant index,
-    where D is not None and R is the pair R_m): its normwise backward error
-    ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a
-    round-off-level difference of large terms (e.g. a 1-DOF resonant
-    index); residuals on that cancellation floor pass too. The test is
-    scale-free, so it is taken on w, h, C_m and R divided by a power of two
-    at their largest magnitude: exact, and no norm overflows while the
-    entries are finite. A non-finite bound (an overflowed w) and NaN fail
-    the test."""
-    eps = np.finfo(float).eps
-    big = max(np.abs(w).max(), np.abs(h).max(), np.abs(C_m).max(), np.abs(R).max())
-    sc = np.ldexp(1.0, -max(int(np.frexp(big)[1]), 0))
-    cancel_scale = np.linalg.norm(sc * C_m)
+def _check_solve(model: MechModel, indices, Lam, w, h, C_m, R, res, D):
+    """SsmError naming the first failing index unless each column t of the
+    order's (n, k) block w solves L_m w_t = h_t at indices[t] to a bounded
+    normwise backward error ||L w - h|| / (||L||_1 ||w|| + ||h||), or to the
+    cancellation floor of h_t = C_m (+ D R_m[slot] in the resonant column
+    res, R[t] the pair R_m), a round-off-level difference of large terms at,
+    e.g., a 1-DOF resonant index. L_m = (1 + beta Lam_m) K + (Lam_m^2 + alpha
+    Lam_m) M is not formed: K and M multiply the block, and ||L_m||_1 sums
+    their nonzeros. Each column is divided by a power of two at its largest
+    magnitude (exact: no norm overflows); a non-finite bound and NaN fail."""
+    big = np.max([np.abs(X).max(axis=0) for X in (w, h, C_m, R.T)], axis=0)
+    sc = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], 0))
+    w, h, C_m = sc * w, sc * h, sc * C_m
+    cancel_scale = np.linalg.norm(C_m, axis=0)
     if D is not None:
-        cancel_scale += np.abs(sc * R).max() * np.linalg.norm(D)
-    L = model.at(Lam)
-    resid = np.linalg.norm(L @ (sc * w) - sc * h)
-    scale = np.linalg.norm(L, 1) * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
-    tol = eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
-    if not (np.isfinite(tol) and resid <= tol):
+        cancel_scale[res] += np.abs(sc[res] * R[res]).max() * np.linalg.norm(D)
+    a, b = 1.0 + model.beta_r * Lam, Lam * (Lam + model.alpha_r)
+    resid = np.linalg.norm(a * real_times(model.K, w) + b * real_times(model.M, w) - h, axis=0)
+    # each column of |L_m| summed; M's diagonal gives every column a nonzero
+    col, row = np.nonzero((model.K != 0).T | (model.M != 0).T)
+    terms = np.abs(np.outer(a, model.K[row, col]) + np.outer(b, model.M[row, col]))
+    L_norm = np.add.reduceat(terms, np.flatnonzero(np.diff(col, prepend=-1)), axis=1).max(1)
+    scale = L_norm * np.linalg.norm(w, axis=0) + np.linalg.norm(h, axis=0)
+    tol = np.finfo(float).eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
+    ok = np.isfinite(tol) & (resid <= tol)
+    if not ok.all():
+        t = np.argmin(ok)  # the first failing column
         raise SsmError(
-            f"cohomological solve at index {m} failed: "
-            f"scaled residual {resid:.2e} above {tol:.2e}"
+            f"cohomological solve at index {indices[t]} failed: "
+            f"scaled residual {resid[t]:.2e} above {tol[t]:.2e}"
         )
 
 
@@ -426,10 +429,9 @@ def step_order(exp: SsmExpansion):
 
     The couplings come first: they read lower orders only. The forces, V,
     Vdot, C_m, the resonant column's R_m and h = C_m + D R_m and the modal
-    diagonals are then (n, k) blocks, solved by one modal solve. The checks
-    run per column, in the order of the indices: the outer resonance and
-    the non-finite right-hand side before the solve, the backward error
-    (`_check_solve`) after it.
+    diagonals are then (n, k) blocks, solved by one modal solve. The outer
+    resonance and a non-finite right-hand side are checked per column, in
+    the order of the indices, before it, and the backward errors after it.
     """
     model, master, phi = exp.model, exp.master, exp.master.phi
     M, n, lam_pair = model.M, model.n, master.lambda_pair
@@ -492,8 +494,7 @@ def step_order(exp: SsmExpansion):
         if not np.all(np.isfinite(h[:, t])):
             raise SsmError(f"cohomological right-hand side at index {m} is not finite (overflow)")
     w, _ = exp._modal_solve(d, res, h, 0.0)
-    for t, m in enumerate(indices):
-        _check_solve(model, m, Lam[t], w[:, t], h[:, t], C_m[:, t], R[t], D if t == res else None)
+    _check_solve(model, indices, Lam, w, h, C_m, R, res, D)
 
     # a self-symmetric index: every quantity is real in exact arithmetic;
     # dropping the roundoff imaginary part makes the conjugacy invariant
@@ -553,7 +554,7 @@ def compute_ssm(
     unchanged; its memo, built for the lower order, is cleared.
     """
     if order_ < 3 or order_ % 2 == 0:
-        raise ValueError(f"expansion order must be odd and >= 3, got {order_}")
+        raise ArgumentError(f"expansion order must be odd and >= 3, got {order_}")
     if from_expansion is None:
         exp = SsmExpansion(model, master)
     else:
@@ -611,8 +612,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     """
     check_argument("rho", rho, positive=True)
     exp.check_model(model)
-    n = model.n
-    omega = exp.master.omega
+    n, omega = model.n, exp.master.omega
     omegas, modes = model.modes
     reg = (omegas**2 + 1e-14 * np.linalg.norm(model.K, 1))[:, None]
 
@@ -666,7 +666,7 @@ def adapt_order(
     check_argument("tolerance", tol, positive=True)
     lo, hi = order_range
     if lo % 2 != 1 or hi % 2 != 1 or lo < 3 or hi < lo:
-        raise ValueError(f"order range must be odd bounds with 3 <= lo <= hi, got {order_range}")
+        raise ArgumentError(f"order range must be odd bounds with 3 <= lo <= hi, got {order_range}")
     exp = None
     for O in range(lo, hi + 1, 2):
         exp = compute_ssm(model, master, O, from_expansion=exp)

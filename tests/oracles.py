@@ -37,10 +37,18 @@
   linearization with `reference_forward`, which gathers the vectors of the
   rows one by one; the walk gathers them from its record's table.
 * `pulled`: `PairSums.pullback`'s rows read back as indices, {u: r_u}.
+* `formed_operator`: the pencil's operator K + s C + s^2 M, formed. The
+  library forms none; tests that need L_m = K + Lam_m C + Lam_m^2 M as a
+  matrix build it here.
 * `formed_solve`: a dense solve of an index's formed operator L_m, bordered
   by M phi at a resonant index. `modal_solve` divides by the operator's
   diagonal in the model's modes, the column of it that the order's plan
   keeps, instead; the two agree to the operator's conditioning.
+* `reference_check_solve`: the backward-error check of one index's
+  cohomological solve against its formed L_m. `ssm._check_solve` checks an
+  order's indices at once, applying K and M to the block and summing
+  ||L_m||_1 over their nonzeros; the two pass and fail together, with the
+  same message.
 * `IndexCoeffs`, `index_record`, `conjugate_record` and `write_record`:
   one index's coefficients as one record. The expansion keeps them in
   tables of every index and in per-order plans of the canonical ones;
@@ -119,7 +127,7 @@ from ssmopt.backbone import (
     rho_of_x,
     x_rms,
 )
-from ssmopt.errors import ConfigError, ModelError, assert_real_each
+from ssmopt.errors import ConfigError, ModelError, SsmError, assert_real_each
 from ssmopt.fdcheck import fd_gradient
 from ssmopt.mechmodel import (
     Linearization,
@@ -535,18 +543,51 @@ def write_record(exp: SsmExpansion, rec: IndexCoeffs):
     exp.W[row], exp.Wdot[row], exp.Rpairs[row] = rec.w, rec.wdot, rec.R
 
 
+def formed_operator(model: MechModel, s) -> np.ndarray:
+    """K + s C + s^2 M, formed."""
+    return model.K + s * model.C + s**2 * model.M
+
+
 def formed_solve(model: MechModel, exp, rec, rhs: np.ndarray, border=0.0):
     """(x, s) from `np.linalg.solve` with the formed operator L_m =
-    model.at(rec.Lam) of any index's record, bordered at a resonant index:
-    [[L_m, M phi], [(M phi)^T, 0]] [x; s] = [rhs; border]. s is 0.0 at a
-    plain index."""
-    A = model.at(rec.Lam)
+    `formed_operator(model, rec.Lam)` of any index's record, bordered at a
+    resonant index: [[L_m, M phi], [(M phi)^T, 0]] [x; s] = [rhs; border].
+    s is 0.0 at a plain index."""
+    A = formed_operator(model, rec.Lam)
     if rec.slot is None:
         return np.linalg.solve(A, rhs), 0.0
     Mphi = exp.Mphi[:, None]
     A = np.block([[A, Mphi], [Mphi.T, np.zeros((1, 1))]])
     x = np.linalg.solve(A, np.append(rhs, border))
     return x[:-1], x[-1]
+
+
+def reference_check_solve(model: MechModel, m, Lam, w, h, C_m, R, D):
+    """SsmError unless w solves a system near L_m w = h at m, L_m =
+    `formed_operator(model, Lam)` and h = C_m (+ D R_m[slot] at a resonant
+    index, where D is not None and R is the pair R_m): its normwise backward
+    error ||L w - h|| / (||L|| ||w|| + ||h||) is bounded. h can also be a
+    round-off-level difference of large terms (e.g. a 1-DOF resonant
+    index); residuals on that cancellation floor pass too. The test is
+    scale-free, so it is taken on w, h, C_m and R divided by a power of two
+    at their largest magnitude: exact, and no norm overflows while the
+    entries are finite. A non-finite bound (an overflowed w) and NaN fail
+    the test."""
+    eps = np.finfo(float).eps
+    big = max(np.abs(w).max(), np.abs(h).max(), np.abs(C_m).max(), np.abs(R).max())
+    sc = np.ldexp(1.0, -max(int(np.frexp(big)[1]), 0))
+    cancel_scale = np.linalg.norm(sc * C_m)
+    if D is not None:
+        cancel_scale += np.abs(sc * R).max() * np.linalg.norm(D)
+    L = formed_operator(model, Lam)
+    resid = np.linalg.norm(L @ (sc * w) - sc * h)
+    scale = np.linalg.norm(L, 1) * np.linalg.norm(sc * w) + np.linalg.norm(sc * h)
+    tol = eps * (ssm.SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
+    if not (np.isfinite(tol) and resid <= tol):
+        raise SsmError(
+            f"cohomological solve at index {m} failed: "
+            f"scaled residual {resid:.2e} above {tol:.2e}"
+        )
 
 
 def plan_column(exp: SsmExpansion, m):
