@@ -617,10 +617,13 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     reg = (omegas**2 + 1e-14 * np.linalg.norm(model.K, 1))[:, None]
 
     def state_norms(force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-        """Weighted norm at each grid point of the (theta x n) blocks."""
-        s1 = real_times(modes, real_times(modes.T, force.T) / reg)
-        s2 = velocity / omega
-        return np.sqrt(np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(s2) ** 2, axis=1))
+        """Weighted norm at each grid point of the (theta x n) blocks, taken on
+        both divided by one power of two at their largest magnitude (exact)."""
+        e = np.frexp(max(np.abs(force).max(), np.abs(velocity).max()))[1]
+        f, v = (np.ldexp(X.view(float), -e).view(complex) for X in (force, velocity))
+        s1 = real_times(modes, real_times(modes.T, f.T) / reg)
+        sq = np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(v / omega) ** 2, axis=1)
+        return np.ldexp(np.sqrt(sq), e)
 
     n_grid = RESIDUAL_THETA_SAMPLES
     thetas = 2.0 * np.pi * np.arange(1, n_grid + 1) / n_grid
@@ -644,7 +647,7 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     ref = real_times(model.K, x.T).T + np.array([model.nonlinear_force(xk) for xk in x])
     defect = real_times(model.C, dx.T).T + real_times(model.M, dv.T).T + ref
     den = state_norms(ref, v)
-    if np.any(den == 0.0):
+    if np.abs(x).max() < np.finfo(float).tiny or np.any(den == 0.0):
         raise SsmError("degenerate evaluation point: zero invariance denominator")
     eps = float(np.max(state_norms(defect, dx - v) / den))
     return ErrorMeasure(eps, rho)

@@ -541,6 +541,14 @@ class TestInvarianceResidual:
         with pytest.raises(SsmError, match="^degenerate evaluation point: zero invariance"):
             invariance_residual(model, chain2_exp5, 1e-320)
 
+    @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
+    def test_tiny_amplitude_keeps_the_norms(self, chain2, chain2_exp5, rho):
+        # the state norms are taken on blocks divided by a power of two: the
+        # squares of the blocks themselves underflow here, the defect's to a
+        # residual of 0.0 at 1e-160 and the denominator's to an error below
+        eps = invariance_residual(chain2[0], chain2_exp5, rho).epsilon
+        assert 0.0 < eps <= 1e-15, rho
+
     def test_unnormalized_defect_slope(self, chain2, chain2_master):
         # independent residual evaluation: with a nonzero quadratic
         # nonlinearity the absolute defect of the invariance equation scales
