@@ -40,15 +40,15 @@ per column and the resonant column bordered (`SsmExpansion.solve_order`)
 solves the order. Each step writes its order's rows and their conjugate
 mirrors into the tables (`write_order`) and leaves its order's `OrderPlan`,
 what the later passes read of its canonical indices, in
-`SsmExpansion.plans`. The sensitivity passes (direct, adjoint sweep, contraction) read the canonical
-indices too and mirror the swapped ones by conjugation; the direct walk and
-the adjoint sweep step through the same plans. The direct walk and the
-contraction read one record per `ParamDerivatives` of the residuals'
-explicit partial derivatives in the design variables (`Partials`, kept by
-`SsmExpansion.partials`), one block per plan, the matrix parameters' terms
-stacked as their dM and dK are, one row each. The expansion keeps M phi, and
-its mode-shape solve serves both the adjoint's mode-shape system and the
-direct eigenpair derivatives.
+`SsmExpansion.plans`. The sensitivity passes (direct, adjoint sweep,
+contraction) read the canonical indices too and mirror the swapped ones by
+conjugation; the direct walk and the adjoint sweep step through the same
+plans. The direct walk and the contraction read one record per
+`ParamDerivatives` of the residuals' explicit partial derivatives in the
+design variables (`Partials`, kept by `SsmExpansion.partials`), one block
+per plan, the matrix parameters' terms stacked as their dM and dK are, one
+row each. The expansion keeps M phi, and its mode-shape solve serves both
+the adjoint's mode-shape system and the direct eigenpair derivatives.
 """
 
 from __future__ import annotations
