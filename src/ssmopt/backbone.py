@@ -299,13 +299,11 @@ class PointWeights:
     indices: tuple[MultiIndex, ...]
     c: np.ndarray  # x_harmonics at rho
 
-    def amplitude(self, scale: float) -> dict:
-        """{m: scale * dx/dw_m[dof]} over every index of the expansion."""
-        O = (len(self.c) - 1) // 2
-        return {
-            m: ((scale / self.x) * self.rho ** order(m)) * self.c[O + m[1] - m[0]]
-            for m in self.indices
-        }
+    def amplitude(self, scale: float) -> np.ndarray:
+        """scale * dx/dw_m[dof] of every index m of the expansion, one entry
+        per row of its tables (`SsmExpansion.indices`)."""
+        O, s, rho = (len(self.c) - 1) // 2, scale / self.x, self.rho
+        return np.array([(s * rho ** order(m)) * self.c[O + m[1] - m[0]] for m in self.indices])
 
 
 def point_weights(exp: SsmExpansion, dof_index: int, rho: float) -> PointWeights:

@@ -37,14 +37,6 @@ def canonical_indices(order_: int) -> list[MultiIndex]:
     return [m for m in all_indices(order_) if m[0] >= m[1]]
 
 
-@lru_cache(maxsize=None)
-def paired_indices(order_: int) -> tuple[MultiIndex, ...]:
-    """The indices of orders 1 .. order_, ascending, each canonical one
-    followed by its swapped partner (a self-symmetric one once)."""
-    canon = (m for q in range(1, order_ + 1) for m in canonical_indices(q))
-    return tuple(s for m in canon for s in dict.fromkeys((m, symmetric(m))))
-
-
 def resonant_slot(m: MultiIndex) -> int | None:
     """Near-resonance classification for order >= 2.
 

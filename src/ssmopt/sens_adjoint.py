@@ -129,8 +129,7 @@ def _seed_bars(bars: _Bars, pw: PointWeights, dof_index: int):
     bars.lam[1] += 0.5 * pw.lam[1]
     for (a, slot), wt in pw.R:
         bars.R[table_row(a, 1), slot] += 0.5 * wt
-    amp = pw.amplitude(0.5 * solve_adjoint_rho(pw))
-    bars.w[[table_row(m, 1) for m in amp], dof_index] += list(amp.values())
+    bars.w[:, dof_index] += pw.amplitude(0.5 * solve_adjoint_rho(pw))
 
 
 def _backprop_order(model: MechModel, exp, bars: _Bars, plan: OrderPlan, lam, nu, vbar):

@@ -241,10 +241,6 @@ class _Record:
             np.zeros((count, 2), complex),
         )
 
-    def dw_at(self, indices, dof_index: int) -> np.ndarray:
-        """(indices, P): dw_m[dof_index] of every parameter, per index."""
-        return self.dw[:, [table_row(m, 1) for m in indices], dof_index].T
-
     def dR_at(self, pairs) -> np.ndarray:
         """(pairs, P): dR_m[slot] of every parameter, per (m, slot) pair."""
         rows = [table_row(m, 1) for m, _ in pairs]
@@ -336,8 +332,7 @@ def chain_derivatives(
     walk = exp.memo("direct walk", lambda: _walk(model, exp, params), owner=params)
 
     # every parameter at once, each sum over the weights in their order
-    amp = pw.amplitude(-1.0 / pw.dx_drho)
-    terms = _times(np.array(list(amp.values())), walk.dw_at(list(amp), dof_index))
+    terms = _times(pw.amplitude(-1.0 / pw.dx_drho), walk.dw[:, :, dof_index].T)
     drho = np.add.accumulate(np.vstack([np.zeros(params.count), terms]))[-1]
     weights = np.array([*pw.lam, *(wt for _, wt in pw.R)])
     values = np.vstack([walk.dlam.T, walk.dR_at([at for at, _ in pw.R])])

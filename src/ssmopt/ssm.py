@@ -71,9 +71,9 @@ from .multiindex import (
     E1,
     E2,
     MultiIndex,
+    all_indices,
     canonical_indices,
     order,
-    paired_indices,
     r1_active_index,
     resonant_slot,
     symmetric,
@@ -182,8 +182,9 @@ class SsmExpansion:
 
     @property
     def indices(self) -> tuple[MultiIndex, ...]:
-        """Every index, in `multiindex.paired_indices` order."""
-        return paired_indices(self.order)
+        """Every index, in `table_row` order: index r is row r of W, Wdot
+        and Rpairs."""
+        return tuple(m for q in range(1, self.order + 1) for m in all_indices(q))
 
     def w(self, m: MultiIndex) -> np.ndarray:
         return self.W[table_row(m, 1)]
@@ -635,12 +636,10 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
     Phi = np.exp(1j * np.outer(thetas, d)) * rho**q
     Phi1 = np.exp(1j * np.outer(thetas, d - 1)) * (ms[:, 0] * rho_q1)
     Phi2 = np.exp(1j * np.outer(thetas, d + 1)) * (ms[:, 1] * rho_q1)
-    rows = [table_row(m, 1) for m in exp.indices]
-    Wm = np.hstack([exp.W[rows], exp.Wdot[rows]])
-    Rm = exp.Rpairs[rows]
+    Wm = np.hstack([exp.W, exp.Wdot])
 
     W = Phi @ Wm
-    Rp = Phi @ Rm
+    Rp = Phi @ exp.Rpairs
     dW = (Phi1 @ Wm) * Rp[:, :1] + (Phi2 @ Wm) * Rp[:, 1:]
     x, v = W[:, :n], W[:, n:]
     dx, dv = dW[:, :n], dW[:, n:]
@@ -687,7 +686,7 @@ def adapt_order(
 def dump_expansion(exp: SsmExpansion) -> dict:
     """JSON-ready dump of all coefficients (golden-file regression format)."""
     entries = []
-    for m in sorted(exp.indices, key=lambda t: (order(t), -t[0])):
+    for m in exp.indices:
         w, wdot, R = exp.w(m), exp.wdot(m), exp.R(m)
         entries.append(
             {

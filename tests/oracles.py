@@ -744,7 +744,7 @@ def reference_adjoint(
     bars.lam += pw.lam
     for (a, slot), wt in pw.R:
         bars.R[a][slot] += wt
-    for m, coef in pw.amplitude(solve_adjoint_rho(pw)).items():
+    for m, coef in zip(pw.indices, pw.amplitude(solve_adjoint_rho(pw))):
         if order(m) == 1:
             bars.phi[dof_index] += coef
         else:
@@ -936,7 +936,7 @@ def reference_projection(record, pw, dof_index: int) -> tuple[np.ndarray, np.nda
     def dR_at(p, m, slot):
         return record.dR[p, table_row(m, 1), slot]
 
-    amp = list(pw.amplitude(-1.0 / pw.dx_drho).items())
+    amp = list(zip(pw.indices, pw.amplitude(-1.0 / pw.dx_drho)))
     P = len(record.dlam)
     drho = np.empty(P, dtype=complex)
     dOm = np.empty(P, dtype=complex)

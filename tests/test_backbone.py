@@ -393,8 +393,8 @@ class TestPointWeights:
         exp, dof = point
         for rho in _validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
             amp = point_weights(exp, dof, rho).amplitude(1.0)
-            assert set(amp) == set(exp.indices)
-            x = sum(a * exp.w(m)[dof] for m, a in amp.items())
+            assert amp.shape == (len(exp.indices),)
+            x = sum(a * exp.w(m)[dof] for m, a in zip(exp.indices, amp))
             self.close(assert_real(x, "x"), x_rms(exp, dof, rho))
-            slope = sum(a * order(m) * exp.w(m)[dof] for m, a in amp.items())
+            slope = sum(a * order(m) * exp.w(m)[dof] for m, a in zip(exp.indices, amp))
             self.close(assert_real(slope, "rho dx/drho"), rho * dx_drho(exp, dof, rho))
