@@ -34,7 +34,6 @@ from .multiindex import MultiIndex, order, symmetric
 from .ssm import SsmExpansion
 
 VALIDITY_DIVERGENCE = 0.10  # order-O vs order-(O-2) truncation disagreement cap
-RHO_X_RTOL = 1e-10
 # a DOF is a node of the master mode when its entry, which roundoff may leave
 # nonzero, is at most this many epsilons of the mode's largest entry
 NODE_RATIO = 1e3
@@ -238,7 +237,10 @@ def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
 
 
 def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
-    """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded Newton."""
+    """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded
+    Newton, converged to roundoff: it stops where x_rms(rho) is x0, where
+    the Newton step no longer moves rho, or where the bracket has no float
+    left inside it for the bisection fallback."""
     check_argument("dof_index", dof_index, count=exp.model.n)
     check_argument("target amplitude", x0, positive=True)
     cap = _validity_cap(exp, dof_index)
@@ -260,16 +262,20 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
     rho = rho_hi * min(1.0, x0 / x_hi)
     for _ in range(200):
         x = x_rms(exp, dof_index, rho)
-        if abs(x - x0) <= RHO_X_RTOL * x0:
+        if x == x0:
             return rho
         if x < x0:
             rho_lo = rho
         else:
-            rho_hi, x_hi = rho, x
+            rho_hi = rho
         slope = dx_drho(exp, dof_index, rho)
         cand = rho - (x - x0) / slope if slope > 0 else None
+        if cand == rho:  # the Newton step is below rho's last bit
+            return rho
         if cand is None or not rho_lo < cand < rho_hi:
             cand = 0.5 * (rho_lo + rho_hi)
+            if not rho_lo < cand < rho_hi:  # the bracket holds no float inside
+                return rho
         rho = cand
     raise TurningPointError(
         f"amplitude inversion failed to converge for x0={x0:.6g} "

@@ -36,6 +36,7 @@ from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import order
 
 from oracles import reference_validity_cap
+from test_properties import N_MODELS, random_case
 
 
 @pytest.mark.parametrize("amplitude", [omega_of_rho, lambda exp, rho: x_rms(exp, 1, rho)])
@@ -145,8 +146,8 @@ class TestRhoOfX:
                     lo = mid
                 else:
                     hi = mid
-            # the inversion contract is |x(rho) - x0| <= 1e-10 x0, which maps
-            # to a rho window of about 1e-10 * x0 / (dx/drho)
+            # |x(rho) - x0| <= 1e-10 x0, far above the inversion's roundoff,
+            # maps to a rho window of about 1e-10 * x0 / (dx/drho)
             window = 1e-10 * x0 / dx_drho(chain2_exp5, 1, rho)
             assert rho == pytest.approx(0.5 * (lo + hi), abs=2 * window + 1e-13)
             assert x_rms(chain2_exp5, 1, rho) == pytest.approx(x0, rel=1e-10)
@@ -272,6 +273,31 @@ def curved_beam_model():
 def o9_expansions(chain2, duffing, curved_beam_model):
     models = {"chain2": chain2[0], "duffing": duffing[0], "vk_beam10": curved_beam_model}
     return {k: compute_ssm(m, solve_master(m, 0), 9) for k, m in models.items()}
+
+
+def test_inversion_reaches_roundoff(o9_expansions):
+    # from 1 % to 99 % of the amplitude at the validity cap, on chain2 and the
+    # curved beam at O9 and at every DOF of the random property models
+    beam_dof = vk_center_dof(CURVED_BEAM)
+    points = [(o9_expansions["chain2"], 1), (o9_expansions["vk_beam10"], beam_dof)]
+    for seed in range(N_MODELS):
+        model, _, order_ = random_case(seed)
+        exp = compute_ssm(model, solve_master(model, 0), order_)
+        points += [(exp, dof) for dof in range(model.n)]
+    eps = np.finfo(float).eps
+    for exp, dof in points:
+        for x0 in x_rms(exp, dof, _validity_cap(exp, dof)) * np.linspace(0.01, 0.99, 32):
+            x = x_rms(exp, dof, rho_of_x(exp, dof, x0))
+            assert abs(x - x0) <= 4 * eps * x0, (exp.model.n, dof, x0)
+
+
+@pytest.mark.parametrize("O", [3, 5, 7])
+def test_inversion_at_criterion_2s_chain_point(chain2, chain2_master, O):
+    # the point of criterion 2's chain: the iteration returns (no
+    # TurningPointError after 200 iterations) with x at roundoff of x0
+    exp = compute_ssm(chain2[0], chain2_master, O)
+    x = x_rms(exp, 1, rho_of_x(exp, 1, 0.1))
+    assert abs(x - 0.1) <= 4 * np.finfo(float).eps * 0.1
 
 
 class TestClosedFormAmplitude:

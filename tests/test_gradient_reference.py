@@ -1,7 +1,7 @@
 """Both gradient methods against an independent reference: Ridders'
 extrapolated central differences of the backbone response
-(`oracles.ridders_gradient` through `oracles.reference_response`, which
-inverts the amplitude to roundoff).
+(`oracles.ridders_gradient` through `fdcheck.backbone_response`, whose
+amplitude inversion is converged to roundoff).
 
 The adjoint and the direct method read one record of explicit parameter
 partials (`SsmExpansion.partials`), the expansion's records and its tables,
@@ -31,12 +31,13 @@ import pytest
 
 from ssmopt import MechModel, SymTensor
 from ssmopt.backbone import _validity_cap, rho_of_x, x_rms
+from ssmopt.fdcheck import backbone_response
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.optimizer import GRADIENTS
 from ssmopt.spectral import solve_master
 from ssmopt.ssm import compute_ssm
 
-from oracles import param_matrices, param_tensors, reference_response, ridders_gradient
+from oracles import param_matrices, param_tensors, ridders_gradient
 from test_properties import N_MODELS, random_case
 
 BOUND = 1e-11
@@ -54,7 +55,7 @@ CASES = {
 def reference(build, mu0, master, order, dof, x):
     """(Ridders' gradient of Omega at x, its largest error estimate)."""
     ref, est = ridders_gradient(
-        lambda mu: reference_response(
+        lambda mu: backbone_response(
             build, mu, x0=x, dof_index=dof, order=order, reference=master.phi
         ),
         mu0,
