@@ -354,30 +354,30 @@ class TestSolve:
         0.97: (
             "first-order optimality at a feasible point",
             [
-                (5, -0.30000000000000004, 0.00867323255218988, 0.0033367196017119356),
-                (5, -0.7364286610673437, 0.00013870893048839594, 0.01183688646394982),
-                (7, -0.7028350374939096, 1.6674651036607813e-06, 0.002855266403498006),
-                (7, -0.7027582172418689, 8.68394245401305e-12, 0.0028545358598917134),
+                (5, -0.30000000000000004, 0.008673232553943588, 0.003336719600533317),
+                (5, -0.736428661216086, 0.00013870893319056776, 0.011836886467306032),
+                (7, -0.7028350375230128, 1.6674650065162666e-06, 0.0028552664034390295),
+                (7, -0.702758217275445, 8.683831431710587e-12, 0.002854535859874915),
             ],
-            -0.7027582172418689,
+            -0.702758217275445,
         ),
         0.98: (
             "first-order optimality at a feasible point",
             [
-                (5, -0.30000000000000004, 0.0025286965962324492, 0.0033367196017119356),
-                (5, -0.42724156340770936, 1.1662385369426431e-05, 0.005261872872808409),
-                (5, -0.4266600988915259, 2.4572466283956373e-10, 0.005252105864219955),
+                (5, -0.30000000000000004, 0.002528696597986158, 0.003336719600533317),
+                (5, -0.42724156351359244, 1.1662386241062528e-05, 0.005261872873465064),
+                (5, -0.4266600989539071, 2.457215542150948e-10, 0.005252105864144773),
             ],
-            -0.4266600988915259,
+            -0.4266600989539071,
         ),
         0.99: (
             "first-order optimality at a feasible point",
             [
-                (5, -0.12045698538804595, 7.071927303881065e-05, 0.001302111519552543),
-                (5, -0.11685218427431643, 9.145349810779635e-09, 0.001268936807214697),
-                (5, -0.11685171798423744, 2.220446049250313e-16, 0.0012689325348161067),
+                (5, -0.12045698538804572, 7.071927303881065e-05, 0.0013021115195522538),
+                (5, -0.1168521842743162, 9.145349810779635e-09, 0.0012689368072147772),
+                (5, -0.11685171798423721, 2.220446049250313e-16, 0.0012689325348160371),
             ],
-            -0.11685171798423744,
+            -0.11685171798423721,
         ),
     }
 
