@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ArgumentError, ModelError
 from .multiindex import all_indices, decomps, table_row
 
 
@@ -700,7 +700,7 @@ def check_light_damping(alpha_r: float, beta_r: float, omega: float) -> LightDam
     frequency.
     """
     if not omega > 0:
-        raise ValueError("omega must be positive")
+        raise ArgumentError("omega must be positive")
     if beta_r == 0.0 and alpha_r == 0.0:
         interval, never = (0.0, np.inf), False
     elif beta_r == 0.0:

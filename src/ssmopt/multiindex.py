@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import ArgumentError
+
 MultiIndex = tuple[int, int]
 
 E1: MultiIndex = (1, 0)
@@ -28,7 +30,7 @@ def symmetric(m: MultiIndex) -> MultiIndex:
 def all_indices(order_: int) -> list[MultiIndex]:
     """All order_+1 multi-indices at the given order, m1 descending."""
     if order_ < 1:
-        raise ValueError(f"order must be >= 1, got {order_}")
+        raise ArgumentError(f"order must be >= 1, got {order_}")
     return [(order_ - i, i) for i in range(order_ + 1)]
 
 
@@ -45,7 +47,7 @@ def resonant_slot(m: MultiIndex) -> int | None:
     Even orders are never resonant.
     """
     if order(m) < 2:
-        raise ValueError("leading-order indices are classified separately")
+        raise ArgumentError("leading-order indices are classified separately")
     d = m[0] - m[1]
     if d == 1:
         return 0
@@ -64,7 +66,7 @@ def table_row(s: MultiIndex, lo: int) -> int:
 def r1_active_index(order_: int) -> MultiIndex:
     """The unique canonical index with an active first reduced coefficient."""
     if order_ < 3 or order_ % 2 == 0:
-        raise ValueError(f"no active reduced coefficient at order {order_}")
+        raise ArgumentError(f"no active reduced coefficient at order {order_}")
     return ((order_ + 1) // 2, (order_ - 1) // 2)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModeError, LightDampingError, TrackingLostError
+from .errors import ArgumentError, DegenerateModeError, LightDampingError, TrackingLostError
 from .mechmodel import MechModel, check_light_damping
 
 MAC_TRACKING_THRESHOLD = 0.6
@@ -57,7 +57,7 @@ def mac(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
     na = float(phi_a @ phi_a)
     nb = float(phi_b @ phi_b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("MAC is undefined for a zero vector")
+        raise ArgumentError("MAC is undefined for a zero vector")
     return float(phi_a @ phi_b) ** 2 / (na * nb)
 
 
@@ -97,7 +97,7 @@ def solve_master(model: MechModel, mode_index: int | None = None) -> MasterPair:
     omegas, Phi = model.modes
     i = 0 if mode_index is None else int(mode_index)
     if not 0 <= i < len(omegas):
-        raise ValueError(f"mode index {i} out of range for {len(omegas)} modes")
+        raise ArgumentError(f"mode index {i} out of range for {len(omegas)} modes")
     return _master_from_mode(model, omegas, Phi, i, None)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssmopt import MechModel, SymTensor, check_light_damping, compute_ssm, solve_master
-from ssmopt.errors import ModelError
+from ssmopt.errors import ArgumentError, ModelError
 from ssmopt.mechmodel import PairSums, _accum, model_from_json, real_times
 from ssmopt import models
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam, chain_per_spring_k3
@@ -525,7 +525,7 @@ class TestLightDamping:
     def test_nonpositive_frequency_raises(self, omega):
         with pytest.raises(ValueError) as err:
             check_light_damping(0.0, 0.1, omega)
-        assert type(err.value) is ValueError and str(err.value) == "omega must be positive"
+        assert type(err.value) is ArgumentError and str(err.value) == "omega must be positive"
 
     def test_stiffness_proportional_interval(self):
         v = check_light_damping(0.0, 0.1, 0.618)

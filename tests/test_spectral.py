@@ -3,7 +3,12 @@ import pytest
 import scipy.linalg
 
 from ssmopt import MechModel, SymTensor, mac, solve_master, track_mode
-from ssmopt.errors import DegenerateModeError, LightDampingError, TrackingLostError
+from ssmopt.errors import (
+    ArgumentError,
+    DegenerateModeError,
+    LightDampingError,
+    TrackingLostError,
+)
 from ssmopt.models import ChainSpec, VkBeamSpec, build_chain, build_vk_beam
 from ssmopt.spectral import solve_modes
 
@@ -132,7 +137,7 @@ class TestSolveMaster:
     def test_mode_index_out_of_range_raises(self, chain2, index):
         with pytest.raises(ValueError) as err:
             solve_master(chain2[0], index)
-        assert type(err.value) is ValueError
+        assert type(err.value) is ArgumentError
         assert str(err.value) == f"mode index {index} out of range for 2 modes"
 
     def test_overdamped_raises(self):
