@@ -597,6 +597,15 @@ class MechModel:
     def n(self) -> int:
         return self.M.shape[0]
 
+    @cached_property
+    def column_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Kc, Mc, starts): K's and M's entries at the union of their
+        nonzeros, column by column, column j's from starts[j] on (M's
+        diagonal gives every column one). Built on first use; every order's
+        solve check (`ssm._check_solve`) sums ||L_m||_1 over them."""
+        col, row = np.nonzero((self.K != 0).T | (self.M != 0).T)
+        return self.K[row, col], self.M[row, col], np.flatnonzero(np.diff(col, prepend=-1))
+
     def nonlinear_force(self, x: np.ndarray) -> np.ndarray:
         """Quadratic plus cubic internal force at displacement x."""
         return self.T2.force(x) + self.T3.force(x)

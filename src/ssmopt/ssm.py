@@ -407,10 +407,9 @@ def _check_solve(model: MechModel, indices, Lam, w, h, C_m, R, res, D):
         cancel_scale[res] += np.abs(sc[res] * R[res]).max() * np.linalg.norm(D)
     a, b = 1.0 + model.beta_r * Lam, Lam * (Lam + model.alpha_r)
     resid = np.linalg.norm(a * real_times(model.K, w) + b * real_times(model.M, w) - h, axis=0)
-    # each column of |L_m| summed; M's diagonal gives every column a nonzero
-    col, row = np.nonzero((model.K != 0).T | (model.M != 0).T)
-    terms = np.abs(np.outer(a, model.K[row, col]) + np.outer(b, model.M[row, col]))
-    L_norm = np.add.reduceat(terms, np.flatnonzero(np.diff(col, prepend=-1)), axis=1).max(1)
+    # each column of |L_m| summed over the model's nonzeros
+    Kc, Mc, starts = model.column_nonzeros
+    L_norm = np.add.reduceat(np.abs(np.outer(a, Kc) + np.outer(b, Mc)), starts, axis=1).max(1)
     scale = L_norm * np.linalg.norm(w, axis=0) + np.linalg.norm(h, axis=0)
     tol = np.finfo(float).eps * (SOLVE_BACKWARD_ERROR * scale + 100 * cancel_scale)
     ok = np.isfinite(tol) & (resid <= tol)
