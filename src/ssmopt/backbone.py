@@ -270,11 +270,11 @@ def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
             rho_hi = rho
         slope = dx_drho(exp, dof_index, rho)
         cand = rho - (x - x0) / slope if slope > 0 else None
-        if cand == rho:  # the Newton step is below rho's last bit
+        if cand == rho:
             return rho
         if cand is None or not rho_lo < cand < rho_hi:
             cand = 0.5 * (rho_lo + rho_hi)
-            if not rho_lo < cand < rho_hi:  # the bracket holds no float inside
+            if not rho_lo < cand < rho_hi:
                 return rho
         rho = cand
     raise TurningPointError(

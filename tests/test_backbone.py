@@ -275,29 +275,25 @@ def o9_expansions(chain2, duffing, curved_beam_model):
     return {k: compute_ssm(m, solve_master(m, 0), 9) for k, m in models.items()}
 
 
-def test_inversion_reaches_roundoff(o9_expansions):
+def test_inversion_reaches_roundoff(chain2, chain2_master, o9_expansions):
     # from 1 % to 99 % of the amplitude at the validity cap, on chain2 and the
-    # curved beam at O9 and at every DOF of the random property models
+    # curved beam at O9 and at every DOF of the random property models; and
+    # at criterion 2's chain point, where the iteration must return, not run
+    # out of iterations (TurningPointError)
     beam_dof = vk_center_dof(CURVED_BEAM)
-    points = [(o9_expansions["chain2"], 1), (o9_expansions["vk_beam10"], beam_dof)]
+    cases = [(o9_expansions["chain2"], 1), (o9_expansions["vk_beam10"], beam_dof)]
     for seed in range(N_MODELS):
         model, _, order_ = random_case(seed)
         exp = compute_ssm(model, solve_master(model, 0), order_)
-        points += [(exp, dof) for dof in range(model.n)]
+        cases += [(exp, dof) for dof in range(model.n)]
+    fractions = np.linspace(0.01, 0.99, 32)
+    targets = [(e, dof, x_rms(e, dof, _validity_cap(e, dof)) * fractions) for e, dof in cases]
+    targets += [(compute_ssm(chain2[0], chain2_master, O), 1, [0.1]) for O in (3, 5, 7)]
     eps = np.finfo(float).eps
-    for exp, dof in points:
-        for x0 in x_rms(exp, dof, _validity_cap(exp, dof)) * np.linspace(0.01, 0.99, 32):
+    for exp, dof, xs in targets:
+        for x0 in xs:
             x = x_rms(exp, dof, rho_of_x(exp, dof, x0))
-            assert abs(x - x0) <= 4 * eps * x0, (exp.model.n, dof, x0)
-
-
-@pytest.mark.parametrize("O", [3, 5, 7])
-def test_inversion_at_criterion_2s_chain_point(chain2, chain2_master, O):
-    # the point of criterion 2's chain: the iteration returns (no
-    # TurningPointError after 200 iterations) with x at roundoff of x0
-    exp = compute_ssm(chain2[0], chain2_master, O)
-    x = x_rms(exp, 1, rho_of_x(exp, 1, 0.1))
-    assert abs(x - 0.1) <= 4 * np.finfo(float).eps * 0.1
+            assert abs(x - x0) <= 4 * eps * x0, (exp.model.n, exp.order, dof, x0)
 
 
 class TestClosedFormAmplitude:

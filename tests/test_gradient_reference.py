@@ -10,16 +10,16 @@ they share. The reference differentiates the primal alone. The bound is
 1e-11 normwise wherever the reference's own error estimate is at most a
 tenth of it.
 
-* Chains and the undamped Duffing oscillator: both methods read 1.2e-13 to
-  2.9e-13. Scaling every pC of the partials record by 1 + 1e-4 reads 5.9e-10
+* Chains and the undamped Duffing oscillator: both methods read 1.1e-13 to
+  3.8e-13. Scaling every pC of the partials record by 1 + 1e-4 reads 5.9e-10
   to 8.5e-10 on the chains, while adjoint against direct stays below 1e-15
   (the undamped Duffing oscillator's pC vanish).
 * The 16 random models of `test_properties`, at its point (the last DOF, at
   half the validity cap's amplitude), as affine functions of the design:
   M + sum mu_p dM_p, likewise K, T2 and T3, so that the random
   `ParamDerivatives` are the exact derivatives at mu = 0. Both methods read
-  3.9e-13 to 1.0e-11. On seeds 1, 3, 4, 5, 7 and 8 the estimate is 1.6e-12
-  to 8.8e-12 of the gradient's scale, and those seeds are held to ten times
+  2.5e-13 to 3.5e-11. On seeds 2, 4, 5, 8 and 9 the estimate is 1.4e-12 to
+  9.4e-12 of the gradient's scale, and those seeds are held to ten times
   their estimate instead. The pC scaling reads 2.9e-9 to 3.1e-6 on the 12
   seeds above order 3 (at order 3 no pC enters).
 """
