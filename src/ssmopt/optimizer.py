@@ -619,7 +619,8 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             trust = max(trust * 0.5, 1e-2)
 
         z = z_new
-        f, g, c, J = localize(ses.accept(unscale(z), res))
+        res = ses.accept(unscale(z), res)
+        f, g, c, J = localize(res)
         if _violation(c) <= tol.constraint_tol:
             if step <= 1e-9:
                 converged, message = True, "constraints and step within tolerance"

@@ -347,6 +347,45 @@ class TestSolve:
         assert res.converged
         assert {r.order for r in res.trace} == {5}
 
+    def test_convergence_test_reads_the_accepted_evaluation(self, monkeypatch):
+        # every accepted iterate of a linear chain raises the order by two:
+        # feasibility and stationarity are both read from the evaluation
+        # that `accept` returns at the raised order, not from the trial
+        # evaluated at the order before
+        def builder(mu):
+            return build_chain(ChainSpec(k=float(mu[0]), k2=0.0, k3=0.0), params=("k",))
+
+        target = solve_master(builder([1.2])[0], 0).omega_d
+        prob = OptProblem(
+            builder=builder,
+            names=("k",),
+            mu0=np.array([1.0]),
+            lower=np.array([0.5]),
+            upper=np.array([2.0]),
+            objective={"type": "constant"},
+            backbone_targets=(BackboneTarget(1, 0.1, target),),
+            tolerances=OptTolerances(constraint_tol=1e-10),
+        )
+        accepted, read = [], []
+        accept, stationarity = optimizer._Session.accept, optimizer._stationarity_residual
+
+        def recorded_accept(ses, mu, res):
+            accepted.append(accept(ses, mu, res))
+            return accepted[-1]
+
+        def recorded_read(final, z):
+            read.append(final)
+            return stationarity(final, z)
+
+        monkeypatch.setattr(optimizer, "order_policy", lambda eps, tol, order, top: order + 2)
+        monkeypatch.setattr(optimizer._Session, "accept", recorded_accept)
+        monkeypatch.setattr(optimizer, "_stationarity_residual", recorded_read)
+        res = solve(prob)
+        assert res.converged and res.message == "first-order optimality at a feasible point"
+        assert [r.order for r in res.trace] == [3 + 2 * i for i in range(len(res.trace))]
+        assert len(read) == 2 and all(any(r is a for a in accepted) for r in read)
+        assert read[0].order == res.trace[-1].order + 2
+
     # (order, k3, max_violation, epsilon) per accepted iterate, and k3*, of
     # the chain solves at 0.97, 0.98 and 0.99 x nominal; a rewrite of the
     # optimizer must reproduce them, which same-process replay cannot show
