@@ -8,8 +8,9 @@ sum_d |c_d(rho)|**2, a real polynomial in rho of degree 2 order, and the
 amplitude is its square root. `x_rms`, `dx_drho` and `rho_of_x` evaluate
 that polynomial; its coefficients are built once per (DOF, truncation
 order, expansion order) and kept in the expansion's memo
-(`SsmExpansion.memo`), and so is the validity cap of each DOF. The
-theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
+(`SsmExpansion.memo`), and so is each DOF's validity scan: x_rms on a
+geometric grid of rho up to the validity cap, which brackets every
+inversion of that DOF. The theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
 form is checked against: on any grid of at least 2 order + 1 points the
 grid mean of x**2 equals the Parseval sum exactly.
 """
@@ -193,21 +194,17 @@ def dx_drho(exp: SsmExpansion, dof_index: int, rho: float) -> float:
     return rho * _horner(amp.dp, s) / (2.0 * x)
 
 
-def _validity_cap(exp: SsmExpansion, dof_index: int) -> float:
-    """Largest rho where the top two truncations still agree within 10%.
-
-    The expansion carries no a-priori radius of convergence; the practical
-    radius is taken where dropping the two highest orders moves the predicted
-    amplitude by more than VALIDITY_DIVERGENCE. The scan runs once per
-    (expansion, DOF); later calls read the memo.
-    """
-    return exp.memo(("cap", dof_index), lambda: _scan_validity_cap(exp, dof_index))
+def _amplitude_scan(exp: SsmExpansion, dof_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_scan_validity_cap`, kept in the memo once per (expansion, DOF)."""
+    return exp.memo(("scan", dof_index), lambda: _scan_validity_cap(exp, dof_index))
 
 
-def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
-    """The first rho of the grid rho_k = rho_0 1.25^k, k = 0 .. 200, at which
-    the full amplitude is zero or the truncation two orders lower misses it
-    by more than VALIDITY_DIVERGENCE; rho_200 if none.
+def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, x): the grid rho_k = rho_0 1.25^k up to the validity cap, and
+    x_rms at each of its points. The expansion carries no a-priori radius of
+    convergence; the cap is the first rho_k, k = 0 .. 200, at which the full
+    amplitude is zero or the truncation two orders lower misses it by more
+    than VALIDITY_DIVERGENCE (rho_200 if none).
 
     The whole grid is evaluated in one pass, bitwise as one `x_rms` call per
     point: the grid is the running product rho *= 1.25, and `np.polyval`
@@ -221,45 +218,39 @@ def _scan_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         xf, xl = (np.sqrt(np.maximum(np.polyval(m.p, rho * rho), 0.0)) for m in maps)
         hit = (xf == 0.0) | (np.abs(xf - xl) > VALIDITY_DIVERGENCE * xf)
-    return float(rho[np.argmax(hit)] if hit.any() else rho[-1])
-
-
-def _mode_entry(exp: SsmExpansion, dof_index: int) -> float:
-    """|phi[dof]| of the master mode, 0.0 at a node (NODE_RATIO)."""
-    phi = np.abs(exp.master.phi)
-    amp = float(phi[dof_index])
-    return amp if amp > NODE_RATIO * np.finfo(float).eps * phi.max() else 0.0
+    hit[-1] = True
+    end = int(np.argmax(hit)) + 1
+    return rho[:end], xf[:end]
 
 
 def _linear_rho_scale(exp: SsmExpansion, dof_index: int) -> float:
-    amp = _mode_entry(exp, dof_index) or float(np.abs(exp.master.phi).max())
+    """rho_0 of the validity scan: where the DOF's linear amplitude
+    sqrt(2) |phi[dof]| rho is 1e-6, the master mode's largest entry standing
+    in for phi[dof] at a node (NODE_RATIO)."""
+    phi = np.abs(exp.master.phi)
+    amp = float(phi[dof_index])
+    if amp <= NODE_RATIO * np.finfo(float).eps * phi.max():
+        amp = float(phi.max())
     return 1e-6 / (np.sqrt(2.0) * amp)
 
 
 def rho_of_x(exp: SsmExpansion, dof_index: int, x0: float) -> float:
-    """Reduced amplitude with x_rms(rho) = x0, by bracketing plus safeguarded
-    Newton, converged to roundoff: it stops where x_rms(rho) is x0, where
-    the Newton step no longer moves rho, or where the bracket has no float
-    left inside it for the bisection fallback."""
+    """Reduced amplitude with x_rms(rho) = x0, by safeguarded Newton in a
+    bracket read off the validity scan, converged to roundoff: it stops where
+    x_rms(rho) is x0, where the Newton step no longer moves rho, or where the
+    bracket has no float left inside it for the bisection fallback."""
     check_argument("dof_index", dof_index, count=exp.model.n)
     check_argument("target amplitude", x0, positive=True)
-    cap = _validity_cap(exp, dof_index)
-
-    phi_i = _mode_entry(exp, dof_index)
-    if phi_i > 0:
-        rho_hi = min(x0 / (np.sqrt(2.0) * phi_i), cap)
-    else:
-        rho_hi = cap * 1e-3
-    rho_hi = max(rho_hi, 1e-300)
-    x_hi = x_rms(exp, dof_index, rho_hi)
-    while x_hi < x0:
-        if rho_hi >= cap:
-            raise AmplitudeUnreachableError(x0, x_rms(exp, dof_index, cap), rho_cap=cap)
-        rho_hi = min(rho_hi * 1.5, cap)
-        x_hi = x_rms(exp, dof_index, rho_hi)
-    rho_lo = 0.0
-
-    rho = rho_hi * min(1.0, x0 / x_hi)
+    grid, xs = _amplitude_scan(exp, dof_index)
+    above = xs >= x0
+    if not above.any():
+        raise AmplitudeUnreachableError(x0, float(xs[-1]), rho_cap=float(grid[-1]))
+    # the first grid point at or above x0 and the one before it (or rho = 0)
+    # bracket x0; Newton starts on the chord between them
+    k = int(np.argmax(above))
+    rho_hi, x_hi = float(grid[k]), float(xs[k])
+    rho_lo, x_lo = (float(grid[k - 1]), float(xs[k - 1])) if k else (0.0, 0.0)
+    rho = rho_lo + (rho_hi - rho_lo) * (x0 - x_lo) / (x_hi - x_lo)
     for _ in range(200):
         x = x_rms(exp, dof_index, rho)
         if x == x0:

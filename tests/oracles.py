@@ -102,9 +102,11 @@
   parameter), and a `ParamDerivatives` of chosen parameters of others,
   stacked again. Tests that build or read one operator per parameter go
   through them.
-* `reference_validity_cap`: the validity-cap scan as one pair of `x_rms`
-  calls per grid point. `backbone._scan_validity_cap` evaluates the whole
-  grid in one pass and must give the same cap bit for bit.
+* `reference_scan`: the validity-cap scan as one pair of `x_rms` calls per
+  grid point. `backbone._scan_validity_cap` evaluates the whole grid in one
+  pass and must give the same grid points and amplitudes bit for bit, up to
+  the same cap; `rho_of_x` takes its bracket and its unreachable report
+  from them. `validity_cap` reads the cap, the scan's last point, back.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ import numpy as np
 
 from ssmopt.backbone import (
     VALIDITY_DIVERGENCE,
+    _amplitude_scan,
     _linear_rho_scale,
     point_weights,
     x_rms,
@@ -451,20 +454,28 @@ def pick_params(chosen) -> ParamDerivatives:
     )
 
 
-def reference_validity_cap(exp: SsmExpansion, dof_index: int) -> float:
+def reference_scan(exp: SsmExpansion, dof_index: int) -> tuple[list, list]:
     """The validity-cap scan one grid point at a time: rho grows by a factor
     1.25 per step, at most 200 times, until the full amplitude is zero or
     the truncation two orders lower misses it by more than
-    VALIDITY_DIVERGENCE."""
+    VALIDITY_DIVERGENCE. Returns the points visited and x_rms at each."""
     lower = max(exp.order - 2, 1)
     rho = _linear_rho_scale(exp, dof_index)
+    grid, xs = [], []
     for _ in range(200):
         xf = x_rms(exp, dof_index, rho)
         xl = x_rms(exp, dof_index, rho, max_order=lower)
+        grid.append(rho)
+        xs.append(xf)
         if xf == 0.0 or abs(xf - xl) > VALIDITY_DIVERGENCE * xf:
-            return rho
+            return grid, xs
         rho *= 1.25
-    return rho
+    return grid + [rho], xs + [x_rms(exp, dof_index, rho)]
+
+
+def validity_cap(exp: SsmExpansion, dof_index: int) -> float:
+    """The DOF's validity cap: the last point of `backbone._amplitude_scan`."""
+    return float(_amplitude_scan(exp, dof_index)[0][-1])
 
 
 @dataclass

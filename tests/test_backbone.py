@@ -6,6 +6,7 @@ import pytest
 from ssmopt import (
     MechModel,
     SymTensor,
+    backbone,
     compute_ssm,
     omega_of_rho,
     rho_of_x,
@@ -16,7 +17,6 @@ from ssmopt import (
 from ssmopt.backbone import (
     _linear_rho_scale,
     _scan_validity_cap,
-    _validity_cap,
     backbone_to_csv,
     domega_drho,
     dx_drho,
@@ -35,7 +35,7 @@ from ssmopt.errors import (
 from ssmopt.models import VkBeamSpec, build_vk_beam, vk_center_dof
 from ssmopt.multiindex import order
 
-from oracles import reference_validity_cap
+from oracles import reference_scan, validity_cap
 from test_properties import N_MODELS, random_case
 
 
@@ -154,8 +154,8 @@ class TestRhoOfX:
 
     def test_dof_outside_the_master_mode(self):
         # the master has an exact zero at DOF 1, which a cubic force moves at
-        # third order: the bracket starts below the validity cap, and the
-        # cap's grid starts from the master's largest entry
+        # third order: the validity scan's grid, and with it the bracket,
+        # starts from the master's largest entry
         T3 = SymTensor.from_entries(2, 3, [(0, 0, 0, 0, 0.1), (1, 0, 0, 0, 0.5)])
         model = MechModel(np.eye(2), np.diag([1.0, 5.3]), 0.0, 0.0, SymTensor.empty(2, 2), T3)
         master = solve_master(model, 0)
@@ -287,7 +287,7 @@ def test_inversion_reaches_roundoff(chain2, chain2_master, o9_expansions):
         exp = compute_ssm(model, solve_master(model, 0), order_)
         cases += [(exp, dof) for dof in range(model.n)]
     fractions = np.linspace(0.01, 0.99, 32)
-    targets = [(e, dof, x_rms(e, dof, _validity_cap(e, dof)) * fractions) for e, dof in cases]
+    targets = [(e, dof, x_rms(e, dof, validity_cap(e, dof)) * fractions) for e, dof in cases]
     targets += [(compute_ssm(chain2[0], chain2_master, O), 1, [0.1]) for O in (3, 5, 7)]
     eps = np.finfo(float).eps
     for exp, dof, xs in targets:
@@ -296,12 +296,44 @@ def test_inversion_reaches_roundoff(chain2, chain2_master, o9_expansions):
             assert abs(x - x0) <= 4 * eps * x0, (exp.model.n, exp.order, dof, x0)
 
 
+def test_inversion_cost(monkeypatch):
+    # x_rms calls per inversion, from 1 % to 99 % of the amplitude at the
+    # validity cap at every DOF of the random property models: the bracket
+    # comes from the validity scan, so the Newton loop makes every call
+    cases = []
+    for seed in range(N_MODELS):
+        model, _, order_ = random_case(seed)
+        exp = compute_ssm(model, solve_master(model, 0), order_)
+        cases += [(exp, dof) for dof in range(model.n)]
+    targets = [
+        (exp, dof, x0)
+        for exp, dof in cases
+        for x0 in (x_rms(exp, dof, validity_cap(exp, dof)) * np.linspace(0.01, 0.99, 32)).tolist()
+    ]
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return x_rms(*args, **kwargs)
+
+    monkeypatch.setattr(backbone, "x_rms", counted)
+    per_inversion = []
+    for exp, dof, x0 in targets:
+        calls[0] = 0
+        rho_of_x(exp, dof, x0)
+        per_inversion.append(calls[0])
+    assert np.mean(per_inversion) <= 4.5 and max(per_inversion) <= 8, (
+        np.mean(per_inversion),
+        max(per_inversion),
+    )
+
+
 class TestClosedFormAmplitude:
     @pytest.mark.parametrize("name", ["chain2", "duffing", "vk_beam10"])
     def test_equals_grid_oracle(self, o9_expansions, name):
         exp = o9_expansions[name]
         for dof in range(exp.model.n):
-            cap = _validity_cap(exp, dof)
+            cap = validity_cap(exp, dof)
             for rho in cap * np.array([1e-3, 0.1, 0.5, 1.0]):
                 for max_order in (None, 1, 3, 5, 7):
                     want = grid_rms(exp, dof, rho, max_order=max_order)
@@ -339,18 +371,18 @@ class TestClosedFormAmplitude:
     def test_extension_in_place_refreshes_the_cache(self, chain2, chain2_master):
         model, _ = chain2
         exp = compute_ssm(model, chain2_master, 3)
-        low = (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), _validity_cap(exp, 1))
+        low = (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), validity_cap(exp, 1))
         compute_ssm(model, chain2_master, 7, from_expansion=exp)
         fresh = compute_ssm(model, chain2_master, 7)
         for f in (
             lambda e: x_rms(e, 1, 0.3),
             lambda e: x_rms(e, 1, 0.3, max_order=5),
             lambda e: dx_drho(e, 1, 0.3),
-            lambda e: _validity_cap(e, 1),
+            lambda e: validity_cap(e, 1),
             lambda e: tuple(x_harmonics(e, 1, 0.3)),
         ):
             assert f(exp) == f(fresh)
-        assert (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), _validity_cap(exp, 1)) != low
+        assert (x_rms(exp, 1, 0.3), dx_drho(exp, 1, 0.3), validity_cap(exp, 1)) != low
 
     def test_validity_cap_equals_grid_scan(self, chain2, chain2_master, curved_beam_model):
         cases = [(chain2[0], range(2), (3, 5, 7, 9)), (curved_beam_model, (0, 13, 22), (5, 9))]
@@ -359,13 +391,15 @@ class TestClosedFormAmplitude:
             for O in orders:
                 exp = compute_ssm(model, solve_master(model, 0), O, from_expansion=exp)
                 for dof in dofs:
-                    assert _validity_cap(exp, dof) == grid_validity_cap(exp, dof)
+                    assert validity_cap(exp, dof) == grid_validity_cap(exp, dof)
 
 
 @pytest.mark.parametrize("name", ["chain2", "duffing", "vk_beam10"])
 def test_validity_cap_scan_is_the_scalar_loop(chain2, duffing, curved_beam_model, name):
     # the one-pass scan over the whole grid, overflowing far points
-    # included, gives the loop's cap bit for bit and warns of nothing
+    # included, gives the loop's grid up to its cap bit for bit and warns of
+    # nothing; its amplitudes are x_rms's bit for bit, since rho_of_x takes
+    # its bracket and its unreachable report from them
     model = {"chain2": chain2[0], "duffing": duffing[0], "vk_beam10": curved_beam_model}[name]
     master = solve_master(model, 0)
     exp = None
@@ -374,10 +408,11 @@ def test_validity_cap_scan_is_the_scalar_loop(chain2, duffing, curved_beam_model
         for dof in range(model.n):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _scan_validity_cap(exp, dof)
-            want = reference_validity_cap(exp, dof)
-            assert type(got) is float
-            assert got == want, (O, dof)
+                grid, xs = _scan_validity_cap(exp, dof)
+            want_grid, want_xs = reference_scan(exp, dof)
+            assert grid.tolist() == want_grid, (O, dof)
+            assert xs.tolist() == want_xs, (O, dof)
+            assert xs.tolist() == [x_rms(exp, dof, rho) for rho in grid.tolist()], (O, dof)
 
 
 class TestPointWeights:
@@ -397,7 +432,7 @@ class TestPointWeights:
     def test_frequency_weights_rebuild_omega(self, point):
         exp, dof = point
         lam = exp.master.lam
-        for rho in _validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
+        for rho in validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
             pw = point_weights(exp, dof, rho)
             total = pw.lam[0] * lam + pw.lam[1] * np.conj(lam)
             total += sum(wt * exp.R(m)[slot] for (m, slot), wt in pw.R)
@@ -413,7 +448,7 @@ class TestPointWeights:
     def test_amplitude_weights_rebuild_x_and_its_slope(self, point):
         # x is homogeneous of degree 1 in the w, and rho d/drho scales w_m by |m|
         exp, dof = point
-        for rho in _validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
+        for rho in validity_cap(exp, dof) * np.array([0.1, 0.5, 1.0]):
             amp = point_weights(exp, dof, rho).amplitude(1.0)
             assert amp.shape == (len(exp.indices),)
             x = sum(a * exp.w(m)[dof] for m, a in zip(exp.indices, amp))

@@ -30,14 +30,14 @@ import numpy as np
 import pytest
 
 from ssmopt import MechModel, SymTensor
-from ssmopt.backbone import _validity_cap, rho_of_x, x_rms
+from ssmopt.backbone import rho_of_x, x_rms
 from ssmopt.fdcheck import backbone_response
 from ssmopt.models import ChainSpec, build_chain
 from ssmopt.optimizer import GRADIENTS
 from ssmopt.spectral import solve_master
 from ssmopt.ssm import compute_ssm
 
-from oracles import param_matrices, param_tensors, ridders_gradient
+from oracles import param_matrices, param_tensors, ridders_gradient, validity_cap
 from test_properties import N_MODELS, random_case
 
 BOUND = 1e-11
@@ -107,7 +107,7 @@ def random_model(request):
     master = solve_master(model, 0)
     exp = compute_ssm(model, master, order)
     dof = model.n - 1
-    x = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
+    x = 0.5 * x_rms(exp, dof, validity_cap(exp, dof))
     ref, est = reference(build, np.zeros(params.count), master, order, dof, x)
     bound = max(BOUND, 10.0 * est / np.max(np.abs(ref)))
     return model, exp, params, dof, rho_of_x(exp, dof, x), ref, bound

@@ -12,7 +12,6 @@ import numpy as np
 
 from ssmopt import MechModel, ParamDerivatives, SymTensor, compute_ssm, solve_master
 from ssmopt.backbone import (
-    _validity_cap,
     dx_drho,
     omega_of_rho,
     rho_of_x,
@@ -24,7 +23,7 @@ from ssmopt.ssm import invariance_residual
 from ssmopt.sens_adjoint import contract_gradient, solve_adjoint
 from ssmopt.sens_direct import chain_derivatives
 
-from oracles import param_tensors, reference_full_set_ssm
+from oracles import param_tensors, reference_full_set_ssm, validity_cap
 
 N_MODELS = 16
 N_PARAMS = 3
@@ -87,7 +86,7 @@ def test_closed_form_amplitude_equals_grid_oracle():
         model, _, order = random_case(seed)
         exp = compute_ssm(model, solve_master(model, 0), order)
         for dof in range(model.n):
-            cap = _validity_cap(exp, dof)
+            cap = validity_cap(exp, dof)
             for rho in cap * np.array([0.1, 0.5, 1.0]):
                 want = np.sqrt(np.mean(x_theta_samples(exp, dof, rho, 128) ** 2))
                 got = x_rms(exp, dof, rho)
@@ -103,7 +102,7 @@ def test_adjoint_equals_direct():
         model, params, order = random_case(seed)
         exp = compute_ssm(model, solve_master(model, 0), order)
         dof = model.n - 1
-        x0 = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
+        x0 = 0.5 * x_rms(exp, dof, validity_cap(exp, dof))
         rho = rho_of_x(exp, dof, x0)
         adj = contract_gradient(model, exp, solve_adjoint(model, exp, dof, rho), params).d_omega
         direct = chain_derivatives(model, exp, params, dof, rho).d_omega
@@ -127,7 +126,7 @@ def test_residual_slope_reaches_the_order():
         dof = model.n - 1
         for order in (3, 5):
             exp = compute_ssm(model, master, order)
-            cap = _validity_cap(exp, dof)
+            cap = validity_cap(exp, dof)
             lo, hi = (invariance_residual(model, exp, f * cap).epsilon for f in (0.01, 0.1))
             assert np.log10(hi / lo) >= order - 0.5, (seed, order, lo, hi)
 
@@ -157,8 +156,8 @@ def test_amplitude_scaling_law():
             for dof in range(model.n):
                 # the cap scan's rho grid does not scale with s: stay below both caps
                 cap = min(
-                    x_rms(exp, dof, _validity_cap(exp, dof)),
-                    s * x_rms(exp_s, dof, _validity_cap(exp_s, dof)),
+                    x_rms(exp, dof, validity_cap(exp, dof)),
+                    s * x_rms(exp_s, dof, validity_cap(exp_s, dof)),
                 )
                 x = 0.5 * cap
                 want = omega_of_rho(exp, rho_of_x(exp, dof, x))
@@ -192,7 +191,7 @@ def test_canonical_equals_full_set():
             for name in ("w", "wdot", "R"):
                 assert close(getattr(full, name)(m), getattr(canonical, name)(m)), (seed, m, name)
         dof = model.n - 1
-        rho = rho_of_x(canonical, dof, 0.5 * x_rms(canonical, dof, _validity_cap(canonical, dof)))
+        rho = rho_of_x(canonical, dof, 0.5 * x_rms(canonical, dof, validity_cap(canonical, dof)))
         want = gradients(model, params, canonical, dof, rho)
         got = gradients(model, params, full, dof, rho)
         for g, w, method in zip(got, want, ("adjoint", "direct")):
@@ -244,7 +243,7 @@ def test_dof_permutation_invariance():
         model_p, params_p, inv = permuted(model, params, perm)
         dof = model.n - 1
         exp = compute_ssm(model, solve_master(model, 0), order)
-        x = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
+        x = 0.5 * x_rms(exp, dof, validity_cap(exp, dof))
         omega, grad = response(model, params, order, dof, x)
         omega_p, grad_p = response(model_p, params_p, order, int(inv[dof]), x)
         assert abs(omega_p - omega) <= 1e-10 * abs(omega), seed

@@ -8,7 +8,6 @@ import pytest
 
 from ssmopt import compute_ssm, rho_of_x, sens_direct, solve_master, ssm
 from ssmopt.backbone import (
-    _validity_cap,
     domega_drho,
     dx_drho,
     omega_of_rho,
@@ -41,6 +40,7 @@ from oracles import (
     reference_adjoint,
     reference_contraction,
     reference_partials,
+    validity_cap,
 )
 from test_properties import random_case
 
@@ -231,7 +231,7 @@ class TestGradientEquivalence:
         for name, (model, params, order, dof, x) in cases.items():
             exp = compute_ssm(model, solve_master(model, 0), order)
             if x is None:
-                x = 0.5 * x_rms(exp, dof, _validity_cap(exp, dof))
+                x = 0.5 * x_rms(exp, dof, validity_cap(exp, dof))
             adjoint = solve_adjoint(model, exp, dof, rho_of_x(exp, dof, x))
             if name == "chain101":
                 assert params.count == 100 and not params.matrix_params

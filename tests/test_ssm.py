@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ssmopt import SsmExpansion, compute_ssm, invariance_residual, solve_master, ssm
-from ssmopt.backbone import _validity_cap, omega_of_rho, rho_of_x
+from ssmopt.backbone import omega_of_rho, rho_of_x
 from ssmopt.errors import (
     AmplitudeUnreachableError,
     ArgumentError,
@@ -29,6 +29,7 @@ from oracles import (
     reference_check_solve,
     reference_full_set_ssm,
     reference_ssm,
+    validity_cap,
 )
 from test_properties import random_case
 
@@ -614,7 +615,7 @@ class TestInvarianceResidual:
         exp = None
         for O in (3, 5, 7, 9):
             exp = compute_ssm(model, master, O, from_expansion=exp)
-            cap = _validity_cap(exp, 1)
+            cap = validity_cap(exp, 1)
             for rho in (0.01 * cap, 0.3 * cap, cap):
                 want = loop_residual(model, exp, rho)
                 got = invariance_residual(model, exp, rho).epsilon
