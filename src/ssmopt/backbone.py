@@ -8,9 +8,9 @@ sum_d |c_d(rho)|**2, a real polynomial in rho of degree 2 order, and the
 amplitude is its square root. `x_rms`, `dx_drho` and `rho_of_x` evaluate
 that polynomial; its coefficients are built once per (DOF, truncation
 order, expansion order) and kept in the expansion's memo
-(`SsmExpansion.memo`), and so is each DOF's validity scan: x_rms on a
-geometric grid of rho up to the validity cap, which brackets every
-inversion of that DOF. The theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
+(`SsmExpansion.memo`), and so is each DOF's validity scan, x_rms on a grid
+of rho up to the validity cap, which brackets every inversion. The
+theta-grid samples (`x_theta_samples`) remain as the oracle that the closed
 form is checked against: on any grid of at least 2 order + 1 points the
 grid mean of x**2 equals the Parseval sum exactly.
 """
