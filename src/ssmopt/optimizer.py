@@ -292,9 +292,9 @@ def _check_indices(problem: OptProblem, n: int) -> None:
 
 
 class _Session:
-    """Evaluation state of one run: the tracking shape, the evaluation cache,
-    the trace of accepted iterates and the expansion order, which only this
-    class decides."""
+    """Evaluation state of one run: the tracking shape, the trace of accepted
+    iterates and the expansion order, which only this class decides. It keeps
+    no evaluation; `solve` hands each accepted one to `accept` and back."""
 
     def __init__(self, problem: OptProblem, method: str):
         self.problem = problem
@@ -305,7 +305,6 @@ class _Session:
         self.reference = master0.phi
         self.omega_ref = master0.omega
         self.order = problem.start_order
-        self.cache: dict[bytes, EvalResult] = {}
         self.trace: list[IterRecord] = []
         targets = problem.backbone_targets
         if targets:
@@ -319,12 +318,8 @@ class _Session:
             ).expansion.order
 
     def evaluate(self, mu: np.ndarray) -> EvalResult:
-        key = np.asarray(mu, dtype=float).tobytes() + bytes([self.order])
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
         try:
-            res = evaluate(
+            return evaluate(
                 self.problem,
                 np.asarray(mu, dtype=float),
                 order=self.order,
@@ -338,14 +333,12 @@ class _Session:
                 f"[iteration {len(self.trace)}, mu={np.asarray(mu).tolist()}]",
             )
             raise
-        self.cache[key] = res
-        return res
 
     def accept(self, mu, res: EvalResult) -> EvalResult:
         """Record the iterate, track its shape, re-decide the order and return
-        the iterate's evaluation at that order. When the iterate cannot be
-        evaluated at a raised order, the order stays at the one it was
-        accepted at, and so does its evaluation."""
+        the iterate's evaluation at that order: `res` itself while the order
+        stays. When the iterate cannot be evaluated at a raised order, the
+        order stays at the one it was accepted at, and so does its evaluation."""
         self.trace.append(
             IterRecord(
                 iteration=len(self.trace),
@@ -360,11 +353,14 @@ class _Session:
         )
         self.reference = res.phi.copy()
         tol = self.problem.tolerances
-        self.order = order_policy(res.epsilon, tol.eps_tol, self.order, tol.max_order)
+        order = self.order  # not res.order, which is 0 without backbone targets
+        self.order = order_policy(res.epsilon, tol.eps_tol, order, tol.max_order)
+        if self.order == order:
+            return res
         try:
             return self.evaluate(mu)
         except SsmOptError:
-            self.order = res.order
+            self.order = order
             return res
 
 
@@ -542,7 +538,8 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         except SsmOptError:
             return None
 
-    f, g, c, J = localize(ses.evaluate(unscale(z)))
+    res = ses.evaluate(unscale(z))
+    f, g, c, J = localize(res)
     B = np.eye(P)
     trust = 0.25
     sigma = 10.0
@@ -578,8 +575,9 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         accepted = None
         while alpha >= 2.0**-9:
             z_try = z + alpha * d
-            # a trial design that cannot be evaluated has an infinite merit
-            res_try = try_eval(z_try)
+            # a trial design that cannot be evaluated has an infinite merit;
+            # a trial at z itself (a feasible z with d = 0) reads its evaluation
+            res_try = res if np.array_equal(z_try, z) else try_eval(z_try)
             if res_try is not None:
                 f_t, g_t, c_t, J_t = localize(res_try)
                 if merit(f_t, c_t, sigma) <= phi0 - 1e-4 * alpha * max(pred, 0.0):
@@ -633,9 +631,10 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         # Feasibility polish: the merit iteration can stall with a small but
         # above-tolerance violation (curved constraint manifold, conservative
         # Hessian model); damped minimum-norm Newton steps on the constraints
-        # alone converge quadratically once the manifold is near. The last
-        # accepted iterate (or the start) is in the evaluation cache.
-        res = ses.evaluate(unscale(z))
+        # alone converge quadratically once the manifold is near. The polish
+        # starts from the last accepted iterate's evaluation (or the start's)
+        # and its halving stops where the clip pins the trial to z: every
+        # smaller step lands there too and fails the decrease test.
         for _ in range(30):
             c = res.constraints
             if _violation(c) <= tol.constraint_tol:
@@ -643,8 +642,7 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
             d = _capped(_min_norm_step(res.con_jac * span[None, :], c, 1e-13), 0.25)
             base = float(np.abs(c).sum())
             alpha = 1.0
-            while alpha >= 2.0**-12:
-                z_try = np.clip(z + alpha * d, 0.0, 1.0)
+            while alpha >= 2.0**-12 and ((z_try := np.clip(z + alpha * d, 0, 1)) != z).any():
                 r = try_eval(z_try)
                 if r is not None and np.abs(r.constraints).sum() <= (1 - 1e-4 * alpha) * base:
                     z, res = z_try, r
@@ -652,16 +650,15 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
                 alpha *= 0.5
             else:
                 break
-        ses.accept(unscale(z), res)
         if _violation(res.constraints) <= tol.constraint_tol:
             converged, message = True, "feasible after constraint polish"
+        res = ses.accept(unscale(z), res)
     mu_star = unscale(z)
-    final = ses.evaluate(mu_star)
-    converged = converged and _violation(final.constraints) <= tol.constraint_tol
-    stationarity = _stationarity_residual(final, (mu_star - problem.lower) / span)
+    converged = converged and _violation(res.constraints) <= tol.constraint_tol
+    stationarity = _stationarity_residual(res, (mu_star - problem.lower) / span)
     return OptResult(
         mu_star=mu_star,
-        objective=final.objective,
+        objective=res.objective,
         converged=converged,
         iterations=len(ses.trace),
         message=message,

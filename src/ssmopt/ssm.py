@@ -620,7 +620,9 @@ def invariance_residual(model: MechModel, exp: SsmExpansion, rho: float) -> Erro
         """Weighted norm at each grid point of the (theta x n) blocks, taken on
         both divided by one power of two at their largest magnitude (exact)."""
         e = np.frexp(max(np.abs(force).max(), np.abs(velocity).max()))[1]
-        f, v = (np.ldexp(X.view(float), -e).view(complex) for X in (force, velocity))
+        # numpy may lay a block out in Fortran order (from n = 512 on)
+        blocks = (np.ascontiguousarray(X) for X in (force, velocity))
+        f, v = (np.ldexp(X.view(float), -e).view(complex) for X in blocks)
         s1 = real_times(modes, real_times(modes.T, f.T) / reg)
         sq = np.sum(np.abs(s1) ** 2, axis=0) + np.sum(np.abs(v / omega) ** 2, axis=1)
         return np.ldexp(np.sqrt(sq), e)

@@ -14,6 +14,7 @@ from ssmopt import (
     compute_ssm,
     invariance_residual,
     omega_of_rho,
+    optimizer,
     rho_of_x,
     solve_master,
     track_mode,
@@ -233,7 +234,7 @@ def test_criterion_6_conjugate_symmetry_suite():
     report(6, "conjugate-symmetry suite", ok, f"max rel deviation {worst:.2e}")
 
 
-def test_criterion_7_von_karman_optimization():
+def test_criterion_7_von_karman_optimization(monkeypatch):
     spec0 = VkBeamSpec()
     m0, _ = build_vk_beam(spec0)
     mp0 = solve_master(m0, 0)
@@ -258,6 +259,15 @@ def test_criterion_7_von_karman_optimization():
         ),
         tolerances=OptTolerances(constraint_tol=1e-6, max_iter=40, eps_tol=1e-2, max_order=9),
     )
+    # the run's evaluations, counted by wrapping the name that solve calls
+    evaluations = []
+    evaluate = optimizer.evaluate
+
+    def counted(*args, **kwargs):
+        evaluations.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted)
     t0 = time.perf_counter()
     result = solve(problem)
     dt = time.perf_counter() - t0
@@ -271,7 +281,8 @@ def test_criterion_7_von_karman_optimization():
         7,
         "von Karman backbone optimization",
         ok,
-        f"viol {viol:.2e} rel, {result.iterations} iters, trace hash {trace_hash}, {dt:.1f}s, "
+        f"viol {viol:.2e} rel, {result.iterations} iters, trace hash {trace_hash}, "
+        f"{len(evaluations)} evaluations, {dt:.1f}s, "
         f"mu*={np.round(result.mu_star, 5).tolist()}",
     )
 

@@ -268,12 +268,33 @@ class TestSolve:
         assert res.iterations <= 2
         assert abs(res.mu_star[0] - 0.2) <= 1e-6
 
-    @pytest.mark.parametrize("shift, evaluations", [(1.0, 1), (0.98, 4)])
+    @pytest.mark.parametrize(
+        "shift, evaluations", [(1.0, 1), (0.98, 4), (0.5, 4), pytest.param(None, 4, id="eigfreq-4")]
+    )
     def test_no_evaluation_repeats_a_design(self, chain_target, monkeypatch, shift, evaluations):
         # the objective scale is read off the objective alone: an evaluation
         # at mu0 would be wasted, since the first iterate, unscale(clip(z)),
-        # differs from mu0 by roundoff and misses the cache
+        # differs from mu0 by roundoff and is a design of its own. At 1.0 the
+        # start is feasible, its step zero and its one trial the start itself.
+        # At 0.5 the target lies past k3's lower bound: the polish starts
+        # there, and the clip pins its every step. Without a backbone target
+        # (None) the evaluations carry order 0 while the session's is 3.
         x0, nominal = chain_target
+
+        def k_builder(mu):
+            spec = ChainSpec(n_masses=2, mass=1.0, k=float(mu[0]), k2=0.5, k3=0.2, beta_r=0.1)
+            return build_chain(spec, params=("k",))
+
+        problem = chain_problem(shift * nominal, x0) if shift else OptProblem(
+            builder=k_builder,
+            names=("k",),
+            mu0=np.array([1.0]),
+            lower=np.array([0.5]),
+            upper=np.array([2.0]),
+            objective={"type": "constant"},
+            eigfreq_targets=(EigfreqTarget(0, 1.02 * solve_master(k_builder([1.0])[0], 0).omega),),
+            tolerances=OptTolerances(constraint_tol=1e-8),
+        )
         calls = []
 
         def counted(problem, mu, order, **kwargs):
@@ -281,7 +302,10 @@ class TestSolve:
             return evaluate(problem, mu, order, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate", counted)
-        assert solve(chain_problem(shift * nominal, x0)).converged
+        res = solve(problem)
+        assert res.converged == (shift != 0.5)
+        if shift == 0.5:
+            assert res.message == "merit line search stalled" and res.mu_star[0] == -1.0
         assert len(calls) == evaluations
         for i, (mu, order) in enumerate(calls):
             for prior, prior_order in calls[:i]:
@@ -351,7 +375,8 @@ class TestSolve:
         # every accepted iterate of a linear chain raises the order by two:
         # feasibility and stationarity are both read from the evaluation
         # that `accept` returns at the raised order, not from the trial
-        # evaluated at the order before
+        # evaluated at the order before. Where the order stays (the linear
+        # chain's residual is far below eps_tol), `accept` hands the trial on.
         def builder(mu):
             return build_chain(ChainSpec(k=float(mu[0]), k2=0.0, k3=0.0), params=("k",))
 
@@ -366,10 +391,11 @@ class TestSolve:
             backbone_targets=(BackboneTarget(1, 0.1, target),),
             tolerances=OptTolerances(constraint_tol=1e-10),
         )
-        accepted, read = [], []
+        handed, accepted, read = [], [], []
         accept, stationarity = optimizer._Session.accept, optimizer._stationarity_residual
 
         def recorded_accept(ses, mu, res):
+            handed.append(res)
             accepted.append(accept(ses, mu, res))
             return accepted[-1]
 
@@ -385,6 +411,12 @@ class TestSolve:
         assert [r.order for r in res.trace] == [3 + 2 * i for i in range(len(res.trace))]
         assert len(read) == 2 and all(any(r is a for a in accepted) for r in read)
         assert read[0].order == res.trace[-1].order + 2
+        assert all(a.order == h.order + 2 for h, a in zip(handed, accepted))
+
+        del handed[:], accepted[:]
+        monkeypatch.setattr(optimizer, "order_policy", order_policy)
+        assert {r.order for r in solve(prob).trace} == {3}
+        assert handed and all(a is h for h, a in zip(handed, accepted))
 
     # (order, k3, max_violation, epsilon) per accepted iterate, and k3*, of
     # the chain solves at 0.97, 0.98 and 0.99 x nominal; a rewrite of the

@@ -550,6 +550,14 @@ class TestInvarianceResidual:
         eps = invariance_residual(chain2[0], chain2_exp5, rho).epsilon
         assert 0.0 < eps <= 1e-15, rho
 
+    def test_large_model_keeps_the_norms(self):
+        # from n = 512 on numpy lays the force blocks out in Fortran order,
+        # which a complex-to-float view of the block cannot take as it is;
+        # the 511-mass chain reads 3.6e-11 here
+        model, _ = build_chain(ChainSpec(n_masses=512))
+        exp = compute_ssm(model, solve_master(model, 0), 3)
+        assert 0.0 < invariance_residual(model, exp, 1e-3).epsilon <= 1e-10
+
     def test_unnormalized_defect_slope(self, chain2, chain2_master):
         # independent residual evaluation: with a nonzero quadratic
         # nonlinearity the absolute defect of the invariance equation scales
