@@ -2,16 +2,18 @@
 
 Equality-constrained minimization over bounded design variables: backbone
 constraints pin the response frequency at target physical amplitudes,
-optional eigenfrequency constraints pin undamped natural frequencies. Every
-evaluation rebuilds the model, tracks the master mode by MAC against the last
-accepted iterate, and evaluates frequencies on an expansion whose order is
-frozen during the iteration. `_Session` alone decides the order, by one
-rule: an order fails while the invariance residual exceeds `eps_tol` or a
-target lies beyond the validity radius. At the start design `adapt_order`
-picks the lowest order that passes; every accepted iterate that fails
-raises it by two (never decreased within a run). A target past the radius
-cannot be evaluated (`AmplitudeUnreachableError`), so a start that no
-order up to `max_order` reaches fails at its first evaluation.
+optional eigenfrequency constraints pin undamped natural frequencies. Each
+design is built once at each order: an evaluation builds the model, tracks
+the master mode by MAC against the last accepted iterate, and evaluates
+frequencies on an expansion whose order is frozen during the iteration.
+`_Session` alone decides the order, by one rule: an order fails while the
+invariance residual exceeds `eps_tol` or a target lies beyond the validity
+radius. At the first iterate `adapt_order` picks the lowest order that
+passes, on the build that the first evaluation then reads; every accepted
+iterate that fails raises it by two (never decreased within a run), and the
+raise extends that iterate's expansion on its own model. A target past the
+radius cannot be evaluated (`AmplitudeUnreachableError`), so a start that
+no order up to `max_order` reaches fails at its first evaluation.
 
 The variables are normalized by their bounds and the constraints by the
 initial natural frequency. `solve` runs a dense SQP iteration of its own:
@@ -34,7 +36,7 @@ gradient methods (adjoint and direct), which the CLI and the config read too.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -241,6 +243,20 @@ def objective_value_grad(spec: dict, names: tuple[str, ...], mu: np.ndarray):
 
 
 @dataclass
+class Built:
+    """What one evaluation built at its design: the model, its parameter
+    derivatives, the master pair and, with backbone targets, the expansion
+    and its invariance residual at the targets' largest amplitude (None
+    until measured at the expansion's order)."""
+
+    model: object
+    params: object
+    master: object
+    expansion: object = None
+    epsilon: float | None = None
+
+
+@dataclass
 class EvalResult:
     objective: float
     obj_grad: np.ndarray
@@ -250,6 +266,8 @@ class EvalResult:
     order: int
     mac: float
     phi: np.ndarray
+    # what the evaluation built; `_Session` drops it once the order is decided
+    built: Built | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -293,39 +311,60 @@ def _check_indices(problem: OptProblem, n: int) -> None:
 
 class _Session:
     """Evaluation state of one run: the tracking shape, the trace of accepted
-    iterates and the expansion order, which only this class decides. It keeps
-    no evaluation; `solve` hands each accepted one to `accept` and back."""
+    iterates and the expansion order, which only this class decides. `solve`
+    hands each accepted evaluation to `accept` and back. What an evaluation
+    built (`EvalResult.built`) lives until `accept` has decided the
+    iterate's order. The session holds the last evaluation it made (`last`)
+    only to drop a trial's build before it builds the next design, so at
+    most one model is alive when the builder is called."""
 
     def __init__(self, problem: OptProblem, method: str):
         self.problem = problem
         self.method = method
-        model0, _ = problem.builder(problem.mu0)
-        _check_indices(problem, model0.n)
-        master0 = solve_master(model0, problem.mode_index)
-        self.reference = master0.phi
-        self.omega_ref = master0.omega
-        self.order = problem.start_order
         self.trace: list[IterRecord] = []
+        self.last: EvalResult | None = None
+
+    def start(self, mu: np.ndarray) -> EvalResult:
+        """Build the first iterate once: read the frequency scale, the
+        tracking shape and the start order off it, and hand that build to
+        the iterate's evaluation, which neither builds, tracks, expands nor
+        measures the residual again."""
+        problem = self.problem
+        model, params = problem.builder(mu)
+        _check_indices(problem, model.n)
+        master = solve_master(model, problem.mode_index)
+        self.reference = master.phi
+        self.omega_ref = master.omega
+        self.order = problem.start_order
+        built = Built(model, params, master)
         targets = problem.backbone_targets
         if targets:
-            # the lowest order at which the start design passes the rule
-            self.order = adapt_order(
-                model0,
-                master0,
+            # the lowest order at which the first iterate passes the rule
+            adapted = adapt_order(
+                model,
+                master,
                 problem.tolerances.eps_tol,
                 rho_at=lambda e: max(rho_of_x(e, t.dof_index, t.x) for t in targets),
                 order_range=(self.order, max(self.order, problem.tolerances.max_order)),
-            ).expansion.order
+            )
+            self.order = adapted.expansion.order
+            built = Built(model, params, master, adapted.expansion, adapted.error.epsilon)
+        return self.evaluate(mu, built)
 
-    def evaluate(self, mu: np.ndarray) -> EvalResult:
+    def evaluate(self, mu: np.ndarray, built: Built | None = None) -> EvalResult:
+        """The evaluation at mu and the session's order: on `built`, or on
+        a new build, before which the last trial's build is dropped."""
+        if built is None and self.last is not None:
+            self.last.built = None
         try:
-            return evaluate(
+            self.last = evaluate(
                 self.problem,
                 np.asarray(mu, dtype=float),
                 order=self.order,
                 reference=self.reference,
                 omega_scale=self.omega_ref,
                 method=self.method,
+                built=built,
             )
         except SsmOptError as e:
             e.args = (
@@ -333,12 +372,18 @@ class _Session:
                 f"[iteration {len(self.trace)}, mu={np.asarray(mu).tolist()}]",
             )
             raise
+        return self.last
 
     def accept(self, mu, res: EvalResult) -> EvalResult:
         """Record the iterate, track its shape, re-decide the order and return
         the iterate's evaluation at that order: `res` itself while the order
-        stays. When the iterate cannot be evaluated at a raised order, the
-        order stays at the one it was accepted at, and so does its evaluation."""
+        stays. At a raise, the evaluation extends the expansion `res` built
+        on its model (or builds the design again when `res` no longer holds
+        its build). When the iterate cannot be evaluated at the raised
+        order, the order stays at the one it was accepted at, and so does
+        its evaluation. Either way, no build outlives the decision: a
+        half-extended expansion is never extended again."""
+        built, res.built = res.built, None
         self.trace.append(
             IterRecord(
                 iteration=len(self.trace),
@@ -358,10 +403,12 @@ class _Session:
         if self.order == order:
             return res
         try:
-            return self.evaluate(mu)
+            raised = self.evaluate(mu, built)
         except SsmOptError:
             self.order = order
             return res
+        raised.built = None
+        return raised
 
 
 def order_policy(epsilon: float, eps_tol: float, current_order: int, max_order: int) -> int:
@@ -378,19 +425,30 @@ def evaluate(
     reference: np.ndarray,
     omega_scale: float,
     method: str = "adjoint",
+    built: Built | None = None,
 ) -> EvalResult:
     """Objective, scaled constraints and their gradients at one design point;
-    AmplitudeUnreachableError for a backbone target past the validity radius."""
-    model, params = problem.builder(mu)
-    _check_indices(problem, model.n)
-    master = track_mode(model, reference)
+    AmplitudeUnreachableError for a backbone target past the validity radius.
+
+    Given `built`, what an earlier evaluation or the start built at mu, the
+    evaluation builds and tracks nothing: it extends `built`'s expansion to
+    `order` (`compute_ssm` from_expansion), or reads it and its residual as
+    they are when they are at that order. The result keeps what it read or
+    built (`EvalResult.built`)."""
+    if built is None:
+        model, params = problem.builder(mu)
+        _check_indices(problem, model.n)
+        built = Built(model, params, track_mode(model, reference))
+    model, params, master = built.model, built.params, built.master
     obj, obj_grad = objective_value_grad(problem.objective, problem.names, mu)
 
     cons: list[float] = []
     jac: list[np.ndarray] = []
     epsilon = 0.0
     if problem.backbone_targets:
-        exp = compute_ssm(model, master, order)
+        exp, epsilon = built.expansion, built.epsilon
+        if exp is None or exp.order < order:
+            exp, epsilon = compute_ssm(model, master, order, from_expansion=exp), None
         rho_max = 0.0
         for tgt in problem.backbone_targets:
             rho = rho_of_x(exp, tgt.dof_index, tgt.x)
@@ -398,7 +456,9 @@ def evaluate(
             cons.append((omega_of_rho(exp, rho) - tgt.omega) / omega_scale)
             grad = GRADIENTS[method](model, exp, params, tgt.dof_index, rho)
             jac.append(grad / omega_scale)
-        epsilon = invariance_residual(model, exp, rho_max).epsilon
+        if epsilon is None:
+            epsilon = invariance_residual(model, exp, rho_max).epsilon
+        built = Built(model, params, master, exp, epsilon)
 
     if problem.eigfreq_targets:
         omegas, Phi = model.modes  # the eigendecomposition track_mode read
@@ -421,6 +481,7 @@ def evaluate(
         order=order if problem.backbone_targets else 0,
         mac=master.mac if master.mac is not None else 1.0,
         phi=master.phi,
+        built=built,
     )
 
 def _violation(c: np.ndarray) -> float:
@@ -506,7 +567,6 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
     short of convergence. Returns the last accepted iterate, polished."""
     t0 = time.perf_counter()
     tol = problem.tolerances
-    ses = _Session(problem, method)
     span = problem.upper - problem.lower
     P = len(problem.mu0)
 
@@ -538,7 +598,8 @@ def solve(problem: OptProblem, method: str = "adjoint") -> OptResult:
         except SsmOptError:
             return None
 
-    res = ses.evaluate(unscale(z))
+    ses = _Session(problem, method)
+    res = ses.start(unscale(z))
     f, g, c, J = localize(res)
     B = np.eye(P)
     trust = 0.25

@@ -17,6 +17,7 @@ from ssmopt import (
     optimizer,
     rho_of_x,
     solve_master,
+    ssm,
     track_mode,
 )
 from ssmopt.cli import main as cli_main
@@ -241,7 +242,10 @@ def test_criterion_7_von_karman_optimization(monkeypatch):
     w0, h0 = mp0.omega, spec0.thickness
     dof = vk_center_dof(spec0)
 
+    builds = []
+
     def builder(mu):
+        builds.append(mu)
         return build_vk_beam(VkBeamSpec(a1=mu[0], a2=mu[1], thickness=mu[2], length=mu[3]))
 
     lower = np.array([0.0, 0.0, 0.001, 0.5])
@@ -259,15 +263,22 @@ def test_criterion_7_von_karman_optimization(monkeypatch):
         ),
         tolerances=OptTolerances(constraint_tol=1e-6, max_iter=40, eps_tol=1e-2, max_order=9),
     )
-    # the run's evaluations, counted by wrapping the name that solve calls
-    evaluations = []
-    evaluate = optimizer.evaluate
+    # the run's evaluations and invariance residuals, counted by wrapping
+    # the names that solve and adapt_order call
+    evaluations, residuals = [], []
+    evaluate, residual = optimizer.evaluate, ssm.invariance_residual
 
     def counted(*args, **kwargs):
         evaluations.append(args[1])
         return evaluate(*args, **kwargs)
 
+    def measured(*args, **kwargs):
+        residuals.append(args[2])
+        return residual(*args, **kwargs)
+
     monkeypatch.setattr(optimizer, "evaluate", counted)
+    for module in (ssm, optimizer):
+        monkeypatch.setattr(module, "invariance_residual", measured)
     t0 = time.perf_counter()
     result = solve(problem)
     dt = time.perf_counter() - t0
@@ -282,7 +293,8 @@ def test_criterion_7_von_karman_optimization(monkeypatch):
         "von Karman backbone optimization",
         ok,
         f"viol {viol:.2e} rel, {result.iterations} iters, trace hash {trace_hash}, "
-        f"{len(evaluations)} evaluations, {dt:.1f}s, "
+        f"{len(evaluations)} evaluations, {len(builds)} builds, {len(residuals)} residuals, "
+        f"{dt:.1f}s, "
         f"mu*={np.round(result.mu_star, 5).tolist()}",
     )
 

@@ -1,11 +1,12 @@
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
-from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master
+from ssmopt import compute_ssm, omega_of_rho, optimizer, rho_of_x, solve_master, ssm
 from ssmopt.spectral import solve_modes
 from ssmopt.errors import AmplitudeUnreachableError, ConfigError, ModelError, OuterResonanceError
 from ssmopt.models import ChainSpec, build_chain, chain_per_spring_k3
@@ -295,14 +296,33 @@ class TestSolve:
             eigfreq_targets=(EigfreqTarget(0, 1.02 * solve_master(k_builder([1.0])[0], 0).omega),),
             tolerances=OptTolerances(constraint_tol=1e-8),
         )
-        calls = []
+        calls, builds, residuals, adapted = [], [], [], []
 
         def counted(problem, mu, order, **kwargs):
             calls.append((np.array(mu, copy=True), order))
             return evaluate(problem, mu, order, **kwargs)
 
+        def built(mu):
+            builds.append(np.array(mu, copy=True))
+            return problem_builder(mu)
+
+        def measured(*args, **kwargs):
+            residuals.append(args)
+            return invariance_residual(*args, **kwargs)
+
+        def adapt(*args, **kwargs):
+            before = len(residuals)
+            out = adapt_order(*args, **kwargs)
+            adapted.append(len(residuals) - before)
+            return out
+
+        problem_builder = problem.builder
+        invariance_residual, adapt_order = ssm.invariance_residual, optimizer.adapt_order
         monkeypatch.setattr(optimizer, "evaluate", counted)
-        res = solve(problem)
+        monkeypatch.setattr(optimizer, "adapt_order", adapt)
+        for module in (ssm, optimizer):
+            monkeypatch.setattr(module, "invariance_residual", measured)
+        res = solve(replace(problem, builder=built))
         assert res.converged == (shift != 0.5)
         if shift == 0.5:
             assert res.message == "merit line search stalled" and res.mu_star[0] == -1.0
@@ -310,6 +330,35 @@ class TestSolve:
         for i, (mu, order) in enumerate(calls):
             for prior, prior_order in calls[:i]:
                 assert order != prior_order or not np.allclose(mu, prior, rtol=1e-12, atol=0)
+        # the start build serves the start order and the first evaluation, and
+        # a raise extends the accepted evaluation's expansion: it builds nothing
+        raises = sum(
+            order > prior_order and np.array_equal(mu, prior)
+            for (prior, prior_order), (mu, order) in zip(calls, calls[1:])
+        )
+        assert len(builds) == len(calls) - raises
+        assert np.array_equal(builds[0], calls[0][0])
+        # the first evaluation reads the start order's residual
+        assert len(adapted) == (shift is not None)
+        assert len(residuals) <= sum(adapted) + (len(calls) - 1 if shift is not None else 0)
+
+    @pytest.mark.parametrize("shift", [0.97, 0.98, 0.99])
+    def test_no_earlier_model_is_alive_at_a_build(self, chain_target, shift):
+        # an evaluation keeps its model only until its order is decided, and
+        # a trial that is not accepted keeps it only until the next build: so
+        # a run holds no more models than one evaluation at a time needs
+        x0, nominal = chain_target
+        models, alive = [], []
+
+        def builder(mu):
+            alive.append(sum(ref() is not None for ref in models))
+            model, params = chain_builder(mu)
+            models.append(weakref.ref(model))
+            return model, params
+
+        res = solve(replace(chain_problem(shift * nominal, x0), builder=builder))
+        assert res.converged
+        assert len(alive) >= 3 and not any(alive)
 
     def test_chain_toy_matches_bisection(self, chain_target):
         # oracle: 1-D root solve on the same response
@@ -370,6 +419,32 @@ class TestSolve:
         res = solve(chain_problem(0.97 * nominal, x0))
         assert res.converged
         assert {r.order for r in res.trace} == {5}
+
+        # the same when the raise fails inside the extension of the accepted
+        # evaluation's expansion, after order 6 was solved: that expansion is
+        # dropped, and no later raise extends it again, not even at 0.5, where
+        # the polish's accept re-decides the order of an iterate accepted before
+        monkeypatch.setattr(optimizer, "evaluate", evaluate)
+        extended = []
+        step_order = ssm.step_order
+
+        def no_step_to_7(exp):
+            extended.append((exp, exp.order))
+            if exp.order + 1 >= 7:
+                raise OuterResonanceError((exp.order + 1, 0), 1, 0.0)
+            step_order(exp)
+
+        monkeypatch.setattr(ssm, "step_order", no_step_to_7)
+        failed = solve(chain_problem(0.97 * nominal, x0))
+        assert failed.converged
+        assert {r.order for r in failed.trace} == {5}
+        assert np.array_equal(failed.mu_star, res.mu_star)
+        stalled = solve(chain_problem(0.5 * nominal, x0))
+        assert stalled.message == "merit line search stalled"
+        assert {r.order for r in stalled.trace} == {5}
+        assert any(order == 6 for _, order in extended)
+        states = [(id(exp), order) for exp, order in extended]
+        assert len(set(states)) == len(states)
 
     def test_convergence_test_reads_the_accepted_evaluation(self, monkeypatch):
         # every accepted iterate of a linear chain raises the order by two:
