@@ -266,7 +266,8 @@ class EvalResult:
     order: int
     mac: float
     phi: np.ndarray
-    # what the evaluation built; `_Session` drops it once the order is decided
+    # what the evaluation built; `_Session` drops it once the order is decided,
+    # or, for a trial that is not accepted, before it builds the next design
     built: Built | None = field(default=None, repr=False, compare=False)
 
 
